@@ -6,7 +6,7 @@ from .analytic import AnalyticParams, dmul_latency, peak_throughput, sweep, thro
 from .array import ArraySim, CollectedRow
 from .cost import Arch, CostParams, StageCost, stage_latency, summary
 from .numerics import mul2, recompose, split_subwords
-from .pe import PE, PhaseError, combine_groups, group_multiply, weight_slots
+from .pe import PE, PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
 from .preprocess import (
     PackedWeightTile,
     Precision,
@@ -34,6 +34,7 @@ __all__ = [
     "PE",
     "PackedWeightTile",
     "PhaseError",
+    "PsumOverflowError",
     "Precision",
     "PrecisionMode",
     "Stage",

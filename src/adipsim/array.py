@@ -18,6 +18,19 @@ Dataflow per step:
 Because inputs enter unskewed and the wave stays aligned, all n column
 results of one input row emerge on the same cycle; no output-deskew FIFOs
 exist anywhere in the model.
+
+Two engines evaluate a pass (one weight load, then a run of streamed rows):
+
+* `ArraySim` steps the registers one clock at a time. It is the reference
+  model and the only source of per-PE traces.
+* `evaluate_pass` computes the same pass in one shot. The bottom psum of
+  column c for input row a is sum_k a[k] * slot[g, k, c] over the
+  un-rotated slot grids, and the reducer's fold of the four buses is
+  linear, so every row's outputs are one integer matmul with the
+  un-rotated weight fields. The cycle count comes from the same
+  `load_cycles` / `stream_cycles` that the stepped model advances its
+  clock by, and the psum-bus and reducer overflow checks cover exactly
+  the register values the stepped model would form.
 """
 
 from __future__ import annotations
@@ -29,14 +42,53 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import PSUM_BITS, signed_range
-from .pe import PhaseError, weight_slots
-from .preprocess import PackedWeightTile, Precision, PrecisionMode
+from .numerics import PSUM_BITS, bit_fields, signed_range
+from .pe import PhaseError, PsumOverflowError, decode_slots
+from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
+from .preprocess import PackedWeightTile, Precision, PrecisionMode, rotation_index
 
 _ACT_MIN, _ACT_MAX = signed_range(8)
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
+# Elements of the (rows, 4, n, n) prefix-sum tensor formed at once by the
+# exact psum check; bounds its memory to a few tens of MB.
+_CHECK_CHUNK = 1 << 21
+
 TRACE_HEADER = "cycle,row,col,input,psum0,psum1,psum2,psum3"
+
+
+def load_cycles(n: int, overlap_weights: bool) -> int:
+    """Weight-load cycles of one pass: one tile row per cycle, or none
+    when loading is double-buffered behind the previous drain."""
+    return 0 if overlap_weights else n
+
+
+def stream_cycles(n: int, rows: int, mac_stages: int, reduce_stages: int) -> int:
+    """Cycles from the first streamed row entering until the last result
+    leaves: one per row, plus the fill of the n PE rows, the psum pipeline
+    and the reducer."""
+    return rows + n + mac_stages + reduce_stages - 2
+
+
+def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optional[int]) -> int:
+    """Validate the pipeline depths; returns `reduce_stages`, defaulting to
+    the structural depth of the precision."""
+    if mac_stages < 1:
+        raise ValueError(f"mac_stages must be >= 1, got {mac_stages}")
+    structural = precision.reducer_stages
+    if reduce_stages is None:
+        return structural
+    if reduce_stages < structural:
+        raise ValueError(
+            f"reduce_stages={reduce_stages} below the structural depth "
+            f"{structural} of {precision.name}"
+        )
+    return reduce_stages
+
+
+def _check_register(values: np.ndarray, what: str) -> None:
+    if values.size and np.abs(values).max() >= _PSUM_LIMIT:
+        raise PsumOverflowError(f"{what} overflow")
 
 
 @dataclass
@@ -68,16 +120,7 @@ class ArraySim:
     ):
         if n < 1:
             raise ValueError(f"array size must be >= 1, got {n}")
-        if mac_stages < 1:
-            raise ValueError(f"mac_stages must be >= 1, got {mac_stages}")
-        structural = mode.precision.reducer_stages
-        if reduce_stages is None:
-            reduce_stages = structural
-        if reduce_stages < structural:
-            raise ValueError(
-                f"reduce_stages={reduce_stages} below the structural depth "
-                f"{structural} of {mode.precision.name}"
-            )
+        reduce_stages = resolve_stages(mode.precision, mac_stages, reduce_stages)
         self.n = n
         self.mode = mode
         self.mac_stages = mac_stages
@@ -90,6 +133,7 @@ class ArraySim:
         self._zero_row = np.zeros(n, dtype=np.int64)
         self._reset_pipeline()
         if trace is not None:
+            self._trace_cells = [f"{r},{c}," for r in range(n) for c in range(n)]
             try:
                 fresh = trace.tell() == 0
             except (OSError, io.UnsupportedOperation):
@@ -132,13 +176,9 @@ class ArraySim:
             raise ValueError(f"packed tile is {packed.n}x{packed.n}, array is {self.n}x{self.n}")
         if packed.mode != self.mode:
             raise ValueError(f"packed mode {packed.mode} does not match array mode {self.mode}")
-        precision = self.mode.precision
-        for k in range(self.n):
-            for j in range(self.n):
-                self._slots[:, k, j] = weight_slots(int(packed.words[k, j]), precision)
+        self._slots = decode_slots(packed.words, self.mode.precision)
         self._reset_pipeline()
-        if not self.overlap_weights:
-            self.cycle += self.n
+        self.cycle += load_cycles(self.n, self.overlap_weights)
         self._loaded = True
 
     # -- one clock -----------------------------------------------------------
@@ -155,9 +195,9 @@ class ArraySim:
 
         input_in = np.empty_like(self._inputs)
         input_in[0] = row_in
-        if self.n > 1:
-            # registered value at (r, c) moves to (r+1, (c-1) mod n)
-            input_in[1:] = np.roll(self._inputs[:-1], -1, axis=1)
+        # registered value at (r, c) moves to (r+1, (c-1) mod n)
+        input_in[1:, :-1] = self._inputs[:-1, 1:]
+        input_in[1:, -1] = self._inputs[:-1, 0]
         psums_in = np.zeros_like(self._psums)
         psums_in[:, 1:, :] = self._psums[:, :-1, :]
         self._psums = psums_in + input_in[None, :, :] * self._slots
@@ -166,8 +206,8 @@ class ArraySim:
         self._stage2 = new_stage2
         self.cycle += 1
 
-        assert abs(self._psums).max() < _PSUM_LIMIT, "psum bus overflow"
-        assert abs(self._stage2).max() < _PSUM_LIMIT, "reducer overflow"
+        _check_register(self._psums, "psum bus")
+        _check_register(self._stage2, "reducer")
 
         tap = self._tap()
         self._out_hist.append(tap)
@@ -189,12 +229,16 @@ class ArraySim:
         return [self._psums[t, -1, :].copy() for t in range(self.mode.nw)]
 
     def _write_trace(self) -> None:
-        for r in range(self.n):
-            for c in range(self.n):
-                p = self._psums[:, r, c]
-                self._trace.write(
-                    f"{self.cycle},{r},{c},{self._inputs[r, c]},{p[0]},{p[1]},{p[2]},{p[3]}\n"
+        cycle = self.cycle
+        p0, p1, p2, p3 = self._psums.reshape(4, -1).tolist()
+        self._trace.write(
+            "".join(
+                f"{cycle},{cell}{x},{a},{b},{c},{d}\n"
+                for cell, x, a, b, c, d in zip(
+                    self._trace_cells, self._inputs.ravel().tolist(), p0, p1, p2, p3
                 )
+            )
+        )
 
     # -- streaming -----------------------------------------------------------
 
@@ -212,8 +256,8 @@ class ArraySim:
         if rows.size and (rows.min() < _ACT_MIN or rows.max() > _ACT_MAX):
             raise ValueError("input element outside signed 8-bit range")
         count = rows.shape[0]
-        first_valid = self.n + self.mac_stages - 1 + self.reduce_stages
-        total_steps = count + first_valid - 1
+        total_steps = stream_cycles(self.n, count, self.mac_stages, self.reduce_stages)
+        first_valid = total_steps - count + 1
         collected = []
         for s in range(1, total_steps + 1):
             row_in = rows[s - 1] if s <= count else self._zero_row
@@ -240,3 +284,60 @@ class ArraySim:
             np.stack([row.outputs[t] for row in collected]) for t in range(self.mode.nw)
         ]
         return outputs, cycles
+
+
+def evaluate_pass(
+    packed: PackedWeightTile,
+    rows: np.ndarray,
+    mac_stages: int = 1,
+    reduce_stages: Optional[int] = None,
+    overlap_weights: bool = False,
+) -> tuple[list[np.ndarray], int]:
+    """One pass in one shot: what `ArraySim.load_weights(packed)` then
+    `ArraySim.stream(rows)` would collect, without stepping.
+
+    Returns the nw per-matrix output blocks (rows x n) and the pass's
+    cycles, weight load included. Raises `PsumOverflowError` exactly when
+    the stepped model would.
+    """
+    precision = packed.mode.precision
+    reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
+    n = packed.n
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"input rows must be R x {n}, got {rows.shape}")
+    if rows.size and (rows.min() < _ACT_MIN or rows.max() > _ACT_MAX):
+        raise ValueError("input element outside signed 8-bit range")
+    count = rows.shape[0]
+    _check_psums(decode_slots(packed.words, precision), rows)
+    # Folding the four buses per precision is linear, so fold the slots
+    # first: that yields the r signed weight fields of every word.
+    w, r = precision.weight_bits, precision.r
+    fields = bit_fields(packed.words, w, r)
+    weights = np.empty_like(fields)
+    weights[(slice(None), *rotation_index(n))] = fields  # weights[t, k, c], un-rotated
+    products = rows @ weights.transpose(1, 0, 2).reshape(n, r * n)
+    outputs = list(products.reshape(count, r, n).transpose(1, 0, 2))
+    # The reducer's stage-2 register holds the W8 fold of the buses, which is
+    # sum_t output_t << t*w. It is formed for every row but the last
+    # 2 - reduce_stages ones, whatever the tap precision.
+    formed = max(0, min(count, count + reduce_stages - 2))
+    _check_register(sum(out[:formed] << (t * w) for t, out in enumerate(outputs)), "reducer")
+    cycles = load_cycles(n, overlap_weights) + stream_cycles(n, count, mac_stages, reduce_stages)
+    return outputs[: packed.mode.nw], cycles
+
+
+def _check_psums(slots: np.ndarray, rows: np.ndarray) -> None:
+    """Psum-bus check of a pass: PE(r, c) holds, for some row a, the prefix
+    sum over q <= r of a[(c+q) mod n] * slot[g, q, c]."""
+    if not rows.size:
+        return
+    reach = np.abs(slots).sum(axis=1).max()  # max over (g, c) of sum_q |slot|
+    if np.abs(rows).max() * reach < _PSUM_LIMIT:
+        return
+    n = slots.shape[1]
+    skew = rotation_index(n)[0]  # (c+q) mod n at [q, c]
+    chunk = max(1, _CHECK_CHUNK // (4 * n * n))
+    for start in range(0, rows.shape[0], chunk):
+        seen = rows[start : start + chunk][:, skew]  # seen[i, q, c]: row i's input at PE(q, c)
+        _check_register(np.cumsum(seen[:, None] * slots[None], axis=2), "psum bus")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 SUBWORD_BITS = 2
 VALID_WIDTHS = (2, 4, 8)
 
@@ -31,6 +33,21 @@ def check_signed(value: int, bits: int, what: str = "value") -> int:
     if not lo <= value <= hi:
         raise ValueError(f"{what} {value} outside signed {bits}-bit range [{lo}, {hi}]")
     return value
+
+
+def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = True) -> np.ndarray:
+    """Cut non-negative integers into `count` little-endian `width`-bit fields.
+
+    Returns int64 with a new leading field axis: field t of every word
+    sits at index t. `signed` is one flag for all fields or one per field;
+    a signed field reads as two's complement, an unsigned one as is.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    axis = (-1,) + (1,) * words.ndim
+    shifts = (np.arange(count) * width).reshape(axis)
+    raw = (words[None] >> shifts) & ((1 << width) - 1)
+    flags = np.broadcast_to(np.asarray(signed, dtype=bool), (count,)).reshape(axis)
+    return np.where(flags & (raw >= 1 << (width - 1)), raw - (1 << width), raw)
 
 
 def split_subwords(x: int, width: int) -> list[int]:

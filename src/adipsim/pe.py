@@ -17,7 +17,9 @@ Group outputs ride four dedicated psum buses; recombining them per mode
 
 from __future__ import annotations
 
-from .numerics import PSUM_BITS, check_signed, mul2, signed_range, split_subwords
+import numpy as np
+
+from .numerics import PSUM_BITS, bit_fields, check_signed, mul2, signed_range, split_subwords
 from .preprocess import Precision
 
 _SIGNED_FIELDS = {
@@ -33,15 +35,20 @@ class PhaseError(RuntimeError):
     """Weight load attempted while the PE is mid-computation."""
 
 
+class PsumOverflowError(OverflowError):
+    """A psum bus or reducer register left the 32-bit accumulator range."""
+
+
+def decode_slots(words, precision: Precision) -> np.ndarray:
+    """Decode stationary words into their four 2-bit slots: shape (4, *words.shape)."""
+    return bit_fields(words, 2, 4, _SIGNED_FIELDS[precision])
+
+
 def weight_slots(word: int, precision: Precision) -> tuple[int, int, int, int]:
     """Decode the four 2-bit fields of a stationary word under a precision."""
     if not 0 <= word <= 0xFF:
         raise ValueError(f"weight word {word} outside [0, 255]")
-    slots = []
-    for g, signed in enumerate(_SIGNED_FIELDS[precision]):
-        raw = (word >> (2 * g)) & 0b11
-        slots.append(raw - 4 if signed and raw >= 2 else raw)
-    return tuple(slots)
+    return tuple(decode_slots(word, precision).tolist())
 
 
 def group_multiply(input_val: int, word: int, precision: Precision) -> tuple[int, int, int, int]:
@@ -98,7 +105,8 @@ class PE:
         groups = group_multiply(input_in, self.weight_word, self.precision)
         psums_out = tuple(p + g for p, g in zip(psums_in, groups))
         for p in psums_out:
-            assert _PSUM_MIN <= p <= _PSUM_MAX, f"psum {p} overflows 32-bit accumulator"
+            if not _PSUM_MIN <= p <= _PSUM_MAX:
+                raise PsumOverflowError(f"psum {p} overflows 32-bit accumulator")
         input_out = self.input_reg
         self.input_reg = input_in
         self.psums = psums_out

@@ -23,7 +23,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .numerics import signed_range
+from .numerics import bit_fields, signed_range
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -126,18 +126,24 @@ class PackedWeightTile:
         return self.words.shape[0]
 
 
+def rotation_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index map of the diagonal rotation: `permute` moves element
+    [(k+j) mod n][j] of a tile to [k][j], so `grid[rows, cols]` applies the
+    rotation and `out[rows, cols] = grid` undoes it."""
+    rows = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    return rows, np.arange(n)[None, :]
+
+
 def permute(tile: WeightTile) -> WeightTile:
     """Rotate column j upward by j: out[k][j] = in[(k+j) mod n][j]."""
-    n = tile.n
-    rows = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return WeightTile(tile.data[rows, np.arange(n)[None, :]], tile.width)
+    return WeightTile(tile.data[rotation_index(tile.n)], tile.width)
 
 
 def inverse_permute(tile: WeightTile) -> WeightTile:
     """Undo `permute`: out[k][j] = in[(k-j) mod n][j]."""
-    n = tile.n
-    rows = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return WeightTile(tile.data[rows, np.arange(n)[None, :]], tile.width)
+    out = np.empty_like(tile.data)
+    out[rotation_index(tile.n)] = tile.data
+    return WeightTile(out, tile.width)
 
 
 def interleave(tiles: Sequence[WeightTile], mode: PrecisionMode) -> PackedWeightTile:
@@ -160,14 +166,7 @@ def interleave(tiles: Sequence[WeightTile], mode: PrecisionMode) -> PackedWeight
 def deinterleave(packed: PackedWeightTile) -> list[WeightTile]:
     """Decode the nw active bit fields back into signed weight tiles."""
     w = packed.mode.weight_bits
-    mask = (1 << w) - 1
-    sign_bit = 1 << (w - 1)
-    tiles = []
-    for t in range(packed.mode.nw):
-        field = (packed.words.astype(np.int32) >> (t * w)) & mask
-        field = np.where(field >= sign_bit, field - (1 << w), field)
-        tiles.append(WeightTile(field, w))
-    return tiles
+    return [WeightTile(field, w) for field in bit_fields(packed.words, w, packed.mode.nw)]
 
 
 def prepare_weights(

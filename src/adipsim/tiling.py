@@ -9,6 +9,10 @@ buffer across the k loop and are written once.
 Jobs carrying several same-shape weight matrices at a narrow width are
 fused into groups of r = 8 / weight_bits matrices per pass, which divides
 the pass count by r while streaming the shared input once.
+
+Untraced runs evaluate each pass in one shot (`array.evaluate_pass`);
+traced runs step the reference `ArraySim`, which writes the per-PE trace.
+Both give the same outputs, cycle counts and overflow errors.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim
+from .array import ArraySim, evaluate_pass, resolve_stages
 from .numerics import signed_range
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
@@ -136,10 +140,13 @@ def run_tiled(
 
     Results are exact; `total_cycles` sums pass latencies (plus weight-load
     cycles when `overlap_weights` is off) and `pass_count` counts weight-tile
-    loads across all fused groups.
+    loads across all fused groups. Given a `trace` sink, every pass steps
+    the reference `ArraySim` and writes its per-PE trace there; without
+    one, passes are evaluated whole.
     """
     m_dim, k_dim, p_dim = job.shape
     n = job.n
+    reduce_stages = resolve_stages(job.precision, mac_stages, reduce_stages)
     the_plan = plan(job)
     tm, tk, tp = the_plan.tm, the_plan.tk, the_plan.tp
     a_pad = np.zeros((tm * n, tk * n), dtype=np.int64)
@@ -153,25 +160,33 @@ def run_tiled(
         group = job.weights[base : base + nw]
         mode = PrecisionMode(job.precision, nw)
         grid = prepare_weights(group, mode, n)
-        sim = ArraySim(
-            n,
-            mode,
-            mac_stages=mac_stages,
-            reduce_stages=reduce_stages,
-            overlap_weights=overlap_weights,
-            trace=trace,
-        )
+        sim = None
+        if trace is not None:
+            sim = ArraySim(
+                n,
+                mode,
+                mac_stages=mac_stages,
+                reduce_stages=reduce_stages,
+                overlap_weights=overlap_weights,
+                trace=trace,
+            )
         for j in range(tp):
+            cols = slice(j * n, (j + 1) * n)
             for k in range(tk):
-                start = sim.cycle
-                sim.load_weights(grid[k][j])
-                collected = sim.stream(a_pad[:, k * n : (k + 1) * n])
-                total_cycles += sim.cycle - start
+                a_k = a_pad[:, k * n : (k + 1) * n]
+                if sim is None:
+                    outs, cycles = evaluate_pass(grid[k][j], a_k, mac_stages, reduce_stages, overlap_weights)
+                    for t, out in enumerate(outs):
+                        accum[base + t][:, cols] += out
+                else:
+                    start = sim.cycle
+                    sim.load_weights(grid[k][j])
+                    for row in sim.stream(a_k):
+                        for t in range(nw):
+                            accum[base + t][row.index, cols] += row.outputs[t]
+                    cycles = sim.cycle - start
+                total_cycles += cycles
                 passes += 1
-                cols = slice(j * n, (j + 1) * n)
-                for row in collected:
-                    for t in range(nw):
-                        accum[base + t][row.index, cols] += row.outputs[t]
         base += nw
 
     outputs = [acc[:m_dim, :p_dim] for acc in accum]
