@@ -5,9 +5,11 @@ The distributed multiply composes an act_bits x weight_bits product from
 
     dmul = ceil(act_bits * weight_bits / (mul_count * mul_width**2))
 
-and a full n-row tile costs
-
-    latency = n * dmul + n + mac_stages + reduce_stages - 2.
+and a full n-row tile costs what the simulator's pass clock
+(`array.stream_cycles`) gives for n * dmul streamed rows: one cycle per
+row plus the fill of the n PE rows, the psum pipeline and the reducer.
+The reducer depth defaults to the structural depth of the precision
+(`Precision.reducer_stages`).
 
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
@@ -20,13 +22,11 @@ import csv
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
-DEFAULT_REDUCE_STAGES = {8: 2, 4: 1, 2: 0}
+from .array import stream_cycles
+from .numerics import ceil_div
+from .preprocess import Precision
 
 SWEEP_CSV_COLUMNS = ("M", "precision", "dmul_cycles", "latency_cycles", "throughput_tops")
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,24 @@ class AnalyticParams:
         params = cls(
             size=size,
             weight_bits=weight_bits,
-            reduce_stages=DEFAULT_REDUCE_STAGES[weight_bits],
+            reduce_stages=Precision.from_bits(weight_bits).reducer_stages,
         )
         return replace(params, **overrides) if overrides else params
 
 
 def dmul_latency(p: AnalyticParams) -> int:
     """Cycles to finish one distributed multiply."""
-    return _ceil_div(p.act_bits * p.weight_bits, p.mul_count * p.mul_width**2)
+    return ceil_div(p.act_bits * p.weight_bits, p.mul_count * p.mul_width**2)
 
 
 def parallel_factor(p: AnalyticParams) -> int:
     """How many full products the multiplier bank completes per cycle."""
-    return _ceil_div(p.mul_count * p.mul_width**2, p.act_bits * p.weight_bits)
+    return ceil_div(p.mul_count * p.mul_width**2, p.act_bits * p.weight_bits)
 
 
 def tile_latency(p: AnalyticParams) -> int:
     """Cycles from first streamed row to the last collected output row."""
-    return p.size * dmul_latency(p) + p.size + p.mac_stages + p.reduce_stages - 2
+    return stream_cycles(p.size, p.size * dmul_latency(p), p.mac_stages, p.reduce_stages)
 
 
 def ops_per_cycle(p: AnalyticParams) -> float:

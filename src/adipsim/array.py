@@ -42,12 +42,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, signed_range
+from .numerics import PSUM_BITS, bit_fields, check_signed
 from .pe import PhaseError, PsumOverflowError, decode_slots
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
 from .preprocess import PackedWeightTile, Precision, PrecisionMode, rotation_index
 
-_ACT_MIN, _ACT_MAX = signed_range(8)
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
 # Elements of the (rows, 4, n, n) prefix-sum tensor formed at once by the
@@ -84,6 +83,14 @@ def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optiona
             f"{structural} of {precision.name}"
         )
     return reduce_stages
+
+
+def _check_rows(rows, n: int) -> np.ndarray:
+    """Streamed input of one pass: an R x n int64 block of 8-bit activations."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"input rows must be R x {n}, got {rows.shape}")
+    return check_signed(rows, 8, "input element")
 
 
 def _check_register(values: np.ndarray, what: str) -> None:
@@ -250,11 +257,7 @@ class ArraySim:
         """
         if not self._loaded:
             raise PhaseError("streaming before weight load")
-        rows = np.asarray(a_rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.n:
-            raise ValueError(f"input rows must be R x {self.n}, got {rows.shape}")
-        if rows.size and (rows.min() < _ACT_MIN or rows.max() > _ACT_MAX):
-            raise ValueError("input element outside signed 8-bit range")
+        rows = _check_rows(a_rows, self.n)
         count = rows.shape[0]
         total_steps = stream_cycles(self.n, count, self.mac_stages, self.reduce_stages)
         first_valid = total_steps - count + 1
@@ -303,11 +306,7 @@ def evaluate_pass(
     precision = packed.mode.precision
     reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
     n = packed.n
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"input rows must be R x {n}, got {rows.shape}")
-    if rows.size and (rows.min() < _ACT_MIN or rows.max() > _ACT_MAX):
-        raise ValueError("input element outside signed 8-bit range")
+    rows = _check_rows(rows, n)
     count = rows.shape[0]
     _check_psums(decode_slots(packed.words, precision), rows)
     # Folding the four buses per precision is linear, so fold the slots

@@ -25,7 +25,7 @@ from .preprocess import (
     read_packed,
     write_packed,
 )
-from .numerics import signed_range
+from .numerics import VALID_WIDTHS, check_signed, signed_range
 
 SWEEP_SIZES = (4, 8, 16, 32, 64)
 
@@ -39,15 +39,29 @@ def read_matrix(path: str) -> tuple[np.ndarray, int]:
         tokens = fh.read().split()
     if len(tokens) < 3:
         raise ValueError(f"{path}: missing matrix header")
-    rows, cols, width = (int(t) for t in tokens[:3])
-    values = [int(t) for t in tokens[3:]]
+    try:
+        rows, cols, width, *values = (int(t) for t in tokens)
+    except ValueError:
+        raise ValueError(f"{path}: non-integer token") from None
+    if rows < 0 or cols < 0:
+        raise ValueError(f"{path}: negative matrix shape {rows}x{cols}")
+    if width not in VALID_WIDTHS:
+        raise ValueError(f"{path}: width {width} is not one of {VALID_WIDTHS}")
     if len(values) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} elements, found {len(values)}")
     matrix = np.array(values, dtype=np.int64).reshape(rows, cols)
-    lo, hi = signed_range(width)
-    if matrix.size and (matrix.min() < lo or matrix.max() > hi):
-        raise ValueError(f"{path}: element outside signed {width}-bit range")
-    return matrix, width
+    return check_signed(matrix, width, f"{path}: element"), width
+
+
+def _read_weights(paths: list[str], precision: Precision) -> list[np.ndarray]:
+    """Read weight matrix files no wider than the precision's weight width."""
+    matrices = []
+    for path in paths:
+        matrix, width = read_matrix(path)
+        if width > precision.weight_bits:
+            raise ValueError(f"{path} is {width}-bit, mode allows {precision.weight_bits}")
+        matrices.append(matrix)
+    return matrices
 
 
 def write_matrix(matrix: np.ndarray, width: int, fh: IO[str]) -> None:
@@ -64,6 +78,13 @@ def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -103,20 +124,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if a_width != 8:
             print(f"simulate: input matrix must be 8-bit, got {a_width}", file=sys.stderr)
             return 2
-        weights = []
-        for path in args.b:
-            w, w_width = read_matrix(path)
-            if w_width > precision.weight_bits:
-                print(
-                    f"simulate: {path} is {w_width}-bit, mode allows "
-                    f"{precision.weight_bits}",
-                    file=sys.stderr,
-                )
-                return 2
-            weights.append(w)
+        weights = _read_weights(args.b, precision)
     else:
         rng = _rng(args.seed)
-        m, k, p = args.m or 2 * n, args.k or 2 * n, args.p or 2 * n
+        m, k, p = (2 * n if v is None else v for v in (args.m, args.k, args.p))
         a = _random_acts(rng, m, k)
         weights = [
             _random_weights(rng, k, p, precision.weight_bits) for _ in range(args.nw)
@@ -157,6 +168,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         count_output_writes=args.count_output_writes,
         output_bytes=args.output_bytes,
     )
+    info = cost.summary(cfg, params)  # fails on a bad size before anything is printed
 
     print(
         f"model {cfg.name}: layers={cfg.layers} d_model={cfg.d_model} "
@@ -175,7 +187,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
             f" {spec.ops / 1e9:10.2f} GOP  {100 * shares[spec.stage]:5.1f}%"
         )
 
-    info = cost.summary(cfg, params)
     print(f"architecture comparison at {params.n}x{params.n}, {params.clock_hz / 1e9:g} GHz:")
     for arch in cost.Arch:
         t = info["totals"][arch.label]
@@ -210,17 +221,7 @@ def cmd_interleave(args: argparse.Namespace) -> int:
     mode = PrecisionMode(precision, args.nw)
     n = args.size
     if args.infile:
-        matrices = []
-        for path in args.infile:
-            matrix, width = read_matrix(path)
-            if width > precision.weight_bits:
-                print(
-                    f"interleave: {path} is {width}-bit, mode allows "
-                    f"{precision.weight_bits}",
-                    file=sys.stderr,
-                )
-                return 2
-            matrices.append(matrix)
+        matrices = _read_weights(args.infile, precision)
         if len(matrices) != mode.nw:
             print(
                 f"interleave: mode expects {mode.nw} matrices, got {len(matrices)}",
@@ -229,7 +230,7 @@ def cmd_interleave(args: argparse.Namespace) -> int:
             return 2
     else:
         rng = _rng(args.seed)
-        rows, cols = args.rows or n, args.cols or n
+        rows, cols = (n if v is None else v for v in (args.rows, args.cols))
         matrices = [
             _random_weights(rng, rows, cols, precision.weight_bits)
             for _ in range(mode.nw)
@@ -297,19 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="emit the multiplier-count sweep CSV")
-    p.add_argument("--size", type=int, default=64, help="array dimension n")
+    p.add_argument("--size", type=_positive_int, default=64, help="array dimension n")
     p.add_argument("--muls", default="2,4,8,16", help="comma-separated 2-bit multiplier counts")
     p.add_argument("--clock-ghz", type=float, default=1.0)
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("simulate", help="run matrices through the cycle simulator and check them")
-    p.add_argument("--size", type=int, default=8, help="array dimension n")
+    p.add_argument("--size", type=_positive_int, default=8, help="array dimension n")
     p.add_argument("--mode", default="w8", choices=("w8", "w4", "w2"))
-    p.add_argument("--nw", type=int, default=1, help="number of weight matrices")
-    p.add_argument("--m", type=int, help="input rows (default 2n)")
-    p.add_argument("--k", type=int, help="shared dimension (default 2n)")
-    p.add_argument("--p", type=int, help="output columns (default 2n)")
+    p.add_argument("--nw", type=_positive_int, default=1, help="number of weight matrices")
+    p.add_argument("--m", type=_positive_int, help="input rows (default 2n)")
+    p.add_argument("--k", type=_positive_int, help="shared dimension (default 2n)")
+    p.add_argument("--p", type=_positive_int, help="output columns (default 2n)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--a", help="input matrix file (text format)")
     p.add_argument("--b", action="append", default=[], help="weight matrix file, repeatable")
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workload", help="attention workload breakdown and architecture comparison")
     p.add_argument("model", help="builtin model name or a JSON geometry file")
-    p.add_argument("--size", type=int, default=32, help="array dimension n")
+    p.add_argument("--size", type=_positive_int, default=32, help="array dimension n")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="artifact path (default stdout)")
     p.add_argument("--count-output-writes", action="store_true")
@@ -327,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_workload)
 
     p = sub.add_parser("interleave", help="permute and pack weight matrices, dump the tiles")
-    p.add_argument("--size", type=int, default=4, help="array dimension n")
+    p.add_argument("--size", type=_positive_int, default=4, help="array dimension n")
     p.add_argument("--mode", default="w8", choices=("w8", "w4", "w2"))
-    p.add_argument("--nw", type=int, default=1)
-    p.add_argument("--rows", type=int, help="generated matrix rows (default n)")
-    p.add_argument("--cols", type=int, help="generated matrix cols (default n)")
+    p.add_argument("--nw", type=_positive_int, default=1)
+    p.add_argument("--rows", type=_positive_int, help="generated matrix rows (default n)")
+    p.add_argument("--cols", type=_positive_int, help="generated matrix cols (default n)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="infile", action="append", help="weight matrix file, repeatable")
     p.add_argument("--out", required=True, help="packed binary output path")

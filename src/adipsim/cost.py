@@ -1,7 +1,10 @@
 """Relative latency, energy and memory-traffic models for attention stages.
 
 Three architectures share one pass structure: a pass pins one stationary
-weight tile and streams every input row tile through the array.
+weight tile and streams every input row tile through the array. A pass
+costs what the simulator's clock gives it, `array.load_cycles` plus
+`array.stream_cycles` for the streamed rows at the reducer depth of the
+pass precision.
 
 * WS   -- conventional weight-stationary baseline; pays an extra skew of
           n - 1 fill cycles per pass for input/output synchronization.
@@ -26,6 +29,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Optional
 
+from .array import load_cycles, stream_cycles
+from .numerics import ceil_div
 from .preprocess import Precision
 from .workload import MhaConfig, StageSpec, stages
 
@@ -44,10 +49,6 @@ class Arch(Enum):
     @property
     def label(self) -> str:
         return self.value
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass
@@ -111,30 +112,30 @@ def _stage_precision(spec: StageSpec, arch: Arch) -> Precision:
 
 
 def _stage_passes(spec: StageSpec, arch: Arch, params: CostParams) -> int:
-    tk = _ceil_div(spec.k, params.n)
-    tp = _ceil_div(spec.p, params.n)
+    tk = ceil_div(spec.k, params.n)
+    tp = ceil_div(spec.p, params.n)
     base = spec.count * tk * tp
     if arch is Arch.ADIP and spec.is_projection:
-        return _ceil_div(base, _stage_precision(spec, arch).r)
+        return ceil_div(base, _stage_precision(spec, arch).r)
     return base
 
 
 def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
     """Total cycles of one stage: pass count times per-pass latency."""
-    tm = _ceil_div(spec.m, params.n)
-    per_pass = tm * params.n + params.n + params.mac_stages
-    per_pass += _stage_precision(spec, arch).reducer_stages - 2
+    n = params.n
+    rows = ceil_div(spec.m, n) * n
+    reduce_stages = _stage_precision(spec, arch).reducer_stages
+    per_pass = load_cycles(n, params.overlap_weights)
+    per_pass += stream_cycles(n, rows, params.mac_stages, reduce_stages)
     if arch is Arch.WS:
         per_pass += params.skew
-    if not params.overlap_weights:
-        per_pass += params.n
     return _stage_passes(spec, arch, params) * per_pass
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     passes = _stage_passes(spec, arch, params)
-    tm = _ceil_div(spec.m, params.n)
-    tp = _ceil_div(spec.p, params.n)
+    tm = ceil_div(spec.m, params.n)
+    tp = ceil_div(spec.p, params.n)
     cycles = stage_latency(spec, arch, params)
     bytes_out = 0
     if params.count_output_writes:

@@ -28,11 +28,21 @@ def signed_range(bits: int) -> tuple[int, int]:
     return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
 
 
-def check_signed(value: int, bits: int, what: str = "value") -> int:
+def check_signed(values, bits: int, what: str = "value"):
+    """Return `values` (a scalar or an array) unchanged if every element fits
+    a two's-complement field of `bits` bits; raise ValueError otherwise."""
     lo, hi = signed_range(bits)
-    if not lo <= value <= hi:
-        raise ValueError(f"{what} {value} outside signed {bits}-bit range [{lo}, {hi}]")
-    return value
+    if isinstance(values, np.ndarray):
+        if values.size and (values.min() < lo or values.max() > hi):
+            raise ValueError(f"{what} outside signed {bits}-bit range [{lo}, {hi}]")
+    elif not lo <= values <= hi:
+        raise ValueError(f"{what} {values} outside signed {bits}-bit range [{lo}, {hi}]")
+    return values
+
+
+def ceil_div(a: int, b: int) -> int:
+    """Tiles of size b needed to cover a elements."""
+    return -(-a // b)
 
 
 def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = True) -> np.ndarray:
@@ -75,8 +85,7 @@ def recompose(subwords: Sequence[int], width: int) -> int:
     for digit in subwords[:-1]:
         if not 0 <= digit <= 3:
             raise ValueError(f"lower subword {digit} outside unsigned range [0, 3]")
-    if not -2 <= subwords[-1] <= 1:
-        raise ValueError(f"top subword {subwords[-1]} outside signed range [-2, 1]")
+    check_signed(subwords[-1], SUBWORD_BITS, "top subword")
     return sum(digit << (SUBWORD_BITS * i) for i, digit in enumerate(subwords))
 
 

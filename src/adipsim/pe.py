@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, check_signed, mul2, signed_range, split_subwords
+from .numerics import PSUM_BITS, bit_fields, check_signed, mul2, split_subwords
 from .preprocess import Precision
 
 _SIGNED_FIELDS = {
@@ -27,8 +27,6 @@ _SIGNED_FIELDS = {
     Precision.W4: (False, True, False, True),
     Precision.W2: (True, True, True, True),
 }
-
-_PSUM_MIN, _PSUM_MAX = signed_range(PSUM_BITS)
 
 
 class PhaseError(RuntimeError):
@@ -104,9 +102,11 @@ class PE:
         self.computing = True
         groups = group_multiply(input_in, self.weight_word, self.precision)
         psums_out = tuple(p + g for p, g in zip(psums_in, groups))
-        for p in psums_out:
-            if not _PSUM_MIN <= p <= _PSUM_MAX:
-                raise PsumOverflowError(f"psum {p} overflows 32-bit accumulator")
+        try:
+            for p in psums_out:
+                check_signed(p, PSUM_BITS, "psum")
+        except ValueError as exc:
+            raise PsumOverflowError(str(exc)) from None
         input_out = self.input_reg
         self.input_reg = input_in
         self.psums = psums_out

@@ -23,7 +23,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .numerics import bit_fields, signed_range
+from .numerics import bit_fields, ceil_div, check_signed
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -100,9 +100,7 @@ class WeightTile:
             raise ValueError(f"weight tile must be square, got shape {self.data.shape}")
         if self.width not in (2, 4, 8):
             raise ValueError(f"invalid weight width {self.width}")
-        lo, hi = signed_range(self.width)
-        if self.data.size and (self.data.min() < lo or self.data.max() > hi):
-            raise ValueError(f"weight outside signed {self.width}-bit range [{lo}, {hi}]")
+        check_signed(self.data, self.width, "weight")
 
     @property
     def n(self) -> int:
@@ -187,15 +185,11 @@ def prepare_weights(
         raise ValueError(f"weight matrices must be 2-D, got shape {shape}")
     if any(m.shape != shape for m in mats):
         raise ValueError("all weight matrices must share one K x P shape")
-    lo, hi = signed_range(mode.weight_bits)
     for m in mats:
-        if m.size and (m.min() < lo or m.max() > hi):
-            raise ValueError(
-                f"weight outside signed {mode.weight_bits}-bit range [{lo}, {hi}]"
-            )
+        check_signed(m, mode.weight_bits, "weight")
     k_dim, p_dim = shape
-    tk = -(-k_dim // n) if k_dim else 1
-    tp = -(-p_dim // n) if p_dim else 1
+    tk = max(ceil_div(k_dim, n), 1)
+    tp = max(ceil_div(p_dim, n), 1)
     padded = [np.zeros((tk * n, tp * n), dtype=np.int32) for _ in mats]
     for dst, src in zip(padded, mats):
         dst[:k_dim, :p_dim] = src
@@ -214,6 +208,8 @@ def prepare_weights(
 
 def write_packed(grid: Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
     """Dump a packed-tile grid: 16-byte header, then row-major tile bytes."""
+    if not grid or not grid[0]:
+        raise ValueError("empty tile grid")
     rows = len(grid)
     cols = len(grid[0])
     mode = grid[0][0].mode
@@ -237,6 +233,8 @@ def read_packed(fh: BinaryIO) -> list[list[PackedWeightTile]]:
     if magic != PACKED_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     mode = PrecisionMode(Precision.from_bits(weight_bits), nw)
+    if n == 0 or rows == 0 or cols == 0:
+        raise ValueError(f"empty packed-weight grid: {rows}x{cols} tiles of {n}x{n}")
     grid = []
     for _ in range(rows):
         row = []

@@ -23,14 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .array import ArraySim, evaluate_pass, resolve_stages
-from .numerics import signed_range
+from .numerics import ceil_div, check_signed
 from .preprocess import Precision, PrecisionMode, prepare_weights
-
-_ACT_MIN, _ACT_MAX = signed_range(8)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass
@@ -55,14 +49,9 @@ class MatMulJob:
             raise ValueError(f"weight shape {shape} incompatible with input K={k_dim}")
         if any(w.shape != shape for w in self.weights):
             raise ValueError("all weight matrices must share one shape")
-        if self.a.size and (self.a.min() < _ACT_MIN or self.a.max() > _ACT_MAX):
-            raise ValueError("input element outside signed 8-bit range")
-        lo, hi = signed_range(self.precision.weight_bits)
+        check_signed(self.a, 8, "input element")
         for w in self.weights:
-            if w.size and (w.min() < lo or w.max() > hi):
-                raise ValueError(
-                    f"weight outside signed {self.precision.weight_bits}-bit range"
-                )
+            check_signed(w, self.precision.weight_bits, "weight")
         if self.n < 1:
             raise ValueError(f"array size must be >= 1, got {self.n}")
 
@@ -93,11 +82,11 @@ def plan(job: MatMulJob) -> TiledPlan:
     m_dim, k_dim, p_dim = job.shape
     r = job.precision.r
     total = len(job.weights)
-    sizes = [min(r, total - g * r) for g in range(_ceil_div(total, r))]
+    sizes = [min(r, total - g * r) for g in range(ceil_div(total, r))]
     return TiledPlan(
-        tm=_ceil_div(m_dim, job.n),
-        tk=_ceil_div(k_dim, job.n),
-        tp=_ceil_div(p_dim, job.n),
+        tm=ceil_div(m_dim, job.n),
+        tk=ceil_div(k_dim, job.n),
+        tp=ceil_div(p_dim, job.n),
         group_sizes=sizes,
     )
 
@@ -170,6 +159,7 @@ def run_tiled(
                 overlap_weights=overlap_weights,
                 trace=trace,
             )
+            sim.cycle = total_cycles  # groups share one clock, so trace cycles keep rising
         for j in range(tp):
             cols = slice(j * n, (j + 1) * n)
             for k in range(tk):

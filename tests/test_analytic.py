@@ -102,8 +102,15 @@ def test_params_validation():
         AnalyticParams(reduce_stages=-1)
 
 
-@pytest.mark.parametrize("weight_bits", [8, 4, 2])
-def test_model_matches_simulator_measurement(weight_bits):
+@pytest.mark.parametrize(
+    "weight_bits, mac_stages",
+    [
+        pytest.param(bits, mac, id=str(bits) if mac == 1 else f"{bits}-mac{mac}")
+        for bits in (8, 4, 2)
+        for mac in (1, 2)
+    ],
+)
+def test_model_matches_simulator_measurement(weight_bits, mac_stages):
     """Whenever the distributed multiply takes one cycle, the closed-form tile
     latency must equal the cycle simulator's measured latency exactly."""
     rng = np.random.default_rng(weight_bits)
@@ -112,8 +119,8 @@ def test_model_matches_simulator_measurement(weight_bits):
     lo = -(1 << (weight_bits - 1))
     hi = (1 << (weight_bits - 1)) - 1
     grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode, mac_stages=mac_stages)
     _, measured = sim.run_tile(grid[0][0], rng.integers(-128, 128, (n, n)))
-    params = AnalyticParams.for_mode(n, weight_bits)
+    params = AnalyticParams.for_mode(n, weight_bits, mac_stages=mac_stages)
     assert dmul_latency(params) == 1
     assert measured == tile_latency(params)

@@ -35,6 +35,14 @@ def test_matrix_file_validation(tmp_path):
     path.write_text("1 1 4\n99\n")
     with pytest.raises(ValueError):
         read_matrix(str(path))
+    for width in (0, 3, 16):
+        path.write_text(f"1 1 {width}\n0\n")
+        with pytest.raises(ValueError, match="bad.txt.*width"):
+            read_matrix(str(path))
+    for header in ("-1 -1 8", "-2 0 8", "0 -3 8"):
+        path.write_text(header + "\n1\n")
+        with pytest.raises(ValueError, match="bad.txt.*negative"):
+            read_matrix(str(path))
 
 
 # -- analytic ---------------------------------------------------------------------
@@ -175,6 +183,41 @@ def test_workload_output_write_accounting_is_optional(capsys, tmp_path):
     quiet = json.loads(base.read_text())["totals"]["DiP"]["mem_bytes"]
     loud = json.loads(counted.read_text())["totals"]["DiP"]["mem_bytes"]
     assert loud > quiet
+
+
+def test_workload_size_without_power_factor_prints_no_report(capsys):
+    code, out, err = run_cli(capsys, "workload", "bert", "--size", "7")
+    assert code == 2
+    assert out == ""
+    assert "size 7" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analytic", "--size", "0"),
+        ("simulate", "--size", "0"),
+        ("simulate", "--nw", "0"),
+        ("simulate", "--m", "0"),
+        ("simulate", "--k", "0"),
+        ("simulate", "--p", "-1"),
+        ("workload", "bert", "--size", "0"),
+        ("interleave", "--rows", "0"),
+        ("interleave", "--cols", "0"),
+        ("interleave", "--nw", "0"),
+        ("interleave", "--size", "-4"),
+    ],
+)
+def test_non_positive_sizes_rejected(capsys, tmp_path, argv):
+    if argv[0] == "interleave":
+        argv += ("--out", str(tmp_path / "x.bin"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "positive integer" in captured.err
+    assert not (tmp_path / "x.bin").exists()
 
 
 # -- interleave ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from adipsim.cost import (
@@ -16,7 +17,18 @@ from adipsim.cost import (
     total_latency,
     write_stage_csv,
 )
-from adipsim.workload import BERT_LARGE, BITNET_158B, GPT2_MEDIUM, projection_fraction, stages
+from adipsim.numerics import signed_range
+from adipsim.preprocess import Precision
+from adipsim.tiling import MatMulJob, run_tiled
+from adipsim.workload import (
+    BERT_LARGE,
+    BITNET_158B,
+    GPT2_MEDIUM,
+    Stage,
+    StageSpec,
+    projection_fraction,
+    stages,
+)
 
 
 @pytest.fixture()
@@ -171,3 +183,32 @@ def test_power_factor_table_and_validation():
         CostParams(n=12).power(Arch.ADIP)
     with pytest.raises(ValueError):
         CostParams(output_bytes=2)
+
+
+@pytest.mark.parametrize(
+    "arch, precision",
+    [(Arch.ADIP, Precision.W8), (Arch.ADIP, Precision.W4), (Arch.ADIP, Precision.W2), (Arch.DIP, Precision.W8)],
+    ids=["ADiP-W8", "ADiP-W4", "ADiP-W2", "DiP-W8"],
+)
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("mac_stages", [1, 2])
+@pytest.mark.parametrize("overlap", [True, False])
+def test_stage_cost_matches_simulator(arch, precision, n, mac_stages, overlap):
+    """With count = r the cost model packs exactly the matrices that
+    `tiling.plan` fuses, so its cycles and weight traffic must equal what the
+    simulator counts on a ragged stage."""
+    m, k, p = 2 * n + 1, n + 3, 2 * n - 1
+    count = precision.r
+    rng = np.random.default_rng(n + 10 * mac_stages)
+    lo, hi = signed_range(precision.weight_bits)
+    job = MatMulJob(
+        a=rng.integers(-128, 128, (m, k)),
+        weights=[rng.integers(lo, hi + 1, (k, p)) for _ in range(count)],
+        precision=precision,
+        n=n,
+    )
+    result = run_tiled(job, overlap_weights=overlap, mac_stages=mac_stages)
+    spec = StageSpec(Stage.Q_PROJ, m=m, k=k, p=p, count=count, weight_bits=precision.weight_bits)
+    params = CostParams(n=n, mac_stages=mac_stages, overlap_weights=overlap)
+    assert stage_latency(spec, arch, params) == result.total_cycles
+    assert stage_cost(spec, arch, params).bytes_w // n**2 == result.pass_count

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adipsim.numerics import mul2, recompose, signed_range, split_subwords
+from adipsim.numerics import ceil_div, check_signed, mul2, recompose, signed_range, split_subwords
 
 
 @pytest.mark.parametrize(
@@ -98,3 +98,17 @@ def test_product_identity_random_sample():
             for j, db in enumerate(b_digits)
         )
         assert total == a * b
+
+
+def test_check_signed_takes_scalars_and_arrays():
+    block = np.array([[-8, 7], [0, 3]])
+    assert check_signed(-8, 4) == -8
+    assert check_signed(block, 4) is block
+    assert check_signed(np.zeros((0, 3), dtype=np.int64), 2).size == 0
+    for bad in (8, -9, np.array([0, 8]), np.array([[-9, 0]])):
+        with pytest.raises(ValueError):
+            check_signed(bad, 4)
+
+
+def test_ceil_div_counts_covering_tiles():
+    assert [ceil_div(k, 4) for k in (0, 1, 4, 5, 8, 9)] == [0, 1, 1, 2, 2, 3]

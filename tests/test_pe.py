@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adipsim.pe import PE, PhaseError, combine_groups, group_multiply, weight_slots
+from adipsim.pe import PE, PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
 from adipsim.preprocess import Precision
 
 
@@ -140,3 +140,11 @@ def test_step_validates_input_range():
     pe.load_weight(1)
     with pytest.raises(ValueError):
         pe.step(128)
+
+
+def test_step_psum_limits_are_the_signed_32_bit_range():
+    pe = PE(Precision.W8)
+    pe.load_weight(1)
+    assert pe.step(-1, (-(2**31) + 1, 0, 0, 0))[1][0] == -(2**31)
+    with pytest.raises(PsumOverflowError):
+        pe.step(1, (2**31 - 1, 0, 0, 0))

@@ -1,7 +1,10 @@
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adipsim.preprocess import (
     PackedWeightTile,
@@ -228,3 +231,57 @@ def test_read_packed_rejects_bad_magic():
     buf = io.BytesIO(b"NOPE" + bytes(12))
     with pytest.raises(ValueError):
         read_packed(buf)
+
+
+def _packed_header(magic, n, bits, nw, rows, cols, pad=bytes(4)):
+    return struct.pack("<4sHBBHH", magic, n, bits, nw, rows, cols) + pad
+
+
+@pytest.mark.parametrize("n, rows, cols", [(0, 2, 2), (4, 0, 1), (4, 1, 0), (4, 0, 0)])
+def test_read_packed_rejects_empty_grids(n, rows, cols):
+    buf = io.BytesIO(_packed_header(b"ADIP", n, 2, 1, rows, cols) + bytes(64))
+    with pytest.raises(ValueError):
+        read_packed(buf)
+
+
+@pytest.mark.parametrize("grid", [[], [[]]])
+def test_write_packed_rejects_empty_grids(grid):
+    with pytest.raises(ValueError):
+        write_packed(grid, io.BytesIO())
+
+
+@st.composite
+def _packed_files(draw):
+    """A well-formed file, small enough to allocate nothing much, then up to
+    two overwritten header bytes and maybe a truncation."""
+    precision = draw(st.sampled_from(list(Precision)))
+    nw = draw(st.integers(1, precision.r))
+    n, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pad = draw(st.binary(min_size=4, max_size=4))
+    size = rows * cols * n * n
+    data = bytearray(_packed_header(b"ADIP", n, precision.weight_bits, nw, rows, cols, pad))
+    data += draw(st.binary(min_size=size, max_size=size))
+    byte = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+    for offset, value in draw(st.lists(st.tuples(st.integers(0, 15), byte), max_size=2)):
+        data[offset] = value
+    cut = draw(st.one_of(st.none(), st.integers(0, len(data))))
+    return bytes(data if cut is None else data[:cut])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_packed_files())
+def test_read_packed_yields_a_grid_or_value_error(data):
+    """Any header plus payload bytes: either a grid that write_packed writes
+    back byte for byte (header padding aside), or a ValueError."""
+    try:
+        grid = read_packed(io.BytesIO(data))
+    except ValueError:
+        return
+    out = io.BytesIO()
+    write_packed(grid, out)
+    written = out.getvalue()
+    assert written[:12] == data[:12] and written[12:16] == bytes(4)
+    assert 16 < len(written) <= len(data) and written[16:] == data[16 : len(written)]
+    again = read_packed(io.BytesIO(written))
+    assert [[t.mode for t in row] for row in again] == [[t.mode for t in row] for row in grid]
+    assert all(np.array_equal(a.words, b.words) for ra, rb in zip(again, grid) for a, b in zip(ra, rb))

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,22 @@ def test_total_cycles_accounting():
     per_pass = tm * n + n + 1 + 2 - 2
     assert run_tiled(job, overlap_weights=True).total_cycles == passes * per_pass
     assert run_tiled(job, overlap_weights=False).total_cycles == passes * (per_pass + n)
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+def test_trace_cycles_rise_across_fused_groups(overlap):
+    """Five W2 matrices need two fused groups; the second continues the
+    first one's clock, so trace cycles never fall and end at the total."""
+    rng = np.random.default_rng(11)
+    job = _random_job(rng, Precision.W2, 5, 4, dims=(4, 4, 4))
+    trace = io.StringIO()
+    result = run_tiled(job, overlap_weights=overlap, trace=trace)
+    header, *lines = trace.getvalue().splitlines()
+    cycles = [int(line.split(",", 1)[0]) for line in lines]
+    assert plan(job).group_sizes == [4, 1]
+    assert header.startswith("cycle,") and not any(line.startswith("cycle,") for line in lines)
+    assert all(a <= b for a, b in zip(cycles, cycles[1:]))
+    assert cycles[-1] == result.total_cycles
 
 
 def test_job_validation():
