@@ -22,7 +22,14 @@ exist anywhere in the model.
 Two engines evaluate a pass (one weight load, then a run of streamed rows):
 
 * `ArraySim` steps the registers one clock at a time. It is the reference
-  model and the only source of per-PE traces.
+  model and the only source of per-PE traces. A traced pass keeps each
+  cycle's input and psum registers in a history buffer and formats the
+  pass's trace lines at its end, in one write (in blocks of at most
+  `_TRACE_BLOCK` PE-cycles, so long passes stay bounded in memory). The
+  per-cycle register checks run only when the pass's inputs could reach
+  the limit: amax times the W8 fold reach of the slots (`_may_overflow`)
+  bounds every psum-bus and reducer value, so gating never moves the cycle
+  an overflow is raised on.
 * `evaluate_pass` computes the same pass in one shot. The bottom psum of
   column c for input row a is sum_k a[k] * slot[g, k, c] over the
   un-rotated slot grids, and the reducer's fold of the four buses is
@@ -52,6 +59,15 @@ _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 # Elements of the (rows, 4, n, n) prefix-sum tensor formed at once by the
 # exact psum check; bounds its memory to a few tens of MB.
 _CHECK_CHUNK = 1 << 21
+
+# PE-cycles of trace history formatted per write; bounds the history buffer
+# and the formatting temporaries of one write to about 10 MB.
+_TRACE_BLOCK = 1 << 15
+
+# The reducer's shift-adds as integer folds: stage 1 forms bus0 + bus1 << 2
+# and bus2 + bus3 << 2, stage 2 forms stage1[0] + stage1[1] << 4.
+_STAGE1_FOLD = np.array([[1, 4, 0, 0], [0, 0, 1, 4]], dtype=np.int64)
+_STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 
 TRACE_HEADER = "cycle,row,col,input,psum0,psum1,psum2,psum3"
 
@@ -94,8 +110,23 @@ def _check_rows(rows, n: int) -> np.ndarray:
 
 
 def _check_register(values: np.ndarray, what: str) -> None:
-    if values.size and np.abs(values).max() >= _PSUM_LIMIT:
+    """Registers hold the signed range [-L, L-1], L = `_PSUM_LIMIT` (read at
+    call time, so tests can lower it)."""
+    if values.size and (values.min() < -_PSUM_LIMIT or values.max() >= _PSUM_LIMIT):
         raise PsumOverflowError(f"{what} overflow")
+
+
+def _may_overflow(slots: np.ndarray, amax: int) -> bool:
+    """False when no psum-bus or reducer value formed from inputs of
+    magnitude at most `amax` can leave the register range.
+
+    Bus g of PE(r, c) holds sum_{q<=r} x_q * slot[g, q, c] for inputs x_q of
+    one row, and the reducer's widest value is the W8 fold
+    sum_g bus_g << 2g of a column's bottom buses; both are at most amax
+    times the fold reach max_c sum_g (sum_q |slot[g, q, c]|) << 2g.
+    """
+    reach = int((_STAGE2_FOLD @ _STAGE1_FOLD @ np.abs(slots).sum(axis=1)).max())
+    return amax * reach >= _PSUM_LIMIT
 
 
 @dataclass
@@ -114,6 +145,10 @@ class ArraySim:
     bottom PE's psum register is the first); `reduce_stages` counts shared
     shift-add registers traversed on output, at least the structural depth
     of the precision (2 for W8, 1 for W4, 0 for W2).
+
+    A trace sink gets the header, then one line per PE per cycle. Given
+    `start_cycle`, the instance continues a trace that another one began:
+    its clock starts there and it writes no header.
     """
 
     def __init__(
@@ -124,6 +159,7 @@ class ArraySim:
         reduce_stages: Optional[int] = None,
         overlap_weights: bool = False,
         trace: Optional[io.TextIOBase] = None,
+        start_cycle: Optional[int] = None,
     ):
         if n < 1:
             raise ValueError(f"array size must be >= 1, got {n}")
@@ -133,35 +169,38 @@ class ArraySim:
         self.mac_stages = mac_stages
         self.reduce_stages = reduce_stages
         self.overlap_weights = overlap_weights
-        self.cycle = 0
+        self.cycle = 0 if start_cycle is None else start_cycle
         self._trace = trace
         self._loaded = False
         self._slots = np.zeros((4, n, n), dtype=np.int64)
         self._zero_row = np.zeros(n, dtype=np.int64)
         self._reset_pipeline()
         if trace is not None:
-            self._trace_cells = [f"{r},{c}," for r in range(n) for c in range(n)]
-            try:
-                fresh = trace.tell() == 0
-            except (OSError, io.UnsupportedOperation):
-                fresh = True
-            if fresh:
+            # One cycle's lines, `%`-formatted with (cycle, input, psum0..3) per PE.
+            self._trace_lines = "".join(
+                f"%d,{r},{c},%d,%d,%d,%d,%d\n" for r in range(n) for c in range(n)
+            )
+            if start_cycle is None:
                 trace.write(TRACE_HEADER + "\n")
 
     # -- state inspection (read-only copies) --------------------------------
 
     @property
     def input_registers(self) -> np.ndarray:
-        return self._inputs.copy()
+        return self._regs[0].copy()
 
     @property
     def psum_registers(self) -> np.ndarray:
-        return self._psums.copy()
+        return self._regs[1:].copy()
 
     def _reset_pipeline(self) -> None:
         n = self.n
-        self._inputs = np.zeros((n, n), dtype=np.int64)
-        self._psums = np.zeros((4, n, n), dtype=np.int64)
+        # Input register, then the four psum registers, of every PE; a step
+        # forms the next ones in a spare buffer or a trace history slot.
+        self._regs = np.zeros((5, n, n), dtype=np.int64)
+        self._spare = np.empty_like(self._regs)
+        self._fed_amax = 0  # max |input| streamed since the weight load
+        self._checking = True
         self._stage1 = np.zeros((2, n), dtype=np.int64)
         self._stage2 = np.zeros(n, dtype=np.int64)
         self._pre = deque(
@@ -190,62 +229,64 @@ class ArraySim:
 
     # -- one clock -----------------------------------------------------------
 
-    def _step(self, row_in: np.ndarray) -> list[np.ndarray]:
-        prev_bottom = self._psums[:, -1, :].copy()
+    def _step(self, row_in: np.ndarray, regs: Optional[np.ndarray] = None) -> list[np.ndarray]:
+        """One clock. The new input and psum registers are formed in `regs`
+        (a (5, n, n) buffer that must not hold the current ones), by default
+        in the spare of two alternating buffers."""
+        if regs is None:
+            regs, self._spare = self._spare, self._regs
+        prev = self._regs
+        prev_bottom = prev[1:, -1, :]
         if self._pre:
-            self._pre.append(prev_bottom)
+            self._pre.append(prev_bottom.copy())
             feed = self._pre.popleft()
         else:
             feed = prev_bottom
-        new_stage1 = np.stack((feed[0] + (feed[1] << 2), feed[2] + (feed[3] << 2)))
-        new_stage2 = self._stage1[0] + (self._stage1[1] << 4)
+        self._stage2 = _STAGE2_FOLD @ self._stage1
+        self._stage1 = _STAGE1_FOLD @ feed
 
-        input_in = np.empty_like(self._inputs)
-        input_in[0] = row_in
+        inputs, psums = regs[0], regs[1:]
+        inputs[0] = row_in
         # registered value at (r, c) moves to (r+1, (c-1) mod n)
-        input_in[1:, :-1] = self._inputs[:-1, 1:]
-        input_in[1:, -1] = self._inputs[:-1, 0]
-        psums_in = np.zeros_like(self._psums)
-        psums_in[:, 1:, :] = self._psums[:, :-1, :]
-        self._psums = psums_in + input_in[None, :, :] * self._slots
-        self._inputs = input_in
-        self._stage1 = new_stage1
-        self._stage2 = new_stage2
+        inputs[1:, :-1] = prev[0, :-1, 1:]
+        inputs[1:, -1] = prev[0, :-1, 0]
+        np.multiply(inputs, self._slots, out=psums)
+        psums[:, 1:] += prev[1:, :-1]
+        self._regs = regs
         self.cycle += 1
 
-        _check_register(self._psums, "psum bus")
-        _check_register(self._stage2, "reducer")
+        if self._checking:
+            _check_register(psums, "psum bus")
+            _check_register(self._stage2, "reducer")
 
         tap = self._tap()
         self._out_hist.append(tap)
-        if self._trace is not None:
-            self._write_trace()
         if len(self._out_hist) == self._out_hist.maxlen:
             return self._out_hist[0]
         return tap  # pipeline still filling; never observed at a valid cycle
 
     def _tap(self) -> list[np.ndarray]:
+        # stage and delay registers are replaced, never written in place, so
+        # views of them stay valid; the psum registers are reused buffers
         precision = self.mode.precision
         if precision is Precision.W8:
-            return [self._stage2.copy()]
+            return [self._stage2]
         if precision is Precision.W4:
-            return [self._stage1[t].copy() for t in range(self.mode.nw)]
+            return list(self._stage1[: self.mode.nw])
         if self._pre:
-            delayed = self._pre[0]
-            return [delayed[t].copy() for t in range(self.mode.nw)]
-        return [self._psums[t, -1, :].copy() for t in range(self.mode.nw)]
+            return list(self._pre[0][: self.mode.nw])
+        return list(self._regs[1 : self.mode.nw + 1, -1].copy())
 
-    def _write_trace(self) -> None:
-        cycle = self.cycle
-        p0, p1, p2, p3 = self._psums.reshape(4, -1).tolist()
-        self._trace.write(
-            "".join(
-                f"{cycle},{cell}{x},{a},{b},{c},{d}\n"
-                for cell, x, a, b, c, d in zip(
-                    self._trace_cells, self._inputs.ravel().tolist(), p0, p1, p2, p3
-                )
-            )
-        )
+    def _write_trace(self, history: np.ndarray, after: int, steps: int) -> None:
+        """Write the per-PE lines of the `steps` cycles after cycle `after`,
+        whose registers are `history[:steps]`."""
+        if not steps:
+            return
+        cells = self.n * self.n
+        values = np.empty((steps, cells, 6), dtype=np.int64)
+        values[:, :, 0] = np.arange(after + 1, after + 1 + steps)[:, None]
+        values[:, :, 1:] = history[:steps].reshape(steps, 5, cells).transpose(0, 2, 1)
+        self._trace.write((self._trace_lines * steps) % tuple(values.ravel().tolist()))
 
     # -- streaming -----------------------------------------------------------
 
@@ -261,13 +302,37 @@ class ArraySim:
         count = rows.shape[0]
         total_steps = stream_cycles(self.n, count, self.mac_stages, self.reduce_stages)
         first_valid = total_steps - count + 1
+        # Every register value of the pass comes from rows streamed since the
+        # weight load. The input registers alone would not do: a pass leaves
+        # its last rows' buses in the MAC pipeline and reducer after those
+        # rows have left the grid, and the next stream folds them.
+        self._fed_amax = max(self._fed_amax, int(np.abs(rows).max(initial=0)))
+        self._checking = _may_overflow(self._slots, self._fed_amax)
+        history = None
+        if self._trace is not None:
+            depth = min(total_steps, max(2, _TRACE_BLOCK // (self.n * self.n)))
+            history = np.empty((depth, 5, self.n, self.n), dtype=np.int64)
+        pending = 0  # completed cycles in `history` not yet written
+        written = self.cycle  # the last cycle whose lines are written
         collected = []
-        for s in range(1, total_steps + 1):
-            row_in = rows[s - 1] if s <= count else self._zero_row
-            tap = self._step(row_in)
-            i = s - first_valid
-            if 0 <= i < count:
-                collected.append(CollectedRow(index=i, cycle=self.cycle, outputs=tap))
+        try:
+            for s in range(1, total_steps + 1):
+                row_in = rows[s - 1] if s <= count else self._zero_row
+                if history is None:
+                    tap = self._step(row_in)
+                else:
+                    if pending == len(history):
+                        self._write_trace(history, written, pending)
+                        written += pending
+                        pending = 0
+                    tap = self._step(row_in, history[pending])
+                    pending += 1
+                i = s - first_valid
+                if 0 <= i < count:
+                    collected.append(CollectedRow(index=i, cycle=self.cycle, outputs=tap))
+        finally:
+            if history is not None:  # also the cycles before an overflow
+                self._write_trace(history, written, pending)
         return collected
 
     def run_tile(self, packed: PackedWeightTile, a_tile: np.ndarray) -> tuple[list[np.ndarray], int]:
@@ -329,10 +394,7 @@ def evaluate_pass(
 def _check_psums(slots: np.ndarray, rows: np.ndarray) -> None:
     """Psum-bus check of a pass: PE(r, c) holds, for some row a, the prefix
     sum over q <= r of a[(c+q) mod n] * slot[g, q, c]."""
-    if not rows.size:
-        return
-    reach = np.abs(slots).sum(axis=1).max()  # max over (g, c) of sum_q |slot|
-    if np.abs(rows).max() * reach < _PSUM_LIMIT:
+    if not _may_overflow(slots, int(np.abs(rows).max(initial=0))):
         return
     n = slots.shape[1]
     skew = rotation_index(n)[0]  # (c+q) mod n at [q, c]

@@ -237,6 +237,10 @@ def cmd_interleave(args: argparse.Namespace) -> int:
         ]
 
     grid = prepare_weights(matrices, mode, n)
+    if not grid or not grid[0]:
+        k_dim, p_dim = matrices[0].shape
+        print(f"interleave: {k_dim}x{p_dim} matrices fill no tile to pack", file=sys.stderr)
+        return 2
     with open(args.out, "wb") as fh:
         write_packed(grid, fh)
     print(

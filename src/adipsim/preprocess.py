@@ -173,7 +173,8 @@ def prepare_weights(
     """Permute then interleave every n x n tile of nw K x P matrices.
 
     Matrices are zero-padded up to multiples of n; the result is a
-    ceil(K/n) x ceil(P/n) grid of packed tiles ready for vertical loading.
+    ceil(K/n) x ceil(P/n) grid of packed tiles ready for vertical loading,
+    with no tiles when K or P is 0.
     """
     if n < 1:
         raise ValueError(f"tile size must be >= 1, got {n}")
@@ -188,8 +189,7 @@ def prepare_weights(
     for m in mats:
         check_signed(m, mode.weight_bits, "weight")
     k_dim, p_dim = shape
-    tk = max(ceil_div(k_dim, n), 1)
-    tp = max(ceil_div(p_dim, n), 1)
+    tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
     padded = [np.zeros((tk * n, tp * n), dtype=np.int32) for _ in mats]
     for dst, src in zip(padded, mats):
         dst[:k_dim, :p_dim] = src

@@ -158,8 +158,9 @@ def run_tiled(
                 reduce_stages=reduce_stages,
                 overlap_weights=overlap_weights,
                 trace=trace,
+                # later groups continue the first one's trace and clock
+                start_cycle=total_cycles if base else None,
             )
-            sim.cycle = total_cycles  # groups share one clock, so trace cycles keep rising
         for j in range(tp):
             cols = slice(j * n, (j + 1) * n)
             for k in range(tk):
@@ -171,9 +172,11 @@ def run_tiled(
                 else:
                     start = sim.cycle
                     sim.load_weights(grid[k][j])
-                    for row in sim.stream(a_k):
+                    collected = sim.stream(a_k)  # every row of a_k, in order
+                    if collected:
+                        outs = np.array([row.outputs for row in collected])  # rows x nw x n
                         for t in range(nw):
-                            accum[base + t][row.index, cols] += row.outputs[t]
+                            accum[base + t][:, cols] += outs[:, t]
                     cycles = sim.cycle - start
                 total_cycles += cycles
                 passes += 1

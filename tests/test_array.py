@@ -3,8 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim
-from adipsim.pe import PE, PhaseError
+from adipsim.numerics import check_signed
+from adipsim.pe import PE, PhaseError, PsumOverflowError
 from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
 
 MODE_CONFIGS = [
@@ -268,3 +270,25 @@ def test_vectorized_grid_matches_pe_objects():
         sim._step(np.asarray(row_in, dtype=np.int64))
         assert np.array_equal(sim.input_registers, np.array(inputs))
         assert np.array_equal(sim.psum_registers, np.array(psums).transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("value", [-(2**31), 2**31 - 1, 2**31, -(2**31) - 1])
+def test_register_range_is_the_signed_32_bit_range(value):
+    """The array's register check, the PE model and `check_signed` agree."""
+    fits = -(2**31) <= value <= 2**31 - 1
+    registers = np.array([[0, value]], dtype=np.int64)
+    if fits:
+        array._check_register(registers, "psum bus")
+        check_signed(value, 32)
+    else:
+        with pytest.raises(PsumOverflowError):
+            array._check_register(registers, "psum bus")
+        with pytest.raises(ValueError):
+            check_signed(value, 32)
+    pe = PE(Precision.W8)
+    pe.load_weight(1)  # an input of 0 passes the incoming psum through
+    if fits:
+        assert pe.step(0, (value, 0, 0, 0))[1][0] == value
+    else:
+        with pytest.raises(PsumOverflowError):
+            pe.step(0, (value, 0, 0, 0))

@@ -255,6 +255,19 @@ def test_interleave_w8_dump_is_permuted_input(capsys, tmp_path):
     assert np.array_equal(np.array(dumped, dtype=np.uint8), expected)
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+def test_interleave_rejects_matrices_with_no_tiles(capsys, tmp_path, shape):
+    src = tmp_path / "w.txt"
+    with open(src, "w") as fh:
+        write_matrix(np.zeros(shape, dtype=np.int64), 8, fh)
+    out = tmp_path / "packed.bin"
+    code, text, err = run_cli(capsys, "interleave", "--size", "4", "--in", str(src), "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert f"{shape[0]}x{shape[1]} matrices fill no tile" in err
+    assert not out.exists()
+
+
 def test_interleave_rejects_nw_above_r(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "interleave", "--size", "4", "--mode", "w4", "--nw", "3",

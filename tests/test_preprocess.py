@@ -19,6 +19,7 @@ from adipsim.preprocess import (
     read_packed,
     write_packed,
 )
+from adipsim.tiling import MatMulJob, plan
 
 MODE_CONFIGS = [
     PrecisionMode(Precision.W8, 1),
@@ -199,6 +200,16 @@ def test_prepare_round_trip_recovers_matrices(mode):
             assert np.array_equal(recovered[:k_dim, :p_dim], matrix)
             assert not recovered[k_dim:, :].any()
             assert not recovered[:, p_dim:].any()
+
+
+@pytest.mark.parametrize("k_dim, p_dim", [(0, 4), (4, 0), (0, 0), (5, 9)])
+def test_prepare_grid_matches_plan(k_dim, p_dim):
+    """Empty weights give the tk x tp tile grid that `plan` counts: none."""
+    job = MatMulJob(np.zeros((4, k_dim)), [np.zeros((k_dim, p_dim))], Precision.W8, 4)
+    the_plan = plan(job)
+    grid = prepare_weights(job.weights, PrecisionMode(Precision.W8, 1), 4)
+    assert len(grid) == the_plan.tk
+    assert all(len(row) == the_plan.tp for row in grid)
 
 
 def test_prepare_rejects_out_of_range_weights():

@@ -141,6 +141,33 @@ def test_trace_cycles_rise_across_fused_groups(overlap):
     assert cycles[-1] == result.total_cycles
 
 
+class PipeSink:
+    """Text sink that, like a pipe or stdout, cannot tell its position."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def tell(self):
+        raise io.UnsupportedOperation("not seekable")
+
+
+def test_one_header_on_a_non_seekable_sink():
+    """Later fused groups continue the first one's trace without a header,
+    whether or not the sink can tell its position."""
+    rng = np.random.default_rng(12)
+    job = _random_job(rng, Precision.W2, 5, 4, dims=(4, 4, 4))
+    pipe, seekable = PipeSink(), io.StringIO()
+    run_tiled(job, trace=pipe)
+    run_tiled(job, trace=seekable)
+    text = "".join(pipe.parts)
+    assert text.count("cycle,") == 1
+    assert text == seekable.getvalue()
+
+
 def test_job_validation():
     with pytest.raises(ValueError):
         MatMulJob(np.zeros((2, 2)), [], Precision.W8, 4)

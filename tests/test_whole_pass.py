@@ -5,6 +5,7 @@ the reference model. Both must agree on outputs, cycles, pass counts and on
 which inputs overflow the 32-bit psum bus or reducer.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adipsim import array
+from adipsim.array import ArraySim
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision
+from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
 from adipsim.tiling import MatMulJob, run_tiled
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +169,76 @@ def test_last_row_stage2_is_never_formed_at_w4_and_w2(monkeypatch):
         job = MatMulJob(a, [ones] * nw, precision, n)
         # bus values stay within 128 * 3 * n; folded W8 values reach 128 * 255 * n
         assert _raises(job, 128 * 3 * n + 1, monkeypatch) == [expected, expected]
+
+
+def _outcome(run):
+    """Whether `run(sink)` overflows, and the trace it wrote until then."""
+    sink = io.StringIO()
+    try:
+        run(sink)
+    except PsumOverflowError:
+        return True, sink.getvalue()
+    return False, sink.getvalue()
+
+
+def _gated_and_every_cycle(run, monkeypatch):
+    """`run`'s outcome with the bound-gated register checks, then with a
+    check on every cycle."""
+    gated = _outcome(run)
+    with monkeypatch.context() as m:
+        m.setattr(array, "_may_overflow", lambda slots, amax: True)
+        return gated, _outcome(run)
+
+
+# W8 weights of -128 have slots (0, 0, 0, -2), so the fold reach of a 4-row
+# column is 4 * 2 * 64 = 512; an all-(-128) row forms stage-2 values of
+# 65536 = 128 * 512 and an all-127 row -65024 = -(127 * 512).
+BOUND_EDGE_CASES = [
+    # input value, limit, raises
+    (-128, 128 * 512, True),  # the value reaches the limit: gate on, raise
+    (-128, 128 * 512 - 1, True),
+    (-128, 128 * 512 + 1, False),  # the bound is below the limit: gate off
+    (127, 127 * 512, False),  # -limit fits the register
+    (127, 127 * 512 - 1, True),
+]
+
+
+@pytest.mark.parametrize("value, limit, raises", BOUND_EDGE_CASES)
+def test_gated_checks_raise_on_the_same_cycle_at_the_bound(value, limit, raises, monkeypatch):
+    n = 4
+    job = MatMulJob(np.full((2 * n, n), value), [np.full((n, n), -128)], Precision.W8, n)
+    monkeypatch.setattr(array, "_PSUM_LIMIT", limit)
+    gated, every_cycle = _gated_and_every_cycle(lambda sink: run_tiled(job, trace=sink), monkeypatch)
+    assert gated == every_cycle
+    assert gated[0] is raises
+    assert _raises(job, limit, monkeypatch) == [raises, raises]
+
+
+def test_gated_checks_cover_registers_carried_into_a_second_stream(monkeypatch):
+    """A W4 pass never forms the stage-2 value of its last row; a second
+    stream after the same weight load forms it on its first cycle, even when
+    it streams only zeros and the input registers have drained."""
+    n = 4
+    mode = PrecisionMode(Precision.W4, 2)
+    packed = prepare_weights([np.full((n, n), 7)] * 2, mode, n)[0][0]
+    # slots (3, 1, 3, 1): fold reach 4 * (3 + 1 * 4 + 3 * 16 + 1 * 64) = 476
+    monkeypatch.setattr(array, "_PSUM_LIMIT", 127 * 476)
+    cycles = []
+
+    def run(sink):
+        sim = ArraySim(n, mode, trace=sink)
+        sim.load_weights(packed)
+        sim.stream(np.full((1, n), 127))
+        cycles.append(sim.cycle)
+        try:
+            sim.stream(np.zeros((2, n), dtype=np.int64))
+        finally:
+            cycles.append(sim.cycle)
+
+    gated, every_cycle = _gated_and_every_cycle(run, monkeypatch)
+    assert gated == every_cycle
+    assert gated[0]
+    assert cycles[:2] == cycles[2:] == [cycles[0], cycles[0] + 1]
 
 
 def test_overflow_guards_survive_optimize_flag():
