@@ -17,6 +17,7 @@ from .preprocess import (
     inverse_permute,
     permute,
     prepare_weights,
+    unprepare_weights,
 )
 from .tiling import MatMulJob, TiledPlan, TiledResult, oracle_matmul, plan, run_tiled
 from .workload import MhaConfig, Stage, StageSpec, breakdown, builtin_models, get_model, stages, total_ops
@@ -68,5 +69,6 @@ __all__ = [
     "throughput",
     "tile_latency",
     "total_ops",
+    "unprepare_weights",
     "weight_slots",
 ]

@@ -30,14 +30,17 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   the limit: amax times the W8 fold reach of the slots (`_may_overflow`)
   bounds every psum-bus and reducer value, so gating never moves the cycle
   an overflow is raised on.
-* `evaluate_pass` computes the same pass in one shot. The bottom psum of
-  column c for input row a is sum_k a[k] * slot[g, k, c] over the
-  un-rotated slot grids, and the reducer's fold of the four buses is
-  linear, so every row's outputs are one integer matmul with the
-  un-rotated weight fields. The cycle count comes from the same
-  `load_cycles` / `stream_cycles` that the stepped model advances its
-  clock by, and the psum-bus and reducer overflow checks cover exactly
-  the register values the stepped model would form.
+* `evaluate_block` computes, in one shot, every pass that streams one
+  input block: the tiles of one row of the weight grid, which all see the
+  same rows. The bottom psum of column c for input row a is
+  sum_k a[k] * slot[g, k, c] over the un-rotated slot grids, and the
+  reducer's fold of the four buses is linear, so the outputs of every row
+  against every tile are one float64 matmul with the un-rotated weight
+  fields, exact because every partial sum stays below 2^14 * n < 2^53.
+  The cycle count comes from the same `load_cycles` / `stream_cycles` that
+  the stepped model advances its clock by. The psum-bus and reducer
+  overflow checks cover exactly the register values the stepped model
+  would form, and run only on the tiles whose `_may_overflow` gate is on.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, check_signed
-from .pe import PhaseError, PsumOverflowError, decode_slots
+from .numerics import PSUM_BITS, check_signed
+from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
-from .preprocess import PackedWeightTile, Precision, PrecisionMode, rotation_index
+from .preprocess import PackedWeightTile, Precision, PrecisionMode, decode_slots, rotation_index, unpack_words
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -116,17 +119,20 @@ def _check_register(values: np.ndarray, what: str) -> None:
         raise PsumOverflowError(f"{what} overflow")
 
 
-def _may_overflow(slots: np.ndarray, amax: int) -> bool:
+def _may_overflow(slots: np.ndarray, amax: int):
     """False when no psum-bus or reducer value formed from inputs of
-    magnitude at most `amax` can leave the register range.
+    magnitude at most `amax` can leave the register range. `slots` is one
+    tile's (4, n, n) slots, or a (4, tiles, n, n) stack of them, which gives
+    one answer per tile.
 
     Bus g of PE(r, c) holds sum_{q<=r} x_q * slot[g, q, c] for inputs x_q of
     one row, and the reducer's widest value is the W8 fold
     sum_g bus_g << 2g of a column's bottom buses; both are at most amax
     times the fold reach max_c sum_g (sum_q |slot[g, q, c]|) << 2g.
     """
-    reach = int((_STAGE2_FOLD @ _STAGE1_FOLD @ np.abs(slots).sum(axis=1)).max())
-    return amax * reach >= _PSUM_LIMIT
+    bus_reach = np.abs(slots).sum(axis=-2)  # [g, ..., c]
+    column_reach = (_STAGE2_FOLD @ _STAGE1_FOLD @ bus_reach.reshape(4, -1)).reshape(bus_reach.shape[1:])
+    return amax * column_reach.max(axis=-1) >= _PSUM_LIMIT
 
 
 @dataclass
@@ -222,7 +228,7 @@ class ArraySim:
             raise ValueError(f"packed tile is {packed.n}x{packed.n}, array is {self.n}x{self.n}")
         if packed.mode != self.mode:
             raise ValueError(f"packed mode {packed.mode} does not match array mode {self.mode}")
-        self._slots = decode_slots(packed.words, self.mode.precision)
+        self._slots = decode_slots(packed.words, self.mode.precision).astype(np.int64)
         self._reset_pipeline()
         self.cycle += load_cycles(self.n, self.overlap_weights)
         self._loaded = True
@@ -354,50 +360,60 @@ class ArraySim:
         return outputs, cycles
 
 
-def evaluate_pass(
-    packed: PackedWeightTile,
+def evaluate_block(
+    tiles: Sequence[PackedWeightTile],
     rows: np.ndarray,
     mac_stages: int = 1,
     reduce_stages: Optional[int] = None,
     overlap_weights: bool = False,
-) -> tuple[list[np.ndarray], int]:
-    """One pass in one shot: what `ArraySim.load_weights(packed)` then
-    `ArraySim.stream(rows)` would collect, without stepping.
+) -> tuple[np.ndarray, int]:
+    """Every pass that streams one input block, in one shot: for each tile
+    j, what `ArraySim.load_weights(tiles[j])` then `ArraySim.stream(rows)`
+    would collect, without stepping.
 
-    Returns the nw per-matrix output blocks (rows x n) and the pass's
-    cycles, weight load included. Raises `PsumOverflowError` exactly when
-    the stepped model would.
+    Returns the outputs as a (rows, nw, len(tiles), n) array, whose
+    [i, t, j] entry is input row i's output row of matrix t against tile j,
+    and the cycles of each pass, weight load included. Raises
+    `PsumOverflowError` exactly when the stepped model would on some tile.
+
+    The outputs come from one float64 matmul and are exact integers: each
+    is a sum of n products of an 8-bit input and a weight field of at most
+    8 bits, each below 2^7 * 2^7 in magnitude, so every partial sum is
+    below 2^14 * n < 2^53. They stay float64 so that callers convert one
+    matrix at a time instead of holding a second whole-block copy.
     """
-    precision = packed.mode.precision
+    mode, n = tiles[0].mode, tiles[0].n
+    if any(tile.mode != mode or tile.n != n for tile in tiles):
+        raise ValueError("tiles of one block must share one mode and size")
+    precision = mode.precision
     reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
-    n = packed.n
     rows = _check_rows(rows, n)
     count = rows.shape[0]
-    _check_psums(decode_slots(packed.words, precision), rows)
     # Folding the four buses per precision is linear, so fold the slots
     # first: that yields the r signed weight fields of every word.
-    w, r = precision.weight_bits, precision.r
-    fields = bit_fields(packed.words, w, r)
-    weights = np.empty_like(fields)
-    weights[(slice(None), *rotation_index(n))] = fields  # weights[t, k, c], un-rotated
-    products = rows @ weights.transpose(1, 0, 2).reshape(n, r * n)
-    outputs = list(products.reshape(count, r, n).transpose(1, 0, 2))
+    slots, fields = unpack_words(np.stack([tile.words for tile in tiles]), precision)
+    weights = fields.transpose(2, 0, 1, 3).astype(np.float64, order="C").reshape(n, -1)  # [k, (t, j, c)]
+    products = (rows.astype(np.float64) @ weights).reshape(count, precision.r, len(tiles), n)
     # The reducer's stage-2 register holds the W8 fold of the buses, which is
     # sum_t output_t << t*w. It is formed for every row but the last
     # 2 - reduce_stages ones, whatever the tap precision.
     formed = max(0, min(count, count + reduce_stages - 2))
-    _check_register(sum(out[:formed] << (t * w) for t, out in enumerate(outputs)), "reducer")
+    shifts = (np.arange(precision.r) * precision.weight_bits)[:, None]
+    for j in np.flatnonzero(_may_overflow(slots, int(np.abs(rows).max(initial=0)))):
+        _check_psums(slots[:, j], rows)
+        stage2 = (products[:formed, :, j].astype(np.int64) << shifts).sum(axis=1)
+        _check_register(stage2, "reducer")
     cycles = load_cycles(n, overlap_weights) + stream_cycles(n, count, mac_stages, reduce_stages)
-    return outputs[: packed.mode.nw], cycles
+    return products[:, : mode.nw], cycles
 
 
 def _check_psums(slots: np.ndarray, rows: np.ndarray) -> None:
-    """Psum-bus check of a pass: PE(r, c) holds, for some row a, the prefix
-    sum over q <= r of a[(c+q) mod n] * slot[g, q, c]."""
-    if not _may_overflow(slots, int(np.abs(rows).max(initial=0))):
-        return
+    """Psum-bus check of a pass, given its slots in matrix order: PE(r, c)
+    holds, for some row a, the prefix sum over q <= r of
+    a[(c+q) mod n] * slot[g, (c+q) mod n, c]."""
     n = slots.shape[1]
-    skew = rotation_index(n)[0]  # (c+q) mod n at [q, c]
+    skew, cols = rotation_index(n)  # skew[q, c] = (c+q) mod n
+    slots = slots[:, skew, cols]  # as loaded: PE(q, c) holds slots[:, q, c]
     chunk = max(1, _CHECK_CHUNK // (4 * n * n))
     for start in range(0, rows.shape[0], chunk):
         seen = rows[start : start + chunk][:, skew]  # seen[i, q, c]: row i's input at PE(q, c)

@@ -19,10 +19,9 @@ from . import analytic, cost, tiling, workload
 from .preprocess import (
     Precision,
     PrecisionMode,
-    deinterleave,
-    inverse_permute,
     prepare_weights,
     read_packed,
+    unprepare_weights,
     write_packed,
 )
 from .numerics import VALID_WIDTHS, check_signed, signed_range
@@ -49,7 +48,10 @@ def read_matrix(path: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: width {width} is not one of {VALID_WIDTHS}")
     if len(values) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} elements, found {len(values)}")
-    matrix = np.array(values, dtype=np.int64).reshape(rows, cols)
+    try:
+        matrix = np.array(values, dtype=np.int64).reshape(rows, cols)
+    except (OverflowError, ValueError) as exc:  # an element beyond int64, a shape beyond numpy
+        raise ValueError(f"{path}: not an int64 matrix ({exc})") from None
     return check_signed(matrix, width, f"{path}: element"), width
 
 
@@ -255,13 +257,8 @@ def cmd_interleave(args: argparse.Namespace) -> int:
 
     if args.verify:
         with open(args.out, "rb") as fh:
-            loaded = read_packed(fh)
+            recovered = unprepare_weights(read_packed(fh))
         k_dim, p_dim = matrices[0].shape
-        recovered = [np.zeros((len(grid) * n, len(grid[0]) * n), dtype=np.int64) for _ in matrices]
-        for k, row in enumerate(loaded):
-            for j, tile in enumerate(row):
-                for t, wt in enumerate(deinterleave(tile)):
-                    recovered[t][k * n : (k + 1) * n, j * n : (j + 1) * n] = inverse_permute(wt).data
         for t, matrix in enumerate(matrices):
             if not np.array_equal(recovered[t][:k_dim, :p_dim], matrix):
                 print(f"FAIL round trip differs for matrix {t}")

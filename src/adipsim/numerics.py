@@ -48,16 +48,28 @@ def ceil_div(a: int, b: int) -> int:
 def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = True) -> np.ndarray:
     """Cut non-negative integers into `count` little-endian `width`-bit fields.
 
-    Returns int64 with a new leading field axis: field t of every word
-    sits at index t. `signed` is one flag for all fields or one per field;
-    a signed field reads as two's complement, an unsigned one as is.
+    Returns a new leading field axis: field t of every word sits at index
+    t. `signed` is one flag for all fields or one per field; a signed field
+    reads as two's complement, an unsigned one as is. uint8 words are cut
+    in uint8 and come back as int8, or as int16 for 8-bit fields so that
+    `np.abs` of -128 still fits; any other input is cut in int64 and comes
+    back as int64.
     """
-    words = np.asarray(words, dtype=np.int64)
-    axis = (-1,) + (1,) * words.ndim
-    shifts = (np.arange(count) * width).reshape(axis)
-    raw = (words[None] >> shifts) & ((1 << width) - 1)
-    flags = np.broadcast_to(np.asarray(signed, dtype=bool), (count,)).reshape(axis)
-    return np.where(flags & (raw >= 1 << (width - 1)), raw - (1 << width), raw)
+    words = np.asarray(words)
+    if words.dtype == np.uint8:
+        out_dtype = np.int16 if width == 8 else np.int8
+    else:
+        words = words.astype(np.int64, copy=False)
+        out_dtype = np.int64
+    shifts = np.arange(0, count * width, width, dtype=words.dtype).reshape((-1,) + (1,) * words.ndim)
+    fields = ((words[None] >> shifts) & words.dtype.type((1 << width) - 1)).astype(out_dtype)
+    half = 1 << (width - 1)
+    for t, flag in enumerate((signed,) * count if np.isscalar(signed) else signed):
+        if flag:
+            field = fields[t, ...]  # a view, also of a scalar word's field
+            field ^= half  # two's complement: (v ^ half) - half
+            field -= half
+    return fields
 
 
 def split_subwords(x: int, width: int) -> list[int]:

@@ -17,16 +17,8 @@ Group outputs ride four dedicated psum buses; recombining them per mode
 
 from __future__ import annotations
 
-import numpy as np
-
-from .numerics import PSUM_BITS, bit_fields, check_signed, mul2, split_subwords
-from .preprocess import Precision
-
-_SIGNED_FIELDS = {
-    Precision.W8: (False, False, False, True),
-    Precision.W4: (False, True, False, True),
-    Precision.W2: (True, True, True, True),
-}
+from .numerics import PSUM_BITS, check_signed, mul2, split_subwords
+from .preprocess import Precision, decode_slots
 
 
 class PhaseError(RuntimeError):
@@ -35,11 +27,6 @@ class PhaseError(RuntimeError):
 
 class PsumOverflowError(OverflowError):
     """A psum bus or reducer register left the 32-bit accumulator range."""
-
-
-def decode_slots(words, precision: Precision) -> np.ndarray:
-    """Decode stationary words into their four 2-bit slots: shape (4, *words.shape)."""
-    return bit_fields(words, 2, 4, _SIGNED_FIELDS[precision])
 
 
 def weight_slots(word: int, precision: Precision) -> tuple[int, int, int, int]:

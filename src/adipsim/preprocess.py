@@ -11,11 +11,15 @@ Two steps, in order:
    matrix count stay zero.
 
 Both steps are lossless for in-range weights; `deinterleave` and
-`inverse_permute` undo them exactly.
+`inverse_permute` undo them exactly. `prepare_weights` applies both to a
+whole K x P grid of tiles at once, in uint8, and `unprepare_weights`
+undoes it with the same un-rotate-then-decode step (`unpack_words`) that
+the array's block evaluation uses.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -144,27 +148,82 @@ def inverse_permute(tile: WeightTile) -> WeightTile:
     return WeightTile(out, tile.width)
 
 
+def _pack_fields(fields, width: int) -> np.ndarray:
+    """Pack signed `width`-bit fields, field t along axis 0, into uint8
+    words: field t fills bits [t * width, (t + 1) * width), two's complement."""
+    fields = np.asarray(fields).astype(np.uint8)  # wraps negatives modulo 256
+    mask = (1 << width) - 1
+    words = np.zeros(fields.shape[1:], dtype=np.uint8)
+    for t, field in enumerate(fields):
+        words |= (field & mask) << (t * width)
+    return words
+
+
 def interleave(tiles: Sequence[WeightTile], mode: PrecisionMode) -> PackedWeightTile:
     """Pack nw same-size tiles into one word grid, tile t in bit field t."""
     if len(tiles) != mode.nw:
         raise ValueError(f"mode expects {mode.nw} tiles, got {len(tiles)}")
     n = tiles[0].n
     w = mode.weight_bits
-    words = np.zeros((n, n), dtype=np.int64)
-    mask = (1 << w) - 1
-    for t, tile in enumerate(tiles):
+    for tile in tiles:
         if tile.n != n:
             raise ValueError(f"ragged tile set: {tile.n} != {n}")
         if tile.width != w:
             raise ValueError(f"tile width {tile.width} does not match mode width {w}")
-        words |= (tile.data.astype(np.int64) & mask) << (t * w)
-    return PackedWeightTile(words.astype(np.uint8), mode)
+    return PackedWeightTile(_pack_fields([tile.data for tile in tiles], w), mode)
 
 
 def deinterleave(packed: PackedWeightTile) -> list[WeightTile]:
     """Decode the nw active bit fields back into signed weight tiles."""
     w = packed.mode.weight_bits
     return [WeightTile(field, w) for field in bit_fields(packed.words, w, packed.mode.nw)]
+
+
+# The 2-bit slots of a stationary word that carry a sign: the top slot of
+# each weight field (see `pe` for how the PE's multiplier groups use them).
+_SIGNED_SLOTS = {
+    Precision.W8: (False, False, False, True),
+    Precision.W4: (False, True, False, True),
+    Precision.W2: (True, True, True, True),
+}
+
+
+def decode_slots(words, precision: Precision) -> np.ndarray:
+    """Decode stationary words into their four 2-bit slots: shape (4, *words.shape)."""
+    return bit_fields(words, 2, 4, _SIGNED_SLOTS[precision])
+
+
+@functools.lru_cache(maxsize=64)
+def _unrotation(n: int) -> np.ndarray:
+    """Flat gather index that undoes `permute` on an n x n tile: element
+    [k][j] of the tile sits at flat position index[k * n + j] of the
+    rotated one."""
+    rows, cols = rotation_index(n)
+    index = np.empty(n * n, dtype=np.intp)
+    index[(rows * n + cols).ravel()] = np.arange(n * n)
+    index.flags.writeable = False
+    return index
+
+
+def unpack_words(words: np.ndarray, precision: Precision) -> tuple[np.ndarray, np.ndarray]:
+    """Un-rotate a stack of n x n word grids, shape (..., n, n), back to
+    matrix order and decode it once.
+
+    Returns the four 2-bit slots of every word, int8 of shape
+    (4, ..., n, n), and the r signed weight fields folded from them, int16
+    of shape (r, ..., n, n); both indexed [.., k, j] like the weight
+    matrices.
+    """
+    n = words.shape[-1]
+    flat = np.asarray(words).reshape(*words.shape[:-2], n * n)
+    slots = decode_slots(np.take(flat, _unrotation(n), axis=-1).reshape(words.shape), precision)
+    digits = precision.weight_bits // 2  # slots per weight field, the top one signed
+    per_field = slots.reshape(precision.r, digits, *slots.shape[1:])
+    fields = per_field[:, -1].astype(np.int16)
+    for d in reversed(range(digits - 1)):
+        fields *= 4
+        fields += per_field[:, d]
+    return slots, fields
 
 
 def prepare_weights(
@@ -174,13 +233,14 @@ def prepare_weights(
 
     Matrices are zero-padded up to multiples of n; the result is a
     ceil(K/n) x ceil(P/n) grid of packed tiles ready for vertical loading,
-    with no tiles when K or P is 0.
+    with no tiles when K or P is 0. The whole grid is packed and rotated
+    at once, in uint8.
     """
     if n < 1:
         raise ValueError(f"tile size must be >= 1, got {n}")
     if len(matrices) != mode.nw:
         raise ValueError(f"mode expects {mode.nw} matrices, got {len(matrices)}")
-    mats = [np.asarray(m, dtype=np.int32) for m in matrices]
+    mats = [np.asarray(m, dtype=np.int64) for m in matrices]
     shape = mats[0].shape
     if len(shape) != 2:
         raise ValueError(f"weight matrices must be 2-D, got shape {shape}")
@@ -190,20 +250,27 @@ def prepare_weights(
         check_signed(m, mode.weight_bits, "weight")
     k_dim, p_dim = shape
     tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
-    padded = [np.zeros((tk * n, tp * n), dtype=np.int32) for _ in mats]
-    for dst, src in zip(padded, mats):
-        dst[:k_dim, :p_dim] = src
-    grid: list[list[PackedWeightTile]] = []
-    for k in range(tk):
-        row = []
-        for j in range(tp):
-            tiles = [
-                permute(WeightTile(m[k * n : (k + 1) * n, j * n : (j + 1) * n], mode.weight_bits))
-                for m in padded
-            ]
-            row.append(interleave(tiles, mode))
-        grid.append(row)
-    return grid
+    words = np.zeros((tk * n, tp * n), dtype=np.uint8)
+    words[:k_dim, :p_dim] = _pack_fields(mats, mode.weight_bits)
+    tiles = words.reshape(tk, n, tp, n).swapaxes(1, 2)[(..., *rotation_index(n))]
+    return [[PackedWeightTile(tile, mode) for tile in row] for row in tiles]
+
+
+def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.ndarray]:
+    """Inverse of `prepare_weights`: the nw int64 weight matrices of a
+    tk x tp packed grid, still zero-padded to tk*n x tp*n."""
+    if not grid or not grid[0]:
+        raise ValueError("empty tile grid")
+    mode, n = grid[0][0].mode, grid[0][0].n
+    if any(len(row) != len(grid[0]) for row in grid):
+        raise ValueError("ragged tile grid")
+    if any(tile.n != n or tile.mode != mode for row in grid for tile in row):
+        raise ValueError("inconsistent tile in grid")
+    words = np.array([[tile.words for tile in row] for row in grid])  # (tk, tp, n, n)
+    tk, tp = words.shape[:2]
+    _, fields = unpack_words(words, mode.precision)
+    blocks = fields[: mode.nw].swapaxes(2, 3).reshape(mode.nw, tk * n, tp * n)
+    return list(blocks.astype(np.int64))
 
 
 def write_packed(grid: Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:

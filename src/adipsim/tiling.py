@@ -10,9 +10,11 @@ Jobs carrying several same-shape weight matrices at a narrow width are
 fused into groups of r = 8 / weight_bits matrices per pass, which divides
 the pass count by r while streaming the shared input once.
 
-Untraced runs evaluate each pass in one shot (`array.evaluate_pass`);
-traced runs step the reference `ArraySim`, which writes the per-PE trace.
-Both give the same outputs, cycle counts and overflow errors.
+Untraced runs evaluate the tp passes of one k at once, since they all
+stream the same input block (`array.evaluate_block`, one float64 matmul),
+and add them to the outputs with one add per matrix; traced runs step the
+reference `ArraySim` pass by pass, which writes the per-PE trace. Both give
+the same outputs, cycle counts, pass counts and overflow errors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim, evaluate_pass, resolve_stages
+from .array import ArraySim, evaluate_block, resolve_stages
 from .numerics import ceil_div, check_signed
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
@@ -149,8 +151,18 @@ def run_tiled(
         group = job.weights[base : base + nw]
         mode = PrecisionMode(job.precision, nw)
         grid = prepare_weights(group, mode, n)
-        sim = None
-        if trace is not None:
+        if trace is None:
+            # One k-row of passes streams the same input block: evaluate them
+            # together and add them to (tm*n, tp, n) views of the outputs.
+            views = [acc.reshape(tm * n, tp, n) for acc in accum[base : base + nw]]
+            for k in range(tk if tp else 0):  # P = 0 has no passes
+                a_k = a_pad[:, k * n : (k + 1) * n]
+                outs, cycles = evaluate_block(grid[k], a_k, mac_stages, reduce_stages, overlap_weights)
+                for t, view in enumerate(views):
+                    view += outs[:, t].astype(np.int64)
+                total_cycles += tp * cycles
+                passes += tp
+        else:
             sim = ArraySim(
                 n,
                 mode,
@@ -161,25 +173,18 @@ def run_tiled(
                 # later groups continue the first one's trace and clock
                 start_cycle=total_cycles if base else None,
             )
-        for j in range(tp):
-            cols = slice(j * n, (j + 1) * n)
-            for k in range(tk):
-                a_k = a_pad[:, k * n : (k + 1) * n]
-                if sim is None:
-                    outs, cycles = evaluate_pass(grid[k][j], a_k, mac_stages, reduce_stages, overlap_weights)
-                    for t, out in enumerate(outs):
-                        accum[base + t][:, cols] += out
-                else:
+            for j in range(tp):
+                cols = slice(j * n, (j + 1) * n)
+                for k in range(tk):
                     start = sim.cycle
                     sim.load_weights(grid[k][j])
-                    collected = sim.stream(a_k)  # every row of a_k, in order
+                    collected = sim.stream(a_pad[:, k * n : (k + 1) * n])  # every row, in order
                     if collected:
                         outs = np.array([row.outputs for row in collected])  # rows x nw x n
                         for t in range(nw):
                             accum[base + t][:, cols] += outs[:, t]
-                    cycles = sim.cycle - start
-                total_cycles += cycles
-                passes += 1
+                    total_cycles += sim.cycle - start
+                    passes += 1
         base += nw
 
     outputs = [acc[:m_dim, :p_dim] for acc in accum]

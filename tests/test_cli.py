@@ -1,9 +1,13 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adipsim.cli import main, read_matrix, write_matrix
+from adipsim.numerics import VALID_WIDTHS, signed_range
 from adipsim.preprocess import WeightTile, permute
 
 
@@ -43,6 +47,56 @@ def test_matrix_file_validation(tmp_path):
         path.write_text(header + "\n1\n")
         with pytest.raises(ValueError, match="bad.txt.*negative"):
             read_matrix(str(path))
+
+
+@pytest.mark.parametrize(
+    "text", ["1 1 8\n99999999999999999999\n", "1 1 8\n-99999999999999999999\n", "0 99999999999999999999 8\n"]
+)
+def test_simulate_rejects_matrix_files_beyond_int64(capsys, tmp_path, text):
+    big = tmp_path / "big.txt"
+    big.write_text(text)
+    weights = tmp_path / "w.txt"
+    weights.write_text("1 1 8\n5\n")
+    code, out, err = run_cli(capsys, "simulate", "--size", "2", "--a", str(big), "--b", str(weights))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("adipsim: ") and "big.txt" in err and "Traceback" not in err
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A well-formed small matrix file, then up to three overwritten or
+    inserted characters or huge tokens, and maybe a truncation."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    width = draw(st.sampled_from(VALID_WIDTHS))
+    values = draw(st.lists(st.integers(*signed_range(width)), min_size=rows * cols, max_size=rows * cols))
+    text = f"{rows} {cols} {width}\n" + "".join(
+        " ".join(str(v) for v in values[i * cols : (i + 1) * cols]) + "\n" for i in range(rows)
+    )
+    garbage = st.one_of(st.sampled_from(list("0123456789-+_ \nx.")), st.sampled_from(["9" * 20, "-" + "9" * 20]))
+    for at, piece, insert in draw(st.lists(st.tuples(st.integers(0, len(text)), garbage, st.booleans()), max_size=3)):
+        text = text[:at] + piece + text[at + (0 if insert else 1) :]
+    cut = draw(st.one_of(st.none(), st.integers(0, len(text))))
+    return text if cut is None else text[:cut]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrix_texts())
+def test_read_matrix_yields_a_matrix_or_value_error(tmp_path_factory, text):
+    """Any text: either a ValueError, or a matrix that write_matrix writes
+    back as the same integer tokens and that reads back unchanged."""
+    path = tmp_path_factory.mktemp("matrix") / "m.txt"
+    path.write_text(text)
+    try:
+        matrix, width = read_matrix(str(path))
+    except ValueError:
+        return
+    out = io.StringIO()
+    write_matrix(matrix, width, out)
+    assert [int(t) for t in out.getvalue().split()] == [int(t) for t in text.split()]
+    path.write_text(out.getvalue())
+    again, again_width = read_matrix(str(path))
+    assert again_width == width and again.shape == matrix.shape and np.array_equal(again, matrix)
 
 
 # -- analytic ---------------------------------------------------------------------

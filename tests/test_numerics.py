@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from adipsim.numerics import ceil_div, check_signed, mul2, recompose, signed_range, split_subwords
+from adipsim.numerics import bit_fields, ceil_div, check_signed, mul2, recompose, signed_range, split_subwords
 
 
 @pytest.mark.parametrize(
@@ -112,3 +114,33 @@ def test_check_signed_takes_scalars_and_arrays():
 
 def test_ceil_div_counts_covering_tiles():
     assert [ceil_div(k, 4) for k in (0, 1, 4, 5, 8, 9)] == [0, 1, 1, 2, 2, 3]
+
+
+def _bit_fields_by_definition(word, width, count, signed):
+    """Field t of `word` read as two's complement when signed[t]."""
+    fields = []
+    for t in range(count):
+        raw = (word >> (t * width)) & ((1 << width) - 1)
+        fields.append(raw - (1 << width) if signed[t] and raw >= 1 << (width - 1) else raw)
+    return fields
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_bit_fields_uint8_exhaustive(width):
+    """Every 8-bit word, field count and sign pattern: the uint8 path gives
+    the definition's values in a dtype whose abs holds -2^(width-1); Python
+    ints and int64 arrays give the same values in int64."""
+    words = np.arange(256, dtype=np.uint8)
+    for count in range(1, 8 // width + 1):
+        for signed in itertools.product((False, True), repeat=count):
+            want = np.array([_bit_fields_by_definition(w, width, count, signed) for w in range(256)]).T
+            got = bit_fields(words, width, count, signed)
+            assert got.dtype == (np.int16 if width == 8 else np.int8)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.abs(got), np.abs(want))
+            wide = bit_fields(words.astype(np.int64), width, count, signed)
+            assert wide.dtype == np.int64 and np.array_equal(wide, want)
+            for w in (0, 1, 127, 128, 170, 255):
+                scalar = bit_fields(w, width, count, signed)
+                assert scalar.dtype == np.int64 and scalar.tolist() == want[:, w].tolist()
+    assert bit_fields(words, width, 8 // width, True).min() == -(1 << (width - 1))

@@ -17,6 +17,7 @@ from adipsim.preprocess import (
     permute,
     prepare_weights,
     read_packed,
+    unprepare_weights,
     write_packed,
 )
 from adipsim.tiling import MatMulJob, plan
@@ -210,6 +211,33 @@ def test_prepare_grid_matches_plan(k_dim, p_dim):
     grid = prepare_weights(job.weights, PrecisionMode(Precision.W8, 1), 4)
     assert len(grid) == the_plan.tk
     assert all(len(row) == the_plan.tp for row in grid)
+
+
+@pytest.mark.parametrize("mode", MODE_CONFIGS)
+def test_unprepare_inverts_prepare(mode):
+    """Ragged K and P: the matrices come back exactly, zero-padded to whole
+    tiles, also after a trip through the packed file format."""
+    rng = np.random.default_rng(40 + mode.nw + mode.weight_bits)
+    lo, hi = -(1 << (mode.weight_bits - 1)), (1 << (mode.weight_bits - 1)) - 1
+    for n, k_dim, p_dim in [(1, 1, 3), (4, 5, 9), (4, 8, 4), (5, 7, 13)]:
+        mats = [rng.integers(lo, hi + 1, size=(k_dim, p_dim)) for _ in range(mode.nw)]
+        grid = prepare_weights(mats, mode, n)
+        buf = io.BytesIO()
+        write_packed(grid, buf)
+        buf.seek(0)
+        for recovered in (unprepare_weights(grid), unprepare_weights(read_packed(buf))):
+            assert len(recovered) == mode.nw
+            for got, want in zip(recovered, mats):
+                assert got.dtype == np.int64
+                assert got.shape == (-(-k_dim // n) * n, -(-p_dim // n) * n)
+                assert np.array_equal(got[:k_dim, :p_dim], want)
+                assert not got[k_dim:].any() and not got[:, p_dim:].any()
+
+
+@pytest.mark.parametrize("grid", [[], [[]]])
+def test_unprepare_rejects_empty_grids(grid):
+    with pytest.raises(ValueError):
+        unprepare_weights(grid)
 
 
 def test_prepare_rejects_out_of_range_weights():

@@ -1,6 +1,6 @@
 """Whole-pass evaluation against the stepped reference `ArraySim`.
 
-Untraced `run_tiled` evaluates passes in one shot; traced `run_tiled` steps
+Untraced `run_tiled` evaluates each block of passes in one shot; traced `run_tiled` steps
 the reference model. Both must agree on outputs, cycles, pass counts and on
 which inputs overflow the 32-bit psum bus or reducer.
 """
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from adipsim import array
 from adipsim.array import ArraySim
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
+from adipsim.preprocess import Precision, PrecisionMode, prepare_weights, unpack_words
 from adipsim.tiling import MatMulJob, run_tiled
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -281,3 +281,56 @@ def test_overflow_guards_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _smallest_passing_limit(job, monkeypatch):
+    """Binary search for the smallest limit the stepped path passes at; both
+    paths must raise one below it and pass at it."""
+    lo, hi = 1, 1 << 31  # the stepped path raises at lo and passes at hi
+    assert _raises(job, lo, monkeypatch) == [True, True]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _raises(job, mid, monkeypatch)[1]:
+            lo = mid
+        else:
+            hi = mid
+    assert _raises(job, hi, monkeypatch) == [False, False]
+    assert _raises(job, lo, monkeypatch) == [True, True]
+    return hi
+
+
+@pytest.mark.parametrize(
+    "precision, nw, heavy",
+    [(Precision.W8, 1, -128), (Precision.W4, 2, -8), (Precision.W2, 4, -2)],
+)
+def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
+    """Blocks of three tiles where, one below the smallest passing limit,
+    only the middle tile of the first k-row has its gate on: the untraced
+    path must check that tile and raise on the same limits as the stepped
+    path."""
+    n = 4
+    weights = np.ones((2 * n, 3 * n), dtype=np.int64)
+    weights[:n, n : 2 * n] = heavy
+    job = MatMulJob(np.full((2 * n, 2 * n), -128), [weights] * nw, precision, n)
+    limit = _smallest_passing_limit(job, monkeypatch)
+    grid = prepare_weights(job.weights, PrecisionMode(precision, nw), n)
+    monkeypatch.setattr(array, "_PSUM_LIMIT", limit - 1)
+    gates = [
+        list(array._may_overflow(unpack_words(np.stack([t.words for t in row]), precision)[0], 128))
+        for row in grid
+    ]
+    assert gates == [[False, True, False], [False, False, False]]
+
+
+def test_full_scale_block_is_exact():
+    """The largest products and sums an n = 64 W8 pass forms (every input and
+    weight -128, K = 4n) come out exact from the float64 matmul."""
+    n = 64
+    a = np.full((n, 4 * n), -128, dtype=np.int64)
+    w = np.full((4 * n, n), -128, dtype=np.int64)
+    job = MatMulJob(a, [w], Precision.W8, n)
+    fast, stepped = _both(job)
+    assert np.array_equal(fast.outputs[0], a @ w)
+    assert np.array_equal(stepped.outputs[0], a @ w)
+    assert fast.total_cycles == stepped.total_cycles
+    assert int(fast.outputs[0].max()) == 4 * n * 128 * 128
