@@ -30,17 +30,19 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   the limit: amax times the W8 fold reach of the slots (`_may_overflow`)
   bounds every psum-bus and reducer value, so gating never moves the cycle
   an overflow is raised on.
-* `evaluate_block` computes, in one shot, every pass that streams one
-  input block: the tiles of one row of the weight grid, which all see the
-  same rows. The bottom psum of column c for input row a is
-  sum_k a[k] * slot[g, k, c] over the un-rotated slot grids, and the
-  reducer's fold of the four buses is linear, so the outputs of every row
-  against every tile are one float64 matmul with the un-rotated weight
-  fields, exact because every partial sum stays below 2^14 * n < 2^53.
+* `evaluate_group` computes, in one shot, every pass of one fused weight
+  group: the tk x tp tiles that all stream the same input. The bottom psum
+  of column c for input row a is sum_k a[k] * slot[g, k, c] over the
+  un-rotated slot grids, and the reducer's fold of the four buses is
+  linear, so the group's outputs, summed over K, are one matmul of the
+  input with the un-rotated weight fields of every tile. It is exact
+  because every partial sum stays within 2^(6+w) * K for w-bit weights,
+  and runs in float32 while that bound is at most 2^24, in float64 above.
   The cycle count comes from the same `load_cycles` / `stream_cycles` that
-  the stepped model advances its clock by. The psum-bus and reducer
-  overflow checks cover exactly the register values the stepped model
-  would form, and run only on the tiles whose `_may_overflow` gate is on.
+  the stepped model advances its clock by. The grid is decoded one k-row
+  at a time; the psum-bus and reducer overflow checks cover exactly the
+  register values the stepped model would form, and run only on the
+  passes whose `_may_overflow` gate is on.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import PSUM_BITS, check_signed
+from .numerics import PSUM_BITS, ceil_div, check_signed
 from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
 from .preprocess import PackedWeightTile, Precision, PrecisionMode, decode_slots, rotation_index, unpack_words
@@ -360,51 +362,74 @@ class ArraySim:
         return outputs, cycles
 
 
-def evaluate_block(
-    tiles: Sequence[PackedWeightTile],
-    rows: np.ndarray,
+def evaluate_group(
+    grid: Sequence[Sequence[PackedWeightTile]],
+    a: np.ndarray,
     mac_stages: int = 1,
     reduce_stages: Optional[int] = None,
     overlap_weights: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Every pass that streams one input block, in one shot: for each tile
-    j, what `ArraySim.load_weights(tiles[j])` then `ArraySim.stream(rows)`
-    would collect, without stepping.
+    """Every pass of one fused group, in one shot: for each tile (k, j) of
+    the packed tk x tp `grid`, what `ArraySim.load_weights(grid[k][j])` then
+    `ArraySim.stream` of the input columns k*n .. (k+1)*n of `a`, zero-padded
+    to whole row tiles, would collect, summed over k, without stepping.
 
-    Returns the outputs as a (rows, nw, len(tiles), n) array, whose
-    [i, t, j] entry is input row i's output row of matrix t against tile j,
-    and the cycles of each pass, weight load included. Raises
-    `PsumOverflowError` exactly when the stepped model would on some tile.
+    Returns the outputs as a (M, nw, tp*n) array, whose [i, t] entry is row
+    i of `a` times matrix t (zero-padded to whole column tiles), and the
+    cycles of each pass, weight load included. Raises `PsumOverflowError`
+    exactly when the stepped model would on some pass.
 
-    The outputs come from one float64 matmul and are exact integers: each
-    is a sum of n products of an 8-bit input and a weight field of at most
-    8 bits, each below 2^7 * 2^7 in magnitude, so every partial sum is
-    below 2^14 * n < 2^53. They stay float64 so that callers convert one
-    matrix at a time instead of holding a second whole-block copy.
+    The grid is decoded one k-row at a time; the un-rotated weight fields of
+    every tile go into one (tk*n, nw*tp*n) slab, and the outputs are one
+    matmul of the M input rows with that slab. The result is exact: each
+    output is a sum of K products of an 8-bit input and a w-bit weight
+    field, each at most 2^(6+w) in magnitude, so every partial sum is at
+    most 2^(6+w) * K. The matmul runs in float32 when that bound is at most
+    2^24 and in float64 otherwise; float64 would need K > 2^39 to reach
+    2^53, an input of more than 4 TB per row. The outputs stay floating so
+    that callers convert each matrix once.
+
+    The psum-bus and reducer checks run per pass, on the passes whose
+    `_may_overflow` gate is on for the largest input magnitude of their
+    own k-row.
     """
-    mode, n = tiles[0].mode, tiles[0].n
-    if any(tile.mode != mode or tile.n != n for tile in tiles):
-        raise ValueError("tiles of one block must share one mode and size")
-    precision = mode.precision
+    if not grid or not grid[0]:
+        raise ValueError("empty tile grid")
+    mode, n = grid[0][0].mode, grid[0][0].n
+    if any(tile.mode != mode or tile.n != n for row in grid for tile in row):
+        raise ValueError("tiles of one group must share one mode and size")
+    precision, nw = mode.precision, mode.nw
     reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
-    rows = _check_rows(rows, n)
-    count = rows.shape[0]
-    # Folding the four buses per precision is linear, so fold the slots
-    # first: that yields the r signed weight fields of every word.
-    slots, fields = unpack_words(np.stack([tile.words for tile in tiles]), precision)
-    weights = fields.transpose(2, 0, 1, 3).astype(np.float64, order="C").reshape(n, -1)  # [k, (t, j, c)]
-    products = (rows.astype(np.float64) @ weights).reshape(count, precision.r, len(tiles), n)
+    a = np.asarray(a, dtype=np.int64)
+    tk, tp = len(grid), len(grid[0])
+    if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
+        raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
+    check_signed(a, 8, "input element")
+    m_dim, k_dim = a.shape
+    streamed = ceil_div(m_dim, n) * n  # rows of each pass, row tiles zero-padded
     # The reducer's stage-2 register holds the W8 fold of the buses, which is
-    # sum_t output_t << t*w. It is formed for every row but the last
+    # sum_t output_t << t*w. It is formed for every streamed row but the last
     # 2 - reduce_stages ones, whatever the tap precision.
-    formed = max(0, min(count, count + reduce_stages - 2))
-    shifts = (np.arange(precision.r) * precision.weight_bits)[:, None]
-    for j in np.flatnonzero(_may_overflow(slots, int(np.abs(rows).max(initial=0)))):
-        _check_psums(slots[:, j], rows)
-        stage2 = (products[:formed, :, j].astype(np.int64) << shifts).sum(axis=1)
-        _check_register(stage2, "reducer")
-    cycles = load_cycles(n, overlap_weights) + stream_cycles(n, count, mac_stages, reduce_stages)
-    return products[:, : mode.nw], cycles
+    formed = max(0, min(m_dim, streamed + reduce_stages - 2))
+    shifts = (np.arange(precision.r) * precision.weight_bits)[:, None, None]
+    dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
+    column_amax = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
+    slab = np.empty((tk * n, nw * tp * n), dtype=dtype)  # [k*n + q, (t, j, c)]
+    for k, row in enumerate(grid):
+        # Folding the four buses per precision is linear, so fold the slots
+        # first: that yields the r signed weight fields of every word.
+        slots, fields = unpack_words(np.stack([tile.words for tile in row]), precision)
+        slab[k * n : (k + 1) * n].reshape(n, nw, tp, n)[...] = fields[:nw].transpose(2, 0, 1, 3)
+        amax = int(column_amax[k * n : (k + 1) * n].max(initial=0))
+        for j in np.flatnonzero(_may_overflow(slots, amax)):  # rare: redo the pass in int64
+            a_k = np.zeros((m_dim, n), dtype=np.int64)
+            a_k[:, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
+            _check_psums(slots[:, j], a_k)
+            outputs = a_k @ fields[:, j].astype(np.int64)  # [t, i, c]
+            _check_register((outputs[:, :formed] << shifts).sum(axis=0), "reducer")
+    products = (a.astype(dtype) @ slab[:k_dim]).reshape(m_dim, nw, tp * n)
+    cycles = load_cycles(n, overlap_weights) + stream_cycles(n, streamed, mac_stages, reduce_stages)
+    return products, cycles
 
 
 def _check_psums(slots: np.ndarray, rows: np.ndarray) -> None:

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from typing import IO, Iterator, Optional
 
@@ -32,6 +33,11 @@ SWEEP_SIZES = (4, 8, 16, 32, 64)
 # -- matrix text files --------------------------------------------------------
 
 
+# One signed decimal integer in ASCII digits; `int` alone would also take
+# `1_0` and non-ASCII digits.
+_DECIMAL = re.compile(r"[-+]?[0-9]+")
+
+
 def read_matrix(path: str) -> tuple[np.ndarray, int]:
     """Read `rows cols width` + row-major integers; returns (matrix, width)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -39,8 +45,10 @@ def read_matrix(path: str) -> tuple[np.ndarray, int]:
     if len(tokens) < 3:
         raise ValueError(f"{path}: missing matrix header")
     try:
+        if not all(_DECIMAL.fullmatch(t) for t in tokens):
+            raise ValueError
         rows, cols, width, *values = (int(t) for t in tokens)
-    except ValueError:
+    except ValueError:  # also a token longer than `int` converts
         raise ValueError(f"{path}: non-integer token") from None
     if rows < 0 or cols < 0:
         raise ValueError(f"{path}: negative matrix shape {rows}x{cols}")

@@ -10,9 +10,9 @@ Jobs carrying several same-shape weight matrices at a narrow width are
 fused into groups of r = 8 / weight_bits matrices per pass, which divides
 the pass count by r while streaming the shared input once.
 
-Untraced runs evaluate the tp passes of one k at once, since they all
-stream the same input block (`array.evaluate_block`, one float64 matmul),
-and add them to the outputs with one add per matrix; traced runs step the
+Untraced runs evaluate every pass of a fused group at once, since they
+all stream the same input (`array.evaluate_group`, one exact matmul over
+the whole K), and convert each output matrix once; traced runs step the
 reference `ArraySim` pass by pass, which writes the per-PE trace. Both give
 the same outputs, cycle counts, pass counts and overflow errors.
 """
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim, evaluate_block, resolve_stages
+from .array import ArraySim, evaluate_group, resolve_stages
 from .numerics import ceil_div, check_signed
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
@@ -94,23 +94,21 @@ def plan(job: MatMulJob) -> TiledPlan:
 
 
 def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
-    """Brute-force golden results: plain triple loop, no tiling, exact ints."""
-    m_dim, k_dim, p_dim = job.shape
-    a_rows = [[int(v) for v in row] for row in job.a]
-    outputs = []
-    for w in job.weights:
-        b_rows = [[int(v) for v in row] for row in w]
-        c = [[0] * p_dim for _ in range(m_dim)]
-        for i in range(m_dim):
-            a_row = a_rows[i]
-            c_row = c[i]
-            for k in range(k_dim):
-                a_ik = a_row[k]
-                b_row = b_rows[k]
-                for j in range(p_dim):
-                    c_row[j] += a_ik * b_row[j]
-        outputs.append(np.array(c, dtype=np.int64).reshape(m_dim, p_dim))
-    return outputs
+    """Golden results with no tiling: one exact int64 `a @ w` per weight matrix.
+
+    Exact while |a| * |w| * K < 2^63, which every valid job meets: its
+    8-bit inputs and weights of at most 8 bits give |a| * |w| <= 2^14, and
+    2^14 * K < 2^63 for any K below 2^49. Raises ValueError when the job's
+    values exceed that bound.
+    """
+
+    def magnitude(x: np.ndarray) -> int:
+        return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+    k_dim = job.shape[1]
+    if magnitude(job.a) * max(magnitude(w) for w in job.weights) * k_dim >= 1 << 63:
+        raise ValueError(f"|a| * |w| * K reaches 2^63 at K={k_dim}; int64 sums could wrap")
+    return [job.a @ w for w in job.weights]
 
 
 @dataclass
@@ -140,10 +138,11 @@ def run_tiled(
     reduce_stages = resolve_stages(job.precision, mac_stages, reduce_stages)
     the_plan = plan(job)
     tm, tk, tp = the_plan.tm, the_plan.tk, the_plan.tp
-    a_pad = np.zeros((tm * n, tk * n), dtype=np.int64)
-    a_pad[:m_dim, :k_dim] = job.a
-    accum = [np.zeros((tm * n, tp * n), dtype=np.int64) for _ in job.weights]
+    if trace is not None:
+        a_pad = np.zeros((tm * n, tk * n), dtype=np.int64)
+        a_pad[:m_dim, :k_dim] = job.a
 
+    outputs = []
     total_cycles = 0
     passes = 0
     base = 0
@@ -152,17 +151,15 @@ def run_tiled(
         mode = PrecisionMode(job.precision, nw)
         grid = prepare_weights(group, mode, n)
         if trace is None:
-            # One k-row of passes streams the same input block: evaluate them
-            # together and add them to (tm*n, tp, n) views of the outputs.
-            views = [acc.reshape(tm * n, tp, n) for acc in accum[base : base + nw]]
-            for k in range(tk if tp else 0):  # P = 0 has no passes
-                a_k = a_pad[:, k * n : (k + 1) * n]
-                outs, cycles = evaluate_block(grid[k], a_k, mac_stages, reduce_stages, overlap_weights)
-                for t, view in enumerate(views):
-                    view += outs[:, t].astype(np.int64)
-                total_cycles += tp * cycles
-                passes += tp
+            if tk and tp:  # K = 0 or P = 0 has no passes
+                products, cycles = evaluate_group(grid, job.a, mac_stages, reduce_stages, overlap_weights)
+                total_cycles += tk * tp * cycles
+                passes += tk * tp
+            else:
+                products = np.zeros((m_dim, nw, p_dim))
+            outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]
         else:
+            accum = [np.zeros((tm * n, tp * n), dtype=np.int64) for _ in group]
             sim = ArraySim(
                 n,
                 mode,
@@ -182,10 +179,10 @@ def run_tiled(
                     if collected:
                         outs = np.array([row.outputs for row in collected])  # rows x nw x n
                         for t in range(nw):
-                            accum[base + t][:, cols] += outs[:, t]
+                            accum[t][:, cols] += outs[:, t]
                     total_cycles += sim.cycle - start
                     passes += 1
+            outputs += [acc[:m_dim, :p_dim] for acc in accum]
         base += nw
 
-    outputs = [acc[:m_dim, :p_dim] for acc in accum]
     return TiledResult(outputs=outputs, total_cycles=total_cycles, pass_count=passes)

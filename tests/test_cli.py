@@ -63,6 +63,24 @@ def test_simulate_rejects_matrix_files_beyond_int64(capsys, tmp_path, text):
     assert err.startswith("adipsim: ") and "big.txt" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text", ["1 2 8\n1_0 1\n", "1 2 8\n\u0661 1\n", "1 1 8\n+\n", "1 1_0 8\n" + "1 " * 10 + "\n", "1 1 8\n\uff11\n"]
+)
+def test_simulate_rejects_tokens_that_are_not_ascii_decimals(capsys, tmp_path, text):
+    """`int` would read `1_0` as 10 and Arabic-Indic or full-width digits as
+    their values; the matrix format is ASCII signed decimals only."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.txt.*non-integer token"):
+        read_matrix(str(bad))
+    weights = tmp_path / "w.txt"
+    weights.write_text("1 1 8\n5\n")
+    code, out, err = run_cli(capsys, "simulate", "--size", "2", "--a", str(bad), "--b", str(weights))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("adipsim: ") and "bad.txt" in err and "Traceback" not in err
+
+
 @st.composite
 def _matrix_texts(draw):
     """A well-formed small matrix file, then up to three overwritten or

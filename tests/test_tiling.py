@@ -188,3 +188,51 @@ def test_plan_counts():
     assert p.group_sizes == [2]
     assert p.pass_count == 8
     assert p.rows_per_pass == 3
+
+
+def _brute_force(job):
+    """Independent golden results: a pure-Python triple loop over Python ints."""
+    m_dim, k_dim, p_dim = job.shape
+    a_rows = [[int(v) for v in row] for row in job.a]
+    outputs = []
+    for w in job.weights:
+        b_rows = [[int(v) for v in row] for row in w]
+        c = [[0] * p_dim for _ in range(m_dim)]
+        for i in range(m_dim):
+            for k in range(k_dim):
+                a_ik = a_rows[i][k]
+                for j in range(p_dim):
+                    c[i][j] += a_ik * b_rows[k][j]
+        outputs.append(np.array(c, dtype=np.int64).reshape(m_dim, p_dim))
+    return outputs
+
+
+@pytest.mark.parametrize("precision, nw", MODES)
+def test_oracle_matches_brute_force_on_small_shapes(precision, nw):
+    rng = np.random.default_rng(precision.value * 10 + nw)
+    lo, hi = -(1 << (precision.weight_bits - 1)), 1 << (precision.weight_bits - 1)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)] + [tuple(rng.integers(1, 9, 3)) for _ in range(6)]
+    for m, k, p in shapes:
+        a = rng.integers(-128, 128, size=(m, k))
+        weights = [rng.integers(lo, hi, size=(k, p)) for _ in range(nw)]
+        if m and k and p:  # the extremes of both ranges
+            a[0] = -128
+            weights[0][:, 0] = lo
+        job = MatMulJob(a, weights, precision, 4)
+        got, want = oracle_matmul(job), _brute_force(job)
+        assert len(got) == len(want) == nw
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.shape == (m, p)
+            assert np.array_equal(g, w)
+
+
+def test_oracle_rejects_values_whose_sums_could_leave_int64():
+    """A job whose arrays were replaced after validation: |a| * |w| * K
+    reaching 2^63 raises instead of wrapping."""
+    job = MatMulJob(np.ones((1, 4)), [np.ones((4, 1))], Precision.W8, 4)
+    job.a = np.full((1, 4), 1 << 40, dtype=np.int64)
+    job.weights = [np.full((4, 1), 1 << 20, dtype=np.int64)]
+    assert oracle_matmul(job)[0].tolist() == [[4 << 60]]
+    job.weights = [np.full((4, 1), 1 << 21, dtype=np.int64)]
+    with pytest.raises(ValueError, match="2\\^63"):
+        oracle_matmul(job)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from adipsim import array
 from adipsim.array import ArraySim
+from adipsim.numerics import ceil_div
 from adipsim.pe import PsumOverflowError
 from adipsim.preprocess import Precision, PrecisionMode, prepare_weights, unpack_words
 from adipsim.tiling import MatMulJob, run_tiled
@@ -334,3 +335,62 @@ def test_full_scale_block_is_exact():
     assert np.array_equal(stepped.outputs[0], a @ w)
     assert fast.total_cycles == stepped.total_cycles
     assert int(fast.outputs[0].max()) == 4 * n * 128 * 128
+
+
+@pytest.mark.parametrize(
+    "precision, nw, heavy",
+    [(Precision.W8, 1, -128), (Precision.W4, 2, -8), (Precision.W2, 4, -2)],
+)
+def test_gate_in_a_later_k_row_uses_that_rows_inputs(precision, nw, heavy, monkeypatch):
+    """A 3 x 3 grid where, one below the smallest passing limit, only tile
+    (k = 1, j = 2) has its gate on, and only with the largest input of its
+    own k-row (the other k-rows stream smaller inputs): the untraced path
+    must check that pass and raise on the same limits as the stepped path."""
+    n = 4
+    weights = np.ones((3 * n, 3 * n), dtype=np.int64)
+    weights[n : 2 * n, 2 * n :] = heavy
+    a = np.full((2 * n, 3 * n), 100, dtype=np.int64)
+    a[:, n : 2 * n] = -128
+    job = MatMulJob(a, [weights] * nw, precision, n)
+    limit = _smallest_passing_limit(job, monkeypatch)
+    grid = prepare_weights(job.weights, PrecisionMode(precision, nw), n)
+    monkeypatch.setattr(array, "_PSUM_LIMIT", limit - 1)
+
+    def gates(amax):
+        return [
+            list(array._may_overflow(unpack_words(np.stack([t.words for t in row]), precision)[0], amax))
+            for row in grid
+        ]
+
+    assert gates(128)[1] == [False, False, True]
+    assert gates(128)[0] == gates(128)[2] == [False, False, False]
+    assert gates(100) == [[False, False, False]] * 3
+
+
+def _float32_edge(k_dim):
+    """W8 job with K = k_dim at n = 4 whose first output is
+    (k_dim - 1) * 2^14 + 1, the largest that K allows with an odd sum."""
+    rng = np.random.default_rng(k_dim)
+    a = rng.integers(-128, 128, size=(3, k_dim))
+    w = rng.integers(-128, 128, size=(k_dim, 5))
+    a[0, :-1] = w[:-1, 0] = -128
+    a[0, -1] = w[-1, 0] = 1
+    a[1] = w[:, 1] = -128
+    return MatMulJob(a, [w], Precision.W8, 4)
+
+
+@pytest.mark.parametrize("k_dim, float32_exact", [(1024, True), (1025, False)])
+def test_matmul_dtype_switches_at_the_float32_bound(k_dim, float32_exact):
+    """At W8 the sums stay within float32's exact range while 2^14 * K <=
+    2^24, so up to K = 1024; one row more and float32 gets them wrong. Both
+    sides of the bound must equal int64 `a @ w` and the stepped path."""
+    job = _float32_edge(k_dim)
+    want = job.a @ job.weights[0]
+    assert int(want[0, 0]) == (k_dim - 1) * (1 << 14) + 1
+    in_float32 = (job.a.astype(np.float32) @ job.weights[0].astype(np.float32)).astype(np.int64)
+    assert np.array_equal(in_float32, want) is float32_exact
+    fast, stepped = _both(job)
+    assert np.array_equal(fast.outputs[0], want)
+    assert np.array_equal(stepped.outputs[0], want)
+    assert fast.total_cycles == stepped.total_cycles
+    assert fast.pass_count == stepped.pass_count == ceil_div(k_dim, 4) * 2
