@@ -39,10 +39,8 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   because every partial sum stays within 2^(6+w) * K for w-bit weights,
   and runs in float32 while that bound is at most 2^24, in float64 above.
   The cycle count comes from the same `load_cycles` / `stream_cycles` that
-  the stepped model advances its clock by. The grid is decoded one k-row
-  at a time; the psum-bus and reducer overflow checks cover exactly the
-  register values the stepped model would form, and run only on the
-  passes whose `_may_overflow` gate is on.
+  the stepped model advances its clock by. The overflow checks live only
+  in `ArraySim`: a pass whose `_may_overflow` gate is on is stepped there.
 """
 
 from __future__ import annotations
@@ -57,13 +55,9 @@ import numpy as np
 from .numerics import PSUM_BITS, ceil_div, check_signed
 from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
-from .preprocess import PackedWeightTile, Precision, PrecisionMode, decode_slots, rotation_index, unpack_words
+from .preprocess import PackedWeightTile, Precision, PrecisionMode, _check_grid, decode_slots, unpack_words
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
-
-# Elements of the (rows, 4, n, n) prefix-sum tensor formed at once by the
-# exact psum check; bounds its memory to a few tens of MB.
-_CHECK_CHUNK = 1 << 21
 
 # PE-cycles of trace history formatted per write; bounds the history buffer
 # and the formatting temporaries of one write to about 10 MB.
@@ -389,15 +383,10 @@ def evaluate_group(
     2^53, an input of more than 4 TB per row. The outputs stay floating so
     that callers convert each matrix once.
 
-    The psum-bus and reducer checks run per pass, on the passes whose
-    `_may_overflow` gate is on for the largest input magnitude of their
-    own k-row.
+    To raise, a pass whose `_may_overflow` gate is on for the largest input
+    magnitude of its own k-row is also stepped on an untraced `ArraySim`.
     """
-    if not grid or not grid[0]:
-        raise ValueError("empty tile grid")
-    mode, n = grid[0][0].mode, grid[0][0].n
-    if any(tile.mode != mode or tile.n != n for row in grid for tile in row):
-        raise ValueError("tiles of one group must share one mode and size")
+    mode, n = _check_grid(grid)
     precision, nw = mode.precision, mode.nw
     reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
     a = np.asarray(a, dtype=np.int64)
@@ -407,11 +396,6 @@ def evaluate_group(
     check_signed(a, 8, "input element")
     m_dim, k_dim = a.shape
     streamed = ceil_div(m_dim, n) * n  # rows of each pass, row tiles zero-padded
-    # The reducer's stage-2 register holds the W8 fold of the buses, which is
-    # sum_t output_t << t*w. It is formed for every streamed row but the last
-    # 2 - reduce_stages ones, whatever the tap precision.
-    formed = max(0, min(m_dim, streamed + reduce_stages - 2))
-    shifts = (np.arange(precision.r) * precision.weight_bits)[:, None, None]
     dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
     column_amax = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
     slab = np.empty((tk * n, nw * tp * n), dtype=dtype)  # [k*n + q, (t, j, c)]
@@ -421,25 +405,12 @@ def evaluate_group(
         slots, fields = unpack_words(np.stack([tile.words for tile in row]), precision)
         slab[k * n : (k + 1) * n].reshape(n, nw, tp, n)[...] = fields[:nw].transpose(2, 0, 1, 3)
         amax = int(column_amax[k * n : (k + 1) * n].max(initial=0))
-        for j in np.flatnonzero(_may_overflow(slots, amax)):  # rare: redo the pass in int64
-            a_k = np.zeros((m_dim, n), dtype=np.int64)
-            a_k[:, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
-            _check_psums(slots[:, j], a_k)
-            outputs = a_k @ fields[:, j].astype(np.int64)  # [t, i, c]
-            _check_register((outputs[:, :formed] << shifts).sum(axis=0), "reducer")
+        for j in np.flatnonzero(_may_overflow(slots, amax)):  # rare: step the pass
+            a_k = np.zeros((streamed, n), dtype=np.int64)
+            a_k[:m_dim, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
+            sim = ArraySim(n, mode, mac_stages, reduce_stages)
+            sim.load_weights(row[j])
+            sim.stream(a_k)
     products = (a.astype(dtype) @ slab[:k_dim]).reshape(m_dim, nw, tp * n)
     cycles = load_cycles(n, overlap_weights) + stream_cycles(n, streamed, mac_stages, reduce_stages)
     return products, cycles
-
-
-def _check_psums(slots: np.ndarray, rows: np.ndarray) -> None:
-    """Psum-bus check of a pass, given its slots in matrix order: PE(r, c)
-    holds, for some row a, the prefix sum over q <= r of
-    a[(c+q) mod n] * slot[g, (c+q) mod n, c]."""
-    n = slots.shape[1]
-    skew, cols = rotation_index(n)  # skew[q, c] = (c+q) mod n
-    slots = slots[:, skew, cols]  # as loaded: PE(q, c) holds slots[:, q, c]
-    chunk = max(1, _CHECK_CHUNK // (4 * n * n))
-    for start in range(0, rows.shape[0], chunk):
-        seen = rows[start : start + chunk][:, skew]  # seen[i, q, c]: row i's input at PE(q, c)
-        _check_register(np.cumsum(seen[:, None] * slots[None], axis=2), "psum bus")

@@ -197,7 +197,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
             f" {spec.ops / 1e9:10.2f} GOP  {100 * shares[spec.stage]:5.1f}%"
         )
 
-    print(f"architecture comparison at {params.n}x{params.n}, {params.clock_hz / 1e9:g} GHz:")
+    print(f"architecture comparison at {params.n}x{params.n}, {cost.CLOCK_HZ / 1e9:g} GHz:")
     for arch in cost.Arch:
         t = info["totals"][arch.label]
         print(
@@ -277,7 +277,6 @@ def cmd_interleave(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",")]
-    params = cost.CostParams(n=32)
     with _open_out(args.out) as fh:
         fh.write("size,mode,throughput_gain,peak_tops,power_factor\n")
         for n in sizes:
@@ -290,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 gain = unfused // fused
                 p = analytic.AnalyticParams.for_mode(n, precision.weight_bits)
                 peak = analytic.peak_throughput(p, args.clock_ghz * 1e9) / 1e12
-                factor = params.adip_power_by_size.get(n, float("nan"))
+                factor = cost.ADIP_POWER_BY_SIZE.get(n, float("nan"))
                 fh.write(f"{n},{precision.name},{gain},{peak:.3f},{factor}\n")
     return 0
 

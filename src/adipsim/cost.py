@@ -25,9 +25,9 @@ element.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable
 
 from .array import load_cycles, stream_cycles
 from .numerics import ceil_div
@@ -36,8 +36,12 @@ from .workload import MhaConfig, StageSpec, stages
 
 STAGE_CSV_COLUMNS = ("stage", "arch", "cycles", "energy_rel", "bytes_in", "bytes_w", "bytes_out")
 
-# Measured power of the adaptive array relative to the 8-bit baseline,
-# by array size.
+CLOCK_HZ = 1e9
+
+# Power of each architecture relative to the 8-bit DiP baseline; the
+# adaptive array's is measured by array size.
+DIP_POWER = 1.0
+WS_POWER = 1.25
 ADIP_POWER_BY_SIZE = {4: 1.63, 8: 1.59, 16: 1.57, 32: 1.63, 64: 1.69}
 
 
@@ -56,12 +60,7 @@ class CostParams:
     """Cost-model knobs; defaults match the evaluated 32 x 32 configuration."""
 
     n: int = 32
-    clock_hz: float = 1e9
     mac_stages: int = 1
-    dip_power: float = 1.0
-    ws_power: float = 1.25
-    adip_power_by_size: dict = field(default_factory=lambda: dict(ADIP_POWER_BY_SIZE))
-    ws_skew_cycles: Optional[int] = None  # None -> n - 1 per pass
     overlap_weights: bool = True
     count_output_writes: bool = False
     output_bytes: int = 1  # 1 = requantized activations, 4 = raw psum spill
@@ -71,21 +70,15 @@ class CostParams:
             raise ValueError("array size must be positive")
         if self.output_bytes not in (1, 4):
             raise ValueError("output_bytes must be 1 or 4")
-        if any(v <= 0 for v in self.adip_power_by_size.values()):
-            raise ValueError("power factors must be positive")
 
     def power(self, arch: Arch) -> float:
         if arch is Arch.WS:
-            return self.ws_power
+            return WS_POWER
         if arch is Arch.DIP:
-            return self.dip_power
-        if self.n not in self.adip_power_by_size:
+            return DIP_POWER
+        if self.n not in ADIP_POWER_BY_SIZE:
             raise ValueError(f"no adaptive-array power factor for size {self.n}")
-        return self.adip_power_by_size[self.n]
-
-    @property
-    def skew(self) -> int:
-        return self.n - 1 if self.ws_skew_cycles is None else self.ws_skew_cycles
+        return ADIP_POWER_BY_SIZE[self.n]
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
     per_pass = load_cycles(n, params.overlap_weights)
     per_pass += stream_cycles(n, rows, params.mac_stages, reduce_stages)
     if arch is Arch.WS:
-        per_pass += params.skew
+        per_pass += n - 1
     return _stage_passes(spec, arch, params) * per_pass
 
 
@@ -189,7 +182,7 @@ def summary(cfg: MhaConfig, params: CostParams) -> dict:
     totals = {
         arch.label: {
             "cycles": sum(c.cycles for c in costs),
-            "seconds": sum(c.cycles for c in costs) / params.clock_hz,
+            "seconds": sum(c.cycles for c in costs) / CLOCK_HZ,
             "energy_rel": sum(c.energy_rel for c in costs),
             "mem_bytes": sum(c.mem_bytes for c in costs),
         }

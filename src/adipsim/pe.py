@@ -17,6 +17,8 @@ Group outputs ride four dedicated psum buses; recombining them per mode
 
 from __future__ import annotations
 
+import numpy as np
+
 from .numerics import PSUM_BITS, check_signed, mul2, split_subwords
 from .preprocess import Precision, decode_slots
 
@@ -29,11 +31,19 @@ class PsumOverflowError(OverflowError):
     """A psum bus or reducer register left the 32-bit accumulator range."""
 
 
+# The four slots of each of the 256 stationary words, per precision, as
+# Python ints: `weight_slots` runs once per multiply of the scalar PE model.
+_SLOT_TABLE = {
+    precision: [tuple(slots) for slots in decode_slots(np.arange(256), precision).T.tolist()]
+    for precision in Precision
+}
+
+
 def weight_slots(word: int, precision: Precision) -> tuple[int, int, int, int]:
     """Decode the four 2-bit fields of a stationary word under a precision."""
     if not 0 <= word <= 0xFF:
         raise ValueError(f"weight word {word} outside [0, 255]")
-    return tuple(decode_slots(word, precision).tolist())
+    return _SLOT_TABLE[precision][word]
 
 
 def group_multiply(input_val: int, word: int, precision: Precision) -> tuple[int, int, int, int]:

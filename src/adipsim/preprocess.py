@@ -256,16 +256,24 @@ def prepare_weights(
     return [[PackedWeightTile(tile, mode) for tile in row] for row in tiles]
 
 
-def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.ndarray]:
-    """Inverse of `prepare_weights`: the nw int64 weight matrices of a
-    tk x tp packed grid, still zero-padded to tk*n x tp*n."""
+def _check_grid(grid: Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int]:
+    """The mode and tile size shared by every tile of a packed grid.
+    Raises ValueError on an empty grid, rows of unequal length, or a tile
+    of another mode or size."""
     if not grid or not grid[0]:
         raise ValueError("empty tile grid")
     mode, n = grid[0][0].mode, grid[0][0].n
     if any(len(row) != len(grid[0]) for row in grid):
         raise ValueError("ragged tile grid")
     if any(tile.n != n or tile.mode != mode for row in grid for tile in row):
-        raise ValueError("inconsistent tile in grid")
+        raise ValueError("tiles of one grid must share one mode and size")
+    return mode, n
+
+
+def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.ndarray]:
+    """Inverse of `prepare_weights`: the nw int64 weight matrices of a
+    tk x tp packed grid, still zero-padded to tk*n x tp*n."""
+    mode, n = _check_grid(grid)
     words = np.array([[tile.words for tile in row] for row in grid])  # (tk, tp, n, n)
     tk, tp = words.shape[:2]
     _, fields = unpack_words(words, mode.precision)
@@ -275,19 +283,10 @@ def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.nda
 
 def write_packed(grid: Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
     """Dump a packed-tile grid: 16-byte header, then row-major tile bytes."""
-    if not grid or not grid[0]:
-        raise ValueError("empty tile grid")
-    rows = len(grid)
-    cols = len(grid[0])
-    mode = grid[0][0].mode
-    n = grid[0][0].n
-    fh.write(_HEADER.pack(PACKED_MAGIC, n, mode.weight_bits, mode.nw, rows, cols))
+    mode, n = _check_grid(grid)
+    fh.write(_HEADER.pack(PACKED_MAGIC, n, mode.weight_bits, mode.nw, len(grid), len(grid[0])))
     for row in grid:
-        if len(row) != cols:
-            raise ValueError("ragged tile grid")
         for tile in row:
-            if tile.n != n or tile.mode != mode:
-                raise ValueError("inconsistent tile in grid")
             fh.write(tile.words.tobytes())
 
 

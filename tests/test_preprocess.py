@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adipsim.array import evaluate_group
 from adipsim.preprocess import (
     PackedWeightTile,
     Precision,
@@ -287,6 +288,35 @@ def test_read_packed_rejects_empty_grids(n, rows, cols):
 def test_write_packed_rejects_empty_grids(grid):
     with pytest.raises(ValueError):
         write_packed(grid, io.BytesIO())
+
+
+def _malformed_grid(fault):
+    """A 2 x 2 W8 grid of 4 x 4 tiles with one fault: a second row of one
+    tile, or one tile of another mode or size."""
+    mode = PrecisionMode(Precision.W8, 1)
+    grid = prepare_weights([np.ones((8, 8), dtype=np.int64)], mode, 4)
+    if fault == "ragged":
+        grid[1].pop()
+    elif fault == "mixed mode":
+        grid[1][1] = PackedWeightTile(grid[1][1].words, PrecisionMode(Precision.W4, 1))
+    else:
+        grid[1][1] = PackedWeightTile(np.zeros((2, 2)), mode)
+    return grid
+
+
+@pytest.mark.parametrize("fault", ["ragged", "mixed mode", "mixed size"])
+def test_malformed_grids_rejected_before_any_work(fault):
+    """Every grid reader rejects the grid before writing or computing
+    anything; a short row must not be broadcast into a wrong product."""
+    grid = _malformed_grid(fault)
+    sink = io.BytesIO()
+    with pytest.raises(ValueError):
+        write_packed(grid, sink)
+    assert sink.getvalue() == b""
+    with pytest.raises(ValueError):
+        unprepare_weights(grid)
+    with pytest.raises(ValueError):
+        evaluate_group(grid, np.ones((4, 8), dtype=np.int64))
 
 
 @st.composite

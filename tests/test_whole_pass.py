@@ -21,7 +21,7 @@ from adipsim import array
 from adipsim.array import ArraySim
 from adipsim.numerics import ceil_div
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode, prepare_weights, unpack_words
+from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights, unpack_words
 from adipsim.tiling import MatMulJob, run_tiled
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -321,6 +321,30 @@ def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
         for row in grid
     ]
     assert gates == [[False, True, False], [False, False, False]]
+
+
+@pytest.mark.parametrize(
+    "precision, opens_at",
+    [(Precision.W8, 87_839), (Precision.W4, 89_718), (Precision.W2, 98_690)],
+)
+def test_gate_is_off_for_every_storable_tile_size(precision, opens_at):
+    """The packed-file header holds n in 16 bits, so no storable tile column
+    is longer than 65 535 rows. A column of that length, every word the one
+    with the widest W8 fold reach, streaming full-scale inputs, keeps the
+    gate off at the real 32-bit limit, so `evaluate_group` steps no pass of
+    such a tile on the reference. The gate opens once the column could
+    reach the limit."""
+    slots = decode_slots(np.arange(256), precision)  # [g, word]
+    reach = (np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0)
+    word = int(reach.argmax())
+
+    def column(rows):
+        return np.broadcast_to(slots[:, word, None, None], (4, rows, 1))
+
+    assert ceil_div(array._PSUM_LIMIT, 128 * int(reach[word])) == opens_at
+    assert not array._may_overflow(column((1 << 16) - 1), 128)
+    assert not array._may_overflow(column(opens_at - 1), 128)
+    assert array._may_overflow(column(opens_at), 128)
 
 
 def test_full_scale_block_is_exact():
