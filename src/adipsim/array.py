@@ -25,7 +25,11 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   model and the only source of per-PE traces. A traced pass keeps each
   cycle's input and psum registers in a history buffer and formats the
   pass's trace lines at its end, in one write (in blocks of at most
-  `_TRACE_BLOCK` PE-cycles, so long passes stay bounded in memory). The
+  `_TRACE_BLOCK` PE-cycles, so long passes stay bounded in memory). A
+  block is formatted without Python ints: every number is gathered as
+  8-byte ASCII words, one per four decimal digits, from one table
+  (`_group_words`, built on the first traced write) into a fixed-width line
+  buffer, and one `bytes.translate` drops the NUL padding. The
   per-cycle register checks run only when the pass's inputs could reach
   the limit: amax times the W8 fold reach of the slots (`_may_overflow`)
   bounds every psum-bus and reducer value, so gating never moves the cycle
@@ -45,6 +49,7 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
 
 from __future__ import annotations
 
+import functools
 import io
 from collections import deque
 from dataclasses import dataclass
@@ -60,7 +65,8 @@ from .preprocess import PackedWeightTile, Precision, PrecisionMode, _check_grid,
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
 # PE-cycles of trace history formatted per write; bounds the history buffer
-# and the formatting temporaries of one write to about 10 MB.
+# (1.25 MiB) and the formatting temporaries of one write: about 6 MiB while
+# every register value has at most four digits, 14 MiB at ten digits.
 _TRACE_BLOCK = 1 << 15
 
 # The reducer's shift-adds as integer folds: stage 1 forms bus0 + bus1 << 2
@@ -69,6 +75,76 @@ _STAGE1_FOLD = np.array([[1, 4, 0, 0], [0, 0, 1, 4]], dtype=np.int64)
 _STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 
 TRACE_HEADER = "cycle,row,col,input,psum0,psum1,psum2,psum3"
+
+# Trace lines are built from 8-byte words of ASCII, NUL where nothing is
+# printed: a number is one word per group of four decimal digits, each word
+# [sign, four digits NUL-padded on the left, separator, NUL, NUL]. Per
+# separator (none, ",", "\n") a section of `_group_words` holds the signed
+# leading groups t = -9999..9999 at `_LEAD` + t, the zero-padded groups
+# d = 0..9999 that follow a leading one at `_FULL` + d, and four NULs for a
+# group above a number's first digit at `_BLANK`.
+_GROUP = 10_000
+_LEAD = _GROUP - 1
+_FULL = 2 * _GROUP - 1
+_BLANK = 3 * _GROUP - 1
+_SECTION = 3 * _GROUP
+# Section of the last word of each of a line's five register values.
+_VALUE_SEPARATORS = np.array([_SECTION] * 4 + [2 * _SECTION])
+
+
+@functools.cache
+def _group_words() -> np.ndarray:
+    """The word table, as uint64; built on the first traced write."""
+    words = np.zeros((3, _SECTION, 8), dtype=np.uint8)
+    group = np.arange(_GROUP)
+    for k, place in enumerate((1000, 100, 10, 1)):
+        digit = (group // place % 10 + ord("0")).astype(np.uint8)
+        words[:, _FULL:_BLANK, 1 + k] = digit
+        if place > 1:  # NUL above the leading digit; the units digit always prints
+            digit[group < place] = 0
+        words[:, _LEAD:_FULL, 1 + k] = digit  # t = 0..9999
+        words[:, :_LEAD, 1 + k] = digit[:0:-1]  # t = -9999..-1
+    words[:, :_LEAD, 0] = ord("-")
+    words[1, :_BLANK, 5] = ord(",")
+    words[2, :_BLANK, 5] = ord("\n")
+    words.flags.writeable = False  # one table, shared by every caller
+    return words.view(np.uint64).ravel()
+
+
+def _number_words(values: np.ndarray, groups: int, last_section, out: np.ndarray) -> None:
+    """Write the words of the int64 `values`, `groups` per number, into
+    `out[..., :groups]`; the last word of each number comes from the
+    separator section at offset `last_section` (broadcast against
+    `values`), the others from the first section."""
+    words = _group_words()
+    if groups == 1:  # each value is its own leading group
+        out[..., 0] = words[values + (_LEAD + last_section)]
+        return
+    magnitudes = np.abs(values).view(np.uint64)  # exact for -2^63 too
+    for j in range(groups):
+        last = j == groups - 1
+        high = magnitudes // np.uint64(_GROUP ** (groups - 1 - j))  # digits down to group j
+        digits = (high % _GROUP).astype(np.int64)
+        offset = last_section if last else 0
+        index = np.where(
+            high < _GROUP,
+            np.where(values < 0, -digits, digits) + (_LEAD + offset),
+            digits + (_FULL + offset),
+        )
+        if not last:
+            index = np.where(high == 0, _BLANK, index)
+        out[..., j] = words[index]
+
+
+@functools.cache
+def _cell_prefixes(n: int) -> np.ndarray:
+    """",row,col," of every PE in row-major order, NUL-padded on the left
+    to whole words, as a read-only (n*n, words) uint64 array; cached per
+    array size traced in the process."""
+    prefixes = [f",{r},{c},".encode("ascii") for r in range(n) for c in range(n)]
+    width = ceil_div(len(prefixes[-1]), 8) * 8
+    text = b"".join(prefix.rjust(width, b"\0") for prefix in prefixes)
+    return np.frombuffer(text, dtype=np.uint64).reshape(n * n, width // 8)
 
 
 def load_cycles(n: int, overlap_weights: bool) -> int:
@@ -177,13 +253,8 @@ class ArraySim:
         self._slots = np.zeros((4, n, n), dtype=np.int64)
         self._zero_row = np.zeros(n, dtype=np.int64)
         self._reset_pipeline()
-        if trace is not None:
-            # One cycle's lines, `%`-formatted with (cycle, input, psum0..3) per PE.
-            self._trace_lines = "".join(
-                f"%d,{r},{c},%d,%d,%d,%d,%d\n" for r in range(n) for c in range(n)
-            )
-            if start_cycle is None:
-                trace.write(TRACE_HEADER + "\n")
+        if trace is not None and start_cycle is None:
+            trace.write(TRACE_HEADER + "\n")
 
     # -- state inspection (read-only copies) --------------------------------
 
@@ -281,14 +352,28 @@ class ArraySim:
 
     def _write_trace(self, history: np.ndarray, after: int, steps: int) -> None:
         """Write the per-PE lines of the `steps` cycles after cycle `after`,
-        whose registers are `history[:steps]`."""
+        whose registers are `history[:steps]`.
+
+        Every line of the block is laid out in the same number of words:
+        the cycle and each register value take as many four-digit groups as
+        the widest of them in the block needs. Dropping the NULs leaves the
+        lines exactly as `%d` prints them."""
         if not steps:
             return
         cells = self.n * self.n
-        values = np.empty((steps, cells, 6), dtype=np.int64)
-        values[:, :, 0] = np.arange(after + 1, after + 1 + steps)[:, None]
-        values[:, :, 1:] = history[:steps].reshape(steps, 5, cells).transpose(0, 2, 1)
-        self._trace.write((self._trace_lines * steps) % tuple(values.ravel().tolist()))
+        values = history[:steps].reshape(steps, 5, cells).transpose(0, 2, 1)
+        groups = ceil_div(len(str(max(int(values.max()), -int(values.min())))), 4)
+        cycle_groups = ceil_div(len(str(after + steps)), 4)
+        prefixes = _cell_prefixes(self.n)
+        head = cycle_groups + prefixes.shape[1]
+        lines = np.empty((steps, cells, head + 5 * groups), dtype=np.uint64)
+        cycles = np.empty((steps, cycle_groups), dtype=np.uint64)
+        _number_words(np.arange(after + 1, after + 1 + steps, dtype=np.int64), cycle_groups, 0, cycles)
+        lines[:, :, :cycle_groups] = cycles[:, None]
+        lines[:, :, cycle_groups:head] = prefixes
+        fields = lines[:, :, head:].reshape(steps, cells, 5, groups)
+        _number_words(values, groups, _VALUE_SEPARATORS, fields)
+        self._trace.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
     # -- streaming -----------------------------------------------------------
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -20,6 +21,7 @@ from . import analytic, cost, tiling, workload
 from .preprocess import (
     Precision,
     PrecisionMode,
+    check_packable,
     prepare_weights,
     read_packed,
     unprepare_weights,
@@ -94,6 +96,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
     return value
 
 
@@ -251,6 +260,7 @@ def cmd_interleave(args: argparse.Namespace) -> int:
         k_dim, p_dim = matrices[0].shape
         print(f"interleave: {k_dim}x{p_dim} matrices fill no tile to pack", file=sys.stderr)
         return 2
+    check_packable(grid)  # before the output file is created
     with open(args.out, "wb") as fh:
         write_packed(grid, fh)
     print(
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="emit the multiplier-count sweep CSV")
     p.add_argument("--size", type=_positive_int, default=64, help="array dimension n")
     p.add_argument("--muls", default="2,4,8,16", help="comma-separated 2-bit multiplier counts")
-    p.add_argument("--clock-ghz", type=float, default=1.0)
+    p.add_argument("--clock-ghz", type=_positive_float, default=1.0)
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_analytic)
 
@@ -349,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="per-size gain/throughput table across precisions")
     p.add_argument("--sizes", default=",".join(str(s) for s in SWEEP_SIZES))
-    p.add_argument("--clock-ghz", type=float, default=1.0)
+    p.add_argument("--clock-ghz", type=_positive_float, default=1.0)
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

@@ -31,6 +31,7 @@ from .numerics import bit_fields, ceil_div, check_signed
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
+_HEADER_U16_MAX = (1 << 16) - 1  # largest n, grid rows or grid cols the header holds
 
 
 class Precision(Enum):
@@ -281,9 +282,21 @@ def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.nda
     return list(blocks.astype(np.int64))
 
 
-def write_packed(grid: Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
-    """Dump a packed-tile grid: 16-byte header, then row-major tile bytes."""
+def check_packable(grid: Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int]:
+    """`_check_grid`, and also a ValueError when the tile size or a grid
+    dimension does not fit its 16-bit header field; call it before creating
+    the file that `write_packed` fills."""
     mode, n = _check_grid(grid)
+    for field, value in (("tile size n", n), ("grid rows", len(grid)), ("grid cols", len(grid[0]))):
+        if value > _HEADER_U16_MAX:
+            raise ValueError(f"{field} {value} exceeds the packed-file limit of {_HEADER_U16_MAX}")
+    return mode, n
+
+
+def write_packed(grid: Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
+    """Dump a packed-tile grid: 16-byte header, then row-major tile bytes.
+    Nothing is written when `check_packable` rejects the grid."""
+    mode, n = check_packable(grid)
     fh.write(_HEADER.pack(PACKED_MAGIC, n, mode.weight_bits, mode.nw, len(grid), len(grid[0])))
     for row in grid:
         for tile in row:

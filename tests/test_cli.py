@@ -292,6 +292,17 @@ def test_non_positive_sizes_rejected(capsys, tmp_path, argv):
     assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["analytic", "sweep"])
+@pytest.mark.parametrize("clock", ["0", "-1", "nan", "inf"])
+def test_clock_must_be_positive_and_finite(capsys, command, clock):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--clock-ghz", clock])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "positive finite number" in captured.err
+
+
 # -- interleave ---------------------------------------------------------------------
 
 
@@ -347,6 +358,20 @@ def test_interleave_rejects_nw_above_r(capsys, tmp_path):
     )
     assert code == 2
     assert "nw=3" in err
+
+
+def test_interleave_rejects_grids_beyond_the_header(capsys, tmp_path):
+    """65 536 tile rows do not fit the packed header's u16 field: a clear
+    error, exit 2, and no output file."""
+    out = tmp_path / "big.bin"
+    code, text, err = run_cli(
+        capsys, "interleave", "--size", "1", "--rows", "65536", "--cols", "1",
+        "--mode", "w8", "--nw", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert text == ""
+    assert err.startswith("adipsim: grid rows 65536")
+    assert not out.exists()
 
 
 # -- sweep ---------------------------------------------------------------------------

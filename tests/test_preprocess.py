@@ -290,6 +290,33 @@ def test_write_packed_rejects_empty_grids(grid):
         write_packed(grid, io.BytesIO())
 
 
+@pytest.mark.parametrize(
+    "field, n, rows, cols",
+    [("tile size n", 1 << 16, 1, 1), ("grid rows", 1, 1 << 16, 1), ("grid cols", 1, 1, 1 << 16)],
+)
+def test_write_packed_rejects_grids_beyond_the_header(field, n, rows, cols):
+    """n, grid rows and grid cols are u16 header fields: one above 65 535 is
+    a ValueError naming it, raised before any byte is written. Each tile is
+    a broadcast view, so the n = 65 536 tile allocates nothing."""
+    mode = PrecisionMode(Precision.W8, 1)
+    tile = PackedWeightTile(np.broadcast_to(np.uint8(0), (n, n)), mode)
+    grid = [[tile] * cols for _ in range(rows)]
+    sink = io.BytesIO()
+    with pytest.raises(ValueError, match=f"{field} 65536"):
+        write_packed(grid, sink)
+    assert sink.getvalue() == b""
+
+
+def test_write_packed_takes_the_largest_header_values():
+    mode = PrecisionMode(Precision.W8, 1)
+    grid = [[PackedWeightTile(np.full((1, 1), 7, dtype=np.uint8), mode)] * ((1 << 16) - 1)]
+    buf = io.BytesIO()
+    write_packed(grid, buf)
+    buf.seek(0)
+    loaded = read_packed(buf)
+    assert (len(loaded), len(loaded[0]), loaded[0][-1].words.tolist()) == (1, (1 << 16) - 1, [[7]])
+
+
 def _malformed_grid(fault):
     """A 2 x 2 W8 grid of 4 x 4 tiles with one fault: a second row of one
     tile, or one tile of another mode or size."""

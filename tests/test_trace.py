@@ -10,10 +10,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adipsim import array
+from adipsim.array import ArraySim
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision
+from adipsim.preprocess import Precision, PrecisionMode
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
 PINNED_CASES = [
@@ -96,3 +99,96 @@ def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch)
     lines = sink.getvalue().splitlines()
     assert len(lines) == 1 + 34 * 4 * 4
     assert lines[-1].startswith("34,3,3,")
+
+
+# Full-scale traces: every input -128 and every weight the value with the
+# widest fold reach of its precision, so a W8 column at n = 32 drives its
+# buses to five digits (128 * 3 * 32 = 12 288), and n >= 11 mixes one- and
+# two-digit row and column numbers within one cycle.
+FULL_SCALE_CASES = [
+    # precision, nw, weight, n, (m, k, p), mac_stages, extra reduce stages, overlap
+    (Precision.W8, 1, -65, 11, (13, 22, 11), 1, 0, False),
+    (Precision.W8, 1, -65, 32, (40, 32, 32), 1, 0, False),
+    (Precision.W4, 2, -5, 12, (12, 12, 12), 2, 1, True),
+    (Precision.W2, 4, -2, 11, (11, 11, 11), 1, 0, False),
+]
+
+FULL_SCALE_SHA256 = "4c9c789ffdf2f461dbd711f798bf823883c8803e1cd7a6238820eee50ef64525"
+FULL_SCALE_LINES = 113845
+
+
+def test_full_scale_trace_bytes_are_pinned():
+    digest = hashlib.sha256()
+    lines = 0
+    for precision, nw, weight, n, (m, k, p), mac_stages, extra, overlap in FULL_SCALE_CASES:
+        job = MatMulJob(
+            a=np.full((m, k), -128),
+            weights=[np.full((k, p), weight)] * nw,
+            precision=precision,
+            n=n,
+        )
+        sink = io.StringIO()
+        result = run_tiled(
+            job,
+            overlap_weights=overlap,
+            mac_stages=mac_stages,
+            reduce_stages=precision.reducer_stages + extra,
+            trace=sink,
+        )
+        for got in result.outputs:
+            assert np.array_equal(got, np.full((m, p), -128 * weight * k))
+        text = sink.getvalue()
+        digest.update(text.encode())
+        lines += text.count("\n")
+    assert (digest.hexdigest(), lines) == (FULL_SCALE_SHA256, FULL_SCALE_LINES)
+
+
+def _reference_lines(n, history, after, steps):
+    """The trace writer `ArraySim._write_trace` replaced: one `%d` per
+    field, over the Python ints of the whole block."""
+    line = "".join(f"%d,{r},{c},%d,%d,%d,%d,%d\n" for r in range(n) for c in range(n))
+    values = np.empty((steps, n * n, 6), dtype=np.int64)
+    values[:, :, 0] = np.arange(after + 1, after + 1 + steps)[:, None]
+    values[:, :, 1:] = history[:steps].reshape(steps, 5, n * n).transpose(0, 2, 1)
+    return (line * steps) % tuple(values.ravel().tolist())
+
+
+# Register values around every digit-count boundary of the 32-bit range.
+_EDGE_VALUES = [0, -(1 << 31), (1 << 31) - 1] + [
+    sign * value for k in range(10) for value in (10**k, 10**k - 1) for sign in (1, -1)
+]
+_registers = st.one_of(st.sampled_from(_EDGE_VALUES), st.integers(-(1 << 31), (1 << 31) - 1))
+
+
+@st.composite
+def _trace_blocks(draw):
+    """n, a history buffer (deeper than the block, by up to 3 stale
+    cycles), `after` and `steps`. The cycles often cross 9 -> 10,
+    99 -> 100 or 9999 -> 10000 inside the block; the registers are drawn
+    from a small pool of values, so that short and long numbers mix."""
+    n = draw(st.integers(1, 12))
+    steps = draw(st.integers(1, 40))
+    boundary = draw(st.sampled_from([10, 100, 10_000]))
+    after = draw(
+        st.one_of(
+            st.integers(max(0, boundary - steps - 1), boundary),
+            st.integers(0, 1 << 40),
+        )
+    )
+    pool = np.array(draw(st.lists(_registers, min_size=1, max_size=12)), dtype=np.int64)
+    depth = steps + draw(st.integers(0, 3))
+    seed = draw(st.integers(0, (1 << 32) - 1))
+    history = np.random.default_rng(seed).choice(pool, size=(depth, 5, n, n))
+    return n, history, after, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_blocks())
+def test_write_trace_matches_the_percent_formatter(block):
+    n, history, after, steps = block
+    sink = io.StringIO()
+    sim = ArraySim(n, PrecisionMode(Precision.W8, 1), trace=sink, start_cycle=0)
+    sim._write_trace(history, after, steps)
+    # as lists of lines, whose first difference pytest reports quickly
+    got = sink.getvalue().splitlines(keepends=True)
+    assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)
