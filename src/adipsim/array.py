@@ -1,10 +1,7 @@
-"""Cycle-stepped model of the n x n adaptive-precision array.
+"""Cycle-exact model of the n x n adaptive-precision array.
 
-Register discipline: every step reads only state registered at the end of
-the previous step, so PEs of one cycle evaluate in any order (here: as
-whole-grid numpy operations).
-
-Dataflow per step:
+Dataflow per clock; every clock reads only state registered at the end of
+the previous one:
 
 * a fresh input row enters PE row 0 unskewed (PE(0, c) gets element c);
 * the input registered at PE(r, c) reappears at PE(r+1, (c-1) mod n),
@@ -17,41 +14,41 @@ Dataflow per step:
 
 Because inputs enter unskewed and the wave stays aligned, all n column
 results of one input row emerge on the same cycle; no output-deskew FIFOs
-exist anywhere in the model.
+exist anywhere in the model. The dataflow is linear and fixed by position:
+with x_i the i-th row fed since the weight load (zero before it and while
+draining) and m MAC stages, after clock s PE(r, c) holds the input
+x_{s-r}[(c+r) mod n] and on bus g sum_{q<=r} x_{s-r}[(c+q) mod n] *
+slot[g, q, c]; reducer stages 1 and 2 hold the folds of the bottom buses
+of rows s-m-n+1 and s-m-n; and each row's outputs are the fold of its own
+bottom buses.
 
 Two engines evaluate a pass (one weight load, then a run of streamed rows):
 
-* `ArraySim` steps the registers one clock at a time. It is the reference
-  model and the only source of per-PE traces. A traced pass keeps each
-  cycle's input and psum registers in a history buffer and formats the
-  pass's trace lines at its end, in one write (in blocks of at most
-  `_TRACE_BLOCK` PE-cycles, so long passes stay bounded in memory). A
-  block is formatted without Python ints: every number is gathered as
-  8-byte ASCII words, one per four decimal digits, from one table
-  (`_group_words`, built on the first traced write) into a fixed-width line
-  buffer, and one `bytes.translate` drops the NUL padding. The
-  per-cycle register checks run only when the pass's inputs could reach
+* `ArraySim` is the reference model and the only source of per-PE traces.
+  It keeps the weight slots and the last n + m rows fed, and forms the
+  registers of a block of clocks, for a stack of passes at once, from
+  those formulas (`_registers`): `stream` runs one pass on the carried
+  rows, `stream_grid` every pass of a fused group. Traces are formatted
+  without Python ints: every number is gathered as 8-byte ASCII words, one
+  per four decimal digits, from one table (`_group_words`) into a
+  fixed-width line buffer, and one `bytes.translate` drops the NUL
+  padding. Registers are checked only on passes whose inputs could reach
   the limit: amax times the W8 fold reach of the slots (`_may_overflow`)
-  bounds every psum-bus and reducer value, so gating never moves the cycle
-  an overflow is raised on.
+  bounds every psum-bus and reducer value. The first clock out of range,
+  in run order, raises after the trace lines of the clocks before it.
 * `evaluate_group` computes, in one shot, every pass of one fused weight
-  group: the tk x tp tiles that all stream the same input. The bottom psum
-  of column c for input row a is sum_k a[k] * slot[g, k, c] over the
-  un-rotated slot grids, and the reducer's fold of the four buses is
-  linear, so the group's outputs, summed over K, are one matmul of the
-  input with the un-rotated weight fields of every tile. It is exact
-  because every partial sum stays within 2^(6+w) * K for w-bit weights,
-  and runs in float32 while that bound is at most 2^24, in float64 above.
-  The cycle count comes from the same `load_cycles` / `stream_cycles` that
-  the stepped model advances its clock by. The overflow checks live only
-  in `ArraySim`: a pass whose `_may_overflow` gate is on is stepped there.
+  group: the tk x tp tiles that all stream the same input. The reducer's
+  fold of the four buses is linear, so the group's outputs, summed over K,
+  are one matmul of the input with the un-rotated weight fields of every
+  tile, exact in float32 while 2^(6+w) * K <= 2^24 for w-bit weights and
+  in float64 above. A pass whose `_may_overflow` gate is on is also
+  streamed on `ArraySim`, which raises.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,15 +61,21 @@ from .preprocess import PackedWeightTile, Precision, PrecisionMode, _check_grid,
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
-# PE-cycles of trace history formatted per write; bounds the history buffer
-# (1.25 MiB) and the formatting temporaries of one write: about 6 MiB while
-# every register value has at most four digits, 14 MiB at ten digits.
-_TRACE_BLOCK = 1 << 15
+# PE-cycles of registers formed, checked and traced per block (one clock at
+# least); bounds the kernel's and the trace formatter's temporaries.
+_TRACE_BLOCK = 1 << 12
 
-# The reducer's shift-adds as integer folds: stage 1 forms bus0 + bus1 << 2
-# and bus2 + bus3 << 2, stage 2 forms stage1[0] + stage1[1] << 4.
+# The reducer's shift-adds as integer folds of a column's four bottom buses:
+# stage 1 forms bus0 + bus1 << 2 and bus2 + bus3 << 2, stage 2 forms
+# stage1[0] + stage1[1] << 4. 2-bit weights tap the buses, 4-bit stage 1
+# and 8-bit stage 2.
 _STAGE1_FOLD = np.array([[1, 4, 0, 0], [0, 0, 1, 4]], dtype=np.int64)
-_STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
+_STAGE2_FOLD = np.array([[1, 16]], dtype=np.int64) @ _STAGE1_FOLD
+_TAP_FOLDS = {
+    Precision.W8: _STAGE2_FOLD,
+    Precision.W4: _STAGE1_FOLD,
+    Precision.W2: np.eye(4, dtype=np.int64),
+}
 
 TRACE_HEADER = "cycle,row,col,input,psum0,psum1,psum2,psum3"
 
@@ -184,18 +187,22 @@ def _check_rows(rows, n: int) -> np.ndarray:
     return check_signed(rows, 8, "input element")
 
 
+def _out_of_range(values: np.ndarray, axis=None) -> np.ndarray:
+    """Whether registers leave the signed range [-L, L-1], L = `_PSUM_LIMIT`
+    (read at call time, so tests can lower it), reduced over `axis`."""
+    return (values < -_PSUM_LIMIT).any(axis) | (values >= _PSUM_LIMIT).any(axis)
+
+
 def _check_register(values: np.ndarray, what: str) -> None:
-    """Registers hold the signed range [-L, L-1], L = `_PSUM_LIMIT` (read at
-    call time, so tests can lower it)."""
-    if values.size and (values.min() < -_PSUM_LIMIT or values.max() >= _PSUM_LIMIT):
+    if _out_of_range(values):
         raise PsumOverflowError(f"{what} overflow")
 
 
-def _may_overflow(slots: np.ndarray, amax: int):
+def _may_overflow(slots: np.ndarray, amax):
     """False when no psum-bus or reducer value formed from inputs of
     magnitude at most `amax` can leave the register range. `slots` is one
     tile's (4, n, n) slots, or a (4, tiles, n, n) stack of them, which gives
-    one answer per tile.
+    one answer per tile (`amax` may then be one bound per tile).
 
     Bus g of PE(r, c) holds sum_{q<=r} x_q * slot[g, q, c] for inputs x_q of
     one row, and the reducer's widest value is the W8 fold
@@ -203,8 +210,65 @@ def _may_overflow(slots: np.ndarray, amax: int):
     times the fold reach max_c sum_g (sum_q |slot[g, q, c]|) << 2g.
     """
     bus_reach = np.abs(slots).sum(axis=-2)  # [g, ..., c]
-    column_reach = (_STAGE2_FOLD @ _STAGE1_FOLD @ bus_reach.reshape(4, -1)).reshape(bus_reach.shape[1:])
+    column_reach = (_STAGE2_FOLD @ bus_reach.reshape(4, -1)).reshape(bus_reach.shape[1:])
     return amax * column_reach.max(axis=-1) >= _PSUM_LIMIT
+
+
+@functools.cache
+def _diagonals(n: int) -> np.ndarray:
+    """(q + c) mod n over q, c < n: the element of a fed row that PE(q, c)
+    multiplies."""
+    index = (np.arange(n)[:, None] + np.arange(n)) % n
+    index.flags.writeable = False
+    return index
+
+
+def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, before: np.ndarray) -> np.ndarray:
+    """Registers after each clock whose new row is feed[p, e], first <= e <
+    stop (first >= n - 1), of each pass p of the (4, P, n, n) `slots`, from
+    the (P, n, n, 5) registers `before` the first of those clocks: shape
+    (P, stop - first, n, n, 5), each PE's input and then its four buses.
+
+    PE(r, c) holds element (c + r) mod n of row e - r, and bus g adds its
+    product with slot[g, r, c] to what PE(r - 1, c) held a clock before.
+    Those sums run along the diagonals of the clock x PE-row grid; they are
+    taken one clock or one PE row at a time, whichever is fewer.
+    """
+    n = slots.shape[-1]
+    steps = stop - first
+    inputs = feed[:, first + np.arange(steps)[:, None, None] - np.arange(n)[:, None], _diagonals(n)]
+    registers = np.empty((len(feed), steps + 1, n, n, 5), dtype=np.int64)
+    registers[:, 0] = before
+    registers[:, 1:, ..., 0] = inputs
+    for g, weights in enumerate(slots[:, :, None]):
+        np.multiply(inputs, weights, out=registers[:, 1:, ..., 1 + g])
+    if steps < n:  # the inputs add up too, and are set again afterwards
+        for k in range(1, steps + 1):
+            registers[:, k, 1:] += registers[:, k - 1, :-1]
+    else:
+        for r in range(1, n):
+            registers[:, 1:, r] += registers[:, :-1, r - 1]
+    registers[:, 1:, ..., 0] = inputs
+    return registers[:, 1:]
+
+
+def _fold_matrices(slots: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """Per pass of the (4, P, n, n) `slots`, the (n, f * n) matrix that maps
+    a fed row to the (f, 4) `folds` of each column's bottom buses: bus g of
+    column c is the row times U_g, with U_g[(c + q) mod n, c] = slot[g, q, c]."""
+    n = slots.shape[-1]
+    unrotated = np.empty_like(slots)
+    unrotated[:, :, _diagonals(n), np.arange(n)] = slots
+    return np.einsum("fg,gpkc->pkfc", folds, unrotated).reshape(slots.shape[1], n, -1)
+
+
+def _outputs(slots: np.ndarray, rows: np.ndarray, mode: PrecisionMode) -> np.ndarray:
+    """The outputs of each pass p of the (4, P, n, n) `slots` for the fed
+    rows[p % K], shape (P, rows, nw, n): the folds of their bottom buses."""
+    n = slots.shape[-1]
+    taps = _fold_matrices(slots, _TAP_FOLDS[mode.precision][: mode.nw])
+    outputs = np.matmul(rows[None], taps.reshape(-1, len(rows), n, mode.nw * n))
+    return outputs.reshape(slots.shape[1], -1, mode.nw, n)
 
 
 @dataclass
@@ -217,7 +281,7 @@ class CollectedRow:
 
 
 class ArraySim:
-    """Single-owner, sequentially stepped simulator instance.
+    """Single-owner simulator instance, advanced one pass at a time.
 
     `mac_stages` counts psum pipeline registers at the column bottom (the
     bottom PE's psum register is the first); `reduce_stages` counts shared
@@ -251,36 +315,26 @@ class ArraySim:
         self._trace = trace
         self._loaded = False
         self._slots = np.zeros((4, n, n), dtype=np.int64)
-        self._zero_row = np.zeros(n, dtype=np.int64)
-        self._reset_pipeline()
+        self._clear()
         if trace is not None and start_cycle is None:
             trace.write(TRACE_HEADER + "\n")
+
+    def _clear(self) -> None:
+        # The registers after the last clock, per PE the input and then the
+        # buses, and the last n + mac_stages rows fed: the oldest is the
+        # one whose fold the next clock registers in reducer stage 2.
+        self._held = np.zeros((1, self.n, self.n, 5), dtype=np.int64)
+        self._window = np.zeros((self.n + self.mac_stages, self.n), dtype=np.int64)
 
     # -- state inspection (read-only copies) --------------------------------
 
     @property
     def input_registers(self) -> np.ndarray:
-        return self._regs[0].copy()
+        return self._held[0, ..., 0].copy()
 
     @property
     def psum_registers(self) -> np.ndarray:
-        return self._regs[1:].copy()
-
-    def _reset_pipeline(self) -> None:
-        n = self.n
-        # Input register, then the four psum registers, of every PE; a step
-        # forms the next ones in a spare buffer or a trace history slot.
-        self._regs = np.zeros((5, n, n), dtype=np.int64)
-        self._spare = np.empty_like(self._regs)
-        self._fed_amax = 0  # max |input| streamed since the weight load
-        self._checking = True
-        self._stage1 = np.zeros((2, n), dtype=np.int64)
-        self._stage2 = np.zeros(n, dtype=np.int64)
-        self._pre = deque(
-            np.zeros((4, n), dtype=np.int64) for _ in range(self.mac_stages - 1)
-        )
-        extra = self.reduce_stages - self.mode.precision.reducer_stages
-        self._out_hist: deque[list[np.ndarray]] = deque(maxlen=extra + 1)
+        return self._held[0].transpose(2, 0, 1)[1:].copy()
 
     # -- phases --------------------------------------------------------------
 
@@ -296,63 +350,14 @@ class ArraySim:
         if packed.mode != self.mode:
             raise ValueError(f"packed mode {packed.mode} does not match array mode {self.mode}")
         self._slots = decode_slots(packed.words, self.mode.precision).astype(np.int64)
-        self._reset_pipeline()
+        self._clear()
         self.cycle += load_cycles(self.n, self.overlap_weights)
         self._loaded = True
 
-    # -- one clock -----------------------------------------------------------
-
-    def _step(self, row_in: np.ndarray, regs: Optional[np.ndarray] = None) -> list[np.ndarray]:
-        """One clock. The new input and psum registers are formed in `regs`
-        (a (5, n, n) buffer that must not hold the current ones), by default
-        in the spare of two alternating buffers."""
-        if regs is None:
-            regs, self._spare = self._spare, self._regs
-        prev = self._regs
-        prev_bottom = prev[1:, -1, :]
-        if self._pre:
-            self._pre.append(prev_bottom.copy())
-            feed = self._pre.popleft()
-        else:
-            feed = prev_bottom
-        self._stage2 = _STAGE2_FOLD @ self._stage1
-        self._stage1 = _STAGE1_FOLD @ feed
-
-        inputs, psums = regs[0], regs[1:]
-        inputs[0] = row_in
-        # registered value at (r, c) moves to (r+1, (c-1) mod n)
-        inputs[1:, :-1] = prev[0, :-1, 1:]
-        inputs[1:, -1] = prev[0, :-1, 0]
-        np.multiply(inputs, self._slots, out=psums)
-        psums[:, 1:] += prev[1:, :-1]
-        self._regs = regs
-        self.cycle += 1
-
-        if self._checking:
-            _check_register(psums, "psum bus")
-            _check_register(self._stage2, "reducer")
-
-        tap = self._tap()
-        self._out_hist.append(tap)
-        if len(self._out_hist) == self._out_hist.maxlen:
-            return self._out_hist[0]
-        return tap  # pipeline still filling; never observed at a valid cycle
-
-    def _tap(self) -> list[np.ndarray]:
-        # stage and delay registers are replaced, never written in place, so
-        # views of them stay valid; the psum registers are reused buffers
-        precision = self.mode.precision
-        if precision is Precision.W8:
-            return [self._stage2]
-        if precision is Precision.W4:
-            return list(self._stage1[: self.mode.nw])
-        if self._pre:
-            return list(self._pre[0][: self.mode.nw])
-        return list(self._regs[1 : self.mode.nw + 1, -1].copy())
-
-    def _write_trace(self, history: np.ndarray, after: int, steps: int) -> None:
+    def _write_trace(self, history: np.ndarray, after: int, steps: int, cycles: Optional[np.ndarray] = None) -> None:
         """Write the per-PE lines of the `steps` cycles after cycle `after`,
-        whose registers are `history[:steps]`.
+        or of the increasing `cycles` when given, whose (5, n, n) registers
+        are `history[:steps]`.
 
         Every line of the block is laid out in the same number of words:
         the cycle and each register value take as many four-digit groups as
@@ -360,22 +365,84 @@ class ArraySim:
         lines exactly as `%d` prints them."""
         if not steps:
             return
+        cycles = np.arange(after + 1, after + 1 + steps) if cycles is None else cycles[:steps]
         cells = self.n * self.n
         values = history[:steps].reshape(steps, 5, cells).transpose(0, 2, 1)
         groups = ceil_div(len(str(max(int(values.max()), -int(values.min())))), 4)
-        cycle_groups = ceil_div(len(str(after + steps)), 4)
+        cycle_groups = ceil_div(len(str(int(cycles[-1]))), 4)
         prefixes = _cell_prefixes(self.n)
         head = cycle_groups + prefixes.shape[1]
         lines = np.empty((steps, cells, head + 5 * groups), dtype=np.uint64)
-        cycles = np.empty((steps, cycle_groups), dtype=np.uint64)
-        _number_words(np.arange(after + 1, after + 1 + steps, dtype=np.int64), cycle_groups, 0, cycles)
-        lines[:, :, :cycle_groups] = cycles[:, None]
+        cycle_words = np.empty((steps, cycle_groups), dtype=np.uint64)
+        _number_words(cycles, cycle_groups, 0, cycle_words)
+        lines[:, :, :cycle_groups] = cycle_words[:, None]
         lines[:, :, cycle_groups:head] = prefixes
         fields = lines[:, :, head:].reshape(steps, cells, 5, groups)
         _number_words(values, groups, _VALUE_SEPARATORS, fields)
         self._trace.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
     # -- streaming -----------------------------------------------------------
+
+    def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, held: np.ndarray) -> None:
+        """Run each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
+        n + mac_stages rows fed before it, then one row per clock, from the
+        (P, n, n, 5) registers `held`, which end on its last clock. A pass
+        costs `load` cycles, then one per clock.
+
+        Registers are formed in blocks of at most `_TRACE_BLOCK` PE-cycles
+        (whole passes when they fit) and checked where a pass's
+        `_may_overflow` gate is on. The first clock in run order out of
+        range raises `PsumOverflowError`, after the trace lines of the
+        clocks before it, with the clock and `held` on it.
+        """
+        n, window = self.n, self.n + self.mac_stages
+        passes, sources = slots.shape[1], len(feed)
+        steps = feed.shape[1] - window
+        period = load + steps
+        amax = np.tile(np.abs(feed).max(axis=(1, 2)), passes // sources)
+        gates = np.broadcast_to(_may_overflow(slots, amax), passes)
+        reducer = _fold_matrices(slots, _STAGE2_FOLD)
+        start = self.cycle
+        per = max(1, _TRACE_BLOCK // (n * n))  # clocks per block
+        span = max(1, per // max(steps, 1))  # passes per block
+        for p0 in range(0, passes, span):
+            block_passes = np.arange(p0, min(p0 + span, passes))
+            for lo in range(0, steps, per):
+                clocks = min(per, steps - lo)
+                # from the row that stage 2 folds on the block's first clock
+                block = feed[block_passes % sources, lo : window + lo + clocks]
+                registers = _registers(slots[:, block_passes], block, window, window + clocks, held[block_passes])
+                held[block_passes] = registers[:, -1]
+                registers = registers.reshape(-1, n, n, 5)
+                cycles = (start + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
+                bad = np.zeros(len(cycles), dtype=bool)
+                if gates[block_passes].any():
+                    stage2 = np.matmul(block[:, :clocks], reducer[block_passes]).reshape(-1, n)
+                    bad = _out_of_range(registers[..., 1:], (1, 2, 3)) | _out_of_range(stage2, 1)
+                fail = int(bad.argmax()) if bad.any() else len(cycles)
+                if self._trace is not None:
+                    self._write_trace(registers.transpose(0, 3, 1, 2), 0, fail, cycles)
+                if fail < len(cycles):
+                    self.cycle = int(cycles[fail])
+                    held[block_passes[fail // clocks]] = registers[fail]
+                    _check_register(registers[fail, ..., 1:], "psum bus")
+                    _check_register(stage2[fail], "reducer")
+        self.cycle = start + passes * period
+
+    def _feed(self, rows: np.ndarray, drain: int) -> None:
+        """Feed `rows`, then `drain` zero rows, one per clock, on the loaded
+        weights."""
+        window = len(self._window)
+        feed = np.concatenate([self._window, rows, np.zeros((drain, self.n), dtype=np.int64)])
+        start = self.cycle
+        try:
+            self._run(self._slots[:, None], feed[None], 0, self._held)
+        finally:  # also after an overflow, on its cycle
+            self._window = feed[self.cycle - start :][:window]
+
+    def _step(self, row_in: np.ndarray) -> None:
+        """One clock with `row_in` entering PE row 0."""
+        self._feed(np.asarray(row_in, dtype=np.int64)[None], 0)
 
     def stream(self, a_rows: Sequence[np.ndarray]) -> list[CollectedRow]:
         """Feed one input row per cycle, then drain until all rows emerge.
@@ -387,40 +454,30 @@ class ArraySim:
             raise PhaseError("streaming before weight load")
         rows = _check_rows(a_rows, self.n)
         count = rows.shape[0]
-        total_steps = stream_cycles(self.n, count, self.mac_stages, self.reduce_stages)
-        first_valid = total_steps - count + 1
-        # Every register value of the pass comes from rows streamed since the
-        # weight load. The input registers alone would not do: a pass leaves
-        # its last rows' buses in the MAC pipeline and reducer after those
-        # rows have left the grid, and the next stream folds them.
-        self._fed_amax = max(self._fed_amax, int(np.abs(rows).max(initial=0)))
-        self._checking = _may_overflow(self._slots, self._fed_amax)
-        history = None
-        if self._trace is not None:
-            depth = min(total_steps, max(2, _TRACE_BLOCK // (self.n * self.n)))
-            history = np.empty((depth, 5, self.n, self.n), dtype=np.int64)
-        pending = 0  # completed cycles in `history` not yet written
-        written = self.cycle  # the last cycle whose lines are written
-        collected = []
-        try:
-            for s in range(1, total_steps + 1):
-                row_in = rows[s - 1] if s <= count else self._zero_row
-                if history is None:
-                    tap = self._step(row_in)
-                else:
-                    if pending == len(history):
-                        self._write_trace(history, written, pending)
-                        written += pending
-                        pending = 0
-                    tap = self._step(row_in, history[pending])
-                    pending += 1
-                i = s - first_valid
-                if 0 <= i < count:
-                    collected.append(CollectedRow(index=i, cycle=self.cycle, outputs=tap))
-        finally:
-            if history is not None:  # also the cycles before an overflow
-                self._write_trace(history, written, pending)
-        return collected
+        first = self.cycle + self.n + self.mac_stages + self.reduce_stages - 1
+        self._feed(rows, stream_cycles(self.n, count, self.mac_stages, self.reduce_stages) - count)
+        outputs = _outputs(self._slots[:, None], rows[None], self.mode)[0]
+        return [CollectedRow(index=i, cycle=first + i, outputs=list(outputs[i])) for i in range(count)]
+
+    def stream_grid(self, grid: Sequence[Sequence[PackedWeightTile]], a: np.ndarray) -> np.ndarray:
+        """Every pass of one fused group as `run_tiled` prepares it: for each
+        column tile j, for each k, load grid[k][j] and stream the columns
+        k*n .. (k+1)*n of the M x K int64 input `a`, zero-padded to whole
+        row tiles. Returns the outputs summed over k, laid out as
+        `evaluate_group`'s."""
+        if _check_grid(grid) != (self.mode, self.n):
+            raise ValueError(f"grid tiles are not {self.mode} tiles of size {self.n}")
+        n, nw, window = self.n, self.mode.nw, len(self._window)
+        (m_dim, k_dim), tk, tp = a.shape, len(grid), len(grid[0])
+        steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
+        feed = np.zeros((window + steps, tk * n), dtype=np.int64)
+        feed[window : window + m_dim, :k_dim] = a
+        feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
+        words = np.stack([grid[k][j].words for j in range(tp) for k in range(tk)])
+        slots = decode_slots(words, self.mode.precision).astype(np.int64)
+        self._run(slots, feed, load_cycles(n, self.overlap_weights), np.zeros((len(words), n, n, 5), dtype=np.int64))
+        outputs = _outputs(slots, feed[:, window : window + m_dim], self.mode).reshape(tp, tk, m_dim, nw, n)
+        return outputs.sum(axis=1).transpose(1, 2, 0, 3).reshape(m_dim, nw, tp * n)
 
     def run_tile(self, packed: PackedWeightTile, a_tile: np.ndarray) -> tuple[list[np.ndarray], int]:
         """Load one weight tile, stream one n x n input tile, gather results.
@@ -451,12 +508,12 @@ def evaluate_group(
     """Every pass of one fused group, in one shot: for each tile (k, j) of
     the packed tk x tp `grid`, what `ArraySim.load_weights(grid[k][j])` then
     `ArraySim.stream` of the input columns k*n .. (k+1)*n of `a`, zero-padded
-    to whole row tiles, would collect, summed over k, without stepping.
+    to whole row tiles, would collect, summed over k.
 
     Returns the outputs as a (M, nw, tp*n) array, whose [i, t] entry is row
     i of `a` times matrix t (zero-padded to whole column tiles), and the
     cycles of each pass, weight load included. Raises `PsumOverflowError`
-    exactly when the stepped model would on some pass.
+    exactly when `ArraySim` would on some pass.
 
     The grid is decoded one k-row at a time; the un-rotated weight fields of
     every tile go into one (tk*n, nw*tp*n) slab, and the outputs are one
@@ -469,7 +526,7 @@ def evaluate_group(
     that callers convert each matrix once.
 
     To raise, a pass whose `_may_overflow` gate is on for the largest input
-    magnitude of its own k-row is also stepped on an untraced `ArraySim`.
+    magnitude of its own k-row is also streamed on an untraced `ArraySim`.
     """
     mode, n = _check_grid(grid)
     precision, nw = mode.precision, mode.nw
@@ -490,7 +547,7 @@ def evaluate_group(
         slots, fields = unpack_words(np.stack([tile.words for tile in row]), precision)
         slab[k * n : (k + 1) * n].reshape(n, nw, tp, n)[...] = fields[:nw].transpose(2, 0, 1, 3)
         amax = int(column_amax[k * n : (k + 1) * n].max(initial=0))
-        for j in np.flatnonzero(_may_overflow(slots, amax)):  # rare: step the pass
+        for j in np.flatnonzero(_may_overflow(slots, amax)):  # rare: stream the pass
             a_k = np.zeros((streamed, n), dtype=np.int64)
             a_k[:m_dim, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
             sim = ArraySim(n, mode, mac_stages, reduce_stages)

@@ -99,6 +99,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_list(text: str) -> list[int]:
+    """Comma-separated positive integers; the error names the bad token."""
+    values = []
+    for token in text.split(","):
+        if not _DECIMAL.fullmatch(token) or int(token) < 1:
+            raise argparse.ArgumentTypeError(f"{token!r} is not a positive integer")
+        values.append(int(token))
+    return values
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -123,10 +133,7 @@ def _random_weights(rng: np.random.Generator, rows: int, cols: int, bits: int) -
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    mul_counts = [int(tok) for tok in args.muls.split(",")]
-    rows = analytic.sweep(
-        size=args.size, mul_counts=mul_counts, clock_hz=args.clock_ghz * 1e9
-    )
+    rows = analytic.sweep(size=args.size, mul_counts=args.muls, clock_hz=args.clock_ghz * 1e9)
     with _open_out(args.out) as fh:
         analytic.write_sweep_csv(rows, fh)
     return 0
@@ -286,10 +293,9 @@ def cmd_interleave(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",")]
     with _open_out(args.out) as fh:
         fh.write("size,mode,throughput_gain,peak_tops,power_factor\n")
-        for n in sizes:
+        for n in args.sizes:
             for precision in (Precision.W8, Precision.W4, Precision.W2):
                 r = precision.r
                 a = np.zeros((n, 2 * n), dtype=np.int64)
@@ -317,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="emit the multiplier-count sweep CSV")
     p.add_argument("--size", type=_positive_int, default=64, help="array dimension n")
-    p.add_argument("--muls", default="2,4,8,16", help="comma-separated 2-bit multiplier counts")
+    p.add_argument(
+        "--muls", type=_positive_int_list, default="2,4,8,16", help="comma-separated 2-bit multiplier counts"
+    )
     p.add_argument("--clock-ghz", type=_positive_float, default=1.0)
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_analytic)
@@ -358,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_interleave)
 
     p = sub.add_parser("sweep", help="per-size gain/throughput table across precisions")
-    p.add_argument("--sizes", default=",".join(str(s) for s in SWEEP_SIZES))
+    p.add_argument(
+        "--sizes", type=_positive_int_list, default=",".join(map(str, SWEEP_SIZES)), help="comma-separated array sizes"
+    )
     p.add_argument("--clock-ghz", type=_positive_float, default=1.0)
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)

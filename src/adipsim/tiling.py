@@ -10,11 +10,12 @@ Jobs carrying several same-shape weight matrices at a narrow width are
 fused into groups of r = 8 / weight_bits matrices per pass, which divides
 the pass count by r while streaming the shared input once.
 
-Untraced runs evaluate every pass of a fused group at once, since they
-all stream the same input (`array.evaluate_group`, one exact matmul over
-the whole K), and convert each output matrix once; traced runs step the
-reference `ArraySim` pass by pass, which writes the per-PE trace. Both give
-the same outputs, cycle counts, pass counts and overflow errors.
+Every pass of a fused group streams the same input, so both engines take
+a group at once. Untraced runs evaluate it with one exact matmul over the
+whole K (`array.evaluate_group`) and convert each output matrix once;
+traced runs hand all its passes to the reference `ArraySim.stream_grid`,
+which forms their registers block by block and writes the per-PE trace.
+Both give the same outputs, cycle counts, pass counts and overflow errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim, evaluate_group, resolve_stages
+from .array import ArraySim, evaluate_group, load_cycles, resolve_stages, stream_cycles
 from .numerics import ceil_div, check_signed
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
@@ -129,37 +130,25 @@ def run_tiled(
 
     Results are exact; `total_cycles` sums pass latencies (plus weight-load
     cycles when `overlap_weights` is off) and `pass_count` counts weight-tile
-    loads across all fused groups. Given a `trace` sink, every pass steps
-    the reference `ArraySim` and writes its per-PE trace there; without
-    one, passes are evaluated whole.
+    loads across all fused groups. Given a `trace` sink, each fused group
+    runs on the reference `ArraySim`, which writes its per-PE trace there;
+    without one, each group is evaluated whole.
     """
-    m_dim, k_dim, p_dim = job.shape
+    m_dim, _, p_dim = job.shape
     n = job.n
     reduce_stages = resolve_stages(job.precision, mac_stages, reduce_stages)
     the_plan = plan(job)
     tm, tk, tp = the_plan.tm, the_plan.tk, the_plan.tp
-    if trace is not None:
-        a_pad = np.zeros((tm * n, tk * n), dtype=np.int64)
-        a_pad[:m_dim, :k_dim] = job.a
+    pass_cycles = load_cycles(n, overlap_weights) + stream_cycles(n, tm * n, mac_stages, reduce_stages)
 
     outputs = []
     total_cycles = 0
-    passes = 0
     base = 0
     for nw in the_plan.group_sizes:
         group = job.weights[base : base + nw]
         mode = PrecisionMode(job.precision, nw)
         grid = prepare_weights(group, mode, n)
-        if trace is None:
-            if tk and tp:  # K = 0 or P = 0 has no passes
-                products, cycles = evaluate_group(grid, job.a, mac_stages, reduce_stages, overlap_weights)
-                total_cycles += tk * tp * cycles
-                passes += tk * tp
-            else:
-                products = np.zeros((m_dim, nw, p_dim))
-            outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]
-        else:
-            accum = [np.zeros((tm * n, tp * n), dtype=np.int64) for _ in group]
+        if trace is not None:
             sim = ArraySim(
                 n,
                 mode,
@@ -170,19 +159,14 @@ def run_tiled(
                 # later groups continue the first one's trace and clock
                 start_cycle=total_cycles if base else None,
             )
-            for j in range(tp):
-                cols = slice(j * n, (j + 1) * n)
-                for k in range(tk):
-                    start = sim.cycle
-                    sim.load_weights(grid[k][j])
-                    collected = sim.stream(a_pad[:, k * n : (k + 1) * n])  # every row, in order
-                    if collected:
-                        outs = np.array([row.outputs for row in collected])  # rows x nw x n
-                        for t in range(nw):
-                            accum[t][:, cols] += outs[:, t]
-                    total_cycles += sim.cycle - start
-                    passes += 1
-            outputs += [acc[:m_dim, :p_dim] for acc in accum]
+        if not (tk and tp):  # K = 0 or P = 0 has no passes
+            products = np.zeros((m_dim, nw, p_dim))
+        elif trace is None:
+            products, _ = evaluate_group(grid, job.a, mac_stages, reduce_stages, overlap_weights)
+        else:
+            products = sim.stream_grid(grid, job.a)
+        outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]
+        total_cycles += tk * tp * pass_cycles
         base += nw
 
-    return TiledResult(outputs=outputs, total_cycles=total_cycles, pass_count=passes)
+    return TiledResult(outputs=outputs, total_cycles=total_cycles, pass_count=the_plan.pass_count)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -185,6 +186,20 @@ def test_simulate_trace_written(capsys, tmp_path):
     assert len(lines) == 1 + 9 * 16  # one tile: 9 cycles x 16 PEs
 
 
+# The default `simulate --mode w4 --nw 3` trace: 8 passes of 8 x 8 PEs,
+# 256 cycles with 64 lines each (load cycles have none) under the header.
+# Its sha256 was taken from the per-cycle stepping model.
+PINNED_CLI_TRACE = ("c4ecdefdb7bfb475621266d03ab5e139ae81cd33e15e89bca30ceceaed3874d0", 12289)
+
+
+def test_simulate_trace_file_is_pinned(capsys, tmp_path):
+    trace = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, "simulate", "--mode", "w4", "--nw", "3", "--trace", str(trace))
+    assert code == 0 and "PASS" in out
+    data = trace.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == PINNED_CLI_TRACE
+
+
 # -- workload ---------------------------------------------------------------------
 
 
@@ -301,6 +316,21 @@ def test_clock_must_be_positive_and_finite(capsys, command, clock):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "positive finite number" in captured.err
+
+
+@pytest.mark.parametrize("command, option", [("sweep", "--sizes"), ("analytic", "--muls")])
+@pytest.mark.parametrize("value, token", [("0", "'0'"), ("-4", "'-4'"), ("4,x", "'x'"), ("4,,8", "''")])
+def test_list_options_are_checked_before_any_output(capsys, tmp_path, command, option, value, token):
+    """A bad list value exits 2 naming the token, with nothing written to
+    stdout or to `--out`."""
+    for out in ("-", str(tmp_path / "out.csv")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, value, "--out", out])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"{token} is not a positive integer" in captured.err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # -- interleave ---------------------------------------------------------------------
