@@ -39,10 +39,15 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
 * `evaluate_group` computes, in one shot, every pass of one fused weight
   group: the tk x tp tiles that all stream the same input. The reducer's
   fold of the four buses is linear, so the group's outputs, summed over K,
-  are one matmul of the input with the un-rotated weight fields of every
-  tile, exact in float32 while 2^(6+w) * K <= 2^24 for w-bit weights and
-  in float64 above. A pass whose `_may_overflow` gate is on is also
-  streamed on `ArraySim`, which raises.
+  are one matmul of the input with the weight fields of every tile, which
+  the whole grid's words give in one un-rotate-then-decode; the matmul is
+  exact in float32 while 2^(6+w) * K <= 2^24 for w-bit weights and in
+  float64 above. No pass of a k-row can overflow unless its largest input
+  times n times the widest fold reach of any word reaches the limit
+  (`_row_may_overflow`), which no tile the packed format can store does at
+  32 bits. Only such a k-row has its slots decoded, and a pass whose
+  `_may_overflow` gate is then on is also streamed on `ArraySim`, which
+  raises.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import numpy as np
 from .numerics import PSUM_BITS, ceil_div, check_signed
 from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
-from .preprocess import PackedWeightTile, Precision, PrecisionMode, _check_grid, decode_slots, unpack_words
+from .preprocess import PackedWeightTile, Precision, PrecisionMode, _check_grid, decode_slots, unpack_fields, unpack_words
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -212,6 +217,26 @@ def _may_overflow(slots: np.ndarray, amax):
     bus_reach = np.abs(slots).sum(axis=-2)  # [g, ..., c]
     column_reach = (_STAGE2_FOLD @ bus_reach.reshape(4, -1)).reshape(bus_reach.shape[1:])
     return amax * column_reach.max(axis=-1) >= _PSUM_LIMIT
+
+
+@functools.cache
+def _widest_reach(precision: Precision) -> int:
+    """The largest W8 fold reach sum_g |slot_g| << 2g of any of the 256
+    stationary words under `precision`."""
+    slots = decode_slots(np.arange(256), precision)  # [g, word]
+    return int((_STAGE2_FOLD @ np.abs(slots)).max())
+
+
+def _row_may_overflow(amax, n: int, precision: Precision):
+    """A pre-bound of `_may_overflow` that reads no weight: False when no
+    tile of size n streaming inputs of magnitude at most `amax` (one bound
+    per k-row, or an array of them) can have its gate on.
+
+    A tile column's fold reach is a sum over its n words of each word's
+    reach, so it is at most n times `_widest_reach`; the gate is on only
+    when amax times that column reach reaches the limit.
+    """
+    return amax * (n * _widest_reach(precision)) >= _PSUM_LIMIT
 
 
 @functools.cache
@@ -503,20 +528,19 @@ def evaluate_group(
     a: np.ndarray,
     mac_stages: int = 1,
     reduce_stages: Optional[int] = None,
-    overlap_weights: bool = False,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Every pass of one fused group, in one shot: for each tile (k, j) of
     the packed tk x tp `grid`, what `ArraySim.load_weights(grid[k][j])` then
     `ArraySim.stream` of the input columns k*n .. (k+1)*n of `a`, zero-padded
     to whole row tiles, would collect, summed over k.
 
     Returns the outputs as a (M, nw, tp*n) array, whose [i, t] entry is row
-    i of `a` times matrix t (zero-padded to whole column tiles), and the
-    cycles of each pass, weight load included. Raises `PsumOverflowError`
-    exactly when `ArraySim` would on some pass.
+    i of `a` times matrix t (zero-padded to whole column tiles). Raises
+    `PsumOverflowError` exactly when `ArraySim` would on some pass.
 
-    The grid is decoded one k-row at a time; the un-rotated weight fields of
-    every tile go into one (tk*n, nw*tp*n) slab, and the outputs are one
+    The whole grid is decoded at once: its words are stacked, un-rotated and
+    cut into their nw signed weight fields (`unpack_fields`), which one
+    transpose-copy lays out as a (tk*n, nw*tp*n) slab; the outputs are one
     matmul of the M input rows with that slab. The result is exact: each
     output is a sum of K products of an 8-bit input and a w-bit weight
     field, each at most 2^(6+w) in magnitude, so every partial sum is at
@@ -527,6 +551,9 @@ def evaluate_group(
 
     To raise, a pass whose `_may_overflow` gate is on for the largest input
     magnitude of its own k-row is also streamed on an untraced `ArraySim`.
+    Only a k-row whose shape-only pre-bound (`_row_may_overflow`) is on has
+    its slots decoded for that gate; at the 32-bit limit no tile the packed
+    format can store turns it on.
     """
     mode, n = _check_grid(grid)
     precision, nw = mode.precision, mode.nw
@@ -537,22 +564,19 @@ def evaluate_group(
         raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
     check_signed(a, 8, "input element")
     m_dim, k_dim = a.shape
-    streamed = ceil_div(m_dim, n) * n  # rows of each pass, row tiles zero-padded
-    dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
-    column_amax = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
-    slab = np.empty((tk * n, nw * tp * n), dtype=dtype)  # [k*n + q, (t, j, c)]
-    for k, row in enumerate(grid):
-        # Folding the four buses per precision is linear, so fold the slots
-        # first: that yields the r signed weight fields of every word.
-        slots, fields = unpack_words(np.stack([tile.words for tile in row]), precision)
-        slab[k * n : (k + 1) * n].reshape(n, nw, tp, n)[...] = fields[:nw].transpose(2, 0, 1, 3)
-        amax = int(column_amax[k * n : (k + 1) * n].max(initial=0))
-        for j in np.flatnonzero(_may_overflow(slots, amax)):  # rare: stream the pass
-            a_k = np.zeros((streamed, n), dtype=np.int64)
+    column_amax = np.zeros(tk * n, dtype=np.int64)
+    column_amax[:k_dim] = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
+    row_amax = column_amax.reshape(tk, n).max(axis=1)
+    for k in np.flatnonzero(_row_may_overflow(row_amax, n, precision)):  # rare: gate its passes
+        slots, _ = unpack_words(np.stack([tile.words for tile in grid[k]]), precision)
+        for j in np.flatnonzero(_may_overflow(slots, int(row_amax[k]))):  # stream the pass
+            a_k = np.zeros((ceil_div(m_dim, n) * n, n), dtype=np.int64)
             a_k[:m_dim, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
             sim = ArraySim(n, mode, mac_stages, reduce_stages)
-            sim.load_weights(row[j])
+            sim.load_weights(grid[k][j])
             sim.stream(a_k)
-    products = (a.astype(dtype) @ slab[:k_dim]).reshape(m_dim, nw, tp * n)
-    cycles = load_cycles(n, overlap_weights) + stream_cycles(n, streamed, mac_stages, reduce_stages)
-    return products, cycles
+    words = np.stack([tile.words for row in grid for tile in row]).reshape(tk, tp, n, n)
+    fields = unpack_fields(words, mode)[:, :k_dim]  # [t, k*n + q, j*n + c]
+    dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
+    slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * tp * n)
+    return (a.astype(dtype) @ slab).reshape(m_dim, nw, tp * n)

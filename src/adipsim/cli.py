@@ -195,49 +195,45 @@ def cmd_workload(args: argparse.Namespace) -> int:
         output_bytes=args.output_bytes,
     )
     info = cost.summary(cfg, params)  # fails on a bad size before anything is printed
-
-    print(
-        f"model {cfg.name}: layers={cfg.layers} d_model={cfg.d_model} "
-        f"heads={cfg.heads} d_k={cfg.d_k} seq_len={cfg.seq_len} "
-        f"weights={cfg.weight_bits}b"
-    )
-    total = workload.total_ops(cfg)
-    print(f"total matmul work: {total / 1e9:.2f} GOP")
-    print("stage breakdown:")
-    shares = workload.breakdown(cfg)
-    for spec in workload.stages(cfg):
-        kind = "proj" if spec.is_projection else "act-act"
-        dims = f"{spec.m}x{spec.k}x{spec.p} x{spec.count}"
+    # --out is opened before the report is printed, so a bad path fails
+    # with nothing on stdout
+    with _open_out(args.out) as fh:
         print(
-            f"  {spec.stage.label:<8} {kind:<7} {dims:<22}"
-            f" {spec.ops / 1e9:10.2f} GOP  {100 * shares[spec.stage]:5.1f}%"
+            f"model {cfg.name}: layers={cfg.layers} d_model={cfg.d_model} "
+            f"heads={cfg.heads} d_k={cfg.d_k} seq_len={cfg.seq_len} "
+            f"weights={cfg.weight_bits}b"
         )
+        total = workload.total_ops(cfg)
+        print(f"total matmul work: {total / 1e9:.2f} GOP")
+        print("stage breakdown:")
+        shares = workload.breakdown(cfg)
+        for spec in workload.stages(cfg):
+            kind = "proj" if spec.is_projection else "act-act"
+            dims = f"{spec.m}x{spec.k}x{spec.p} x{spec.count}"
+            print(
+                f"  {spec.stage.label:<8} {kind:<7} {dims:<22}"
+                f" {spec.ops / 1e9:10.2f} GOP  {100 * shares[spec.stage]:5.1f}%"
+            )
 
-    print(f"architecture comparison at {params.n}x{params.n}, {cost.CLOCK_HZ / 1e9:g} GHz:")
-    for arch in cost.Arch:
-        t = info["totals"][arch.label]
-        print(
-            f"  {arch.label:<5} cycles {t['cycles']:>15,} ({1e3 * t['seconds']:9.2f} ms)"
-            f"  energy {t['energy_rel']:>18,.0f}"
-            f"  memory {t['mem_bytes'] / 2**30:8.3f} GiB"
-        )
-    vs = info["vs_dip"]
-    print(f"ADiP vs DiP: projection latency improvement {vs['projection_latency_improvement_pct']:.1f}%")
-    print(f"ADiP vs DiP: total latency improvement {vs['latency_improvement_pct']:.1f}%")
-    print(f"ADiP vs DiP: total energy improvement {vs['energy_improvement_pct']:.1f}%")
-    print(f"ADiP vs DiP: total memory savings {vs['memory_savings_pct']:.1f}%")
+        print(f"architecture comparison at {params.n}x{params.n}, {cost.CLOCK_HZ / 1e9:g} GHz:")
+        for arch in cost.Arch:
+            t = info["totals"][arch.label]
+            print(
+                f"  {arch.label:<5} cycles {t['cycles']:>15,} ({1e3 * t['seconds']:9.2f} ms)"
+                f"  energy {t['energy_rel']:>18,.0f}"
+                f"  memory {t['mem_bytes'] / 2**30:8.3f} GiB"
+            )
+        vs = info["vs_dip"]
+        print(f"ADiP vs DiP: projection latency improvement {vs['projection_latency_improvement_pct']:.1f}%")
+        print(f"ADiP vs DiP: total latency improvement {vs['latency_improvement_pct']:.1f}%")
+        print(f"ADiP vs DiP: total energy improvement {vs['energy_improvement_pct']:.1f}%")
+        print(f"ADiP vs DiP: total memory savings {vs['memory_savings_pct']:.1f}%")
 
-    if args.format == "json":
-        with _open_out(args.out) as fh:
+        if args.format == "json":
             json.dump(info, fh, indent=2)
             fh.write("\n")
-    else:
-        rows = [
-            c
-            for arch in cost.Arch
-            for c in cost.evaluate(cfg, arch, params)
-        ]
-        with _open_out(args.out) as fh:
+        else:
+            rows = [c for arch in cost.Arch for c in cost.evaluate(cfg, arch, params)]
             cost.write_stage_csv(rows, fh)
     return 0
 
@@ -297,11 +293,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fh.write("size,mode,throughput_gain,peak_tops,power_factor\n")
         for n in args.sizes:
             for precision in (Precision.W8, Precision.W4, Precision.W2):
-                r = precision.r
-                a = np.zeros((n, 2 * n), dtype=np.int64)
-                ws = [np.zeros((2 * n, 2 * n), dtype=np.int64)] * r
-                unfused = tiling.plan(tiling.MatMulJob(a, ws, Precision.W8, n)).pass_count
-                fused = tiling.plan(tiling.MatMulJob(a, ws, precision, n)).pass_count
+                # r matrices of (2n x 2n) times an n x 2n input, unfused and fused
+                shape = (n, 2 * n, 2 * n, precision.r)
+                unfused = tiling.TiledPlan.from_shape(*shape, Precision.W8, n).pass_count
+                fused = tiling.TiledPlan.from_shape(*shape, precision, n).pass_count
                 gain = unfused // fused
                 p = analytic.AnalyticParams.for_mode(n, precision.weight_bits)
                 peak = analytic.peak_throughput(p, args.clock_ghz * 1e9) / 1e12

@@ -13,13 +13,12 @@ Two steps, in order:
 Both steps are lossless for in-range weights; `deinterleave` and
 `inverse_permute` undo them exactly. `prepare_weights` applies both to a
 whole K x P grid of tiles at once, in uint8, and `unprepare_weights`
-undoes it with the same un-rotate-then-decode step (`unpack_words`) that
-the array's block evaluation uses.
+undoes it with the same un-rotate-then-decode step (`unpack_fields`) that
+the array's untraced group evaluation uses.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -129,34 +128,45 @@ class PackedWeightTile:
         return self.words.shape[0]
 
 
-def rotation_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index map of the diagonal rotation: `permute` moves element
-    [(k+j) mod n][j] of a tile to [k][j], so `grid[rows, cols]` applies the
-    rotation and `out[rows, cols] = grid` undoes it."""
-    rows = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return rows, np.arange(n)[None, :]
+def _rotated(tiles: np.ndarray, step: int = 1) -> np.ndarray:
+    """A read-only view of a stack of n x n tiles, shape (..., n, n), with
+    column j of each tile moved up by step * j rows, wrapping: view[..., k,
+    j] = tiles[..., (k + step * j) mod n, j]. `step` 1 is the rotation of
+    `permute`, -1 undoes it.
+
+    The view is strided over a copy that stacks each tile twice, one copy
+    above the other, so its column j is n consecutive rows of that stack
+    from row j (step 1) or n - j (step -1); copying the view, in whatever
+    layout the caller needs, is the one gather.
+    """
+    n = tiles.shape[-1]
+    twice = np.empty(tiles.shape[:-2] + (2, n, n), dtype=tiles.dtype)
+    twice[..., 0, :, :] = twice[..., 1, :, :] = tiles
+    row, item = twice.strides[-2:]
+    offset = n * row if step < 0 and twice.size else 0
+    view = np.ndarray(tiles.shape, tiles.dtype, twice, offset, twice.strides[:-3] + (row, item + step * row))
+    view.flags.writeable = False
+    return view
 
 
 def permute(tile: WeightTile) -> WeightTile:
     """Rotate column j upward by j: out[k][j] = in[(k+j) mod n][j]."""
-    return WeightTile(tile.data[rotation_index(tile.n)], tile.width)
+    return WeightTile(_rotated(tile.data).copy(), tile.width)
 
 
 def inverse_permute(tile: WeightTile) -> WeightTile:
     """Undo `permute`: out[k][j] = in[(k-j) mod n][j]."""
-    out = np.empty_like(tile.data)
-    out[rotation_index(tile.n)] = tile.data
-    return WeightTile(out, tile.width)
+    return WeightTile(_rotated(tile.data, -1).copy(), tile.width)
 
 
-def _pack_fields(fields, width: int) -> np.ndarray:
-    """Pack signed `width`-bit fields, field t along axis 0, into uint8
-    words: field t fills bits [t * width, (t + 1) * width), two's complement."""
-    fields = np.asarray(fields).astype(np.uint8)  # wraps negatives modulo 256
+def _pack_fields(fields: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Pack same-shape signed `width`-bit fields, field t at index t, into
+    uint8 words: field t fills bits [t * width, (t + 1) * width), two's
+    complement."""
     mask = (1 << width) - 1
-    words = np.zeros(fields.shape[1:], dtype=np.uint8)
+    words = np.zeros(np.shape(fields[0]), dtype=np.uint8)
     for t, field in enumerate(fields):
-        words |= (field & mask) << (t * width)
+        words |= (np.asarray(field).astype(np.uint8) & mask) << (t * width)  # wraps negatives modulo 256
     return words
 
 
@@ -194,18 +204,6 @@ def decode_slots(words, precision: Precision) -> np.ndarray:
     return bit_fields(words, 2, 4, _SIGNED_SLOTS[precision])
 
 
-@functools.lru_cache(maxsize=64)
-def _unrotation(n: int) -> np.ndarray:
-    """Flat gather index that undoes `permute` on an n x n tile: element
-    [k][j] of the tile sits at flat position index[k * n + j] of the
-    rotated one."""
-    rows, cols = rotation_index(n)
-    index = np.empty(n * n, dtype=np.intp)
-    index[(rows * n + cols).ravel()] = np.arange(n * n)
-    index.flags.writeable = False
-    return index
-
-
 def unpack_words(words: np.ndarray, precision: Precision) -> tuple[np.ndarray, np.ndarray]:
     """Un-rotate a stack of n x n word grids, shape (..., n, n), back to
     matrix order and decode it once.
@@ -215,9 +213,7 @@ def unpack_words(words: np.ndarray, precision: Precision) -> tuple[np.ndarray, n
     of shape (r, ..., n, n); both indexed [.., k, j] like the weight
     matrices.
     """
-    n = words.shape[-1]
-    flat = np.asarray(words).reshape(*words.shape[:-2], n * n)
-    slots = decode_slots(np.take(flat, _unrotation(n), axis=-1).reshape(words.shape), precision)
+    slots = decode_slots(_rotated(np.asarray(words), -1), precision)
     digits = precision.weight_bits // 2  # slots per weight field, the top one signed
     per_field = slots.reshape(precision.r, digits, *slots.shape[1:])
     fields = per_field[:, -1].astype(np.int16)
@@ -225,6 +221,16 @@ def unpack_words(words: np.ndarray, precision: Precision) -> tuple[np.ndarray, n
         fields *= 4
         fields += per_field[:, d]
     return slots, fields
+
+
+def unpack_fields(words: np.ndarray, mode: PrecisionMode) -> np.ndarray:
+    """The nw weight matrices that a (tk, tp, n, n) stack of packed tiles
+    holds, zero-padded to tk*n x tp*n: the words un-rotated back to matrix
+    order, then cut into their nw signed weight fields as `deinterleave`
+    does. Shape (nw, tk*n, tp*n); int8, or int16 for 8-bit fields."""
+    tk, tp, n, _ = words.shape
+    matrix = _rotated(words, -1).swapaxes(1, 2).reshape(tk * n, tp * n)
+    return bit_fields(matrix, mode.weight_bits, mode.nw)
 
 
 def prepare_weights(
@@ -253,7 +259,7 @@ def prepare_weights(
     tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
     words = np.zeros((tk * n, tp * n), dtype=np.uint8)
     words[:k_dim, :p_dim] = _pack_fields(mats, mode.weight_bits)
-    tiles = words.reshape(tk, n, tp, n).swapaxes(1, 2)[(..., *rotation_index(n))]
+    tiles = _rotated(words.reshape(tk, n, tp, n).swapaxes(1, 2)).copy()
     return [[PackedWeightTile(tile, mode) for tile in row] for row in tiles]
 
 
@@ -276,10 +282,7 @@ def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.nda
     tk x tp packed grid, still zero-padded to tk*n x tp*n."""
     mode, n = _check_grid(grid)
     words = np.array([[tile.words for tile in row] for row in grid])  # (tk, tp, n, n)
-    tk, tp = words.shape[:2]
-    _, fields = unpack_words(words, mode.precision)
-    blocks = fields[: mode.nw].swapaxes(2, 3).reshape(mode.nw, tk * n, tp * n)
-    return list(blocks.astype(np.int64))
+    return list(unpack_fields(words, mode).astype(np.int64))
 
 
 def check_packable(grid: Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int]:

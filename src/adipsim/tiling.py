@@ -80,18 +80,28 @@ class TiledPlan:
     def rows_per_pass(self) -> int:
         return self.tm
 
+    @classmethod
+    def from_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
+        """The plan of an M x K input times `count` K x P weight matrices of
+        `precision` on an n x n array, from the shape alone: the matrices
+        are fused r at a time, the last group taking what is left."""
+        if n < 1:
+            raise ValueError(f"array size must be >= 1, got {n}")
+        if count < 1:
+            raise ValueError(f"a plan needs at least one weight matrix, got {count}")
+        if min(m, k, p) < 0:
+            raise ValueError(f"negative job shape {m}x{k}x{p}")
+        r = precision.r
+        return cls(
+            tm=ceil_div(m, n),
+            tk=ceil_div(k, n),
+            tp=ceil_div(p, n),
+            group_sizes=[min(r, count - g * r) for g in range(ceil_div(count, r))],
+        )
+
 
 def plan(job: MatMulJob) -> TiledPlan:
-    m_dim, k_dim, p_dim = job.shape
-    r = job.precision.r
-    total = len(job.weights)
-    sizes = [min(r, total - g * r) for g in range(ceil_div(total, r))]
-    return TiledPlan(
-        tm=ceil_div(m_dim, job.n),
-        tk=ceil_div(k_dim, job.n),
-        tp=ceil_div(p_dim, job.n),
-        group_sizes=sizes,
-    )
+    return TiledPlan.from_shape(*job.shape, len(job.weights), job.precision, job.n)
 
 
 def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
@@ -162,7 +172,7 @@ def run_tiled(
         if not (tk and tp):  # K = 0 or P = 0 has no passes
             products = np.zeros((m_dim, nw, p_dim))
         elif trace is None:
-            products, _ = evaluate_group(grid, job.a, mac_stages, reduce_stages, overlap_weights)
+            products = evaluate_group(grid, job.a, mac_stages, reduce_stages)
         else:
             products = sim.stream_grid(grid, job.a)
         outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]

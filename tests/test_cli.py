@@ -279,6 +279,33 @@ def test_workload_size_without_power_factor_prints_no_report(capsys):
     assert "size 7" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_workload_bad_out_path_prints_no_report(capsys, tmp_path, fmt):
+    """An --out that cannot be opened exits 2 before the text report is
+    printed, so stdout stays empty."""
+    missing = tmp_path / "no-such-dir" / "x"
+    code, out, err = run_cli(capsys, "workload", "bert", "--format", fmt, "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert "no-such-dir" in err
+    assert not missing.parent.exists()
+
+
+def test_sweep_plans_from_shape_at_any_size(capsys, tmp_path):
+    """The sweep's pass counts come from the shape alone, so an array size
+    far beyond what fits in memory still gives its row."""
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--sizes", "4,99999999999", "--out", str(out))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["size", "mode", "throughput_gain", "peak_tops", "power_factor"]
+    assert [row[:3] for row in rows[4:]] == [
+        ["99999999999", "W8", "1"],
+        ["99999999999", "W4", "2"],
+        ["99999999999", "W2", "4"],
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -381,3 +381,19 @@ def test_read_packed_yields_a_grid_or_value_error(data):
     again = read_packed(io.BytesIO(written))
     assert [[t.mode for t in row] for row in again] == [[t.mode for t in row] for row in grid]
     assert all(np.array_equal(a.words, b.words) for ra, rb in zip(again, grid) for a, b in zip(ra, rb))
+
+
+@pytest.mark.parametrize("mode", MODE_CONFIGS, ids=lambda m: f"{m.precision.name}x{m.nw}")
+@pytest.mark.parametrize("n, m, k, p", [(1, 3, 2, 5), (4, 5, 7, 6), (4, 0, 9, 3), (3, 2, 3, 3), (8, 1, 17, 9)])
+def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k, p):
+    """The untraced group evaluation is the input times the weights that
+    `unprepare_weights` recovers from the same grid, cut to the input's K:
+    for every mode, at n = 1, with ragged K and P, and with no input rows."""
+    rng = np.random.default_rng(n * 1000 + m * 100 + k * 10 + p)
+    lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
+    grid = prepare_weights([rng.integers(lo, hi, size=(k, p)) for _ in range(mode.nw)], mode, n)
+    a = rng.integers(-128, 128, size=(m, k))
+    products = evaluate_group(grid, a)
+    assert products.shape == (m, mode.nw, len(grid[0]) * n)
+    for t, matrix in enumerate(unprepare_weights(grid)):
+        assert np.array_equal(products[:, t], a @ matrix[:k])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adipsim.preprocess import Precision
-from adipsim.tiling import MatMulJob, oracle_matmul, plan, run_tiled
+from adipsim.tiling import MatMulJob, TiledPlan, oracle_matmul, plan, run_tiled
 
 MODES = [
     (Precision.W8, 1),
@@ -189,6 +189,36 @@ def test_plan_counts():
     assert p.pass_count == 8
     assert p.rows_per_pass == 3
 
+
+
+@pytest.mark.parametrize("precision, nw", MODES + [(Precision.W2, 9), (Precision.W8, 3)])
+@pytest.mark.parametrize("dims", [(9, 5, 13), (0, 4, 4), (4, 0, 4), (4, 4, 0), (1, 1, 1), (16, 17, 3)])
+def test_plan_from_shape_matches_plan_of_the_job(precision, nw, dims):
+    m, k, p = dims
+    job = MatMulJob(np.zeros((m, k)), [np.zeros((k, p))] * nw, precision, 4)
+    assert TiledPlan.from_shape(m, k, p, nw, precision, 4) == plan(job)
+
+
+def test_plan_from_shape_needs_no_matrices():
+    """A shape whose matrices would not fit in memory still has a plan."""
+    n = 1 << 40
+    p = TiledPlan.from_shape(n, 2 * n, 2 * n, 4, Precision.W2, n)
+    assert (p.tm, p.tk, p.tp, p.group_sizes, p.pass_count) == (1, 2, 2, [4], 4)
+    assert TiledPlan.from_shape(n, 2 * n, 2 * n, 4, Precision.W8, n).pass_count == 16
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((4, 4, 4, 1, Precision.W8, 0), "array size"),
+        ((4, 4, 4, 0, Precision.W8, 4), "at least one"),
+        ((-1, 4, 4, 1, Precision.W8, 4), "negative"),
+        ((4, 4, -4, 1, Precision.W8, 4), "negative"),
+    ],
+)
+def test_plan_from_shape_rejects_bad_shapes(args, match):
+    with pytest.raises(ValueError, match=match):
+        TiledPlan.from_shape(*args)
 
 def _brute_force(job):
     """Independent golden results: a pure-Python triple loop over Python ints."""

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from adipsim import array
 from adipsim.array import ArraySim
-from adipsim.numerics import ceil_div
+from adipsim.numerics import bit_fields, ceil_div
 from adipsim.pe import PsumOverflowError
 from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights, unpack_words
 from adipsim.tiling import MatMulJob, run_tiled
@@ -418,3 +418,65 @@ def test_matmul_dtype_switches_at_the_float32_bound(k_dim, float32_exact):
     assert np.array_equal(stepped.outputs[0], want)
     assert fast.total_cycles == stepped.total_cycles
     assert fast.pass_count == stepped.pass_count == ceil_div(k_dim, 4) * 2
+
+
+def _widest_word(precision):
+    """The stationary word with the largest W8 fold reach under `precision`."""
+    slots = decode_slots(np.arange(256), precision)  # [g, word]
+    return int((np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0).argmax())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    precision=st.sampled_from(list(Precision)),
+    n=st.integers(1, 8),
+    tiles=st.integers(1, 3),
+    heavy=st.floats(0, 1),
+    amax=st.integers(0, 128),
+    limit=st.integers(1, 128 * 8 * 191 + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_pre_bound_is_sound(precision, n, tiles, heavy, amax, limit, seed):
+    """Over random word grids (a share `heavy` of the words the widest one)
+    and lowered limits: whenever `_may_overflow` is on for a tile, the
+    shape-only pre-bound is on for its k-row; and for a tile of nothing but
+    the widest word the two agree."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 256, size=(tiles, n, n), dtype=np.uint8)
+    words[rng.random(words.shape) < heavy] = _widest_word(precision)
+    widest = np.full((1, n, n), _widest_word(precision), dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(array, "_PSUM_LIMIT", limit)
+        gates = array._may_overflow(unpack_words(words, precision)[0], amax)
+        bound = array._row_may_overflow(amax, n, precision)
+        assert bound or not gates.any()
+        assert bound == array._may_overflow(unpack_words(widest, precision)[0], amax)[0]
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
+    """At the 32-bit limit, with full-scale -128 inputs and every word the
+    widest one (or its low fields, for fewer matrices), untraced `run_tiled`
+    decodes no 2-bit slots and builds no `ArraySim` for any precision and
+    nw: the pre-bound keeps every k-row off the gated path."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(array, "unpack_words", spy("unpack_words", array.unpack_words))
+    monkeypatch.setattr(array, "decode_slots", spy("decode_slots", array.decode_slots))
+    monkeypatch.setattr(ArraySim, "__init__", spy("ArraySim", ArraySim.__init__))
+    a = np.full((n, 2 * n), -128, dtype=np.int64)
+    for precision in Precision:
+        word = np.array(_widest_word(precision), dtype=np.uint8)
+        fields = bit_fields(word, precision.weight_bits, precision.r)
+        for nw in range(1, precision.r + 1):
+            weights = [np.full((2 * n, n), int(fields[t])) for t in range(nw)]
+            result = run_tiled(MatMulJob(a, weights, precision, n))
+            assert all(np.array_equal(got, a @ w) for got, w in zip(result.outputs, weights))
+    assert calls == []
