@@ -8,6 +8,7 @@ from .cost import Arch, CostParams, StageCost, stage_latency, summary
 from .numerics import mul2, recompose, split_subwords
 from .pe import PE, PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
 from .preprocess import (
+    PackedGrid,
     PackedWeightTile,
     Precision,
     PrecisionMode,
@@ -33,6 +34,7 @@ __all__ = [
     "MatMulJob",
     "MhaConfig",
     "PE",
+    "PackedGrid",
     "PackedWeightTile",
     "PhaseError",
     "PsumOverflowError",

@@ -28,7 +28,8 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   It keeps the weight slots and the last n + m rows fed, and forms the
   registers of a block of clocks, for a stack of passes at once, from
   those formulas (`_registers`): `stream` runs one pass on the carried
-  rows, `stream_grid` every pass of a fused group. Traces are formatted
+  rows, `stream_grid` every pass of a fused group, whose tiles it rotates
+  out of the grid's matrix-order words once. Traces are formatted
   without Python ints: every number is gathered as 8-byte ASCII words, one
   per four decimal digits, from one table (`_group_words`) into a
   fixed-width line buffer, and one `bytes.translate` drops the NUL
@@ -40,14 +41,14 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   group: the tk x tp tiles that all stream the same input. The reducer's
   fold of the four buses is linear, so the group's outputs, summed over K,
   are one matmul of the input with the weight fields of every tile, which
-  the whole grid's words give in one un-rotate-then-decode; the matmul is
-  exact in float32 while 2^(6+w) * K <= 2^24 for w-bit weights and in
-  float64 above. No pass of a k-row can overflow unless its largest input
-  times n times the widest fold reach of any word reaches the limit
-  (`_row_may_overflow`), which no tile the packed format can store does at
-  32 bits. Only such a k-row has its slots decoded, and a pass whose
-  `_may_overflow` gate is then on is also streamed on `ArraySim`, which
-  raises.
+  the grid's words, held in matrix order, give in one decode with no
+  rotation; the matmul is exact in float32 while 2^(6+w) * K <= 2^24 for
+  w-bit weights and in float64 above. No pass of a k-row can overflow
+  unless its largest input times n times the widest fold reach of any word
+  reaches the limit (`_row_may_overflow`), which no tile the packed format
+  can store does at 32 bits. Only such a k-row has its slots decoded, and
+  a pass whose `_may_overflow` gate is then on is also streamed on
+  `ArraySim`, which raises.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import PSUM_BITS, ceil_div, check_signed
+from .numerics import PSUM_BITS, bit_fields, ceil_div, check_signed
 from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
-from .preprocess import PackedWeightTile, Precision, PrecisionMode, _check_grid, decode_slots, unpack_fields, unpack_words
+from .preprocess import PackedGrid, PackedWeightTile, Precision, PrecisionMode, as_grid, decode_slots
+from .preprocess import unpack_words  # noqa: F401  kept as adipsim.array.unpack_words, which tests spy on
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -484,23 +486,24 @@ class ArraySim:
         outputs = _outputs(self._slots[:, None], rows[None], self.mode)[0]
         return [CollectedRow(index=i, cycle=first + i, outputs=list(outputs[i])) for i in range(count)]
 
-    def stream_grid(self, grid: Sequence[Sequence[PackedWeightTile]], a: np.ndarray) -> np.ndarray:
+    def stream_grid(self, grid: PackedGrid | Sequence[Sequence[PackedWeightTile]], a: np.ndarray) -> np.ndarray:
         """Every pass of one fused group as `run_tiled` prepares it: for each
         column tile j, for each k, load grid[k][j] and stream the columns
         k*n .. (k+1)*n of the M x K int64 input `a`, zero-padded to whole
         row tiles. Returns the outputs summed over k, laid out as
-        `evaluate_group`'s."""
-        if _check_grid(grid) != (self.mode, self.n):
+        `evaluate_group`'s. The whole grid is rotated into its tiles once."""
+        grid = as_grid(grid)
+        if (grid.mode, grid.n) != (self.mode, self.n):
             raise ValueError(f"grid tiles are not {self.mode} tiles of size {self.n}")
         n, nw, window = self.n, self.mode.nw, len(self._window)
-        (m_dim, k_dim), tk, tp = a.shape, len(grid), len(grid[0])
+        (m_dim, k_dim), tk, tp = a.shape, grid.tk, grid.tp
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
         feed = np.zeros((window + steps, tk * n), dtype=np.int64)
         feed[window : window + m_dim, :k_dim] = a
         feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
-        words = np.stack([grid[k][j].words for j in range(tp) for k in range(tk)])
-        slots = decode_slots(words, self.mode.precision).astype(np.int64)
-        self._run(slots, feed, load_cycles(n, self.overlap_weights), np.zeros((len(words), n, n, 5), dtype=np.int64))
+        tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
+        slots = decode_slots(tiles, self.mode.precision).reshape(4, tp * tk, n, n).astype(np.int64)
+        self._run(slots, feed, load_cycles(n, self.overlap_weights), np.zeros((tp * tk, n, n, 5), dtype=np.int64))
         outputs = _outputs(slots, feed[:, window : window + m_dim], self.mode).reshape(tp, tk, m_dim, nw, n)
         return outputs.sum(axis=1).transpose(1, 2, 0, 3).reshape(m_dim, nw, tp * n)
 
@@ -524,7 +527,7 @@ class ArraySim:
 
 
 def evaluate_group(
-    grid: Sequence[Sequence[PackedWeightTile]],
+    grid: PackedGrid | Sequence[Sequence[PackedWeightTile]],
     a: np.ndarray,
     mac_stages: int = 1,
     reduce_stages: Optional[int] = None,
@@ -538,10 +541,10 @@ def evaluate_group(
     i of `a` times matrix t (zero-padded to whole column tiles). Raises
     `PsumOverflowError` exactly when `ArraySim` would on some pass.
 
-    The whole grid is decoded at once: its words are stacked, un-rotated and
-    cut into their nw signed weight fields (`unpack_fields`), which one
-    transpose-copy lays out as a (tk*n, nw*tp*n) slab; the outputs are one
-    matmul of the M input rows with that slab. The result is exact: each
+    The whole grid is decoded at once: its words, already in matrix order,
+    are cut into their nw signed weight fields, which one transpose-copy
+    lays out as a (tk*n, nw*tp*n) slab; the outputs are one matmul of the M
+    input rows with that slab. No tile is rotated. The result is exact: each
     output is a sum of K products of an 8-bit input and a w-bit weight
     field, each at most 2^(6+w) in magnitude, so every partial sum is at
     most 2^(6+w) * K. The matmul runs in float32 when that bound is at most
@@ -552,14 +555,15 @@ def evaluate_group(
     To raise, a pass whose `_may_overflow` gate is on for the largest input
     magnitude of its own k-row is also streamed on an untraced `ArraySim`.
     Only a k-row whose shape-only pre-bound (`_row_may_overflow`) is on has
-    its slots decoded for that gate; at the 32-bit limit no tile the packed
-    format can store turns it on.
+    its slots decoded for that gate, from its words in matrix order: a
+    column's fold reach does not depend on the rotation. At the 32-bit limit
+    no tile the packed format can store turns the pre-bound on.
     """
-    mode, n = _check_grid(grid)
+    grid = as_grid(grid)
+    mode, n, tk, tp = grid.mode, grid.n, grid.tk, grid.tp
     precision, nw = mode.precision, mode.nw
     reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
     a = np.asarray(a, dtype=np.int64)
-    tk, tp = len(grid), len(grid[0])
     if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
         raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
     check_signed(a, 8, "input element")
@@ -568,15 +572,14 @@ def evaluate_group(
     column_amax[:k_dim] = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
     row_amax = column_amax.reshape(tk, n).max(axis=1)
     for k in np.flatnonzero(_row_may_overflow(row_amax, n, precision)):  # rare: gate its passes
-        slots, _ = unpack_words(np.stack([tile.words for tile in grid[k]]), precision)
+        slots = decode_slots(grid.words[k * n : (k + 1) * n].reshape(n, tp, n).swapaxes(0, 1), precision)
         for j in np.flatnonzero(_may_overflow(slots, int(row_amax[k]))):  # stream the pass
             a_k = np.zeros((ceil_div(m_dim, n) * n, n), dtype=np.int64)
             a_k[:m_dim, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
             sim = ArraySim(n, mode, mac_stages, reduce_stages)
             sim.load_weights(grid[k][j])
             sim.stream(a_k)
-    words = np.stack([tile.words for row in grid for tile in row]).reshape(tk, tp, n, n)
-    fields = unpack_fields(words, mode)[:, :k_dim]  # [t, k*n + q, j*n + c]
+    fields = bit_fields(grid.words[:k_dim], precision.weight_bits, nw)  # [t, k*n + q, j*n + c]
     dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
     slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * tp * n)
     return (a.astype(dtype) @ slab).reshape(m_dim, nw, tp * n)

@@ -11,18 +11,25 @@ Two steps, in order:
    matrix count stay zero.
 
 Both steps are lossless for in-range weights; `deinterleave` and
-`inverse_permute` undo them exactly. `prepare_weights` applies both to a
-whole K x P grid of tiles at once, in uint8, and `unprepare_weights`
-undoes it with the same un-rotate-then-decode step (`unpack_fields`) that
-the array's untraced group evaluation uses.
+`inverse_permute` undo them exactly.
+
+`prepare_weights` interleaves whole K x P matrices at once, in uint8, into
+a `PackedGrid`: one array of words in matrix order, zero-padded to whole
+tiles. The rotation is applied only where a tile's position matters, at the
+array and at the file: `grid[k][j]` and `PackedGrid.rotated_tiles` give
+tiles as the array loads them, `write_packed` stores them so, and
+`read_packed` un-rotates them once. `unprepare_weights` and the array's
+untraced group evaluation decode the matrix-order words directly.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .numerics import bit_fields, ceil_div, check_signed
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
 _HEADER_U16_MAX = (1 << 16) - 1  # largest n, grid rows or grid cols the header holds
+_READ_CHUNK = 1 << 16  # bytes of the first payload read
 
 
 class Precision(Enum):
@@ -159,14 +167,16 @@ def inverse_permute(tile: WeightTile) -> WeightTile:
     return WeightTile(_rotated(tile.data, -1).copy(), tile.width)
 
 
-def _pack_fields(fields: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Pack same-shape signed `width`-bit fields, field t at index t, into
-    uint8 words: field t fills bits [t * width, (t + 1) * width), two's
-    complement."""
+def _pack_fields(fields: Sequence[np.ndarray], width: int, words: np.ndarray) -> np.ndarray:
+    """OR same-shape signed `width`-bit fields, field t at index t, into the
+    zeroed uint8 `words` of their shape and return it: field t fills bits
+    [t * width, (t + 1) * width), two's complement."""
     mask = (1 << width) - 1
-    words = np.zeros(np.shape(fields[0]), dtype=np.uint8)
-    for t, field in enumerate(fields):
-        words |= (np.asarray(field).astype(np.uint8) & mask) << (t * width)  # wraps negatives modulo 256
+    for t, values in enumerate(fields):
+        bits = np.asarray(values).astype(np.uint8)  # wraps negatives modulo 256
+        bits &= mask
+        bits *= 1 << (t * width)  # the shift into place: numpy multiplies uint8 several times faster than it shifts
+        words |= bits
     return words
 
 
@@ -181,7 +191,7 @@ def interleave(tiles: Sequence[WeightTile], mode: PrecisionMode) -> PackedWeight
             raise ValueError(f"ragged tile set: {tile.n} != {n}")
         if tile.width != w:
             raise ValueError(f"tile width {tile.width} does not match mode width {w}")
-    return PackedWeightTile(_pack_fields([tile.data for tile in tiles], w), mode)
+    return PackedWeightTile(_pack_fields([tile.data for tile in tiles], w, np.zeros((n, n), dtype=np.uint8)), mode)
 
 
 def deinterleave(packed: PackedWeightTile) -> list[WeightTile]:
@@ -205,43 +215,127 @@ def decode_slots(words, precision: Precision) -> np.ndarray:
 
 
 def unpack_words(words: np.ndarray, precision: Precision) -> tuple[np.ndarray, np.ndarray]:
-    """Un-rotate a stack of n x n word grids, shape (..., n, n), back to
-    matrix order and decode it once.
+    """Un-rotate a stack of n x n tiles as the array loads them, shape
+    (..., n, n), back to matrix order and decode it.
 
-    Returns the four 2-bit slots of every word, int8 of shape
-    (4, ..., n, n), and the r signed weight fields folded from them, int16
-    of shape (r, ..., n, n); both indexed [.., k, j] like the weight
-    matrices.
+    Returns the four 2-bit slots of every word, shape (4, ..., n, n), and
+    its r signed weight fields, shape (r, ..., n, n), as `bit_fields` cuts
+    them; both indexed [.., k, j] like the weight matrices.
     """
-    slots = decode_slots(_rotated(np.asarray(words), -1), precision)
-    digits = precision.weight_bits // 2  # slots per weight field, the top one signed
-    per_field = slots.reshape(precision.r, digits, *slots.shape[1:])
-    fields = per_field[:, -1].astype(np.int16)
-    for d in reversed(range(digits - 1)):
-        fields *= 4
-        fields += per_field[:, d]
-    return slots, fields
+    words = _rotated(np.asarray(words), -1)
+    return decode_slots(words, precision), bit_fields(words, precision.weight_bits, precision.r)
 
 
-def unpack_fields(words: np.ndarray, mode: PrecisionMode) -> np.ndarray:
-    """The nw weight matrices that a (tk, tp, n, n) stack of packed tiles
-    holds, zero-padded to tk*n x tp*n: the words un-rotated back to matrix
-    order, then cut into their nw signed weight fields as `deinterleave`
-    does. Shape (nw, tk*n, tp*n); int8, or int16 for 8-bit fields."""
-    tk, tp, n, _ = words.shape
-    matrix = _rotated(words, -1).swapaxes(1, 2).reshape(tk * n, tp * n)
-    return bit_fields(matrix, mode.weight_bits, mode.nw)
+@dataclass(frozen=True, eq=False)
+class PackedGrid(Sequence):
+    """The packed words of one fused group, validated when it is built: nw
+    K x P weight matrices, interleaved and zero-padded to a tk x tp grid of
+    n x n tiles, as one (tk*n, tp*n) uint8 array in matrix order. Word
+    (i, c) holds weight (i, c) of every matrix; no tile is rotated.
+
+    As a sequence it is the grid of tiles that the array loads: grid[k][j]
+    is a new `PackedWeightTile` of tile (k, j), rotated as `permute` does,
+    and `len(grid)` and `len(grid[k])` give tk and tp without building one.
+    The rows are built with the grid, each a view of its words.
+    """
+
+    words: np.ndarray
+    mode: PrecisionMode
+    n: int
+    tk: int = field(init=False)
+    tp: int = field(init=False)
+    _rows: tuple["_GridRow", ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"tile size must be >= 1, got {self.n}")
+        words = self.words
+        if not isinstance(words, np.ndarray) or words.dtype != np.uint8 or words.ndim != 2 or any(
+            size % self.n for size in words.shape
+        ):
+            raise ValueError(f"packed grid words must be 2-D uint8 in whole {self.n}x{self.n} tiles")
+        n = self.n
+        tk, tp = words.shape[0] // n, words.shape[1] // n
+        rows = tuple(_GridRow(words[k * n : (k + 1) * n], self.mode, tp) for k in range(tk))
+        for name, value in (("tk", tk), ("tp", tp), ("_rows", rows)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.tk
+
+    def __getitem__(self, k: int) -> "_GridRow":
+        return self._rows[k]
+
+    def __iter__(self) -> Iterator["_GridRow"]:  # Sequence's would index until IndexError
+        return iter(self._rows)
+
+    def rotated_tiles(self) -> np.ndarray:
+        """Every tile as the array loads it, at once: a read-only
+        (tk, tp, n, n) view whose [k, j] is grid[k][j].words."""
+        n = self.n
+        return _rotated(self.words.reshape(self.tk, n, self.tp, n).swapaxes(1, 2))
 
 
-def prepare_weights(
-    matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int
-) -> list[list[PackedWeightTile]]:
-    """Permute then interleave every n x n tile of nw K x P matrices.
+class _GridRow(Sequence):
+    """One row of a `PackedGrid`'s tiles, from its (n, tp*n) words; each
+    tile is rotated when it is taken."""
 
-    Matrices are zero-padded up to multiples of n; the result is a
-    ceil(K/n) x ceil(P/n) grid of packed tiles ready for vertical loading,
-    with no tiles when K or P is 0. The whole grid is packed and rotated
-    at once, in uint8.
+    __slots__ = ("_words", "_mode", "_tp")
+
+    def __init__(self, words: np.ndarray, mode: PrecisionMode, tp: int) -> None:
+        self._words, self._mode, self._tp = words, mode, tp
+
+    def __len__(self) -> int:
+        return self._tp
+
+    def __getitem__(self, j: int) -> PackedWeightTile:
+        n, j = len(self._words), range(self._tp)[operator.index(j)]
+        return PackedWeightTile(_rotated(self._words[:, j * n : (j + 1) * n]).copy(), self._mode)
+
+
+def _from_tiles(tiles: np.ndarray, mode: PrecisionMode) -> PackedGrid:
+    """The grid of a (tk, tp, n, n) stack of tiles as the array loads them."""
+    tk, tp, n, _ = tiles.shape
+    return PackedGrid(_rotated(tiles, -1).swapaxes(1, 2).reshape(tk * n, tp * n), mode, n)
+
+
+def _grid_shape(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int, int, int]:
+    """The mode, tile size, tk and tp of a packed grid, or of a list of rows
+    of packed tiles, which must all share one mode and size. Raises
+    ValueError on a grid with no tiles, rows of unequal length, or a tile of
+    another mode or size."""
+    if isinstance(grid, PackedGrid):
+        mode, n, tk, tp = grid.mode, grid.n, grid.tk, grid.tp
+    else:
+        tk = len(grid)
+        tp = len(grid[0]) if tk else 0
+        if tk and tp:
+            mode, n = grid[0][0].mode, grid[0][0].n
+            if any(len(row) != tp for row in grid):
+                raise ValueError("ragged tile grid")
+            if any(tile.n != n or tile.mode != mode for row in grid for tile in row):
+                raise ValueError("tiles of one grid must share one mode and size")
+    if not (tk and tp):
+        raise ValueError("empty tile grid")
+    return mode, n, tk, tp
+
+
+def as_grid(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> PackedGrid:
+    """A packed grid itself, or the `PackedGrid` of a list of rows of packed
+    tiles as the array loads them; ValueError as `_grid_shape`."""
+    mode, _, _, _ = _grid_shape(grid)
+    if isinstance(grid, PackedGrid):
+        return grid
+    return _from_tiles(np.array([[tile.words for tile in row] for row in grid], dtype=np.uint8), mode)
+
+
+def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int) -> PackedGrid:
+    """Pack nw K x P matrices for an n x n array.
+
+    The matrices' fields are interleaved into words in matrix order,
+    zero-padded up to multiples of n, so that tile (k, j) of the result, as
+    the array loads it, is `interleave` of the `permute`d tiles (k, j) of
+    the matrices. The grid has no tiles when K or P is 0.
     """
     if n < 1:
         raise ValueError(f"tile size must be >= 1, got {n}")
@@ -256,57 +350,53 @@ def prepare_weights(
     for m in mats:
         check_signed(m, mode.weight_bits, "weight")
     k_dim, p_dim = shape
-    tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
-    words = np.zeros((tk * n, tp * n), dtype=np.uint8)
-    words[:k_dim, :p_dim] = _pack_fields(mats, mode.weight_bits)
-    tiles = _rotated(words.reshape(tk, n, tp, n).swapaxes(1, 2)).copy()
-    return [[PackedWeightTile(tile, mode) for tile in row] for row in tiles]
+    words = np.zeros((ceil_div(k_dim, n) * n, ceil_div(p_dim, n) * n), dtype=np.uint8)
+    _pack_fields(mats, mode.weight_bits, words[:k_dim, :p_dim])
+    return PackedGrid(words, mode, n)
 
 
-def _check_grid(grid: Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int]:
-    """The mode and tile size shared by every tile of a packed grid.
-    Raises ValueError on an empty grid, rows of unequal length, or a tile
-    of another mode or size."""
-    if not grid or not grid[0]:
-        raise ValueError("empty tile grid")
-    mode, n = grid[0][0].mode, grid[0][0].n
-    if any(len(row) != len(grid[0]) for row in grid):
-        raise ValueError("ragged tile grid")
-    if any(tile.n != n or tile.mode != mode for row in grid for tile in row):
-        raise ValueError("tiles of one grid must share one mode and size")
-    return mode, n
-
-
-def unprepare_weights(grid: Sequence[Sequence[PackedWeightTile]]) -> list[np.ndarray]:
+def unprepare_weights(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> list[np.ndarray]:
     """Inverse of `prepare_weights`: the nw int64 weight matrices of a
     tk x tp packed grid, still zero-padded to tk*n x tp*n."""
-    mode, n = _check_grid(grid)
-    words = np.array([[tile.words for tile in row] for row in grid])  # (tk, tp, n, n)
-    return list(unpack_fields(words, mode).astype(np.int64))
+    grid = as_grid(grid)
+    return list(bit_fields(grid.words, grid.mode.weight_bits, grid.mode.nw).astype(np.int64))
 
 
-def check_packable(grid: Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int]:
-    """`_check_grid`, and also a ValueError when the tile size or a grid
-    dimension does not fit its 16-bit header field; call it before creating
-    the file that `write_packed` fills."""
-    mode, n = _check_grid(grid)
-    for field, value in (("tile size n", n), ("grid rows", len(grid)), ("grid cols", len(grid[0]))):
+def check_packable(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> PackedGrid:
+    """`as_grid`, but first a ValueError when the tile size or a grid
+    dimension does not fit its 16-bit header field, raised before any tile
+    is stacked; call it before creating the file that `write_packed` fills."""
+    _, n, tk, tp = _grid_shape(grid)
+    for name, value in (("tile size n", n), ("grid rows", tk), ("grid cols", tp)):
         if value > _HEADER_U16_MAX:
-            raise ValueError(f"{field} {value} exceeds the packed-file limit of {_HEADER_U16_MAX}")
-    return mode, n
+            raise ValueError(f"{name} {value} exceeds the packed-file limit of {_HEADER_U16_MAX}")
+    return as_grid(grid)
 
 
-def write_packed(grid: Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
-    """Dump a packed-tile grid: 16-byte header, then row-major tile bytes.
-    Nothing is written when `check_packable` rejects the grid."""
-    mode, n = check_packable(grid)
-    fh.write(_HEADER.pack(PACKED_MAGIC, n, mode.weight_bits, mode.nw, len(grid), len(grid[0])))
-    for row in grid:
-        for tile in row:
-            fh.write(tile.words.tobytes())
+def write_packed(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
+    """Dump a packed grid: 16-byte header, then the bytes of each tile as
+    the array loads it, tiles in row-major order. Nothing is written when
+    `check_packable` rejects the grid."""
+    grid = check_packable(grid)
+    fh.write(_HEADER.pack(PACKED_MAGIC, grid.n, grid.mode.weight_bits, grid.mode.nw, grid.tk, grid.tp))
+    fh.write(grid.rotated_tiles().tobytes())
 
 
-def read_packed(fh: BinaryIO) -> list[list[PackedWeightTile]]:
+def _read_exactly(fh: BinaryIO, size: int) -> bytearray:
+    """The next `size` bytes of `fh`, or ValueError when it ends first. Each
+    read asks for at most as much as has already arrived (and 64 KiB at
+    first), so a header that claims more than the file holds costs memory
+    in proportion to the bytes that are there."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = fh.read(min(size - len(data), max(len(data), _READ_CHUNK)))
+        if not chunk:
+            raise ValueError("truncated packed-weight payload")
+        data += chunk
+    return data
+
+
+def read_packed(fh: BinaryIO) -> PackedGrid:
     """Inverse of `write_packed`."""
     header = fh.read(_HEADER.size)
     if len(header) != _HEADER.size:
@@ -317,14 +407,5 @@ def read_packed(fh: BinaryIO) -> list[list[PackedWeightTile]]:
     mode = PrecisionMode(Precision.from_bits(weight_bits), nw)
     if n == 0 or rows == 0 or cols == 0:
         raise ValueError(f"empty packed-weight grid: {rows}x{cols} tiles of {n}x{n}")
-    grid = []
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            raw = fh.read(n * n)
-            if len(raw) != n * n:
-                raise ValueError("truncated packed-weight payload")
-            words = np.frombuffer(raw, dtype=np.uint8).reshape(n, n)
-            row.append(PackedWeightTile(words.copy(), mode))
-        grid.append(row)
-    return grid
+    payload = _read_exactly(fh, rows * cols * n * n)
+    return _from_tiles(np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols, n, n), mode)

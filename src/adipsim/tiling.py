@@ -105,21 +105,29 @@ def plan(job: MatMulJob) -> TiledPlan:
 
 
 def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
-    """Golden results with no tiling: one exact int64 `a @ w` per weight matrix.
+    """Golden results with no tiling: one exact `a @ w` per weight matrix,
+    from the raw matrices, with no packing, rotation or field decode.
 
-    Exact while |a| * |w| * K < 2^63, which every valid job meets: its
-    8-bit inputs and weights of at most 8 bits give |a| * |w| <= 2^14, and
-    2^14 * K < 2^63 for any K below 2^49. Raises ValueError when the job's
-    values exceed that bound.
+    Every product and partial sum is at most B = |a| * |w| * K in
+    magnitude. While B < 2^53 they are all integers that float64 holds
+    exactly, whatever order the sums run in, so the matmul runs in float64,
+    where numpy uses BLAS; a valid job, whose 8-bit inputs and weights of
+    at most 8 bits give |a| * |w| <= 2^14, stays there for any K below 2^39.
+    Above that it runs in int64, exact while B < 2^63; a job whose values
+    reach that raises ValueError.
     """
 
     def magnitude(x: np.ndarray) -> int:
         return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
     k_dim = job.shape[1]
-    if magnitude(job.a) * max(magnitude(w) for w in job.weights) * k_dim >= 1 << 63:
+    bound = magnitude(job.a) * max(magnitude(w) for w in job.weights) * k_dim
+    if bound >= 1 << 63:
         raise ValueError(f"|a| * |w| * K reaches 2^63 at K={k_dim}; int64 sums could wrap")
-    return [job.a @ w for w in job.weights]
+    if bound >= 1 << 53:
+        return [job.a @ w for w in job.weights]
+    a = job.a.astype(np.float64)
+    return [(a @ w.astype(np.float64)).astype(np.int64) for w in job.weights]
 
 
 @dataclass

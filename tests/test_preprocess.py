@@ -1,12 +1,14 @@
+import hashlib
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adipsim.array import evaluate_group
+from adipsim.array import ArraySim, evaluate_group
 from adipsim.preprocess import (
     PackedWeightTile,
     Precision,
@@ -317,11 +319,62 @@ def test_write_packed_takes_the_largest_header_values():
     assert (len(loaded), len(loaded[0]), loaded[0][-1].words.tolist()) == (1, (1 << 16) - 1, [[7]])
 
 
+# sha256 of the three packed files of `_pattern_weights` at n = 1, 4 and 5,
+# written one after another, per mode.
+PACKED_FILE_SHA256 = {
+    "W8x1": "97b50d51c78b2de3d06e04a5510d5d45d333f6deac1b03d19480997ca1793892",
+    "W4x1": "3666356d55ba95d0e5fdd090d38aa4aad0f2a04413a592b7fbd9e06e52c258de",
+    "W4x2": "3fca5befc18599520055b585e444ac1849dcf2ca1d4909050ef70f8ec8b05ed6",
+    "W2x1": "dc91ca43c5ba9d09f14236e21c31b44f68967208489e25c1b5d2cf22f76b0f0b",
+    "W2x2": "297eda6db630e5b38b49e712b74906683570f5528d30e5e9038cf7bc698b2e0c",
+    "W2x3": "da762003e37a037025013e292b1f2ddbd7afa5e344af4ab8106598bb2822e420",
+    "W2x4": "508a07d9887612bf874c6b723f22053f6c780cc91d8865d1ef73b3ab33e3a2e5",
+}
+
+
+def _pattern_weights(mode, k_dim, p_dim):
+    """nw K x P matrices of in-range weights from a fixed formula, so the
+    bytes do not depend on a random generator."""
+    w = mode.weight_bits
+    cell = np.arange(k_dim * p_dim).reshape(k_dim, p_dim)
+    return [(cell * 37 + 11 * t + 5) % (1 << w) - (1 << (w - 1)) for t in range(mode.nw)]
+
+
+@pytest.mark.parametrize("mode", MODE_CONFIGS, ids=lambda m: f"{m.precision.name}x{m.nw}")
+def test_packed_file_bytes_are_pinned(mode):
+    """The file format itself, not only a round trip through writer and
+    reader: at ragged K = 2n + 1 and P = 3n - 1 the files hash to fixed
+    digests."""
+    digest = hashlib.sha256()
+    for n in (1, 4, 5):
+        buf = io.BytesIO()
+        write_packed(prepare_weights(_pattern_weights(mode, 2 * n + 1, 3 * n - 1), mode, n), buf)
+        digest.update(buf.getvalue())
+    assert digest.hexdigest() == PACKED_FILE_SHA256[f"{mode.precision.name}x{mode.nw}"]
+
+
+@pytest.mark.parametrize("n, rows, cols", [(65535, 1, 1), (65535, 65535, 65535)])
+def test_read_packed_asks_for_no_more_than_the_file_holds(n, rows, cols, tmp_path):
+    """A real 116-byte file whose header claims up to 65 535^4 payload
+    bytes is a truncated payload, found without asking for the claimed
+    bytes: the read's peak allocation stays below 1 MB."""
+    path = tmp_path / "short.adip"
+    path.write_bytes(_packed_header(b"ADIP", n, 8, 1, rows, cols) + bytes(100))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh, pytest.raises(ValueError, match="truncated packed-weight payload"):
+            read_packed(fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _malformed_grid(fault):
     """A 2 x 2 W8 grid of 4 x 4 tiles with one fault: a second row of one
     tile, or one tile of another mode or size."""
     mode = PrecisionMode(Precision.W8, 1)
-    grid = prepare_weights([np.ones((8, 8), dtype=np.int64)], mode, 4)
+    grid = [list(row) for row in prepare_weights([np.ones((8, 8), dtype=np.int64)], mode, 4)]
     if fault == "ragged":
         grid[1].pop()
     elif fault == "mixed mode":
@@ -397,3 +450,57 @@ def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k,
     assert products.shape == (m, mode.nw, len(grid[0]) * n)
     for t, matrix in enumerate(unprepare_weights(grid)):
         assert np.array_equal(products[:, t], a @ matrix[:k])
+
+
+def _stream_grid(grid, mode, n, a):
+    """`ArraySim.stream_grid` of `grid` on a fresh traced array: the outputs,
+    the trace text and the final clock."""
+    trace = io.StringIO()
+    sim = ArraySim(n, mode, trace=trace)
+    outputs = sim.stream_grid(grid, a)
+    return outputs, trace.getvalue(), sim.cycle
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(MODE_CONFIGS), n=st.integers(1, 8), data=st.data())
+def test_packed_grid_equals_its_list_of_tiles(mode, n, data):
+    """A prepared grid and the list of its rows' tiles give identical
+    results through every grid reader, and each tile is the interleave of
+    the permuted tiles of the matrices; grids with no tiles are rejected
+    both ways."""
+    k_dim, p_dim, m_dim = (data.draw(st.integers(0, 3 * n)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
+    mats = [rng.integers(lo, hi, size=(k_dim, p_dim)) for _ in range(mode.nw)]
+    a = rng.integers(-128, 128, size=(m_dim, k_dim))
+    grid = prepare_weights(mats, mode, n)
+    tiles = [list(row) for row in grid]
+    assert len(grid) == -(-k_dim // n) and all(len(row) == -(-p_dim // n) for row in grid)
+    padded = [np.pad(m, ((0, -k_dim % n), (0, -p_dim % n))) for m in mats]
+    for k, row in enumerate(tiles):
+        for j, tile in enumerate(row):
+            blocks = [WeightTile(m[k * n : (k + 1) * n, j * n : (j + 1) * n], mode.weight_bits) for m in padded]
+            assert tile.mode == mode
+            assert np.array_equal(tile.words, interleave([permute(b) for b in blocks], mode).words)
+    if not (k_dim and p_dim):
+        for form in (grid, tiles):
+            for reader in (unprepare_weights, lambda g: evaluate_group(g, a), lambda g: write_packed(g, io.BytesIO())):
+                with pytest.raises(ValueError):
+                    reader(form)
+            with pytest.raises(ValueError):
+                _stream_grid(form, mode, n, a)
+        return
+    assert np.array_equal(evaluate_group(grid, a), evaluate_group(tiles, a))
+    for got, want in zip(unprepare_weights(grid), unprepare_weights(tiles), strict=True):
+        assert np.array_equal(got, want)
+    files = []
+    for form in (grid, tiles):
+        buf = io.BytesIO()
+        write_packed(form, buf)
+        files.append(buf.getvalue())
+    assert files[0] == files[1]
+    (out_grid, trace_grid, cycle_grid), (out_tiles, trace_tiles, cycle_tiles) = (
+        _stream_grid(form, mode, n, a) for form in (grid, tiles)
+    )
+    assert np.array_equal(out_grid, out_tiles)
+    assert trace_grid == trace_tiles and cycle_grid == cycle_tiles

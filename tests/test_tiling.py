@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,3 +267,27 @@ def test_oracle_rejects_values_whose_sums_could_leave_int64():
     job.weights = [np.full((4, 1), 1 << 21, dtype=np.int64)]
     with pytest.raises(ValueError, match="2\\^63"):
         oracle_matmul(job)
+
+
+@pytest.mark.parametrize(
+    "a, w, above, float64_rounds",
+    [
+        ([[(1 << 26) + 1, 1]], [[(1 << 26) - 1], [1]], False, False),  # |a| * |w| * K = 2^53 - 2
+        ([[(1 << 27) + 1]], [[(1 << 26) + 1]], True, True),  # one odd product above 2^53
+        ([[-(1 << 27) - 1, 2]], [[(1 << 26) + 1], [-1]], True, True),  # an odd sum below -2^53
+        ([[1 << 27]], [[1 << 26]], True, False),  # |a| * |w| * K = 2^53 exactly
+    ],
+)
+def test_oracle_is_exact_on_both_sides_of_the_float64_bound(a, w, above, float64_rounds):
+    """Values beyond 8 bits, in a job-shaped object that `MatMulJob` would
+    reject: below |a| * |w| * K = 2^53 float64 is exact, and at or above it
+    the oracle must still equal the pure-Python sums where a float64
+    matmul rounds."""
+    a, w = np.array(a, dtype=np.int64), np.array(w, dtype=np.int64)
+    job = SimpleNamespace(a=a, weights=[w], shape=(a.shape[0], a.shape[1], w.shape[1]))
+    want = _brute_force(job)[0]
+    assert (int(np.abs(a).max()) * int(np.abs(w).max()) * a.shape[1] >= 1 << 53) is above
+    got = oracle_matmul(job)[0]
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    in_float64 = (a.astype(np.float64) @ w.astype(np.float64)).astype(np.int64)
+    assert np.array_equal(in_float64, want) is not float64_rounds
