@@ -46,9 +46,9 @@ Two engines evaluate a pass (one weight load, then a run of streamed rows):
   w-bit weights and in float64 above. No pass of a k-row can overflow
   unless its largest input times n times the widest fold reach of any word
   reaches the limit (`_row_may_overflow`), which no tile the packed format
-  can store does at 32 bits. Only such a k-row has its slots decoded, and
-  a pass whose `_may_overflow` gate is then on is also streamed on
-  `ArraySim`, which raises.
+  can store does at 32 bits. Only such a k-row is also streamed, all its
+  passes at once, by `ArraySim.stream_grid`, which gates each pass and
+  raises.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ import numpy as np
 from .numerics import PSUM_BITS, bit_fields, ceil_div, check_signed
 from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
-from .preprocess import PackedGrid, PackedWeightTile, Precision, PrecisionMode, as_grid, decode_slots
-from .preprocess import unpack_words  # noqa: F401  kept as adipsim.array.unpack_words, which tests spy on
+from .preprocess import PackedGrid, PackedWeightTile, Precision, PrecisionMode, check_tiles, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -192,6 +191,15 @@ def _check_rows(rows, n: int) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"input rows must be R x {n}, got {rows.shape}")
     return check_signed(rows, 8, "input element")
+
+
+def _check_input(a, n: int, tk: int) -> np.ndarray:
+    """Input of a fused group of tk k-rows: an M x K int64 matrix of 8-bit
+    activations with ceil(K/n) = tk."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
+        raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
+    return check_signed(a, 8, "input element")
 
 
 def _out_of_range(values: np.ndarray, axis=None) -> np.ndarray:
@@ -486,17 +494,19 @@ class ArraySim:
         outputs = _outputs(self._slots[:, None], rows[None], self.mode)[0]
         return [CollectedRow(index=i, cycle=first + i, outputs=list(outputs[i])) for i in range(count)]
 
-    def stream_grid(self, grid: PackedGrid | Sequence[Sequence[PackedWeightTile]], a: np.ndarray) -> np.ndarray:
+    def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
         """Every pass of one fused group as `run_tiled` prepares it: for each
         column tile j, for each k, load grid[k][j] and stream the columns
-        k*n .. (k+1)*n of the M x K int64 input `a`, zero-padded to whole
-        row tiles. Returns the outputs summed over k, laid out as
+        k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
+        tiles. Returns the outputs summed over k, laid out as
         `evaluate_group`'s. The whole grid is rotated into its tiles once."""
-        grid = as_grid(grid)
+        check_tiles(grid)
         if (grid.mode, grid.n) != (self.mode, self.n):
             raise ValueError(f"grid tiles are not {self.mode} tiles of size {self.n}")
         n, nw, window = self.n, self.mode.nw, len(self._window)
-        (m_dim, k_dim), tk, tp = a.shape, grid.tk, grid.tp
+        tk, tp = grid.tk, grid.tp
+        a = _check_input(a, n, tk)
+        m_dim, k_dim = a.shape
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
         feed = np.zeros((window + steps, tk * n), dtype=np.int64)
         feed[window : window + m_dim, :k_dim] = a
@@ -527,7 +537,7 @@ class ArraySim:
 
 
 def evaluate_group(
-    grid: PackedGrid | Sequence[Sequence[PackedWeightTile]],
+    grid: PackedGrid,
     a: np.ndarray,
     mac_stages: int = 1,
     reduce_stages: Optional[int] = None,
@@ -552,33 +562,25 @@ def evaluate_group(
     2^53, an input of more than 4 TB per row. The outputs stay floating so
     that callers convert each matrix once.
 
-    To raise, a pass whose `_may_overflow` gate is on for the largest input
-    magnitude of its own k-row is also streamed on an untraced `ArraySim`.
-    Only a k-row whose shape-only pre-bound (`_row_may_overflow`) is on has
-    its slots decoded for that gate, from its words in matrix order: a
-    column's fold reach does not depend on the rotation. At the 32-bit limit
-    no tile the packed format can store turns the pre-bound on.
+    To raise, every pass of a k-row whose shape-only pre-bound
+    (`_row_may_overflow`) is on for the largest input magnitude of that
+    k-row is also streamed, by an untraced `ArraySim.stream_grid` of that
+    k-row alone, which checks the registers of each pass whose own
+    `_may_overflow` gate is on, in the same j order. At the 32-bit limit no
+    tile the packed format can store turns the pre-bound on.
     """
-    grid = as_grid(grid)
+    check_tiles(grid)
     mode, n, tk, tp = grid.mode, grid.n, grid.tk, grid.tp
     precision, nw = mode.precision, mode.nw
     reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
-        raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
-    check_signed(a, 8, "input element")
+    a = _check_input(a, n, tk)
     m_dim, k_dim = a.shape
     column_amax = np.zeros(tk * n, dtype=np.int64)
     column_amax[:k_dim] = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
     row_amax = column_amax.reshape(tk, n).max(axis=1)
-    for k in np.flatnonzero(_row_may_overflow(row_amax, n, precision)):  # rare: gate its passes
-        slots = decode_slots(grid.words[k * n : (k + 1) * n].reshape(n, tp, n).swapaxes(0, 1), precision)
-        for j in np.flatnonzero(_may_overflow(slots, int(row_amax[k]))):  # stream the pass
-            a_k = np.zeros((ceil_div(m_dim, n) * n, n), dtype=np.int64)
-            a_k[:m_dim, : min(n, k_dim - k * n)] = a[:, k * n : (k + 1) * n]
-            sim = ArraySim(n, mode, mac_stages, reduce_stages)
-            sim.load_weights(grid[k][j])
-            sim.stream(a_k)
+    for k in np.flatnonzero(_row_may_overflow(row_amax, n, precision)):  # rare: stream its passes
+        row = PackedGrid(grid.words[k * n : (k + 1) * n], mode, n)
+        ArraySim(n, mode, mac_stages, reduce_stages).stream_grid(row, a[:, k * n : (k + 1) * n])
     fields = bit_fields(grid.words[:k_dim], precision.weight_bits, nw)  # [t, k*n + q, j*n + c]
     dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
     slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * tp * n)

@@ -56,6 +56,9 @@ def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = Tr
     back as int64.
     """
     words = np.asarray(words)
+    if words.dtype == np.uint8 and width == 8 and count == 1:  # the field is the word itself
+        flag = signed if np.isscalar(signed) else signed[0]
+        return (words.view(np.int8) if flag else words).astype(np.int16)[None]
     if words.dtype == np.uint8:
         out_dtype = np.int16 if width == 8 else np.int8
     else:

@@ -19,7 +19,9 @@ tiles. The rotation is applied only where a tile's position matters, at the
 array and at the file: `grid[k][j]` and `PackedGrid.rotated_tiles` give
 tiles as the array loads them, `write_packed` stores them so, and
 `read_packed` un-rotates them once. `unprepare_weights` and the array's
-untraced group evaluation decode the matrix-order words directly.
+untraced group evaluation decode the matrix-order words directly. Every
+function that reads a grid takes a `PackedGrid` and rejects one with no
+tiles.
 """
 
 from __future__ import annotations
@@ -214,18 +216,6 @@ def decode_slots(words, precision: Precision) -> np.ndarray:
     return bit_fields(words, 2, 4, _SIGNED_SLOTS[precision])
 
 
-def unpack_words(words: np.ndarray, precision: Precision) -> tuple[np.ndarray, np.ndarray]:
-    """Un-rotate a stack of n x n tiles as the array loads them, shape
-    (..., n, n), back to matrix order and decode it.
-
-    Returns the four 2-bit slots of every word, shape (4, ..., n, n), and
-    its r signed weight fields, shape (r, ..., n, n), as `bit_fields` cuts
-    them; both indexed [.., k, j] like the weight matrices.
-    """
-    words = _rotated(np.asarray(words), -1)
-    return decode_slots(words, precision), bit_fields(words, precision.weight_bits, precision.r)
-
-
 @dataclass(frozen=True, eq=False)
 class PackedGrid(Sequence):
     """The packed words of one fused group, validated when it is built: nw
@@ -293,40 +283,10 @@ class _GridRow(Sequence):
         return PackedWeightTile(_rotated(self._words[:, j * n : (j + 1) * n]).copy(), self._mode)
 
 
-def _from_tiles(tiles: np.ndarray, mode: PrecisionMode) -> PackedGrid:
-    """The grid of a (tk, tp, n, n) stack of tiles as the array loads them."""
-    tk, tp, n, _ = tiles.shape
-    return PackedGrid(_rotated(tiles, -1).swapaxes(1, 2).reshape(tk * n, tp * n), mode, n)
-
-
-def _grid_shape(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> tuple[PrecisionMode, int, int, int]:
-    """The mode, tile size, tk and tp of a packed grid, or of a list of rows
-    of packed tiles, which must all share one mode and size. Raises
-    ValueError on a grid with no tiles, rows of unequal length, or a tile of
-    another mode or size."""
-    if isinstance(grid, PackedGrid):
-        mode, n, tk, tp = grid.mode, grid.n, grid.tk, grid.tp
-    else:
-        tk = len(grid)
-        tp = len(grid[0]) if tk else 0
-        if tk and tp:
-            mode, n = grid[0][0].mode, grid[0][0].n
-            if any(len(row) != tp for row in grid):
-                raise ValueError("ragged tile grid")
-            if any(tile.n != n or tile.mode != mode for row in grid for tile in row):
-                raise ValueError("tiles of one grid must share one mode and size")
-    if not (tk and tp):
+def check_tiles(grid: PackedGrid) -> None:
+    """ValueError when `grid` has no tiles (K or P was 0)."""
+    if not (grid.tk and grid.tp):
         raise ValueError("empty tile grid")
-    return mode, n, tk, tp
-
-
-def as_grid(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> PackedGrid:
-    """A packed grid itself, or the `PackedGrid` of a list of rows of packed
-    tiles as the array loads them; ValueError as `_grid_shape`."""
-    mode, _, _, _ = _grid_shape(grid)
-    if isinstance(grid, PackedGrid):
-        return grid
-    return _from_tiles(np.array([[tile.words for tile in row] for row in grid], dtype=np.uint8), mode)
 
 
 def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int) -> PackedGrid:
@@ -355,29 +315,28 @@ def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int)
     return PackedGrid(words, mode, n)
 
 
-def unprepare_weights(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> list[np.ndarray]:
+def unprepare_weights(grid: PackedGrid) -> list[np.ndarray]:
     """Inverse of `prepare_weights`: the nw int64 weight matrices of a
     tk x tp packed grid, still zero-padded to tk*n x tp*n."""
-    grid = as_grid(grid)
+    check_tiles(grid)
     return list(bit_fields(grid.words, grid.mode.weight_bits, grid.mode.nw).astype(np.int64))
 
 
-def check_packable(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]]) -> PackedGrid:
-    """`as_grid`, but first a ValueError when the tile size or a grid
-    dimension does not fit its 16-bit header field, raised before any tile
-    is stacked; call it before creating the file that `write_packed` fills."""
-    _, n, tk, tp = _grid_shape(grid)
-    for name, value in (("tile size n", n), ("grid rows", tk), ("grid cols", tp)):
+def check_packable(grid: PackedGrid) -> None:
+    """ValueError when the grid has no tiles, or when its tile size or a
+    grid dimension does not fit its 16-bit header field; call it before
+    creating the file that `write_packed` fills."""
+    check_tiles(grid)
+    for name, value in (("tile size n", grid.n), ("grid rows", grid.tk), ("grid cols", grid.tp)):
         if value > _HEADER_U16_MAX:
             raise ValueError(f"{name} {value} exceeds the packed-file limit of {_HEADER_U16_MAX}")
-    return as_grid(grid)
 
 
-def write_packed(grid: PackedGrid | Sequence[Sequence[PackedWeightTile]], fh: BinaryIO) -> None:
+def write_packed(grid: PackedGrid, fh: BinaryIO) -> None:
     """Dump a packed grid: 16-byte header, then the bytes of each tile as
     the array loads it, tiles in row-major order. Nothing is written when
     `check_packable` rejects the grid."""
-    grid = check_packable(grid)
+    check_packable(grid)
     fh.write(_HEADER.pack(PACKED_MAGIC, grid.n, grid.mode.weight_bits, grid.mode.nw, grid.tk, grid.tp))
     fh.write(grid.rotated_tiles().tobytes())
 
@@ -407,5 +366,5 @@ def read_packed(fh: BinaryIO) -> PackedGrid:
     mode = PrecisionMode(Precision.from_bits(weight_bits), nw)
     if n == 0 or rows == 0 or cols == 0:
         raise ValueError(f"empty packed-weight grid: {rows}x{cols} tiles of {n}x{n}")
-    payload = _read_exactly(fh, rows * cols * n * n)
-    return _from_tiles(np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols, n, n), mode)
+    tiles = np.frombuffer(_read_exactly(fh, rows * cols * n * n), dtype=np.uint8).reshape(rows, cols, n, n)
+    return PackedGrid(_rotated(tiles, -1).swapaxes(1, 2).reshape(rows * n, cols * n), mode, n)

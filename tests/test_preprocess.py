@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from adipsim.array import ArraySim, evaluate_group
 from adipsim.preprocess import (
+    PackedGrid,
     PackedWeightTile,
     Precision,
     PrecisionMode,
@@ -237,9 +238,17 @@ def test_unprepare_inverts_prepare(mode):
                 assert not got[k_dim:].any() and not got[:, p_dim:].any()
 
 
-@pytest.mark.parametrize("grid", [[], [[]]])
+def _empty_grid(k_dim, p_dim):
+    """The prepared W8 grid of a K x P matrix at n = 4; it has no tiles."""
+    return prepare_weights([np.zeros((k_dim, p_dim), dtype=np.int64)], PrecisionMode(Precision.W8, 1), 4)
+
+
+EMPTY_GRIDS = [_empty_grid(0, 0), _empty_grid(0, 5), _empty_grid(5, 0)]
+
+
+@pytest.mark.parametrize("grid", EMPTY_GRIDS)
 def test_unprepare_rejects_empty_grids(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty tile grid"):
         unprepare_weights(grid)
 
 
@@ -286,9 +295,9 @@ def test_read_packed_rejects_empty_grids(n, rows, cols):
         read_packed(buf)
 
 
-@pytest.mark.parametrize("grid", [[], [[]]])
+@pytest.mark.parametrize("grid", EMPTY_GRIDS)
 def test_write_packed_rejects_empty_grids(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty tile grid"):
         write_packed(grid, io.BytesIO())
 
 
@@ -298,11 +307,9 @@ def test_write_packed_rejects_empty_grids(grid):
 )
 def test_write_packed_rejects_grids_beyond_the_header(field, n, rows, cols):
     """n, grid rows and grid cols are u16 header fields: one above 65 535 is
-    a ValueError naming it, raised before any byte is written. Each tile is
-    a broadcast view, so the n = 65 536 tile allocates nothing."""
-    mode = PrecisionMode(Precision.W8, 1)
-    tile = PackedWeightTile(np.broadcast_to(np.uint8(0), (n, n)), mode)
-    grid = [[tile] * cols for _ in range(rows)]
+    a ValueError naming it, raised before any byte is written. The words
+    are a broadcast view, so the n = 65 536 tile allocates nothing."""
+    grid = PackedGrid(np.broadcast_to(np.uint8(0), (rows * n, cols * n)), PrecisionMode(Precision.W8, 1), n)
     sink = io.BytesIO()
     with pytest.raises(ValueError, match=f"{field} 65536"):
         write_packed(grid, sink)
@@ -310,8 +317,7 @@ def test_write_packed_rejects_grids_beyond_the_header(field, n, rows, cols):
 
 
 def test_write_packed_takes_the_largest_header_values():
-    mode = PrecisionMode(Precision.W8, 1)
-    grid = [[PackedWeightTile(np.full((1, 1), 7, dtype=np.uint8), mode)] * ((1 << 16) - 1)]
+    grid = PackedGrid(np.full((1, (1 << 16) - 1), 7, dtype=np.uint8), PrecisionMode(Precision.W8, 1), 1)
     buf = io.BytesIO()
     write_packed(grid, buf)
     buf.seek(0)
@@ -370,33 +376,23 @@ def test_read_packed_asks_for_no_more_than_the_file_holds(n, rows, cols, tmp_pat
     assert peak < 1 << 20
 
 
-def _malformed_grid(fault):
-    """A 2 x 2 W8 grid of 4 x 4 tiles with one fault: a second row of one
-    tile, or one tile of another mode or size."""
-    mode = PrecisionMode(Precision.W8, 1)
-    grid = [list(row) for row in prepare_weights([np.ones((8, 8), dtype=np.int64)], mode, 4)]
-    if fault == "ragged":
-        grid[1].pop()
-    elif fault == "mixed mode":
-        grid[1][1] = PackedWeightTile(grid[1][1].words, PrecisionMode(Precision.W4, 1))
-    else:
-        grid[1][1] = PackedWeightTile(np.zeros((2, 2)), mode)
-    return grid
-
-
-@pytest.mark.parametrize("fault", ["ragged", "mixed mode", "mixed size"])
-def test_malformed_grids_rejected_before_any_work(fault):
-    """Every grid reader rejects the grid before writing or computing
-    anything; a short row must not be broadcast into a wrong product."""
-    grid = _malformed_grid(fault)
-    sink = io.BytesIO()
+@pytest.mark.parametrize(
+    "words, n",
+    [
+        (np.zeros((8, 8), dtype=np.int64), 4),
+        (np.zeros((8, 6), dtype=np.uint8), 4),
+        (np.zeros((6, 8), dtype=np.uint8), 4),
+        (np.zeros((2, 8, 8), dtype=np.uint8), 4),
+        (np.zeros((8, 8), dtype=np.uint8), 0),
+        (np.zeros((8, 8), dtype=np.uint8), -4),
+    ],
+    ids=["int64 words", "ragged cols", "ragged rows", "3-D words", "n = 0", "n < 0"],
+)
+def test_malformed_packed_grid_rejected_when_built(words, n):
+    """A grid is checked when it is built, so no reader sees words of
+    another dtype or rank, or words that are not whole n x n tiles."""
     with pytest.raises(ValueError):
-        write_packed(grid, sink)
-    assert sink.getvalue() == b""
-    with pytest.raises(ValueError):
-        unprepare_weights(grid)
-    with pytest.raises(ValueError):
-        evaluate_group(grid, np.ones((4, 8), dtype=np.int64))
+        PackedGrid(words, PrecisionMode(Precision.W8, 1), n)
 
 
 @st.composite
@@ -452,55 +448,28 @@ def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k,
         assert np.array_equal(products[:, t], a @ matrix[:k])
 
 
-def _stream_grid(grid, mode, n, a):
-    """`ArraySim.stream_grid` of `grid` on a fresh traced array: the outputs,
-    the trace text and the final clock."""
-    trace = io.StringIO()
-    sim = ArraySim(n, mode, trace=trace)
-    outputs = sim.stream_grid(grid, a)
-    return outputs, trace.getvalue(), sim.cycle
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mode=st.sampled_from(MODE_CONFIGS), n=st.integers(1, 8), data=st.data())
 def test_packed_grid_equals_its_list_of_tiles(mode, n, data):
-    """A prepared grid and the list of its rows' tiles give identical
-    results through every grid reader, and each tile is the interleave of
-    the permuted tiles of the matrices; grids with no tiles are rejected
-    both ways."""
+    """Each tile of a prepared grid is the interleave of the permuted tiles
+    of the matrices; a grid with no tiles is rejected by every grid
+    reader."""
     k_dim, p_dim, m_dim = (data.draw(st.integers(0, 3 * n)) for _ in range(3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
     mats = [rng.integers(lo, hi, size=(k_dim, p_dim)) for _ in range(mode.nw)]
     a = rng.integers(-128, 128, size=(m_dim, k_dim))
     grid = prepare_weights(mats, mode, n)
-    tiles = [list(row) for row in grid]
     assert len(grid) == -(-k_dim // n) and all(len(row) == -(-p_dim // n) for row in grid)
     padded = [np.pad(m, ((0, -k_dim % n), (0, -p_dim % n))) for m in mats]
-    for k, row in enumerate(tiles):
+    for k, row in enumerate(grid):
         for j, tile in enumerate(row):
             blocks = [WeightTile(m[k * n : (k + 1) * n, j * n : (j + 1) * n], mode.weight_bits) for m in padded]
             assert tile.mode == mode
             assert np.array_equal(tile.words, interleave([permute(b) for b in blocks], mode).words)
     if not (k_dim and p_dim):
-        for form in (grid, tiles):
-            for reader in (unprepare_weights, lambda g: evaluate_group(g, a), lambda g: write_packed(g, io.BytesIO())):
-                with pytest.raises(ValueError):
-                    reader(form)
+        for reader in (unprepare_weights, lambda g: evaluate_group(g, a), lambda g: write_packed(g, io.BytesIO())):
             with pytest.raises(ValueError):
-                _stream_grid(form, mode, n, a)
-        return
-    assert np.array_equal(evaluate_group(grid, a), evaluate_group(tiles, a))
-    for got, want in zip(unprepare_weights(grid), unprepare_weights(tiles), strict=True):
-        assert np.array_equal(got, want)
-    files = []
-    for form in (grid, tiles):
-        buf = io.BytesIO()
-        write_packed(form, buf)
-        files.append(buf.getvalue())
-    assert files[0] == files[1]
-    (out_grid, trace_grid, cycle_grid), (out_tiles, trace_tiles, cycle_tiles) = (
-        _stream_grid(form, mode, n, a) for form in (grid, tiles)
-    )
-    assert np.array_equal(out_grid, out_tiles)
-    assert trace_grid == trace_tiles and cycle_grid == cycle_tiles
+                reader(grid)
+        with pytest.raises(ValueError):
+            ArraySim(n, mode, trace=io.StringIO()).stream_grid(grid, a)

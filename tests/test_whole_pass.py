@@ -21,7 +21,7 @@ from adipsim import array
 from adipsim.array import ArraySim
 from adipsim.numerics import bit_fields, ceil_div
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights, unpack_words
+from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights
 from adipsim.tiling import MatMulJob, run_tiled
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -101,6 +101,29 @@ def test_empty_input_keeps_stepped_cycle_count():
     assert fast.pass_count == stepped.pass_count == 2
     assert fast.total_cycles == stepped.total_cycles == 2 * (4 + 4 + 1 + 1 - 2)
     assert fast.outputs[0].shape == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.full((2, 4), 1000), np.full((2, 4), -129), np.ones(4, dtype=np.int64), np.ones((2, 5), dtype=np.int64)],
+    ids=["above 8 bits", "below 8 bits", "1-D", "wrong K"],
+)
+def test_both_engines_check_the_group_input(a):
+    """A W8 grid of one 4 x 4 tile: both engines reject an input outside 8
+    bits, of another rank or with another K, before the traced one writes
+    any line; a list of rows is an input like its array."""
+    mode = PrecisionMode(Precision.W8, 1)
+    grid = prepare_weights([np.eye(4, dtype=np.int64)], mode, 4)
+    trace = io.StringIO()
+    with pytest.raises(ValueError):
+        array.evaluate_group(grid, a)
+    with pytest.raises(ValueError):
+        ArraySim(4, mode, trace=trace).stream_grid(grid, a)
+    assert trace.getvalue() == array.TRACE_HEADER + "\n"
+    rows = [[1, -2, 3, -128], [127, 0, 0, 5]]
+    want = np.array(rows)[:, None, :]
+    assert np.array_equal(array.evaluate_group(grid, rows), want)
+    assert np.array_equal(ArraySim(4, mode).stream_grid(grid, rows), want)
 
 
 def _raises(job, limit, monkeypatch, **kwargs):
@@ -317,7 +340,7 @@ def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
     grid = prepare_weights(job.weights, PrecisionMode(precision, nw), n)
     monkeypatch.setattr(array, "_PSUM_LIMIT", limit - 1)
     gates = [
-        list(array._may_overflow(unpack_words(np.stack([t.words for t in row]), precision)[0], 128))
+        list(array._may_overflow(decode_slots(np.stack([t.words for t in row]), precision), 128))
         for row in grid
     ]
     assert gates == [[False, True, False], [False, False, False]]
@@ -382,7 +405,7 @@ def test_gate_in_a_later_k_row_uses_that_rows_inputs(precision, nw, heavy, monke
 
     def gates(amax):
         return [
-            list(array._may_overflow(unpack_words(np.stack([t.words for t in row]), precision)[0], amax))
+            list(array._may_overflow(decode_slots(np.stack([t.words for t in row]), precision), amax))
             for row in grid
         ]
 
@@ -447,10 +470,10 @@ def test_row_pre_bound_is_sound(precision, n, tiles, heavy, amax, limit, seed):
     widest = np.full((1, n, n), _widest_word(precision), dtype=np.uint8)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(array, "_PSUM_LIMIT", limit)
-        gates = array._may_overflow(unpack_words(words, precision)[0], amax)
+        gates = array._may_overflow(decode_slots(words, precision), amax)
         bound = array._row_may_overflow(amax, n, precision)
         assert bound or not gates.any()
-        assert bound == array._may_overflow(unpack_words(widest, precision)[0], amax)[0]
+        assert bound == array._may_overflow(decode_slots(widest, precision), amax)[0]
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
@@ -468,7 +491,6 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(array, "unpack_words", spy("unpack_words", array.unpack_words))
     monkeypatch.setattr(array, "decode_slots", spy("decode_slots", array.decode_slots))
     monkeypatch.setattr(ArraySim, "__init__", spy("ArraySim", ArraySim.__init__))
     a = np.full((n, 2 * n), -128, dtype=np.int64)
