@@ -19,7 +19,7 @@ steady-state rate with fill and drain amortized away.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .array import stream_cycles
@@ -53,12 +53,8 @@ class AnalyticParams:
     @classmethod
     def for_mode(cls, size: int, weight_bits: int, **overrides) -> "AnalyticParams":
         """Defaults matching the built hardware at a given weight precision."""
-        params = cls(
-            size=size,
-            weight_bits=weight_bits,
-            reduce_stages=Precision.from_bits(weight_bits).reducer_stages,
-        )
-        return replace(params, **overrides) if overrides else params
+        reduce_stages = Precision.from_bits(weight_bits).reducer_stages
+        return cls(**{"size": size, "weight_bits": weight_bits, "reduce_stages": reduce_stages, **overrides})
 
 
 def dmul_latency(p: AnalyticParams) -> int:
@@ -116,13 +112,15 @@ def sweep(
     for m in mul_counts:
         for bits in weight_bits_list:
             p = AnalyticParams.for_mode(size, bits, mul_count=m, mac_stages=mac_stages)
+            latency = tile_latency(p)
             rows.append(
                 SweepRow(
                     mul_count=m,
                     precision=precision_label(p.act_bits, bits),
                     dmul_cycles=dmul_latency(p),
-                    latency_cycles=tile_latency(p),
-                    throughput_tops=throughput(p, clock_hz) / 1e12,
+                    latency_cycles=latency,
+                    # throughput(p, clock_hz), without forming the tile latency again
+                    throughput_tops=2 * parallel_factor(p) * p.size**3 / latency * clock_hz / 1e12,
                 )
             )
     return rows

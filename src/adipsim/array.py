@@ -426,17 +426,21 @@ class ArraySim:
 
         Registers are formed in blocks of at most `_TRACE_BLOCK` PE-cycles
         (whole passes when they fit) and checked where a pass's
-        `_may_overflow` gate is on. The first clock in run order out of
-        range raises `PsumOverflowError`, after the trace lines of the
-        clocks before it, with the clock and `held` on it.
+        `_may_overflow` gate is on; the per-pass gates are formed only when
+        the shape-only `_row_may_overflow` is on for the largest fed value.
+        The first clock in run order out of range raises
+        `PsumOverflowError`, after the trace lines of the clocks before it,
+        with the clock and `held` on it.
         """
         n, window = self.n, self.n + self.mac_stages
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
         period = load + steps
-        amax = np.tile(np.abs(feed).max(axis=(1, 2)), passes // sources)
-        gates = np.broadcast_to(_may_overflow(slots, amax), passes)
-        reducer = _fold_matrices(slots, _STAGE2_FOLD)
+        source_amax = np.abs(feed).max(axis=(1, 2))
+        gates = None
+        if _row_may_overflow(source_amax.max(), n, self.mode.precision):
+            gates = np.broadcast_to(_may_overflow(slots, np.tile(source_amax, passes // sources)), passes)
+            reducer = _fold_matrices(slots, _STAGE2_FOLD)
         start = self.cycle
         per = max(1, _TRACE_BLOCK // (n * n))  # clocks per block
         span = max(1, per // max(steps, 1))  # passes per block
@@ -450,11 +454,12 @@ class ArraySim:
                 held[block_passes] = registers[:, -1]
                 registers = registers.reshape(-1, n, n, 5)
                 cycles = (start + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
-                bad = np.zeros(len(cycles), dtype=bool)
-                if gates[block_passes].any():
+                fail = len(cycles)
+                if gates is not None and gates[block_passes].any():
                     stage2 = np.matmul(block[:, :clocks], reducer[block_passes]).reshape(-1, n)
                     bad = _out_of_range(registers[..., 1:], (1, 2, 3)) | _out_of_range(stage2, 1)
-                fail = int(bad.argmax()) if bad.any() else len(cycles)
+                    if bad.any():
+                        fail = int(bad.argmax())
                 if self._trace is not None:
                     self._write_trace(registers.transpose(0, 3, 1, 2), 0, fail, cycles)
                 if fail < len(cycles):
@@ -499,11 +504,22 @@ class ArraySim:
         column tile j, for each k, load grid[k][j] and stream the columns
         k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
         tiles. Returns the outputs summed over k, laid out as
-        `evaluate_group`'s. The whole grid is rotated into its tiles once."""
+        `evaluate_group`'s."""
+        slots, rows = self._run_grid(grid, a)
+        n, nw = self.n, self.mode.nw
+        m_dim = rows.shape[1]
+        outputs = _outputs(slots, rows, self.mode).reshape(grid.tp, grid.tk, m_dim, nw, n)
+        return outputs.sum(axis=1).transpose(1, 2, 0, 3).reshape(m_dim, nw, grid.tp * n)
+
+    def _run_grid(self, grid: PackedGrid, a) -> tuple[np.ndarray, np.ndarray]:
+        """Run and gate every pass of `stream_grid`, forming no output.
+        Returns the (4, tp*tk, n, n) slots of the passes in run order and
+        the (tk, M, n) input rows each k-row streams. The whole grid is
+        rotated into its tiles once."""
         check_tiles(grid)
         if (grid.mode, grid.n) != (self.mode, self.n):
             raise ValueError(f"grid tiles are not {self.mode} tiles of size {self.n}")
-        n, nw, window = self.n, self.mode.nw, len(self._window)
+        n, window = self.n, len(self._window)
         tk, tp = grid.tk, grid.tp
         a = _check_input(a, n, tk)
         m_dim, k_dim = a.shape
@@ -514,8 +530,7 @@ class ArraySim:
         tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
         slots = decode_slots(tiles, self.mode.precision).reshape(4, tp * tk, n, n).astype(np.int64)
         self._run(slots, feed, load_cycles(n, self.overlap_weights), np.zeros((tp * tk, n, n, 5), dtype=np.int64))
-        outputs = _outputs(slots, feed[:, window : window + m_dim], self.mode).reshape(tp, tk, m_dim, nw, n)
-        return outputs.sum(axis=1).transpose(1, 2, 0, 3).reshape(m_dim, nw, tp * n)
+        return slots, feed[:, window : window + m_dim]
 
     def run_tile(self, packed: PackedWeightTile, a_tile: np.ndarray) -> tuple[list[np.ndarray], int]:
         """Load one weight tile, stream one n x n input tile, gather results.
@@ -564,10 +579,11 @@ def evaluate_group(
 
     To raise, every pass of a k-row whose shape-only pre-bound
     (`_row_may_overflow`) is on for the largest input magnitude of that
-    k-row is also streamed, by an untraced `ArraySim.stream_grid` of that
-    k-row alone, which checks the registers of each pass whose own
-    `_may_overflow` gate is on, in the same j order. At the 32-bit limit no
-    tile the packed format can store turns the pre-bound on.
+    k-row is also run, by the run-and-gate part of an untraced
+    `ArraySim.stream_grid` of that k-row alone, which checks the registers
+    of each pass whose own `_may_overflow` gate is on, in the same j order,
+    and forms no output. At the 32-bit limit no tile the packed format can
+    store turns the pre-bound on.
     """
     check_tiles(grid)
     mode, n, tk, tp = grid.mode, grid.n, grid.tk, grid.tp
@@ -580,7 +596,7 @@ def evaluate_group(
     row_amax = column_amax.reshape(tk, n).max(axis=1)
     for k in np.flatnonzero(_row_may_overflow(row_amax, n, precision)):  # rare: stream its passes
         row = PackedGrid(grid.words[k * n : (k + 1) * n], mode, n)
-        ArraySim(n, mode, mac_stages, reduce_stages).stream_grid(row, a[:, k * n : (k + 1) * n])
+        ArraySim(n, mode, mac_stages, reduce_stages)._run_grid(row, a[:, k * n : (k + 1) * n])
     fields = bit_fields(grid.words[:k_dim], precision.weight_bits, nw)  # [t, k*n + q, j*n + c]
     dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
     slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * tp * n)

@@ -4,7 +4,8 @@ Three architectures share one pass structure: a pass pins one stationary
 weight tile and streams every input row tile through the array. A pass
 costs what the simulator's clock gives it, `array.load_cycles` plus
 `array.stream_cycles` for the streamed rows at the reducer depth of the
-pass precision.
+pass precision. `summary` costs each (stage, architecture) once, from the
+one plan that `stage_latency` and `stage_cost` also read.
 
 * WS   -- conventional weight-stationary baseline; pays an extra skew of
           n - 1 fill cycles per pass for input/output synchronization.
@@ -98,38 +99,34 @@ class StageCost:
         return self.bytes_in + self.bytes_w + self.bytes_out
 
 
-def _stage_precision(spec: StageSpec, arch: Arch) -> Precision:
-    if arch is Arch.ADIP and spec.is_projection:
-        return Precision.from_bits(spec.weight_bits)
-    return Precision.W8
+def _stage_plan(spec: StageSpec, arch: Arch, params: CostParams) -> tuple[int, int, int, int]:
+    """Row tiles, column tiles, pass count and per-pass cycles of one stage.
 
-
-def _stage_passes(spec: StageSpec, arch: Arch, params: CostParams) -> int:
-    tk = ceil_div(spec.k, params.n)
-    tp = ceil_div(spec.p, params.n)
-    base = spec.count * tk * tp
-    if arch is Arch.ADIP and spec.is_projection:
-        return ceil_div(base, _stage_precision(spec, arch).r)
-    return base
+    ADiP runs a projection at its weight precision, packing r column tiles
+    into a pass; every other stage runs 8-bit, one column tile per pass.
+    """
+    n = params.n
+    packed = arch is Arch.ADIP and spec.is_projection
+    precision = Precision.from_bits(spec.weight_bits) if packed else Precision.W8
+    tm = ceil_div(spec.m, n)
+    tp = ceil_div(spec.p, n)
+    passes = ceil_div(spec.count * ceil_div(spec.k, n) * tp, precision.r)
+    per_pass = load_cycles(n, params.overlap_weights)
+    per_pass += stream_cycles(n, tm * n, params.mac_stages, precision.reducer_stages)
+    if arch is Arch.WS:
+        per_pass += n - 1
+    return tm, tp, passes, per_pass
 
 
 def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
     """Total cycles of one stage: pass count times per-pass latency."""
-    n = params.n
-    rows = ceil_div(spec.m, n) * n
-    reduce_stages = _stage_precision(spec, arch).reducer_stages
-    per_pass = load_cycles(n, params.overlap_weights)
-    per_pass += stream_cycles(n, rows, params.mac_stages, reduce_stages)
-    if arch is Arch.WS:
-        per_pass += n - 1
-    return _stage_passes(spec, arch, params) * per_pass
+    _, _, passes, per_pass = _stage_plan(spec, arch, params)
+    return passes * per_pass
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
-    passes = _stage_passes(spec, arch, params)
-    tm = ceil_div(spec.m, params.n)
-    tp = ceil_div(spec.p, params.n)
-    cycles = stage_latency(spec, arch, params)
+    tm, tp, passes, per_pass = _stage_plan(spec, arch, params)
+    cycles = passes * per_pass
     bytes_out = 0
     if params.count_output_writes:
         bytes_out = spec.count * tm * tp * params.n**2 * params.output_bytes
@@ -167,27 +164,27 @@ def _pct_change(new: float, ref: float) -> float:
 
 def projection_latency_improvement(cfg: MhaConfig, params: CostParams) -> float:
     """Percent cycle reduction of the packed architecture on projections."""
-    dip = sum(
-        stage_latency(s, Arch.DIP, params) for s in stages(cfg) if s.is_projection
-    )
-    adip = sum(
-        stage_latency(s, Arch.ADIP, params) for s in stages(cfg) if s.is_projection
-    )
+    projections = [spec for spec in stages(cfg) if spec.is_projection]
+    adip, dip = (sum(stage_latency(s, arch, params) for s in projections) for arch in (Arch.ADIP, Arch.DIP))
     return _pct_change(adip, dip)
 
 
 def summary(cfg: MhaConfig, params: CostParams) -> dict:
-    """All totals plus the improvement percentages of ADiP relative to DiP."""
-    per_arch = {arch: evaluate(cfg, arch, params) for arch in Arch}
-    totals = {
-        arch.label: {
-            "cycles": sum(c.cycles for c in costs),
-            "seconds": sum(c.cycles for c in costs) / CLOCK_HZ,
+    """All totals plus the improvement percentages of ADiP relative to DiP,
+    from one `StageCost` per (stage, architecture)."""
+    specs = stages(cfg)
+    totals = {}
+    projection = {}
+    for arch in Arch:
+        costs = [stage_cost(spec, arch, params) for spec in specs]
+        cycles = sum(c.cycles for c in costs)
+        totals[arch.label] = {
+            "cycles": cycles,
+            "seconds": cycles / CLOCK_HZ,
             "energy_rel": sum(c.energy_rel for c in costs),
             "mem_bytes": sum(c.mem_bytes for c in costs),
         }
-        for arch, costs in per_arch.items()
-    }
+        projection[arch] = sum(c.cycles for spec, c in zip(specs, costs) if spec.is_projection)
     dip = totals[Arch.DIP.label]
     adip = totals[Arch.ADIP.label]
     return {
@@ -199,7 +196,7 @@ def summary(cfg: MhaConfig, params: CostParams) -> dict:
             "latency_improvement_pct": _pct_change(adip["cycles"], dip["cycles"]),
             "energy_improvement_pct": _pct_change(adip["energy_rel"], dip["energy_rel"]),
             "memory_savings_pct": _pct_change(adip["mem_bytes"], dip["mem_bytes"]),
-            "projection_latency_improvement_pct": projection_latency_improvement(cfg, params),
+            "projection_latency_improvement_pct": _pct_change(projection[Arch.ADIP], projection[Arch.DIP]),
         },
     }
 

@@ -1,9 +1,15 @@
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adipsim.cost import (
+    ADIP_POWER_BY_SIZE,
+    CLOCK_HZ,
     STAGE_CSV_COLUMNS,
     Arch,
     CostParams,
@@ -24,11 +30,20 @@ from adipsim.workload import (
     BERT_LARGE,
     BITNET_158B,
     GPT2_MEDIUM,
+    MhaConfig,
     Stage,
     StageSpec,
     projection_fraction,
     stages,
 )
+
+
+FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+
+# `tools/fingerprint.py`'s digest of its cost reports and sweep rows, as the
+# cost and analytic models gave it before `summary` built one StageCost per
+# (stage, architecture).
+COST_REPORTS_SHA256 = "87347a14c3aba844ca05a198b2b15cfe1c8ed5eb6fc0f6d4d0f0c33df83816c5"
 
 
 @pytest.fixture()
@@ -212,3 +227,59 @@ def test_stage_cost_matches_simulator(arch, precision, n, mac_stages, overlap):
     params = CostParams(n=n, mac_stages=mac_stages, overlap_weights=overlap)
     assert stage_latency(spec, arch, params) == result.total_cycles
     assert stage_cost(spec, arch, params).bytes_w // n**2 == result.pass_count
+
+
+def test_cost_reports_match_the_pinned_digest():
+    """Every report of the three built-in models at n = 4..64 under five
+    `CostParams` variants, and every `analytic.sweep()` row, is unchanged."""
+    spec = importlib.util.spec_from_file_location("fingerprint", FINGERPRINT)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    assert fingerprint.cost_digest() == (3 * 5 * 5 + 12, COST_REPORTS_SHA256)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    cfg=st.builds(
+        MhaConfig,
+        name=st.just("random"),
+        layers=st.integers(1, 3),
+        d_model=st.integers(1, 160),
+        heads=st.integers(1, 4),
+        d_k=st.integers(1, 80),
+        seq_len=st.integers(1, 160),
+        weight_bits=st.sampled_from([2, 4, 8]),
+    ),
+    params=st.builds(
+        CostParams,
+        n=st.sampled_from(sorted(ADIP_POWER_BY_SIZE)),
+        mac_stages=st.integers(1, 3),
+        overlap_weights=st.booleans(),
+        count_output_writes=st.booleans(),
+        output_bytes=st.sampled_from([1, 4]),
+    ),
+)
+def test_summary_equals_its_parts(cfg, params):
+    """Each total and percentage of `summary` is the one recomputed from
+    `evaluate` and `stage_latency`."""
+    report = summary(cfg, params)
+    for arch in Arch:
+        costs = evaluate(cfg, arch, params)
+        assert [c.cycles for c in costs] == [stage_latency(s, arch, params) for s in stages(cfg)]
+        cycles = sum(c.cycles for c in costs)
+        assert report["totals"][arch.label] == {
+            "cycles": cycles,
+            "seconds": cycles / CLOCK_HZ,
+            "energy_rel": sum(c.energy_rel for c in costs),
+            "mem_bytes": sum(c.mem_bytes for c in costs),
+        }
+    projections = [s for s in stages(cfg) if s.is_projection]
+    projection_cycles = {arch: sum(stage_latency(s, arch, params) for s in projections) for arch in Arch}
+    assert report["vs_dip"] == {
+        "latency_improvement_pct": _improvement(cfg, total_latency, params),
+        "energy_improvement_pct": _improvement(cfg, total_energy, params),
+        "memory_savings_pct": _improvement(cfg, memory_accesses, params),
+        "projection_latency_improvement_pct": 100.0
+        * (1.0 - projection_cycles[Arch.ADIP] / projection_cycles[Arch.DIP]),
+    }
+    assert report["vs_dip"]["projection_latency_improvement_pct"] == projection_latency_improvement(cfg, params)

@@ -502,3 +502,29 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
             result = run_tiled(MatMulJob(a, weights, precision, n))
             assert all(np.array_equal(got, a @ w) for got, w in zip(result.outputs, weights))
     assert calls == []
+
+
+def test_gated_untraced_rows_form_no_outputs(monkeypatch):
+    """Under a limit that turns every k-row's pre-bound on but overflows no
+    register, untraced `run_tiled` runs and gates each k-row's passes on
+    `ArraySim` without forming their outputs; its outputs still equal the
+    traced run's."""
+    job = _job(np.random.default_rng(3), Precision.W8, 1, 8, 16, 32, 24)
+    monkeypatch.setattr(array, "_PSUM_LIMIT", 1 << 17)
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(array, "_outputs", spy("_outputs", array._outputs))
+    monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
+    untraced = run_tiled(job)
+    assert calls == ["_run"] * 4  # one per k-row, each of its 3 passes gated
+    traced = run_tiled(job, trace=CountingSink())
+    assert calls[4:] == ["_run", "_outputs"]
+    assert (untraced.total_cycles, untraced.pass_count) == (traced.total_cycles, traced.pass_count)
+    assert all(np.array_equal(u, t) for u, t in zip(untraced.outputs, traced.outputs, strict=True))

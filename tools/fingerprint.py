@@ -1,5 +1,5 @@
 """One sha256 over many fixed-seed `run_tiled` runs, to show that a change
-to the simulator is bit-exact and cycle-exact.
+to the simulator is bit-exact and cycle-exact, and one over the cost reports.
 
     PYTHONPATH=src python3 tools/fingerprint.py --configs 200
 
@@ -9,23 +9,54 @@ depth, weight loading overlapped or not, and inputs of magnitude at most
 128, 16 or 2. It runs untraced and traced, at a psum limit of 2^31, 2^14
 and 2^12, so the small limits make many runs overflow. The digest covers
 every run's outputs with their dtype, its cycles and passes, or its
-overflow message, and the sha256 of its trace text. Run it with the same
-arguments on two checkouts and compare the last line.
+overflow message, and the sha256 of its trace text.
+
+A second digest, printed on its own line first, covers the closed-form
+models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
+under five `CostParams` variants, then the rows of
+`analytic.sweep()`, each as JSON with sorted keys. Run the tool with the
+same arguments on two checkouts and compare the output.
 """
 
 import argparse
 import hashlib
 import io
+import json
+from dataclasses import asdict
 
 import numpy as np
 
-from adipsim import array
+from adipsim import analytic, array, cost, workload
 from adipsim.pe import PsumOverflowError
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, run_tiled
 
 LIMITS = (1 << 31, 1 << 14, 1 << 12)
 INPUT_MAGNITUDES = (128, 16, 2)
+COST_SIZES = (4, 8, 16, 32, 64)
+COST_VARIANTS = (
+    {},
+    {"count_output_writes": True, "output_bytes": 1},
+    {"count_output_writes": True, "output_bytes": 4},
+    {"overlap_weights": False},
+    {"mac_stages": 2},
+)
+
+
+def cost_digest() -> tuple[int, str]:
+    """The number of documents and the sha256 over the cost reports and
+    the sweep rows, one sorted-key JSON line each."""
+    docs = [
+        cost.summary(cfg, cost.CostParams(n=n, **variant))
+        for cfg in workload.builtin_models()
+        for n in COST_SIZES
+        for variant in COST_VARIANTS
+    ]
+    docs += [asdict(row) for row in analytic.sweep()]
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    return len(docs), digest.hexdigest()
 
 
 def _config(rng):
@@ -71,6 +102,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.configs < 1:
         parser.error(f"--configs must be >= 1, got {args.configs}")
+    documents, cost_sha = cost_digest()
+    print(f"cost reports and sweep rows {documents} sha256 {cost_sha}")
     rng = np.random.default_rng(args.seed)
     digest = hashlib.sha256()
     runs = overflows = 0
