@@ -22,33 +22,25 @@ slot[g, q, c]; reducer stages 1 and 2 hold the folds of the bottom buses
 of rows s-m-n+1 and s-m-n; and each row's outputs are the fold of its own
 bottom buses.
 
-Two engines evaluate a pass (one weight load, then a run of streamed rows):
+One engine, `ArraySim`, runs every pass: one weight load, then a run of
+streamed rows. `stream` runs one pass on the rows it carries, `stream_grid`
+every pass of a fused group, whose tiles it rotates out of the grid's
+matrix-order words once. Both form the registers of a block of clocks, for
+a stack of passes at once, from the formulas above (`_registers`);
+`stream_grid` forms them only where a trace or an overflow check reads
+them. The reducer's fold is linear, so every output is one exact matmul of
+the input with the weight fields of the matrix-order words
+(`_group_outputs`).
 
-* `ArraySim` is the reference model and the only source of per-PE traces.
-  It keeps the weight slots and the last n + m rows fed, and forms the
-  registers of a block of clocks, for a stack of passes at once, from
-  those formulas (`_registers`): `stream` runs one pass on the carried
-  rows, `stream_grid` every pass of a fused group, whose tiles it rotates
-  out of the grid's matrix-order words once. Traces are formatted
-  without Python ints: every number is gathered as 8-byte ASCII words, one
-  per four decimal digits, from one table (`_group_words`) into a
-  fixed-width line buffer, and one `bytes.translate` drops the NUL
-  padding. Registers are checked only on passes whose inputs could reach
-  the limit: amax times the W8 fold reach of the slots (`_may_overflow`)
-  bounds every psum-bus and reducer value. The first clock out of range,
-  in run order, raises after the trace lines of the clocks before it.
-* `evaluate_group` computes, in one shot, every pass of one fused weight
-  group: the tk x tp tiles that all stream the same input. The reducer's
-  fold of the four buses is linear, so the group's outputs, summed over K,
-  are one matmul of the input with the weight fields of every tile, which
-  the grid's words, held in matrix order, give in one decode with no
-  rotation; the matmul is exact in float32 while 2^(6+w) * K <= 2^24 for
-  w-bit weights and in float64 above. No pass of a k-row can overflow
-  unless its largest input times n times the widest fold reach of any word
-  reaches the limit (`_row_may_overflow`), which no tile the packed format
-  can store does at 32 bits. Only such a k-row is also streamed, all its
-  passes at once, by `ArraySim.stream_grid`, which gates each pass and
-  raises.
+Registers are checked only on passes whose inputs could reach the limit:
+amax times the W8 fold reach of the slots (`_may_overflow`) bounds every
+psum-bus and reducer value, and that gate is formed only when a pre-bound
+that reads no weight (`_row_may_overflow`) is on, which no tile the packed
+format can store turns on at 32 bits. The first clock out of range, in run
+order, raises after the trace lines of the clocks before it. Traces are
+formatted without Python ints: every number is gathered as 8-byte ASCII
+words, one per four decimal digits, from one table (`_group_words`) into a
+fixed-width line buffer, and one `bytes.translate` drops the NUL padding.
 """
 
 from __future__ import annotations
@@ -71,17 +63,10 @@ _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 # least); bounds the kernel's and the trace formatter's temporaries.
 _TRACE_BLOCK = 1 << 12
 
-# The reducer's shift-adds as integer folds of a column's four bottom buses:
-# stage 1 forms bus0 + bus1 << 2 and bus2 + bus3 << 2, stage 2 forms
-# stage1[0] + stage1[1] << 4. 2-bit weights tap the buses, 4-bit stage 1
-# and 8-bit stage 2.
-_STAGE1_FOLD = np.array([[1, 4, 0, 0], [0, 0, 1, 4]], dtype=np.int64)
-_STAGE2_FOLD = np.array([[1, 16]], dtype=np.int64) @ _STAGE1_FOLD
-_TAP_FOLDS = {
-    Precision.W8: _STAGE2_FOLD,
-    Precision.W4: _STAGE1_FOLD,
-    Precision.W2: np.eye(4, dtype=np.int64),
-}
+# The reducer's widest value as an integer fold of a column's four bottom
+# buses: stage 1 forms bus0 + bus1 << 2 and bus2 + bus3 << 2, stage 2 (the
+# 8-bit tap) forms stage1[0] + stage1[1] << 4.
+_STAGE2_FOLD = np.array([[1, 4, 16, 64]], dtype=np.int64)
 
 TRACE_HEADER = "cycle,row,col,input,psum0,psum1,psum2,psum3"
 
@@ -239,8 +224,8 @@ def _widest_reach(precision: Precision) -> int:
 
 def _row_may_overflow(amax, n: int, precision: Precision):
     """A pre-bound of `_may_overflow` that reads no weight: False when no
-    tile of size n streaming inputs of magnitude at most `amax` (one bound
-    per k-row, or an array of them) can have its gate on.
+    tile of size n streaming inputs of magnitude at most `amax` can have
+    its gate on.
 
     A tile column's fold reach is a sum over its n words of each word's
     reach, so it is at most n times `_widest_reach`; the gate is on only
@@ -297,13 +282,28 @@ def _fold_matrices(slots: np.ndarray, folds: np.ndarray) -> np.ndarray:
     return np.einsum("fg,gpkc->pkfc", folds, unrotated).reshape(slots.shape[1], n, -1)
 
 
-def _outputs(slots: np.ndarray, rows: np.ndarray, mode: PrecisionMode) -> np.ndarray:
-    """The outputs of each pass p of the (4, P, n, n) `slots` for the fed
-    rows[p % K], shape (P, rows, nw, n): the folds of their bottom buses."""
-    n = slots.shape[-1]
-    taps = _fold_matrices(slots, _TAP_FOLDS[mode.precision][: mode.nw])
-    outputs = np.matmul(rows[None], taps.reshape(-1, len(rows), n, mode.nw * n))
-    return outputs.reshape(slots.shape[1], -1, mode.nw, n)
+def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.ndarray:
+    """Each row of the M x K input `a` times each of the nw weight matrices
+    held in the matrix-order uint8 `words` (at least K rows): an (M, nw,
+    columns) floating array of exact integers.
+
+    The words are cut into their nw signed weight fields, which one
+    transpose-copy lays out as a (K, nw * columns) slab; the outputs are
+    one matmul of the input with it. The result is exact: each output is a
+    sum of K products of an 8-bit input and a w-bit weight field, each at
+    most 2^(6+w) in magnitude, so every partial sum is at most 2^(6+w) * K.
+    The matmul runs in float32 when that bound is at most 2^24 and in
+    float64 otherwise; float64 would need K > 2^39 to reach 2^53, an input
+    of more than 4 TB per row. The outputs stay floating so that callers
+    convert each matrix once: an int64 copy of the whole group on top of
+    the per-matrix ones doubles the fresh memory of every run.
+    """
+    precision, nw = mode.precision, mode.nw
+    k_dim, columns = a.shape[1], words.shape[1]
+    fields = bit_fields(words[:k_dim], precision.weight_bits, nw)  # [t, k, column]
+    dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
+    slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * columns)
+    return (a.astype(dtype) @ slab).reshape(len(a), nw, columns)
 
 
 @dataclass
@@ -348,9 +348,12 @@ class ArraySim:
         self.overlap_weights = overlap_weights
         self.cycle = 0 if start_cycle is None else start_cycle
         self._trace = trace
-        self._loaded = False
-        self._slots = np.zeros((4, n, n), dtype=np.int64)
-        self._clear()
+        self._words = None  # the loaded tile's words, in matrix order
+        # No weights and no registers until the first load or clock: read-only
+        # zeros, so an instance that only runs `stream_grid` allocates none.
+        zero = np.zeros((), dtype=np.int64)
+        self._slots = np.broadcast_to(zero, (4, n, n))
+        self._held = np.broadcast_to(zero, (1, n, n, 5))
         if trace is not None and start_cycle is None:
             trace.write(TRACE_HEADER + "\n")
 
@@ -385,9 +388,10 @@ class ArraySim:
         if packed.mode != self.mode:
             raise ValueError(f"packed mode {packed.mode} does not match array mode {self.mode}")
         self._slots = decode_slots(packed.words, self.mode.precision).astype(np.int64)
+        self._words = np.empty_like(packed.words)
+        self._words[_diagonals(self.n), np.arange(self.n)] = packed.words
         self._clear()
         self.cycle += load_cycles(self.n, self.overlap_weights)
-        self._loaded = True
 
     def _write_trace(self, history: np.ndarray, after: int, steps: int, cycles: Optional[np.ndarray] = None) -> None:
         """Write the per-PE lines of the `steps` cycles after cycle `after`,
@@ -472,6 +476,8 @@ class ArraySim:
     def _feed(self, rows: np.ndarray, drain: int) -> None:
         """Feed `rows`, then `drain` zero rows, one per clock, on the loaded
         weights."""
+        if not self._held.flags.writeable:  # the first clock of a fresh instance
+            self._clear()
         window = len(self._window)
         feed = np.concatenate([self._window, rows, np.zeros((drain, self.n), dtype=np.int64)])
         start = self.cycle
@@ -490,114 +496,45 @@ class ArraySim:
         Returns, in input order, each row's per-matrix output rows with the
         absolute cycle at which the whole row left the array.
         """
-        if not self._loaded:
+        if self._words is None:
             raise PhaseError("streaming before weight load")
         rows = _check_rows(a_rows, self.n)
         count = rows.shape[0]
         first = self.cycle + self.n + self.mac_stages + self.reduce_stages - 1
         self._feed(rows, stream_cycles(self.n, count, self.mac_stages, self.reduce_stages) - count)
-        outputs = _outputs(self._slots[:, None], rows[None], self.mode)[0]
+        outputs = _group_outputs(self._words, rows, self.mode).astype(np.int64)
         return [CollectedRow(index=i, cycle=first + i, outputs=list(outputs[i])) for i in range(count)]
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
         """Every pass of one fused group as `run_tiled` prepares it: for each
         column tile j, for each k, load grid[k][j] and stream the columns
         k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
-        tiles. Returns the outputs summed over k, laid out as
-        `evaluate_group`'s."""
-        slots, rows = self._run_grid(grid, a)
-        n, nw = self.n, self.mode.nw
-        m_dim = rows.shape[1]
-        outputs = _outputs(slots, rows, self.mode).reshape(grid.tp, grid.tk, m_dim, nw, n)
-        return outputs.sum(axis=1).transpose(1, 2, 0, 3).reshape(m_dim, nw, grid.tp * n)
+        tiles. Returns the outputs summed over k, as `_group_outputs` gives
+        them: an (M, nw, tp*n) array whose [i, t] entry is row i of `a`
+        times matrix t, zero-padded to whole column tiles.
 
-    def _run_grid(self, grid: PackedGrid, a) -> tuple[np.ndarray, np.ndarray]:
-        """Run and gate every pass of `stream_grid`, forming no output.
-        Returns the (4, tp*tk, n, n) slots of the passes in run order and
-        the (tk, M, n) input rows each k-row streams. The whole grid is
-        rotated into its tiles once."""
+        The passes' registers are formed, from the grid rotated into its
+        tiles once, only with a trace sink or when `_row_may_overflow` is
+        on for the largest input magnitude; otherwise the clock advances
+        by each pass's load and stream cycles and no slot is decoded.
+        """
         check_tiles(grid)
         if (grid.mode, grid.n) != (self.mode, self.n):
             raise ValueError(f"grid tiles are not {self.mode} tiles of size {self.n}")
-        n, window = self.n, len(self._window)
+        n, window = self.n, self.n + self.mac_stages
         tk, tp = grid.tk, grid.tp
         a = _check_input(a, n, tk)
         m_dim, k_dim = a.shape
+        load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
-        feed = np.zeros((window + steps, tk * n), dtype=np.int64)
-        feed[window : window + m_dim, :k_dim] = a
-        feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
-        tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
-        slots = decode_slots(tiles, self.mode.precision).reshape(4, tp * tk, n, n).astype(np.int64)
-        self._run(slots, feed, load_cycles(n, self.overlap_weights), np.zeros((tp * tk, n, n, 5), dtype=np.int64))
-        return slots, feed[:, window : window + m_dim]
-
-    def run_tile(self, packed: PackedWeightTile, a_tile: np.ndarray) -> tuple[list[np.ndarray], int]:
-        """Load one weight tile, stream one n x n input tile, gather results.
-
-        Returns the nw exact product matrices and the streaming latency in
-        cycles (weight-load cycles are tracked on `self.cycle` separately).
-        """
-        a_tile = np.asarray(a_tile)
-        if a_tile.shape != (self.n, self.n):
-            raise ValueError(f"input tile must be {self.n}x{self.n}, got {a_tile.shape}")
-        self.load_weights(packed)
-        start = self.cycle
-        collected = self.stream(a_tile)
-        cycles = self.cycle - start
-        outputs = [
-            np.stack([row.outputs[t] for row in collected]) for t in range(self.mode.nw)
-        ]
-        return outputs, cycles
-
-
-def evaluate_group(
-    grid: PackedGrid,
-    a: np.ndarray,
-    mac_stages: int = 1,
-    reduce_stages: Optional[int] = None,
-) -> np.ndarray:
-    """Every pass of one fused group, in one shot: for each tile (k, j) of
-    the packed tk x tp `grid`, what `ArraySim.load_weights(grid[k][j])` then
-    `ArraySim.stream` of the input columns k*n .. (k+1)*n of `a`, zero-padded
-    to whole row tiles, would collect, summed over k.
-
-    Returns the outputs as a (M, nw, tp*n) array, whose [i, t] entry is row
-    i of `a` times matrix t (zero-padded to whole column tiles). Raises
-    `PsumOverflowError` exactly when `ArraySim` would on some pass.
-
-    The whole grid is decoded at once: its words, already in matrix order,
-    are cut into their nw signed weight fields, which one transpose-copy
-    lays out as a (tk*n, nw*tp*n) slab; the outputs are one matmul of the M
-    input rows with that slab. No tile is rotated. The result is exact: each
-    output is a sum of K products of an 8-bit input and a w-bit weight
-    field, each at most 2^(6+w) in magnitude, so every partial sum is at
-    most 2^(6+w) * K. The matmul runs in float32 when that bound is at most
-    2^24 and in float64 otherwise; float64 would need K > 2^39 to reach
-    2^53, an input of more than 4 TB per row. The outputs stay floating so
-    that callers convert each matrix once.
-
-    To raise, every pass of a k-row whose shape-only pre-bound
-    (`_row_may_overflow`) is on for the largest input magnitude of that
-    k-row is also run, by the run-and-gate part of an untraced
-    `ArraySim.stream_grid` of that k-row alone, which checks the registers
-    of each pass whose own `_may_overflow` gate is on, in the same j order,
-    and forms no output. At the 32-bit limit no tile the packed format can
-    store turns the pre-bound on.
-    """
-    check_tiles(grid)
-    mode, n, tk, tp = grid.mode, grid.n, grid.tk, grid.tp
-    precision, nw = mode.precision, mode.nw
-    reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
-    a = _check_input(a, n, tk)
-    m_dim, k_dim = a.shape
-    column_amax = np.zeros(tk * n, dtype=np.int64)
-    column_amax[:k_dim] = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
-    row_amax = column_amax.reshape(tk, n).max(axis=1)
-    for k in np.flatnonzero(_row_may_overflow(row_amax, n, precision)):  # rare: stream its passes
-        row = PackedGrid(grid.words[k * n : (k + 1) * n], mode, n)
-        ArraySim(n, mode, mac_stages, reduce_stages)._run_grid(row, a[:, k * n : (k + 1) * n])
-    fields = bit_fields(grid.words[:k_dim], precision.weight_bits, nw)  # [t, k*n + q, j*n + c]
-    dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
-    slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * tp * n)
-    return (a.astype(dtype) @ slab).reshape(m_dim, nw, tp * n)
+        amax = int(max(a.max(initial=0), -a.min(initial=0)))
+        if self._trace is None and not _row_may_overflow(amax, n, self.mode.precision):
+            self.cycle += tk * tp * (load + steps)
+        else:
+            feed = np.zeros((window + steps, tk * n), dtype=np.int64)
+            feed[window : window + m_dim, :k_dim] = a
+            feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
+            tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
+            slots = decode_slots(tiles, self.mode.precision).reshape(4, tp * tk, n, n).astype(np.int64)
+            self._run(slots, feed, load, np.zeros((tp * tk, n, n, 5), dtype=np.int64))
+        return _group_outputs(grid.words, a, self.mode)

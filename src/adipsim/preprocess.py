@@ -19,7 +19,7 @@ tiles. The rotation is applied only where a tile's position matters, at the
 array and at the file: `grid[k][j]` and `PackedGrid.rotated_tiles` give
 tiles as the array loads them, `write_packed` stores them so, and
 `read_packed` un-rotates them once. `unprepare_weights` and the array's
-untraced group evaluation decode the matrix-order words directly. Every
+group outputs decode the matrix-order words directly. Every
 function that reads a grid takes a `PackedGrid` and rejects one with no
 tiles.
 """

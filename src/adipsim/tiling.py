@@ -10,12 +10,10 @@ Jobs carrying several same-shape weight matrices at a narrow width are
 fused into groups of r = 8 / weight_bits matrices per pass, which divides
 the pass count by r while streaming the shared input once.
 
-Every pass of a fused group streams the same input, so both engines take
-a group at once. Untraced runs evaluate it with one exact matmul over the
-whole K (`array.evaluate_group`) and convert each output matrix once;
-traced runs hand all its passes to the reference `ArraySim.stream_grid`,
-which forms their registers block by block and writes the per-PE trace.
-Both give the same outputs, cycle counts, pass counts and overflow errors.
+Every pass of a fused group streams the same input, so `run_tiled` hands
+each group at once to `ArraySim.stream_grid`, traced or not. It forms
+registers only where a trace or an overflow check needs them, and takes
+the group's outputs from one exact matmul over the whole K.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim, evaluate_group, load_cycles, resolve_stages, stream_cycles
+from .array import ArraySim
 from .numerics import ceil_div, check_signed
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
@@ -148,43 +146,29 @@ def run_tiled(
 
     Results are exact; `total_cycles` sums pass latencies (plus weight-load
     cycles when `overlap_weights` is off) and `pass_count` counts weight-tile
-    loads across all fused groups. Given a `trace` sink, each fused group
-    runs on the reference `ArraySim`, which writes its per-PE trace there;
-    without one, each group is evaluated whole.
+    loads across all fused groups. Each fused group runs on one `ArraySim`,
+    whose clock gives the cycles and which writes its per-PE trace to the
+    `trace` sink when one is given.
     """
     m_dim, _, p_dim = job.shape
     n = job.n
-    reduce_stages = resolve_stages(job.precision, mac_stages, reduce_stages)
     the_plan = plan(job)
-    tm, tk, tp = the_plan.tm, the_plan.tk, the_plan.tp
-    pass_cycles = load_cycles(n, overlap_weights) + stream_cycles(n, tm * n, mac_stages, reduce_stages)
+    tk, tp = the_plan.tk, the_plan.tp
 
     outputs = []
-    total_cycles = 0
-    base = 0
+    total_cycles = base = 0
     for nw in the_plan.group_sizes:
         group = job.weights[base : base + nw]
         mode = PrecisionMode(job.precision, nw)
         grid = prepare_weights(group, mode, n)
-        if trace is not None:
-            sim = ArraySim(
-                n,
-                mode,
-                mac_stages=mac_stages,
-                reduce_stages=reduce_stages,
-                overlap_weights=overlap_weights,
-                trace=trace,
-                # later groups continue the first one's trace and clock
-                start_cycle=total_cycles if base else None,
-            )
-        if not (tk and tp):  # K = 0 or P = 0 has no passes
-            products = np.zeros((m_dim, nw, p_dim))
-        elif trace is None:
-            products = evaluate_group(grid, job.a, mac_stages, reduce_stages)
-        else:
+        start_cycle = total_cycles if base else None  # later groups continue the first one's trace and clock
+        sim = ArraySim(n, mode, mac_stages, reduce_stages, overlap_weights, trace, start_cycle)
+        if tk and tp:
             products = sim.stream_grid(grid, job.a)
+        else:  # K = 0 or P = 0 has no passes
+            products = np.zeros((m_dim, nw, p_dim))
         outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]
-        total_cycles += tk * tp * pass_cycles
+        total_cycles = sim.cycle
         base += nw
 
     return TiledResult(outputs=outputs, total_cycles=total_cycles, pass_count=the_plan.pass_count)

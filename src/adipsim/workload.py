@@ -18,6 +18,7 @@ counted. One multiply plus one add counts as two operations.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -54,6 +55,12 @@ class MhaConfig:
     weight_bits: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        for field_name in ("layers", "d_model", "heads", "d_k", "seq_len", "weight_bits"):
+            value = getattr(self, field_name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field_name} must be an integer, got {value!r}")
         for field_name in ("layers", "d_model", "heads", "d_k", "seq_len"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be positive")
@@ -137,6 +144,8 @@ def projection_fraction(cfg: MhaConfig) -> float:
 
 
 def config_from_dict(doc: dict) -> MhaConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     required = {"name", "layers", "d_model", "heads", "d_k", "seq_len", "weight_bits"}
     missing = required - doc.keys()
     if missing:

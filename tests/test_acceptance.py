@@ -118,7 +118,10 @@ def test_c03_cycle_fidelity_across_sizes():
             lo, hi = _weight_range(precision.weight_bits)
             grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
             sim = ArraySim(n, mode)
-            outputs, measured = sim.run_tile(grid[0][0], rng.integers(-128, 128, (n, n)))
+            sim.load_weights(grid[0][0])
+            start = sim.cycle
+            sim.stream(rng.integers(-128, 128, (n, n)))
+            measured = sim.cycle - start
             params = AnalyticParams.for_mode(n, precision.weight_bits)
             assert dmul_latency(params) == 1
             assert measured == tile_latency(params), (n, precision)

@@ -120,7 +120,10 @@ def test_model_matches_simulator_measurement(weight_bits, mac_stages):
     hi = (1 << (weight_bits - 1)) - 1
     grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
     sim = ArraySim(n, mode, mac_stages=mac_stages)
-    _, measured = sim.run_tile(grid[0][0], rng.integers(-128, 128, (n, n)))
+    sim.load_weights(grid[0][0])
+    start = sim.cycle
+    sim.stream(rng.integers(-128, 128, (n, n)))
+    measured = sim.cycle - start
     params = AnalyticParams.for_mode(n, weight_bits, mac_stages=mac_stages)
     assert dmul_latency(params) == 1
     assert measured == tile_latency(params)

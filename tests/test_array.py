@@ -30,13 +30,23 @@ def _single_tile(mode, weights, n):
     return prepare_weights(weights, mode, n)[0][0]
 
 
+def _run_tile(sim, packed, a_tile):
+    """Load one weight tile and stream one input tile: the nw product
+    matrices and the streaming latency in cycles."""
+    sim.load_weights(packed)
+    start = sim.cycle
+    collected = sim.stream(a_tile)
+    outputs = [np.stack([row.outputs[t] for row in collected]) for t in range(sim.mode.nw)]
+    return outputs, sim.cycle - start
+
+
 def test_identity_input_reproduces_weight_rows():
     rng = np.random.default_rng(0)
     n = 4
     mode = PrecisionMode(Precision.W8, 1)
     w = rng.integers(-128, 128, size=(n, n))
     sim = ArraySim(n, mode)
-    outputs, _ = sim.run_tile(_single_tile(mode, [w], n), np.eye(n, dtype=np.int64))
+    outputs, _ = _run_tile(sim, _single_tile(mode, [w], n), np.eye(n, dtype=np.int64))
     assert np.array_equal(outputs[0], w)
 
 
@@ -47,7 +57,7 @@ def test_single_tile_matches_plain_matmul(mode):
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
     sim = ArraySim(n, mode)
-    outputs, _ = sim.run_tile(_single_tile(mode, weights, n), a)
+    outputs, _ = _run_tile(sim, _single_tile(mode, weights, n), a)
     assert len(outputs) == mode.nw
     for got, w in zip(outputs, weights):
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
@@ -139,7 +149,7 @@ def test_all_ones_tile():
     mode = PrecisionMode(Precision.W8, 1)
     ones = np.ones((n, n), dtype=np.int64)
     sim = ArraySim(n, mode)
-    outputs, _ = sim.run_tile(_single_tile(mode, [ones], n), ones)
+    outputs, _ = _run_tile(sim, _single_tile(mode, [ones], n), ones)
     assert (outputs[0] == n).all()
 
 
@@ -149,7 +159,7 @@ def test_zero_weights_give_zero_outputs():
     mode = PrecisionMode(Precision.W2, 4)
     sim = ArraySim(n, mode)
     zeros = [np.zeros((n, n), dtype=np.int64)] * 4
-    outputs, _ = sim.run_tile(_single_tile(mode, zeros, n), rng.integers(-128, 128, (n, n)))
+    outputs, _ = _run_tile(sim, _single_tile(mode, zeros, n), rng.integers(-128, 128, (n, n)))
     for out in outputs:
         assert not out.any()
 
@@ -159,9 +169,9 @@ def test_reload_clears_previous_psums():
     n = 4
     mode = PrecisionMode(Precision.W8, 1)
     sim = ArraySim(n, mode)
-    sim.run_tile(_single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
-    outputs, _ = sim.run_tile(
-        _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n), rng.integers(-128, 128, (n, n))
+    _run_tile(sim, _single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
+    outputs, _ = _run_tile(
+        sim, _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n), rng.integers(-128, 128, (n, n))
     )
     assert not outputs[0].any()
 
@@ -201,7 +211,7 @@ def test_extra_mac_stage_delays_but_stays_exact():
         a = rng.integers(-128, 128, size=(n, n))
         weights = _random_weights(rng, mode, (n, n))
         sim = ArraySim(n, mode, mac_stages=2)
-        outputs, cycles = sim.run_tile(_single_tile(mode, weights, n), a)
+        outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
         assert cycles == 2 * n + 2 + mode.precision.reducer_stages - 2
         for got, w in zip(outputs, weights):
             assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
@@ -214,7 +224,7 @@ def test_reduce_stage_override():
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
     sim = ArraySim(n, mode, reduce_stages=3)
-    outputs, cycles = sim.run_tile(_single_tile(mode, weights, n), a)
+    outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
     assert cycles == 2 * n + 1 + 3 - 2
     for got, w in zip(outputs, weights):
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
@@ -228,7 +238,7 @@ def test_trace_records_every_pe_every_cycle():
     mode = PrecisionMode(Precision.W8, 1)
     buf = io.StringIO()
     sim = ArraySim(n, mode, trace=buf)
-    sim.run_tile(_single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
+    _run_tile(sim, _single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
     lines = buf.getvalue().splitlines()
     assert lines[0] == TRACE_HEADER
     steps = 2 * n + 1 + 2 - 2

@@ -253,6 +253,31 @@ def test_workload_custom_json_model(capsys, tmp_path):
     assert "model tiny" in out
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("layers", 1.5), ("d_model", "64"), ("heads", True), ("weight_bits", 8.0), ("name", 5)],
+)
+def test_workload_json_model_fields_must_be_integers(capsys, tmp_path, field, value):
+    """A fractional, string or boolean count in a model file exits 2 with a
+    message naming the field, before any report line."""
+    doc = {"name": "tiny", "layers": 2, "d_model": 64, "heads": 4, "d_k": 16, "seq_len": 32, "weight_bits": 4}
+    doc[field] = value
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "workload", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"adipsim: {field} must be ")
+
+
+def test_workload_json_model_must_be_an_object(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "workload", str(path))
+    assert (code, out) == (2, "")
+    assert "must be a JSON object" in err
+
+
 def test_workload_unknown_model(capsys):
     code, _, err = run_cli(capsys, "workload", "nosuchmodel")
     assert code == 2

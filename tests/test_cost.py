@@ -44,6 +44,16 @@ FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 # cost and analytic models gave it before `summary` built one StageCost per
 # (stage, architecture).
 COST_REPORTS_SHA256 = "87347a14c3aba844ca05a198b2b15cfe1c8ed5eb6fc0f6d4d0f0c33df83816c5"
+# Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
+# and traced at three psum limits: 600 runs, 92 of them overflowing.
+RUNS_SHA256 = "2a7bb6ade0b4078e72d373a3f3ff2d09a85b07a8bca424b86bf18aa84c94a2f5"
+
+
+def _fingerprint():
+    spec = importlib.util.spec_from_file_location("fingerprint", FINGERPRINT)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    return fingerprint
 
 
 @pytest.fixture()
@@ -232,10 +242,13 @@ def test_stage_cost_matches_simulator(arch, precision, n, mac_stages, overlap):
 def test_cost_reports_match_the_pinned_digest():
     """Every report of the three built-in models at n = 4..64 under five
     `CostParams` variants, and every `analytic.sweep()` row, is unchanged."""
-    spec = importlib.util.spec_from_file_location("fingerprint", FINGERPRINT)
-    fingerprint = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fingerprint)
-    assert fingerprint.cost_digest() == (3 * 5 * 5 + 12, COST_REPORTS_SHA256)
+    assert _fingerprint().cost_digest() == (3 * 5 * 5 + 12, COST_REPORTS_SHA256)
+
+
+def test_simulator_runs_match_the_pinned_digest():
+    """Outputs, cycles, passes, overflow messages and trace bytes of the
+    fingerprint's random `run_tiled` configs are unchanged."""
+    assert _fingerprint().run_digest(100, 0) == (600, 92, RUNS_SHA256)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

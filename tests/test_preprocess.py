@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adipsim.array import ArraySim, evaluate_group
+from adipsim.array import ArraySim
 from adipsim.preprocess import (
     PackedGrid,
     PackedWeightTile,
@@ -435,14 +435,15 @@ def test_read_packed_yields_a_grid_or_value_error(data):
 @pytest.mark.parametrize("mode", MODE_CONFIGS, ids=lambda m: f"{m.precision.name}x{m.nw}")
 @pytest.mark.parametrize("n, m, k, p", [(1, 3, 2, 5), (4, 5, 7, 6), (4, 0, 9, 3), (3, 2, 3, 3), (8, 1, 17, 9)])
 def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k, p):
-    """The untraced group evaluation is the input times the weights that
-    `unprepare_weights` recovers from the same grid, cut to the input's K:
-    for every mode, at n = 1, with ragged K and P, and with no input rows."""
+    """An untraced `ArraySim.stream_grid` of a whole group is the input
+    times the weights that `unprepare_weights` recovers from the same grid,
+    cut to the input's K: for every mode, at n = 1, with ragged K and P, and
+    with no input rows."""
     rng = np.random.default_rng(n * 1000 + m * 100 + k * 10 + p)
     lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
     grid = prepare_weights([rng.integers(lo, hi, size=(k, p)) for _ in range(mode.nw)], mode, n)
     a = rng.integers(-128, 128, size=(m, k))
-    products = evaluate_group(grid, a)
+    products = ArraySim(n, mode).stream_grid(grid, a)
     assert products.shape == (m, mode.nw, len(grid[0]) * n)
     for t, matrix in enumerate(unprepare_weights(grid)):
         assert np.array_equal(products[:, t], a @ matrix[:k])
@@ -468,7 +469,8 @@ def test_packed_grid_equals_its_list_of_tiles(mode, n, data):
             assert tile.mode == mode
             assert np.array_equal(tile.words, interleave([permute(b) for b in blocks], mode).words)
     if not (k_dim and p_dim):
-        for reader in (unprepare_weights, lambda g: evaluate_group(g, a), lambda g: write_packed(g, io.BytesIO())):
+        untraced = ArraySim(n, mode).stream_grid
+        for reader in (unprepare_weights, lambda g: untraced(g, a), lambda g: write_packed(g, io.BytesIO())):
             with pytest.raises(ValueError):
                 reader(grid)
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Whole-pass evaluation against the stepped reference `ArraySim`.
+"""Untraced against traced runs of the one group engine, `ArraySim.stream_grid`.
 
-Untraced `run_tiled` evaluates each block of passes in one shot; traced `run_tiled` steps
-the reference model. Both must agree on outputs, cycles, pass counts and on
-which inputs overflow the 32-bit psum bus or reducer.
+Untraced `run_tiled` forms a group's registers only where an overflow check
+needs them; traced `run_tiled` forms and writes every one. Both must agree
+on outputs, cycles, pass counts and on which inputs overflow the 32-bit
+psum bus or reducer, and with which message.
 """
 
 import io
@@ -109,21 +110,21 @@ def test_empty_input_keeps_stepped_cycle_count():
     ids=["above 8 bits", "below 8 bits", "1-D", "wrong K"],
 )
 def test_both_engines_check_the_group_input(a):
-    """A W8 grid of one 4 x 4 tile: both engines reject an input outside 8
-    bits, of another rank or with another K, before the traced one writes
-    any line; a list of rows is an input like its array."""
+    """A W8 grid of one 4 x 4 tile: untraced and traced `stream_grid` reject
+    an input outside 8 bits, of another rank or with another K, before the
+    traced one writes any line; a list of rows is an input like its array."""
     mode = PrecisionMode(Precision.W8, 1)
     grid = prepare_weights([np.eye(4, dtype=np.int64)], mode, 4)
     trace = io.StringIO()
     with pytest.raises(ValueError):
-        array.evaluate_group(grid, a)
+        ArraySim(4, mode).stream_grid(grid, a)
     with pytest.raises(ValueError):
         ArraySim(4, mode, trace=trace).stream_grid(grid, a)
     assert trace.getvalue() == array.TRACE_HEADER + "\n"
     rows = [[1, -2, 3, -128], [127, 0, 0, 5]]
     want = np.array(rows)[:, None, :]
-    assert np.array_equal(array.evaluate_group(grid, rows), want)
     assert np.array_equal(ArraySim(4, mode).stream_grid(grid, rows), want)
+    assert np.array_equal(ArraySim(4, mode, trace=io.StringIO()).stream_grid(grid, rows), want)
 
 
 def _raises(job, limit, monkeypatch, **kwargs):
@@ -354,9 +355,8 @@ def test_gate_is_off_for_every_storable_tile_size(precision, opens_at):
     """The packed-file header holds n in 16 bits, so no storable tile column
     is longer than 65 535 rows. A column of that length, every word the one
     with the widest W8 fold reach, streaming full-scale inputs, keeps the
-    gate off at the real 32-bit limit, so `evaluate_group` steps no pass of
-    such a tile on the reference. The gate opens once the column could
-    reach the limit."""
+    gate off at the real 32-bit limit, so an untraced run forms no register
+    of such a tile. The gate opens once the column could reach the limit."""
     slots = decode_slots(np.arange(256), precision)  # [g, word]
     reach = (np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0)
     word = int(reach.argmax())
@@ -480,8 +480,8 @@ def test_row_pre_bound_is_sound(precision, n, tiles, heavy, amax, limit, seed):
 def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
     """At the 32-bit limit, with full-scale -128 inputs and every word the
     widest one (or its low fields, for fewer matrices), untraced `run_tiled`
-    decodes no 2-bit slots and builds no `ArraySim` for any precision and
-    nw: the pre-bound keeps every k-row off the gated path."""
+    decodes no 2-bit slots and forms no register (`ArraySim._run`) for any
+    precision and nw: the pre-bound keeps every group off the gated path."""
     calls = []
 
     def spy(name, fn):
@@ -491,8 +491,10 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
 
         return wrapper
 
+    for precision in Precision:  # the pre-bound's own decode, once per process
+        array._widest_reach(precision)
     monkeypatch.setattr(array, "decode_slots", spy("decode_slots", array.decode_slots))
-    monkeypatch.setattr(ArraySim, "__init__", spy("ArraySim", ArraySim.__init__))
+    monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
     a = np.full((n, 2 * n), -128, dtype=np.int64)
     for precision in Precision:
         word = np.array(_widest_word(precision), dtype=np.uint8)
@@ -505,10 +507,10 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
 
 
 def test_gated_untraced_rows_form_no_outputs(monkeypatch):
-    """Under a limit that turns every k-row's pre-bound on but overflows no
-    register, untraced `run_tiled` runs and gates each k-row's passes on
-    `ArraySim` without forming their outputs; its outputs still equal the
-    traced run's."""
+    """Under a limit that turns the group's pre-bound on but overflows no
+    register, untraced `run_tiled` runs and gates all the group's passes
+    with one `_run` and forms its outputs once, as the traced run does;
+    its outputs equal the traced run's."""
     job = _job(np.random.default_rng(3), Precision.W8, 1, 8, 16, 32, 24)
     monkeypatch.setattr(array, "_PSUM_LIMIT", 1 << 17)
     calls = []
@@ -520,11 +522,31 @@ def test_gated_untraced_rows_form_no_outputs(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(array, "_outputs", spy("_outputs", array._outputs))
+    monkeypatch.setattr(array, "_group_outputs", spy("_group_outputs", array._group_outputs))
     monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
     untraced = run_tiled(job)
-    assert calls == ["_run"] * 4  # one per k-row, each of its 3 passes gated
+    assert calls == ["_run", "_group_outputs"]  # all 4 x 3 passes gated in one run
     traced = run_tiled(job, trace=CountingSink())
-    assert calls[4:] == ["_run", "_outputs"]
+    assert calls[2:] == ["_run", "_group_outputs"]
     assert (untraced.total_cycles, untraced.pass_count) == (traced.total_cycles, traced.pass_count)
     assert all(np.array_equal(u, t) for u, t in zip(untraced.outputs, traced.outputs, strict=True))
+
+
+def test_untraced_and_traced_runs_raise_the_same_overflow(monkeypatch):
+    """Both runs step a gated group's passes in one order, j then k, so the
+    first register out of range is the same one: at limit 75 pass (j=0,
+    k=1) puts 55 * 3 on a psum bus before pass (j=1, k=0) folds 1 * -80
+    in the reducer."""
+    job = MatMulJob(
+        a=[[1, 55, -20]],
+        weights=[[[-14, -80, 66], [39, 99, -94], [93, -114, 37]]],
+        precision=Precision.W8,
+        n=1,
+    )
+    monkeypatch.setattr(array, "_PSUM_LIMIT", 75)
+    messages = []
+    for trace in (None, CountingSink()):
+        with pytest.raises(PsumOverflowError) as raised:
+            run_tiled(job, trace=trace)
+        messages.append(str(raised.value))
+    assert messages == ["psum bus overflow", "psum bus overflow"]

@@ -95,21 +95,15 @@ def _record(job, options, traced):
     return outcome + b" trace " + hashlib.sha256(text.encode()).hexdigest().encode() + b"\n", overflowed
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--configs", type=int, default=200, help="random configs, each run 6 times")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.configs < 1:
-        parser.error(f"--configs must be >= 1, got {args.configs}")
-    documents, cost_sha = cost_digest()
-    print(f"cost reports and sweep rows {documents} sha256 {cost_sha}")
-    rng = np.random.default_rng(args.seed)
+def run_digest(configs: int, seed: int) -> tuple[int, int, str]:
+    """The number of runs, how many overflowed, and the sha256 over the
+    records of `configs` random configs drawn from `seed`."""
+    rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     runs = overflows = 0
     saved = array._PSUM_LIMIT
     try:
-        for _ in range(args.configs):
+        for _ in range(configs):
             job, options = _config(rng)
             for limit in LIMITS:
                 array._PSUM_LIMIT = limit
@@ -120,8 +114,21 @@ def main(argv=None) -> None:
                     overflows += overflowed
     finally:
         array._PSUM_LIMIT = saved
+    return runs, overflows, digest.hexdigest()
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--configs", type=int, default=200, help="random configs, each run 6 times")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.configs < 1:
+        parser.error(f"--configs must be >= 1, got {args.configs}")
+    documents, cost_sha = cost_digest()
+    print(f"cost reports and sweep rows {documents} sha256 {cost_sha}")
+    runs, overflows, sha = run_digest(args.configs, args.seed)
     print(f"runs {runs} overflows {overflows}")
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256 {sha}")
 
 
 if __name__ == "__main__":
