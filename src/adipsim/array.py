@@ -22,25 +22,28 @@ slot[g, q, c]; reducer stages 1 and 2 hold the folds of the bottom buses
 of rows s-m-n+1 and s-m-n; and each row's outputs are the fold of its own
 bottom buses.
 
-One engine, `ArraySim`, runs every pass: one weight load, then a run of
-streamed rows. `stream` runs one pass on the rows it carries, `stream_grid`
-every pass of a fused group, whose tiles it rotates out of the grid's
-matrix-order words once. Both form the registers of a block of clocks, for
-a stack of passes at once, from the formulas above (`_registers`);
-`stream_grid` forms them only where a trace or an overflow check reads
-them. The reducer's fold is linear, so every output is one exact matmul of
+One engine, `ArraySim`, runs every pass of a job on one instance, set up
+by the weight precision as the array's computation mode is; how many
+matrices share a stationary word comes with each tile or grid it is
+given. A pass is one weight load, then a run of streamed rows. `stream`
+runs one pass on the rows it carries, `stream_grid` every pass of a fused
+group, whose tiles it rotates out of the grid's matrix-order words once.
+Both form the registers of a block of clocks, for a stack of passes at
+once, from the formulas above (`_registers`); `stream_grid` forms them
+only where a trace or an overflow check reads them. The reducer's fold is linear, so every output is one exact matmul of
 the input with the weight fields of the matrix-order words
 (`_group_outputs`).
 
-Registers are checked only on passes whose inputs could reach the limit:
-amax times the W8 fold reach of the slots (`_may_overflow`) bounds every
-psum-bus and reducer value, and that gate is formed only when a pre-bound
-that reads no weight (`_row_may_overflow`) is on, which no tile the packed
-format can store turns on at 32 bits. The first clock out of range, in run
-order, raises after the trace lines of the clocks before it. Traces are
-formatted without Python ints: every number is gathered as 8-byte ASCII
-words, one per four decimal digits, from one table (`_group_words`) into a
-fixed-width line buffer, and one `bytes.translate` drops the NUL padding.
+Registers are checked only when the inputs could reach the limit: one
+bound that reads no weight (`_row_may_overflow`), the largest input
+magnitude times n times the widest word's W8 fold reach, covers every
+psum-bus and reducer value, and no tile the packed format can store turns
+it on at 32 bits. While it is on, every register is checked; the first
+clock out of range, in run order, raises after the trace lines of the
+clocks before it. Traces are formatted without Python ints: every number
+is gathered as 8-byte ASCII words, one per four decimal digits, from one
+table (`_group_words`) into a fixed-width line buffer, and one
+`bytes.translate` drops the NUL padding.
 """
 
 from __future__ import annotations
@@ -198,22 +201,6 @@ def _check_register(values: np.ndarray, what: str) -> None:
         raise PsumOverflowError(f"{what} overflow")
 
 
-def _may_overflow(slots: np.ndarray, amax):
-    """False when no psum-bus or reducer value formed from inputs of
-    magnitude at most `amax` can leave the register range. `slots` is one
-    tile's (4, n, n) slots, or a (4, tiles, n, n) stack of them, which gives
-    one answer per tile (`amax` may then be one bound per tile).
-
-    Bus g of PE(r, c) holds sum_{q<=r} x_q * slot[g, q, c] for inputs x_q of
-    one row, and the reducer's widest value is the W8 fold
-    sum_g bus_g << 2g of a column's bottom buses; both are at most amax
-    times the fold reach max_c sum_g (sum_q |slot[g, q, c]|) << 2g.
-    """
-    bus_reach = np.abs(slots).sum(axis=-2)  # [g, ..., c]
-    column_reach = (_STAGE2_FOLD @ bus_reach.reshape(4, -1)).reshape(bus_reach.shape[1:])
-    return amax * column_reach.max(axis=-1) >= _PSUM_LIMIT
-
-
 @functools.cache
 def _widest_reach(precision: Precision) -> int:
     """The largest W8 fold reach sum_g |slot_g| << 2g of any of the 256
@@ -223,13 +210,14 @@ def _widest_reach(precision: Precision) -> int:
 
 
 def _row_may_overflow(amax, n: int, precision: Precision):
-    """A pre-bound of `_may_overflow` that reads no weight: False when no
-    tile of size n streaming inputs of magnitude at most `amax` can have
-    its gate on.
+    """False when no psum-bus or reducer value that a tile of size n forms
+    from inputs of magnitude at most `amax` can leave the register range.
 
-    A tile column's fold reach is a sum over its n words of each word's
-    reach, so it is at most n times `_widest_reach`; the gate is on only
-    when amax times that column reach reaches the limit.
+    Bus g of PE(r, c) holds sum_{q<=r} x_q * slot[g, q, c] for inputs x_q of
+    one row, and the reducer's widest value is the W8 fold
+    sum_g bus_g << 2g of a column's bottom buses; both are at most amax
+    times the column's fold reach, the sum over its n words of each word's
+    reach, which is at most n times `_widest_reach`.
     """
     return amax * (n * _widest_reach(precision)) >= _PSUM_LIMIT
 
@@ -316,45 +304,45 @@ class CollectedRow:
 
 
 class ArraySim:
-    """Single-owner simulator instance, advanced one pass at a time.
+    """Single-owner simulator instance of an n x n array of `precision`
+    PEs, advanced one pass at a time; every tile it loads or grid it runs
+    must be of that precision and size, with any number of matrices.
 
     `mac_stages` counts psum pipeline registers at the column bottom (the
     bottom PE's psum register is the first); `reduce_stages` counts shared
     shift-add registers traversed on output, at least the structural depth
     of the precision (2 for W8, 1 for W4, 0 for W2).
 
-    A trace sink gets the header, then one line per PE per cycle. Given
-    `start_cycle`, the instance continues a trace that another one began:
-    its clock starts there and it writes no header.
+    A trace sink gets the header, then one line per PE per cycle.
     """
 
     def __init__(
         self,
         n: int,
-        mode: PrecisionMode,
+        precision: Precision,
         mac_stages: int = 1,
         reduce_stages: Optional[int] = None,
         overlap_weights: bool = False,
         trace: Optional[io.TextIOBase] = None,
-        start_cycle: Optional[int] = None,
     ):
         if n < 1:
             raise ValueError(f"array size must be >= 1, got {n}")
-        reduce_stages = resolve_stages(mode.precision, mac_stages, reduce_stages)
+        reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
         self.n = n
-        self.mode = mode
+        self.precision = precision
         self.mac_stages = mac_stages
         self.reduce_stages = reduce_stages
         self.overlap_weights = overlap_weights
-        self.cycle = 0 if start_cycle is None else start_cycle
+        self.cycle = 0
         self._trace = trace
         self._words = None  # the loaded tile's words, in matrix order
+        self._mode = None  # and its mode
         # No weights and no registers until the first load or clock: read-only
         # zeros, so an instance that only runs `stream_grid` allocates none.
         zero = np.zeros((), dtype=np.int64)
         self._slots = np.broadcast_to(zero, (4, n, n))
         self._held = np.broadcast_to(zero, (1, n, n, 5))
-        if trace is not None and start_cycle is None:
+        if trace is not None:
             trace.write(TRACE_HEADER + "\n")
 
     def _clear(self) -> None:
@@ -376,6 +364,15 @@ class ArraySim:
 
     # -- phases --------------------------------------------------------------
 
+    def _check_fits(self, tiles) -> None:
+        """ValueError unless the tile or grid `tiles` holds tiles of this
+        array's precision and size."""
+        if (tiles.mode.precision, tiles.n) != (self.precision, self.n):
+            raise ValueError(
+                f"{tiles.mode.precision.name} tiles of size {tiles.n} on a "
+                f"{self.precision.name} array of size {self.n}"
+            )
+
     def load_weights(self, packed: PackedWeightTile) -> None:
         """Load an n x n packed tile vertically; clears all compute state.
 
@@ -383,28 +380,25 @@ class ArraySim:
         with `overlap_weights=True`, which models double-buffered loading
         hidden behind the previous tile's drain.
         """
-        if packed.n != self.n:
-            raise ValueError(f"packed tile is {packed.n}x{packed.n}, array is {self.n}x{self.n}")
-        if packed.mode != self.mode:
-            raise ValueError(f"packed mode {packed.mode} does not match array mode {self.mode}")
-        self._slots = decode_slots(packed.words, self.mode.precision).astype(np.int64)
+        self._check_fits(packed)
+        self._slots = decode_slots(packed.words, self.precision).astype(np.int64)
+        self._mode = packed.mode
         self._words = np.empty_like(packed.words)
         self._words[_diagonals(self.n), np.arange(self.n)] = packed.words
         self._clear()
         self.cycle += load_cycles(self.n, self.overlap_weights)
 
-    def _write_trace(self, history: np.ndarray, after: int, steps: int, cycles: Optional[np.ndarray] = None) -> None:
-        """Write the per-PE lines of the `steps` cycles after cycle `after`,
-        or of the increasing `cycles` when given, whose (5, n, n) registers
-        are `history[:steps]`.
+    def _write_trace(self, history: np.ndarray, cycles: np.ndarray) -> None:
+        """Write the per-PE lines of the increasing `cycles`, whose (5, n, n)
+        registers are `history[:len(cycles)]`.
 
         Every line of the block is laid out in the same number of words:
         the cycle and each register value take as many four-digit groups as
         the widest of them in the block needs. Dropping the NULs leaves the
         lines exactly as `%d` prints them."""
+        steps = len(cycles)
         if not steps:
             return
-        cycles = np.arange(after + 1, after + 1 + steps) if cycles is None else cycles[:steps]
         cells = self.n * self.n
         values = history[:steps].reshape(steps, 5, cells).transpose(0, 2, 1)
         groups = ceil_div(len(str(max(int(values.max()), -int(values.min())))), 4)
@@ -422,17 +416,16 @@ class ArraySim:
 
     # -- streaming -----------------------------------------------------------
 
-    def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, held: np.ndarray) -> None:
+    def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, held: np.ndarray, check: bool) -> None:
         """Run each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
         n + mac_stages rows fed before it, then one row per clock, from the
         (P, n, n, 5) registers `held`, which end on its last clock. A pass
         costs `load` cycles, then one per clock.
 
         Registers are formed in blocks of at most `_TRACE_BLOCK` PE-cycles
-        (whole passes when they fit) and checked where a pass's
-        `_may_overflow` gate is on; the per-pass gates are formed only when
-        the shape-only `_row_may_overflow` is on for the largest fed value.
-        The first clock in run order out of range raises
+        (whole passes when they fit). With `check`, the caller's
+        `_row_may_overflow` for the largest fed value, every block is
+        checked: the first clock in run order out of range raises
         `PsumOverflowError`, after the trace lines of the clocks before it,
         with the clock and `held` on it.
         """
@@ -440,10 +433,7 @@ class ArraySim:
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
         period = load + steps
-        source_amax = np.abs(feed).max(axis=(1, 2))
-        gates = None
-        if _row_may_overflow(source_amax.max(), n, self.mode.precision):
-            gates = np.broadcast_to(_may_overflow(slots, np.tile(source_amax, passes // sources)), passes)
+        if check:
             reducer = _fold_matrices(slots, _STAGE2_FOLD)
         start = self.cycle
         per = max(1, _TRACE_BLOCK // (n * n))  # clocks per block
@@ -459,13 +449,13 @@ class ArraySim:
                 registers = registers.reshape(-1, n, n, 5)
                 cycles = (start + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
                 fail = len(cycles)
-                if gates is not None and gates[block_passes].any():
+                if check:
                     stage2 = np.matmul(block[:, :clocks], reducer[block_passes]).reshape(-1, n)
                     bad = _out_of_range(registers[..., 1:], (1, 2, 3)) | _out_of_range(stage2, 1)
                     if bad.any():
                         fail = int(bad.argmax())
                 if self._trace is not None:
-                    self._write_trace(registers.transpose(0, 3, 1, 2), 0, fail, cycles)
+                    self._write_trace(registers.transpose(0, 3, 1, 2), cycles[:fail])
                 if fail < len(cycles):
                     self.cycle = int(cycles[fail])
                     held[block_passes[fail // clocks]] = registers[fail]
@@ -480,9 +470,10 @@ class ArraySim:
             self._clear()
         window = len(self._window)
         feed = np.concatenate([self._window, rows, np.zeros((drain, self.n), dtype=np.int64)])
+        check = _row_may_overflow(np.abs(feed).max(), self.n, self.precision)
         start = self.cycle
         try:
-            self._run(self._slots[:, None], feed[None], 0, self._held)
+            self._run(self._slots[:, None], feed[None], 0, self._held, check)
         finally:  # also after an overflow, on its cycle
             self._window = feed[self.cycle - start :][:window]
 
@@ -502,7 +493,7 @@ class ArraySim:
         count = rows.shape[0]
         first = self.cycle + self.n + self.mac_stages + self.reduce_stages - 1
         self._feed(rows, stream_cycles(self.n, count, self.mac_stages, self.reduce_stages) - count)
-        outputs = _group_outputs(self._words, rows, self.mode).astype(np.int64)
+        outputs = _group_outputs(self._words, rows, self._mode).astype(np.int64)
         return [CollectedRow(index=i, cycle=first + i, outputs=list(outputs[i])) for i in range(count)]
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
@@ -511,7 +502,8 @@ class ArraySim:
         k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
         tiles. Returns the outputs summed over k, as `_group_outputs` gives
         them: an (M, nw, tp*n) array whose [i, t] entry is row i of `a`
-        times matrix t, zero-padded to whole column tiles.
+        times matrix t, zero-padded to whole column tiles. The grid must
+        hold tiles of the array's precision and size.
 
         The passes' registers are formed, from the grid rotated into its
         tiles once, only with a trace sink or when `_row_may_overflow` is
@@ -519,8 +511,7 @@ class ArraySim:
         by each pass's load and stream cycles and no slot is decoded.
         """
         check_tiles(grid)
-        if (grid.mode, grid.n) != (self.mode, self.n):
-            raise ValueError(f"grid tiles are not {self.mode} tiles of size {self.n}")
+        self._check_fits(grid)
         n, window = self.n, self.n + self.mac_stages
         tk, tp = grid.tk, grid.tp
         a = _check_input(a, n, tk)
@@ -528,13 +519,14 @@ class ArraySim:
         load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
         amax = int(max(a.max(initial=0), -a.min(initial=0)))
-        if self._trace is None and not _row_may_overflow(amax, n, self.mode.precision):
+        check = _row_may_overflow(amax, n, self.precision)
+        if self._trace is None and not check:
             self.cycle += tk * tp * (load + steps)
         else:
             feed = np.zeros((window + steps, tk * n), dtype=np.int64)
             feed[window : window + m_dim, :k_dim] = a
             feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
-            slots = decode_slots(tiles, self.mode.precision).reshape(4, tp * tk, n, n).astype(np.int64)
-            self._run(slots, feed, load, np.zeros((tp * tk, n, n, 5), dtype=np.int64))
-        return _group_outputs(grid.words, a, self.mode)
+            slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(np.int64)
+            self._run(slots, feed, load, np.zeros((tp * tk, n, n, 5), dtype=np.int64), check)
+        return _group_outputs(grid.words, a, grid.mode)

@@ -11,9 +11,11 @@ fused into groups of r = 8 / weight_bits matrices per pass, which divides
 the pass count by r while streaming the shared input once.
 
 Every pass of a fused group streams the same input, so `run_tiled` hands
-each group at once to `ArraySim.stream_grid`, traced or not. It forms
-registers only where a trace or an overflow check needs them, and takes
-the group's outputs from one exact matmul over the whole K.
+each group at once to `ArraySim.stream_grid`, traced or not, on one
+`ArraySim` per job, set up by the job's precision; each group's grid
+carries its own matrix count. It forms registers only where a trace or
+the overflow bound needs them, and takes the group's outputs from one
+exact matmul over the whole K.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ class TiledPlan:
     @property
     def pass_count(self) -> int:
         return self.tk * self.tp * len(self.group_sizes)
-
-    @property
-    def rows_per_pass(self) -> int:
-        return self.tm
 
     @classmethod
     def from_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
@@ -146,29 +144,23 @@ def run_tiled(
 
     Results are exact; `total_cycles` sums pass latencies (plus weight-load
     cycles when `overlap_weights` is off) and `pass_count` counts weight-tile
-    loads across all fused groups. Each fused group runs on one `ArraySim`,
+    loads across all fused groups. Every group runs on one `ArraySim`,
     whose clock gives the cycles and which writes its per-PE trace to the
     `trace` sink when one is given.
     """
     m_dim, _, p_dim = job.shape
     n = job.n
     the_plan = plan(job)
-    tk, tp = the_plan.tk, the_plan.tp
-
+    sim = ArraySim(n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
     outputs = []
-    total_cycles = base = 0
+    base = 0
     for nw in the_plan.group_sizes:
-        group = job.weights[base : base + nw]
-        mode = PrecisionMode(job.precision, nw)
-        grid = prepare_weights(group, mode, n)
-        start_cycle = total_cycles if base else None  # later groups continue the first one's trace and clock
-        sim = ArraySim(n, mode, mac_stages, reduce_stages, overlap_weights, trace, start_cycle)
-        if tk and tp:
+        grid = prepare_weights(job.weights[base : base + nw], PrecisionMode(job.precision, nw), n)
+        if the_plan.tk and the_plan.tp:
             products = sim.stream_grid(grid, job.a)
         else:  # K = 0 or P = 0 has no passes
             products = np.zeros((m_dim, nw, p_dim))
         outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]
-        total_cycles = sim.cycle
         base += nw
 
-    return TiledResult(outputs=outputs, total_cycles=total_cycles, pass_count=the_plan.pass_count)
+    return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=the_plan.pass_count)

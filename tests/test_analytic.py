@@ -119,7 +119,7 @@ def test_model_matches_simulator_measurement(weight_bits, mac_stages):
     lo = -(1 << (weight_bits - 1))
     hi = (1 << (weight_bits - 1)) - 1
     grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
-    sim = ArraySim(n, mode, mac_stages=mac_stages)
+    sim = ArraySim(n, mode.precision, mac_stages=mac_stages)
     sim.load_weights(grid[0][0])
     start = sim.cycle
     sim.stream(rng.integers(-128, 128, (n, n)))

@@ -36,7 +36,7 @@ def _run_tile(sim, packed, a_tile):
     sim.load_weights(packed)
     start = sim.cycle
     collected = sim.stream(a_tile)
-    outputs = [np.stack([row.outputs[t] for row in collected]) for t in range(sim.mode.nw)]
+    outputs = [np.stack([row.outputs[t] for row in collected]) for t in range(packed.mode.nw)]
     return outputs, sim.cycle - start
 
 
@@ -45,7 +45,7 @@ def test_identity_input_reproduces_weight_rows():
     n = 4
     mode = PrecisionMode(Precision.W8, 1)
     w = rng.integers(-128, 128, size=(n, n))
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     outputs, _ = _run_tile(sim, _single_tile(mode, [w], n), np.eye(n, dtype=np.int64))
     assert np.array_equal(outputs[0], w)
 
@@ -56,7 +56,7 @@ def test_single_tile_matches_plain_matmul(mode):
     n = 4
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     outputs, _ = _run_tile(sim, _single_tile(mode, weights, n), a)
     assert len(outputs) == mode.nw
     for got, w in zip(outputs, weights):
@@ -76,7 +76,7 @@ def test_tile_latency_and_emission_schedule(mode, expected_latency):
     n = 4
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     sim.load_weights(_single_tile(mode, weights, n))
     start = sim.cycle
     collected = sim.stream(a)
@@ -95,7 +95,7 @@ def test_whole_output_row_valid_on_one_cycle():
     mode = PrecisionMode(Precision.W4, 2)
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     sim.load_weights(_single_tile(mode, weights, n))
     for row, a_row in zip(sim.stream(a), a):
         for t, w in enumerate(weights):
@@ -105,7 +105,7 @@ def test_whole_output_row_valid_on_one_cycle():
 def test_diagonal_movement_visits_one_pe_per_row():
     n = 5
     mode = PrecisionMode(Precision.W8, 1)
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     sim.load_weights(_single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n))
     marker, col0 = 99, 2
     first_row = np.zeros(n, dtype=np.int64)
@@ -120,7 +120,7 @@ def test_diagonal_movement_visits_one_pe_per_row():
 
 
 def test_streaming_before_load_rejected():
-    sim = ArraySim(4, PrecisionMode(Precision.W8, 1))
+    sim = ArraySim(4, Precision.W8)
     with pytest.raises(PhaseError):
         sim.stream(np.zeros((4, 4), dtype=np.int64))
 
@@ -129,14 +129,14 @@ def test_load_weight_validation():
     mode = PrecisionMode(Precision.W8, 1)
     tile = _single_tile(mode, [np.zeros((4, 4), dtype=np.int64)], 4)
     with pytest.raises(ValueError):
-        ArraySim(8, mode).load_weights(tile)  # size mismatch
+        ArraySim(8, mode.precision).load_weights(tile)  # size mismatch
     with pytest.raises(ValueError):
-        ArraySim(4, PrecisionMode(Precision.W4, 1)).load_weights(tile)  # mode mismatch
+        ArraySim(4, Precision.W4).load_weights(tile)  # mode mismatch
 
 
 def test_stream_validates_rows():
     mode = PrecisionMode(Precision.W8, 1)
-    sim = ArraySim(4, mode)
+    sim = ArraySim(4, mode.precision)
     sim.load_weights(_single_tile(mode, [np.zeros((4, 4), dtype=np.int64)], 4))
     with pytest.raises(ValueError):
         sim.stream(np.zeros((2, 3), dtype=np.int64))
@@ -148,7 +148,7 @@ def test_all_ones_tile():
     n = 4
     mode = PrecisionMode(Precision.W8, 1)
     ones = np.ones((n, n), dtype=np.int64)
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     outputs, _ = _run_tile(sim, _single_tile(mode, [ones], n), ones)
     assert (outputs[0] == n).all()
 
@@ -157,7 +157,7 @@ def test_zero_weights_give_zero_outputs():
     rng = np.random.default_rng(3)
     n = 4
     mode = PrecisionMode(Precision.W2, 4)
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     zeros = [np.zeros((n, n), dtype=np.int64)] * 4
     outputs, _ = _run_tile(sim, _single_tile(mode, zeros, n), rng.integers(-128, 128, (n, n)))
     for out in outputs:
@@ -168,7 +168,7 @@ def test_reload_clears_previous_psums():
     rng = np.random.default_rng(4)
     n = 4
     mode = PrecisionMode(Precision.W8, 1)
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     _run_tile(sim, _single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
     outputs, _ = _run_tile(
         sim, _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n), rng.integers(-128, 128, (n, n))
@@ -184,7 +184,7 @@ def test_back_to_back_rows_stream_continuously():
     mode = PrecisionMode(Precision.W8, 1)
     a = rng.integers(-128, 128, size=(2 * n, n))
     w = rng.integers(-128, 128, size=(n, n))
-    sim = ArraySim(n, mode)
+    sim = ArraySim(n, mode.precision)
     sim.load_weights(_single_tile(mode, [w], n))
     start = sim.cycle
     collected = sim.stream(a)
@@ -196,10 +196,10 @@ def test_back_to_back_rows_stream_continuously():
 def test_weight_load_cycle_accounting():
     n, mode = 4, PrecisionMode(Precision.W8, 1)
     tile = _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n)
-    serial = ArraySim(n, mode)
+    serial = ArraySim(n, mode.precision)
     serial.load_weights(tile)
     assert serial.cycle == n  # one row per cycle
-    overlapped = ArraySim(n, mode, overlap_weights=True)
+    overlapped = ArraySim(n, mode.precision, overlap_weights=True)
     overlapped.load_weights(tile)
     assert overlapped.cycle == 0
 
@@ -210,7 +210,7 @@ def test_extra_mac_stage_delays_but_stays_exact():
     for mode in (PrecisionMode(Precision.W8, 1), PrecisionMode(Precision.W2, 2)):
         a = rng.integers(-128, 128, size=(n, n))
         weights = _random_weights(rng, mode, (n, n))
-        sim = ArraySim(n, mode, mac_stages=2)
+        sim = ArraySim(n, mode.precision, mac_stages=2)
         outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
         assert cycles == 2 * n + 2 + mode.precision.reducer_stages - 2
         for got, w in zip(outputs, weights):
@@ -223,13 +223,13 @@ def test_reduce_stage_override():
     mode = PrecisionMode(Precision.W4, 2)
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode, reduce_stages=3)
+    sim = ArraySim(n, mode.precision, reduce_stages=3)
     outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
     assert cycles == 2 * n + 1 + 3 - 2
     for got, w in zip(outputs, weights):
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
     with pytest.raises(ValueError):
-        ArraySim(n, PrecisionMode(Precision.W8, 1), reduce_stages=1)
+        ArraySim(n, Precision.W8, reduce_stages=1)
 
 
 def test_trace_records_every_pe_every_cycle():
@@ -237,7 +237,7 @@ def test_trace_records_every_pe_every_cycle():
     n = 3
     mode = PrecisionMode(Precision.W8, 1)
     buf = io.StringIO()
-    sim = ArraySim(n, mode, trace=buf)
+    sim = ArraySim(n, mode.precision, trace=buf)
     _run_tile(sim, _single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
     lines = buf.getvalue().splitlines()
     assert lines[0] == TRACE_HEADER
@@ -255,7 +255,7 @@ def test_vectorized_grid_matches_pe_objects():
     packed = _single_tile(mode, weights, n)
     a = rng.integers(-128, 128, size=(n, n))
 
-    sim = ArraySim(n, mode, overlap_weights=True)
+    sim = ArraySim(n, mode.precision, overlap_weights=True)
     sim.load_weights(packed)
 
     grid = [[PE(mode.precision) for _ in range(n)] for _ in range(n)]

@@ -201,9 +201,9 @@ def test_streams_match_the_stepper(cfg):
 
 
 def _check_streams(n, mode, cfg, packed, streams):
-    args = (n, mode, cfg["mac_stages"], mode.precision.reducer_stages + cfg["extra_reduce"], cfg["overlap"])
+    stages = (cfg["mac_stages"], mode.precision.reducer_stages + cfg["extra_reduce"], cfg["overlap"])
     sinks = io.StringIO(), io.StringIO()
-    sim, ref = ArraySim(*args, trace=sinks[0]), SteppedArray(*args, trace=sinks[1])
+    sim, ref = ArraySim(n, mode.precision, *stages, trace=sinks[0]), SteppedArray(n, mode, *stages, trace=sinks[1])
     sim.load_weights(packed)
     ref.load_weights(packed)
     for rows in streams:

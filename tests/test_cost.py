@@ -47,6 +47,10 @@ COST_REPORTS_SHA256 = "87347a14c3aba844ca05a198b2b15cfe1c8ed5eb6fc0f6d4d0f0c33df
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
 # and traced at three psum limits: 600 runs, 92 of them overflowing.
 RUNS_SHA256 = "2a7bb6ade0b4078e72d373a3f3ff2d09a85b07a8bca424b86bf18aa84c94a2f5"
+# Its digest of the overflow-edge runs (every mode, n = 1..8, all values at
+# their most negative, limits at and one above the largest register), as
+# the engine gave it while a per-pass gate still sat behind the row bound.
+EDGE_SHA256 = "1353726277263828ea0e04990a403608427b40c651dfd4d44f39fff6d42aadaa"
 
 
 def _fingerprint():
@@ -249,6 +253,13 @@ def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
     assert _fingerprint().run_digest(100, 0) == (600, 92, RUNS_SHA256)
+
+
+def test_overflow_edge_runs_match_the_pinned_digest():
+    """Every mode overflows at the limit of its largest register and fits
+    one above it, untraced and traced, with the same outputs, cycles and
+    trace bytes as before."""
+    assert _fingerprint().edge_digest() == (224, 112, EDGE_SHA256)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

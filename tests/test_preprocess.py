@@ -443,7 +443,7 @@ def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k,
     lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
     grid = prepare_weights([rng.integers(lo, hi, size=(k, p)) for _ in range(mode.nw)], mode, n)
     a = rng.integers(-128, 128, size=(m, k))
-    products = ArraySim(n, mode).stream_grid(grid, a)
+    products = ArraySim(n, mode.precision).stream_grid(grid, a)
     assert products.shape == (m, mode.nw, len(grid[0]) * n)
     for t, matrix in enumerate(unprepare_weights(grid)):
         assert np.array_equal(products[:, t], a @ matrix[:k])
@@ -469,9 +469,9 @@ def test_packed_grid_equals_its_list_of_tiles(mode, n, data):
             assert tile.mode == mode
             assert np.array_equal(tile.words, interleave([permute(b) for b in blocks], mode).words)
     if not (k_dim and p_dim):
-        untraced = ArraySim(n, mode).stream_grid
+        untraced = ArraySim(n, mode.precision).stream_grid
         for reader in (unprepare_weights, lambda g: untraced(g, a), lambda g: write_packed(g, io.BytesIO())):
             with pytest.raises(ValueError):
                 reader(grid)
         with pytest.raises(ValueError):
-            ArraySim(n, mode, trace=io.StringIO()).stream_grid(grid, a)
+            ArraySim(n, mode.precision, trace=io.StringIO()).stream_grid(grid, a)

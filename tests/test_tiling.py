@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, TiledPlan, oracle_matmul, plan, run_tiled
 
@@ -188,7 +189,36 @@ def test_plan_counts():
     assert (p.tm, p.tk, p.tp) == (3, 2, 4)
     assert p.group_sizes == [2]
     assert p.pass_count == 8
-    assert p.rows_per_pass == 3
+
+
+def test_a_job_runs_on_one_array(monkeypatch):
+    """A 5-matrix W2 job at n = 4 fuses groups of 4 and 1 matrices. Both run
+    on one `ArraySim` of the job's precision: its trace has one header, and
+    its clock runs on across the groups to the job's cycle count."""
+    rng = np.random.default_rng(5)
+    n = 4
+    job = _random_job(rng, Precision.W2, 5, n, dims=(6, 7, 5))
+    built = []
+    init = ArraySim.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArraySim, "__init__", counting_init)
+    trace = io.StringIO()
+    result = run_tiled(job, overlap_weights=False, trace=trace)
+    assert built == [(n, Precision.W2)]
+    assert plan(job).group_sizes == [4, 1]
+    assert result.pass_count == 2 * 2 * 2
+    clocks = stream_cycles(n, 2 * n, 1, 0)
+    assert result.total_cycles == result.pass_count * (load_cycles(n, False) + clocks)
+    header, *lines = trace.getvalue().splitlines()
+    assert header == TRACE_HEADER
+    assert len(lines) == result.pass_count * clocks * n * n
+    cycles = [int(line.split(",", 1)[0]) for line in lines]
+    assert cycles == sorted(cycles) and cycles[-1] == result.total_cycles
+    assert all(np.array_equal(got, want) for got, want in zip(result.outputs, oracle_matmul(job), strict=True))
 
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from adipsim import array
 from adipsim.array import ArraySim
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode
+from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
 PINNED_CASES = [
@@ -187,8 +187,8 @@ def _trace_blocks(draw):
 def test_write_trace_matches_the_percent_formatter(block):
     n, history, after, steps = block
     sink = io.StringIO()
-    sim = ArraySim(n, PrecisionMode(Precision.W8, 1), trace=sink, start_cycle=0)
-    sim._write_trace(history, after, steps)
-    # as lists of lines, whose first difference pytest reports quickly
-    got = sink.getvalue().splitlines(keepends=True)
+    sim = ArraySim(n, Precision.W8, trace=sink)
+    sim._write_trace(history, np.arange(after + 1, after + 1 + steps))
+    # as lists of lines after the header, whose first difference pytest reports quickly
+    got = sink.getvalue().splitlines(keepends=True)[1:]
     assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)

@@ -117,14 +117,32 @@ def test_both_engines_check_the_group_input(a):
     grid = prepare_weights([np.eye(4, dtype=np.int64)], mode, 4)
     trace = io.StringIO()
     with pytest.raises(ValueError):
-        ArraySim(4, mode).stream_grid(grid, a)
+        ArraySim(4, mode.precision).stream_grid(grid, a)
     with pytest.raises(ValueError):
-        ArraySim(4, mode, trace=trace).stream_grid(grid, a)
+        ArraySim(4, mode.precision, trace=trace).stream_grid(grid, a)
     assert trace.getvalue() == array.TRACE_HEADER + "\n"
     rows = [[1, -2, 3, -128], [127, 0, 0, 5]]
     want = np.array(rows)[:, None, :]
-    assert np.array_equal(ArraySim(4, mode).stream_grid(grid, rows), want)
-    assert np.array_equal(ArraySim(4, mode, trace=io.StringIO()).stream_grid(grid, rows), want)
+    assert np.array_equal(ArraySim(4, mode.precision).stream_grid(grid, rows), want)
+    assert np.array_equal(ArraySim(4, mode.precision, trace=io.StringIO()).stream_grid(grid, rows), want)
+
+
+@pytest.mark.parametrize(
+    "precision, n",
+    [(Precision.W4, 4), (Precision.W2, 4), (Precision.W8, 2), (Precision.W8, 8)],
+    ids=["W4 grid", "W2 grid", "size-2 grid", "size-8 grid"],
+)
+def test_stream_grid_rejects_another_precision_or_size(precision, n):
+    """A W8 array of size 4 rejects a grid of another precision or tile
+    size, untraced and traced, before the traced one writes any line."""
+    grid = prepare_weights([np.ones((n, n), dtype=np.int64)] * precision.r, PrecisionMode(precision, precision.r), n)
+    a = np.ones((2, n), dtype=np.int64)
+    trace = io.StringIO()
+    with pytest.raises(ValueError):
+        ArraySim(4, Precision.W8).stream_grid(grid, a)
+    with pytest.raises(ValueError):
+        ArraySim(4, Precision.W8, trace=trace).stream_grid(grid, a)
+    assert trace.getvalue() == array.TRACE_HEADER + "\n"
 
 
 def _raises(job, limit, monkeypatch, **kwargs):
@@ -207,11 +225,11 @@ def _outcome(run):
 
 
 def _gated_and_every_cycle(run, monkeypatch):
-    """`run`'s outcome with the bound-gated register checks, then with a
-    check on every cycle."""
+    """`run`'s outcome with the bound-gated register checks, then with the
+    bound forced on, so that every cycle is checked."""
     gated = _outcome(run)
     with monkeypatch.context() as m:
-        m.setattr(array, "_may_overflow", lambda slots, amax: True)
+        m.setattr(array, "_row_may_overflow", lambda amax, n, precision: True)
         return gated, _outcome(run)
 
 
@@ -251,7 +269,7 @@ def test_gated_checks_cover_registers_carried_into_a_second_stream(monkeypatch):
     cycles = []
 
     def run(sink):
-        sim = ArraySim(n, mode, trace=sink)
+        sim = ArraySim(n, mode.precision, trace=sink)
         sim.load_weights(packed)
         sim.stream(np.full((1, n), 127))
         cycles.append(sim.cycle)
@@ -330,21 +348,14 @@ def _smallest_passing_limit(job, monkeypatch):
 )
 def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
     """Blocks of three tiles where, one below the smallest passing limit,
-    only the middle tile of the first k-row has its gate on: the untraced
-    path must check that tile and raise on the same limits as the stepped
+    only the middle tile of the first k-row can overflow: the untraced path
+    must check that tile and raise on the same limits as the stepped
     path."""
     n = 4
     weights = np.ones((2 * n, 3 * n), dtype=np.int64)
     weights[:n, n : 2 * n] = heavy
     job = MatMulJob(np.full((2 * n, 2 * n), -128), [weights] * nw, precision, n)
-    limit = _smallest_passing_limit(job, monkeypatch)
-    grid = prepare_weights(job.weights, PrecisionMode(precision, nw), n)
-    monkeypatch.setattr(array, "_PSUM_LIMIT", limit - 1)
-    gates = [
-        list(array._may_overflow(decode_slots(np.stack([t.words for t in row]), precision), 128))
-        for row in grid
-    ]
-    assert gates == [[False, True, False], [False, False, False]]
+    _smallest_passing_limit(job, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -353,21 +364,17 @@ def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
 )
 def test_gate_is_off_for_every_storable_tile_size(precision, opens_at):
     """The packed-file header holds n in 16 bits, so no storable tile column
-    is longer than 65 535 rows. A column of that length, every word the one
-    with the widest W8 fold reach, streaming full-scale inputs, keeps the
-    gate off at the real 32-bit limit, so an untraced run forms no register
-    of such a tile. The gate opens once the column could reach the limit."""
+    is longer than 65 535 rows. The bound for a column of that length,
+    streaming full-scale inputs, is off at the real 32-bit limit, so an
+    untraced run forms no register of such a tile. It turns on once a
+    column of the word with the widest W8 fold reach could reach the
+    limit."""
     slots = decode_slots(np.arange(256), precision)  # [g, word]
     reach = (np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0)
-    word = int(reach.argmax())
-
-    def column(rows):
-        return np.broadcast_to(slots[:, word, None, None], (4, rows, 1))
-
-    assert ceil_div(array._PSUM_LIMIT, 128 * int(reach[word])) == opens_at
-    assert not array._may_overflow(column((1 << 16) - 1), 128)
-    assert not array._may_overflow(column(opens_at - 1), 128)
-    assert array._may_overflow(column(opens_at), 128)
+    assert ceil_div(array._PSUM_LIMIT, 128 * int(reach.max())) == opens_at
+    assert not array._row_may_overflow(128, (1 << 16) - 1, precision)
+    assert not array._row_may_overflow(128, opens_at - 1, precision)
+    assert array._row_may_overflow(128, opens_at, precision)
 
 
 def test_full_scale_block_is_exact():
@@ -390,28 +397,16 @@ def test_full_scale_block_is_exact():
 )
 def test_gate_in_a_later_k_row_uses_that_rows_inputs(precision, nw, heavy, monkeypatch):
     """A 3 x 3 grid where, one below the smallest passing limit, only tile
-    (k = 1, j = 2) has its gate on, and only with the largest input of its
-    own k-row (the other k-rows stream smaller inputs): the untraced path
-    must check that pass and raise on the same limits as the stepped path."""
+    (k = 1, j = 2) can overflow, and only with the largest input of its own
+    k-row (the other k-rows stream smaller inputs): the untraced path must
+    check that pass and raise on the same limits as the stepped path."""
     n = 4
     weights = np.ones((3 * n, 3 * n), dtype=np.int64)
     weights[n : 2 * n, 2 * n :] = heavy
     a = np.full((2 * n, 3 * n), 100, dtype=np.int64)
     a[:, n : 2 * n] = -128
     job = MatMulJob(a, [weights] * nw, precision, n)
-    limit = _smallest_passing_limit(job, monkeypatch)
-    grid = prepare_weights(job.weights, PrecisionMode(precision, nw), n)
-    monkeypatch.setattr(array, "_PSUM_LIMIT", limit - 1)
-
-    def gates(amax):
-        return [
-            list(array._may_overflow(decode_slots(np.stack([t.words for t in row]), precision), amax))
-            for row in grid
-        ]
-
-    assert gates(128)[1] == [False, False, True]
-    assert gates(128)[0] == gates(128)[2] == [False, False, False]
-    assert gates(100) == [[False, False, False]] * 3
+    _smallest_passing_limit(job, monkeypatch)
 
 
 def _float32_edge(k_dim):
@@ -444,9 +439,11 @@ def test_matmul_dtype_switches_at_the_float32_bound(k_dim, float32_exact):
 
 
 def _widest_word(precision):
-    """The stationary word with the largest W8 fold reach under `precision`."""
+    """The stationary word with the largest W8 fold reach under `precision`,
+    and that reach."""
     slots = decode_slots(np.arange(256), precision)  # [g, word]
-    return int((np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0).argmax())
+    reach = (np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0)
+    return int(reach.argmax()), int(reach.max())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -456,24 +453,29 @@ def _widest_word(precision):
     tiles=st.integers(1, 3),
     heavy=st.floats(0, 1),
     amax=st.integers(0, 128),
-    limit=st.integers(1, 128 * 8 * 191 + 1),
+    offset=st.integers(-2, 2) | st.integers(-(1 << 20), 1 << 20),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_row_pre_bound_is_sound(precision, n, tiles, heavy, amax, limit, seed):
-    """Over random word grids (a share `heavy` of the words the widest one)
-    and lowered limits: whenever `_may_overflow` is on for a tile, the
-    shape-only pre-bound is on for its k-row; and for a tile of nothing but
-    the widest word the two agree."""
+def test_row_pre_bound_is_sound(precision, n, tiles, heavy, amax, offset, seed):
+    """Over random W = r jobs of `tiles` k-rows (a share `heavy` of the
+    stationary words the widest one, and of the inputs -amax, the rest of
+    magnitude at most amax) and limits around amax * n times the widest
+    word's reach: whenever `_row_may_overflow` is off, a run that checks
+    every register raises nothing. At W2 the widest word's slots are all
+    -2, so an all-widest job on all -amax inputs forms that very value."""
     rng = np.random.default_rng(seed)
-    words = rng.integers(0, 256, size=(tiles, n, n), dtype=np.uint8)
-    words[rng.random(words.shape) < heavy] = _widest_word(precision)
-    widest = np.full((1, n, n), _widest_word(precision), dtype=np.uint8)
+    word, reach = _widest_word(precision)
+    words = rng.integers(0, 256, size=(tiles * n, n), dtype=np.uint8)
+    words[rng.random(words.shape) < heavy] = word
+    weights = list(bit_fields(words, precision.weight_bits, precision.r).astype(np.int64))
+    a = rng.integers(-amax, amax + 1, size=(2 * n, tiles * n))
+    a[rng.random(a.shape) < heavy] = -amax
+    job = MatMulJob(a, weights, precision, n)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(array, "_PSUM_LIMIT", limit)
-        gates = array._may_overflow(decode_slots(words, precision), amax)
-        bound = array._row_may_overflow(amax, n, precision)
-        assert bound or not gates.any()
-        assert bound == array._may_overflow(decode_slots(widest, precision), amax)[0]
+        m.setattr(array, "_PSUM_LIMIT", max(1, amax * n * reach + offset))
+        if not array._row_may_overflow(amax, n, precision):
+            m.setattr(array, "_row_may_overflow", lambda amax, n, precision: True)
+            run_tiled(job)  # every register checked
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
@@ -497,7 +499,7 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
     monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
     a = np.full((n, 2 * n), -128, dtype=np.int64)
     for precision in Precision:
-        word = np.array(_widest_word(precision), dtype=np.uint8)
+        word = np.array(_widest_word(precision)[0], dtype=np.uint8)
         fields = bit_fields(word, precision.weight_bits, precision.r)
         for nw in range(1, precision.r + 1):
             weights = [np.full((2 * n, n), int(fields[t])) for t in range(nw)]
@@ -507,8 +509,8 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
 
 
 def test_gated_untraced_rows_form_no_outputs(monkeypatch):
-    """Under a limit that turns the group's pre-bound on but overflows no
-    register, untraced `run_tiled` runs and gates all the group's passes
+    """Under a limit that turns the group's bound on but overflows no
+    register, untraced `run_tiled` runs and checks all the group's passes
     with one `_run` and forms its outputs once, as the traced run does;
     its outputs equal the traced run's."""
     job = _job(np.random.default_rng(3), Precision.W8, 1, 8, 16, 32, 24)
@@ -525,7 +527,7 @@ def test_gated_untraced_rows_form_no_outputs(monkeypatch):
     monkeypatch.setattr(array, "_group_outputs", spy("_group_outputs", array._group_outputs))
     monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
     untraced = run_tiled(job)
-    assert calls == ["_run", "_group_outputs"]  # all 4 x 3 passes gated in one run
+    assert calls == ["_run", "_group_outputs"]  # all 4 x 3 passes checked in one run
     traced = run_tiled(job, trace=CountingSink())
     assert calls[2:] == ["_run", "_group_outputs"]
     assert (untraced.total_cycles, untraced.pass_count) == (traced.total_cycles, traced.pass_count)

@@ -14,8 +14,14 @@ overflow message, and the sha256 of its trace text.
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
 under five `CostParams` variants, then the rows of
-`analytic.sweep()`, each as JSON with sorted keys. Run the tool with the
-same arguments on two checkouts and compare the output.
+`analytic.sweep()`, each as JSON with sorted keys.
+
+A third, printed next, covers runs at the overflow edge, where random
+configs rarely land: every mode at n = 1..8, every input and weight at
+its most negative value, run untraced and traced at a psum limit equal
+to the largest register the job forms (so it overflows) and one above
+it (so it fits). Run the tool with the same arguments on two checkouts
+and compare the output.
 """
 
 import argparse
@@ -95,17 +101,16 @@ def _record(job, options, traced):
     return outcome + b" trace " + hashlib.sha256(text.encode()).hexdigest().encode() + b"\n", overflowed
 
 
-def run_digest(configs: int, seed: int) -> tuple[int, int, str]:
+def _digest(cases) -> tuple[int, int, str]:
     """The number of runs, how many overflowed, and the sha256 over the
-    records of `configs` random configs drawn from `seed`."""
-    rng = np.random.default_rng(seed)
+    records of each (job, options, limits) case, run untraced and traced
+    at each limit."""
     digest = hashlib.sha256()
     runs = overflows = 0
     saved = array._PSUM_LIMIT
     try:
-        for _ in range(configs):
-            job, options = _config(rng)
-            for limit in LIMITS:
+        for job, options, limits in cases:
+            for limit in limits:
                 array._PSUM_LIMIT = limit
                 for traced in (False, True):
                     record, overflowed = _record(job, options, traced)
@@ -117,6 +122,40 @@ def run_digest(configs: int, seed: int) -> tuple[int, int, str]:
     return runs, overflows, digest.hexdigest()
 
 
+def run_digest(configs: int, seed: int) -> tuple[int, int, str]:
+    """`_digest` over `configs` random configs drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    return _digest((*_config(rng), LIMITS) for _ in range(configs))
+
+
+def _edge_cases():
+    """Per mode and n = 1..8, a 3n x 2n input times nw 2n x n weight
+    matrices, all at their most negative value, with the limits at and one
+    above the largest register. Every product is positive, so that register
+    is the reducer's W8 fold of a column: n inputs of 128 times the
+    stationary word, whose fields are nw weights of 2^(w-1). Three input
+    rows at least, so that even at n = 1 a W2 pass folds one of them in
+    reducer stage 2."""
+    for precision in Precision:
+        w = precision.weight_bits
+        for nw in range(1, precision.r + 1):
+            word = sum(1 << (w - 1 + w * t) for t in range(nw))
+            for n in range(1, 9):
+                largest = 128 * n * word
+                job = MatMulJob(
+                    a=np.full((3 * n, 2 * n), -128),
+                    weights=[np.full((2 * n, n), -(1 << (w - 1)))] * nw,
+                    precision=precision,
+                    n=n,
+                )
+                yield job, {}, (largest, largest + 1)
+
+
+def edge_digest() -> tuple[int, int, str]:
+    """`_digest` over the overflow-edge runs of `_edge_cases`."""
+    return _digest(_edge_cases())
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--configs", type=int, default=200, help="random configs, each run 6 times")
@@ -126,6 +165,8 @@ def main(argv=None) -> None:
         parser.error(f"--configs must be >= 1, got {args.configs}")
     documents, cost_sha = cost_digest()
     print(f"cost reports and sweep rows {documents} sha256 {cost_sha}")
+    runs, overflows, sha = edge_digest()
+    print(f"overflow edge runs {runs} overflows {overflows} sha256 {sha}")
     runs, overflows, sha = run_digest(args.configs, args.seed)
     print(f"runs {runs} overflows {overflows}")
     print(f"sha256 {sha}")
