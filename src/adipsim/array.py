@@ -30,9 +30,10 @@ runs one pass on the rows it carries, `stream_grid` every pass of a fused
 group, whose tiles it rotates out of the grid's matrix-order words once.
 Both form the registers of a block of clocks, for a stack of passes at
 once, from the formulas above (`_registers`); `stream_grid` forms them
-only where a trace or an overflow check reads them. The reducer's fold is linear, so every output is one exact matmul of
-the input with the weight fields of the matrix-order words
-(`_group_outputs`).
+only where a trace or an overflow check reads them. The reducer's fold
+is linear, so the outputs are exact matmuls of the int8 input with the
+weight fields of the matrix-order words (`_group_outputs`): float32 over
+chunks of K small enough to stay exact, summed in float64.
 
 Registers are checked only when the inputs could reach the limit: one
 bound that reads no weight (`_row_may_overflow`), the largest input
@@ -55,7 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, ceil_div, check_signed
+from .numerics import PSUM_BITS, bit_fields, ceil_div, to_int8
 from .pe import PhaseError, PsumOverflowError
 from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
 from .preprocess import PackedGrid, PackedWeightTile, Precision, PrecisionMode, check_tiles, decode_slots
@@ -174,20 +175,20 @@ def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optiona
 
 
 def _check_rows(rows, n: int) -> np.ndarray:
-    """Streamed input of one pass: an R x n int64 block of 8-bit activations."""
-    rows = np.asarray(rows, dtype=np.int64)
+    """Streamed input of one pass: an R x n int8 block of 8-bit activations."""
+    rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"input rows must be R x {n}, got {rows.shape}")
-    return check_signed(rows, 8, "input element")
+    return to_int8(rows, 8, "input element")
 
 
 def _check_input(a, n: int, tk: int) -> np.ndarray:
-    """Input of a fused group of tk k-rows: an M x K int64 matrix of 8-bit
-    activations with ceil(K/n) = tk."""
-    a = np.asarray(a, dtype=np.int64)
+    """Input of a fused group of tk k-rows: an M x K int8 matrix of 8-bit
+    activations with ceil(K/n) = tk; an int8 one is not scanned."""
+    a = np.asarray(a)
     if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
         raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
-    return check_signed(a, 8, "input element")
+    return to_int8(a, 8, "input element")
 
 
 def _out_of_range(values: np.ndarray, axis=None) -> np.ndarray:
@@ -270,28 +271,51 @@ def _fold_matrices(slots: np.ndarray, folds: np.ndarray) -> np.ndarray:
     return np.einsum("fg,gpkc->pkfc", folds, unrotated).reshape(slots.shape[1], n, -1)
 
 
-def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.ndarray:
-    """Each row of the M x K input `a` times each of the nw weight matrices
-    held in the matrix-order uint8 `words` (at least K rows): an (M, nw,
-    columns) floating array of exact integers.
+def _slab(words: np.ndarray, bits: int, nw: int) -> np.ndarray:
+    """The nw signed `bits`-bit fields of the (K, columns) `words`, laid out
+    by one transpose-copy as a (K, nw * columns) float32 matrix.
 
-    The words are cut into their nw signed weight fields, which one
-    transpose-copy lays out as a (K, nw * columns) slab; the outputs are
-    one matmul of the input with it. The result is exact: each output is a
-    sum of K products of an 8-bit input and a w-bit weight field, each at
-    most 2^(6+w) in magnitude, so every partial sum is at most 2^(6+w) * K.
-    The matmul runs in float32 when that bound is at most 2^24 and in
-    float64 otherwise; float64 would need K > 2^39 to reach 2^53, an input
-    of more than 4 TB per row. The outputs stay floating so that callers
-    convert each matrix once: an int64 copy of the whole group on top of
-    the per-matrix ones doubles the fresh memory of every run.
+    An 8-bit field is the word itself, so a W8 slab is the words read as
+    int8, with no int16 `bit_fields` copy: that copy, half the slab's size,
+    pushed a decode job's freed temporaries past the heap's trim threshold
+    on some runs, which then paid a page fault per page on every job."""
+    if bits == 8:
+        return words.view(np.int8).astype(np.float32)
+    fields = bit_fields(words, bits, nw)  # [t, k, column]
+    return fields.transpose(1, 0, 2).astype(np.float32, order="C").reshape(len(words), -1)
+
+
+def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.ndarray:
+    """Each row of the M x K input `a` (K >= 1) times each of the nw weight
+    matrices held in the matrix-order uint8 `words` (at least K rows): an
+    (M, nw, columns) floating array of exact integers.
+
+    Each output is a sum of K products of an 8-bit input and a w-bit
+    weight field, each at most 2^(6+w) in magnitude. The matmul runs in
+    float32, over chunks of at most 2^(18-w) rows of K, each with its own
+    `_slab`, so that every partial sum within a chunk is at most 2^24 and
+    exact. The chunk results are summed in float64, exact while the total
+    stays below 2^53, that is for any K below 2^39, an int8 input of more
+    than 512 GB per row; a single chunk's float32 result is returned as it
+    is. The outputs stay floating so that callers convert each matrix
+    once: an int64 copy of the whole group on top of the per-matrix ones
+    doubles the fresh memory of every run.
     """
-    precision, nw = mode.precision, mode.nw
-    k_dim, columns = a.shape[1], words.shape[1]
-    fields = bit_fields(words[:k_dim], precision.weight_bits, nw)  # [t, k, column]
-    dtype = np.float32 if k_dim << (6 + precision.weight_bits) <= 1 << 24 else np.float64
-    slab = fields.transpose(1, 0, 2).astype(dtype, order="C").reshape(k_dim, nw * columns)
-    return (a.astype(dtype) @ slab).reshape(len(a), nw, columns)
+    bits, nw = mode.weight_bits, mode.nw
+    k_dim = a.shape[1]
+    chunk = 1 << (18 - bits)
+    total = None
+    for lo in range(0, k_dim, chunk):
+        hi = min(lo + chunk, k_dim)
+        # no slab outlives its matmul, so one chunk's temporaries are live at a time
+        part = a[:, lo:hi].astype(np.float32) @ _slab(words[lo:hi], bits, nw)
+        if total is None:
+            total = part
+        else:
+            if total.dtype != np.float64:
+                total = total.astype(np.float64)
+            total += part
+    return total.reshape(len(a), nw, words.shape[1])
 
 
 @dataclass
@@ -518,7 +542,7 @@ class ArraySim:
         m_dim, k_dim = a.shape
         load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
-        amax = int(max(a.max(initial=0), -a.min(initial=0)))
+        amax = max(int(a.max(initial=0)), -int(a.min(initial=0)))  # -a.min() wraps at -128 in int8
         check = _row_may_overflow(amax, n, self.precision)
         if self._trace is None and not check:
             self.cycle += tk * tp * (load + steps)

@@ -30,14 +30,34 @@ def signed_range(bits: int) -> tuple[int, int]:
 
 def check_signed(values, bits: int, what: str = "value"):
     """Return `values` (a scalar or an array) unchanged if every element fits
-    a two's-complement field of `bits` bits; raise ValueError otherwise."""
+    a two's-complement field of `bits` bits; raise ValueError otherwise. An
+    array whose integer dtype already bounds it, such as int8 against 8
+    bits, is not scanned."""
     lo, hi = signed_range(bits)
     if isinstance(values, np.ndarray):
+        kind, width = values.dtype.kind, 8 * values.dtype.itemsize
+        if (kind == "i" and width <= bits) or (kind == "u" and width < bits):  # the dtype bounds every element
+            return values
         if values.size and (values.min() < lo or values.max() > hi):
             raise ValueError(f"{what} outside signed {bits}-bit range [{lo}, {hi}]")
     elif not lo <= values <= hi:
         raise ValueError(f"{what} {values} outside signed {bits}-bit range [{lo}, {hi}]")
     return values
+
+
+def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
+    """`values`, an array-like of signed `bits`-bit integers (bits <= 8), as
+    an int8 array, after one range check; an int8 array comes back as is.
+
+    Integral floats are accepted. A non-integral or non-finite element
+    raises ValueError rather than being truncated; integer and bool arrays
+    skip that test."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        array = np.asarray(array, dtype=np.float64)
+        if not (np.isfinite(array).all() and (array == np.trunc(array)).all()):
+            raise ValueError(f"{what} not a finite integer")
+    return check_signed(array, bits, what).astype(np.int8, copy=False)
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -35,7 +35,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import bit_fields, ceil_div, check_signed
+from .numerics import bit_fields, ceil_div, check_signed, to_int8
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -170,14 +170,16 @@ def inverse_permute(tile: WeightTile) -> WeightTile:
 
 
 def _pack_fields(fields: Sequence[np.ndarray], width: int, words: np.ndarray) -> np.ndarray:
-    """OR same-shape signed `width`-bit fields, field t at index t, into the
-    zeroed uint8 `words` of their shape and return it: field t fills bits
-    [t * width, (t + 1) * width), two's complement."""
+    """OR same-shape signed `width`-bit integer fields, field t at index t,
+    into the zeroed uint8 `words` of their shape and return it: field t
+    fills bits [t * width, (t + 1) * width), two's complement. An int8
+    field's bits are a view of it; wider ones are cut to int8 first."""
     mask = (1 << width) - 1
     for t, values in enumerate(fields):
-        bits = np.asarray(values).astype(np.uint8)  # wraps negatives modulo 256
-        bits &= mask
-        bits *= 1 << (t * width)  # the shift into place: numpy multiplies uint8 several times faster than it shifts
+        bits = values.astype(np.int8, copy=False).view(np.uint8)  # negatives modulo 256
+        if width < 8:
+            bits = bits & mask
+            bits *= 1 << (t * width)  # the shift into place: numpy multiplies uint8 several times faster than it shifts
         words |= bits
     return words
 
@@ -295,20 +297,21 @@ def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int)
     The matrices' fields are interleaved into words in matrix order,
     zero-padded up to multiples of n, so that tile (k, j) of the result, as
     the array loads it, is `interleave` of the `permute`d tiles (k, j) of
-    the matrices. The grid has no tiles when K or P is 0.
+    the matrices. The grid has no tiles when K or P is 0. The matrices are
+    range-checked and read as int8 (see `numerics.to_int8`), so int8
+    matrices are packed as they are, and 8-bit ones are not scanned.
     """
     if n < 1:
         raise ValueError(f"tile size must be >= 1, got {n}")
     if len(matrices) != mode.nw:
         raise ValueError(f"mode expects {mode.nw} matrices, got {len(matrices)}")
-    mats = [np.asarray(m, dtype=np.int64) for m in matrices]
+    mats = [np.asarray(m) for m in matrices]
     shape = mats[0].shape
     if len(shape) != 2:
         raise ValueError(f"weight matrices must be 2-D, got shape {shape}")
     if any(m.shape != shape for m in mats):
         raise ValueError("all weight matrices must share one K x P shape")
-    for m in mats:
-        check_signed(m, mode.weight_bits, "weight")
+    mats = [to_int8(m, mode.weight_bits, "weight") for m in mats]
     k_dim, p_dim = shape
     words = np.zeros((ceil_div(k_dim, n) * n, ceil_div(p_dim, n) * n), dtype=np.uint8)
     _pack_fields(mats, mode.weight_bits, words[:k_dim, :p_dim])

@@ -14,8 +14,12 @@ Every pass of a fused group streams the same input, so `run_tiled` hands
 each group at once to `ArraySim.stream_grid`, traced or not, on one
 `ArraySim` per job, set up by the job's precision; each group's grid
 carries its own matrix count. It forms registers only where a trace or
-the overflow bound needs them, and takes the group's outputs from one
-exact matmul over the whole K.
+the overflow bound needs them, and takes the group's outputs from exact
+float32 matmuls over chunks of K, summed in float64.
+
+Operands stay int8 from `MatMulJob` to the matmul; the job checks each
+once, and the later checks in `prepare_weights` and `stream_grid` read
+the int8 dtype instead of the values, except for narrow weights.
 """
 
 from __future__ import annotations
@@ -26,13 +30,19 @@ from typing import Optional
 import numpy as np
 
 from .array import ArraySim
-from .numerics import ceil_div, check_signed
+from .numerics import ceil_div, to_int8
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
 
 @dataclass
 class MatMulJob:
-    """One shared input matrix times one or more weight matrices."""
+    """One shared input matrix times one or more weight matrices.
+
+    Each operand is range-checked once, here, and then kept at its own
+    width: `a` and every weight matrix are int8 arrays. Integral floats are
+    accepted; a non-integral, non-finite or out-of-range element raises
+    ValueError. Only the outputs of a run are int64.
+    """
 
     a: np.ndarray
     weights: list[np.ndarray]
@@ -40,8 +50,8 @@ class MatMulJob:
     n: int
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=np.int64)
-        self.weights = [np.asarray(w, dtype=np.int64) for w in self.weights]
+        self.a = np.asarray(self.a)
+        self.weights = [np.asarray(w) for w in self.weights]
         if self.a.ndim != 2:
             raise ValueError(f"input matrix must be 2-D, got shape {self.a.shape}")
         if not self.weights:
@@ -52,9 +62,8 @@ class MatMulJob:
             raise ValueError(f"weight shape {shape} incompatible with input K={k_dim}")
         if any(w.shape != shape for w in self.weights):
             raise ValueError("all weight matrices must share one shape")
-        check_signed(self.a, 8, "input element")
-        for w in self.weights:
-            check_signed(w, self.precision.weight_bits, "weight")
+        self.a = to_int8(self.a, 8, "input element")
+        self.weights = [to_int8(w, self.precision.weight_bits, "weight") for w in self.weights]
         if self.n < 1:
             raise ValueError(f"array size must be >= 1, got {self.n}")
 
@@ -121,7 +130,8 @@ def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
     if bound >= 1 << 63:
         raise ValueError(f"|a| * |w| * K reaches 2^63 at K={k_dim}; int64 sums could wrap")
     if bound >= 1 << 53:
-        return [job.a @ w for w in job.weights]
+        a = job.a.astype(np.int64)  # an int8 matmul would wrap
+        return [a @ w.astype(np.int64) for w in job.weights]
     a = job.a.astype(np.float64)
     return [(a @ w.astype(np.float64)).astype(np.int64) for w in job.weights]
 

@@ -3,7 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from adipsim.numerics import bit_fields, ceil_div, check_signed, mul2, recompose, signed_range, split_subwords
+from adipsim.numerics import (
+    bit_fields,
+    ceil_div,
+    check_signed,
+    mul2,
+    recompose,
+    signed_range,
+    split_subwords,
+    to_int8,
+)
 
 
 @pytest.mark.parametrize(
@@ -110,6 +119,36 @@ def test_check_signed_takes_scalars_and_arrays():
     for bad in (8, -9, np.array([0, 8]), np.array([[-9, 0]])):
         with pytest.raises(ValueError):
             check_signed(bad, 4)
+
+
+def test_check_signed_reads_a_bounding_dtype_and_scans_the_rest():
+    """An int8 array is in the 8-bit range by its dtype; against a narrower
+    range, or in a wider dtype, its values are still checked."""
+    assert check_signed(np.array([-128, 127], dtype=np.int8), 8).dtype == np.int8
+    assert check_signed(np.array([0, 255], dtype=np.uint8), 9).size == 2
+    for values, dtype, bits in (([8], np.int8, 4), ([200], np.int16, 8), ([128], np.uint8, 8)):
+        with pytest.raises(ValueError):
+            check_signed(np.array(values, dtype=dtype), bits)
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [([[1, -2]], np.int64), ([[1.0, -2.0]], np.float64), ([[True, False]], np.bool_), ([[1, -2]], np.int8)],
+)
+def test_to_int8_takes_integral_values_of_any_dtype(values, dtype):
+    got = to_int8(np.array(values, dtype=dtype), 4)
+    assert got.dtype == np.int8 and got.tolist() == np.array(values, dtype=np.int64).tolist()
+
+
+def test_to_int8_returns_an_int8_array_as_is():
+    values = np.array([[3, -4]], dtype=np.int8)
+    assert to_int8(values, 8) is values
+
+
+@pytest.mark.parametrize("bad", [[0.5], [np.nan], [-np.inf], [200], [-129]])
+def test_to_int8_rejects_what_int8_cannot_hold(bad):
+    with pytest.raises(ValueError, match="^x "):
+        to_int8(np.array(bad), 8, "x")
 
 
 def test_ceil_div_counts_covering_tiles():

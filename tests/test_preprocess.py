@@ -257,6 +257,24 @@ def test_prepare_rejects_out_of_range_weights():
         prepare_weights([np.array([[2]])], PrecisionMode(Precision.W2, 1), 4)
 
 
+def test_prepare_rejects_non_integral_weights():
+    with pytest.raises(ValueError, match="weight not a finite integer"):
+        prepare_weights([np.array([[0.5]])], PrecisionMode(Precision.W8, 1), 4)
+
+
+@pytest.mark.parametrize("mode", MODE_CONFIGS)
+def test_prepare_packs_int8_matrices_as_wide_ones_and_leaves_them(mode):
+    """int8 matrices, whose word bits are a view of them, pack to the same
+    words as int64 ones and come back unchanged."""
+    rng = np.random.default_rng(60 + mode.nw + mode.weight_bits)
+    lo = -(1 << (mode.weight_bits - 1))
+    wide = [rng.integers(lo, -lo, size=(7, 9)) for _ in range(mode.nw)]
+    narrow = [w.astype(np.int8) for w in wide]
+    grid = prepare_weights(narrow, mode, 4)
+    assert np.array_equal(grid.words, prepare_weights(wide, mode, 4).words)
+    assert all(np.array_equal(x, w) for x, w in zip(narrow, wide))
+
+
 # -- binary dump ----------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 import io
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
 from adipsim.preprocess import Precision
@@ -181,6 +184,95 @@ def test_job_validation():
         MatMulJob(np.full((2, 2), 300), [np.zeros((2, 2))], Precision.W8, 4)
     with pytest.raises(ValueError):
         MatMulJob(np.zeros((2, 2)), [np.full((2, 2), 3)], Precision.W2, 4)
+
+
+@pytest.mark.parametrize(
+    "a, w, what",
+    [
+        ([[1.5]], [[1.0]], "input element"),
+        ([[1.0]], [[-0.25]], "weight"),
+        ([[np.nan]], [[1.0]], "input element"),
+        ([[1.0]], [[np.inf]], "weight"),
+    ],
+    ids=["fractional input", "fractional weight", "NaN input", "infinite weight"],
+)
+def test_job_rejects_non_integral_operands(a, w, what):
+    """A float operand is accepted only when every element is a finite
+    integer; otherwise the job names the operand instead of truncating."""
+    with pytest.raises(ValueError, match=f"{what} not a finite integer"):
+        MatMulJob(np.array(a), [np.array(w)], Precision.W8, 4)
+
+
+_FORMS = {
+    "int8": lambda x: x.astype(np.int8),
+    "int16": lambda x: x.astype(np.int16),
+    "int64": lambda x: x.astype(np.int64),
+    "list": lambda x: x.tolist(),
+    "float": lambda x: x.astype(np.float64),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    precision=st.sampled_from(list(Precision)),
+    nw=st.integers(1, 3),
+    n=st.integers(1, 5),
+    dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operand_dtype_does_not_change_the_job(precision, nw, n, dims, seed):
+    """The same values given as int8, int16, int64, Python lists or integral
+    floats make the same job: int8 operands, the same outputs, cycles and
+    passes. Out-of-range values raise the same ValueError in every form
+    that can hold them: an input of 200 and a weight one above the range."""
+    rng = np.random.default_rng(seed)
+    m, k, p = dims
+    lo = -(1 << (precision.weight_bits - 1))
+    a = rng.integers(-128, 128, size=(m, k))
+    weights = [rng.integers(lo, -lo, size=(k, p)) for _ in range(nw)]
+    results = []
+    for form in _FORMS.values():
+        job = MatMulJob(form(a), [form(w) for w in weights], precision, n)
+        assert job.a.dtype == np.int8 and all(w.dtype == np.int8 for w in job.weights)
+        results.append(run_tiled(job))
+    for result in results[1:]:
+        assert (result.total_cycles, result.pass_count) == (results[0].total_cycles, results[0].pass_count)
+        assert all(np.array_equal(x, y) for x, y in zip(result.outputs, results[0].outputs, strict=True))
+    bad_a, bad_w = a.copy(), weights[0].copy()
+    bad_a[rng.integers(0, m), rng.integers(0, k)] = 200
+    bad_w[rng.integers(0, k), rng.integers(0, p)] = -lo
+    for what, x, ws in (("input element", bad_a, weights), ("weight", a, [bad_w] + weights[1:])):
+        messages = set()
+        for name, form in _FORMS.items():
+            if name == "int8" and max(np.abs(x).max(), *(np.abs(w).max() for w in ws)) > 127:
+                continue  # int8 cannot hold the value
+            with pytest.raises(ValueError) as raised:
+                MatMulJob(form(x), [form(w) for w in ws], precision, n)
+            messages.add(str(raised.value))
+        assert len(messages) == 1 and messages.pop().startswith(what)
+
+
+def test_run_tiled_peak_memory_scales_with_int8_operands():
+    """A W8 job with K > 1024 (three float32 chunks of K) holds no wide copy
+    of a whole operand: the peak traced allocation of `run_tiled` stays
+    within three times the int8 operands plus the int64 outputs. A float64
+    copy of the weights alone would be eight bytes a weight."""
+    m, k, p = 256, 2560, 1024
+    rng = np.random.default_rng(0)
+    job = MatMulJob(
+        rng.integers(-128, 128, size=(m, k), dtype=np.int8),
+        [rng.integers(-128, 128, size=(k, p), dtype=np.int8)],
+        Precision.W8,
+        32,
+    )
+    tracemalloc.start()
+    try:
+        result = run_tiled(job)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.outputs[0].dtype == np.int64
+    assert peak <= 3 * (m * k + k * p + 8 * m * p)
 
 
 def test_plan_counts():

@@ -427,7 +427,7 @@ def test_matmul_dtype_switches_at_the_float32_bound(k_dim, float32_exact):
     2^24, so up to K = 1024; one row more and float32 gets them wrong. Both
     sides of the bound must equal int64 `a @ w` and the stepped path."""
     job = _float32_edge(k_dim)
-    want = job.a @ job.weights[0]
+    want = job.a.astype(np.int64) @ job.weights[0].astype(np.int64)
     assert int(want[0, 0]) == (k_dim - 1) * (1 << 14) + 1
     in_float32 = (job.a.astype(np.float32) @ job.weights[0].astype(np.float32)).astype(np.int64)
     assert np.array_equal(in_float32, want) is float32_exact
@@ -436,6 +436,43 @@ def test_matmul_dtype_switches_at_the_float32_bound(k_dim, float32_exact):
     assert np.array_equal(stepped.outputs[0], want)
     assert fast.total_cycles == stepped.total_cycles
     assert fast.pass_count == stepped.pass_count == ceil_div(k_dim, 4) * 2
+
+
+@pytest.mark.parametrize("k_dim", [1024, 1025, 2048, 2049])
+def test_w8_outputs_are_exact_at_the_chunk_edges(k_dim):
+    """W8 sums K in float32 chunks of 2^10 rows: one chunk up to K = 1024,
+    two up to 2048, three at 2049. At every edge, with the largest odd sum
+    that K allows, both paths equal int64 `a @ w`."""
+    job = _float32_edge(k_dim)
+    want = job.a.astype(np.int64) @ job.weights[0].astype(np.int64)
+    assert int(want[0, 0]) == (k_dim - 1) * (1 << 14) + 1
+    fast, stepped = _both(job)
+    assert np.array_equal(fast.outputs[0], want)
+    assert np.array_equal(stepped.outputs[0], want)
+    assert fast.total_cycles == stepped.total_cycles
+
+
+@pytest.mark.parametrize("precision, nw, k_dim", [(Precision.W4, 1, (1 << 14) + 1), (Precision.W2, 4, (1 << 16) + 1)])
+def test_narrow_outputs_are_exact_one_row_past_the_first_chunk(precision, nw, k_dim):
+    """W4 and W2 chunks hold 2^14 and 2^16 rows of K. One row more, with the
+    largest odd sum, one float32 matmul over the whole K rounds; the
+    untraced run still equals int64 `a @ w` for every matrix."""
+    bits = precision.weight_bits
+    rng = np.random.default_rng(k_dim)
+    lo = -(1 << (bits - 1))
+    a = rng.integers(-128, 128, size=(3, k_dim))
+    weights = [rng.integers(lo, -lo, size=(k_dim, 5)) for _ in range(nw)]
+    a[0, :-1], a[0, -1] = -128, 1
+    for w in weights:
+        w[:-1, 0], w[-1, 0] = lo, 1
+    job = MatMulJob(a, weights, precision, 4)
+    result = run_tiled(job)
+    for got, w in zip(result.outputs, weights, strict=True):
+        want = a @ w
+        assert int(want[0, 0]) == (k_dim - 1) * (1 << (6 + bits)) + 1
+        in_float32 = (a.astype(np.float32) @ w.astype(np.float32)).astype(np.int64)
+        assert not np.array_equal(in_float32, want)
+        assert np.array_equal(got, want)
 
 
 def _widest_word(precision):
