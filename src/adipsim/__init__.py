@@ -3,10 +3,10 @@ simulator, analytic latency/throughput models, and attention-workload
 cost comparisons."""
 
 from .analytic import AnalyticParams, dmul_latency, peak_throughput, sweep, throughput, tile_latency
-from .array import ArraySim, CollectedRow
+from .array import ArraySim
 from .cost import Arch, CostParams, StageCost, stage_latency, summary
 from .numerics import mul2, recompose, split_subwords
-from .pe import PE, PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
+from .pe import PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
 from .preprocess import (
     PackedGrid,
     PackedWeightTile,
@@ -29,11 +29,9 @@ __all__ = [
     "AnalyticParams",
     "Arch",
     "ArraySim",
-    "CollectedRow",
     "CostParams",
     "MatMulJob",
     "MhaConfig",
-    "PE",
     "PackedGrid",
     "PackedWeightTile",
     "PhaseError",

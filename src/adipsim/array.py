@@ -22,18 +22,19 @@ slot[g, q, c]; reducer stages 1 and 2 hold the folds of the bottom buses
 of rows s-m-n+1 and s-m-n; and each row's outputs are the fold of its own
 bottom buses.
 
-One engine, `ArraySim`, runs every pass of a job on one instance, set up
-by the weight precision as the array's computation mode is; how many
-matrices share a stationary word comes with each tile or grid it is
-given. A pass is one weight load, then a run of streamed rows. `stream`
-runs one pass on the rows it carries, `stream_grid` every pass of a fused
-group, whose tiles it rotates out of the grid's matrix-order words once.
-Both form the registers of a block of clocks, for a stack of passes at
-once, from the formulas above (`_registers`); `stream_grid` forms them
-only where a trace or an overflow check reads them. The reducer's fold
-is linear, so the outputs are exact matmuls of the int8 input with the
-weight fields of the matrix-order words (`_group_outputs`): float32 over
-chunks of K small enough to stay exact, summed in float64.
+One engine, `ArraySim.stream_grid`, runs every pass of a fused group on
+one instance, set up by the weight precision as the array's computation
+mode is; how many matrices share a stationary word comes with the grid.
+A pass is one weight load, then a run of streamed rows, padded to whole
+row tiles. The tiles are rotated out of the grid's matrix-order words
+once, and the registers of a block of clocks, for a stack of passes at
+once, come from the formulas above (`_registers`), formed only where a
+trace or an overflow check reads them. The reducer's fold is linear, so
+the outputs are exact matmuls of the int8 input with the weight fields
+of the matrix-order words (`_group_outputs`): float32 over chunks of K
+small enough to stay exact, summed in float64. `load_weights` and
+`stream` run one tile through the same engine, as a 1 x 1 grid; they
+stay only for the benchmark's span wrappers (bench/spans.py).
 
 Registers are checked only when the inputs could reach the limit: one
 bound that reads no weight (`_row_may_overflow`), the largest input
@@ -51,14 +52,15 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .numerics import PSUM_BITS, bit_fields, ceil_div, to_int8
 from .pe import PhaseError, PsumOverflowError
-from .pe import weight_slots  # noqa: F401  kept as adipsim.array.weight_slots for bench/spans.py
+# Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
+# the benchmark change of ROADMAP item 7 deletes it.
+from .pe import weight_slots  # noqa: F401
 from .preprocess import PackedGrid, PackedWeightTile, Precision, PrecisionMode, check_tiles, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
@@ -172,23 +174,6 @@ def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optiona
             f"{structural} of {precision.name}"
         )
     return reduce_stages
-
-
-def _check_rows(rows, n: int) -> np.ndarray:
-    """Streamed input of one pass: an R x n int8 block of 8-bit activations."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"input rows must be R x {n}, got {rows.shape}")
-    return to_int8(rows, 8, "input element")
-
-
-def _check_input(a, n: int, tk: int) -> np.ndarray:
-    """Input of a fused group of tk k-rows: an M x K int8 matrix of 8-bit
-    activations with ceil(K/n) = tk; an int8 one is not scanned."""
-    a = np.asarray(a)
-    if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
-        raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
-    return to_int8(a, 8, "input element")
 
 
 def _out_of_range(values: np.ndarray, axis=None) -> np.ndarray:
@@ -318,24 +303,18 @@ def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.
     return total.reshape(len(a), nw, words.shape[1])
 
 
-@dataclass
-class CollectedRow:
-    """One streamed input row's results: per active matrix, one output row."""
-
-    index: int
-    cycle: int
-    outputs: list[np.ndarray]
-
-
 class ArraySim:
     """Single-owner simulator instance of an n x n array of `precision`
-    PEs, advanced one pass at a time; every tile it loads or grid it runs
-    must be of that precision and size, with any number of matrices.
+    PEs, advanced one pass at a time; every grid it runs must be of that
+    precision and size, with any number of matrices.
 
     `mac_stages` counts psum pipeline registers at the column bottom (the
     bottom PE's psum register is the first); `reduce_stages` counts shared
     shift-add registers traversed on output, at least the structural depth
     of the precision (2 for W8, 1 for W4, 0 for W2).
+
+    `stream_grid` is the one engine. `load_weights` and `stream` are a
+    one-tile front of it: they run a single tile as a 1 x 1 grid.
 
     A trace sink gets the header, then one line per PE per cycle.
     """
@@ -359,34 +338,9 @@ class ArraySim:
         self.overlap_weights = overlap_weights
         self.cycle = 0
         self._trace = trace
-        self._words = None  # the loaded tile's words, in matrix order
-        self._mode = None  # and its mode
-        # No weights and no registers until the first load or clock: read-only
-        # zeros, so an instance that only runs `stream_grid` allocates none.
-        zero = np.zeros((), dtype=np.int64)
-        self._slots = np.broadcast_to(zero, (4, n, n))
-        self._held = np.broadcast_to(zero, (1, n, n, 5))
+        self._tile = None  # the grid of the tile `load_weights` took
         if trace is not None:
             trace.write(TRACE_HEADER + "\n")
-
-    def _clear(self) -> None:
-        # The registers after the last clock, per PE the input and then the
-        # buses, and the last n + mac_stages rows fed: the oldest is the
-        # one whose fold the next clock registers in reducer stage 2.
-        self._held = np.zeros((1, self.n, self.n, 5), dtype=np.int64)
-        self._window = np.zeros((self.n + self.mac_stages, self.n), dtype=np.int64)
-
-    # -- state inspection (read-only copies) --------------------------------
-
-    @property
-    def input_registers(self) -> np.ndarray:
-        return self._held[0, ..., 0].copy()
-
-    @property
-    def psum_registers(self) -> np.ndarray:
-        return self._held[0].transpose(2, 0, 1)[1:].copy()
-
-    # -- phases --------------------------------------------------------------
 
     def _check_fits(self, tiles) -> None:
         """ValueError unless the tile or grid `tiles` holds tiles of this
@@ -397,20 +351,24 @@ class ArraySim:
                 f"{self.precision.name} array of size {self.n}"
             )
 
-    def load_weights(self, packed: PackedWeightTile) -> None:
-        """Load an n x n packed tile vertically; clears all compute state.
+    # The one-tile front stays only because bench/spans.py wraps these two
+    # methods by name; the benchmark change of ROADMAP item 7 deletes it.
 
-        Costs n cycles (one row per cycle) unless the instance was built
-        with `overlap_weights=True`, which models double-buffered loading
-        hidden behind the previous tile's drain.
-        """
+    def load_weights(self, packed: PackedWeightTile) -> None:
+        """Take an n x n tile, rotated as the array loads it, for `stream`."""
         self._check_fits(packed)
-        self._slots = decode_slots(packed.words, self.precision).astype(np.int64)
-        self._mode = packed.mode
-        self._words = np.empty_like(packed.words)
-        self._words[_diagonals(self.n), np.arange(self.n)] = packed.words
-        self._clear()
-        self.cycle += load_cycles(self.n, self.overlap_weights)
+        words = np.empty_like(packed.words)
+        words[_diagonals(self.n), np.arange(self.n)] = packed.words
+        self._tile = PackedGrid(words, packed.mode, self.n)
+
+    def stream(self, rows) -> np.ndarray:
+        """`stream_grid` of the loaded tile on the R x n `rows`: one pass,
+        its load cycles included."""
+        if self._tile is None:
+            raise PhaseError("streaming before weight load")
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != self.n:
+            raise ValueError(f"input rows must be R x {self.n}, got {np.shape(rows)}")
+        return self.stream_grid(self._tile, rows)
 
     def _write_trace(self, history: np.ndarray, cycles: np.ndarray) -> None:
         """Write the per-PE lines of the increasing `cycles`, whose (5, n, n)
@@ -440,23 +398,23 @@ class ArraySim:
 
     # -- streaming -----------------------------------------------------------
 
-    def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, held: np.ndarray, check: bool) -> None:
+    def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, check: bool) -> None:
         """Run each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
-        n + mac_stages rows fed before it, then one row per clock, from the
-        (P, n, n, 5) registers `held`, which end on its last clock. A pass
-        costs `load` cycles, then one per clock.
+        n + mac_stages zero rows before it, then one row per clock, from
+        zero registers. A pass costs `load` cycles, then one per clock.
 
         Registers are formed in blocks of at most `_TRACE_BLOCK` PE-cycles
         (whole passes when they fit). With `check`, the caller's
         `_row_may_overflow` for the largest fed value, every block is
         checked: the first clock in run order out of range raises
         `PsumOverflowError`, after the trace lines of the clocks before it,
-        with the clock and `held` on it.
+        with the clock on it.
         """
         n, window = self.n, self.n + self.mac_stages
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
         period = load + steps
+        held = np.zeros((passes, n, n, 5), dtype=np.int64)  # each pass's registers after its last block
         if check:
             reducer = _fold_matrices(slots, _STAGE2_FOLD)
         start = self.cycle
@@ -482,43 +440,9 @@ class ArraySim:
                     self._write_trace(registers.transpose(0, 3, 1, 2), cycles[:fail])
                 if fail < len(cycles):
                     self.cycle = int(cycles[fail])
-                    held[block_passes[fail // clocks]] = registers[fail]
                     _check_register(registers[fail, ..., 1:], "psum bus")
                     _check_register(stage2[fail], "reducer")
         self.cycle = start + passes * period
-
-    def _feed(self, rows: np.ndarray, drain: int) -> None:
-        """Feed `rows`, then `drain` zero rows, one per clock, on the loaded
-        weights."""
-        if not self._held.flags.writeable:  # the first clock of a fresh instance
-            self._clear()
-        window = len(self._window)
-        feed = np.concatenate([self._window, rows, np.zeros((drain, self.n), dtype=np.int64)])
-        check = _row_may_overflow(np.abs(feed).max(), self.n, self.precision)
-        start = self.cycle
-        try:
-            self._run(self._slots[:, None], feed[None], 0, self._held, check)
-        finally:  # also after an overflow, on its cycle
-            self._window = feed[self.cycle - start :][:window]
-
-    def _step(self, row_in: np.ndarray) -> None:
-        """One clock with `row_in` entering PE row 0."""
-        self._feed(np.asarray(row_in, dtype=np.int64)[None], 0)
-
-    def stream(self, a_rows: Sequence[np.ndarray]) -> list[CollectedRow]:
-        """Feed one input row per cycle, then drain until all rows emerge.
-
-        Returns, in input order, each row's per-matrix output rows with the
-        absolute cycle at which the whole row left the array.
-        """
-        if self._words is None:
-            raise PhaseError("streaming before weight load")
-        rows = _check_rows(a_rows, self.n)
-        count = rows.shape[0]
-        first = self.cycle + self.n + self.mac_stages + self.reduce_stages - 1
-        self._feed(rows, stream_cycles(self.n, count, self.mac_stages, self.reduce_stages) - count)
-        outputs = _group_outputs(self._words, rows, self._mode).astype(np.int64)
-        return [CollectedRow(index=i, cycle=first + i, outputs=list(outputs[i])) for i in range(count)]
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
         """Every pass of one fused group as `run_tiled` prepares it: for each
@@ -538,7 +462,10 @@ class ArraySim:
         self._check_fits(grid)
         n, window = self.n, self.n + self.mac_stages
         tk, tp = grid.tk, grid.tp
-        a = _check_input(a, n, tk)
+        a = np.asarray(a)
+        if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
+            raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
+        a = to_int8(a, 8, "input element")  # an int8 input is not scanned
         m_dim, k_dim = a.shape
         load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
@@ -552,5 +479,5 @@ class ArraySim:
             feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
             slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(np.int64)
-            self._run(slots, feed, load, np.zeros((tp * tk, n, n, 5), dtype=np.int64), check)
+            self._run(slots, feed, load, check)
         return _group_outputs(grid.words, a, grid.mode)

@@ -4,8 +4,8 @@ Three architectures share one pass structure: a pass pins one stationary
 weight tile and streams every input row tile through the array. A pass
 costs what the simulator's clock gives it, `array.load_cycles` plus
 `array.stream_cycles` for the streamed rows at the reducer depth of the
-pass precision. `summary` costs each (stage, architecture) once, from the
-one plan that `stage_latency` and `stage_cost` also read.
+pass precision. `summary` costs each distinct stage shape once per
+architecture, from the plan that `stage_latency` and `stage_cost` read.
 
 * WS   -- conventional weight-stationary baseline; pays an extra skew of
           n - 1 fill cycles per pass for input/output synchronization.
@@ -171,12 +171,15 @@ def projection_latency_improvement(cfg: MhaConfig, params: CostParams) -> float:
 
 def summary(cfg: MhaConfig, params: CostParams) -> dict:
     """All totals plus the improvement percentages of ADiP relative to DiP,
-    from one `StageCost` per (stage, architecture)."""
+    from one `StageCost` per distinct stage shape and architecture."""
     specs = stages(cfg)
+    # what stage_cost reads of a stage but its name; QProj, KProj, VProj and OutProj share one
+    shapes = [(s.m, s.k, s.p, s.count, s.weight_bits, s.is_projection) for s in specs]
     totals = {}
     projection = {}
     for arch in Arch:
-        costs = [stage_cost(spec, arch, params) for spec in specs]
+        by_shape = {shape: stage_cost(spec, arch, params) for shape, spec in dict(zip(shapes, specs)).items()}
+        costs = [by_shape[shape] for shape in shapes]
         cycles = sum(c.cycles for c in costs)
         totals[arch.label] = {
             "cycles": cycles,

@@ -45,19 +45,31 @@ def check_signed(values, bits: int, what: str = "value"):
     return values
 
 
-def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
-    """`values`, an array-like of signed `bits`-bit integers (bits <= 8), as
-    an int8 array, after one range check; an int8 array comes back as is.
-
-    Integral floats are accepted. A non-integral or non-finite element
-    raises ValueError rather than being truncated; integer and bool arrays
-    skip that test."""
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as an array; a non-integral or non-finite element raises
+    ValueError rather than being truncated (integer and bool arrays skip
+    that test)."""
     array = np.asarray(values)
     if array.dtype.kind not in "biu":
         array = np.asarray(array, dtype=np.float64)
         if not (np.isfinite(array).all() and (array == np.trunc(array)).all()):
             raise ValueError(f"{what} not a finite integer")
-    return check_signed(array, bits, what).astype(np.int8, copy=False)
+    return array
+
+
+def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
+    """`values`, an array-like of signed `bits`-bit integers (bits <= 8), as
+    an int8 array, after one range check; an int8 array comes back as is."""
+    return check_signed(_integers(values, what), bits, what).astype(np.int8, copy=False)
+
+
+def to_uint8(values, what: str = "value") -> np.ndarray:
+    """`values`, an array-like of integers in [0, 255], as a uint8 array,
+    after one range check; a uint8 array comes back as is."""
+    array = _integers(values, what)
+    if array.dtype != np.uint8 and array.size and (array.min() < 0 or array.max() > 0xFF):
+        raise ValueError(f"{what} outside [0, 255]")
+    return array.astype(np.uint8, copy=False)
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -12,19 +12,21 @@ fields are sign-carrying depends on the precision:
     W2: four 2-bit weights, every field signed
 
 Group outputs ride four dedicated psum buses; recombining them per mode
-(`combine_groups`) yields the per-matrix products.
+(`combine_groups`) yields the per-matrix products. This module holds the
+PE's arithmetic, one scalar at a time, and the errors the array raises;
+`array` forms every PE's registers for whole blocks of clocks at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import PSUM_BITS, check_signed, mul2, split_subwords
+from .numerics import mul2, split_subwords
 from .preprocess import Precision, decode_slots
 
 
 class PhaseError(RuntimeError):
-    """Weight load attempted while the PE is mid-computation."""
+    """An operation out of phase, such as streaming before any weight load."""
 
 
 class PsumOverflowError(OverflowError):
@@ -32,7 +34,7 @@ class PsumOverflowError(OverflowError):
 
 
 # The four slots of each of the 256 stationary words, per precision, as
-# Python ints: `weight_slots` runs once per multiply of the scalar PE model.
+# Python ints: `weight_slots` runs once per scalar `group_multiply`.
 _SLOT_TABLE = {
     precision: [tuple(slots) for slots in decode_slots(np.arange(256), precision).T.tolist()]
     for precision in Precision
@@ -63,48 +65,3 @@ def combine_groups(groups: tuple[int, int, int, int], precision: Precision) -> t
     if precision is Precision.W4:
         return (g0 + (g1 << 2), g2 + (g3 << 2))
     return (g0, g1, g2, g3)
-
-
-class PE:
-    """Registered state of a single grid cell.
-
-    One `step` models one clock: it consumes the diagonal-neighbor input and
-    the psums arriving from above (previous-cycle registers), emits the
-    input registered last cycle, and registers the updated psums.
-    """
-
-    def __init__(self, precision: Precision):
-        self.precision = precision
-        self.weight_word = 0
-        self.input_reg = 0
-        self.psums = (0, 0, 0, 0)
-        self.computing = False
-
-    def load_weight(self, word: int) -> None:
-        if self.computing:
-            raise PhaseError("weight load during compute phase")
-        if not 0 <= word <= 0xFF:
-            raise ValueError(f"weight word {word} outside [0, 255]")
-        self.weight_word = word
-        self.psums = (0, 0, 0, 0)
-
-    def end_compute(self) -> None:
-        """Return to the weight-load phase once outputs have drained."""
-        self.computing = False
-
-    def step(
-        self, input_in: int, psums_in: tuple[int, int, int, int] = (0, 0, 0, 0)
-    ) -> tuple[int, tuple[int, int, int, int]]:
-        check_signed(input_in, 8, "input")
-        self.computing = True
-        groups = group_multiply(input_in, self.weight_word, self.precision)
-        psums_out = tuple(p + g for p, g in zip(psums_in, groups))
-        try:
-            for p in psums_out:
-                check_signed(p, PSUM_BITS, "psum")
-        except ValueError as exc:
-            raise PsumOverflowError(str(exc)) from None
-        input_out = self.input_reg
-        self.input_reg = input_in
-        self.psums = psums_out
-        return input_out, psums_out

@@ -35,7 +35,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import bit_fields, ceil_div, check_signed, to_int8
+from .numerics import bit_fields, ceil_div, to_int8, to_uint8
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -109,12 +109,11 @@ class WeightTile:
     width: int
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.int32)
-        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
-            raise ValueError(f"weight tile must be square, got shape {self.data.shape}")
         if self.width not in (2, 4, 8):
             raise ValueError(f"invalid weight width {self.width}")
-        check_signed(self.data, self.width, "weight")
+        self.data = to_int8(self.data, self.width, "weight").astype(np.int32)
+        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
+            raise ValueError(f"weight tile must be square, got shape {self.data.shape}")
 
     @property
     def n(self) -> int:
@@ -129,7 +128,7 @@ class PackedWeightTile:
     mode: PrecisionMode
 
     def __post_init__(self) -> None:
-        self.words = np.asarray(self.words, dtype=np.uint8)
+        self.words = to_uint8(self.words, "weight word")
         if self.words.ndim != 2 or self.words.shape[0] != self.words.shape[1]:
             raise ValueError(f"packed tile must be square, got shape {self.words.shape}")
 

@@ -117,7 +117,7 @@ def test_c03_cycle_fidelity_across_sizes():
             mode = PrecisionMode(precision, 1)
             lo, hi = _weight_range(precision.weight_bits)
             grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
-            sim = ArraySim(n, precision)
+            sim = ArraySim(n, precision, overlap_weights=True)  # no load cycles
             sim.load_weights(grid[0][0])
             start = sim.cycle
             sim.stream(rng.integers(-128, 128, (n, n)))

@@ -2,11 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from reference import PE
 
 from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim
 from adipsim.numerics import check_signed
-from adipsim.pe import PE, PhaseError, PsumOverflowError
+from adipsim.pe import PhaseError, PsumOverflowError
 from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
 
 MODE_CONFIGS = [
@@ -32,12 +33,21 @@ def _single_tile(mode, weights, n):
 
 def _run_tile(sim, packed, a_tile):
     """Load one weight tile and stream one input tile: the nw product
-    matrices and the streaming latency in cycles."""
+    matrices and the pass latency in cycles, its weight load included."""
     sim.load_weights(packed)
     start = sim.cycle
-    collected = sim.stream(a_tile)
-    outputs = [np.stack([row.outputs[t] for row in collected]) for t in range(packed.mode.nw)]
-    return outputs, sim.cycle - start
+    outputs = sim.stream(a_tile).astype(np.int64)
+    return list(outputs.swapaxes(0, 1)), sim.cycle - start
+
+
+def _traced_registers(text, n):
+    """The registers of a trace after its header, per traced clock and PE:
+    shape (clocks, n, n, 5), the input and then the four buses."""
+    values = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=np.int64)
+    clocks = len(values) // (n * n)
+    assert np.array_equal(values[:, 0], np.repeat(values[:: n * n, 0], n * n))  # one clock per n*n lines
+    assert np.array_equal(values[:, 1:3], np.tile(np.argwhere(np.ones((n, n))), (clocks, 1)))
+    return values[:, 3:].reshape(clocks, n, n, 5)
 
 
 def test_identity_input_reproduces_weight_rows():
@@ -76,15 +86,11 @@ def test_tile_latency_and_emission_schedule(mode, expected_latency):
     n = 4
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode.precision)
-    sim.load_weights(_single_tile(mode, weights, n))
-    start = sim.cycle
-    collected = sim.stream(a)
-    assert sim.cycle - start == expected_latency
-    first = n + sim.mac_stages + sim.reduce_stages - 1
-    stamps = [row.cycle - start for row in collected]
-    assert stamps == [first + i for i in range(n)]
-    assert [row.index for row in collected] == list(range(n))
+    sim = ArraySim(n, mode.precision, overlap_weights=True)
+    outputs, latency = _run_tile(sim, _single_tile(mode, weights, n), a)
+    assert latency == expected_latency
+    for got, w in zip(outputs, weights):
+        assert np.array_equal(got, a.astype(np.int64) @ w)
 
 
 def test_whole_output_row_valid_on_one_cycle():
@@ -99,21 +105,23 @@ def test_whole_output_row_valid_on_one_cycle():
     sim.load_weights(_single_tile(mode, weights, n))
     for row, a_row in zip(sim.stream(a), a):
         for t, w in enumerate(weights):
-            assert np.array_equal(row.outputs[t], a_row.astype(np.int64) @ w)
+            assert np.array_equal(row[t], a_row.astype(np.int64) @ w)
 
 
 def test_diagonal_movement_visits_one_pe_per_row():
     n = 5
     mode = PrecisionMode(Precision.W8, 1)
-    sim = ArraySim(n, mode.precision)
+    sink = io.StringIO()
+    sim = ArraySim(n, mode.precision, trace=sink)
     sim.load_weights(_single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n))
     marker, col0 = 99, 2
-    first_row = np.zeros(n, dtype=np.int64)
-    first_row[col0] = marker
+    first_row = np.zeros((1, n), dtype=np.int64)
+    first_row[0, col0] = marker
+    sim.stream(first_row)
+    inputs = _traced_registers(sink.getvalue(), n)[..., 0]
     seen = []
     for step in range(n):
-        sim._step(first_row if step == 0 else np.zeros(n, dtype=np.int64))
-        positions = np.argwhere(sim.input_registers == marker)
+        positions = np.argwhere(inputs[step] == marker)
         assert len(positions) == 1
         seen.append(tuple(positions[0]))
     assert seen == [(r, (col0 - r) % n) for r in range(n)]
@@ -184,24 +192,20 @@ def test_back_to_back_rows_stream_continuously():
     mode = PrecisionMode(Precision.W8, 1)
     a = rng.integers(-128, 128, size=(2 * n, n))
     w = rng.integers(-128, 128, size=(n, n))
-    sim = ArraySim(n, mode.precision)
-    sim.load_weights(_single_tile(mode, [w], n))
-    start = sim.cycle
-    collected = sim.stream(a)
-    assert sim.cycle - start == 2 * n + n + 1 + 2 - 2
-    got = np.stack([row.outputs[0] for row in collected])
-    assert np.array_equal(got, a.astype(np.int64) @ w)
+    sim = ArraySim(n, mode.precision, overlap_weights=True)
+    outputs, latency = _run_tile(sim, _single_tile(mode, [w], n), a)
+    assert latency == 2 * n + n + 1 + 2 - 2
+    assert np.array_equal(outputs[0], a.astype(np.int64) @ w)
 
 
 def test_weight_load_cycle_accounting():
     n, mode = 4, PrecisionMode(Precision.W8, 1)
     tile = _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n)
+    rows = np.zeros((n, n), dtype=np.int64)
     serial = ArraySim(n, mode.precision)
-    serial.load_weights(tile)
-    assert serial.cycle == n  # one row per cycle
+    assert _run_tile(serial, tile, rows)[1] == n + 2 * n + 1 + 2 - 2  # one tile row per cycle
     overlapped = ArraySim(n, mode.precision, overlap_weights=True)
-    overlapped.load_weights(tile)
-    assert overlapped.cycle == 0
+    assert _run_tile(overlapped, tile, rows)[1] == 2 * n + 1 + 2 - 2
 
 
 def test_extra_mac_stage_delays_but_stays_exact():
@@ -210,7 +214,7 @@ def test_extra_mac_stage_delays_but_stays_exact():
     for mode in (PrecisionMode(Precision.W8, 1), PrecisionMode(Precision.W2, 2)):
         a = rng.integers(-128, 128, size=(n, n))
         weights = _random_weights(rng, mode, (n, n))
-        sim = ArraySim(n, mode.precision, mac_stages=2)
+        sim = ArraySim(n, mode.precision, mac_stages=2, overlap_weights=True)
         outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
         assert cycles == 2 * n + 2 + mode.precision.reducer_stages - 2
         for got, w in zip(outputs, weights):
@@ -223,7 +227,7 @@ def test_reduce_stage_override():
     mode = PrecisionMode(Precision.W4, 2)
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode.precision, reduce_stages=3)
+    sim = ArraySim(n, mode.precision, reduce_stages=3, overlap_weights=True)
     outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
     assert cycles == 2 * n + 1 + 3 - 2
     for got, w in zip(outputs, weights):
@@ -246,8 +250,8 @@ def test_trace_records_every_pe_every_cycle():
 
 
 def test_vectorized_grid_matches_pe_objects():
-    """The numpy whole-grid step must agree register-for-register with a grid
-    of individually stepped PE models wired the same way."""
+    """The registers of a traced one-tile run must agree, clock for clock,
+    with a grid of individually stepped PE models wired the same way."""
     rng = np.random.default_rng(9)
     n = 3
     mode = PrecisionMode(Precision.W2, 3)
@@ -255,8 +259,11 @@ def test_vectorized_grid_matches_pe_objects():
     packed = _single_tile(mode, weights, n)
     a = rng.integers(-128, 128, size=(n, n))
 
-    sim = ArraySim(n, mode.precision, overlap_weights=True)
+    sink = io.StringIO()
+    sim = ArraySim(n, mode.precision, overlap_weights=True, trace=sink)
     sim.load_weights(packed)
+    sim.stream(a)
+    traced = _traced_registers(sink.getvalue(), n)
 
     grid = [[PE(mode.precision) for _ in range(n)] for _ in range(n)]
     for r in range(n):
@@ -266,6 +273,7 @@ def test_vectorized_grid_matches_pe_objects():
     inputs = [[0] * n for _ in range(n)]
     psums = [[(0, 0, 0, 0)] * n for _ in range(n)]
     steps = 2 * n + 1 + mode.precision.reducer_stages - 2
+    assert len(traced) == steps
     for s in range(steps):
         row_in = a[s] if s < n else np.zeros(n, dtype=np.int64)
         prev_inputs = [row[:] for row in inputs]
@@ -277,9 +285,8 @@ def test_vectorized_grid_matches_pe_objects():
                 _, out = grid[r][c].step(feed, incoming)
                 inputs[r][c] = feed
                 psums[r][c] = out
-        sim._step(np.asarray(row_in, dtype=np.int64))
-        assert np.array_equal(sim.input_registers, np.array(inputs))
-        assert np.array_equal(sim.psum_registers, np.array(psums).transpose(2, 0, 1))
+        assert np.array_equal(traced[s, ..., 0], np.array(inputs))
+        assert np.array_equal(traced[s, ..., 1:], np.array(psums))
 
 
 @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1, 2**31, -(2**31) - 1])

