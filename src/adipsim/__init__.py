@@ -7,19 +7,7 @@ from .array import ArraySim
 from .cost import Arch, CostParams, StageCost, stage_latency, summary
 from .numerics import mul2, recompose, split_subwords
 from .pe import PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
-from .preprocess import (
-    PackedGrid,
-    PackedWeightTile,
-    Precision,
-    PrecisionMode,
-    WeightTile,
-    deinterleave,
-    interleave,
-    inverse_permute,
-    permute,
-    prepare_weights,
-    unprepare_weights,
-)
+from .preprocess import PackedGrid, Precision, PrecisionMode, prepare_weights, unprepare_weights
 from .tiling import MatMulJob, TiledPlan, TiledResult, oracle_matmul, plan, run_tiled
 from .workload import MhaConfig, Stage, StageSpec, breakdown, builtin_models, get_model, stages, total_ops
 
@@ -33,7 +21,6 @@ __all__ = [
     "MatMulJob",
     "MhaConfig",
     "PackedGrid",
-    "PackedWeightTile",
     "PhaseError",
     "PsumOverflowError",
     "Precision",
@@ -43,20 +30,15 @@ __all__ = [
     "StageSpec",
     "TiledPlan",
     "TiledResult",
-    "WeightTile",
     "breakdown",
     "builtin_models",
     "combine_groups",
-    "deinterleave",
     "dmul_latency",
     "get_model",
     "group_multiply",
-    "interleave",
-    "inverse_permute",
     "mul2",
     "oracle_matmul",
     "peak_throughput",
-    "permute",
     "plan",
     "prepare_weights",
     "recompose",

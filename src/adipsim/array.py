@@ -32,9 +32,9 @@ once, come from the formulas above (`_registers`), formed only where a
 trace or an overflow check reads them. The reducer's fold is linear, so
 the outputs are exact matmuls of the int8 input with the weight fields
 of the matrix-order words (`_group_outputs`): float32 over chunks of K
-small enough to stay exact, summed in float64. `load_weights` and
-`stream` run one tile through the same engine, as a 1 x 1 grid; they
-stay only for the benchmark's span wrappers (bench/spans.py).
+small enough to stay exact, summed in float64. `load_weights` takes a
+one-tile grid and `stream` runs it through the same engine; they stay
+only for the benchmark's span wrappers (bench/spans.py).
 
 Registers are checked only when the inputs could reach the limit: one
 bound that reads no weight (`_row_may_overflow`), the largest input
@@ -61,7 +61,7 @@ from .pe import PhaseError, PsumOverflowError
 # Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
 # the benchmark change of ROADMAP item 7 deletes it.
 from .pe import weight_slots  # noqa: F401
-from .preprocess import PackedGrid, PackedWeightTile, Precision, PrecisionMode, check_tiles, decode_slots
+from .preprocess import PackedGrid, Precision, PrecisionMode, check_tiles, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -314,7 +314,7 @@ class ArraySim:
     of the precision (2 for W8, 1 for W4, 0 for W2).
 
     `stream_grid` is the one engine. `load_weights` and `stream` are a
-    one-tile front of it: they run a single tile as a 1 x 1 grid.
+    one-tile front of it: they run a 1 x 1 grid.
 
     A trace sink gets the header, then one line per PE per cycle.
     """
@@ -338,28 +338,28 @@ class ArraySim:
         self.overlap_weights = overlap_weights
         self.cycle = 0
         self._trace = trace
-        self._tile = None  # the grid of the tile `load_weights` took
+        self._tile = None  # the one-tile grid `load_weights` took
         if trace is not None:
             trace.write(TRACE_HEADER + "\n")
 
-    def _check_fits(self, tiles) -> None:
-        """ValueError unless the tile or grid `tiles` holds tiles of this
-        array's precision and size."""
-        if (tiles.mode.precision, tiles.n) != (self.precision, self.n):
+    def _check_fits(self, grid: PackedGrid) -> None:
+        """ValueError unless `grid` holds tiles of this array's precision
+        and size."""
+        if (grid.mode.precision, grid.n) != (self.precision, self.n):
             raise ValueError(
-                f"{tiles.mode.precision.name} tiles of size {tiles.n} on a "
+                f"{grid.mode.precision.name} tiles of size {grid.n} on a "
                 f"{self.precision.name} array of size {self.n}"
             )
 
     # The one-tile front stays only because bench/spans.py wraps these two
     # methods by name; the benchmark change of ROADMAP item 7 deletes it.
 
-    def load_weights(self, packed: PackedWeightTile) -> None:
-        """Take an n x n tile, rotated as the array loads it, for `stream`."""
-        self._check_fits(packed)
-        words = np.empty_like(packed.words)
-        words[_diagonals(self.n), np.arange(self.n)] = packed.words
-        self._tile = PackedGrid(words, packed.mode, self.n)
+    def load_weights(self, tile: PackedGrid) -> None:
+        """Take a 1 x 1 grid of this array's precision and size for `stream`."""
+        self._check_fits(tile)
+        if (tile.tk, tile.tp) != (1, 1):
+            raise ValueError(f"load_weights takes one tile, got a {tile.tk}x{tile.tp} grid")
+        self._tile = tile
 
     def stream(self, rows) -> np.ndarray:
         """`stream_grid` of the loaded tile on the R x n `rows`: one pass,
@@ -446,7 +446,7 @@ class ArraySim:
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
         """Every pass of one fused group as `run_tiled` prepares it: for each
-        column tile j, for each k, load grid[k][j] and stream the columns
+        column tile j, for each k, load tile (k, j) and stream the columns
         k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
         tiles. Returns the outputs summed over k, as `_group_outputs` gives
         them: an (M, nw, tp*n) array whose [i, t] entry is row i of `a`

@@ -259,7 +259,7 @@ def cmd_interleave(args: argparse.Namespace) -> int:
         ]
 
     grid = prepare_weights(matrices, mode, n)
-    if not grid or not grid[0]:
+    if not (grid.tk and grid.tp):
         k_dim, p_dim = matrices[0].shape
         print(f"interleave: {k_dim}x{p_dim} matrices fill no tile to pack", file=sys.stderr)
         return 2
@@ -268,12 +268,12 @@ def cmd_interleave(args: argparse.Namespace) -> int:
         write_packed(grid, fh)
     print(
         f"packed {len(matrices)} matrices {matrices[0].shape[0]}x{matrices[0].shape[1]} "
-        f"into {len(grid)}x{len(grid[0])} tiles of {n}x{n} words -> {args.out}"
+        f"into {grid.tk}x{grid.tp} tiles of {n}x{n} words -> {args.out}"
     )
     for k, row in enumerate(grid):
         for j, tile in enumerate(row):
             print(f"tile {k} {j}")
-            for word_row in tile.words:
+            for word_row in tile:
                 print(" ".join(f"{int(w):02x}" for w in word_row))
 
     if args.verify:

@@ -5,7 +5,7 @@ weight tile and streams every input row tile through the array. A pass
 costs what the simulator's clock gives it, `array.load_cycles` plus
 `array.stream_cycles` for the streamed rows at the reducer depth of the
 pass precision. `summary` costs each distinct stage shape once per
-architecture, from the plan that `stage_latency` and `stage_cost` read.
+architecture with `stage_cost`, which `stage_latency` reads.
 
 * WS   -- conventional weight-stationary baseline; pays an extra skew of
           n - 1 fill cycles per pass for input/output synchronization.
@@ -99,8 +99,13 @@ class StageCost:
         return self.bytes_in + self.bytes_w + self.bytes_out
 
 
-def _stage_plan(spec: StageSpec, arch: Arch, params: CostParams) -> tuple[int, int, int, int]:
-    """Row tiles, column tiles, pass count and per-pass cycles of one stage.
+def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
+    """Total cycles of one stage: pass count times per-pass latency."""
+    return stage_cost(spec, arch, params).cycles
+
+
+def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
+    """Cycles, energy and traffic of one stage.
 
     ADiP runs a projection at its weight precision, packing r column tiles
     into a pass; every other stage runs 8-bit, one column tile per pass.
@@ -115,28 +120,17 @@ def _stage_plan(spec: StageSpec, arch: Arch, params: CostParams) -> tuple[int, i
     per_pass += stream_cycles(n, tm * n, params.mac_stages, precision.reducer_stages)
     if arch is Arch.WS:
         per_pass += n - 1
-    return tm, tp, passes, per_pass
-
-
-def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
-    """Total cycles of one stage: pass count times per-pass latency."""
-    _, _, passes, per_pass = _stage_plan(spec, arch, params)
-    return passes * per_pass
-
-
-def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
-    tm, tp, passes, per_pass = _stage_plan(spec, arch, params)
     cycles = passes * per_pass
     bytes_out = 0
     if params.count_output_writes:
-        bytes_out = spec.count * tm * tp * params.n**2 * params.output_bytes
+        bytes_out = spec.count * tm * tp * n**2 * params.output_bytes
     return StageCost(
         stage=spec.stage.label,
         arch=arch,
         cycles=cycles,
         energy_rel=cycles * params.power(arch),
-        bytes_in=passes * tm * params.n**2,
-        bytes_w=passes * params.n**2,
+        bytes_in=passes * tm * n**2,
+        bytes_w=passes * n**2,
         bytes_out=bytes_out,
     )
 
@@ -145,28 +139,9 @@ def evaluate(cfg: MhaConfig, arch: Arch, params: CostParams) -> list[StageCost]:
     return [stage_cost(spec, arch, params) for spec in stages(cfg)]
 
 
-def total_latency(cfg: MhaConfig, arch: Arch, params: CostParams) -> int:
-    return sum(c.cycles for c in evaluate(cfg, arch, params))
-
-
-def total_energy(cfg: MhaConfig, arch: Arch, params: CostParams) -> float:
-    return sum(c.energy_rel for c in evaluate(cfg, arch, params))
-
-
-def memory_accesses(cfg: MhaConfig, arch: Arch, params: CostParams) -> int:
-    return sum(c.mem_bytes for c in evaluate(cfg, arch, params))
-
-
 def _pct_change(new: float, ref: float) -> float:
     """Percent improvement of `new` over `ref`; negative means overhead."""
     return 100.0 * (1.0 - new / ref)
-
-
-def projection_latency_improvement(cfg: MhaConfig, params: CostParams) -> float:
-    """Percent cycle reduction of the packed architecture on projections."""
-    projections = [spec for spec in stages(cfg) if spec.is_projection]
-    adip, dip = (sum(stage_latency(s, arch, params) for s in projections) for arch in (Arch.ADIP, Arch.DIP))
-    return _pct_change(adip, dip)
 
 
 def summary(cfg: MhaConfig, params: CostParams) -> dict:

@@ -63,15 +63,6 @@ def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
     return check_signed(_integers(values, what), bits, what).astype(np.int8, copy=False)
 
 
-def to_uint8(values, what: str = "value") -> np.ndarray:
-    """`values`, an array-like of integers in [0, 255], as a uint8 array,
-    after one range check; a uint8 array comes back as is."""
-    array = _integers(values, what)
-    if array.dtype != np.uint8 and array.size and (array.min() < 0 or array.max() > 0xFF):
-        raise ValueError(f"{what} outside [0, 255]")
-    return array.astype(np.uint8, copy=False)
-
-
 def ceil_div(a: int, b: int) -> int:
     """Tiles of size b needed to cover a elements."""
     return -(-a // b)
@@ -88,9 +79,6 @@ def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = Tr
     back as int64.
     """
     words = np.asarray(words)
-    if words.dtype == np.uint8 and width == 8 and count == 1:  # the field is the word itself
-        flag = signed if np.isscalar(signed) else signed[0]
-        return (words.view(np.int8) if flag else words).astype(np.int16)[None]
     if words.dtype == np.uint8:
         out_dtype = np.int16 if width == 8 else np.int8
     else:

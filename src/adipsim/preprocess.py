@@ -1,8 +1,8 @@
-"""Weight-tile preprocessing for the diagonal-input array.
+"""Weight preprocessing for the diagonal-input array.
 
 Two steps, in order:
 
-1. permute  -- rotate every tile column j upward by j positions so the
+1. rotate -- move every tile column j upward by j positions so the
    stationary weights line up with inputs that march diagonally (down one
    row, left one column, wrapping) through the array.
 2. interleave -- pack up to r narrow weight matrices into one n x n grid of
@@ -10,23 +10,20 @@ Two steps, in order:
    8/r bits; field t holds matrix t's weight, fields at or above the active
    matrix count stay zero.
 
-Both steps are lossless for in-range weights; `deinterleave` and
-`inverse_permute` undo them exactly.
+Both steps are lossless for in-range weights.
 
 `prepare_weights` interleaves whole K x P matrices at once, in uint8, into
 a `PackedGrid`: one array of words in matrix order, zero-padded to whole
 tiles. The rotation is applied only where a tile's position matters, at the
-array and at the file: `grid[k][j]` and `PackedGrid.rotated_tiles` give
-tiles as the array loads them, `write_packed` stores them so, and
-`read_packed` un-rotates them once. `unprepare_weights` and the array's
-group outputs decode the matrix-order words directly. Every
-function that reads a grid takes a `PackedGrid` and rejects one with no
-tiles.
+array and at the file: `PackedGrid.rotated_tiles` gives the tiles as the
+array loads them, `write_packed` stores them so, and `read_packed`
+un-rotates them once. `unprepare_weights` and the array's group outputs
+decode the matrix-order words directly. Every function that reads a grid
+takes a `PackedGrid` and rejects one with no tiles.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -35,7 +32,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import bit_fields, ceil_div, to_int8, to_uint8
+from .numerics import bit_fields, ceil_div, to_int8
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -101,47 +98,11 @@ class PrecisionMode:
         return self.precision.weight_bits
 
 
-@dataclass
-class WeightTile:
-    """Square grid of signed weights at a uniform width in {2, 4, 8} bits."""
-
-    data: np.ndarray
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width not in (2, 4, 8):
-            raise ValueError(f"invalid weight width {self.width}")
-        self.data = to_int8(self.data, self.width, "weight").astype(np.int32)
-        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
-            raise ValueError(f"weight tile must be square, got shape {self.data.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass
-class PackedWeightTile:
-    """n x n grid of 8-bit stationary words holding nw interleaved tiles."""
-
-    words: np.ndarray
-    mode: PrecisionMode
-
-    def __post_init__(self) -> None:
-        self.words = to_uint8(self.words, "weight word")
-        if self.words.ndim != 2 or self.words.shape[0] != self.words.shape[1]:
-            raise ValueError(f"packed tile must be square, got shape {self.words.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.words.shape[0]
-
-
 def _rotated(tiles: np.ndarray, step: int = 1) -> np.ndarray:
     """A read-only view of a stack of n x n tiles, shape (..., n, n), with
     column j of each tile moved up by step * j rows, wrapping: view[..., k,
-    j] = tiles[..., (k + step * j) mod n, j]. `step` 1 is the rotation of
-    `permute`, -1 undoes it.
+    j] = tiles[..., (k + step * j) mod n, j]. `step` 1 is the rotation the
+    array loads, -1 undoes it.
 
     The view is strided over a copy that stacks each tile twice, one copy
     above the other, so its column j is n consecutive rows of that stack
@@ -156,16 +117,6 @@ def _rotated(tiles: np.ndarray, step: int = 1) -> np.ndarray:
     view = np.ndarray(tiles.shape, tiles.dtype, twice, offset, twice.strides[:-3] + (row, item + step * row))
     view.flags.writeable = False
     return view
-
-
-def permute(tile: WeightTile) -> WeightTile:
-    """Rotate column j upward by j: out[k][j] = in[(k+j) mod n][j]."""
-    return WeightTile(_rotated(tile.data).copy(), tile.width)
-
-
-def inverse_permute(tile: WeightTile) -> WeightTile:
-    """Undo `permute`: out[k][j] = in[(k-j) mod n][j]."""
-    return WeightTile(_rotated(tile.data, -1).copy(), tile.width)
 
 
 def _pack_fields(fields: Sequence[np.ndarray], width: int, words: np.ndarray) -> np.ndarray:
@@ -183,26 +134,6 @@ def _pack_fields(fields: Sequence[np.ndarray], width: int, words: np.ndarray) ->
     return words
 
 
-def interleave(tiles: Sequence[WeightTile], mode: PrecisionMode) -> PackedWeightTile:
-    """Pack nw same-size tiles into one word grid, tile t in bit field t."""
-    if len(tiles) != mode.nw:
-        raise ValueError(f"mode expects {mode.nw} tiles, got {len(tiles)}")
-    n = tiles[0].n
-    w = mode.weight_bits
-    for tile in tiles:
-        if tile.n != n:
-            raise ValueError(f"ragged tile set: {tile.n} != {n}")
-        if tile.width != w:
-            raise ValueError(f"tile width {tile.width} does not match mode width {w}")
-    return PackedWeightTile(_pack_fields([tile.data for tile in tiles], w, np.zeros((n, n), dtype=np.uint8)), mode)
-
-
-def deinterleave(packed: PackedWeightTile) -> list[WeightTile]:
-    """Decode the nw active bit fields back into signed weight tiles."""
-    w = packed.mode.weight_bits
-    return [WeightTile(field, w) for field in bit_fields(packed.words, w, packed.mode.nw)]
-
-
 # The 2-bit slots of a stationary word that carry a sign: the top slot of
 # each weight field (see `pe` for how the PE's multiplier groups use them).
 _SIGNED_SLOTS = {
@@ -218,16 +149,15 @@ def decode_slots(words, precision: Precision) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedGrid(Sequence):
+class PackedGrid:
     """The packed words of one fused group, validated when it is built: nw
     K x P weight matrices, interleaved and zero-padded to a tk x tp grid of
     n x n tiles, as one (tk*n, tp*n) uint8 array in matrix order. Word
     (i, c) holds weight (i, c) of every matrix; no tile is rotated.
 
-    As a sequence it is the grid of tiles that the array loads: grid[k][j]
-    is a new `PackedWeightTile` of tile (k, j), rotated as `permute` does,
-    and `len(grid)` and `len(grid[k])` give tk and tp without building one.
-    The rows are built with the grid, each a view of its words.
+    `len(grid)` is tk, and iterating a grid gives the rows of
+    `rotated_tiles()`, each a (tp, n, n) array of tiles as the array loads
+    them.
     """
 
     words: np.ndarray
@@ -235,7 +165,6 @@ class PackedGrid(Sequence):
     n: int
     tk: int = field(init=False)
     tp: int = field(init=False)
-    _rows: tuple["_GridRow", ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -245,43 +174,21 @@ class PackedGrid(Sequence):
             size % self.n for size in words.shape
         ):
             raise ValueError(f"packed grid words must be 2-D uint8 in whole {self.n}x{self.n} tiles")
-        n = self.n
-        tk, tp = words.shape[0] // n, words.shape[1] // n
-        rows = tuple(_GridRow(words[k * n : (k + 1) * n], self.mode, tp) for k in range(tk))
-        for name, value in (("tk", tk), ("tp", tp), ("_rows", rows)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "tk", words.shape[0] // self.n)
+        object.__setattr__(self, "tp", words.shape[1] // self.n)
 
     def __len__(self) -> int:
         return self.tk
 
-    def __getitem__(self, k: int) -> "_GridRow":
-        return self._rows[k]
-
-    def __iter__(self) -> Iterator["_GridRow"]:  # Sequence's would index until IndexError
-        return iter(self._rows)
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.rotated_tiles())
 
     def rotated_tiles(self) -> np.ndarray:
         """Every tile as the array loads it, at once: a read-only
-        (tk, tp, n, n) view whose [k, j] is grid[k][j].words."""
+        (tk, tp, n, n) view whose [k, j] is tile (k, j) with its column c
+        moved up by c rows, wrapping."""
         n = self.n
         return _rotated(self.words.reshape(self.tk, n, self.tp, n).swapaxes(1, 2))
-
-
-class _GridRow(Sequence):
-    """One row of a `PackedGrid`'s tiles, from its (n, tp*n) words; each
-    tile is rotated when it is taken."""
-
-    __slots__ = ("_words", "_mode", "_tp")
-
-    def __init__(self, words: np.ndarray, mode: PrecisionMode, tp: int) -> None:
-        self._words, self._mode, self._tp = words, mode, tp
-
-    def __len__(self) -> int:
-        return self._tp
-
-    def __getitem__(self, j: int) -> PackedWeightTile:
-        n, j = len(self._words), range(self._tp)[operator.index(j)]
-        return PackedWeightTile(_rotated(self._words[:, j * n : (j + 1) * n]).copy(), self._mode)
 
 
 def check_tiles(grid: PackedGrid) -> None:
@@ -294,9 +201,8 @@ def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int)
     """Pack nw K x P matrices for an n x n array.
 
     The matrices' fields are interleaved into words in matrix order,
-    zero-padded up to multiples of n, so that tile (k, j) of the result, as
-    the array loads it, is `interleave` of the `permute`d tiles (k, j) of
-    the matrices. The grid has no tiles when K or P is 0. The matrices are
+    zero-padded up to multiples of n; `PackedGrid.rotated_tiles` rotates
+    them into the tiles the array loads. The grid has no tiles when K or P is 0. The matrices are
     range-checked and read as int8 (see `numerics.to_int8`), so int8
     matrices are packed as they are, and 8-bit ones are not scanned.
     """

@@ -6,6 +6,11 @@ whole array as it was before its registers were formed in closed form: a
 deque of MAC pipeline registers, two reducer stages and an output delay
 line, with every register checked on every clock (no overflow gate) and
 each clock's trace lines written with `%d`.
+
+`permute`, `inverse_permute`, `interleave` and `deinterleave` prepare and
+decode one n x n weight tile at a time, with plain index arithmetic: the
+reference for the whole-matrix `prepare_weights`, `PackedGrid.rotated_tiles`
+and `unprepare_weights`.
 """
 
 from collections import deque
@@ -17,6 +22,36 @@ from adipsim.array import TRACE_HEADER, load_cycles, resolve_stages, stream_cycl
 from adipsim.numerics import PSUM_BITS, check_signed
 from adipsim.pe import PhaseError, PsumOverflowError, group_multiply
 from adipsim.preprocess import Precision, decode_slots
+
+
+def permute(tile):
+    """Rotate column j of a square tile upward by j: out[k][j] = in[(k+j) mod n][j]."""
+    tile = np.asarray(tile)
+    k, j = np.indices(tile.shape)
+    return tile[(k + j) % len(tile), j]
+
+
+def inverse_permute(tile):
+    """Undo `permute`: out[k][j] = in[(k-j) mod n][j]."""
+    tile = np.asarray(tile)
+    k, j = np.indices(tile.shape)
+    return tile[(k - j) % len(tile), j]
+
+
+def interleave(tiles, width):
+    """Pack same-shape tiles of signed `width`-bit weights into uint8 words,
+    tile t in bits [t * width, (t + 1) * width), two's complement."""
+    words = np.zeros(np.shape(tiles[0]), dtype=np.int64)
+    for t, tile in enumerate(tiles):
+        words |= (np.asarray(tile, dtype=np.int64) % (1 << width)) << (t * width)
+    return words.astype(np.uint8)
+
+
+def deinterleave(words, width, nw):
+    """The `nw` signed `width`-bit weight tiles of a tile of uint8 words."""
+    words = np.asarray(words, dtype=np.int64)
+    fields = [(words >> (t * width)) % (1 << width) for t in range(nw)]
+    return [np.where(f >= 1 << (width - 1), f - (1 << width), f) for f in fields]
 
 
 class PE:
@@ -93,8 +128,9 @@ class SteppedArray:
         extra = self.reduce_stages - self.mode.precision.reducer_stages
         self.out_hist = deque(maxlen=extra + 1)
 
-    def load_weights(self, packed):
-        self.slots = decode_slots(packed.words, self.mode.precision).astype(np.int64)
+    def load_weights(self, words):
+        """Take an n x n tile of words, rotated as the array loads it."""
+        self.slots = decode_slots(words, self.mode.precision).astype(np.int64)
         self._reset()
         self.cycle += load_cycles(self.n, self.overlap_weights)
 

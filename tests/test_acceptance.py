@@ -5,19 +5,14 @@ import time
 
 import numpy as np
 import pytest
+from reference import deinterleave, inverse_permute
 
 from adipsim.analytic import AnalyticParams, dmul_latency, peak_throughput, sweep, tile_latency
 from adipsim.array import ArraySim
-from adipsim.cost import Arch, CostParams, memory_accesses, stage_latency, total_energy, total_latency
+from adipsim.cost import Arch, CostParams, stage_latency, summary
 from adipsim.numerics import mul2, split_subwords
 from adipsim.pe import combine_groups, group_multiply
-from adipsim.preprocess import (
-    Precision,
-    PrecisionMode,
-    deinterleave,
-    inverse_permute,
-    prepare_weights,
-)
+from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 from adipsim.workload import (
     BERT_LARGE,
@@ -44,6 +39,13 @@ def _report(num: int, text: str) -> None:
 
 def _weight_range(bits):
     return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
+def _improvement(cfg, params, total):
+    """Percent by which ADiP's `total` ("cycles", "energy_rel" or
+    "mem_bytes") in `summary` is below DiP's."""
+    totals = summary(cfg, params)["totals"]
+    return 100.0 * (1.0 - totals[Arch.ADIP.label][total] / totals[Arch.DIP.label][total])
 
 
 def test_c01_oracle_equivalence_property():
@@ -118,7 +120,7 @@ def test_c03_cycle_fidelity_across_sizes():
             lo, hi = _weight_range(precision.weight_bits)
             grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
             sim = ArraySim(n, precision, overlap_weights=True)  # no load cycles
-            sim.load_weights(grid[0][0])
+            sim.load_weights(grid)
             start = sim.cycle
             sim.stream(rng.integers(-128, 128, (n, n)))
             measured = sim.cycle - start
@@ -173,9 +175,7 @@ def test_c08_latency_improvements():
     params = CostParams(n=32)
 
     def improvement(cfg):
-        dip = total_latency(cfg, Arch.DIP, params)
-        adip = total_latency(cfg, Arch.ADIP, params)
-        return 100.0 * (1.0 - adip / dip)
+        return _improvement(cfg, params, "cycles")
 
     def projection_improvement(cfg):
         dip = sum(stage_latency(s, Arch.DIP, params) for s in stages(cfg) if s.is_projection)
@@ -196,9 +196,7 @@ def test_c09_energy_changes():
     assert params.power(Arch.ADIP) == 1.63
 
     def change(cfg):
-        dip = total_energy(cfg, Arch.DIP, params)
-        adip = total_energy(cfg, Arch.ADIP, params)
-        return 100.0 * (1.0 - adip / dip)
+        return _improvement(cfg, params, "energy_rel")
 
     assert change(GPT2_MEDIUM) == pytest.approx(-62.8, abs=1.5)
     assert change(BERT_LARGE) == pytest.approx(2.3, abs=1.5)
@@ -210,9 +208,7 @@ def test_c10_memory_savings():
     params = CostParams(n=32)
 
     def savings(cfg):
-        dip = memory_accesses(cfg, Arch.DIP, params)
-        adip = memory_accesses(cfg, Arch.ADIP, params)
-        return 100.0 * (1.0 - adip / dip)
+        return _improvement(cfg, params, "mem_bytes")
 
     assert savings(GPT2_MEDIUM) == 0.0
     assert savings(BERT_LARGE) == pytest.approx(40.0, abs=2.5)
@@ -230,7 +226,7 @@ def test_c11_preprocessing_round_trip_bulk():
         n = int(rng.integers(1, 9))
         lo, hi = _weight_range(mode.weight_bits)
         mats = [rng.integers(lo, hi + 1, size=(n, n)) for _ in range(mode.nw)]
-        packed = prepare_weights(mats, mode, n)[0][0]
-        for matrix, tile in zip(mats, deinterleave(packed)):
-            assert np.array_equal(inverse_permute(tile).data, matrix)
+        words = prepare_weights(mats, mode, n).rotated_tiles()[0, 0]
+        for matrix, tile in zip(mats, deinterleave(words, mode.weight_bits, mode.nw)):
+            assert np.array_equal(inverse_permute(tile), matrix)
     _report(11, f"{total} random tiles round-trip losslessly across all modes")

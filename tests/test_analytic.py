@@ -120,7 +120,7 @@ def test_model_matches_simulator_measurement(weight_bits, mac_stages):
     hi = (1 << (weight_bits - 1)) - 1
     grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
     sim = ArraySim(n, mode.precision, mac_stages=mac_stages, overlap_weights=True)  # no load cycles
-    sim.load_weights(grid[0][0])
+    sim.load_weights(grid)
     start = sim.cycle
     sim.stream(rng.integers(-128, 128, (n, n)))
     measured = sim.cycle - start

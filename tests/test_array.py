@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from reference import PE
+from reference import PE, permute
 
 from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim
@@ -28,7 +28,8 @@ def _random_weights(rng, mode, shape):
 
 
 def _single_tile(mode, weights, n):
-    return prepare_weights(weights, mode, n)[0][0]
+    """The one-tile grid of n x n weights."""
+    return prepare_weights(weights, mode, n)
 
 
 def _run_tile(sim, packed, a_tile):
@@ -140,6 +141,9 @@ def test_load_weight_validation():
         ArraySim(8, mode.precision).load_weights(tile)  # size mismatch
     with pytest.raises(ValueError):
         ArraySim(4, Precision.W4).load_weights(tile)  # mode mismatch
+    for shape in ((5, 4), (4, 5), (0, 4)):  # a grid of other than one tile
+        with pytest.raises(ValueError):
+            ArraySim(4, mode.precision).load_weights(_single_tile(mode, [np.zeros(shape, dtype=np.int64)], 4))
 
 
 def test_stream_validates_rows():
@@ -268,7 +272,7 @@ def test_vectorized_grid_matches_pe_objects():
     grid = [[PE(mode.precision) for _ in range(n)] for _ in range(n)]
     for r in range(n):
         for c in range(n):
-            grid[r][c].load_weight(int(packed.words[r, c]))
+            grid[r][c].load_weight(int(permute(packed.words)[r, c]))
 
     inputs = [[0] * n for _ in range(n)]
     psums = [[(0, 0, 0, 0)] * n for _ in range(n)]

@@ -12,7 +12,7 @@ import numpy as np
 
 import adipsim
 from adipsim.preprocess import Precision
-from adipsim.tiling import MatMulJob
+from adipsim.tiling import MatMulJob, plan
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -30,9 +30,13 @@ def test_spans_install_on_the_package_and_undo():
     rec = spans.Recorder()
     undo = spans.install(rec, adipsim)
     try:
-        job = MatMulJob(np.ones((4, 4), dtype=np.int64), [np.ones((4, 4), dtype=np.int64)], Precision.W8, 4)
+        # three W4 matrices of 3 x 2 tiles: two fused groups, 12 passes
+        weights = [np.ones((9, 6), dtype=np.int64)] * 3
+        job = MatMulJob(np.ones((4, 9), dtype=np.int64), weights, Precision.W4, 4)
         adipsim.tiling.run_tiled(job)
     finally:
         undo()
     assert rec.counters["tiling.run_tiled"] == 1
+    # the tile counter iterates each prepared grid's rows of tiles
+    assert rec.counters["preprocess.prepare_weights.tiles"] == plan(job).pass_count == 12
     assert (adipsim.tiling.run_tiled, adipsim.array.ArraySim.stream, adipsim.array.weight_slots) == original

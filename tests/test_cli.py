@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import permute
 
 from adipsim.cli import main, read_matrix, write_matrix
 from adipsim.numerics import VALID_WIDTHS, signed_range
-from adipsim.preprocess import WeightTile, permute
 
 
 def run_cli(capsys, *argv):
@@ -416,8 +416,31 @@ def test_interleave_w8_dump_is_permuted_input(capsys, tmp_path):
         for line in text.splitlines()
         if line and all(len(tok) == 2 for tok in line.split())
     ]
-    expected = permute(WeightTile(matrix, 8)).data.astype(np.uint8)
+    expected = permute(matrix).astype(np.uint8)
     assert np.array_equal(np.array(dumped, dtype=np.uint8), expected)
+
+
+# sha256 and line count of `adipsim interleave --verify` stdout, written to
+# w.adip, per mode: a ragged shape and a fixed seed each, so the dump of
+# every tile, in order, is pinned.
+PINNED_INTERLEAVE_DUMPS = {
+    ("w8", "1", "3", "5", "7", "1"): ("febe7e79ab1eeee5df4635a1584e66eafbd0989ad27df38cb35b939e6f1ed942", 26),
+    ("w4", "2", "5", "7", "11", "2"): ("540696874be76b34239b6c67f1c00e799c79105145813c83a8e328df30583fb8", 38),
+    ("w2", "4", "4", "9", "6", "3"): ("0fb401c7035bb21886975c4489d14472d478c2d8c187dcc491a7a98248d5121a", 32),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_INTERLEAVE_DUMPS), ids="-".join)
+def test_interleave_dump_is_pinned(capsys, tmp_path, monkeypatch, args):
+    mode, nw, size, rows, cols, seed = args
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run_cli(
+        capsys, "interleave", "--mode", mode, "--nw", nw, "--size", size,
+        "--rows", rows, "--cols", cols, "--seed", seed, "--out", "w.adip", "--verify",
+    )
+    assert code == 0
+    data = text.encode()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == PINNED_INTERLEAVE_DUMPS[args]
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])

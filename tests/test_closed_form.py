@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import SteppedArray
+from reference import SteppedArray, permute
 
 from adipsim import array
 from adipsim.array import ArraySim
@@ -40,7 +40,7 @@ def stepped_run_tiled(job, overlap_weights, mac_stages, reduce_stages, trace):
         for j in range(tp):
             for k in range(tk):
                 start = sim.cycle
-                sim.load_weights(grid[k][j])
+                sim.load_weights(permute(grid.words[k * n : (k + 1) * n, j * n : (j + 1) * n]))
                 for i, _, outs in sim.stream(a_pad[:, k * n : (k + 1) * n]):
                     accum[:, i, j * n : (j + 1) * n] += outs
                 total_cycles += sim.cycle - start
@@ -103,7 +103,7 @@ def test_streams_match_the_stepper(cfg):
     mode, n = cfg["mode"], cfg["n"]
     rng = np.random.default_rng(cfg["seed"])
     weights = [_values(rng, (n, n), mode.weight_bits, cfg["full_scale"]) for _ in range(mode.nw)]
-    packed = prepare_weights(weights, mode, n)[0][0]
+    packed = prepare_weights(weights, mode, n)
     streams = [_values(rng, (rows, n), 8, cfg["full_scale"]) * (not quiet) for rows, quiet in cfg["streams"]]
     with pytest.MonkeyPatch.context() as patch:
         if cfg["limit"] is not None:
@@ -121,7 +121,7 @@ def _check_streams(n, mode, cfg, packed, streams):
         def run_ref():
             padded = np.zeros((ceil_div(len(rows), n) * n, n), dtype=np.int64)
             padded[: len(rows)] = rows
-            ref.load_weights(packed)
+            ref.load_weights(permute(packed.words))
             return [outs for _, _, outs in ref.stream(padded)][: len(rows)]
 
         got = _outcome(lambda: sim.stream(rows).astype(np.int64).tolist(), sinks[0])

@@ -14,13 +14,9 @@ from adipsim.cost import (
     Arch,
     CostParams,
     evaluate,
-    memory_accesses,
-    projection_latency_improvement,
     stage_cost,
     stage_latency,
     summary,
-    total_energy,
-    total_latency,
     write_stage_csv,
 )
 from adipsim.numerics import signed_range
@@ -65,9 +61,14 @@ def params():
     return CostParams()
 
 
-def _improvement(cfg, metric, params):
-    dip = metric(cfg, Arch.DIP, params)
-    adip = metric(cfg, Arch.ADIP, params)
+def _total(cfg, arch, params, total):
+    """One of `summary`'s totals ("cycles", "energy_rel" or "mem_bytes")."""
+    return summary(cfg, params)["totals"][arch.label][total]
+
+
+def _improvement(cfg, total, params):
+    dip = _total(cfg, Arch.DIP, params, total)
+    adip = _total(cfg, Arch.ADIP, params, total)
     return 100.0 * (1.0 - adip / dip)
 
 
@@ -76,7 +77,8 @@ def _improvement(cfg, metric, params):
     [(BERT_LARGE, 50.0), (BITNET_158B, 75.0)],
 )
 def test_projection_latency_improvement(cfg, expected, params):
-    assert projection_latency_improvement(cfg, params) == pytest.approx(expected, abs=1.0)
+    got = summary(cfg, params)["vs_dip"]["projection_latency_improvement_pct"]
+    assert got == pytest.approx(expected, abs=1.0)
 
 
 def test_gpt2_has_no_latency_overhead(params):
@@ -84,9 +86,7 @@ def test_gpt2_has_no_latency_overhead(params):
     array matches the baseline cycle for cycle."""
     for spec in stages(GPT2_MEDIUM):
         assert stage_latency(spec, Arch.ADIP, params) == stage_latency(spec, Arch.DIP, params)
-    assert total_latency(GPT2_MEDIUM, Arch.ADIP, params) == total_latency(
-        GPT2_MEDIUM, Arch.DIP, params
-    )
+    assert _total(GPT2_MEDIUM, Arch.ADIP, params, "cycles") == _total(GPT2_MEDIUM, Arch.DIP, params, "cycles")
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_gpt2_has_no_latency_overhead(params):
     [(BERT_LARGE, 40.0), (BITNET_158B, 53.6)],
 )
 def test_total_latency_improvement(cfg, expected, params):
-    assert _improvement(cfg, total_latency, params) == pytest.approx(expected, abs=1.0)
+    assert _improvement(cfg, "cycles", params) == pytest.approx(expected, abs=1.0)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ def test_total_latency_improvement(cfg, expected, params):
     [(GPT2_MEDIUM, -62.8), (BERT_LARGE, 2.3), (BITNET_158B, 24.4)],
 )
 def test_total_energy_change(cfg, expected, params):
-    assert _improvement(cfg, total_energy, params) == pytest.approx(expected, abs=1.5)
+    assert _improvement(cfg, "energy_rel", params) == pytest.approx(expected, abs=1.5)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_total_energy_change(cfg, expected, params):
     [(GPT2_MEDIUM, 0.0), (BERT_LARGE, 40.0), (BITNET_158B, 53.6)],
 )
 def test_memory_savings(cfg, expected, params):
-    got = _improvement(cfg, memory_accesses, params)
+    got = _improvement(cfg, "mem_bytes", params)
     if expected == 0.0:
         assert got == 0.0
     else:
@@ -121,8 +121,8 @@ def test_energy_is_power_times_cycles(cfg_list=(GPT2_MEDIUM, BERT_LARGE, BITNET_
     params = CostParams()
     for cfg in cfg_list:
         for arch in Arch:
-            assert total_energy(cfg, arch, params) == pytest.approx(
-                params.power(arch) * total_latency(cfg, arch, params)
+            assert _total(cfg, arch, params, "energy_rel") == pytest.approx(
+                params.power(arch) * _total(cfg, arch, params, "cycles")
             )
 
 
@@ -156,14 +156,14 @@ def test_improvement_identity_against_workload_fractions(params):
     per-pass fill/drain difference between the modes."""
     for cfg, r in ((BERT_LARGE, 2), (BITNET_158B, 4)):
         identity = 100.0 * projection_fraction(cfg) * (1.0 - 1.0 / r)
-        measured = _improvement(cfg, total_latency, params)
+        measured = _improvement(cfg, "cycles", params)
         assert measured == pytest.approx(identity, abs=0.25)
 
 
 def test_ws_slower_than_dip_same_memory(params):
     for cfg in (GPT2_MEDIUM, BITNET_158B):
-        assert total_latency(cfg, Arch.WS, params) > total_latency(cfg, Arch.DIP, params)
-        assert memory_accesses(cfg, Arch.WS, params) == memory_accesses(cfg, Arch.DIP, params)
+        assert _total(cfg, Arch.WS, params, "cycles") > _total(cfg, Arch.DIP, params, "cycles")
+        assert _total(cfg, Arch.WS, params, "mem_bytes") == _total(cfg, Arch.DIP, params, "mem_bytes")
 
 
 def test_output_writes_flag():
@@ -182,8 +182,8 @@ def test_costs_additive_and_non_negative(params):
         costs = evaluate(cfg, Arch.ADIP, params)
         assert len(costs) == 6
         assert all(c.cycles > 0 and c.energy_rel > 0 for c in costs)
-        assert sum(c.cycles for c in costs) == total_latency(cfg, Arch.ADIP, params)
-        assert sum(c.mem_bytes for c in costs) == memory_accesses(cfg, Arch.ADIP, params)
+        assert sum(c.cycles for c in costs) == _total(cfg, Arch.ADIP, params, "cycles")
+        assert sum(c.mem_bytes for c in costs) == _total(cfg, Arch.ADIP, params, "mem_bytes")
 
 
 def test_summary_structure(params):
@@ -287,23 +287,28 @@ def test_summary_equals_its_parts(cfg, params):
     """Each total and percentage of `summary` is the one recomputed from
     `evaluate` and `stage_latency`."""
     report = summary(cfg, params)
+    totals = {}
     for arch in Arch:
         costs = evaluate(cfg, arch, params)
         assert [c.cycles for c in costs] == [stage_latency(s, arch, params) for s in stages(cfg)]
         cycles = sum(c.cycles for c in costs)
-        assert report["totals"][arch.label] == {
+        totals[arch] = {
             "cycles": cycles,
             "seconds": cycles / CLOCK_HZ,
             "energy_rel": sum(c.energy_rel for c in costs),
             "mem_bytes": sum(c.mem_bytes for c in costs),
         }
+        assert report["totals"][arch.label] == totals[arch]
+
+    def improvement(adip, dip):
+        return 100.0 * (1.0 - adip / dip)
+
+    adip, dip = totals[Arch.ADIP], totals[Arch.DIP]
     projections = [s for s in stages(cfg) if s.is_projection]
     projection_cycles = {arch: sum(stage_latency(s, arch, params) for s in projections) for arch in Arch}
     assert report["vs_dip"] == {
-        "latency_improvement_pct": _improvement(cfg, total_latency, params),
-        "energy_improvement_pct": _improvement(cfg, total_energy, params),
-        "memory_savings_pct": _improvement(cfg, memory_accesses, params),
-        "projection_latency_improvement_pct": 100.0
-        * (1.0 - projection_cycles[Arch.ADIP] / projection_cycles[Arch.DIP]),
+        "latency_improvement_pct": improvement(adip["cycles"], dip["cycles"]),
+        "energy_improvement_pct": improvement(adip["energy_rel"], dip["energy_rel"]),
+        "memory_savings_pct": improvement(adip["mem_bytes"], dip["mem_bytes"]),
+        "projection_latency_improvement_pct": improvement(projection_cycles[Arch.ADIP], projection_cycles[Arch.DIP]),
     }
-    assert report["vs_dip"]["projection_latency_improvement_pct"] == projection_latency_improvement(cfg, params)

@@ -12,7 +12,6 @@ from adipsim.numerics import (
     signed_range,
     split_subwords,
     to_int8,
-    to_uint8,
 )
 
 
@@ -150,18 +149,6 @@ def test_to_int8_returns_an_int8_array_as_is():
 def test_to_int8_rejects_what_int8_cannot_hold(bad):
     with pytest.raises(ValueError, match="^x "):
         to_int8(np.array(bad), 8, "x")
-
-
-@pytest.mark.parametrize("bad", [[0.5], [np.nan], [256], [-1]])
-def test_to_uint8_rejects_what_a_byte_cannot_hold(bad):
-    with pytest.raises(ValueError, match="^x "):
-        to_uint8(np.array(bad), "x")
-
-
-def test_to_uint8_returns_a_uint8_array_as_is():
-    values = np.array([[0, 255]], dtype=np.uint8)
-    assert to_uint8(values) is values
-    assert to_uint8(np.array([[0.0, 255.0]])).tolist() == [[0, 255]]
 
 
 def test_ceil_div_counts_covering_tiles():

@@ -7,18 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import deinterleave, interleave, inverse_permute, permute
 
 from adipsim.array import ArraySim
 from adipsim.preprocess import (
     PackedGrid,
-    PackedWeightTile,
     Precision,
     PrecisionMode,
-    WeightTile,
-    deinterleave,
-    interleave,
-    inverse_permute,
-    permute,
     prepare_weights,
     read_packed,
     unprepare_weights,
@@ -40,7 +35,7 @@ MODE_CONFIGS = [
 def _random_tile(rng, n, width):
     lo = -(1 << (width - 1))
     hi = (1 << (width - 1)) - 1
-    return WeightTile(rng.integers(lo, hi + 1, size=(n, n)), width)
+    return rng.integers(lo, hi + 1, size=(n, n))
 
 
 # -- precision modes ----------------------------------------------------------
@@ -72,32 +67,30 @@ def test_precision_from_name():
 
 
 def test_permute_column_rotation():
+    """A prepared tile, as the array loads it, has column j moved up by j."""
     n = 4
-    tile = WeightTile(np.fromfunction(lambda k, j: 10 * k + j, (n, n), dtype=int), 8)
-    out = permute(tile)
-    assert out.data[0].tolist() == [0, 11, 22, 33]
+    w = np.fromfunction(lambda k, j: 10 * k + j, (n, n), dtype=int)
+    out = prepare_weights([w], PrecisionMode(Precision.W8, 1), n).rotated_tiles()[0, 0]
+    assert out[0].tolist() == [0, 11, 22, 33]
     k, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    assert np.array_equal(out.data, tile.data[(k + j) % n, j])
+    assert np.array_equal(out, w[(k + j) % n, j])
+    assert np.array_equal(permute(w), w[(k + j) % n, j])
 
 
 def test_permute_identity_cases():
-    single = WeightTile(np.array([[5]]), 8)
-    assert np.array_equal(permute(single).data, single.data)
-    flat = WeightTile(np.full((6, 6), -3), 8)
-    assert np.array_equal(permute(flat).data, flat.data)
+    for w in (np.array([[5]]), np.full((6, 6), -3)):
+        tile = prepare_weights([w], PrecisionMode(Precision.W8, 1), len(w)).rotated_tiles()[0, 0]
+        assert np.array_equal(tile.view(np.int8), w)
 
 
 def test_permute_is_bijection():
     rng = np.random.default_rng(3)
     tile = _random_tile(rng, 8, 8)
-    out = permute(tile)
-    assert sorted(out.data.ravel()) == sorted(tile.data.ravel())
-    assert np.array_equal(inverse_permute(out).data, tile.data)
-
-
-def test_non_square_tile_rejected():
-    with pytest.raises(ValueError):
-        WeightTile(np.zeros((3, 4), dtype=int), 8)
+    grid = prepare_weights([tile], PrecisionMode(Precision.W8, 1), 8)
+    out = grid.rotated_tiles()[0, 0]
+    assert sorted(out.ravel()) == sorted(grid.words.ravel())
+    assert np.array_equal(inverse_permute(out), grid.words)
+    assert np.array_equal(inverse_permute(permute(tile)), tile)
 
 
 @pytest.mark.parametrize(
@@ -112,89 +105,72 @@ def test_non_square_tile_rejected():
 )
 def test_weight_tile_rejects_what_its_width_cannot_hold(values, width, message):
     with pytest.raises(ValueError, match=message):
-        WeightTile(np.array(values), width)
-
-
-@pytest.mark.parametrize(
-    "words, message",
-    [
-        ([[300, 0], [0, 0]], r"weight word outside \[0, 255\]"),
-        ([[0, -1], [0, 0]], r"weight word outside \[0, 255\]"),
-        ([[0.5, 0], [0, 0]], "weight word not a finite integer"),
-    ],
-)
-def test_packed_tile_rejects_what_a_word_cannot_hold(words, message):
-    with pytest.raises(ValueError, match=message):
-        PackedWeightTile(np.array(words), PrecisionMode(Precision.W8))
+        prepare_weights([np.array(values)], PrecisionMode(Precision.from_bits(width)), 2)
 
 
 def test_tiles_keep_integral_values_of_any_dtype():
-    tile = WeightTile(np.array([[1.0, -8.0], [7.0, 0.0]]), 4)
-    assert tile.data.dtype == np.int32 and tile.data.tolist() == [[1, -8], [7, 0]]
-    packed = PackedWeightTile(np.array([[255.0, 0.0], [1.0, 2.0]]), PrecisionMode(Precision.W8))
-    assert packed.words.dtype == np.uint8 and packed.words.tolist() == [[255, 0], [1, 2]]
+    grid = prepare_weights([np.array([[1.0, -8.0], [7.0, 0.0]])], PrecisionMode(Precision.W4), 2)
+    assert unprepare_weights(grid)[0].tolist() == [[1, -8], [7, 0]]
 
 
 # -- interleaving -------------------------------------------------------------
 
 
 def test_interleave_w4_byte_layout():
-    u = WeightTile(np.array([[3]]), 4)
-    v = WeightTile(np.array([[-2]]), 4)
-    packed = interleave([u, v], PrecisionMode(Precision.W4, 2))
-    assert packed.words[0, 0] == 0xE3
-    back = deinterleave(packed)
-    assert back[0].data[0, 0] == 3
-    assert back[1].data[0, 0] == -2
+    grid = prepare_weights([np.array([[3]]), np.array([[-2]])], PrecisionMode(Precision.W4, 2), 1)
+    assert grid.words[0, 0] == 0xE3
+    assert [m[0, 0] for m in unprepare_weights(grid)] == [3, -2]
 
 
 def test_interleave_w8_is_twos_complement_passthrough():
     rng = np.random.default_rng(11)
     tile = _random_tile(rng, 4, 8)
-    packed = interleave([tile], PrecisionMode(Precision.W8, 1))
-    assert np.array_equal(packed.words, tile.data.astype(np.uint8))
+    grid = prepare_weights([tile], PrecisionMode(Precision.W8, 1), 4)
+    assert np.array_equal(grid.words, tile.astype(np.uint8))
 
 
 def test_interleave_w2_three_matrices_top_slot_zero():
-    tiles = [WeightTile(np.array([[v]]), 2) for v in (1, -1, 0)]
-    packed = interleave(tiles, PrecisionMode(Precision.W2, 3))
-    word = int(packed.words[0, 0])
+    grid = prepare_weights([np.array([[v]]) for v in (1, -1, 0)], PrecisionMode(Precision.W2, 3), 1)
+    word = int(grid.words[0, 0])
     assert word & 0b11 == 0b01
     assert (word >> 2) & 0b11 == 0b11
     assert (word >> 4) & 0b11 == 0b00
     assert (word >> 6) & 0b11 == 0b00  # unused fourth field stays zero
-    full = deinterleave(PackedWeightTile(packed.words, PrecisionMode(Precision.W2, 4)))
-    assert full[3].data[0, 0] == 0
+    full = unprepare_weights(PackedGrid(grid.words, PrecisionMode(Precision.W2, 4), 1))
+    assert full[3][0, 0] == 0
 
 
 def test_interleave_validation():
-    tile = WeightTile(np.zeros((2, 2), dtype=int), 4)
+    zeros = np.zeros((2, 2), dtype=int)
     with pytest.raises(ValueError):
-        interleave([tile], PrecisionMode(Precision.W4, 2))  # wrong count
+        prepare_weights([zeros], PrecisionMode(Precision.W4, 2), 2)  # wrong count
     with pytest.raises(ValueError):
-        interleave([tile, WeightTile(np.zeros((3, 3), dtype=int), 4)], PrecisionMode(Precision.W4, 2))
+        prepare_weights([zeros, np.zeros((3, 3), dtype=int)], PrecisionMode(Precision.W4, 2), 2)
     with pytest.raises(ValueError):
-        interleave([WeightTile(np.zeros((2, 2), dtype=int), 8)], PrecisionMode(Precision.W4, 1))
+        prepare_weights([np.full((2, 2), 8)], PrecisionMode(Precision.W4, 1), 2)  # an 8-bit weight
 
 
 @pytest.mark.parametrize("mode", MODE_CONFIGS)
 def test_deinterleave_round_trip(mode):
+    """The words of a prepared tile are the reference's interleave of its
+    weights, and both decoders give the weights back."""
     rng = np.random.default_rng(mode.nw * 10 + mode.weight_bits)
     for _ in range(20):
         tiles = [_random_tile(rng, 5, mode.weight_bits) for _ in range(mode.nw)]
-        back = deinterleave(interleave(tiles, mode))
-        for original, recovered in zip(tiles, back):
-            assert np.array_equal(original.data, recovered.data)
+        grid = prepare_weights(tiles, mode, 5)
+        assert np.array_equal(grid.words, interleave(tiles, mode.weight_bits))
+        for back in (unprepare_weights(grid), deinterleave(grid.words, mode.weight_bits, mode.nw)):
+            for original, recovered in zip(tiles, back):
+                assert np.array_equal(original, recovered)
 
 
 def test_zero_tile_round_trip():
-    mode = PrecisionMode(Precision.W2, 1)
-    packed = interleave([WeightTile(np.zeros((4, 4), dtype=int), 2)], mode)
-    assert not packed.words.any()
+    grid = prepare_weights([np.zeros((4, 4), dtype=int)], PrecisionMode(Precision.W2, 1), 4)
+    assert not grid.words.any()
     # inactive fields of a single-matrix pack decode to zero
-    full = deinterleave(PackedWeightTile(packed.words, PrecisionMode(Precision.W2, 4)))
+    full = unprepare_weights(PackedGrid(grid.words, PrecisionMode(Precision.W2, 4), 4))
     for tile in full[1:]:
-        assert not tile.data.any()
+        assert not tile.any()
 
 
 # -- whole-matrix preparation ---------------------------------------------------
@@ -204,17 +180,16 @@ def test_prepare_single_w8_tile_is_permuted_input():
     rng = np.random.default_rng(21)
     w = rng.integers(-128, 128, size=(4, 4))
     grid = prepare_weights([w], PrecisionMode(Precision.W8, 1), 4)
-    assert len(grid) == 1 and len(grid[0]) == 1
-    expected = permute(WeightTile(w, 8)).data.astype(np.uint8)
-    assert np.array_equal(grid[0][0].words, expected)
+    assert (grid.tk, grid.tp) == (1, 1)
+    assert np.array_equal(grid.rotated_tiles()[0, 0], permute(w).astype(np.uint8))
 
 
 def test_prepare_pads_with_zero_rows():
     rng = np.random.default_rng(22)
     w = rng.integers(-128, 128, size=(5, 4))
     grid = prepare_weights([w], PrecisionMode(Precision.W8, 1), 4)
-    assert len(grid) == 2 and len(grid[0]) == 1
-    recovered = inverse_permute(deinterleave(grid[1][0])[0]).data
+    assert (grid.tk, grid.tp) == (2, 1)
+    recovered = inverse_permute(deinterleave(grid.rotated_tiles()[1, 0], 8, 1)[0])
     assert np.array_equal(recovered[0], w[4])
     assert not recovered[1:].any()
 
@@ -229,13 +204,12 @@ def test_prepare_round_trip_recovers_matrices(mode):
         k_dim, p_dim = (int(v) for v in rng.integers(1, 3 * n, 2))
         mats = [rng.integers(lo, hi + 1, size=(k_dim, p_dim)) for _ in range(mode.nw)]
         grid = prepare_weights(mats, mode, n)
-        assert len(grid) == -(-k_dim // n)
-        assert len(grid[0]) == -(-p_dim // n)
+        assert (grid.tk, grid.tp) == (-(-k_dim // n), -(-p_dim // n))
         for t, matrix in enumerate(mats):
-            recovered = np.zeros((len(grid) * n, len(grid[0]) * n), dtype=np.int64)
+            recovered = np.zeros((grid.tk * n, grid.tp * n), dtype=np.int64)
             for k, row in enumerate(grid):
                 for j, tile in enumerate(row):
-                    unpacked = inverse_permute(deinterleave(tile)[t]).data
+                    unpacked = inverse_permute(deinterleave(tile, mode.weight_bits, mode.nw)[t])
                     recovered[k * n : (k + 1) * n, j * n : (j + 1) * n] = unpacked
             assert np.array_equal(recovered[:k_dim, :p_dim], matrix)
             assert not recovered[k_dim:, :].any()
@@ -324,11 +298,8 @@ def test_packed_file_round_trip():
     assert len(buf.getvalue()) == 16 + 3 * 2 * 16
     buf.seek(0)
     loaded = read_packed(buf)
-    assert len(loaded) == len(grid) and len(loaded[0]) == len(grid[0])
-    for row_a, row_b in zip(grid, loaded):
-        for a, b in zip(row_a, row_b):
-            assert a.mode == b.mode
-            assert np.array_equal(a.words, b.words)
+    assert (loaded.tk, loaded.tp, loaded.mode) == (grid.tk, grid.tp, grid.mode)
+    assert np.array_equal(loaded.words, grid.words)
 
 
 def test_read_packed_rejects_bad_magic():
@@ -375,7 +346,7 @@ def test_write_packed_takes_the_largest_header_values():
     write_packed(grid, buf)
     buf.seek(0)
     loaded = read_packed(buf)
-    assert (len(loaded), len(loaded[0]), loaded[0][-1].words.tolist()) == (1, (1 << 16) - 1, [[7]])
+    assert (loaded.tk, loaded.tp, loaded.rotated_tiles()[0, -1].tolist()) == (1, (1 << 16) - 1, [[7]])
 
 
 # sha256 of the three packed files of `_pattern_weights` at n = 1, 4 and 5,
@@ -481,8 +452,7 @@ def test_read_packed_yields_a_grid_or_value_error(data):
     assert written[:12] == data[:12] and written[12:16] == bytes(4)
     assert 16 < len(written) <= len(data) and written[16:] == data[16 : len(written)]
     again = read_packed(io.BytesIO(written))
-    assert [[t.mode for t in row] for row in again] == [[t.mode for t in row] for row in grid]
-    assert all(np.array_equal(a.words, b.words) for ra, rb in zip(again, grid) for a, b in zip(ra, rb))
+    assert again.mode == grid.mode and np.array_equal(again.words, grid.words)
 
 
 @pytest.mark.parametrize("mode", MODE_CONFIGS, ids=lambda m: f"{m.precision.name}x{m.nw}")
@@ -497,7 +467,7 @@ def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k,
     grid = prepare_weights([rng.integers(lo, hi, size=(k, p)) for _ in range(mode.nw)], mode, n)
     a = rng.integers(-128, 128, size=(m, k))
     products = ArraySim(n, mode.precision).stream_grid(grid, a)
-    assert products.shape == (m, mode.nw, len(grid[0]) * n)
+    assert products.shape == (m, mode.nw, grid.tp * n)
     for t, matrix in enumerate(unprepare_weights(grid)):
         assert np.array_equal(products[:, t], a @ matrix[:k])
 
@@ -505,22 +475,22 @@ def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k,
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mode=st.sampled_from(MODE_CONFIGS), n=st.integers(1, 8), data=st.data())
 def test_packed_grid_equals_its_list_of_tiles(mode, n, data):
-    """Each tile of a prepared grid is the interleave of the permuted tiles
-    of the matrices; a grid with no tiles is rejected by every grid
-    reader."""
+    """Each tile of a prepared grid, as iterating the grid gives it, is the
+    reference's interleave of the permuted tiles of the matrices; a grid
+    with no tiles is rejected by every grid reader."""
     k_dim, p_dim, m_dim = (data.draw(st.integers(0, 3 * n)) for _ in range(3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
     mats = [rng.integers(lo, hi, size=(k_dim, p_dim)) for _ in range(mode.nw)]
     a = rng.integers(-128, 128, size=(m_dim, k_dim))
     grid = prepare_weights(mats, mode, n)
-    assert len(grid) == -(-k_dim // n) and all(len(row) == -(-p_dim // n) for row in grid)
+    assert grid.mode == mode and (grid.tk, grid.tp) == (-(-k_dim // n), -(-p_dim // n))
+    assert len(grid) == grid.tk and all(row.shape == (grid.tp, n, n) for row in grid)
     padded = [np.pad(m, ((0, -k_dim % n), (0, -p_dim % n))) for m in mats]
     for k, row in enumerate(grid):
         for j, tile in enumerate(row):
-            blocks = [WeightTile(m[k * n : (k + 1) * n, j * n : (j + 1) * n], mode.weight_bits) for m in padded]
-            assert tile.mode == mode
-            assert np.array_equal(tile.words, interleave([permute(b) for b in blocks], mode).words)
+            blocks = [m[k * n : (k + 1) * n, j * n : (j + 1) * n] for m in padded]
+            assert np.array_equal(tile, interleave([permute(b) for b in blocks], mode.weight_bits))
     if not (k_dim and p_dim):
         untraced = ArraySim(n, mode.precision).stream_grid
         for reader in (unprepare_weights, lambda g: untraced(g, a), lambda g: write_packed(g, io.BytesIO())):
