@@ -31,10 +31,11 @@ once, and the registers of a block of clocks, for a stack of passes at
 once, come from the formulas above (`_registers`), formed only where a
 trace or an overflow check reads them. The reducer's fold is linear, so
 the outputs are exact matmuls of the int8 input with the weight fields
-of the matrix-order words (`_group_outputs`): float32 over chunks of K
-small enough to stay exact, summed in float64. `load_weights` takes a
-one-tile grid and `stream` runs it through the same engine; they stay
-only for the benchmark's span wrappers (bench/spans.py).
+of the matrix-order words (`_group_outputs`): per matrix, float32 over
+chunks of K small enough to stay exact, written or added in int64 into
+one int64 block per group; there is no floating total. `load_weights`
+takes a one-tile grid and `stream` runs it through the same engine; they
+stay only for the benchmark's span wrappers (bench/spans.py).
 
 Registers are checked only when the inputs could reach the limit: one
 bound that reads no weight (`_row_may_overflow`), the largest input
@@ -45,7 +46,8 @@ clock out of range, in run order, raises after the trace lines of the
 clocks before it. Traces are formatted without Python ints: every number
 is gathered as 8-byte ASCII words, one per four decimal digits, from one
 table (`_group_words`) into a fixed-width line buffer, and one
-`bytes.translate` drops the NUL padding.
+`bytes.translate` drops the NUL padding. A block's registers and each
+line buffer are bounded in bytes (`_TRACE_BYTES`), not in clocks.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, ceil_div, to_int8
+from .numerics import PSUM_BITS, bit_fields, ceil_div, exact_matmuls, to_int8
 from .pe import PhaseError, PsumOverflowError
 # Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
 # the benchmark change of ROADMAP item 7 deletes it.
@@ -65,9 +67,14 @@ from .preprocess import PackedGrid, Precision, PrecisionMode, check_tiles, decod
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
-# PE-cycles of registers formed, checked and traced per block (one clock at
-# least); bounds the kernel's and the trace formatter's temporaries.
-_TRACE_BLOCK = 1 << 12
+# Bytes of the registers of one block of clocks, and of the trace words of
+# one slice of its lines: each temporary of a block stays well under the
+# 128 KiB above which glibc's malloc maps it afresh, and a job's heap peak
+# under the size glibc trims back after a free, so traced and checked
+# runs do not fault their pages in again job after job. A block is one
+# clock at least, so above n = 40 its registers are more (n = 64: 160 KiB).
+_TRACE_BYTES = 1 << 16
+_REGISTER_BYTES = 5 * 8  # a PE's input and four buses, int64
 
 # The reducer's widest value as an integer fold of a column's four bottom
 # buses: stage 1 forms bus0 + bus1 << 2 and bus2 + bus3 << 2, stage 2 (the
@@ -231,19 +238,20 @@ def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, befor
     n = slots.shape[-1]
     steps = stop - first
     inputs = feed[:, first + np.arange(steps)[:, None, None] - np.arange(n)[:, None], _diagonals(n)]
-    registers = np.empty((len(feed), steps + 1, n, n, 5), dtype=np.int64)
-    registers[:, 0] = before
-    registers[:, 1:, ..., 0] = inputs
+    registers = np.empty((len(feed), steps, n, n, 5), dtype=np.int64)
     for g, weights in enumerate(slots[:, :, None]):
-        np.multiply(inputs, weights, out=registers[:, 1:, ..., 1 + g])
-    if steps < n:  # the inputs add up too, and are set again afterwards
-        for k in range(1, steps + 1):
+        np.multiply(inputs, weights, out=registers[..., 1 + g])
+    # PE row r - 1 `before` feeds row r on the first clock; the sums below
+    # carry it on. The inputs add up too, and are set afterwards.
+    registers[:, 0, 1:] += before[:, :-1]
+    if steps < n:
+        for k in range(1, steps):
             registers[:, k, 1:] += registers[:, k - 1, :-1]
     else:
         for r in range(1, n):
             registers[:, 1:, r] += registers[:, :-1, r - 1]
-    registers[:, 1:, ..., 0] = inputs
-    return registers[:, 1:]
+    registers[..., 0] = inputs
+    return registers
 
 
 def _fold_matrices(slots: np.ndarray, folds: np.ndarray) -> np.ndarray:
@@ -256,51 +264,30 @@ def _fold_matrices(slots: np.ndarray, folds: np.ndarray) -> np.ndarray:
     return np.einsum("fg,gpkc->pkfc", folds, unrotated).reshape(slots.shape[1], n, -1)
 
 
-def _slab(words: np.ndarray, bits: int, nw: int) -> np.ndarray:
-    """The nw signed `bits`-bit fields of the (K, columns) `words`, laid out
-    by one transpose-copy as a (K, nw * columns) float32 matrix.
-
-    An 8-bit field is the word itself, so a W8 slab is the words read as
-    int8, with no int16 `bit_fields` copy: that copy, half the slab's size,
-    pushed a decode job's freed temporaries past the heap's trim threshold
-    on some runs, which then paid a page fault per page on every job."""
+def _field(words: np.ndarray, bits: int, t: int) -> np.ndarray:
+    """Field t of the matrix-order uint8 `words`, the signed `bits`-bit
+    weights of matrix t, as float32. An 8-bit field is the word itself,
+    read as int8, with no int16 `bit_fields` copy."""
     if bits == 8:
         return words.view(np.int8).astype(np.float32)
-    fields = bit_fields(words, bits, nw)  # [t, k, column]
-    return fields.transpose(1, 0, 2).astype(np.float32, order="C").reshape(len(words), -1)
+    return bit_fields(words >> (bits * t), bits, 1)[0].astype(np.float32)
 
 
 def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.ndarray:
-    """Each row of the M x K input `a` (K >= 1) times each of the nw weight
-    matrices held in the matrix-order uint8 `words` (at least K rows): an
-    (M, nw, columns) floating array of exact integers.
+    """Each row of the M x K int8 input `a` times each of the nw weight
+    matrices held in the matrix-order uint8 `words` (K rows): one
+    (nw, M, columns) int64 block, matrix t at [t].
 
-    Each output is a sum of K products of an 8-bit input and a w-bit
-    weight field, each at most 2^(6+w) in magnitude. The matmul runs in
-    float32, over chunks of at most 2^(18-w) rows of K, each with its own
-    `_slab`, so that every partial sum within a chunk is at most 2^24 and
-    exact. The chunk results are summed in float64, exact while the total
-    stays below 2^53, that is for any K below 2^39, an int8 input of more
-    than 512 GB per row; a single chunk's float32 result is returned as it
-    is. The outputs stay floating so that callers convert each matrix
-    once: an int64 copy of the whole group on top of the per-matrix ones
-    doubles the fresh memory of every run.
+    Each product of an 8-bit input and a w-bit weight field is at most
+    2^(6+w) in magnitude, so `exact_matmuls` runs float32 matmuls over
+    chunks of 2^(18-w) rows of K and sums them in int64. Matrix t's field
+    is decoded on its own, per chunk, so only one matrix's float32 weights
+    are live at a time.
     """
-    bits, nw = mode.weight_bits, mode.nw
-    k_dim = a.shape[1]
-    chunk = 1 << (18 - bits)
-    total = None
-    for lo in range(0, k_dim, chunk):
-        hi = min(lo + chunk, k_dim)
-        # no slab outlives its matmul, so one chunk's temporaries are live at a time
-        part = a[:, lo:hi].astype(np.float32) @ _slab(words[lo:hi], bits, nw)
-        if total is None:
-            total = part
-        else:
-            if total.dtype != np.float64:
-                total = total.astype(np.float64)
-            total += part
-    return total.reshape(len(a), nw, words.shape[1])
+    bits, words = mode.weight_bits, words[: a.shape[1]]
+    return exact_matmuls(
+        a, lambda t, rows: _field(words[rows], bits, t), mode.nw, words.shape[1], 1 << (6 + bits)
+    )
 
 
 class ArraySim:
@@ -363,38 +350,45 @@ class ArraySim:
 
     def stream(self, rows) -> np.ndarray:
         """`stream_grid` of the loaded tile on the R x n `rows`: one pass,
-        its load cycles included."""
+        its load cycles included; an (R, 1, n) int64 array of outputs."""
         if self._tile is None:
             raise PhaseError("streaming before weight load")
         if np.ndim(rows) != 2 or np.shape(rows)[1] != self.n:
             raise ValueError(f"input rows must be R x {self.n}, got {np.shape(rows)}")
         return self.stream_grid(self._tile, rows)
 
-    def _write_trace(self, history: np.ndarray, cycles: np.ndarray) -> None:
-        """Write the per-PE lines of the increasing `cycles`, whose (5, n, n)
-        registers are `history[:len(cycles)]`.
+    def _write_trace(self, registers: np.ndarray, cycles: np.ndarray) -> None:
+        """Write the per-PE lines of the increasing `cycles`, whose (n, n, 5)
+        registers are `registers[:len(cycles)]`.
 
         Every line of the block is laid out in the same number of words:
         the cycle and each register value take as many four-digit groups as
         the widest of them in the block needs. Dropping the NULs leaves the
-        lines exactly as `%d` prints them."""
-        steps = len(cycles)
+        lines exactly as `%d` prints them. The lines are formed and written
+        in slices of whole clocks, or of PE rows of one clock when a clock's
+        lines alone exceed it, of at most `_TRACE_BYTES` of words each."""
+        steps, n = len(cycles), self.n
         if not steps:
             return
-        cells = self.n * self.n
-        values = history[:steps].reshape(steps, 5, cells).transpose(0, 2, 1)
+        values = registers[:steps]
         groups = ceil_div(len(str(max(int(values.max()), -int(values.min())))), 4)
         cycle_groups = ceil_div(len(str(int(cycles[-1]))), 4)
-        prefixes = _cell_prefixes(self.n)
-        head = cycle_groups + prefixes.shape[1]
-        lines = np.empty((steps, cells, head + 5 * groups), dtype=np.uint64)
         cycle_words = np.empty((steps, cycle_groups), dtype=np.uint64)
         _number_words(cycles, cycle_groups, 0, cycle_words)
-        lines[:, :, :cycle_groups] = cycle_words[:, None]
-        lines[:, :, cycle_groups:head] = prefixes
-        fields = lines[:, :, head:].reshape(steps, cells, 5, groups)
-        _number_words(values, groups, _VALUE_SEPARATORS, fields)
-        self._trace.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+        prefixes = _cell_prefixes(n).reshape(n, n, -1)
+        head = cycle_groups + prefixes.shape[2]
+        width = head + 5 * groups
+        rows = max(1, _TRACE_BYTES // (8 * width * n))  # PE rows of lines per slice
+        clocks, rows = max(1, rows // n), min(rows, n)
+        for c in range(0, steps, clocks):
+            for r in range(0, n, rows):
+                part = values[c : c + clocks, r : r + rows]
+                lines = np.empty(part.shape[:3] + (width,), dtype=np.uint64)
+                lines[..., :cycle_groups] = cycle_words[c : c + clocks, None, None]
+                lines[..., cycle_groups:head] = prefixes[r : r + rows]
+                fields = lines[..., head:].reshape(part.shape[:3] + (5, groups))
+                _number_words(part, groups, _VALUE_SEPARATORS, fields)
+                self._trace.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
     # -- streaming -----------------------------------------------------------
 
@@ -403,12 +397,12 @@ class ArraySim:
         n + mac_stages zero rows before it, then one row per clock, from
         zero registers. A pass costs `load` cycles, then one per clock.
 
-        Registers are formed in blocks of at most `_TRACE_BLOCK` PE-cycles
-        (whole passes when they fit). With `check`, the caller's
-        `_row_may_overflow` for the largest fed value, every block is
-        checked: the first clock in run order out of range raises
-        `PsumOverflowError`, after the trace lines of the clocks before it,
-        with the clock on it.
+        Registers are formed in blocks of as many clocks as `_TRACE_BYTES`
+        of registers hold, one at least (whole passes when they fit). With
+        `check`, the caller's `_row_may_overflow` for the largest fed value,
+        every block is checked: the first clock in run order out of range
+        raises `PsumOverflowError`, after the trace lines of the clocks
+        before it, with the clock on it.
         """
         n, window = self.n, self.n + self.mac_stages
         passes, sources = slots.shape[1], len(feed)
@@ -418,26 +412,27 @@ class ArraySim:
         if check:
             reducer = _fold_matrices(slots, _STAGE2_FOLD)
         start = self.cycle
-        per = max(1, _TRACE_BLOCK // (n * n))  # clocks per block
+        per = max(1, _TRACE_BYTES // (_REGISTER_BYTES * n * n))  # clocks per block
         span = max(1, per // max(steps, 1))  # passes per block
         for p0 in range(0, passes, span):
             block_passes = np.arange(p0, min(p0 + span, passes))
+            block_slots, block_held = slots[:, p0 : p0 + span], held[p0 : p0 + span]
             for lo in range(0, steps, per):
                 clocks = min(per, steps - lo)
                 # from the row that stage 2 folds on the block's first clock
                 block = feed[block_passes % sources, lo : window + lo + clocks]
-                registers = _registers(slots[:, block_passes], block, window, window + clocks, held[block_passes])
-                held[block_passes] = registers[:, -1]
+                registers = _registers(block_slots, block, window, window + clocks, block_held)
+                block_held[...] = registers[:, -1]
                 registers = registers.reshape(-1, n, n, 5)
                 cycles = (start + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
                 fail = len(cycles)
                 if check:
-                    stage2 = np.matmul(block[:, :clocks], reducer[block_passes]).reshape(-1, n)
+                    stage2 = np.matmul(block[:, :clocks], reducer[p0 : p0 + span]).reshape(-1, n)
                     bad = _out_of_range(registers[..., 1:], (1, 2, 3)) | _out_of_range(stage2, 1)
                     if bad.any():
                         fail = int(bad.argmax())
                 if self._trace is not None:
-                    self._write_trace(registers.transpose(0, 3, 1, 2), cycles[:fail])
+                    self._write_trace(registers, cycles[:fail])
                 if fail < len(cycles):
                     self.cycle = int(cycles[fail])
                     _check_register(registers[fail, ..., 1:], "psum bus")
@@ -448,15 +443,18 @@ class ArraySim:
         """Every pass of one fused group as `run_tiled` prepares it: for each
         column tile j, for each k, load tile (k, j) and stream the columns
         k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
-        tiles. Returns the outputs summed over k, as `_group_outputs` gives
-        them: an (M, nw, tp*n) array whose [i, t] entry is row i of `a`
-        times matrix t, zero-padded to whole column tiles. The grid must
-        hold tiles of the array's precision and size.
+        tiles. Returns the outputs summed over k: an int64 (M, nw, tp*n)
+        view of the (nw, M, tp*n) block `_group_outputs` fills, whose
+        [i, t] entry is row i of `a` times matrix t, zero-padded to whole
+        column tiles. The grid must hold tiles of the array's precision
+        and size.
 
         The passes' registers are formed, from the grid rotated into its
         tiles once, only with a trace sink or when `_row_may_overflow` is
-        on for the largest input magnitude; otherwise the clock advances
-        by each pass's load and stream cycles and no slot is decoded.
+        on for the largest input magnitude; the input is scanned for that
+        only when the bound is on at |a| = 128. Otherwise the clock
+        advances by each pass's load and stream cycles and no slot is
+        decoded.
         """
         check_tiles(grid)
         self._check_fits(grid)
@@ -469,8 +467,10 @@ class ArraySim:
         m_dim, k_dim = a.shape
         load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
-        amax = max(int(a.max(initial=0)), -int(a.min(initial=0)))  # -a.min() wraps at -128 in int8
-        check = _row_may_overflow(amax, n, self.precision)
+        # |a| <= 128 keeps the bound off below n ~ 87 800; scan only when it could trip
+        check = _row_may_overflow(128, n, self.precision) and _row_may_overflow(
+            max(int(a.max(initial=0)), -int(a.min(initial=0))), n, self.precision  # -a.min() wraps in int8
+        )
         if self._trace is None and not check:
             self.cycle += tk * tp * (load + steps)
         else:
@@ -480,4 +480,4 @@ class ArraySim:
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
             slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(np.int64)
             self._run(slots, feed, load, check)
-        return _group_outputs(grid.words, a, grid.mode)
+        return _group_outputs(grid.words, a, grid.mode).transpose(1, 0, 2)

@@ -13,7 +13,7 @@ sixteen 2-bit multipliers.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,6 +66,36 @@ def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
 def ceil_div(a: int, b: int) -> int:
     """Tiles of size b needed to cover a elements."""
     return -(-a // b)
+
+
+def exact_matmuls(
+    a: np.ndarray, weight_rows: Callable[[int, slice], np.ndarray], count: int, columns: int, product_bound: int
+) -> np.ndarray:
+    """The `count` products a @ w_t of the integer M x K matrix `a` with
+    integer K x `columns` matrices w_t, as one (count, M, columns) int64
+    block; `weight_rows(t, rows)` gives the rows `rows` of w_t as float32.
+
+    Every product a[i, k] * w_t[k, j] is at most `product_bound`, itself at
+    most 2^24, in magnitude. Each chunk of 2^24 // product_bound rows of K
+    is one float32 matmul per matrix, whose partial sums stay within 2^24
+    and so are exact integers; the chunks are summed in int64, exact while
+    the outputs stay below 2^63. A K of 0 gives zeros.
+    """
+    m_dim, k_dim = a.shape
+    out = (np.empty if k_dim else np.zeros)((count, m_dim, columns), dtype=np.int64)
+    chunk = (1 << 24) // max(product_bound, 1)
+    for lo in range(0, k_dim, chunk):
+        rows = slice(lo, lo + chunk)
+        part_a = a[:, rows].astype(np.float32)  # shared by the chunk's matmuls
+        for t in range(count):
+            part = part_a @ weight_rows(t, rows)
+            if lo:
+                np.add(out[t], part, out=out[t], dtype=np.int64, casting="unsafe")
+            else:
+                out[t] = part
+            del part  # so that the next product is not formed beside it
+        del part_a  # and the next chunk's input likewise
+    return out
 
 
 def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = True) -> np.ndarray:

@@ -14,8 +14,9 @@ Every pass of a fused group streams the same input, so `run_tiled` hands
 each group at once to `ArraySim.stream_grid`, traced or not, on one
 `ArraySim` per job, set up by the job's precision; each group's grid
 carries its own matrix count. It forms registers only where a trace or
-the overflow bound needs them, and takes the group's outputs from exact
-float32 matmuls over chunks of K, summed in float64.
+the overflow bound needs them, and returns the group's outputs as one
+int64 block, from exact float32 matmuls over chunks of K summed in
+int64; the job's outputs are per-matrix slices of it.
 
 Operands stay int8 from `MatMulJob` to the matmul; the job checks each
 once, and the later checks in `prepare_weights` and `stream_grid` read
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .array import ArraySim
-from .numerics import ceil_div, to_int8
+from .numerics import ceil_div, exact_matmuls, to_int8
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
 
@@ -113,27 +114,30 @@ def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
     """Golden results with no tiling: one exact `a @ w` per weight matrix,
     from the raw matrices, with no packing, rotation or field decode.
 
-    Every product and partial sum is at most B = |a| * |w| * K in
-    magnitude. While B < 2^53 they are all integers that float64 holds
-    exactly, whatever order the sums run in, so the matmul runs in float64,
-    where numpy uses BLAS; a valid job, whose 8-bit inputs and weights of
-    at most 8 bits give |a| * |w| <= 2^14, stays there for any K below 2^39.
-    Above that it runs in int64, exact while B < 2^63; a job whose values
-    reach that raises ValueError.
+    Every product is at most B = |a| * |w| in magnitude and every sum at
+    most B * K. A valid job, whose 8-bit inputs and weights of at most 8
+    bits give B <= 2^14, runs in float32 (where numpy uses BLAS) over
+    chunks of 2^24 // B rows of K, each exact, summed in int64 (see
+    `numerics.exact_matmuls`). A job whose values give B above 2^24 runs
+    in int64. Both are exact while B * K < 2^63; a job whose values reach
+    that raises ValueError.
     """
 
     def magnitude(x: np.ndarray) -> int:
         return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
-    k_dim = job.shape[1]
-    bound = magnitude(job.a) * max(magnitude(w) for w in job.weights) * k_dim
-    if bound >= 1 << 63:
+    _, k_dim, p_dim = job.shape
+    product_bound = magnitude(job.a) * max(magnitude(w) for w in job.weights)
+    if product_bound * k_dim >= 1 << 63:
         raise ValueError(f"|a| * |w| * K reaches 2^63 at K={k_dim}; int64 sums could wrap")
-    if bound >= 1 << 53:
+    if product_bound > 1 << 24:  # one product may not fit float32 exactly
         a = job.a.astype(np.int64)  # an int8 matmul would wrap
         return [a @ w.astype(np.int64) for w in job.weights]
-    a = job.a.astype(np.float64)
-    return [(a @ w.astype(np.float64)).astype(np.int64) for w in job.weights]
+
+    def weight_rows(t: int, rows: slice) -> np.ndarray:
+        return job.weights[t][rows].astype(np.float32)
+
+    return list(exact_matmuls(job.a, weight_rows, len(job.weights), p_dim, product_bound))
 
 
 @dataclass
@@ -169,8 +173,8 @@ def run_tiled(
         if the_plan.tk and the_plan.tp:
             products = sim.stream_grid(grid, job.a)
         else:  # K = 0 or P = 0 has no passes
-            products = np.zeros((m_dim, nw, p_dim))
-        outputs += [products[:, t, :p_dim].astype(np.int64) for t in range(nw)]
+            products = np.zeros((m_dim, nw, p_dim), dtype=np.int64)
+        outputs += [products[:, t, :p_dim] for t in range(nw)]
         base += nw
 
     return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=the_plan.pass_count)

@@ -185,7 +185,7 @@ def test_traced_run_tiled_matches_the_stepper_pass_by_pass(cfg):
         if cfg["limit"] is not None:
             patch.setattr(array, "_PSUM_LIMIT", cfg["limit"])
         if cfg["block"] is not None:  # clocks per block, down to one
-            patch.setattr(array, "_TRACE_BLOCK", cfg["block"] * n * n)
+            patch.setattr(array, "_TRACE_BYTES", cfg["block"] * n * n * array._REGISTER_BYTES)
         assert _outcome(run_sim, sinks[0]) == _outcome(run_ref, sinks[1])
 
 
@@ -219,7 +219,7 @@ def test_blocks_split_between_and_within_passes(block_cycles, limit, monkeypatch
         monkeypatch.setattr(array, "_PSUM_LIMIT", limit)
 
     def run(block):
-        monkeypatch.setattr(array, "_TRACE_BLOCK", block)
+        monkeypatch.setattr(array, "_TRACE_BYTES", block * array._REGISTER_BYTES)
         sink = io.StringIO()
 
         def outputs_and_cycles():

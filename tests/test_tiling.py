@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adipsim.analytic import AnalyticParams, tile_latency
 from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, TiledPlan, oracle_matmul, plan, run_tiled
@@ -250,6 +251,44 @@ def test_operand_dtype_does_not_change_the_job(precision, nw, n, dims, seed):
                 MatMulJob(form(x), [form(w) for w in ws], precision, n)
             messages.add(str(raised.value))
         assert len(messages) == 1 and messages.pop().startswith(what)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    precision=st.sampled_from(list(Precision)),
+    n=st.integers(1, 6),
+    dims=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
+    overlap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision, n, dims, overlap, seed, data):
+    """Any small job, zero M, K or P included, with 1 to r + 1 matrices:
+    `run_tiled` gives one int64 M x P output per matrix, equal to the
+    oracle's; writing into one output leaves every other unchanged; the
+    traced run gives the same outputs and cycles; and the cycles are the
+    pass count times the closed-form pass latency, `tile_latency` for n
+    rows plus n cycles per further row tile and the load when not
+    overlapped."""
+    nw = data.draw(st.integers(1, precision.r + 1), label="nw")
+    m, k, p = dims
+    job = _random_job(np.random.default_rng(seed), precision, nw, n, dims)
+    result = run_tiled(job, overlap_weights=overlap)
+    traced = run_tiled(job, overlap_weights=overlap, trace=io.StringIO())
+    golden = oracle_matmul(job)
+    assert len(result.outputs) == len(traced.outputs) == nw
+    for got, via_trace, want in zip(result.outputs, traced.outputs, golden):
+        assert got.dtype == via_trace.dtype == np.int64 and got.shape == via_trace.shape == (m, p)
+        assert np.array_equal(got, want) and np.array_equal(via_trace, want)
+    for t in range(nw):
+        before = [out.copy() for out in result.outputs]
+        result.outputs[t][...] = 1 << 40
+        assert all(np.array_equal(out, was) for u, (out, was) in enumerate(zip(result.outputs, before)) if u != t)
+    the_plan = plan(job)
+    per_pass = tile_latency(AnalyticParams.for_mode(n, precision.weight_bits)) + (the_plan.tm - 1) * n
+    per_pass += 0 if overlap else n
+    assert result.pass_count == traced.pass_count == the_plan.pass_count
+    assert result.total_cycles == traced.total_cycles == the_plan.pass_count * per_pass
 
 
 def test_run_tiled_peak_memory_scales_with_int8_operands():

@@ -77,10 +77,41 @@ def test_long_passes_are_written_in_blocks(block_cycles, monkeypatch):
     job = _job(rng, Precision.W2, 5, 4, (9, 6, 4))
     whole = io.StringIO()
     run_tiled(job, mac_stages=2, trace=whole)
-    monkeypatch.setattr(array, "_TRACE_BLOCK", block_cycles * 4 * 4)
+    monkeypatch.setattr(array, "_TRACE_BYTES", block_cycles * 4 * 4 * array._REGISTER_BYTES)
     blocks = io.StringIO()
     run_tiled(job, mac_stages=2, trace=blocks)
     assert blocks.getvalue() == whole.getvalue()
+
+
+class _WriteCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("trace_bytes", [1, 1500])
+def test_a_clock_above_the_bound_is_written_in_pe_row_slices(trace_bytes, monkeypatch):
+    """When one clock's lines exceed `_TRACE_BYTES`, the block is one clock
+    and its lines are written in slices of PE rows: more than one write per
+    clock, with the same bytes as a run whose bound holds every pass."""
+    rng = np.random.default_rng(407)
+    job = _job(rng, Precision.W2, 4, 7, (9, 10, 12))
+    monkeypatch.setattr(array, "_TRACE_BYTES", 1 << 30)
+    whole = io.StringIO()
+    result = run_tiled(job, mac_stages=2, trace=whole)
+    monkeypatch.setattr(array, "_TRACE_BYTES", trace_bytes)
+    sliced = _WriteCounter()
+    run_tiled(job, mac_stages=2, trace=sliced)
+    assert sliced.getvalue() == whole.getvalue()
+    clocks = result.total_cycles  # overlapped loads: every cycle is traced
+    assert whole.getvalue().count("\n") == 1 + clocks * 7 * 7
+    assert sliced.writes > 1 + clocks
+    if trace_bytes == 1:
+        assert sliced.writes == 1 + clocks * 7  # the header, then one PE row a write
 
 
 @pytest.mark.parametrize("block_cycles", [None, 3])
@@ -92,7 +123,7 @@ def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch)
     job = _job(rng, Precision.W4, 2, 4, (8, 8, 8))
     monkeypatch.setattr(array, "_PSUM_LIMIT", 30000)
     if block_cycles is not None:
-        monkeypatch.setattr(array, "_TRACE_BLOCK", block_cycles * 4 * 4)
+        monkeypatch.setattr(array, "_TRACE_BYTES", block_cycles * 4 * 4 * array._REGISTER_BYTES)
     sink = io.StringIO()
     with pytest.raises(PsumOverflowError, match="reducer"):
         run_tiled(job, mac_stages=2, trace=sink)
@@ -188,7 +219,7 @@ def test_write_trace_matches_the_percent_formatter(block):
     n, history, after, steps = block
     sink = io.StringIO()
     sim = ArraySim(n, Precision.W8, trace=sink)
-    sim._write_trace(history, np.arange(after + 1, after + 1 + steps))
+    sim._write_trace(history.transpose(0, 2, 3, 1), np.arange(after + 1, after + 1 + steps))
     # as lists of lines after the header, whose first difference pytest reports quickly
     got = sink.getvalue().splitlines(keepends=True)[1:]
     assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)

@@ -352,6 +352,27 @@ def test_gate_is_off_for_every_storable_tile_size(precision, opens_at):
     assert array._row_may_overflow(128, opens_at, precision)
 
 
+def test_input_is_scanned_only_when_the_int8_bound_could_trip(monkeypatch):
+    """`stream_grid` evaluates the bound at |a| = 128 first: at the real
+    limit that settles it, with no scan of the input. Under a lowered
+    limit it scans, and gates on the input's own largest magnitude."""
+    job = MatMulJob(np.full((3, 5), -7), [np.ones((5, 6), dtype=np.int64)], Precision.W8, 4)
+    amaxes = []
+
+    def spy(amax, n, precision):
+        amaxes.append(amax)
+        return bound(amax, n, precision)
+
+    bound = array._row_may_overflow
+    monkeypatch.setattr(array, "_row_may_overflow", spy)
+    run_tiled(job)
+    assert amaxes == [128]
+    del amaxes[:]
+    monkeypatch.setattr(array, "_PSUM_LIMIT", 1000)
+    run_tiled(job)
+    assert amaxes == [128, 7]
+
+
 def test_full_scale_block_is_exact():
     """The largest products and sums an n = 64 W8 pass forms (every input and
     weight -128, K = 4n) come out exact from the float64 matmul."""
