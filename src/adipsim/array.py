@@ -29,13 +29,16 @@ A pass is one weight load, then a run of streamed rows, padded to whole
 row tiles. The tiles are rotated out of the grid's matrix-order words
 once, and the registers of a block of clocks, for a stack of passes at
 once, come from the formulas above (`_registers`), formed only where a
-trace or an overflow check reads them. The reducer's fold is linear, so
-the outputs are exact matmuls of the int8 input with the weight fields
-of the matrix-order words (`_group_outputs`): per matrix, float32 over
-chunks of K small enough to stay exact, written or added in int64 into
-one int64 block per group; there is no floating total. `load_weights`
-takes a one-tile grid and `stream` runs it through the same engine; they
-stay only for the benchmark's span wrappers (bench/spans.py).
+trace or an overflow check reads them. They are int32, as wide as the
+paper's psum buses, wherever int8 inputs cannot take a register past
+int32 (`_register_dtype`: every n below about 87 800), and int64 only
+above. The reducer's fold is linear, so the outputs are exact matmuls
+of the int8 input with the weight fields of the matrix-order words
+(`_group_outputs`): per matrix, float32 over chunks of K small enough to
+stay exact, written or added in int64 into one int64 block per group;
+there is no floating total. `load_weights` takes a one-tile grid and
+`stream` runs it through the same engine; they stay only for the
+benchmark's span wrappers (bench/spans.py).
 
 Registers are checked only when the inputs could reach the limit: one
 bound that reads no weight (`_row_may_overflow`), the largest input
@@ -58,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, ceil_div, exact_matmuls, to_int8
+from .numerics import PSUM_BITS, bit_fields, ceil_div, check_size, exact_matmuls, to_int8
 from .pe import PhaseError, PsumOverflowError
 # Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
 # the benchmark change of ROADMAP item 7 deletes it.
@@ -72,9 +75,11 @@ _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 # 128 KiB above which glibc's malloc maps it afresh, and a job's heap peak
 # under the size glibc trims back after a free, so traced and checked
 # runs do not fault their pages in again job after job. A block is one
-# clock at least, so above n = 40 its registers are more (n = 64: 160 KiB).
+# clock at least, so above n = 57 its registers are more (n = 64: 80 KiB).
 _TRACE_BYTES = 1 << 16
-_REGISTER_BYTES = 5 * 8  # a PE's input and four buses, int64
+# A PE's input and four buses, int32 (`_register_dtype`); the int64 registers
+# of an array too large to allocate would take blocks of twice the bytes.
+_REGISTER_BYTES = 5 * 4
 
 # The reducer's widest value as an integer fold of a column's four bottom
 # buses: stage 1 forms bus0 + bus1 << 2 and bus2 + bus3 << 2, stage 2 (the
@@ -119,19 +124,21 @@ def _group_words() -> np.ndarray:
 
 
 def _number_words(values: np.ndarray, groups: int, last_section, out: np.ndarray) -> None:
-    """Write the words of the int64 `values`, `groups` per number, into
-    `out[..., :groups]`; the last word of each number comes from the
-    separator section at offset `last_section` (broadcast against
-    `values`), the others from the first section."""
+    """Write the words of the int32 or int64 `values`, `groups` per number
+    (no more than the dtype's widest value needs), into `out[..., :groups]`;
+    the last word of each number comes from the separator section at
+    offset `last_section` (broadcast against `values`), the others from
+    the first section. The digits are cut at the values' own width."""
     words = _group_words()
     if groups == 1:  # each value is its own leading group
         out[..., 0] = words[values + (_LEAD + last_section)]
         return
-    magnitudes = np.abs(values).view(np.uint64)  # exact for -2^63 too
+    # unsigned of the values' own width: exact for the most negative value too
+    magnitudes = np.abs(values).view(f"u{values.itemsize}")
     for j in range(groups):
         last = j == groups - 1
-        high = magnitudes // np.uint64(_GROUP ** (groups - 1 - j))  # digits down to group j
-        digits = (high % _GROUP).astype(np.int64)
+        high = magnitudes // magnitudes.dtype.type(_GROUP ** (groups - 1 - j))  # digits down to group j
+        digits = (high % _GROUP).astype(values.dtype)
         offset = last_section if last else 0
         index = np.where(
             high < _GROUP,
@@ -215,6 +222,13 @@ def _row_may_overflow(amax, n: int, precision: Precision):
     return amax * (n * _widest_reach(precision)) >= _PSUM_LIMIT
 
 
+def _register_dtype(n: int, precision: Precision) -> type:
+    """int32 when every register a tile of size n forms from int8 inputs
+    fits int32's own range, whatever `_PSUM_LIMIT` is: 128 * n times
+    `_widest_reach` below 2^31, so for n below about 87 800. int64 above."""
+    return np.int32 if 128 * n * _widest_reach(precision) < 1 << 31 else np.int64
+
+
 @functools.cache
 def _diagonals(n: int) -> np.ndarray:
     """(q + c) mod n over q, c < n: the element of a fed row that PE(q, c)
@@ -228,7 +242,8 @@ def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, befor
     """Registers after each clock whose new row is feed[p, e], first <= e <
     stop (first >= n - 1), of each pass p of the (4, P, n, n) `slots`, from
     the (P, n, n, 5) registers `before` the first of those clocks: shape
-    (P, stop - first, n, n, 5), each PE's input and then its four buses.
+    (P, stop - first, n, n, 5), each PE's input and then its four buses, of
+    the dtype of `feed`.
 
     PE(r, c) holds element (c + r) mod n of row e - r, and bus g adds its
     product with slot[g, r, c] to what PE(r - 1, c) held a clock before.
@@ -238,7 +253,7 @@ def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, befor
     n = slots.shape[-1]
     steps = stop - first
     inputs = feed[:, first + np.arange(steps)[:, None, None] - np.arange(n)[:, None], _diagonals(n)]
-    registers = np.empty((len(feed), steps, n, n, 5), dtype=np.int64)
+    registers = np.empty((len(feed), steps, n, n, 5), dtype=feed.dtype)
     for g, weights in enumerate(slots[:, :, None]):
         np.multiply(inputs, weights, out=registers[..., 1 + g])
     # PE row r - 1 `before` feeds row r on the first clock; the sums below
@@ -315,8 +330,7 @@ class ArraySim:
         overlap_weights: bool = False,
         trace: Optional[io.TextIOBase] = None,
     ):
-        if n < 1:
-            raise ValueError(f"array size must be >= 1, got {n}")
+        n = check_size(n)
         reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
         self.n = n
         self.precision = precision
@@ -408,7 +422,7 @@ class ArraySim:
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
         period = load + steps
-        held = np.zeros((passes, n, n, 5), dtype=np.int64)  # each pass's registers after its last block
+        held = np.zeros((passes, n, n, 5), dtype=feed.dtype)  # each pass's registers after its last block
         if check:
             reducer = _fold_matrices(slots, _STAGE2_FOLD)
         start = self.cycle
@@ -449,12 +463,12 @@ class ArraySim:
         column tiles. The grid must hold tiles of the array's precision
         and size.
 
-        The passes' registers are formed, from the grid rotated into its
-        tiles once, only with a trace sink or when `_row_may_overflow` is
-        on for the largest input magnitude; the input is scanned for that
-        only when the bound is on at |a| = 128. Otherwise the clock
-        advances by each pass's load and stream cycles and no slot is
-        decoded.
+        The passes' registers are formed, in `_register_dtype`, from the
+        grid rotated into its tiles once, only with a trace sink or when
+        `_row_may_overflow` is on for the largest input magnitude; the
+        input is scanned for that only when the bound is on at |a| = 128.
+        Otherwise the clock advances by each pass's load and stream cycles
+        and no slot is decoded.
         """
         check_tiles(grid)
         self._check_fits(grid)
@@ -474,10 +488,11 @@ class ArraySim:
         if self._trace is None and not check:
             self.cycle += tk * tp * (load + steps)
         else:
-            feed = np.zeros((window + steps, tk * n), dtype=np.int64)
+            dtype = _register_dtype(n, self.precision)
+            feed = np.zeros((window + steps, tk * n), dtype=dtype)
             feed[window : window + m_dim, :k_dim] = a
             feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
-            slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(np.int64)
+            slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(dtype)
             self._run(slots, feed, load, check)
         return _group_outputs(grid.words, a, grid.mode).transpose(1, 0, 2)

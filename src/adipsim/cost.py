@@ -31,7 +31,7 @@ from enum import Enum
 from typing import IO, Iterable
 
 from .array import load_cycles, stream_cycles
-from .numerics import ceil_div
+from .numerics import ceil_div, check_size
 from .preprocess import Precision
 from .workload import MhaConfig, StageSpec, stages
 
@@ -67,8 +67,7 @@ class CostParams:
     output_bytes: int = 1  # 1 = requantized activations, 4 = raw psum spill
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("array size must be positive")
+        self.n = check_size(self.n)
         if self.output_bytes not in (1, 4):
             raise ValueError("output_bytes must be 1 or 4")
 

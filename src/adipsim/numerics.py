@@ -13,6 +13,7 @@ sixteen 2-bit multipliers.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,14 +47,19 @@ def check_signed(values, bits: int, what: str = "value"):
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """`values` as an array; a non-integral or non-finite element raises
-    ValueError rather than being truncated (integer and bool arrays skip
-    that test)."""
+    """`values` as an array of bool, integer, float or real Python numbers
+    (an object array); any other dtype, such as complex or str, and a
+    non-integral or non-finite element raise ValueError rather than being
+    cast or truncated (integer and bool arrays skip the element test)."""
     array = np.asarray(values)
-    if array.dtype.kind not in "biu":
-        array = np.asarray(array, dtype=np.float64)
-        if not (np.isfinite(array).all() and (array == np.trunc(array)).all()):
-            raise ValueError(f"{what} not a finite integer")
+    kind = array.dtype.kind
+    if kind in "biu":
+        return array
+    if kind not in "fO" or (kind == "O" and not all(isinstance(x, numbers.Real) for x in array.flat)):
+        raise ValueError(f"{what} of dtype {array.dtype} is not a real number")
+    array = np.asarray(array, dtype=np.float64)
+    if not (np.isfinite(array).all() and (array == np.trunc(array)).all()):
+        raise ValueError(f"{what} not a finite integer")
     return array
 
 
@@ -61,6 +67,17 @@ def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
     """`values`, an array-like of signed `bits`-bit integers (bits <= 8), as
     an int8 array, after one range check; an int8 array comes back as is."""
     return check_signed(_integers(values, what), bits, what).astype(np.int8, copy=False)
+
+
+def check_size(n, what: str = "array size") -> int:
+    """`n`, an array or tile size, as a Python int; ValueError unless it is
+    a Python or numpy integer of at least 1 (bool, float and str are not
+    sizes). A numpy unsigned size would wrap in `ceil_div`'s negation."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+    return int(n)
 
 
 def ceil_div(a: int, b: int) -> int:

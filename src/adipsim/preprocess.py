@@ -32,7 +32,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import bit_fields, ceil_div, to_int8
+from .numerics import bit_fields, ceil_div, check_size, to_int8
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -167,8 +167,7 @@ class PackedGrid:
     tp: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"tile size must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", check_size(self.n, "tile size"))
         words = self.words
         if not isinstance(words, np.ndarray) or words.dtype != np.uint8 or words.ndim != 2 or any(
             size % self.n for size in words.shape
@@ -206,8 +205,7 @@ def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int)
     range-checked and read as int8 (see `numerics.to_int8`), so int8
     matrices are packed as they are, and 8-bit ones are not scanned.
     """
-    if n < 1:
-        raise ValueError(f"tile size must be >= 1, got {n}")
+    n = check_size(n, "tile size")
     if len(matrices) != mode.nw:
         raise ValueError(f"mode expects {mode.nw} matrices, got {len(matrices)}")
     mats = [np.asarray(m) for m in matrices]

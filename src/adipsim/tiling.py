@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .array import ArraySim
-from .numerics import ceil_div, exact_matmuls, to_int8
+from .numerics import ceil_div, check_size, exact_matmuls, to_int8
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
 
@@ -41,7 +41,8 @@ class MatMulJob:
 
     Each operand is range-checked once, here, and then kept at its own
     width: `a` and every weight matrix are int8 arrays. Integral floats are
-    accepted; a non-integral, non-finite or out-of-range element raises
+    accepted; a non-integral, non-finite or out-of-range element, a complex
+    or string operand, and an `n` that is not a positive integer raise
     ValueError. Only the outputs of a run are int64.
     """
 
@@ -65,8 +66,7 @@ class MatMulJob:
             raise ValueError("all weight matrices must share one shape")
         self.a = to_int8(self.a, 8, "input element")
         self.weights = [to_int8(w, self.precision.weight_bits, "weight") for w in self.weights]
-        if self.n < 1:
-            raise ValueError(f"array size must be >= 1, got {self.n}")
+        self.n = check_size(self.n)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -91,8 +91,7 @@ class TiledPlan:
         """The plan of an M x K input times `count` K x P weight matrices of
         `precision` on an n x n array, from the shape alone: the matrices
         are fused r at a time, the last group taking what is left."""
-        if n < 1:
-            raise ValueError(f"array size must be >= 1, got {n}")
+        n = check_size(n)
         if count < 1:
             raise ValueError(f"a plan needs at least one weight matrix, got {count}")
         if min(m, k, p) < 0:

@@ -1,18 +1,24 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from adipsim.array import ArraySim
+from adipsim.cost import CostParams
 from adipsim.numerics import (
     bit_fields,
     ceil_div,
     check_signed,
+    check_size,
     mul2,
     recompose,
     signed_range,
     split_subwords,
     to_int8,
 )
+from adipsim.preprocess import PackedGrid, Precision, PrecisionMode, prepare_weights
+from adipsim.tiling import MatMulJob, TiledPlan
 
 
 @pytest.mark.parametrize(
@@ -133,7 +139,13 @@ def test_check_signed_reads_a_bounding_dtype_and_scans_the_rest():
 
 @pytest.mark.parametrize(
     "values, dtype",
-    [([[1, -2]], np.int64), ([[1.0, -2.0]], np.float64), ([[True, False]], np.bool_), ([[1, -2]], np.int8)],
+    [
+        ([[1, -2]], np.int64),
+        ([[1.0, -2.0]], np.float64),
+        ([[True, False]], np.bool_),
+        ([[1, -2]], np.int8),
+        ([[1, -2.0]], object),
+    ],
 )
 def test_to_int8_takes_integral_values_of_any_dtype(values, dtype):
     got = to_int8(np.array(values, dtype=dtype), 4)
@@ -149,6 +161,50 @@ def test_to_int8_returns_an_int8_array_as_is():
 def test_to_int8_rejects_what_int8_cannot_hold(bad):
     with pytest.raises(ValueError, match="^x "):
         to_int8(np.array(bad), 8, "x")
+
+
+@pytest.mark.parametrize(
+    "bad, dtype",
+    [
+        (np.array([[1 + 5j, 2]]), "complex128"),
+        (np.array([[1 + 0j]]), "complex128"),
+        (np.array([["1e1", "2"]]), "<U3"),
+        (np.array([[1, 1 + 1j]], dtype=object), "object"),
+        (np.array([[1, "2"]], dtype=object), "object"),
+        (np.array([[None]]), "object"),
+    ],
+)
+def test_to_int8_rejects_what_is_not_a_real_number(bad, dtype):
+    """Complex and string operands, and objects that are not real numbers,
+    raise a ValueError naming the dtype instead of being cast: no
+    imaginary part is dropped, no string parsed, and no ComplexWarning
+    is raised in its place."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^x of dtype {dtype} "):
+            to_int8(bad, 8, "x")
+
+
+_SIZED = {
+    "check_size": lambda n: check_size(n),
+    "MatMulJob": lambda n: MatMulJob(np.zeros((1, 1)), [np.zeros((1, 1))], Precision.W8, n),
+    "TiledPlan.from_shape": lambda n: TiledPlan.from_shape(1, 2, 3, 1, Precision.W8, n),
+    "ArraySim": lambda n: ArraySim(n, Precision.W8),
+    "PackedGrid": lambda n: PackedGrid(np.zeros((4, 4), dtype=np.uint8), PrecisionMode(Precision.W8), n),
+    "prepare_weights": lambda n: prepare_weights([np.zeros((1, 1))], PrecisionMode(Precision.W8), n),
+    "CostParams": lambda n: CostParams(n=n),
+}
+
+
+@pytest.mark.parametrize("make", _SIZED.values(), ids=_SIZED.keys())
+def test_sizes_are_positive_integers(make):
+    """Every array or tile size takes a Python or numpy integer of at
+    least 1 and rejects bool, float and str with ValueError."""
+    for n in (4, np.int64(4), np.uint8(4)):
+        make(n)
+    for n in (0, -1, True, np.True_, 4.0, np.float64(4), 2.5, "4", None):
+        with pytest.raises(ValueError, match="size must be"):
+            make(n)
 
 
 def test_ceil_div_counts_covering_tiles():

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -289,6 +290,80 @@ def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision
     per_pass += 0 if overlap else n
     assert result.pass_count == traced.pass_count == the_plan.pass_count
     assert result.total_cycles == traced.total_cycles == the_plan.pass_count * per_pass
+
+
+@st.composite
+def _spoiled_operand(draw, x, lo, hi):
+    """`x` (an int64 array with an element) in a form no job may accept:
+    one element out of [lo, hi], non-integral or non-finite; or a complex
+    or string array, or an object array with one such element."""
+    x = x.copy()
+    i = tuple(draw(st.integers(0, size - 1)) for size in x.shape)
+    defect = draw(st.sampled_from(["range", "huge", "fraction", "non-finite", "complex", "string", "object"]))
+    if defect == "range":
+        x[i] = draw(st.one_of(st.integers(hi + 1, 1 << 62), st.integers(-(1 << 62), lo - 1)))
+    elif defect == "huge":  # beyond int64: a list that numpy reads as objects
+        x = x.tolist()
+        row = x
+        for j in i[:-1]:
+            row = row[j]
+        row[i[-1]] = draw(st.sampled_from([1, -1])) << 70
+    elif defect == "fraction":
+        x = x.astype(np.float64)
+        x[i] += draw(st.sampled_from([0.5, -0.25, 1e-9]))
+    elif defect == "non-finite":
+        x = x.astype(np.float64)
+        x[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif defect == "complex":  # rejected by its dtype, even with no imaginary part
+        x = x.astype(np.complex128)
+        x[i] += 1j * draw(st.integers(0, 3))
+    elif defect == "string":  # rejected by its dtype, even when every element parses
+        x = x.astype(str)
+    else:
+        x = x.astype(object)
+        x[i] = draw(st.sampled_from([complex(x[i], 1), str(x[i]), None]))
+    return x
+
+
+@st.composite
+def _invalid_jobs(draw):
+    """The arguments of a small job with one defect: a spoiled input or
+    weight element, a mismatched K, weights of mixed shapes, no weights,
+    or an array size that is not a positive integer."""
+    precision = draw(st.sampled_from(list(Precision)))
+    nw = draw(st.integers(1, precision.r + 1))
+    n = draw(st.integers(1, 5))
+    m, k, p = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
+    job = _random_job(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), precision, nw, n, (m, k, p))
+    a, weights = job.a.astype(np.int64), [w.astype(np.int64) for w in job.weights]
+    lo, hi = -(1 << (precision.weight_bits - 1)), (1 << (precision.weight_bits - 1)) - 1
+    defect = draw(st.sampled_from(["input", "weight", "k", "shapes", "no weights", "n"]))
+    if defect == "input":
+        a = draw(_spoiled_operand(a, -128, 127))
+    elif defect == "weight":
+        t = draw(st.integers(0, nw - 1))
+        weights[t] = draw(_spoiled_operand(weights[t], lo, hi))
+    elif defect == "k":
+        weights = [np.zeros((k + draw(st.sampled_from([-1, 1, 2])), p), dtype=np.int64)] * nw
+    elif defect == "shapes":
+        weights.insert(draw(st.integers(0, nw)), np.zeros((k, p + 1), dtype=np.int64))
+    elif defect == "no weights":
+        weights = []
+    else:
+        n = draw(st.sampled_from([0, -1, True, 4.0, "4", np.float64(4)]))
+    return a, weights, precision, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_invalid_jobs())
+def test_invalid_jobs_raise_value_error(job_args):
+    """A job with a bad operand, shape or array size raises ValueError from
+    `MatMulJob` or `run_tiled`: never another exception, a warning (every
+    warning is an error here) or an output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            run_tiled(MatMulJob(*job_args))
 
 
 def test_run_tiled_peak_memory_scales_with_int8_operands():

@@ -223,3 +223,99 @@ def test_write_trace_matches_the_percent_formatter(block):
     # as lists of lines after the header, whose first difference pytest reports quickly
     got = sink.getvalue().splitlines(keepends=True)[1:]
     assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trace_blocks())
+def test_write_trace_of_int32_registers_matches_the_percent_formatter(block):
+    """The same blocks in int32, the dtype the engine forms registers in:
+    the digits are cut at 32 bits, -2^31 and 2^31 - 1 included."""
+    n, history, after, steps = block
+    sink = io.StringIO()
+    sim = ArraySim(n, Precision.W8, trace=sink)
+    sim._write_trace(history.astype(np.int32).transpose(0, 2, 3, 1), np.arange(after + 1, after + 1 + steps))
+    got = sink.getvalue().splitlines(keepends=True)[1:]
+    assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+def test_number_words_of_int32_match_the_percent_formatter(groups):
+    """Every int32 edge value a number of `groups` words can hold, each
+    followed by a comma, prints as `%d` does."""
+    values = np.array([v for v in _EDGE_VALUES if len(str(abs(v))) <= 4 * groups], dtype=np.int32)
+    out = np.empty((len(values), groups), dtype=np.uint64)
+    array._number_words(values, groups, array._SECTION, out)
+    assert out.tobytes().translate(None, b"\0").decode("ascii") == "".join("%d," % v for v in values.tolist())
+
+
+# -- register width -----------------------------------------------------------
+
+
+def test_registers_are_int32_at_every_array_size_a_run_allocates():
+    """int32 is picked from int32's own range, not from `_PSUM_LIMIT`: for
+    every precision at n = 1..64, and at the largest n whose registers
+    fit; int64 one size above."""
+    for precision in Precision:
+        assert {array._register_dtype(n, precision) for n in range(1, 65)} == {np.int32}
+        widest = ((1 << 31) - 1) // (128 * array._widest_reach(precision))
+        assert array._register_dtype(widest, precision) is np.int32
+        assert array._register_dtype(widest + 1, precision) is np.int64
+
+
+def _traced_run(job, mac_stages, overlap):
+    """Trace text, outputs and cycles of a traced run, or its trace text
+    and overflow message."""
+    sink = io.StringIO()
+    try:
+        result = run_tiled(job, overlap_weights=overlap, mac_stages=mac_stages, trace=sink)
+    except PsumOverflowError as error:
+        return sink.getvalue(), str(error)
+    return sink.getvalue(), [out.tolist() for out in result.outputs], result.total_cycles
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    precision=st.sampled_from(list(Precision)),
+    n=st.integers(1, 8),
+    dims=st.tuples(st.integers(1, 17), st.integers(1, 17), st.integers(1, 17)),
+    mac_stages=st.integers(1, 3),
+    overlap=st.booleans(),
+    limit=st.one_of(st.none(), st.integers(1, 1 << 16)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_int64_registers_give_the_same_run(precision, n, dims, mac_stages, overlap, limit, seed, data):
+    """Forcing the int64 registers that only an array too large to allocate
+    takes changes nothing: the same trace text, outputs and cycles, or the
+    same overflow after the same trace lines, at the default limit and at
+    a lowered `_PSUM_LIMIT`."""
+    nw = data.draw(st.integers(1, precision.r), label="nw")
+    job = _job(np.random.default_rng(seed), precision, nw, n, dims)
+    with pytest.MonkeyPatch.context() as patch:
+        if limit is not None:
+            patch.setattr(array, "_PSUM_LIMIT", limit)
+        int32 = _traced_run(job, mac_stages, overlap)
+        patch.setattr(array, "_register_dtype", lambda n, precision: np.int64)
+        int64 = _traced_run(job, mac_stages, overlap)
+    assert int32 == int64
+
+
+def test_register_blocks_of_a_traced_job_are_int32_within_the_trace_bound(monkeypatch):
+    """Every register block of a traced n = 8 job is int32 and at most
+    `_TRACE_BYTES`; stacked passes fill a block past half of it, so a
+    block holds twice the clocks int64 registers would."""
+    blocks = []
+
+    def recording(*args):
+        registers = form(*args)
+        blocks.append(registers)
+        return registers
+
+    form = array._registers
+    monkeypatch.setattr(array, "_registers", recording)
+    rng = np.random.default_rng(408)
+    job = _job(rng, Precision.W4, 2, 8, (20, 24, 40))
+    result = run_tiled(job, trace=io.StringIO())
+    assert all(np.array_equal(got, want) for got, want in zip(result.outputs, oracle_matmul(job)))
+    assert blocks and all(b.dtype == np.int32 and b.nbytes <= array._TRACE_BYTES for b in blocks)
+    assert max(b.nbytes for b in blocks) > array._TRACE_BYTES // 2
