@@ -25,6 +25,9 @@ bottom buses.
 One engine, `ArraySim.stream_grid`, runs every pass of a fused group on
 one instance, set up by the weight precision as the array's computation
 mode is; how many matrices share a stationary word comes with the grid.
+The grid's matrices need not be whole weight matrices: `run_tiled` packs
+runs of a job's column tiles into them, so that every pass fills the r
+weight fields of each word.
 A pass is one weight load, then a run of streamed rows, padded to whole
 row tiles. The tiles are rotated out of the grid's matrix-order words
 once, and the registers of a block of clocks, for a stack of passes at
@@ -454,7 +457,8 @@ class ArraySim:
         self.cycle = start + passes * period
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
-        """Every pass of one fused group as `run_tiled` prepares it: for each
+        """Every pass of one fused group (a job's virtual matrices, see
+        `tiling.TiledPlan`) as `run_tiled` prepares it: for each
         column tile j, for each k, load tile (k, j) and stream the columns
         k*n .. (k+1)*n of the M x K input `a`, zero-padded to whole row
         tiles. Returns the outputs summed over k: an int64 (M, nw, tp*n)

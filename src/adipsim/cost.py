@@ -10,10 +10,12 @@ architecture with `stage_cost`, which `stage_latency` reads.
 * WS   -- conventional weight-stationary baseline; pays an extra skew of
           n - 1 fill cycles per pass for input/output synchronization.
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
-* ADiP -- adaptive precision: projection stages pack r = 8 / weight_bits
-          same-shape weight matrices per stationary tile, dividing their
-          pass count (and weight plus input traffic) by r. Stages between
-          two activation tensors cannot be packed and match DiP exactly.
+* ADiP -- adaptive precision: a projection packs r = 8 / weight_bits
+          column tiles of its weight matrix into each stationary word, as
+          `tiling.run_tiled` does, so an instance takes ceil(tp / r) passes
+          per reduction tile instead of tp. Instances have separate inputs
+          and are never packed together. Stages between two activation
+          tensors cannot be packed and match DiP exactly.
 
 Energy is modeled relatively as cycles times a per-architecture power
 factor (DiP = 1.0); absolute joules are out of scope. Memory traffic
@@ -107,14 +109,16 @@ def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     """Cycles, energy and traffic of one stage.
 
     ADiP runs a projection at its weight precision, packing r column tiles
-    into a pass; every other stage runs 8-bit, one column tile per pass.
+    of one instance into a pass; every other stage runs 8-bit, one column
+    tile per pass. Each of the `count` instances streams its own input, so
+    a stage takes count * tk * ceil(tp / r) passes.
     """
     n = params.n
     packed = arch is Arch.ADIP and spec.is_projection
     precision = Precision.from_bits(spec.weight_bits) if packed else Precision.W8
     tm = ceil_div(spec.m, n)
     tp = ceil_div(spec.p, n)
-    passes = ceil_div(spec.count * ceil_div(spec.k, n) * tp, precision.r)
+    passes = spec.count * ceil_div(spec.k, n) * ceil_div(tp, precision.r)
     per_pass = load_cycles(n, params.overlap_weights)
     per_pass += stream_cycles(n, tm * n, params.mac_stages, precision.reducer_stages)
     if arch is Arch.WS:

@@ -69,14 +69,15 @@ def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
     return check_signed(_integers(values, what), bits, what).astype(np.int8, copy=False)
 
 
-def check_size(n, what: str = "array size") -> int:
-    """`n`, an array or tile size, as a Python int; ValueError unless it is
-    a Python or numpy integer of at least 1 (bool, float and str are not
-    sizes). A numpy unsigned size would wrap in `ceil_div`'s negation."""
+def check_size(n, what: str = "array size", least: int = 1) -> int:
+    """`n`, a size or count (an array size by default), as a Python int;
+    ValueError unless it is a Python or numpy integer of at least `least`
+    (bool, float and str are not sizes). A numpy unsigned size would wrap
+    in `ceil_div`'s negation."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{what} must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
     return int(n)
 
 

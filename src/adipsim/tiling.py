@@ -6,17 +6,21 @@ input row tile back to back, so one pass costs one weight load plus
 tm * n streamed rows. Partial results accumulate in a model-level output
 buffer across the k loop and are written once.
 
-Jobs carrying several same-shape weight matrices at a narrow width are
-fused into groups of r = 8 / weight_bits matrices per pass, which divides
-the pass count by r while streaming the shared input once.
+A pass fills all r = 8 / weight_bits weight fields of every stationary
+word. The job's matrices stand side by side, each padded to tp column
+tiles, and that row of nw * tp column tiles is cut into contiguous runs of
+`per` = ceil(nw * tp / r) tiles: at most r "virtual matrices", the last
+padded with zero tiles. A job is one fused group of them, so it takes
+tk * per passes, never more than tk * tp * ceil(nw / r), and streams its
+shared input once per pass. When per == tp, virtual matrix t is matrix t.
 
-Every pass of a fused group streams the same input, so `run_tiled` hands
-each group at once to `ArraySim.stream_grid`, traced or not, on one
-`ArraySim` per job, set up by the job's precision; each group's grid
-carries its own matrix count. It forms registers only where a trace or
-the overflow bound needs them, and returns the group's outputs as one
-int64 block, from exact float32 matmuls over chunks of K summed in
-int64; the job's outputs are per-matrix slices of it.
+The group's passes all stream the same input, so `run_tiled` hands the
+group to `ArraySim.stream_grid`, traced or not, on one `ArraySim` per job,
+set up by the job's precision. It forms registers only where a trace or
+the overflow bound needs them, and returns the virtual matrices' outputs
+as one int64 block, from exact float32 matmuls over chunks of K summed in
+int64; a matrix's output is a slice of it, or one M x P copy when the
+matrix spans virtual matrices.
 
 Operands stay int8 from `MatMulJob` to the matmul; the job checks each
 once, and the later checks in `prepare_weights` and `stream_grid` read
@@ -25,7 +29,7 @@ the int8 dtype instead of the values, except for narrow weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,34 +79,35 @@ class MatMulJob:
 
 @dataclass
 class TiledPlan:
-    """Static pass structure of a job on an n x n array."""
+    """Static pass structure of a job on an n x n array, with its slot map:
+    the job's column tiles, matrix by matrix, cut into `virtual` runs of
+    `per` tiles, one run per weight field of a stationary word. Column
+    tile j of matrix t is tile g = t * tp + j of that row, so tile g % per
+    of virtual matrix g // per."""
 
     tm: int
     tk: int
     tp: int
-    group_sizes: list[int] = field(default_factory=list)
+    per: int
+    virtual: int
 
     @property
     def pass_count(self) -> int:
-        return self.tk * self.tp * len(self.group_sizes)
+        return self.tk * self.per
 
     @classmethod
     def from_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
         """The plan of an M x K input times `count` K x P weight matrices of
-        `precision` on an n x n array, from the shape alone: the matrices
-        are fused r at a time, the last group taking what is left."""
+        `precision` on an n x n array, from the shape alone."""
         n = check_size(n)
         if count < 1:
             raise ValueError(f"a plan needs at least one weight matrix, got {count}")
         if min(m, k, p) < 0:
             raise ValueError(f"negative job shape {m}x{k}x{p}")
-        r = precision.r
-        return cls(
-            tm=ceil_div(m, n),
-            tk=ceil_div(k, n),
-            tp=ceil_div(p, n),
-            group_sizes=[min(r, count - g * r) for g in range(ceil_div(count, r))],
-        )
+        tp = ceil_div(p, n)
+        per = ceil_div(count * tp, precision.r)
+        virtual = ceil_div(count * tp, per) if per else 0
+        return cls(tm=ceil_div(m, n), tk=ceil_div(k, n), tp=tp, per=per, virtual=virtual)
 
 
 def plan(job: MatMulJob) -> TiledPlan:
@@ -157,23 +162,33 @@ def run_tiled(
 
     Results are exact; `total_cycles` sums pass latencies (plus weight-load
     cycles when `overlap_weights` is off) and `pass_count` counts weight-tile
-    loads across all fused groups. Every group runs on one `ArraySim`,
-    whose clock gives the cycles and which writes its per-PE trace to the
-    `trace` sink when one is given.
+    loads. The job's virtual matrices (see `TiledPlan`) run as one fused
+    group on one `ArraySim`, whose clock gives the cycles and which writes
+    its per-PE trace to the `trace` sink when one is given.
     """
-    m_dim, _, p_dim = job.shape
+    m_dim, k_dim, p_dim = job.shape
     n = job.n
     the_plan = plan(job)
     sim = ArraySim(n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
+    if not the_plan.pass_count:  # K = 0 or P = 0 has no passes
+        outputs = list(np.zeros((len(job.weights), m_dim, p_dim), dtype=np.int64))
+        return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=0)
+    stride, width = the_plan.tp * n, the_plan.per * n  # columns per matrix and per virtual matrix
+    if width == stride:  # virtual matrix t is matrix t
+        matrices = job.weights
+    else:
+        side = np.zeros((k_dim, the_plan.virtual * width), dtype=np.int8)
+        for t, w in enumerate(job.weights):
+            side[:, t * stride : t * stride + p_dim] = w
+        matrices = [side[:, v * width : (v + 1) * width] for v in range(the_plan.virtual)]
+    grid = prepare_weights(matrices, PrecisionMode(job.precision, the_plan.virtual), n)
+    products = sim.stream_grid(grid, job.a)  # (M, virtual, width)
     outputs = []
-    base = 0
-    for nw in the_plan.group_sizes:
-        grid = prepare_weights(job.weights[base : base + nw], PrecisionMode(job.precision, nw), n)
-        if the_plan.tk and the_plan.tp:
-            products = sim.stream_grid(grid, job.a)
-        else:  # K = 0 or P = 0 has no passes
-            products = np.zeros((m_dim, nw, p_dim), dtype=np.int64)
-        outputs += [products[:, t, :p_dim] for t in range(nw)]
-        base += nw
-
+    for t in range(len(job.weights)):
+        start, stop = t * stride, t * stride + p_dim  # matrix t's columns, side by side
+        pieces = [
+            products[:, v, max(start - v * width, 0) : min(stop - v * width, width)]
+            for v in range(start // width, (stop - 1) // width + 1)
+        ]
+        outputs.append(pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1))
     return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=the_plan.pass_count)

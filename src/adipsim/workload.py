@@ -17,12 +17,15 @@ counted. One multiply plus one add counts as two operations.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Union
+
+from .numerics import check_size
 
 
 class Stage(Enum):
@@ -70,7 +73,11 @@ class MhaConfig:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One matmul stage: dims, how often it runs, and operand widths."""
+    """One matmul stage: an M x K input times a K x P matrix, run `count`
+    times, each instance with its own input (layers, or layers x heads),
+    and the operand widths. `count` is a positive integer, m, k and p are
+    non-negative integers and `weight_bits` is 2, 4 or 8; anything else
+    raises ValueError."""
 
     stage: Stage
     m: int
@@ -79,6 +86,13 @@ class StageSpec:
     count: int
     weight_bits: int
     act_bits: int = 8
+
+    def __post_init__(self) -> None:
+        check_size(self.count, "count")
+        for name in ("m", "k", "p"):
+            check_size(getattr(self, name), name, least=0)
+        if check_size(self.weight_bits, "weight_bits") not in (2, 4, 8):
+            raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
 
     @property
     def ops(self) -> int:
@@ -116,17 +130,24 @@ def get_model(name: str) -> MhaConfig:
 
 
 def stages(cfg: MhaConfig) -> list[StageSpec]:
+    """The six stages of `cfg`, in order. The frozen specs of a geometry
+    are built and validated once (`_stages`); each call gets a new list."""
+    return list(_stages(cfg))
+
+
+@functools.lru_cache(maxsize=64)
+def _stages(cfg: MhaConfig) -> tuple[StageSpec, ...]:
     s, d = cfg.seq_len, cfg.d_model
     per_head = cfg.layers * cfg.heads
     proj = dict(m=s, k=d, p=d, count=cfg.layers, weight_bits=cfg.weight_bits)
-    return [
+    return (
         StageSpec(Stage.Q_PROJ, **proj),
         StageSpec(Stage.K_PROJ, **proj),
         StageSpec(Stage.V_PROJ, **proj),
         StageSpec(Stage.SCORES, m=s, k=cfg.d_k, p=s, count=per_head, weight_bits=8),
         StageSpec(Stage.ATTN, m=s, k=s, p=cfg.d_k, count=per_head, weight_bits=8),
         StageSpec(Stage.OUT_PROJ, **proj),
-    ]
+    )
 
 
 def total_ops(cfg: MhaConfig) -> int:

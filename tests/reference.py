@@ -18,10 +18,11 @@ from collections import deque
 import numpy as np
 
 from adipsim import array
-from adipsim.array import TRACE_HEADER, load_cycles, resolve_stages, stream_cycles
+from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, resolve_stages, stream_cycles
 from adipsim.numerics import PSUM_BITS, check_signed
 from adipsim.pe import PhaseError, PsumOverflowError, group_multiply
-from adipsim.preprocess import Precision, decode_slots
+from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights
+from adipsim.tiling import TiledResult
 
 
 def permute(tile):
@@ -106,17 +107,17 @@ STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 class SteppedArray:
     """One clock at a time: the reference for `ArraySim`'s registers."""
 
-    def __init__(self, n, mode, mac_stages=1, reduce_stages=None, overlap_weights=False, trace=None, start_cycle=None):
+    def __init__(self, n, mode, mac_stages=1, reduce_stages=None, overlap_weights=False, trace=None):
         self.n = n
         self.mode = mode
         self.mac_stages = mac_stages
         self.reduce_stages = resolve_stages(mode.precision, mac_stages, reduce_stages)
         self.overlap_weights = overlap_weights
-        self.cycle = 0 if start_cycle is None else start_cycle
+        self.cycle = 0
         self.trace = trace
         self.slots = np.zeros((4, n, n), dtype=np.int64)
         self._reset()
-        if trace is not None and start_cycle is None:
+        if trace is not None:
             trace.write(TRACE_HEADER + "\n")
 
     def _reset(self):
@@ -188,3 +189,26 @@ class SteppedArray:
             if 0 <= s - first_valid < count:
                 collected.append((s - first_valid, self.cycle, [t.tolist() for t in tap]))
         return collected
+
+
+def grouped_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=None, trace=None):
+    """`run_tiled` as it was before column-block packing: the job's matrices
+    fused r at a time, the last group taking what is left, each group
+    prepared by `prepare_weights` and run by `stream_grid` on one
+    `ArraySim` for the whole job. A group leaves a weight field empty when
+    it holds fewer than r matrices, so a job takes tk * tp * ceil(nw / r)
+    passes."""
+    m_dim, _, p_dim = job.shape
+    r = job.precision.r
+    sim = ArraySim(job.n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
+    outputs, passes = [], 0
+    for base in range(0, len(job.weights), r):
+        group = job.weights[base : base + r]
+        grid = prepare_weights(group, PrecisionMode(job.precision, len(group)), job.n)
+        if grid.tk and grid.tp:
+            products = sim.stream_grid(grid, job.a)
+            passes += grid.tk * grid.tp
+        else:  # K = 0 or P = 0 has no passes
+            products = np.zeros((m_dim, len(group), p_dim), dtype=np.int64)
+        outputs += [products[:, t, :p_dim] for t in range(len(group))]
+    return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=passes)

@@ -30,7 +30,8 @@ def test_spans_install_on_the_package_and_undo():
     rec = spans.Recorder()
     undo = spans.install(rec, adipsim)
     try:
-        # three W4 matrices of 3 x 2 tiles: two fused groups, 12 passes
+        # three W4 matrices of 3 x 2 tiles: six column tiles packed into two
+        # virtual matrices of three, 9 passes
         weights = [np.ones((9, 6), dtype=np.int64)] * 3
         job = MatMulJob(np.ones((4, 9), dtype=np.int64), weights, Precision.W4, 4)
         adipsim.tiling.run_tiled(job)
@@ -38,5 +39,5 @@ def test_spans_install_on_the_package_and_undo():
         undo()
     assert rec.counters["tiling.run_tiled"] == 1
     # the tile counter iterates each prepared grid's rows of tiles
-    assert rec.counters["preprocess.prepare_weights.tiles"] == plan(job).pass_count == 12
+    assert rec.counters["preprocess.prepare_weights.tiles"] == plan(job).pass_count == 9
     assert (adipsim.tiling.run_tiled, adipsim.array.ArraySim.stream, adipsim.array.weight_slots) == original

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import permute
+from reference import grouped_run_tiled, permute
 
+from adipsim import tiling
 from adipsim.cli import main, read_matrix, write_matrix
 from adipsim.numerics import VALID_WIDTHS, signed_range
 
@@ -186,18 +187,33 @@ def test_simulate_trace_written(capsys, tmp_path):
     assert len(lines) == 1 + 9 * 16  # one tile: 9 cycles x 16 PEs
 
 
-# The default `simulate --mode w4 --nw 3` trace: 8 passes of 8 x 8 PEs,
-# 256 cycles with 64 lines each (load cycles have none) under the header.
-# Its sha256 was taken from the per-cycle stepping model.
-PINNED_CLI_TRACE = ("c4ecdefdb7bfb475621266d03ab5e139ae81cd33e15e89bca30ceceaed3874d0", 12289)
+# The default `simulate --mode w4 --nw 3` trace: three 16 x 16 matrices of
+# 2 x 2 tiles packed into two virtual matrices of 3 column tiles, 6 passes
+# of 8 x 8 PEs, 144 cycles with 64 lines each (load cycles have none) under
+# the header. Taken after the same run matched the per-cycle stepper of
+# tests/test_closed_form.py byte for byte.
+PINNED_CLI_TRACE = ("835fb93f8f506d5b4c1c4b11eae39ee69eacba096da93ecf5579ad161b6072c2", 9217)
+# The same command under the schedule that fused separate matrices r at a
+# time (`reference.grouped_run_tiled`): 8 passes, 256 cycles. Its sha256
+# was taken from the per-cycle stepping model.
+GROUPED_CLI_TRACE = ("c4ecdefdb7bfb475621266d03ab5e139ae81cd33e15e89bca30ceceaed3874d0", 12289)
 
 
-def test_simulate_trace_file_is_pinned(capsys, tmp_path):
+def _simulate_trace(capsys, tmp_path):
     trace = tmp_path / "out.csv"
     code, out, _ = run_cli(capsys, "simulate", "--mode", "w4", "--nw", "3", "--trace", str(trace))
     assert code == 0 and "PASS" in out
     data = trace.read_bytes()
-    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == PINNED_CLI_TRACE
+    return hashlib.sha256(data).hexdigest(), data.count(b"\n")
+
+
+def test_simulate_trace_file_is_pinned(capsys, tmp_path):
+    assert _simulate_trace(capsys, tmp_path) == PINNED_CLI_TRACE
+
+
+def test_simulate_trace_file_keeps_the_grouped_pin(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tiling, "run_tiled", grouped_run_tiled)
+    assert _simulate_trace(capsys, tmp_path) == GROUPED_CLI_TRACE
 
 
 # -- workload ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import SteppedArray, permute
+from reference import SteppedArray, interleave, permute
 
 from adipsim import array
 from adipsim.array import ArraySim
@@ -23,30 +23,37 @@ from adipsim.tiling import MatMulJob, plan, run_tiled
 
 
 def stepped_run_tiled(job, overlap_weights, mac_stages, reduce_stages, trace):
-    """Traced `run_tiled` as it was: every pass loaded and streamed on
-    `SteppedArray`, j outer, k inner. Returns (outputs, total cycles)."""
+    """Traced `run_tiled` as the plan's slot map lays it out, one clock at a
+    time: the job's column tiles, counted matrix by matrix, in runs of
+    `per` to each of the `virtual` weight fields of a word, zero tiles past
+    the last; each (j, k) tile of words interleaved from those tiles, then
+    loaded and streamed on `SteppedArray`, j outer, k inner. Returns
+    (outputs, total cycles)."""
     n = job.n
     m_dim, k_dim, p_dim = job.shape
     the_plan = plan(job)
-    tm, tk, tp = the_plan.tm, the_plan.tk, the_plan.tp
+    tm, tk, tp, per = the_plan.tm, the_plan.tk, the_plan.tp, the_plan.per
     a_pad = np.zeros((tm * n, tk * n), dtype=np.int64)
     a_pad[:m_dim, :k_dim] = job.a
-    outputs, total_cycles, base = [], 0, 0
-    for nw in the_plan.group_sizes:
-        mode = PrecisionMode(job.precision, nw)
-        grid = prepare_weights(job.weights[base : base + nw], mode, n)
-        accum = np.zeros((nw, tm * n, tp * n), dtype=np.int64)
-        sim = SteppedArray(n, mode, mac_stages, reduce_stages, overlap_weights, trace, total_cycles if base else None)
-        for j in range(tp):
-            for k in range(tk):
-                start = sim.cycle
-                sim.load_weights(permute(grid.words[k * n : (k + 1) * n, j * n : (j + 1) * n]))
-                for i, _, outs in sim.stream(a_pad[:, k * n : (k + 1) * n]):
-                    accum[:, i, j * n : (j + 1) * n] += outs
-                total_cycles += sim.cycle - start
-        outputs += list(accum[:, :m_dim, :p_dim])
-        base += nw
-    return outputs, total_cycles
+    w_pad = np.zeros((len(job.weights), tk * n, tp * n), dtype=np.int64)
+    for t, w in enumerate(job.weights):
+        w_pad[t, :k_dim, :p_dim] = w
+    accum = np.zeros((len(job.weights), tm * n, tp * n), dtype=np.int64)
+    mode = PrecisionMode(job.precision, the_plan.virtual)
+    sim = SteppedArray(n, mode, mac_stages, reduce_stages, overlap_weights, trace)
+    tiles_in_use = len(job.weights) * tp
+    for j in range(per):
+        # (matrix, column tile) of each field, None for a zero tile
+        slots = [divmod(v * per + j, tp) if v * per + j < tiles_in_use else None for v in range(mode.nw)]
+        for k in range(tk):
+            rows = slice(k * n, (k + 1) * n)
+            tiles = [np.zeros((n, n)) if s is None else w_pad[s[0], rows, s[1] * n : (s[1] + 1) * n] for s in slots]
+            sim.load_weights(permute(interleave(tiles, job.precision.weight_bits)))
+            for i, _, outs in sim.stream(a_pad[:, rows]):
+                for s, out in zip(slots, outs):
+                    if s is not None:
+                        accum[s[0], i, s[1] * n : (s[1] + 1) * n] += out
+    return list(accum[:, :m_dim, :p_dim]), sim.cycle
 
 
 def _outcome(run, sink):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import grouped_run_tiled
 
 from adipsim.cost import (
     ADIP_POWER_BY_SIZE,
@@ -21,7 +22,7 @@ from adipsim.cost import (
 )
 from adipsim.numerics import signed_range
 from adipsim.preprocess import Precision
-from adipsim.tiling import MatMulJob, run_tiled
+from adipsim.tiling import MatMulJob, oracle_matmul, plan, run_tiled
 from adipsim.workload import (
     BERT_LARGE,
     BITNET_158B,
@@ -29,6 +30,7 @@ from adipsim.workload import (
     MhaConfig,
     Stage,
     StageSpec,
+    config_to_dict,
     projection_fraction,
     stages,
 )
@@ -41,8 +43,16 @@ FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 # (stage, architecture).
 COST_REPORTS_SHA256 = "87347a14c3aba844ca05a198b2b15cfe1c8ed5eb6fc0f6d4d0f0c33df83816c5"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
-# and traced at three psum limits: 600 runs, 92 of them overflowing.
-RUNS_SHA256 = "2a7bb6ade0b4078e72d373a3f3ff2d09a85b07a8bca424b86bf18aa84c94a2f5"
+# and traced at three psum limits: 600 runs, 100 of them overflowing. Taken
+# after every one of those runs matched the per-cycle stepper of
+# tests/test_closed_form.py (outputs, cycles, trace bytes, overflow) and,
+# at 2^31, the oracle.
+RUNS_SHA256 = "03d3ebd6ddc1a0965d8723c445e71f9b1f9901760db2b66b00a7ee15aaadf9e6"
+# The same configs under the schedule that fused separate matrices r at a
+# time (`reference.grouped_run_tiled`): 92 overflows. Packed words hold more
+# non-zero fields, so the lowered limits trip more often; at 2^31 the
+# overflow gate reads no weight and nothing changes.
+GROUPED_RUNS_SHA256 = "2a7bb6ade0b4078e72d373a3f3ff2d09a85b07a8bca424b86bf18aa84c94a2f5"
 # Its digest of the overflow-edge runs (every mode, n = 1..8, all values at
 # their most negative, limits at and one above the largest register), as
 # the engine gave it while a per-pass gate still sat behind the row bound.
@@ -223,24 +233,161 @@ def test_power_factor_table_and_validation():
 @pytest.mark.parametrize("mac_stages", [1, 2])
 @pytest.mark.parametrize("overlap", [True, False])
 def test_stage_cost_matches_simulator(arch, precision, n, mac_stages, overlap):
-    """With count = r the cost model packs exactly the matrices that
-    `tiling.plan` fuses, so its cycles and weight traffic must equal what the
-    simulator counts on a ragged stage."""
+    """A stage of count = r instances, each with its own input, costs what
+    the simulator counts over r separate single-matrix jobs of a ragged
+    shape: the same cycles, and as many passes as weight tiles billed."""
     m, k, p = 2 * n + 1, n + 3, 2 * n - 1
     count = precision.r
     rng = np.random.default_rng(n + 10 * mac_stages)
     lo, hi = signed_range(precision.weight_bits)
+    results = [
+        run_tiled(
+            MatMulJob(
+                a=rng.integers(-128, 128, (m, k)),
+                weights=[rng.integers(lo, hi + 1, (k, p))],
+                precision=precision,
+                n=n,
+            ),
+            overlap_weights=overlap,
+            mac_stages=mac_stages,
+        )
+        for _ in range(count)
+    ]
+    spec = StageSpec(Stage.Q_PROJ, m=m, k=k, p=p, count=count, weight_bits=precision.weight_bits)
+    params = CostParams(n=n, mac_stages=mac_stages, overlap_weights=overlap)
+    assert stage_latency(spec, arch, params) == sum(result.total_cycles for result in results)
+    assert stage_cost(spec, arch, params).bytes_w // n**2 == sum(result.pass_count for result in results)
+
+
+# -- cost from simulated runs, stage by stage ---------------------------------
+
+
+def _instance(spec, precision, n, params, rng):
+    """One instance of `spec` through `run_tiled` at `precision`: a random
+    int8 input times one weight matrix, the output checked against the
+    oracle. Returns the run's cycles and passes, and the bytes it moves in
+    `cost`'s units: tm * n streamed rows of n bytes and n^2 stationary
+    words per pass."""
+    lo, hi = signed_range(precision.weight_bits)
     job = MatMulJob(
-        a=rng.integers(-128, 128, (m, k)),
-        weights=[rng.integers(lo, hi + 1, (k, p)) for _ in range(count)],
+        a=rng.integers(-128, 128, (spec.m, spec.k), dtype=np.int8),
+        weights=[rng.integers(lo, hi + 1, (spec.k, spec.p), dtype=np.int8)],
         precision=precision,
         n=n,
     )
-    result = run_tiled(job, overlap_weights=overlap, mac_stages=mac_stages)
-    spec = StageSpec(Stage.Q_PROJ, m=m, k=k, p=p, count=count, weight_bits=precision.weight_bits)
-    params = CostParams(n=n, mac_stages=mac_stages, overlap_weights=overlap)
-    assert stage_latency(spec, arch, params) == result.total_cycles
-    assert stage_cost(spec, arch, params).bytes_w // n**2 == result.pass_count
+    result = run_tiled(job, overlap_weights=params.overlap_weights, mac_stages=params.mac_stages)
+    assert np.array_equal(result.outputs[0], oracle_matmul(job)[0])
+    passes = result.pass_count
+    return result.total_cycles, passes, passes * plan(job).tm * n * n, passes * n * n
+
+
+def _simulated_costs(cfg, params, seed):
+    """Per stage of `cfg` and architecture, (cycles, passes, bytes_in,
+    bytes_w) from simulated runs: one instance at the precision the
+    architecture runs the stage at (ADiP's projections at the weight
+    width, all else 8-bit) times the stage's `count`; WS is DiP's run plus
+    the n - 1 skew of each pass. Each distinct instance runs once."""
+    rng = np.random.default_rng(seed)
+    runs = {}
+    costs = {}
+    for spec in stages(cfg):
+        for arch in Arch:
+            packed = arch is Arch.ADIP and spec.is_projection
+            precision = Precision.from_bits(spec.weight_bits) if packed else Precision.W8
+            key = (spec.m, spec.k, spec.p, precision)
+            if key not in runs:
+                runs[key] = _instance(spec, precision, params.n, params, rng)
+            cycles, passes, bytes_in, bytes_w = runs[key]
+            if arch is Arch.WS:
+                cycles += passes * (params.n - 1)
+            costs[spec.stage, arch] = tuple(spec.count * x for x in (cycles, passes, bytes_in, bytes_w))
+    return costs
+
+
+def _billed(cfg, params):
+    """`stage_cost`'s (cycles, passes, bytes_in, bytes_w) per stage and
+    architecture."""
+    return {
+        (spec.stage, arch): (c.cycles, c.bytes_w // params.n**2, c.bytes_in, c.bytes_w)
+        for arch in Arch
+        for spec, c in zip(stages(cfg), evaluate(cfg, arch, params))
+    }
+
+
+# 1 layer at n = 8: the geometry on which the grouped schedule took 80 ADiP
+# passes at every width. And a ragged one at n = 4: d_model = 20 gives
+# projections of tp = 5 column tiles, a multiple of neither r = 2 nor 4,
+# and seq_len = 9 an M of 2 row tiles and a row.
+_SMALL = MhaConfig("one-layer", layers=1, d_model=32, heads=2, d_k=16, seq_len=16, weight_bits=8)
+_RAGGED = MhaConfig("ragged", layers=2, d_model=20, heads=3, d_k=6, seq_len=9, weight_bits=8)
+
+
+@pytest.mark.parametrize("bits", [8, 4, 2])
+@pytest.mark.parametrize(
+    "cfg, params",
+    [
+        (_SMALL, CostParams(n=8)),
+        (_RAGGED, CostParams(n=4)),
+        (_RAGGED, CostParams(n=4, mac_stages=2, overlap_weights=False)),
+    ],
+    ids=["one-layer", "ragged", "ragged-unoverlapped"],
+)
+def test_stage_cost_is_what_the_simulator_runs(cfg, params, bits):
+    """On scaled-down geometries, every stage's cycles, passes, input bytes
+    and weight bytes under DiP, ADiP and WS equal those of simulated runs."""
+    cfg = MhaConfig(**{**config_to_dict(cfg), "weight_bits": bits})
+    assert _simulated_costs(cfg, params, seed=bits) == _billed(cfg, params)
+
+
+def test_one_layer_adip_passes_and_cycles():
+    """The simulated ADiP totals of the one-layer geometry at n = 8: the
+    projections take a quarter (W2) or half (W4) of DiP's passes."""
+    params = CostParams(n=8)
+    totals = {}
+    for bits in (2, 4, 8):
+        costs = _simulated_costs(MhaConfig(**{**config_to_dict(_SMALL), "weight_bits": bits}), params, seed=bits)
+        for arch in (Arch.ADIP, Arch.DIP):
+            label = f"{arch.label}-W{bits}"
+            totals[label] = tuple(sum(costs[spec.stage, arch][i] for spec in stages(_SMALL)) for i in (1, 0))
+    assert totals["ADiP-W2"] == (32, 768)
+    assert totals["ADiP-W4"] == (48, 1168)
+    assert totals["ADiP-W8"] == totals["DiP-W8"] == totals["DiP-W2"] == (80, 2000)
+
+
+# c08-c10 at n = 32: (value, tolerance) of each improvement over DiP.
+_PAPER_TARGETS = {
+    "gpt2-medium": {"latency": (0.0, 0.0), "projection": (0.0, 0.0), "energy": (-62.8, 1.5), "memory": (0.0, 0.0)},
+    "bert-large": {"latency": (40.0, 1.0), "projection": (50.0, 1.0), "energy": (2.3, 1.5), "memory": (40.0, 2.5)},
+    "bitnet-1.58b": {"latency": (53.6, 1.0), "projection": (75.0, 1.0), "energy": (24.4, 1.5), "memory": (53.6, 2.5)},
+}
+
+
+@pytest.mark.parametrize("cfg", [GPT2_MEDIUM, BERT_LARGE, BITNET_158B], ids=lambda cfg: cfg.name)
+def test_builtin_models_at_paper_size_from_simulated_runs(cfg):
+    """One instance of each distinct stage of a built-in model, at n = 32,
+    through `run_tiled`: outputs equal the oracle's, each stage times its
+    count is what `stage_cost` bills, and the improvements of ADiP over
+    DiP from the simulated totals (energy as cycles times the power
+    factor, memory as input plus weight bytes) meet c08-c10."""
+    params = CostParams(n=32)
+    costs = _simulated_costs(cfg, params, seed=32)
+    assert costs == _billed(cfg, params)
+
+    def total(arch, projections_only=False):
+        return [
+            sum(costs[spec.stage, arch][i] for spec in stages(cfg) if spec.is_projection or not projections_only)
+            for i in range(4)
+        ]
+
+    adip, dip = total(Arch.ADIP), total(Arch.DIP)
+    got = {
+        "latency": 100.0 * (1.0 - adip[0] / dip[0]),
+        "projection": 100.0 * (1.0 - total(Arch.ADIP, True)[0] / total(Arch.DIP, True)[0]),
+        "energy": 100.0 * (1.0 - adip[0] * params.power(Arch.ADIP) / (dip[0] * params.power(Arch.DIP))),
+        "memory": 100.0 * (1.0 - (adip[2] + adip[3]) / (dip[2] + dip[3])),
+    }
+    for key, (want, tolerance) in _PAPER_TARGETS[cfg.name].items():
+        assert abs(got[key] - want) <= tolerance, (key, got[key])
 
 
 def test_cost_reports_match_the_pinned_digest():
@@ -252,7 +399,13 @@ def test_cost_reports_match_the_pinned_digest():
 def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
-    assert _fingerprint().run_digest(100, 0) == (600, 92, RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0) == (600, 100, RUNS_SHA256)
+
+
+def test_grouped_schedule_keeps_the_old_run_digest():
+    """The engine is unchanged: the fingerprint's configs under the schedule
+    its older digest was taken with give that digest."""
+    assert _fingerprint().run_digest(100, 0, grouped_run_tiled) == (600, 92, GROUPED_RUNS_SHA256)
 
 
 def test_overflow_edge_runs_match_the_pinned_digest():

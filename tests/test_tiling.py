@@ -5,11 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adipsim.analytic import AnalyticParams, tile_latency
 from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
+from adipsim.numerics import ceil_div
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, TiledPlan, oracle_matmul, plan, run_tiled
 
@@ -116,7 +117,7 @@ def test_three_matrices_at_w2_fuse_into_one_group():
     a = rng.integers(-128, 128, size=(4, 4))
     weights = [rng.integers(-2, 2, size=(4, 4)) for _ in range(3)]
     job = MatMulJob(a, weights, Precision.W2, 4)
-    assert plan(job).group_sizes == [3]
+    assert (plan(job).per, plan(job).virtual) == (1, 3)  # one tile each: matrix t in field t
     result = run_tiled(job)
     assert result.pass_count == 1
     assert len(result.outputs) == 3
@@ -134,15 +135,16 @@ def test_total_cycles_accounting():
 
 @pytest.mark.parametrize("overlap", [True, False])
 def test_trace_cycles_rise_across_fused_groups(overlap):
-    """Five W2 matrices need two fused groups; the second continues the
-    first one's clock, so trace cycles never fall and end at the total."""
+    """Five W2 matrices of one column tile fill three virtual matrices of
+    two: the fused group's second pass continues the first one's clock, so
+    trace cycles never fall and end at the total."""
     rng = np.random.default_rng(11)
     job = _random_job(rng, Precision.W2, 5, 4, dims=(4, 4, 4))
     trace = io.StringIO()
     result = run_tiled(job, overlap_weights=overlap, trace=trace)
     header, *lines = trace.getvalue().splitlines()
     cycles = [int(line.split(",", 1)[0]) for line in lines]
-    assert plan(job).group_sizes == [4, 1]
+    assert (plan(job).per, plan(job).virtual, result.pass_count) == (2, 3, 2)
     assert header.startswith("cycle,") and not any(line.startswith("cycle,") for line in lines)
     assert all(a <= b for a, b in zip(cycles, cycles[1:]))
     assert cycles[-1] == result.total_cycles
@@ -163,8 +165,8 @@ class PipeSink:
 
 
 def test_one_header_on_a_non_seekable_sink():
-    """Later fused groups continue the first one's trace without a header,
-    whether or not the sink can tell its position."""
+    """A job's passes write one header, whether or not the sink can tell
+    its position."""
     rng = np.random.default_rng(12)
     job = _random_job(rng, Precision.W2, 5, 4, dims=(4, 4, 4))
     pipe, seekable = PipeSink(), io.StringIO()
@@ -292,6 +294,45 @@ def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision
     assert result.total_cycles == traced.total_cycles == the_plan.pass_count * per_pass
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    mode=st.sampled_from(list(Precision)).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 2 * p.r + 1))),
+    n=st.integers(1, 6),
+    dims=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one W2 matrix of 5 column tiles in three virtual matrices of 2, the last
+# half zero; three W4 matrices of 3 tiles in two of 5, the second matrix
+# across both, at M = 0; and nine W2 matrices with P = 0
+@example(mode=(Precision.W2, 1), n=2, dims=(3, 3, 9), seed=1)
+@example(mode=(Precision.W4, 3), n=2, dims=(0, 4, 6), seed=2)
+@example(mode=(Precision.W2, 9), n=1, dims=(2, 2, 0), seed=3)
+def test_packed_plan_fills_every_weight_field(mode, n, dims, seed):
+    """Any small job with 1 to 2r + 1 matrices, zero M, K or P included:
+    its column tiles fill at most r virtual matrices, each holding a real
+    tile; it takes tk * ceil(nw * tp / r) passes, never more than the
+    tk * tp * ceil(nw / r) of fusing whole matrices r at a time; its
+    outputs equal the oracle's and are separate, also where a matrix spans
+    virtual matrices; and traced and untraced runs take the same cycles."""
+    precision, nw = mode
+    job = _random_job(np.random.default_rng(seed), precision, nw, n, dims)
+    the_plan = plan(job)
+    tk, tp, per, virtual = the_plan.tk, the_plan.tp, the_plan.per, the_plan.virtual
+    assert the_plan.pass_count == tk * ceil_div(nw * tp, precision.r) <= tk * tp * ceil_div(nw, precision.r)
+    if tp:  # each virtual matrix holds a real column tile
+        assert virtual <= precision.r and (virtual - 1) * per < nw * tp <= virtual * per
+    result = run_tiled(job)
+    traced = run_tiled(job, trace=io.StringIO())
+    assert result.pass_count == traced.pass_count == the_plan.pass_count
+    assert result.total_cycles == traced.total_cycles
+    for got, via_trace, want in zip(result.outputs, traced.outputs, oracle_matmul(job), strict=True):
+        assert got.dtype == np.int64 and np.array_equal(got, want) and np.array_equal(via_trace, want)
+    for t in range(nw):
+        before = [out.copy() for out in result.outputs]
+        result.outputs[t][...] = 1 << 40
+        assert all(np.array_equal(out, was) for u, (out, was) in enumerate(zip(result.outputs, before)) if u != t)
+
+
 @st.composite
 def _spoiled_operand(draw, x, lo, hi):
     """`x` (an int64 array with an element) in a form no job may accept:
@@ -393,14 +434,16 @@ def test_plan_counts():
     job = MatMulJob(np.zeros((9, 5)), [np.zeros((5, 13))] * 2, Precision.W4, 4)
     p = plan(job)
     assert (p.tm, p.tk, p.tp) == (3, 2, 4)
-    assert p.group_sizes == [2]
+    assert (p.per, p.virtual) == (4, 2)  # per == tp: virtual matrix t is matrix t
     assert p.pass_count == 8
 
 
 def test_a_job_runs_on_one_array(monkeypatch):
-    """A 5-matrix W2 job at n = 4 fuses groups of 4 and 1 matrices. Both run
-    on one `ArraySim` of the job's precision: its trace has one header, and
-    its clock runs on across the groups to the job's cycle count."""
+    """A 5-matrix W2 job at n = 4, two column tiles each, packs its ten
+    column tiles into four virtual matrices of three, the last with two
+    zero tiles. It runs on one `ArraySim` of the job's precision: its trace
+    has one header, and its clock runs on across the passes to the job's
+    cycle count."""
     rng = np.random.default_rng(5)
     n = 4
     job = _random_job(rng, Precision.W2, 5, n, dims=(6, 7, 5))
@@ -415,8 +458,8 @@ def test_a_job_runs_on_one_array(monkeypatch):
     trace = io.StringIO()
     result = run_tiled(job, overlap_weights=False, trace=trace)
     assert built == [(n, Precision.W2)]
-    assert plan(job).group_sizes == [4, 1]
-    assert result.pass_count == 2 * 2 * 2
+    assert (plan(job).per, plan(job).virtual) == (3, 4)
+    assert result.pass_count == 2 * 3
     clocks = stream_cycles(n, 2 * n, 1, 0)
     assert result.total_cycles == result.pass_count * (load_cycles(n, False) + clocks)
     header, *lines = trace.getvalue().splitlines()
@@ -440,7 +483,7 @@ def test_plan_from_shape_needs_no_matrices():
     """A shape whose matrices would not fit in memory still has a plan."""
     n = 1 << 40
     p = TiledPlan.from_shape(n, 2 * n, 2 * n, 4, Precision.W2, n)
-    assert (p.tm, p.tk, p.tp, p.group_sizes, p.pass_count) == (1, 2, 2, [4], 4)
+    assert (p.tm, p.tk, p.tp, p.per, p.virtual, p.pass_count) == (1, 2, 2, 2, 4, 4)
     assert TiledPlan.from_shape(n, 2 * n, 2 * n, 4, Precision.W8, n).pass_count == 16
 
 

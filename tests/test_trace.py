@@ -1,8 +1,12 @@
 """Per-PE trace of the stepped reference `ArraySim`, pinned byte for byte.
 
-The sha256 and line counts below were taken from the per-cycle trace
-writer that formatted and wrote one cycle at a time; the pass-buffered
-writer must reproduce them exactly.
+The first sha256 and line count below were taken from the per-cycle trace
+writer that formatted and wrote one cycle at a time, under the schedule
+that fused separate matrices r at a time; `reference.grouped_run_tiled`
+replays that schedule, and the pass-buffered writer must reproduce them
+exactly. The second pair pins `run_tiled`'s column-block packed schedule
+on the same jobs; it was taken after the same runs matched the per-cycle
+stepper of tests/test_closed_form.py byte for byte, and the oracle.
 """
 
 import hashlib
@@ -12,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import grouped_run_tiled
 
 from adipsim import array
 from adipsim.array import ArraySim
@@ -33,6 +38,10 @@ PINNED_CASES = [
 
 PINNED_SHA256 = "063fbdd5db07fa37b6f223f0efb74063c9fe2b9b5d4c14511162da6e82e1661c"
 PINNED_LINES = 7968
+# Cases 3, 7 and 8 leave weight fields empty under the grouped schedule;
+# packed, they take fewer passes.
+PACKED_SHA256 = "52b2caecd7aac1e4af49cc33a98b8a4748c0527b1eafaf1421e7fad006bffc81"
+PACKED_LINES = 7045
 
 
 def _job(rng, precision, nw, n, dims):
@@ -46,27 +55,40 @@ def _job(rng, precision, nw, n, dims):
     )
 
 
-def test_trace_bytes_are_pinned():
+def _pinned_digest(run):
+    """sha256 and line count of the traces of `PINNED_CASES` run by `run`,
+    a function with `run_tiled`'s arguments and result; every output must
+    equal the oracle's and every trace end on the run's last cycle."""
     rng = np.random.default_rng(404)
     digest = hashlib.sha256()
     lines = 0
     for precision, nw, n, dims, mac_stages, extra, overlap in PINNED_CASES:
         job = _job(rng, precision, nw, n, dims)
         sink = io.StringIO()
-        result = run_tiled(
+        result = run(
             job,
             overlap_weights=overlap,
             mac_stages=mac_stages,
             reduce_stages=precision.reducer_stages + extra,
             trace=sink,
         )
-        for got, want in zip(result.outputs, oracle_matmul(job)):
+        for got, want in zip(result.outputs, oracle_matmul(job), strict=True):
             assert np.array_equal(got, want)
         text = sink.getvalue()
         assert int(text.rsplit("\n", 2)[-2].split(",", 1)[0]) == result.total_cycles
         digest.update(text.encode())
         lines += text.count("\n")
-    assert (digest.hexdigest(), lines) == (PINNED_SHA256, PINNED_LINES)
+    return digest.hexdigest(), lines
+
+
+def test_trace_bytes_are_pinned():
+    assert _pinned_digest(run_tiled) == (PACKED_SHA256, PACKED_LINES)
+
+
+def test_grouped_schedule_keeps_the_old_trace_pin():
+    """The engine and trace writer are unchanged: under the schedule they
+    were pinned with, the same jobs give the same bytes."""
+    assert _pinned_digest(grouped_run_tiled) == (PINNED_SHA256, PINNED_LINES)
 
 
 @pytest.mark.parametrize("block_cycles", [2, 3, 5])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from adipsim.workload import (
@@ -8,6 +9,7 @@ from adipsim.workload import (
     GPT2_MEDIUM,
     MhaConfig,
     Stage,
+    StageSpec,
     breakdown,
     builtin_models,
     config_from_dict,
@@ -126,3 +128,43 @@ def test_config_field_validation():
         MhaConfig("bad", layers=0, d_model=8, heads=1, d_k=8, seq_len=8, weight_bits=8)
     with pytest.raises(ValueError):
         MhaConfig("bad", layers=1, d_model=8, heads=1, d_k=8, seq_len=8, weight_bits=3)
+
+
+_SPEC = dict(stage=Stage.Q_PROJ, m=4, k=4, p=4, count=1, weight_bits=4)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("count", -2),
+        ("count", 0),
+        ("count", 1.5),
+        ("count", True),
+        ("count", "3"),
+        ("m", -5),
+        ("k", -1),
+        ("p", 2.0),
+        ("m", None),
+        ("weight_bits", 3),
+        ("weight_bits", 4.0),
+        ("weight_bits", 1),
+    ],
+)
+def test_stage_spec_rejects_shapes_that_cost_nonsense(field, value):
+    """A stage spec is `count` >= 1 instances of non-negative integer m, k
+    and p at a weight width of 2, 4 or 8: anything else raises ValueError
+    before `stage_cost` could bill negative, zero or fractional cycles."""
+    with pytest.raises(ValueError, match=field):
+        StageSpec(**{**_SPEC, field: value})
+
+
+def test_stage_spec_accepts_zero_dims_and_numpy_integers():
+    spec = StageSpec(**{**_SPEC, "m": 0, "p": np.int64(3), "count": np.int32(2)})
+    assert spec.ops == 0
+
+
+def test_stages_come_fresh_for_each_call():
+    """`stages` hands out a new list of the cached specs each time."""
+    first = stages(BERT_LARGE)
+    first.clear()
+    assert len(stages(BERT_LARGE)) == 6

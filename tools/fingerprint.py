@@ -9,7 +9,11 @@ depth, weight loading overlapped or not, and inputs of magnitude at most
 128, 16 or 2. It runs untraced and traced, at a psum limit of 2^31, 2^14
 and 2^12, so the small limits make many runs overflow. The digest covers
 every run's outputs with their dtype, its cycles and passes, or its
-overflow message, and the sha256 of its trace text.
+overflow message, and the sha256 of its trace text. The digest therefore
+fixes `run_tiled`'s schedule too: column-block packing (every pass fills
+the r weight fields of a word) moved it. `run_digest` takes the run
+function, so the same configs can go through another schedule, such as
+the grouped one that `tests/reference.py` replays for the older pin.
 
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
@@ -86,11 +90,12 @@ def _config(rng):
     return job, options
 
 
-def _record(job, options, traced):
-    """The bytes that one run adds to the digest, and whether it overflowed."""
+def _record(job, options, traced, run):
+    """The bytes that one run of `run` adds to the digest, and whether it
+    overflowed."""
     trace = io.StringIO() if traced else None
     try:
-        result = run_tiled(job, trace=trace, **options)
+        result = run(job, trace=trace, **options)
     except PsumOverflowError as exc:
         outcome, overflowed = f"overflow {exc}".encode(), True
     else:
@@ -101,10 +106,10 @@ def _record(job, options, traced):
     return outcome + b" trace " + hashlib.sha256(text.encode()).hexdigest().encode() + b"\n", overflowed
 
 
-def _digest(cases) -> tuple[int, int, str]:
+def _digest(cases, run=run_tiled) -> tuple[int, int, str]:
     """The number of runs, how many overflowed, and the sha256 over the
-    records of each (job, options, limits) case, run untraced and traced
-    at each limit."""
+    records of each (job, options, limits) case, run by `run` untraced and
+    traced at each limit."""
     digest = hashlib.sha256()
     runs = overflows = 0
     saved = array._PSUM_LIMIT
@@ -113,7 +118,7 @@ def _digest(cases) -> tuple[int, int, str]:
             for limit in limits:
                 array._PSUM_LIMIT = limit
                 for traced in (False, True):
-                    record, overflowed = _record(job, options, traced)
+                    record, overflowed = _record(job, options, traced, run)
                     digest.update(record)
                     runs += 1
                     overflows += overflowed
@@ -122,10 +127,11 @@ def _digest(cases) -> tuple[int, int, str]:
     return runs, overflows, digest.hexdigest()
 
 
-def run_digest(configs: int, seed: int) -> tuple[int, int, str]:
-    """`_digest` over `configs` random configs drawn from `seed`."""
+def run_digest(configs: int, seed: int, run=run_tiled) -> tuple[int, int, str]:
+    """`_digest` over `configs` random configs drawn from `seed`, each run
+    by `run`, a function with `run_tiled`'s arguments and result."""
     rng = np.random.default_rng(seed)
-    return _digest((*_config(rng), LIMITS) for _ in range(configs))
+    return _digest(((*_config(rng), LIMITS) for _ in range(configs)), run)
 
 
 def _edge_cases():
