@@ -179,13 +179,13 @@ def stream_cycles(n: int, rows: int, mac_stages: int, reduce_stages: int) -> int
 
 def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optional[int]) -> int:
     """Validate the pipeline depths; returns `reduce_stages`, defaulting to
-    the structural depth of the precision."""
-    if mac_stages < 1:
-        raise ValueError(f"mac_stages must be >= 1, got {mac_stages}")
+    the structural depth of the precision. Both are integers, `mac_stages`
+    at least 1."""
+    check_size(mac_stages, "mac_stages")
     structural = precision.reducer_stages
     if reduce_stages is None:
         return structural
-    if reduce_stages < structural:
+    if check_size(reduce_stages, "reduce_stages", least=None) < structural:
         raise ValueError(
             f"reduce_stages={reduce_stages} below the structural depth "
             f"{structural} of {precision.name}"

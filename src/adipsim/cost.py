@@ -1,21 +1,19 @@
 """Relative latency, energy and memory-traffic models for attention stages.
 
-Three architectures share one pass structure: a pass pins one stationary
-weight tile and streams every input row tile through the array. A pass
-costs what the simulator's clock gives it, `array.load_cycles` plus
-`array.stream_cycles` for the streamed rows at the reducer depth of the
-pass precision. `summary` costs each distinct stage shape once per
-architecture with `stage_cost`, which `stage_latency` reads.
+Three architectures share one pass structure, `tiling.TiledPlan`: a pass
+pins one stationary weight tile and streams every input row tile through
+the array. `stage_cost` reads one instance's plan, its pass count, clock
+and traffic, and bills it `count` times; `summary` costs each distinct
+stage shape once per architecture, and `stage_latency` reads `stage_cost`.
 
 * WS   -- conventional weight-stationary baseline; pays an extra skew of
           n - 1 fill cycles per pass for input/output synchronization.
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
-* ADiP -- adaptive precision: a projection packs r = 8 / weight_bits
-          column tiles of its weight matrix into each stationary word, as
-          `tiling.run_tiled` does, so an instance takes ceil(tp / r) passes
-          per reduction tile instead of tp. Instances have separate inputs
-          and are never packed together. Stages between two activation
-          tensors cannot be packed and match DiP exactly.
+* ADiP -- adaptive precision: a projection runs at its weight precision,
+          packed as `TiledPlan` packs one matrix for `tiling.run_tiled`.
+          Instances have separate inputs and are never packed together.
+          Stages between two activation tensors cannot be packed and match
+          DiP exactly.
 
 Energy is modeled relatively as cycles times a per-architecture power
 factor (DiP = 1.0); absolute joules are out of scope. Memory traffic
@@ -30,11 +28,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import IO, Iterable
 
-from .array import load_cycles, stream_cycles
-from .numerics import ceil_div, check_size
+from .numerics import check_size
 from .preprocess import Precision
+from .tiling import TiledPlan
 from .workload import MhaConfig, StageSpec, stages
 
 STAGE_CSV_COLUMNS = ("stage", "arch", "cycles", "energy_rel", "bytes_in", "bytes_w", "bytes_out")
@@ -70,8 +69,10 @@ class CostParams:
 
     def __post_init__(self) -> None:
         self.n = check_size(self.n)
+        self.mac_stages = check_size(self.mac_stages, "mac_stages")  # as the simulator's `resolve_stages`
         if self.output_bytes not in (1, 4):
             raise ValueError("output_bytes must be 1 or 4")
+        self.output_bytes = check_size(self.output_bytes, "output_bytes")  # True and 4.0 are not sizes
 
     def power(self, arch: Arch) -> float:
         if arch is Arch.WS:
@@ -105,36 +106,40 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
     return stage_cost(spec, arch, params).cycles
 
 
+@lru_cache(maxsize=1024)
+def _instance(
+    m: int, k: int, p: int, weight_bits: int, n: int, overlap_weights: bool, mac_stages: int
+) -> tuple[TiledPlan, int]:
+    """The plan of one instance of a stage and its clock; a report asks for
+    few distinct ones, so each is built once."""
+    plan = TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
+    return plan, plan.cycles(overlap_weights, mac_stages)
+
+
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     """Cycles, energy and traffic of one stage.
 
-    ADiP runs a projection at its weight precision, packing r column tiles
-    of one instance into a pass; every other stage runs 8-bit, one column
-    tile per pass. Each of the `count` instances streams its own input, so
-    a stage takes count * tk * ceil(tp / r) passes.
+    ADiP runs a projection at its weight precision, packing the column
+    tiles of one instance into the r weight fields of a pass; every other
+    stage runs 8-bit, one column tile per pass. Each of the `count`
+    instances streams its own input, so the stage costs `count` times one
+    instance's plan.
     """
     n = params.n
-    packed = arch is Arch.ADIP and spec.is_projection
-    precision = Precision.from_bits(spec.weight_bits) if packed else Precision.W8
-    tm = ceil_div(spec.m, n)
-    tp = ceil_div(spec.p, n)
-    passes = spec.count * ceil_div(spec.k, n) * ceil_div(tp, precision.r)
-    per_pass = load_cycles(n, params.overlap_weights)
-    per_pass += stream_cycles(n, tm * n, params.mac_stages, precision.reducer_stages)
+    bits = spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
+    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, n, params.overlap_weights, params.mac_stages)
     if arch is Arch.WS:
-        per_pass += n - 1
-    cycles = passes * per_pass
-    bytes_out = 0
-    if params.count_output_writes:
-        bytes_out = spec.count * tm * tp * n**2 * params.output_bytes
+        cycles += plan.pass_count * (n - 1)  # the skew; the simulator runs no WS
+    cycles *= spec.count
+    bytes_out = plan.output_elements * params.output_bytes if params.count_output_writes else 0
     return StageCost(
         stage=spec.stage.label,
         arch=arch,
         cycles=cycles,
         energy_rel=cycles * params.power(arch),
-        bytes_in=passes * tm * n**2,
-        bytes_w=passes * n**2,
-        bytes_out=bytes_out,
+        bytes_in=spec.count * plan.input_bytes,
+        bytes_w=spec.count * plan.weight_words,
+        bytes_out=spec.count * bytes_out,
     )
 
 

@@ -14,7 +14,7 @@ sixteen 2-bit multipliers.
 from __future__ import annotations
 
 import numbers
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -69,14 +69,14 @@ def to_int8(values, bits: int, what: str = "value") -> np.ndarray:
     return check_signed(_integers(values, what), bits, what).astype(np.int8, copy=False)
 
 
-def check_size(n, what: str = "array size", least: int = 1) -> int:
+def check_size(n, what: str = "array size", least: Optional[int] = 1) -> int:
     """`n`, a size or count (an array size by default), as a Python int;
-    ValueError unless it is a Python or numpy integer of at least `least`
-    (bool, float and str are not sizes). A numpy unsigned size would wrap
-    in `ceil_div`'s negation."""
+    ValueError unless it is a Python or numpy integer of at least `least`,
+    or of any value when `least` is None (bool, float and str are not
+    sizes). A numpy unsigned size would wrap in `ceil_div`'s negation."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {n!r}")
-    if n < least:
+    if least is not None and n < least:
         raise ValueError(f"{what} must be >= {least}, got {n}")
     return int(n)
 

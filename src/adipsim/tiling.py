@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim
+from .array import ArraySim, load_cycles, resolve_stages, stream_cycles
 from .numerics import ceil_div, check_size, exact_matmuls, to_int8
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
@@ -77,29 +77,61 @@ class MatMulJob:
         return self.a.shape[0], self.a.shape[1], self.weights[0].shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TiledPlan:
-    """Static pass structure of a job on an n x n array, with its slot map:
-    the job's column tiles, matrix by matrix, cut into `virtual` runs of
-    `per` tiles, one run per weight field of a stationary word. Column
-    tile j of matrix t is tile g = t * tp + j of that row, so tile g % per
-    of virtual matrix g // per."""
+    """Static pass structure of a job of `count` matrices of `precision` on
+    an n x n array, with its slot map: the job's column tiles, matrix by
+    matrix, cut into `virtual` runs of `per` tiles, one run per weight field
+    of a stationary word. Column tile j of matrix t is tile g = t * tp + j
+    of that row, so tile g % per of virtual matrix g // per.
+
+    Each pass loads one n x n tile of stationary words and streams the
+    tm * n input rows of its reduction tile, zero padding included; `cycles`
+    is the clock of the run and the other figures count its traffic."""
 
     tm: int
     tk: int
     tp: int
     per: int
     virtual: int
+    count: int
+    precision: Precision
+    n: int
 
     @property
     def pass_count(self) -> int:
         return self.tk * self.per
 
+    @property
+    def input_bytes(self) -> int:
+        """1-byte input elements streamed over all passes."""
+        return self.pass_count * self.tm * self.n**2
+
+    @property
+    def weight_words(self) -> int:
+        """Stationary 8-bit words loaded over all passes."""
+        return self.pass_count * self.n**2
+
+    @property
+    def output_elements(self) -> int:
+        """Output elements of the matrices, padded to whole tiles."""
+        return self.count * self.tm * self.tp * self.n**2
+
+    def cycles(self, overlap_weights: bool = True, mac_stages: int = 1, reduce_stages: Optional[int] = None) -> int:
+        """The clock of the run under `run_tiled`'s array settings: each
+        pass costs `load_cycles` plus `stream_cycles` for its tm * n rows."""
+        reduce_stages = resolve_stages(self.precision, mac_stages, reduce_stages)
+        stream = stream_cycles(self.n, self.tm * self.n, mac_stages, reduce_stages)
+        return self.pass_count * (load_cycles(self.n, overlap_weights) + stream)
+
     @classmethod
     def from_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
         """The plan of an M x K input times `count` K x P weight matrices of
-        `precision` on an n x n array, from the shape alone."""
+        `precision` on an n x n array, from the shape alone. Sizes and the
+        count must be integers: anything else raises ValueError."""
         n = check_size(n)
+        m, k, p = (check_size(d, f"job dimension {what}", least=None) for d, what in zip((m, k, p), "MKP"))
+        count = check_size(count, "weight matrix count", least=None)
         if count < 1:
             raise ValueError(f"a plan needs at least one weight matrix, got {count}")
         if min(m, k, p) < 0:
@@ -107,7 +139,7 @@ class TiledPlan:
         tp = ceil_div(p, n)
         per = ceil_div(count * tp, precision.r)
         virtual = ceil_div(count * tp, per) if per else 0
-        return cls(tm=ceil_div(m, n), tk=ceil_div(k, n), tp=tp, per=per, virtual=virtual)
+        return cls(ceil_div(m, n), ceil_div(k, n), tp, per, virtual, count, precision, n)
 
 
 def plan(job: MatMulJob) -> TiledPlan:

@@ -9,6 +9,7 @@ from adipsim.array import TRACE_HEADER, ArraySim
 from adipsim.numerics import check_signed
 from adipsim.pe import PhaseError, PsumOverflowError
 from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
+from adipsim.tiling import TiledPlan
 
 MODE_CONFIGS = [
     PrecisionMode(Precision.W8, 1),
@@ -238,6 +239,25 @@ def test_reduce_stage_override():
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
     with pytest.raises(ValueError):
         ArraySim(n, Precision.W8, reduce_stages=1)
+
+
+@pytest.mark.parametrize(
+    "stages, match",
+    [
+        ({"mac_stages": 0}, "mac_stages must be >= 1"),
+        ({"mac_stages": 1.5}, "mac_stages must be an integer"),
+        ({"mac_stages": True}, "mac_stages must be an integer"),
+        ({"reduce_stages": 2.5}, "reduce_stages must be an integer"),
+        ({"reduce_stages": 1}, "below the structural depth"),
+    ],
+)
+def test_pipeline_depths_are_integers_in_range(stages, match):
+    """The array and a plan's clock reject the same depths, so neither
+    clock can turn fractional."""
+    with pytest.raises(ValueError, match=match):
+        ArraySim(4, Precision.W8, **stages)
+    with pytest.raises(ValueError, match=match):
+        TiledPlan.from_shape(4, 4, 4, 1, Precision.W8, 4).cycles(**stages)
 
 
 def test_trace_records_every_pe_every_cycle():

@@ -222,6 +222,15 @@ def test_power_factor_table_and_validation():
         CostParams(n=12).power(Arch.ADIP)
     with pytest.raises(ValueError):
         CostParams(output_bytes=2)
+    for bad in (True, 4.0):
+        with pytest.raises(ValueError, match="output_bytes must be an integer"):
+            CostParams(output_bytes=bad)
+    for bad in (0, -5):  # the stages ArraySim rejects
+        with pytest.raises(ValueError, match="mac_stages must be >= 1"):
+            CostParams(mac_stages=bad)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="mac_stages must be an integer"):
+            CostParams(mac_stages=bad)
 
 
 @pytest.mark.parametrize(

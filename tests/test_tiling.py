@@ -272,7 +272,7 @@ def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision
     traced run gives the same outputs and cycles; and the cycles are the
     pass count times the closed-form pass latency, `tile_latency` for n
     rows plus n cycles per further row tile and the load when not
-    overlapped."""
+    overlapped, which is also the plan's own clock."""
     nw = data.draw(st.integers(1, precision.r + 1), label="nw")
     m, k, p = dims
     job = _random_job(np.random.default_rng(seed), precision, nw, n, dims)
@@ -292,6 +292,7 @@ def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision
     per_pass += 0 if overlap else n
     assert result.pass_count == traced.pass_count == the_plan.pass_count
     assert result.total_cycles == traced.total_cycles == the_plan.pass_count * per_pass
+    assert result.total_cycles == traced.total_cycles == the_plan.cycles(overlap_weights=overlap)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -494,6 +495,12 @@ def test_plan_from_shape_needs_no_matrices():
         ((4, 4, 4, 0, Precision.W8, 4), "at least one"),
         ((-1, 4, 4, 1, Precision.W8, 4), "negative"),
         ((4, 4, -4, 1, Precision.W8, 4), "negative"),
+        ((4.5, 4, 4, 1, Precision.W8, 4), "dimension M must be an integer"),
+        ((4, 4.0, 4, 1, Precision.W8, 4), "dimension K must be an integer"),
+        ((4, 4, "4", 1, Precision.W8, 4), "dimension P must be an integer"),
+        ((4, 4, 4, 1.5, Precision.W2, 4), "count must be an integer"),
+        ((4, 4, 4, True, Precision.W8, 4), "count must be an integer"),
+        ((4, 4, 4, 1, Precision.W8, 4.0), "array size must be an integer"),
     ],
 )
 def test_plan_from_shape_rejects_bad_shapes(args, match):
