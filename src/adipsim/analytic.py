@@ -1,15 +1,19 @@
 """Closed-form latency and throughput models for the array.
 
-The distributed multiply composes an act_bits x weight_bits product from
-`mul_count` parallel 2-bit multipliers, so its latency in cycles is
+The distributed multiply composes an 8-bit x weight_bits product from
+`mul_count` parallel 2-bit multipliers (`numerics.ACT_BITS`,
+`numerics.SUBWORD_BITS`), so its latency in cycles is
 
-    dmul = ceil(act_bits * weight_bits / (mul_count * mul_width**2))
+    dmul = ceil(8 * weight_bits / (mul_count * 2**2))
 
 and a full n-row tile costs what the simulator's pass clock
 (`array.stream_cycles`) gives for n * dmul streamed rows: one cycle per
 row plus the fill of the n PE rows, the psum pipeline and the reducer.
-The reducer depth defaults to the structural depth of the precision
-(`Precision.reducer_stages`).
+The parameters obey the simulator's rules: the size and multiplier count
+are positive integers (`check_size`), the weight width is 2, 4 or 8
+(`Precision.from_bits`), and both pipeline depths go through
+`array.resolve_stages`, so the reducer depth defaults to the structural
+depth of the precision (`Precision.reducer_stages`).
 
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
@@ -20,10 +24,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
-from .array import stream_cycles
-from .numerics import ceil_div
+from .array import resolve_stages, stream_cycles
+from .numerics import ACT_BITS, SUBWORD_BITS, ceil_div, check_size
 from .preprocess import Precision
 
 SWEEP_CSV_COLUMNS = ("M", "precision", "dmul_cycles", "latency_cycles", "throughput_tops")
@@ -31,40 +35,35 @@ SWEEP_CSV_COLUMNS = ("M", "precision", "dmul_cycles", "latency_cycles", "through
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Architecture knobs of the latency/throughput model."""
+    """Architecture knobs of the latency/throughput model; anything the
+    simulator would reject raises the simulator's ValueError."""
 
     size: int = 64
     mul_count: int = 16
-    mul_width: int = 2
-    act_bits: int = 8
     weight_bits: int = 8
     mac_stages: int = 1
-    reduce_stages: int = 2
+    reduce_stages: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("size", "mul_count", "mul_width", "act_bits", "weight_bits"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.act_bits % 2 or self.weight_bits % 2:
-            raise ValueError("operand widths must be multiples of 2 bits")
-        if self.mac_stages < 0 or self.reduce_stages < 0:
-            raise ValueError("pipeline stage counts must be non-negative")
+        check_size(self.size)
+        check_size(self.mul_count, "mul_count")
+        precision = Precision.from_bits(self.weight_bits)
+        object.__setattr__(self, "reduce_stages", resolve_stages(precision, self.mac_stages, self.reduce_stages))
 
     @classmethod
     def for_mode(cls, size: int, weight_bits: int, **overrides) -> "AnalyticParams":
-        """Defaults matching the built hardware at a given weight precision."""
-        reduce_stages = Precision.from_bits(weight_bits).reducer_stages
-        return cls(**{"size": size, "weight_bits": weight_bits, "reduce_stages": reduce_stages, **overrides})
+        """The parameters of the built hardware at a given weight precision."""
+        return cls(size=size, weight_bits=weight_bits, **overrides)
 
 
 def dmul_latency(p: AnalyticParams) -> int:
     """Cycles to finish one distributed multiply."""
-    return ceil_div(p.act_bits * p.weight_bits, p.mul_count * p.mul_width**2)
+    return ceil_div(ACT_BITS * p.weight_bits, p.mul_count * SUBWORD_BITS**2)
 
 
 def parallel_factor(p: AnalyticParams) -> int:
     """How many full products the multiplier bank completes per cycle."""
-    return ceil_div(p.mul_count * p.mul_width**2, p.act_bits * p.weight_bits)
+    return ceil_div(p.mul_count * SUBWORD_BITS**2, ACT_BITS * p.weight_bits)
 
 
 def tile_latency(p: AnalyticParams) -> int:
@@ -87,10 +86,6 @@ def peak_throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     return 2 * parallel_factor(p) * p.size**2 * clock_hz
 
 
-def precision_label(act_bits: int, weight_bits: int) -> str:
-    return f"{act_bits}bx{weight_bits}b"
-
-
 @dataclass(frozen=True)
 class SweepRow:
     mul_count: int
@@ -100,23 +95,19 @@ class SweepRow:
     throughput_tops: float
 
 
-def sweep(
-    size: int = 64,
-    mul_counts: Sequence[int] = (2, 4, 8, 16),
-    weight_bits_list: Sequence[int] = (8, 4, 2),
-    clock_hz: float = 1e9,
-    mac_stages: int = 1,
-) -> list[SweepRow]:
-    """Latency/throughput table across multiplier counts and precisions."""
+def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: float = 1e9) -> list[SweepRow]:
+    """Latency/throughput table across multiplier counts and the three
+    precisions, W8 first, of the built hardware."""
     rows = []
+    widths = [precision.weight_bits for precision in Precision]
     for m in mul_counts:
-        for bits in weight_bits_list:
-            p = AnalyticParams.for_mode(size, bits, mul_count=m, mac_stages=mac_stages)
+        for bits in widths:
+            p = AnalyticParams(size, m, bits)
             latency = tile_latency(p)
             rows.append(
                 SweepRow(
                     mul_count=m,
-                    precision=precision_label(p.act_bits, bits),
+                    precision=f"{ACT_BITS}bx{p.weight_bits}b",
                     dmul_cycles=dmul_latency(p),
                     latency_cycles=latency,
                     # throughput(p, clock_hz), without forming the tile latency again

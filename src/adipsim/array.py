@@ -64,12 +64,12 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import PSUM_BITS, bit_fields, ceil_div, check_size, exact_matmuls, to_int8
+from .numerics import ACT_BITS, PSUM_BITS, bit_fields, ceil_div, check_size, check_type, exact_matmuls, to_int8
 from .pe import PhaseError, PsumOverflowError
 # Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
-# the benchmark change of ROADMAP item 7 deletes it.
+# the benchmark change of ROADMAP item 3 deletes it.
 from .pe import weight_slots  # noqa: F401
-from .preprocess import PackedGrid, Precision, PrecisionMode, check_tiles, decode_slots
+from .preprocess import PackedGrid, Precision, PrecisionMode, _rotated, check_tiles, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -178,11 +178,11 @@ def stream_cycles(n: int, rows: int, mac_stages: int, reduce_stages: int) -> int
 
 
 def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optional[int]) -> int:
-    """Validate the pipeline depths; returns `reduce_stages`, defaulting to
-    the structural depth of the precision. Both are integers, `mac_stages`
-    at least 1."""
+    """Validate the precision and the pipeline depths; returns
+    `reduce_stages`, defaulting to the structural depth of the precision.
+    Both are integers, `mac_stages` at least 1."""
     check_size(mac_stages, "mac_stages")
-    structural = precision.reducer_stages
+    structural = check_type(precision, Precision, "precision").reducer_stages
     if reduce_stages is None:
         return structural
     if check_size(reduce_stages, "reduce_stages", least=None) < structural:
@@ -277,9 +277,7 @@ def _fold_matrices(slots: np.ndarray, folds: np.ndarray) -> np.ndarray:
     a fed row to the (f, 4) `folds` of each column's bottom buses: bus g of
     column c is the row times U_g, with U_g[(c + q) mod n, c] = slot[g, q, c]."""
     n = slots.shape[-1]
-    unrotated = np.empty_like(slots)
-    unrotated[:, :, _diagonals(n), np.arange(n)] = slots
-    return np.einsum("fg,gpkc->pkfc", folds, unrotated).reshape(slots.shape[1], n, -1)
+    return np.einsum("fg,gpkc->pkfc", folds, _rotated(slots, -1)).reshape(slots.shape[1], n, -1)
 
 
 def _field(words: np.ndarray, bits: int, t: int) -> np.ndarray:
@@ -356,7 +354,7 @@ class ArraySim:
             )
 
     # The one-tile front stays only because bench/spans.py wraps these two
-    # methods by name; the benchmark change of ROADMAP item 7 deletes it.
+    # methods by name; the benchmark change of ROADMAP item 3 deletes it.
 
     def load_weights(self, tile: PackedGrid) -> None:
         """Take a 1 x 1 grid of this array's precision and size for `stream`."""
@@ -412,7 +410,8 @@ class ArraySim:
     def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, check: bool) -> None:
         """Run each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
         n + mac_stages zero rows before it, then one row per clock, from
-        zero registers. A pass costs `load` cycles, then one per clock.
+        zero registers. A pass costs `load` cycles, then one per clock; the
+        caller advances the clock past the run.
 
         Registers are formed in blocks of as many clocks as `_TRACE_BYTES`
         of registers hold, one at least (whole passes when they fit). With
@@ -428,7 +427,6 @@ class ArraySim:
         held = np.zeros((passes, n, n, 5), dtype=feed.dtype)  # each pass's registers after its last block
         if check:
             reducer = _fold_matrices(slots, _STAGE2_FOLD)
-        start = self.cycle
         per = max(1, _TRACE_BYTES // (_REGISTER_BYTES * n * n))  # clocks per block
         span = max(1, per // max(steps, 1))  # passes per block
         for p0 in range(0, passes, span):
@@ -441,7 +439,7 @@ class ArraySim:
                 registers = _registers(block_slots, block, window, window + clocks, block_held)
                 block_held[...] = registers[:, -1]
                 registers = registers.reshape(-1, n, n, 5)
-                cycles = (start + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
+                cycles = (self.cycle + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
                 fail = len(cycles)
                 if check:
                     stage2 = np.matmul(block[:, :clocks], reducer[p0 : p0 + span]).reshape(-1, n)
@@ -454,7 +452,6 @@ class ArraySim:
                     self.cycle = int(cycles[fail])
                     _check_register(registers[fail, ..., 1:], "psum bus")
                     _check_register(stage2[fail], "reducer")
-        self.cycle = start + passes * period
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
         """Every pass of one fused group (a job's virtual matrices, see
@@ -470,9 +467,9 @@ class ArraySim:
         The passes' registers are formed, in `_register_dtype`, from the
         grid rotated into its tiles once, only with a trace sink or when
         `_row_may_overflow` is on for the largest input magnitude; the
-        input is scanned for that only when the bound is on at |a| = 128.
-        Otherwise the clock advances by each pass's load and stream cycles
-        and no slot is decoded.
+        input is scanned for that only when the bound is on at |a| = 128;
+        otherwise no slot is decoded. Either way the clock advances by each
+        pass's load and stream cycles.
         """
         check_tiles(grid)
         self._check_fits(grid)
@@ -481,7 +478,7 @@ class ArraySim:
         a = np.asarray(a)
         if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
             raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
-        a = to_int8(a, 8, "input element")  # an int8 input is not scanned
+        a = to_int8(a, ACT_BITS, "input element")  # an int8 input is not scanned
         m_dim, k_dim = a.shape
         load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
@@ -489,9 +486,7 @@ class ArraySim:
         check = _row_may_overflow(128, n, self.precision) and _row_may_overflow(
             max(int(a.max(initial=0)), -int(a.min(initial=0))), n, self.precision  # -a.min() wraps in int8
         )
-        if self._trace is None and not check:
-            self.cycle += tk * tp * (load + steps)
-        else:
+        if self._trace is not None or check:
             dtype = _register_dtype(n, self.precision)
             feed = np.zeros((window + steps, tk * n), dtype=dtype)
             feed[window : window + m_dim, :k_dim] = a
@@ -499,4 +494,5 @@ class ArraySim:
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
             slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(dtype)
             self._run(slots, feed, load, check)
+        self.cycle += tk * tp * (load + steps)
         return _group_outputs(grid.words, a, grid.mode).transpose(1, 0, 2)

@@ -27,7 +27,7 @@ from .preprocess import (
     unprepare_weights,
     write_packed,
 )
-from .numerics import VALID_WIDTHS, check_signed, signed_range
+from .numerics import ACT_BITS, VALID_WIDTHS, check_signed, signed_range
 
 SWEEP_SIZES = (4, 8, 16, 32, 64)
 
@@ -147,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     if args.a:
         a, a_width = read_matrix(args.a)
-        if a_width != 8:
+        if a_width != ACT_BITS:
             print(f"simulate: input matrix must be 8-bit, got {a_width}", file=sys.stderr)
             return 2
         weights = _read_weights(args.b, precision)

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 SUBWORD_BITS = 2
+ACT_BITS = 8  # every activation, streamed input or act-act operand, is 8-bit
 VALID_WIDTHS = (2, 4, 8)
 
 PSUM_BITS = 32
@@ -74,11 +75,19 @@ def check_size(n, what: str = "array size", least: Optional[int] = 1) -> int:
     ValueError unless it is a Python or numpy integer of at least `least`,
     or of any value when `least` is None (bool, float and str are not
     sizes). A numpy unsigned size would wrap in `ceil_div`'s negation."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, np.integer)):  # a plain int skips both
         raise ValueError(f"{what} must be an integer, got {n!r}")
     if least is not None and n < least:
         raise ValueError(f"{what} must be >= {least}, got {n}")
     return int(n)
+
+
+def check_type(value, kind: type, what: str):
+    """`value` unchanged if it is a `kind`; ValueError otherwise, rather
+    than an AttributeError wherever it is first read."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def ceil_div(a: int, b: int) -> int:

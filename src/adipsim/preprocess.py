@@ -32,7 +32,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import bit_fields, ceil_div, check_size, to_int8
+from .numerics import bit_fields, ceil_div, check_size, check_type, to_int8
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -47,30 +47,22 @@ class Precision(Enum):
     W4 = 4
     W2 = 2
 
-    @property
-    def weight_bits(self) -> int:
-        return self.value
-
-    @property
-    def r(self) -> int:
-        """Interleave factor: how many weight fields fit one 8-bit word."""
-        return 8 // self.value
-
-    @property
-    def reducer_stages(self) -> int:
-        """Shared shift-add register stages traversed on the way out."""
-        return {8: 2, 4: 1, 2: 0}[self.value]
+    def __init__(self, bits: int) -> None:
+        # plain attributes: an Enum property reads the slower `value` descriptor
+        self.weight_bits = bits
+        self.r = 8 // bits  # interleave factor: how many weight fields fit one 8-bit word
+        self.reducer_stages = {8: 2, 4: 1, 2: 0}[bits]  # shift-add register stages on the way out
 
     @classmethod
     def from_bits(cls, bits: int) -> "Precision":
         try:
-            return cls(bits)
+            return cls(check_size(bits, "weight width"))  # 8.0 and True are not widths
         except ValueError:
-            raise ValueError(f"unsupported weight width {bits}, expected 8, 4 or 2") from None
+            raise ValueError(f"unsupported weight width {bits!r}, expected 8, 4 or 2") from None
 
     @classmethod
     def from_name(cls, name: str) -> "Precision":
-        key = name.strip().lower()
+        key = check_type(name, str, "precision mode").strip().lower()
         if key not in ("w8", "w4", "w2"):
             raise ValueError(f"unknown precision mode {name!r}, expected w8/w4/w2")
         return cls(int(key[1]))
@@ -84,14 +76,11 @@ class PrecisionMode:
     nw: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.nw <= self.precision.r:
+        check_type(self.precision, Precision, "precision")
+        if not 1 <= check_size(self.nw, "nw", least=None) <= self.precision.r:
             raise ValueError(
                 f"nw={self.nw} invalid for {self.precision.name} (1..{self.precision.r})"
             )
-
-    @property
-    def r(self) -> int:
-        return self.precision.r
 
     @property
     def weight_bits(self) -> int:

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .array import ArraySim, load_cycles, resolve_stages, stream_cycles
-from .numerics import ceil_div, check_size, exact_matmuls, to_int8
+from .numerics import ACT_BITS, ceil_div, check_size, check_type, exact_matmuls, to_int8
 from .preprocess import Precision, PrecisionMode, prepare_weights
 
 
@@ -46,8 +46,9 @@ class MatMulJob:
     Each operand is range-checked once, here, and then kept at its own
     width: `a` and every weight matrix are int8 arrays. Integral floats are
     accepted; a non-integral, non-finite or out-of-range element, a complex
-    or string operand, and an `n` that is not a positive integer raise
-    ValueError. Only the outputs of a run are int64.
+    or string operand, a `precision` that is not a `Precision` and an `n`
+    that is not a positive integer raise ValueError. Only the outputs of a
+    run are int64.
     """
 
     a: np.ndarray
@@ -68,8 +69,9 @@ class MatMulJob:
             raise ValueError(f"weight shape {shape} incompatible with input K={k_dim}")
         if any(w.shape != shape for w in self.weights):
             raise ValueError("all weight matrices must share one shape")
-        self.a = to_int8(self.a, 8, "input element")
-        self.weights = [to_int8(w, self.precision.weight_bits, "weight") for w in self.weights]
+        self.a = to_int8(self.a, ACT_BITS, "input element")
+        bits = check_type(self.precision, Precision, "precision").weight_bits
+        self.weights = [to_int8(w, bits, "weight") for w in self.weights]
         self.n = check_size(self.n)
 
     @property
@@ -128,7 +130,9 @@ class TiledPlan:
     def from_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
         """The plan of an M x K input times `count` K x P weight matrices of
         `precision` on an n x n array, from the shape alone. Sizes and the
-        count must be integers: anything else raises ValueError."""
+        count must be integers and `precision` a `Precision`: anything else
+        raises ValueError."""
+        check_type(precision, Precision, "precision")
         n = check_size(n)
         m, k, p = (check_size(d, f"job dimension {what}", least=None) for d, what in zip((m, k, p), "MKP"))
         count = check_size(count, "weight matrix count", least=None)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Union
 
-from .numerics import check_size
+from .numerics import ACT_BITS, VALID_WIDTHS, check_size, check_type
 
 
 class Stage(Enum):
@@ -58,16 +57,10 @@ class MhaConfig:
     weight_bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ValueError(f"name must be a string, got {self.name!r}")
-        for field_name in ("layers", "d_model", "heads", "d_k", "seq_len", "weight_bits"):
-            value = getattr(self, field_name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field_name} must be an integer, got {value!r}")
+        check_type(self.name, str, "name")
         for field_name in ("layers", "d_model", "heads", "d_k", "seq_len"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{field_name} must be positive")
-        if self.weight_bits not in (2, 4, 8):
+            check_size(getattr(self, field_name), field_name)
+        if check_size(self.weight_bits, "weight_bits", least=None) not in VALID_WIDTHS:
             raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
 
 
@@ -75,9 +68,9 @@ class MhaConfig:
 class StageSpec:
     """One matmul stage: an M x K input times a K x P matrix, run `count`
     times, each instance with its own input (layers, or layers x heads),
-    and the operand widths. `count` is a positive integer, m, k and p are
-    non-negative integers and `weight_bits` is 2, 4 or 8; anything else
-    raises ValueError."""
+    and the width of the matrix's elements; the input is 8-bit. `count` is
+    a positive integer, m, k and p are non-negative integers and
+    `weight_bits` is 2, 4 or 8; anything else raises ValueError."""
 
     stage: Stage
     m: int
@@ -85,13 +78,12 @@ class StageSpec:
     p: int
     count: int
     weight_bits: int
-    act_bits: int = 8
 
     def __post_init__(self) -> None:
         check_size(self.count, "count")
         for name in ("m", "k", "p"):
             check_size(getattr(self, name), name, least=0)
-        if check_size(self.weight_bits, "weight_bits") not in (2, 4, 8):
+        if check_size(self.weight_bits, "weight_bits") not in VALID_WIDTHS:
             raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
 
     @property
@@ -123,7 +115,7 @@ def builtin_models() -> tuple[MhaConfig, MhaConfig, MhaConfig]:
 
 def get_model(name: str) -> MhaConfig:
     try:
-        return _ALIASES[name.strip().lower()]
+        return _ALIASES[check_type(name, str, "model name").strip().lower()]
     except KeyError:
         known = ", ".join(m.name for m in builtin_models())
         raise ValueError(f"unknown model {name!r}; builtin models: {known}") from None
@@ -144,8 +136,8 @@ def _stages(cfg: MhaConfig) -> tuple[StageSpec, ...]:
         StageSpec(Stage.Q_PROJ, **proj),
         StageSpec(Stage.K_PROJ, **proj),
         StageSpec(Stage.V_PROJ, **proj),
-        StageSpec(Stage.SCORES, m=s, k=cfg.d_k, p=s, count=per_head, weight_bits=8),
-        StageSpec(Stage.ATTN, m=s, k=s, p=cfg.d_k, count=per_head, weight_bits=8),
+        StageSpec(Stage.SCORES, m=s, k=cfg.d_k, p=s, count=per_head, weight_bits=ACT_BITS),
+        StageSpec(Stage.ATTN, m=s, k=s, p=cfg.d_k, count=per_head, weight_bits=ACT_BITS),
         StageSpec(Stage.OUT_PROJ, **proj),
     )
 

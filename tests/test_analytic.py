@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_dmul_latency(mul_count, weight_bits, expected):
     "params, expected",
     [
         (AnalyticParams(size=64, mul_count=16, weight_bits=8, mac_stages=1, reduce_stages=2), 129),
-        (AnalyticParams(size=1, mul_count=16, weight_bits=8, mac_stages=1, reduce_stages=1), 2),
+        (AnalyticParams(size=1, mul_count=16, weight_bits=4, mac_stages=1, reduce_stages=1), 2),
         (AnalyticParams(size=64, mul_count=2, weight_bits=8, mac_stages=1, reduce_stages=2), 577),
     ],
 )
@@ -97,9 +98,38 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AnalyticParams(size=0)
     with pytest.raises(ValueError):
-        AnalyticParams(act_bits=7)
-    with pytest.raises(ValueError):
         AnalyticParams(reduce_stages=-1)
+    with pytest.raises(ValueError, match="array size must be an integer, got 4.5"):
+        sweep(size=4.5)
+
+
+def test_reducer_depth_defaults_to_the_structural_depth():
+    assert AnalyticParams(weight_bits=4).reduce_stages == 1
+    assert [AnalyticParams(weight_bits=bits).reduce_stages for bits in (8, 2)] == [2, 0]
+    assert tile_latency(AnalyticParams(weight_bits=4)) == tile_latency(AnalyticParams.for_mode(64, 4)) == 128
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"mac_stages": 0},
+        {"mac_stages": 1.5},
+        {"mac_stages": True},
+        {"weight_bits": 8, "reduce_stages": 1},
+        {"size": 4.5},
+        {"size": True},
+        {"weight_bits": 6},
+    ],
+    ids=repr,
+)
+def test_params_reject_what_the_simulator_rejects(change):
+    """The model's parameters follow the simulator's rules: each input the
+    array rejects, the model rejects with the same message."""
+    args = {"size": 4, "weight_bits": 8, "mac_stages": 1, "reduce_stages": None, **change}
+    with pytest.raises(ValueError) as rejected:
+        ArraySim(args["size"], Precision.from_bits(args["weight_bits"]), args["mac_stages"], args["reduce_stages"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        AnalyticParams(**args)
 
 
 @pytest.mark.parametrize(

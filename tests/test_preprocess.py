@@ -19,7 +19,7 @@ from adipsim.preprocess import (
     unprepare_weights,
     write_packed,
 )
-from adipsim.tiling import MatMulJob, plan
+from adipsim.tiling import MatMulJob, TiledPlan, plan
 
 MODE_CONFIGS = [
     PrecisionMode(Precision.W8, 1),
@@ -57,10 +57,44 @@ def test_mode_rejects_nw_above_r(precision, nw):
         PrecisionMode(precision, nw)
 
 
+@pytest.mark.parametrize("nw", [2.0, True], ids=repr)
+def test_mode_rejects_a_count_that_is_not_an_integer(nw):
+    """A float or bool nw is not a matrix count, even one equal to an
+    integer, so no grid is packed for it."""
+    with pytest.raises(ValueError, match=f"nw must be an integer, got {nw!r}"):
+        PrecisionMode(Precision.W2, nw)
+
+
 def test_precision_from_name():
     assert Precision.from_name("W4") is Precision.W4
     with pytest.raises(ValueError):
         Precision.from_name("w16")
+    with pytest.raises(ValueError, match="precision mode must be a str, got 5"):
+        Precision.from_name(5)
+
+
+@pytest.mark.parametrize("bits", [6, 8.0, True, None], ids=repr)
+def test_precision_from_bits_takes_integer_widths_only(bits):
+    with pytest.raises(ValueError, match=f"unsupported weight width {bits!r}"):
+        Precision.from_bits(bits)
+
+
+@pytest.mark.parametrize("value", [8, "w8", None], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda precision: PrecisionMode(precision),
+        lambda precision: ArraySim(4, precision),
+        lambda precision: TiledPlan.from_shape(4, 4, 4, 1, precision, 4),
+        lambda precision: MatMulJob(np.zeros((4, 4)), [np.zeros((4, 4))], precision, 4),
+    ],
+    ids=["PrecisionMode", "ArraySim", "TiledPlan.from_shape", "MatMulJob"],
+)
+def test_a_precision_that_is_not_a_precision_raises_value_error(build, value):
+    """Every entry point that takes a precision rejects anything else with
+    the same ValueError, not an AttributeError on its first use."""
+    with pytest.raises(ValueError, match=f"^precision must be a Precision, got {value!r}$"):
+        build(value)
 
 
 # -- permutation --------------------------------------------------------------

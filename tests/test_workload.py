@@ -50,6 +50,8 @@ def test_model_lookup(name, expected):
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         get_model("llama")
+    with pytest.raises(ValueError, match="model name must be a str, got 5"):
+        get_model(5)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +82,6 @@ def test_stage_shapes_and_counts():
     assert scores.weight_bits == 8 and not scores.is_projection  # act-act stays 8-bit
     attn = specs[Stage.ATTN]
     assert (attn.m, attn.k, attn.p) == (s, s, BITNET_158B.d_k)
-    assert attn.act_bits == 8
 
 
 def test_stage_ops_sum_to_total():
@@ -126,8 +127,12 @@ def test_config_from_dict_validation():
 def test_config_field_validation():
     with pytest.raises(ValueError):
         MhaConfig("bad", layers=0, d_model=8, heads=1, d_k=8, seq_len=8, weight_bits=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight_bits must be 2, 4 or 8, got 3"):
         MhaConfig("bad", layers=1, d_model=8, heads=1, d_k=8, seq_len=8, weight_bits=3)
+    with pytest.raises(ValueError, match="heads must be an integer, got True"):
+        MhaConfig("bad", layers=1, d_model=8, heads=True, d_k=8, seq_len=8, weight_bits=8)
+    with pytest.raises(ValueError, match="weight_bits must be an integer, got 8.0"):
+        MhaConfig("bad", layers=1, d_model=8, heads=1, d_k=8, seq_len=8, weight_bits=8.0)
 
 
 _SPEC = dict(stage=Stage.Q_PROJ, m=4, k=4, p=4, count=1, weight_bits=4)
