@@ -26,7 +26,7 @@ One engine, `ArraySim.stream_grid`, runs every pass of a fused group on
 one instance, set up by the weight precision as the array's computation
 mode is; how many matrices share a stationary word comes with the grid.
 The grid's matrices need not be whole weight matrices: `run_tiled` packs
-runs of a job's column tiles into them, so that every pass fills the r
+runs of a job's columns into them, so that every pass fills the r
 weight fields of each word.
 A pass is one weight load, then a run of streamed rows, padded to whole
 row tiles. The tiles are rotated out of the grid's matrix-order words

@@ -35,9 +35,12 @@ SWEEP_SIZES = (4, 8, 16, 32, 64)
 # -- matrix text files --------------------------------------------------------
 
 
-# One signed decimal integer in ASCII digits; `int` alone would also take
-# `1_0` and non-ASCII digits.
+# One signed decimal integer in ASCII digits, and one decimal real number
+# with an optional point and exponent. `int` and `float` alone would also
+# take `1_0`, non-ASCII digits and surrounding spaces; every number in a
+# matrix file or an option must match one of these first.
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
+_DECIMAL_REAL = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def read_matrix(path: str) -> tuple[np.ndarray, int]:
@@ -92,28 +95,30 @@ def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
             yield fh
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _number_option(pattern: re.Pattern, convert, accept, what: str):
+    """An argparse type that reads a number written as `pattern` fully
+    matches and that `accept` takes; any other text exits 2 naming it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text) if pattern.fullmatch(text) else None
+        except ValueError:  # more digits than `int` converts
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_positive_int = _number_option(_DECIMAL, int, lambda v: v >= 1, "a positive integer")
+_seed = _number_option(_DECIMAL, int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number_option(_DECIMAL_REAL, float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def _positive_int_list(text: str) -> list[int]:
     """Comma-separated positive integers; the error names the bad token."""
-    values = []
-    for token in text.split(","):
-        if not _DECIMAL.fullmatch(token) or int(token) < 1:
-            raise argparse.ArgumentTypeError(f"{token!r} is not a positive integer")
-        values.append(int(token))
-    return values
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
-    return value
+    return [_positive_int(token) for token in text.split(",")]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, help="input rows (default 2n)")
     p.add_argument("--k", type=_positive_int, help="shared dimension (default 2n)")
     p.add_argument("--p", type=_positive_int, help="output columns (default 2n)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--a", help="input matrix file (text format)")
     p.add_argument("--b", action="append", default=[], help="weight matrix file, repeatable")
     p.add_argument("--trace", help="write a per-cycle PE trace CSV here")
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="artifact path (default stdout)")
     p.add_argument("--count-output-writes", action="store_true")
-    p.add_argument("--output-bytes", type=int, default=1, choices=(1, 4))
+    p.add_argument("--output-bytes", type=_positive_int, default=1, choices=(1, 4))
     p.set_defaults(func=cmd_workload)
 
     p = sub.add_parser("interleave", help="permute and pack weight matrices, dump the tiles")
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nw", type=_positive_int, default=1)
     p.add_argument("--rows", type=_positive_int, help="generated matrix rows (default n)")
     p.add_argument("--cols", type=_positive_int, help="generated matrix cols (default n)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--in", dest="infile", action="append", help="weight matrix file, repeatable")
     p.add_argument("--out", required=True, help="packed binary output path")
     p.add_argument("--verify", action="store_true", help="read back and round-trip check")

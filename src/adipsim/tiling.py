@@ -7,12 +7,18 @@ tm * n streamed rows. Partial results accumulate in a model-level output
 buffer across the k loop and are written once.
 
 A pass fills all r = 8 / weight_bits weight fields of every stationary
-word. The job's matrices stand side by side, each padded to tp column
-tiles, and that row of nw * tp column tiles is cut into contiguous runs of
-`per` = ceil(nw * tp / r) tiles: at most r "virtual matrices", the last
-padded with zero tiles. A job is one fused group of them, so it takes
-tk * per passes, never more than tk * tp * ceil(nw / r), and streams its
-shared input once per pass. When per == tp, virtual matrix t is matrix t.
+word. The job's nw matrices stand side by side, P columns each with no
+padding between them, and that row of nw * P columns is cut into runs of
+W = per * n columns, `per` = ceil(nw * P / (r * n)): at most r "virtual
+matrices", the last padded with zero columns. Column c of matrix t is
+column (t * P + c) mod W of virtual matrix floor((t * P + c) / W). A job is
+one fused group of them, so it takes tk * per passes and streams its
+shared input once per pass. Each pass offers r * n output-column slots per
+reduction tile, so no packing takes fewer than tk * ceil(nw * P / (r * n))
+passes: every job meets that bound, never more than the
+tk * ceil(nw * tp / r) of packing whole column tiles. When
+nw = 1 and one virtual matrix holds it, or when W == P, virtual matrix t
+is matrix t.
 
 The group's passes all stream the same input, so `run_tiled` hands the
 group to `ArraySim.stream_grid`, traced or not, on one `ArraySim` per job,
@@ -81,11 +87,14 @@ class MatMulJob:
 
 @dataclass(frozen=True)
 class TiledPlan:
-    """Static pass structure of a job of `count` matrices of `precision` on
-    an n x n array, with its slot map: the job's column tiles, matrix by
-    matrix, cut into `virtual` runs of `per` tiles, one run per weight field
-    of a stationary word. Column tile j of matrix t is tile g = t * tp + j
-    of that row, so tile g % per of virtual matrix g // per.
+    """Static pass structure of a job of `count` K x P matrices of
+    `precision` on an n x n array, with its slot map: the job's columns,
+    matrix by matrix, cut into `virtual` runs of W = per * n columns, one
+    run per weight field of a stationary word. Column c of matrix t is
+    column g = t * P + c of that row, so column g % W of virtual matrix
+    g // W. `per` = ceil(count * P / (r * n)) is the fewest column tiles a
+    pass can take: r * n output-column slots per pass hold count * P
+    columns no tighter.
 
     Each pass loads one n x n tile of stationary words and streams the
     tm * n input rows of its reduction tile, zero padding included; `cycles`
@@ -140,10 +149,9 @@ class TiledPlan:
             raise ValueError(f"a plan needs at least one weight matrix, got {count}")
         if min(m, k, p) < 0:
             raise ValueError(f"negative job shape {m}x{k}x{p}")
-        tp = ceil_div(p, n)
-        per = ceil_div(count * tp, precision.r)
-        virtual = ceil_div(count * tp, per) if per else 0
-        return cls(ceil_div(m, n), ceil_div(k, n), tp, per, virtual, count, precision, n)
+        per = ceil_div(count * p, precision.r * n)
+        virtual = ceil_div(count * p, per * n) if per else 0
+        return cls(ceil_div(m, n), ceil_div(k, n), ceil_div(p, n), per, virtual, count, precision, n)
 
 
 def plan(job: MatMulJob) -> TiledPlan:
@@ -209,19 +217,18 @@ def run_tiled(
     if not the_plan.pass_count:  # K = 0 or P = 0 has no passes
         outputs = list(np.zeros((len(job.weights), m_dim, p_dim), dtype=np.int64))
         return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=0)
-    stride, width = the_plan.tp * n, the_plan.per * n  # columns per matrix and per virtual matrix
-    if width == stride:  # virtual matrix t is matrix t
+    width = the_plan.per * n  # columns per virtual matrix; matrix t starts at column t * p_dim
+    if width == p_dim or the_plan.virtual == len(job.weights) == 1:  # virtual matrix t is matrix t
         matrices = job.weights
     else:
         side = np.zeros((k_dim, the_plan.virtual * width), dtype=np.int8)
-        for t, w in enumerate(job.weights):
-            side[:, t * stride : t * stride + p_dim] = w
+        np.concatenate(job.weights, axis=1, out=side[:, : len(job.weights) * p_dim])
         matrices = [side[:, v * width : (v + 1) * width] for v in range(the_plan.virtual)]
     grid = prepare_weights(matrices, PrecisionMode(job.precision, the_plan.virtual), n)
     products = sim.stream_grid(grid, job.a)  # (M, virtual, width)
     outputs = []
     for t in range(len(job.weights)):
-        start, stop = t * stride, t * stride + p_dim  # matrix t's columns, side by side
+        start, stop = t * p_dim, (t + 1) * p_dim  # matrix t's columns, side by side
         pieces = [
             products[:, v, max(start - v * width, 0) : min(stop - v * width, width)]
             for v in range(start // width, (stop - 1) // width + 1)

@@ -11,6 +11,11 @@ each clock's trace lines written with `%d`.
 decode one n x n weight tile at a time, with plain index arithmetic: the
 reference for the whole-matrix `prepare_weights`, `PackedGrid.rotated_tiles`
 and `unprepare_weights`.
+
+`grouped_run_tiled` and `tile_packed_run_tiled` replay the schedules that
+`run_tiled` followed before column-block and before column-level packing,
+so the trace, CLI and run-digest pins taken under them stay asserted on
+their old bytes.
 """
 
 from collections import deque
@@ -19,7 +24,7 @@ import numpy as np
 
 from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, resolve_stages, stream_cycles
-from adipsim.numerics import PSUM_BITS, check_signed
+from adipsim.numerics import PSUM_BITS, ceil_div, check_signed
 from adipsim.pe import PhaseError, PsumOverflowError, group_multiply
 from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights
 from adipsim.tiling import TiledResult
@@ -212,3 +217,28 @@ def grouped_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=Non
             products = np.zeros((m_dim, len(group), p_dim), dtype=np.int64)
         outputs += [products[:, t, :p_dim] for t in range(len(group))]
     return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=passes)
+
+
+def tile_packed_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=None, trace=None):
+    """`run_tiled` as it was before column-level packing: the job's matrices
+    side by side, each padded to tp column tiles, that row of nw * tp tiles
+    cut into runs of per = ceil(nw * tp / r) tiles, one run per weight
+    field, and run as one fused group on one `ArraySim`. A matrix whose P
+    is not a multiple of n pads its last tile, so a job takes
+    tk * ceil(nw * tp / r) passes."""
+    m_dim, k_dim, p_dim = job.shape
+    n, nw = job.n, len(job.weights)
+    tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
+    per = ceil_div(nw * tp, job.precision.r)
+    sim = ArraySim(n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
+    if not (tk and per):  # K = 0 or P = 0 has no passes
+        return TiledResult(list(np.zeros((nw, m_dim, p_dim), dtype=np.int64)), sim.cycle, 0)
+    stride, width, virtual = tp * n, per * n, ceil_div(nw * tp, per)
+    side = np.zeros((k_dim, virtual * width), dtype=np.int8)
+    for t, w in enumerate(job.weights):
+        side[:, t * stride : t * stride + p_dim] = w
+    matrices = [side[:, v * width : (v + 1) * width] for v in range(virtual)]
+    grid = prepare_weights(matrices, PrecisionMode(job.precision, virtual), n)
+    row = sim.stream_grid(grid, job.a).reshape(m_dim, virtual * width)  # the side-by-side columns
+    outputs = [row[:, t * stride : t * stride + p_dim] for t in range(nw)]
+    return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=tk * per)

@@ -386,6 +386,68 @@ def test_clock_must_be_positive_and_finite(capsys, command, clock):
     assert "positive finite number" in captured.err
 
 
+# Every numeric option, with the value it is given below and whether it is
+# an integer; each command runs as given with that value.
+_NUMERIC_OPTIONS = [
+    (("analytic",), "--size", "16", True),
+    (("analytic",), "--muls", "2,16", True),
+    (("analytic",), "--clock-ghz", "10", False),
+    (("sweep",), "--sizes", "4,16", True),
+    (("sweep",), "--clock-ghz", "10", False),
+    (("simulate", "--size", "4"), "--seed", "10", True),
+    (("simulate",), "--size", "4", True),
+    (("simulate",), "--nw", "2", True),
+    (("simulate",), "--m", "4", True),
+    (("workload", "bert"), "--size", "16", True),
+    (("workload", "bert"), "--output-bytes", "4", True),
+    (("interleave", "--out", "x.adip"), "--seed", "10", True),
+    (("interleave", "--out", "x.adip"), "--cols", "16", True),
+]
+
+
+@pytest.mark.parametrize("prefix, option, value, integral", _NUMERIC_OPTIONS, ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda v: v[0] + "_" + v[1:] if len(v) > 1 else v + "_0",  # an underscore, which `int` skips
+        lambda v: v.translate({ord(c): ord(c) + 0xFEE0 for c in "0123456789"}),  # full-width digits
+        lambda v: v.translate({ord(c): ord(c) + 0x0630 for c in "0123456789"}),  # Arabic-Indic digits
+        lambda v: " " + v,
+        lambda v: v + " ",
+        lambda v: v + "\n",
+    ],
+    ids=["underscore", "full-width", "arabic-indic", "leading-space", "trailing-space", "newline"],
+)
+def test_numeric_options_take_only_ascii_decimals(capsys, tmp_path, monkeypatch, prefix, option, value, integral, spoil):
+    """Each numeric option reads ASCII decimal digits, as matrix files do:
+    a value that `int` or `float` would read but that holds an underscore,
+    non-ASCII digits or padding exits 2 naming the text, with nothing on
+    stdout and no file written; the plain value runs."""
+    monkeypatch.chdir(tmp_path)
+    head, comma, last = value.rpartition(",")  # a list spoils its last token
+    token = spoil(last)
+    assert (int if integral else float)(token) > 0  # what `int` or `float` alone would take
+    with pytest.raises(SystemExit) as exc:
+        main([*prefix, option, head + comma + token])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"{token!r} is not a" in captured.err
+    assert not (tmp_path / "x.adip").exists()
+    assert main([*prefix, option, value]) == 0
+
+
+@pytest.mark.parametrize(
+    "option, text, value",
+    [("--size", "+016", 16), ("--clock-ghz", ".5e1", 5.0), ("--clock-ghz", "2.", 2.0), ("--clock-ghz", "25E-1", 2.5)],
+)
+def test_numeric_options_take_signs_points_and_exponents(capsys, option, text, value):
+    """ASCII forms with a sign, leading zeros, a bare point or an exponent
+    read as the plain number."""
+    code, out, _ = run_cli(capsys, "analytic", option, text)
+    assert code == 0
+    assert out == run_cli(capsys, "analytic", option, str(value))[1]
+
+
 @pytest.mark.parametrize("command, option", [("sweep", "--sizes"), ("analytic", "--muls")])
 @pytest.mark.parametrize("value, token", [("0", "'0'"), ("-4", "'-4'"), ("4,x", "'x'"), ("4,,8", "''")])
 def test_list_options_are_checked_before_any_output(capsys, tmp_path, command, option, value, token):

@@ -24,36 +24,32 @@ from adipsim.tiling import MatMulJob, plan, run_tiled
 
 def stepped_run_tiled(job, overlap_weights, mac_stages, reduce_stages, trace):
     """Traced `run_tiled` as the plan's slot map lays it out, one clock at a
-    time: the job's column tiles, counted matrix by matrix, in runs of
-    `per` to each of the `virtual` weight fields of a word, zero tiles past
-    the last; each (j, k) tile of words interleaved from those tiles, then
-    loaded and streamed on `SteppedArray`, j outer, k inner. Returns
-    (outputs, total cycles)."""
+    time: the job's matrices side by side, P columns each, zero-padded to
+    `virtual` runs of W = per * n columns, run v in weight field v of a
+    word; each (j, k) tile of words interleaved from column tile j of every
+    run, then loaded and streamed on `SteppedArray`, j outer, k inner.
+    Returns (outputs, total cycles)."""
     n = job.n
     m_dim, k_dim, p_dim = job.shape
     the_plan = plan(job)
-    tm, tk, tp, per = the_plan.tm, the_plan.tk, the_plan.tp, the_plan.per
+    tm, tk, per, virtual = the_plan.tm, the_plan.tk, the_plan.per, the_plan.virtual
+    width = per * n
     a_pad = np.zeros((tm * n, tk * n), dtype=np.int64)
     a_pad[:m_dim, :k_dim] = job.a
-    w_pad = np.zeros((len(job.weights), tk * n, tp * n), dtype=np.int64)
+    side = np.zeros((tk * n, virtual * width), dtype=np.int64)
     for t, w in enumerate(job.weights):
-        w_pad[t, :k_dim, :p_dim] = w
-    accum = np.zeros((len(job.weights), tm * n, tp * n), dtype=np.int64)
-    mode = PrecisionMode(job.precision, the_plan.virtual)
-    sim = SteppedArray(n, mode, mac_stages, reduce_stages, overlap_weights, trace)
-    tiles_in_use = len(job.weights) * tp
+        side[:k_dim, t * p_dim : (t + 1) * p_dim] = w
+    accum = np.zeros((tm * n, virtual * width), dtype=np.int64)
+    sim = SteppedArray(n, PrecisionMode(job.precision, virtual), mac_stages, reduce_stages, overlap_weights, trace)
     for j in range(per):
-        # (matrix, column tile) of each field, None for a zero tile
-        slots = [divmod(v * per + j, tp) if v * per + j < tiles_in_use else None for v in range(mode.nw)]
+        fields = [slice(v * width + j * n, v * width + (j + 1) * n) for v in range(virtual)]
         for k in range(tk):
             rows = slice(k * n, (k + 1) * n)
-            tiles = [np.zeros((n, n)) if s is None else w_pad[s[0], rows, s[1] * n : (s[1] + 1) * n] for s in slots]
-            sim.load_weights(permute(interleave(tiles, job.precision.weight_bits)))
+            sim.load_weights(permute(interleave([side[rows, c] for c in fields], job.precision.weight_bits)))
             for i, _, outs in sim.stream(a_pad[:, rows]):
-                for s, out in zip(slots, outs):
-                    if s is not None:
-                        accum[s[0], i, s[1] * n : (s[1] + 1) * n] += out
-    return list(accum[:, :m_dim, :p_dim]), sim.cycle
+                for c, out in zip(fields, outs):
+                    accum[i, c] += out
+    return [accum[:m_dim, t * p_dim : (t + 1) * p_dim] for t in range(len(job.weights))], sim.cycle
 
 
 def _outcome(run, sink):

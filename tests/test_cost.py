@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import grouped_run_tiled
+from reference import grouped_run_tiled, tile_packed_run_tiled
 
 from adipsim.cost import (
     ADIP_POWER_BY_SIZE,
@@ -47,10 +47,15 @@ COST_REPORTS_SHA256 = "87347a14c3aba844ca05a198b2b15cfe1c8ed5eb6fc0f6d4d0f0c33df
 # after every one of those runs matched the per-cycle stepper of
 # tests/test_closed_form.py (outputs, cycles, trace bytes, overflow) and,
 # at 2^31, the oracle.
-RUNS_SHA256 = "03d3ebd6ddc1a0965d8723c445e71f9b1f9901760db2b66b00a7ee15aaadf9e6"
-# The same configs under the schedule that fused separate matrices r at a
-# time (`reference.grouped_run_tiled`): 92 overflows. Packed words hold more
-# non-zero fields, so the lowered limits trip more often; at 2^31 the
+RUNS_SHA256 = "8b4e11f44ef3c131f809bb95fdf1c7f0ff5c7e8eb90f812690a4b955dfadd304"
+# The same configs under the schedule that packed whole column tiles
+# (`reference.tile_packed_run_tiled`): 100 overflows. Whether a run reaches
+# a lowered limit depends on which weights share a word, and the two
+# packings pair a ragged matrix's columns differently.
+TILE_PACKED_RUNS_SHA256 = "03d3ebd6ddc1a0965d8723c445e71f9b1f9901760db2b66b00a7ee15aaadf9e6"
+# Under the schedule that fused separate matrices r at a time
+# (`reference.grouped_run_tiled`): 92 overflows, fewer than under
+# tile-level packing, whose words hold more non-zero fields; at 2^31 the
 # overflow gate reads no weight and nothing changes.
 GROUPED_RUNS_SHA256 = "2a7bb6ade0b4078e72d373a3f3ff2d09a85b07a8bca424b86bf18aa84c94a2f5"
 # Its digest of the overflow-edge runs (every mode, n = 1..8, all values at
@@ -408,7 +413,11 @@ def test_cost_reports_match_the_pinned_digest():
 def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
-    assert _fingerprint().run_digest(100, 0) == (600, 100, RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0) == (600, 92, RUNS_SHA256)
+
+
+def test_tile_packed_schedule_keeps_its_run_digest():
+    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 100, TILE_PACKED_RUNS_SHA256)
 
 
 def test_grouped_schedule_keeps_the_old_run_digest():

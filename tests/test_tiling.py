@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import tile_packed_run_tiled
 
 from adipsim.analytic import AnalyticParams, tile_latency
 from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
@@ -302,16 +303,17 @@ def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision
     dims=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
     seed=st.integers(0, 2**32 - 1),
 )
-# one W2 matrix of 5 column tiles in three virtual matrices of 2, the last
-# half zero; three W4 matrices of 3 tiles in two of 5, the second matrix
-# across both, at M = 0; and nine W2 matrices with P = 0
+# one W2 matrix of 9 columns in three virtual matrices of 4, the last with
+# one real column; three W4 matrices of 6 columns in two of 10, the second
+# matrix across both, at M = 0; and nine W2 matrices with P = 0
 @example(mode=(Precision.W2, 1), n=2, dims=(3, 3, 9), seed=1)
 @example(mode=(Precision.W4, 3), n=2, dims=(0, 4, 6), seed=2)
 @example(mode=(Precision.W2, 9), n=1, dims=(2, 2, 0), seed=3)
 def test_packed_plan_fills_every_weight_field(mode, n, dims, seed):
     """Any small job with 1 to 2r + 1 matrices, zero M, K or P included:
-    its column tiles fill at most r virtual matrices, each holding a real
-    tile; it takes tk * ceil(nw * tp / r) passes, never more than the
+    its columns fill at most r virtual matrices, each holding a real
+    column; it takes tk * ceil(nw * P / (r * n)) passes, never more than
+    the tk * ceil(nw * tp / r) of packing whole column tiles or the
     tk * tp * ceil(nw / r) of fusing whole matrices r at a time; its
     outputs equal the oracle's and are separate, also where a matrix spans
     virtual matrices; and traced and untraced runs take the same cycles."""
@@ -319,9 +321,11 @@ def test_packed_plan_fills_every_weight_field(mode, n, dims, seed):
     job = _random_job(np.random.default_rng(seed), precision, nw, n, dims)
     the_plan = plan(job)
     tk, tp, per, virtual = the_plan.tk, the_plan.tp, the_plan.per, the_plan.virtual
-    assert the_plan.pass_count == tk * ceil_div(nw * tp, precision.r) <= tk * tp * ceil_div(nw, precision.r)
-    if tp:  # each virtual matrix holds a real column tile
-        assert virtual <= precision.r and (virtual - 1) * per < nw * tp <= virtual * per
+    p, r = dims[2], precision.r
+    assert the_plan.pass_count == tk * ceil_div(nw * p, r * n)
+    assert the_plan.pass_count <= tk * ceil_div(nw * tp, r) <= tk * tp * ceil_div(nw, r)
+    if p:  # each virtual matrix holds a real column
+        assert virtual <= r and (virtual - 1) * per * n < nw * p <= virtual * per * n
     result = run_tiled(job)
     traced = run_tiled(job, trace=io.StringIO())
     assert result.pass_count == traced.pass_count == the_plan.pass_count
@@ -332,6 +336,52 @@ def test_packed_plan_fills_every_weight_field(mode, n, dims, seed):
         before = [out.copy() for out in result.outputs]
         result.outputs[t][...] = 1 << 40
         assert all(np.array_equal(out, was) for u, (out, was) in enumerate(zip(result.outputs, before)) if u != t)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    mode=st.sampled_from(list(Precision)).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 2 * p.r + 1))),
+    n=st.integers(2, 6),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3), st.integers(0, 5)),
+    stages=st.tuples(st.booleans(), st.integers(1, 3), st.integers(0, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# six W2 matrices of 10 columns on 4 x 4: 60 columns in 4 passes a
+# reduction tile, where whole column tiles (three a matrix) take 5
+@example(mode=(Precision.W2, 6), n=4, shape=(3, 5, 2, 2), stages=(True, 1, 0), seed=4)
+def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, stages, seed):
+    """Jobs of 1 to 2r + 1 matrices with P = q * n + s, s < n, mostly
+    ragged: each pass offers r * n output-column slots per reduction tile,
+    and the job takes exactly tk * ceil(nw * P / (r * n)) passes, never
+    more than the tk * ceil(nw * tp / r) of packing whole column tiles and
+    equal to it when nw = 1 or n divides P, where the trace is that
+    schedule's byte for byte. Outputs equal the oracle's, and the traced and
+    untraced clocks are `TiledPlan.cycles`."""
+    precision, nw = mode
+    m, k, q, s = shape
+    p = q * n + s % n
+    overlap, mac_stages, extra = stages
+    kwargs = {
+        "overlap_weights": overlap,
+        "mac_stages": mac_stages,
+        "reduce_stages": precision.reducer_stages + extra,
+    }
+    job = _random_job(np.random.default_rng(seed), precision, nw, n, (m, k, p))
+    the_plan = plan(job)
+    r, tk = precision.r, the_plan.tk
+    sinks = io.StringIO(), io.StringIO()
+    result = run_tiled(job, **kwargs)
+    traced = run_tiled(job, trace=sinks[0], **kwargs)
+    tile_packed = tile_packed_run_tiled(job, trace=sinks[1], **kwargs)
+    assert the_plan.pass_count == tk * ceil_div(nw * p, r * n) == result.pass_count == traced.pass_count
+    assert tile_packed.pass_count == tk * ceil_div(nw * ceil_div(p, n), r) >= the_plan.pass_count
+    if nw == 1 or p % n == 0:
+        assert tile_packed.pass_count == the_plan.pass_count
+        assert sinks[0].getvalue() == sinks[1].getvalue()
+    clock = the_plan.cycles(overlap, mac_stages, kwargs["reduce_stages"])
+    assert result.total_cycles == traced.total_cycles == clock
+    for got, via_trace, want in zip(result.outputs, traced.outputs, oracle_matmul(job), strict=True):
+        assert np.array_equal(got, want) and np.array_equal(via_trace, want)
 
 
 @st.composite
@@ -440,11 +490,12 @@ def test_plan_counts():
 
 
 def test_a_job_runs_on_one_array(monkeypatch):
-    """A 5-matrix W2 job at n = 4, two column tiles each, packs its ten
-    column tiles into four virtual matrices of three, the last with two
-    zero tiles. It runs on one `ArraySim` of the job's precision: its trace
-    has one header, and its clock runs on across the passes to the job's
-    cycle count."""
+    """A 5-matrix W2 job at n = 4, five columns each, packs its 25 columns
+    into four virtual matrices of two column tiles, the last with seven
+    zero columns: 2 passes per reduction tile, where whole column tiles
+    (two per matrix) would take 3. It runs on one `ArraySim` of the job's
+    precision: its trace has one header, and its clock runs on across the
+    passes to the job's cycle count."""
     rng = np.random.default_rng(5)
     n = 4
     job = _random_job(rng, Precision.W2, 5, n, dims=(6, 7, 5))
@@ -459,8 +510,8 @@ def test_a_job_runs_on_one_array(monkeypatch):
     trace = io.StringIO()
     result = run_tiled(job, overlap_weights=False, trace=trace)
     assert built == [(n, Precision.W2)]
-    assert (plan(job).per, plan(job).virtual) == (3, 4)
-    assert result.pass_count == 2 * 3
+    assert (plan(job).per, plan(job).virtual) == (2, 4)
+    assert result.pass_count == 2 * 2
     clocks = stream_cycles(n, 2 * n, 1, 0)
     assert result.total_cycles == result.pass_count * (load_cycles(n, False) + clocks)
     header, *lines = trace.getvalue().splitlines()

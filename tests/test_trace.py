@@ -4,9 +4,11 @@ The first sha256 and line count below were taken from the per-cycle trace
 writer that formatted and wrote one cycle at a time, under the schedule
 that fused separate matrices r at a time; `reference.grouped_run_tiled`
 replays that schedule, and the pass-buffered writer must reproduce them
-exactly. The second pair pins `run_tiled`'s column-block packed schedule
-on the same jobs; it was taken after the same runs matched the per-cycle
-stepper of tests/test_closed_form.py byte for byte, and the oracle.
+exactly. The second pair pins the column-block schedule that packed
+whole column tiles (`reference.tile_packed_run_tiled`) on the same jobs,
+and the third `run_tiled`'s column-level packing; each was taken after the
+same runs matched the per-cycle stepper of tests/test_closed_form.py byte
+for byte, and the oracle.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import grouped_run_tiled
+from reference import grouped_run_tiled, tile_packed_run_tiled
 
 from adipsim import array
 from adipsim.array import ArraySim
@@ -39,9 +41,13 @@ PINNED_CASES = [
 PINNED_SHA256 = "063fbdd5db07fa37b6f223f0efb74063c9fe2b9b5d4c14511162da6e82e1661c"
 PINNED_LINES = 7968
 # Cases 3, 7 and 8 leave weight fields empty under the grouped schedule;
-# packed, they take fewer passes.
-PACKED_SHA256 = "52b2caecd7aac1e4af49cc33a98b8a4748c0527b1eafaf1421e7fad006bffc81"
-PACKED_LINES = 7045
+# packed by column tiles, they take fewer passes.
+TILE_PACKED_SHA256 = "52b2caecd7aac1e4af49cc33a98b8a4748c0527b1eafaf1421e7fad006bffc81"
+TILE_PACKED_LINES = 7045
+# Cases 1, 3, 4 and 6 hold more than one matrix whose P is not a multiple
+# of n; packed by columns, they pad no tile per matrix.
+PACKED_SHA256 = "a6ab040feced692523e493b03c1dc06be01a85c7085af7b7b379c3506ccd635e"
+PACKED_LINES = 6421
 
 
 def _job(rng, precision, nw, n, dims):
@@ -89,6 +95,10 @@ def test_grouped_schedule_keeps_the_old_trace_pin():
     """The engine and trace writer are unchanged: under the schedule they
     were pinned with, the same jobs give the same bytes."""
     assert _pinned_digest(grouped_run_tiled) == (PINNED_SHA256, PINNED_LINES)
+
+
+def test_tile_packed_schedule_keeps_its_trace_pin():
+    assert _pinned_digest(tile_packed_run_tiled) == (TILE_PACKED_SHA256, TILE_PACKED_LINES)
 
 
 @pytest.mark.parametrize("block_cycles", [2, 3, 5])

@@ -11,9 +11,10 @@ and 2^12, so the small limits make many runs overflow. The digest covers
 every run's outputs with their dtype, its cycles and passes, or its
 overflow message, and the sha256 of its trace text. The digest therefore
 fixes `run_tiled`'s schedule too: column-block packing (every pass fills
-the r weight fields of a word) moved it. `run_digest` takes the run
-function, so the same configs can go through another schedule, such as
-the grouped one that `tests/reference.py` replays for the older pin.
+the r weight fields of a word) moved it, and so did packing by columns
+rather than whole column tiles. `run_digest` takes the run function, so
+the same configs can go through another schedule, such as the grouped or
+tile-packed ones that `tests/reference.py` replays for the older pins.
 
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
