@@ -7,7 +7,7 @@ from .array import ArraySim
 from .cost import Arch, CostParams, StageCost, stage_latency, summary
 from .numerics import mul2, recompose, split_subwords
 from .pe import PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
-from .preprocess import PackedGrid, Precision, PrecisionMode, prepare_weights, unprepare_weights
+from .preprocess import PackedGrid, Precision, prepare_weights, unprepare_weights
 from .tiling import MatMulJob, TiledPlan, TiledResult, oracle_matmul, plan, run_tiled
 from .workload import MhaConfig, Stage, StageSpec, breakdown, builtin_models, get_model, stages, total_ops
 
@@ -24,7 +24,6 @@ __all__ = [
     "PhaseError",
     "PsumOverflowError",
     "Precision",
-    "PrecisionMode",
     "Stage",
     "StageCost",
     "StageSpec",

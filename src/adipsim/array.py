@@ -69,7 +69,7 @@ from .pe import PhaseError, PsumOverflowError
 # Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
 # the benchmark change of ROADMAP item 3 deletes it.
 from .pe import weight_slots  # noqa: F401
-from .preprocess import PackedGrid, Precision, PrecisionMode, _rotated, check_tiles, decode_slots
+from .preprocess import PackedGrid, Precision, _rotated, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -289,10 +289,10 @@ def _field(words: np.ndarray, bits: int, t: int) -> np.ndarray:
     return bit_fields(words >> (bits * t), bits, 1)[0].astype(np.float32)
 
 
-def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.ndarray:
-    """Each row of the M x K int8 input `a` times each of the nw weight
-    matrices held in the matrix-order uint8 `words` (K rows): one
-    (nw, M, columns) int64 block, matrix t at [t].
+def _group_outputs(grid: PackedGrid, a: np.ndarray) -> np.ndarray:
+    """Each row of the M x K int8 input `a` times each of the grid's nw
+    weight matrices, read from its matrix-order words (K rows of them):
+    one (nw, M, tp*n) int64 block, matrix t at [t].
 
     Each product of an 8-bit input and a w-bit weight field is at most
     2^(6+w) in magnitude, so `exact_matmuls` runs float32 matmuls over
@@ -300,9 +300,9 @@ def _group_outputs(words: np.ndarray, a: np.ndarray, mode: PrecisionMode) -> np.
     is decoded on its own, per chunk, so only one matrix's float32 weights
     are live at a time.
     """
-    bits, words = mode.weight_bits, words[: a.shape[1]]
+    bits, words = grid.precision.weight_bits, grid.words[: a.shape[1]]
     return exact_matmuls(
-        a, lambda t, rows: _field(words[rows], bits, t), mode.nw, words.shape[1], 1 << (6 + bits)
+        a, lambda t, rows: _field(words[rows], bits, t), grid.nw, words.shape[1], 1 << (6 + bits)
     )
 
 
@@ -347,9 +347,9 @@ class ArraySim:
     def _check_fits(self, grid: PackedGrid) -> None:
         """ValueError unless `grid` holds tiles of this array's precision
         and size."""
-        if (grid.mode.precision, grid.n) != (self.precision, self.n):
+        if (grid.precision, grid.n) != (self.precision, self.n):
             raise ValueError(
-                f"{grid.mode.precision.name} tiles of size {grid.n} on a "
+                f"{grid.precision.name} tiles of size {grid.n} on a "
                 f"{self.precision.name} array of size {self.n}"
             )
 
@@ -471,7 +471,6 @@ class ArraySim:
         otherwise no slot is decoded. Either way the clock advances by each
         pass's load and stream cycles.
         """
-        check_tiles(grid)
         self._check_fits(grid)
         n, window = self.n, self.n + self.mac_stages
         tk, tp = grid.tk, grid.tp
@@ -495,4 +494,4 @@ class ArraySim:
             slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(dtype)
             self._run(slots, feed, load, check)
         self.cycle += tk * tp * (load + steps)
-        return _group_outputs(grid.words, a, grid.mode).transpose(1, 0, 2)
+        return _group_outputs(grid, a).transpose(1, 0, 2)

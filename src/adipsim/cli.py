@@ -1,7 +1,8 @@
 """Command-line frontend: analytic sweeps, simulator runs, workload reports.
 
 Matrix files are plain text: a header line `rows cols width`, then the
-row-major signed decimal elements separated by whitespace.
+row-major signed decimal elements separated by whitespace. `simulate` and
+`interleave` read their matrices from files or generate them, never both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import analytic, cost, tiling, workload
 from .preprocess import (
     Precision,
-    PrecisionMode,
+    check_mode,
     check_packable,
     prepare_weights,
     read_packed,
@@ -68,15 +69,23 @@ def read_matrix(path: str) -> tuple[np.ndarray, int]:
     return check_signed(matrix, width, f"{path}: element"), width
 
 
-def _read_weights(paths: list[str], precision: Precision) -> list[np.ndarray]:
-    """Read weight matrix files no wider than the precision's weight width."""
+def _read_matrices(paths: list[str], bits: int) -> list[np.ndarray]:
+    """Read matrix files whose declared width is at most `bits`."""
     matrices = []
     for path in paths:
         matrix, width = read_matrix(path)
-        if width > precision.weight_bits:
-            raise ValueError(f"{path} is {width}-bit, mode allows {precision.weight_bits}")
+        if width > bits:
+            raise ValueError(f"{path} is {width}-bit, mode allows {bits}")
         matrices.append(matrix)
     return matrices
+
+
+def _check_no_generation_options(args: argparse.Namespace, names: tuple[str, ...], files: str) -> None:
+    """ValueError naming each option of `names` that is given: with matrix
+    `files`, the files give the matrices, and those options only generate them."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be given with {files}")
 
 
 def write_matrix(matrix: np.ndarray, width: int, fh: IO[str]) -> None:
@@ -151,17 +160,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("simulate: --a and --b must be given together", file=sys.stderr)
         return 2
     if args.a:
-        a, a_width = read_matrix(args.a)
-        if a_width != ACT_BITS:
-            print(f"simulate: input matrix must be 8-bit, got {a_width}", file=sys.stderr)
-            return 2
-        weights = _read_weights(args.b, precision)
+        _check_no_generation_options(args, ("nw", "m", "k", "p", "seed"), "--a/--b")
+        [a] = _read_matrices([args.a], ACT_BITS)
+        weights = _read_matrices(args.b, precision.weight_bits)
     else:
-        rng = _rng(args.seed)
+        rng = _rng(args.seed or 0)
         m, k, p = (2 * n if v is None else v for v in (args.m, args.k, args.p))
         a = _random_acts(rng, m, k)
         weights = [
-            _random_weights(rng, k, p, precision.weight_bits) for _ in range(args.nw)
+            _random_weights(rng, k, p, precision.weight_bits) for _ in range(args.nw or 1)
         ]
 
     job = tiling.MatMulJob(a=a, weights=weights, precision=precision, n=n)
@@ -245,29 +252,17 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 def cmd_interleave(args: argparse.Namespace) -> int:
     precision = Precision.from_name(args.mode)
-    mode = PrecisionMode(precision, args.nw)
     n = args.size
     if args.infile:
-        matrices = _read_weights(args.infile, precision)
-        if len(matrices) != mode.nw:
-            print(
-                f"interleave: mode expects {mode.nw} matrices, got {len(matrices)}",
-                file=sys.stderr,
-            )
-            return 2
+        _check_no_generation_options(args, ("nw", "rows", "cols", "seed"), "--in")
+        matrices = _read_matrices(args.infile, precision.weight_bits)
     else:
-        rng = _rng(args.seed)
+        nw = check_mode(precision, args.nw or 1)  # before generating nw matrices
+        rng = _rng(args.seed or 0)
         rows, cols = (n if v is None else v for v in (args.rows, args.cols))
-        matrices = [
-            _random_weights(rng, rows, cols, precision.weight_bits)
-            for _ in range(mode.nw)
-        ]
+        matrices = [_random_weights(rng, rows, cols, precision.weight_bits) for _ in range(nw)]
 
-    grid = prepare_weights(matrices, mode, n)
-    if not (grid.tk and grid.tp):
-        k_dim, p_dim = matrices[0].shape
-        print(f"interleave: {k_dim}x{p_dim} matrices fill no tile to pack", file=sys.stderr)
-        return 2
+    grid = prepare_weights(matrices, precision, n)
     check_packable(grid)  # before the output file is created
     with open(args.out, "wb") as fh:
         write_packed(grid, fh)
@@ -333,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run matrices through the cycle simulator and check them")
     p.add_argument("--size", type=_positive_int, default=8, help="array dimension n")
     p.add_argument("--mode", default="w8", choices=("w8", "w4", "w2"))
-    p.add_argument("--nw", type=_positive_int, default=1, help="number of weight matrices")
+    p.add_argument("--nw", type=_positive_int, help="number of generated weight matrices (default 1)")
     p.add_argument("--m", type=_positive_int, help="input rows (default 2n)")
     p.add_argument("--k", type=_positive_int, help="shared dimension (default 2n)")
     p.add_argument("--p", type=_positive_int, help="output columns (default 2n)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="generator seed (default 0)")
     p.add_argument("--a", help="input matrix file (text format)")
     p.add_argument("--b", action="append", default=[], help="weight matrix file, repeatable")
     p.add_argument("--trace", help="write a per-cycle PE trace CSV here")
@@ -356,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interleave", help="permute and pack weight matrices, dump the tiles")
     p.add_argument("--size", type=_positive_int, default=4, help="array dimension n")
     p.add_argument("--mode", default="w8", choices=("w8", "w4", "w2"))
-    p.add_argument("--nw", type=_positive_int, default=1)
+    p.add_argument("--nw", type=_positive_int, help="number of generated matrices (default 1)")
     p.add_argument("--rows", type=_positive_int, help="generated matrix rows (default n)")
     p.add_argument("--cols", type=_positive_int, help="generated matrix cols (default n)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="generator seed (default 0)")
     p.add_argument("--in", dest="infile", action="append", help="weight matrix file, repeatable")
     p.add_argument("--out", required=True, help="packed binary output path")
     p.add_argument("--verify", action="store_true", help="read back and round-trip check")

@@ -18,8 +18,10 @@ tiles. The rotation is applied only where a tile's position matters, at the
 array and at the file: `PackedGrid.rotated_tiles` gives the tiles as the
 array loads them, `write_packed` stores them so, and `read_packed`
 un-rotates them once. `unprepare_weights` and the array's group outputs
-decode the matrix-order words directly. Every function that reads a grid
-takes a `PackedGrid` and rejects one with no tiles.
+decode the matrix-order words directly. A grid carries the computation
+mode, its precision and matrix count nw, and is checked when it is built:
+a grid with no tiles, or with nw outside 1..r, cannot be built, so no
+reader of a grid checks it again.
 """
 
 from __future__ import annotations
@@ -68,23 +70,13 @@ class Precision(Enum):
         return cls(int(key[1]))
 
 
-@dataclass(frozen=True)
-class PrecisionMode:
-    """Operating point: weight precision plus the active matrix count nw <= r."""
-
-    precision: Precision
-    nw: int = 1
-
-    def __post_init__(self) -> None:
-        check_type(self.precision, Precision, "precision")
-        if not 1 <= check_size(self.nw, "nw", least=None) <= self.precision.r:
-            raise ValueError(
-                f"nw={self.nw} invalid for {self.precision.name} (1..{self.precision.r})"
-            )
-
-    @property
-    def weight_bits(self) -> int:
-        return self.precision.weight_bits
+def check_mode(precision: Precision, nw) -> int:
+    """nw as an int when `precision` is a `Precision` whose words hold nw
+    matrices (1..r); ValueError otherwise."""
+    check_type(precision, Precision, "precision")
+    if not 1 <= check_size(nw, "nw", least=None) <= precision.r:
+        raise ValueError(f"nw={nw} invalid for {precision.name} (1..{precision.r})")
+    return int(nw)
 
 
 def _rotated(tiles: np.ndarray, step: int = 1) -> np.ndarray:
@@ -140,9 +132,10 @@ def decode_slots(words, precision: Precision) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PackedGrid:
     """The packed words of one fused group, validated when it is built: nw
-    K x P weight matrices, interleaved and zero-padded to a tk x tp grid of
-    n x n tiles, as one (tk*n, tp*n) uint8 array in matrix order. Word
-    (i, c) holds weight (i, c) of every matrix; no tile is rotated.
+    K x P weight matrices of `precision`, interleaved and zero-padded to a
+    tk x tp grid of n x n tiles, as one (tk*n, tp*n) uint8 array in matrix
+    order. Word (i, c) holds weight (i, c) of every matrix; no tile is
+    rotated. A grid holds at least one tile, and nw is 1..r.
 
     `len(grid)` is tk, and iterating a grid gives the rows of
     `rotated_tiles()`, each a (tp, n, n) array of tiles as the array loads
@@ -150,18 +143,22 @@ class PackedGrid:
     """
 
     words: np.ndarray
-    mode: PrecisionMode
+    precision: Precision
+    nw: int
     n: int
     tk: int = field(init=False)
     tp: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nw", check_mode(self.precision, self.nw))
         object.__setattr__(self, "n", check_size(self.n, "tile size"))
         words = self.words
         if not isinstance(words, np.ndarray) or words.dtype != np.uint8 or words.ndim != 2 or any(
             size % self.n for size in words.shape
         ):
             raise ValueError(f"packed grid words must be 2-D uint8 in whole {self.n}x{self.n} tiles")
+        if not words.size:
+            raise ValueError("empty tile grid")
         object.__setattr__(self, "tk", words.shape[0] // self.n)
         object.__setattr__(self, "tp", words.shape[1] // self.n)
 
@@ -179,49 +176,44 @@ class PackedGrid:
         return _rotated(self.words.reshape(self.tk, n, self.tp, n).swapaxes(1, 2))
 
 
-def check_tiles(grid: PackedGrid) -> None:
-    """ValueError when `grid` has no tiles (K or P was 0)."""
-    if not (grid.tk and grid.tp):
-        raise ValueError("empty tile grid")
-
-
-def prepare_weights(matrices: Sequence[np.ndarray], mode: PrecisionMode, n: int) -> PackedGrid:
-    """Pack nw K x P matrices for an n x n array.
+def prepare_weights(matrices: Sequence[np.ndarray], precision: Precision, n: int) -> PackedGrid:
+    """Pack the nw = len(matrices) K x P matrices, 1..r of them, for an
+    n x n array.
 
     The matrices' fields are interleaved into words in matrix order,
     zero-padded up to multiples of n; `PackedGrid.rotated_tiles` rotates
-    them into the tiles the array loads. The grid has no tiles when K or P is 0. The matrices are
-    range-checked and read as int8 (see `numerics.to_int8`), so int8
-    matrices are packed as they are, and 8-bit ones are not scanned.
+    them into the tiles the array loads. K = 0 or P = 0 fills no tile and
+    raises ValueError. The matrices are range-checked and read as int8
+    (see `numerics.to_int8`), so int8 matrices are packed as they are, and
+    8-bit ones are not scanned.
     """
     n = check_size(n, "tile size")
-    if len(matrices) != mode.nw:
-        raise ValueError(f"mode expects {mode.nw} matrices, got {len(matrices)}")
+    check_mode(precision, len(matrices))  # before packing: field r would shift out of the uint8 word
     mats = [np.asarray(m) for m in matrices]
     shape = mats[0].shape
     if len(shape) != 2:
         raise ValueError(f"weight matrices must be 2-D, got shape {shape}")
     if any(m.shape != shape for m in mats):
         raise ValueError("all weight matrices must share one K x P shape")
-    mats = [to_int8(m, mode.weight_bits, "weight") for m in mats]
     k_dim, p_dim = shape
+    if not (k_dim and p_dim):
+        raise ValueError(f"{k_dim}x{p_dim} matrices fill no tile")
+    mats = [to_int8(m, precision.weight_bits, "weight") for m in mats]
     words = np.zeros((ceil_div(k_dim, n) * n, ceil_div(p_dim, n) * n), dtype=np.uint8)
-    _pack_fields(mats, mode.weight_bits, words[:k_dim, :p_dim])
-    return PackedGrid(words, mode, n)
+    _pack_fields(mats, precision.weight_bits, words[:k_dim, :p_dim])
+    return PackedGrid(words, precision, len(mats), n)
 
 
 def unprepare_weights(grid: PackedGrid) -> list[np.ndarray]:
     """Inverse of `prepare_weights`: the nw int64 weight matrices of a
     tk x tp packed grid, still zero-padded to tk*n x tp*n."""
-    check_tiles(grid)
-    return list(bit_fields(grid.words, grid.mode.weight_bits, grid.mode.nw).astype(np.int64))
+    return list(bit_fields(grid.words, grid.precision.weight_bits, grid.nw).astype(np.int64))
 
 
 def check_packable(grid: PackedGrid) -> None:
-    """ValueError when the grid has no tiles, or when its tile size or a
-    grid dimension does not fit its 16-bit header field; call it before
-    creating the file that `write_packed` fills."""
-    check_tiles(grid)
+    """ValueError when the grid's tile size or a grid dimension does not
+    fit its 16-bit header field; call it before creating the file that
+    `write_packed` fills."""
     for name, value in (("tile size n", grid.n), ("grid rows", grid.tk), ("grid cols", grid.tp)):
         if value > _HEADER_U16_MAX:
             raise ValueError(f"{name} {value} exceeds the packed-file limit of {_HEADER_U16_MAX}")
@@ -232,7 +224,7 @@ def write_packed(grid: PackedGrid, fh: BinaryIO) -> None:
     the array loads it, tiles in row-major order. Nothing is written when
     `check_packable` rejects the grid."""
     check_packable(grid)
-    fh.write(_HEADER.pack(PACKED_MAGIC, grid.n, grid.mode.weight_bits, grid.mode.nw, grid.tk, grid.tp))
+    fh.write(_HEADER.pack(PACKED_MAGIC, grid.n, grid.precision.weight_bits, grid.nw, grid.tk, grid.tp))
     fh.write(grid.rotated_tiles().tobytes())
 
 
@@ -258,8 +250,7 @@ def read_packed(fh: BinaryIO) -> PackedGrid:
     magic, n, weight_bits, nw, rows, cols = _HEADER.unpack(header)
     if magic != PACKED_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
-    mode = PrecisionMode(Precision.from_bits(weight_bits), nw)
-    if n == 0 or rows == 0 or cols == 0:
-        raise ValueError(f"empty packed-weight grid: {rows}x{cols} tiles of {n}x{n}")
+    precision = Precision.from_bits(weight_bits)
+    check_mode(precision, nw)  # from the header alone, before any payload is read
     tiles = np.frombuffer(_read_exactly(fh, rows * cols * n * n), dtype=np.uint8).reshape(rows, cols, n, n)
-    return PackedGrid(_rotated(tiles, -1).swapaxes(1, 2).reshape(rows * n, cols * n), mode, n)
+    return PackedGrid(_rotated(tiles, -1).swapaxes(1, 2).reshape(rows * n, cols * n), precision, nw, n)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .array import ArraySim, load_cycles, resolve_stages, stream_cycles
 from .numerics import ACT_BITS, ceil_div, check_size, check_type, exact_matmuls, to_int8
-from .preprocess import Precision, PrecisionMode, prepare_weights
+from .preprocess import Precision, prepare_weights
 
 
 @dataclass
@@ -224,7 +224,7 @@ def run_tiled(
         side = np.zeros((k_dim, the_plan.virtual * width), dtype=np.int8)
         np.concatenate(job.weights, axis=1, out=side[:, : len(job.weights) * p_dim])
         matrices = [side[:, v * width : (v + 1) * width] for v in range(the_plan.virtual)]
-    grid = prepare_weights(matrices, PrecisionMode(job.precision, the_plan.virtual), n)
+    grid = prepare_weights(matrices, job.precision, n)
     products = sim.stream_grid(grid, job.a)  # (M, virtual, width)
     outputs = []
     for t in range(len(job.weights)):

@@ -26,7 +26,7 @@ from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, resolve_stages, stream_cycles
 from adipsim.numerics import PSUM_BITS, ceil_div, check_signed
 from adipsim.pe import PhaseError, PsumOverflowError, group_multiply
-from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights
+from adipsim.preprocess import Precision, decode_slots, prepare_weights
 from adipsim.tiling import TiledResult
 
 
@@ -112,11 +112,11 @@ STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 class SteppedArray:
     """One clock at a time: the reference for `ArraySim`'s registers."""
 
-    def __init__(self, n, mode, mac_stages=1, reduce_stages=None, overlap_weights=False, trace=None):
+    def __init__(self, n, precision, nw, mac_stages=1, reduce_stages=None, overlap_weights=False, trace=None):
         self.n = n
-        self.mode = mode
+        self.precision, self.nw = precision, nw
         self.mac_stages = mac_stages
-        self.reduce_stages = resolve_stages(mode.precision, mac_stages, reduce_stages)
+        self.reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
         self.overlap_weights = overlap_weights
         self.cycle = 0
         self.trace = trace
@@ -131,12 +131,12 @@ class SteppedArray:
         self.stage1 = np.zeros((2, n), dtype=np.int64)
         self.stage2 = np.zeros(n, dtype=np.int64)
         self.pre = deque(np.zeros((4, n), dtype=np.int64) for _ in range(self.mac_stages - 1))
-        extra = self.reduce_stages - self.mode.precision.reducer_stages
+        extra = self.reduce_stages - self.precision.reducer_stages
         self.out_hist = deque(maxlen=extra + 1)
 
     def load_weights(self, words):
         """Take an n x n tile of words, rotated as the array loads it."""
-        self.slots = decode_slots(words, self.mode.precision).astype(np.int64)
+        self.slots = decode_slots(words, self.precision).astype(np.int64)
         self._reset()
         self.cycle += load_cycles(self.n, self.overlap_weights)
 
@@ -173,7 +173,7 @@ class SteppedArray:
         return self.out_hist[0]
 
     def _tap(self):
-        precision, nw = self.mode.precision, self.mode.nw
+        precision, nw = self.precision, self.nw
         if precision is Precision.W8:
             return [self.stage2]
         if precision is Precision.W4:
@@ -203,14 +203,14 @@ def grouped_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=Non
     `ArraySim` for the whole job. A group leaves a weight field empty when
     it holds fewer than r matrices, so a job takes tk * tp * ceil(nw / r)
     passes."""
-    m_dim, _, p_dim = job.shape
+    m_dim, k_dim, p_dim = job.shape
     r = job.precision.r
     sim = ArraySim(job.n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
     outputs, passes = [], 0
     for base in range(0, len(job.weights), r):
         group = job.weights[base : base + r]
-        grid = prepare_weights(group, PrecisionMode(job.precision, len(group)), job.n)
-        if grid.tk and grid.tp:
+        if k_dim and p_dim:
+            grid = prepare_weights(group, job.precision, job.n)
             products = sim.stream_grid(grid, job.a)
             passes += grid.tk * grid.tp
         else:  # K = 0 or P = 0 has no passes
@@ -238,7 +238,7 @@ def tile_packed_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages
     for t, w in enumerate(job.weights):
         side[:, t * stride : t * stride + p_dim] = w
     matrices = [side[:, v * width : (v + 1) * width] for v in range(virtual)]
-    grid = prepare_weights(matrices, PrecisionMode(job.precision, virtual), n)
+    grid = prepare_weights(matrices, job.precision, n)
     row = sim.stream_grid(grid, job.a).reshape(m_dim, virtual * width)  # the side-by-side columns
     outputs = [row[:, t * stride : t * stride + p_dim] for t in range(nw)]
     return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=tk * per)

@@ -12,7 +12,7 @@ from adipsim.array import ArraySim
 from adipsim.cost import Arch, CostParams, stage_latency, summary
 from adipsim.numerics import mul2, split_subwords
 from adipsim.pe import combine_groups, group_multiply
-from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
+from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 from adipsim.workload import (
     BERT_LARGE,
@@ -23,13 +23,13 @@ from adipsim.workload import (
 )
 
 MODE_CONFIGS = [
-    PrecisionMode(Precision.W8, 1),
-    PrecisionMode(Precision.W4, 1),
-    PrecisionMode(Precision.W4, 2),
-    PrecisionMode(Precision.W2, 1),
-    PrecisionMode(Precision.W2, 2),
-    PrecisionMode(Precision.W2, 3),
-    PrecisionMode(Precision.W2, 4),
+    (Precision.W8, 1),
+    (Precision.W4, 1),
+    (Precision.W4, 2),
+    (Precision.W2, 1),
+    (Precision.W2, 2),
+    (Precision.W2, 3),
+    (Precision.W2, 4),
 ]
 
 
@@ -56,8 +56,8 @@ def test_c01_oracle_equivalence_property():
     jobs_per_config = 36
     checked = 0
     for n in sizes:
-        for mode in MODE_CONFIGS:
-            lo, hi = _weight_range(mode.weight_bits)
+        for precision, nw in MODE_CONFIGS:
+            lo, hi = _weight_range(precision.weight_bits)
             for j in range(jobs_per_config):
                 if j % 3 == 0:  # force non-multiples of the array size
                     m, k, p = (
@@ -68,13 +68,13 @@ def test_c01_oracle_equivalence_property():
                     m, k, p = (int(v) for v in rng.integers(1, 2 * n + 4, 3))
                 job = MatMulJob(
                     a=rng.integers(-128, 128, size=(m, k)),
-                    weights=[rng.integers(lo, hi + 1, size=(k, p)) for _ in range(mode.nw)],
-                    precision=mode.precision,
+                    weights=[rng.integers(lo, hi + 1, size=(k, p)) for _ in range(nw)],
+                    precision=precision,
                     n=n,
                 )
                 result = run_tiled(job)
                 for got, want in zip(result.outputs, oracle_matmul(job)):
-                    assert np.array_equal(got, want), (n, mode, (m, k, p))
+                    assert np.array_equal(got, want), (n, precision, nw, (m, k, p))
                 checked += 1
     elapsed = time.monotonic() - started
     assert checked >= 1000
@@ -116,9 +116,8 @@ def test_c03_cycle_fidelity_across_sizes():
     rng = np.random.default_rng(7)
     for n in (4, 8, 16, 32, 64):
         for precision in Precision:
-            mode = PrecisionMode(precision, 1)
             lo, hi = _weight_range(precision.weight_bits)
-            grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
+            grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], precision, n)
             sim = ArraySim(n, precision, overlap_weights=True)  # no load cycles
             sim.load_weights(grid)
             start = sim.cycle
@@ -222,11 +221,11 @@ def test_c11_preprocessing_round_trip_bulk():
     rng = np.random.default_rng(99)
     total = 10_000
     for i in range(total):
-        mode = MODE_CONFIGS[i % len(MODE_CONFIGS)]
+        precision, nw = MODE_CONFIGS[i % len(MODE_CONFIGS)]
         n = int(rng.integers(1, 9))
-        lo, hi = _weight_range(mode.weight_bits)
-        mats = [rng.integers(lo, hi + 1, size=(n, n)) for _ in range(mode.nw)]
-        words = prepare_weights(mats, mode, n).rotated_tiles()[0, 0]
-        for matrix, tile in zip(mats, deinterleave(words, mode.weight_bits, mode.nw)):
+        lo, hi = _weight_range(precision.weight_bits)
+        mats = [rng.integers(lo, hi + 1, size=(n, n)) for _ in range(nw)]
+        words = prepare_weights(mats, precision, n).rotated_tiles()[0, 0]
+        for matrix, tile in zip(mats, deinterleave(words, precision.weight_bits, nw)):
             assert np.array_equal(inverse_permute(tile), matrix)
     _report(11, f"{total} random tiles round-trip losslessly across all modes")

@@ -17,7 +17,7 @@ from adipsim.analytic import (
     write_sweep_csv,
 )
 from adipsim.array import ArraySim
-from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
+from adipsim.preprocess import Precision, prepare_weights
 
 
 @pytest.mark.parametrize(
@@ -145,11 +145,11 @@ def test_model_matches_simulator_measurement(weight_bits, mac_stages):
     latency must equal the cycle simulator's measured latency exactly."""
     rng = np.random.default_rng(weight_bits)
     n = 8
-    mode = PrecisionMode(Precision.from_bits(weight_bits), 1)
+    precision = Precision.from_bits(weight_bits)
     lo = -(1 << (weight_bits - 1))
     hi = (1 << (weight_bits - 1)) - 1
-    grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], mode, n)
-    sim = ArraySim(n, mode.precision, mac_stages=mac_stages, overlap_weights=True)  # no load cycles
+    grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], precision, n)
+    sim = ArraySim(n, precision, mac_stages=mac_stages, overlap_weights=True)  # no load cycles
     sim.load_weights(grid)
     start = sim.cycle
     sim.stream(rng.integers(-128, 128, (n, n)))

@@ -8,29 +8,24 @@ from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim
 from adipsim.numerics import check_signed
 from adipsim.pe import PhaseError, PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
+from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import TiledPlan
 
 MODE_CONFIGS = [
-    PrecisionMode(Precision.W8, 1),
-    PrecisionMode(Precision.W4, 1),
-    PrecisionMode(Precision.W4, 2),
-    PrecisionMode(Precision.W2, 1),
-    PrecisionMode(Precision.W2, 2),
-    PrecisionMode(Precision.W2, 3),
-    PrecisionMode(Precision.W2, 4),
+    (Precision.W8, 1),
+    (Precision.W4, 1),
+    (Precision.W4, 2),
+    (Precision.W2, 1),
+    (Precision.W2, 2),
+    (Precision.W2, 3),
+    (Precision.W2, 4),
 ]
 
 
-def _random_weights(rng, mode, shape):
-    lo = -(1 << (mode.weight_bits - 1))
-    hi = (1 << (mode.weight_bits - 1)) - 1
-    return [rng.integers(lo, hi + 1, size=shape) for _ in range(mode.nw)]
-
-
-def _single_tile(mode, weights, n):
-    """The one-tile grid of n x n weights."""
-    return prepare_weights(weights, mode, n)
+def _random_weights(rng, precision, nw, shape):
+    lo = -(1 << (precision.weight_bits - 1))
+    hi = (1 << (precision.weight_bits - 1)) - 1
+    return [rng.integers(lo, hi + 1, size=shape) for _ in range(nw)]
 
 
 def _run_tile(sim, packed, a_tile):
@@ -55,22 +50,23 @@ def _traced_registers(text, n):
 def test_identity_input_reproduces_weight_rows():
     rng = np.random.default_rng(0)
     n = 4
-    mode = PrecisionMode(Precision.W8, 1)
+    precision = Precision.W8
     w = rng.integers(-128, 128, size=(n, n))
-    sim = ArraySim(n, mode.precision)
-    outputs, _ = _run_tile(sim, _single_tile(mode, [w], n), np.eye(n, dtype=np.int64))
+    sim = ArraySim(n, precision)
+    outputs, _ = _run_tile(sim, prepare_weights([w], precision, n), np.eye(n, dtype=np.int64))
     assert np.array_equal(outputs[0], w)
 
 
 @pytest.mark.parametrize("mode", MODE_CONFIGS)
 def test_single_tile_matches_plain_matmul(mode):
-    rng = np.random.default_rng(mode.weight_bits * 10 + mode.nw)
+    precision, nw = mode
+    rng = np.random.default_rng(precision.weight_bits * 10 + nw)
     n = 4
     a = rng.integers(-128, 128, size=(n, n))
-    weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode.precision)
-    outputs, _ = _run_tile(sim, _single_tile(mode, weights, n), a)
-    assert len(outputs) == mode.nw
+    weights = _random_weights(rng, precision, nw, (n, n))
+    sim = ArraySim(n, precision)
+    outputs, _ = _run_tile(sim, prepare_weights(weights, precision, n), a)
+    assert len(outputs) == nw
     for got, w in zip(outputs, weights):
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
 
@@ -78,18 +74,19 @@ def test_single_tile_matches_plain_matmul(mode):
 @pytest.mark.parametrize(
     "mode, expected_latency",
     [
-        (PrecisionMode(Precision.W8, 1), 9),  # 2n + S + E - 2 with E = 2
-        (PrecisionMode(Precision.W4, 2), 8),  # E = 1
-        (PrecisionMode(Precision.W2, 4), 7),  # E = 0
+        ((Precision.W8, 1), 9),  # 2n + S + E - 2 with E = 2
+        ((Precision.W4, 2), 8),  # E = 1
+        ((Precision.W2, 4), 7),  # E = 0
     ],
 )
 def test_tile_latency_and_emission_schedule(mode, expected_latency):
+    precision, nw = mode
     rng = np.random.default_rng(1)
     n = 4
     a = rng.integers(-128, 128, size=(n, n))
-    weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode.precision, overlap_weights=True)
-    outputs, latency = _run_tile(sim, _single_tile(mode, weights, n), a)
+    weights = _random_weights(rng, precision, nw, (n, n))
+    sim = ArraySim(n, precision, overlap_weights=True)
+    outputs, latency = _run_tile(sim, prepare_weights(weights, precision, n), a)
     assert latency == expected_latency
     for got, w in zip(outputs, weights):
         assert np.array_equal(got, a.astype(np.int64) @ w)
@@ -100,11 +97,11 @@ def test_whole_output_row_valid_on_one_cycle():
     its single emission cycle is already the complete, exact result row."""
     rng = np.random.default_rng(2)
     n = 8
-    mode = PrecisionMode(Precision.W4, 2)
+    precision, nw = Precision.W4, 2
     a = rng.integers(-128, 128, size=(n, n))
-    weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode.precision)
-    sim.load_weights(_single_tile(mode, weights, n))
+    weights = _random_weights(rng, precision, nw, (n, n))
+    sim = ArraySim(n, precision)
+    sim.load_weights(prepare_weights(weights, precision, n))
     for row, a_row in zip(sim.stream(a), a):
         for t, w in enumerate(weights):
             assert np.array_equal(row[t], a_row.astype(np.int64) @ w)
@@ -112,10 +109,10 @@ def test_whole_output_row_valid_on_one_cycle():
 
 def test_diagonal_movement_visits_one_pe_per_row():
     n = 5
-    mode = PrecisionMode(Precision.W8, 1)
+    precision = Precision.W8
     sink = io.StringIO()
-    sim = ArraySim(n, mode.precision, trace=sink)
-    sim.load_weights(_single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n))
+    sim = ArraySim(n, precision, trace=sink)
+    sim.load_weights(prepare_weights([np.zeros((n, n), dtype=np.int64)], precision, n))
     marker, col0 = 99, 2
     first_row = np.zeros((1, n), dtype=np.int64)
     first_row[0, col0] = marker
@@ -136,21 +133,21 @@ def test_streaming_before_load_rejected():
 
 
 def test_load_weight_validation():
-    mode = PrecisionMode(Precision.W8, 1)
-    tile = _single_tile(mode, [np.zeros((4, 4), dtype=np.int64)], 4)
+    precision = Precision.W8
+    tile = prepare_weights([np.zeros((4, 4), dtype=np.int64)], precision, 4)
     with pytest.raises(ValueError):
-        ArraySim(8, mode.precision).load_weights(tile)  # size mismatch
+        ArraySim(8, precision).load_weights(tile)  # size mismatch
     with pytest.raises(ValueError):
         ArraySim(4, Precision.W4).load_weights(tile)  # mode mismatch
     for shape in ((5, 4), (4, 5), (0, 4)):  # a grid of other than one tile
         with pytest.raises(ValueError):
-            ArraySim(4, mode.precision).load_weights(_single_tile(mode, [np.zeros(shape, dtype=np.int64)], 4))
+            ArraySim(4, precision).load_weights(prepare_weights([np.zeros(shape, dtype=np.int64)], precision, 4))
 
 
 def test_stream_validates_rows():
-    mode = PrecisionMode(Precision.W8, 1)
-    sim = ArraySim(4, mode.precision)
-    sim.load_weights(_single_tile(mode, [np.zeros((4, 4), dtype=np.int64)], 4))
+    precision = Precision.W8
+    sim = ArraySim(4, precision)
+    sim.load_weights(prepare_weights([np.zeros((4, 4), dtype=np.int64)], precision, 4))
     with pytest.raises(ValueError):
         sim.stream(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError):
@@ -159,20 +156,20 @@ def test_stream_validates_rows():
 
 def test_all_ones_tile():
     n = 4
-    mode = PrecisionMode(Precision.W8, 1)
+    precision = Precision.W8
     ones = np.ones((n, n), dtype=np.int64)
-    sim = ArraySim(n, mode.precision)
-    outputs, _ = _run_tile(sim, _single_tile(mode, [ones], n), ones)
+    sim = ArraySim(n, precision)
+    outputs, _ = _run_tile(sim, prepare_weights([ones], precision, n), ones)
     assert (outputs[0] == n).all()
 
 
 def test_zero_weights_give_zero_outputs():
     rng = np.random.default_rng(3)
     n = 4
-    mode = PrecisionMode(Precision.W2, 4)
-    sim = ArraySim(n, mode.precision)
-    zeros = [np.zeros((n, n), dtype=np.int64)] * 4
-    outputs, _ = _run_tile(sim, _single_tile(mode, zeros, n), rng.integers(-128, 128, (n, n)))
+    precision = Precision.W2
+    sim = ArraySim(n, precision)
+    zeros = [np.zeros((n, n), dtype=np.int64)] * precision.r
+    outputs, _ = _run_tile(sim, prepare_weights(zeros, precision, n), rng.integers(-128, 128, (n, n)))
     for out in outputs:
         assert not out.any()
 
@@ -180,11 +177,11 @@ def test_zero_weights_give_zero_outputs():
 def test_reload_clears_previous_psums():
     rng = np.random.default_rng(4)
     n = 4
-    mode = PrecisionMode(Precision.W8, 1)
-    sim = ArraySim(n, mode.precision)
-    _run_tile(sim, _single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
+    precision = Precision.W8
+    sim = ArraySim(n, precision)
+    _run_tile(sim, prepare_weights([rng.integers(-128, 128, (n, n))], precision, n), rng.integers(-128, 128, (n, n)))
     outputs, _ = _run_tile(
-        sim, _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n), rng.integers(-128, 128, (n, n))
+        sim, prepare_weights([np.zeros((n, n), dtype=np.int64)], precision, n), rng.integers(-128, 128, (n, n))
     )
     assert not outputs[0].any()
 
@@ -194,34 +191,34 @@ def test_back_to_back_rows_stream_continuously():
     total latency is R + n + S + E - 2 for R = 2n rows."""
     rng = np.random.default_rng(5)
     n = 4
-    mode = PrecisionMode(Precision.W8, 1)
+    precision = Precision.W8
     a = rng.integers(-128, 128, size=(2 * n, n))
     w = rng.integers(-128, 128, size=(n, n))
-    sim = ArraySim(n, mode.precision, overlap_weights=True)
-    outputs, latency = _run_tile(sim, _single_tile(mode, [w], n), a)
+    sim = ArraySim(n, precision, overlap_weights=True)
+    outputs, latency = _run_tile(sim, prepare_weights([w], precision, n), a)
     assert latency == 2 * n + n + 1 + 2 - 2
     assert np.array_equal(outputs[0], a.astype(np.int64) @ w)
 
 
 def test_weight_load_cycle_accounting():
-    n, mode = 4, PrecisionMode(Precision.W8, 1)
-    tile = _single_tile(mode, [np.zeros((n, n), dtype=np.int64)], n)
+    n, precision = 4, Precision.W8
+    tile = prepare_weights([np.zeros((n, n), dtype=np.int64)], precision, n)
     rows = np.zeros((n, n), dtype=np.int64)
-    serial = ArraySim(n, mode.precision)
+    serial = ArraySim(n, precision)
     assert _run_tile(serial, tile, rows)[1] == n + 2 * n + 1 + 2 - 2  # one tile row per cycle
-    overlapped = ArraySim(n, mode.precision, overlap_weights=True)
+    overlapped = ArraySim(n, precision, overlap_weights=True)
     assert _run_tile(overlapped, tile, rows)[1] == 2 * n + 1 + 2 - 2
 
 
 def test_extra_mac_stage_delays_but_stays_exact():
     rng = np.random.default_rng(6)
     n = 4
-    for mode in (PrecisionMode(Precision.W8, 1), PrecisionMode(Precision.W2, 2)):
+    for precision, nw in ((Precision.W8, 1), (Precision.W2, 2)):
         a = rng.integers(-128, 128, size=(n, n))
-        weights = _random_weights(rng, mode, (n, n))
-        sim = ArraySim(n, mode.precision, mac_stages=2, overlap_weights=True)
-        outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
-        assert cycles == 2 * n + 2 + mode.precision.reducer_stages - 2
+        weights = _random_weights(rng, precision, nw, (n, n))
+        sim = ArraySim(n, precision, mac_stages=2, overlap_weights=True)
+        outputs, cycles = _run_tile(sim, prepare_weights(weights, precision, n), a)
+        assert cycles == 2 * n + 2 + precision.reducer_stages - 2
         for got, w in zip(outputs, weights):
             assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
 
@@ -229,11 +226,11 @@ def test_extra_mac_stage_delays_but_stays_exact():
 def test_reduce_stage_override():
     rng = np.random.default_rng(7)
     n = 4
-    mode = PrecisionMode(Precision.W4, 2)
+    precision, nw = Precision.W4, 2
     a = rng.integers(-128, 128, size=(n, n))
-    weights = _random_weights(rng, mode, (n, n))
-    sim = ArraySim(n, mode.precision, reduce_stages=3, overlap_weights=True)
-    outputs, cycles = _run_tile(sim, _single_tile(mode, weights, n), a)
+    weights = _random_weights(rng, precision, nw, (n, n))
+    sim = ArraySim(n, precision, reduce_stages=3, overlap_weights=True)
+    outputs, cycles = _run_tile(sim, prepare_weights(weights, precision, n), a)
     assert cycles == 2 * n + 1 + 3 - 2
     for got, w in zip(outputs, weights):
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
@@ -263,10 +260,10 @@ def test_pipeline_depths_are_integers_in_range(stages, match):
 def test_trace_records_every_pe_every_cycle():
     rng = np.random.default_rng(8)
     n = 3
-    mode = PrecisionMode(Precision.W8, 1)
+    precision = Precision.W8
     buf = io.StringIO()
-    sim = ArraySim(n, mode.precision, trace=buf)
-    _run_tile(sim, _single_tile(mode, [rng.integers(-128, 128, (n, n))], n), rng.integers(-128, 128, (n, n)))
+    sim = ArraySim(n, precision, trace=buf)
+    _run_tile(sim, prepare_weights([rng.integers(-128, 128, (n, n))], precision, n), rng.integers(-128, 128, (n, n)))
     lines = buf.getvalue().splitlines()
     assert lines[0] == TRACE_HEADER
     steps = 2 * n + 1 + 2 - 2
@@ -278,25 +275,25 @@ def test_vectorized_grid_matches_pe_objects():
     with a grid of individually stepped PE models wired the same way."""
     rng = np.random.default_rng(9)
     n = 3
-    mode = PrecisionMode(Precision.W2, 3)
-    weights = _random_weights(rng, mode, (n, n))
-    packed = _single_tile(mode, weights, n)
+    precision, nw = Precision.W2, 3
+    weights = _random_weights(rng, precision, nw, (n, n))
+    packed = prepare_weights(weights, precision, n)
     a = rng.integers(-128, 128, size=(n, n))
 
     sink = io.StringIO()
-    sim = ArraySim(n, mode.precision, overlap_weights=True, trace=sink)
+    sim = ArraySim(n, precision, overlap_weights=True, trace=sink)
     sim.load_weights(packed)
     sim.stream(a)
     traced = _traced_registers(sink.getvalue(), n)
 
-    grid = [[PE(mode.precision) for _ in range(n)] for _ in range(n)]
+    grid = [[PE(precision) for _ in range(n)] for _ in range(n)]
     for r in range(n):
         for c in range(n):
             grid[r][c].load_weight(int(permute(packed.words)[r, c]))
 
     inputs = [[0] * n for _ in range(n)]
     psums = [[(0, 0, 0, 0)] * n for _ in range(n)]
-    steps = 2 * n + 1 + mode.precision.reducer_stages - 2
+    steps = 2 * n + 1 + precision.reducer_stages - 2
     assert len(traced) == steps
     for s in range(steps):
         row_in = a[s] if s < n else np.zeros(n, dtype=np.int64)

@@ -175,6 +175,71 @@ def test_simulate_from_files(capsys, tmp_path):
     assert "5x6 . 6x7" in out and "PASS" in out
 
 
+def _write_matrix_file(path, matrix, width):
+    with open(path, "w") as fh:
+        write_matrix(np.asarray(matrix), width, fh)
+    return str(path)
+
+
+def test_simulate_takes_an_input_file_of_any_width(capsys, tmp_path):
+    """An input file is read by the weight files' rule, width at most 8: a
+    4-bit header holds valid 8-bit inputs."""
+    a = _write_matrix_file(tmp_path / "a.txt", [[-8, 7], [3, 0]], 4)
+    b = _write_matrix_file(tmp_path / "b.txt", [[1, -2], [0, 1]], 2)
+    code, out, err = run_cli(capsys, "simulate", "--size", "2", "--mode", "w2", "--a", a, "--b", b)
+    assert (code, err) == (0, "")
+    assert "2x2 . 2x2 x1 matrices" in out and "PASS" in out
+
+
+def test_simulate_rejects_a_weight_file_wider_than_the_mode(capsys, tmp_path):
+    a = _write_matrix_file(tmp_path / "a.txt", [[1]], 8)
+    b = _write_matrix_file(tmp_path / "b.txt", [[1]], 8)
+    code, out, err = run_cli(capsys, "simulate", "--size", "2", "--mode", "w2", "--a", a, "--b", b)
+    assert (code, out) == (2, "")
+    assert err == f"adipsim: {b} is 8-bit, mode allows 2\n"
+
+
+@pytest.mark.parametrize("given", ["--a", "--b"])
+def test_simulate_takes_input_and_weight_files_together(capsys, tmp_path, given):
+    path = _write_matrix_file(tmp_path / "m.txt", [[1]], 8)
+    code, out, err = run_cli(capsys, "simulate", given, path)
+    assert (code, out) == (2, "")
+    assert err == "simulate: --a and --b must be given together\n"
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("simulate", "--nw", "2"),
+        ("simulate", "--m", "3"),
+        ("simulate", "--k", "3"),
+        ("simulate", "--p", "3"),
+        ("simulate", "--seed", "0"),
+        ("interleave", "--nw", "1"),
+        ("interleave", "--rows", "3"),
+        ("interleave", "--cols", "3"),
+        ("interleave", "--seed", "0"),
+    ],
+)
+def test_generation_options_are_rejected_with_matrix_files(capsys, tmp_path, command, option, value):
+    """With matrix files the files give the matrices and their count, so an
+    option that sizes, counts or seeds generated matrices is an error that
+    names it, even at its default value, and no output file is written."""
+    path = _write_matrix_file(tmp_path / "m.txt", [[1, 0], [0, 1]], 2)
+    out = tmp_path / "x.adip"
+    if command == "simulate":
+        argv = ("simulate", "--size", "2", "--mode", "w2", "--a", path, "--b", path)
+        files = "--a/--b"
+    else:
+        argv = ("interleave", "--size", "2", "--mode", "w2", "--in", path, "--out", str(out))
+        files = "--in"
+    code, text, err = run_cli(capsys, *argv, option, value)
+    assert (code, text) == (2, "")
+    assert err == f"adipsim: {option} cannot be given with {files}\n"
+    assert not out.exists()
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_simulate_trace_written(capsys, tmp_path):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(
@@ -532,6 +597,21 @@ def test_interleave_rejects_matrices_with_no_tiles(capsys, tmp_path, shape):
     assert text == ""
     assert f"{shape[0]}x{shape[1]} matrices fill no tile" in err
     assert not out.exists()
+
+
+def test_interleave_packs_as_many_matrices_as_files(capsys, tmp_path):
+    """Two --in files pack two matrices, with no --nw, and round-trip."""
+    first = _write_matrix_file(tmp_path / "w1.txt", [[1, -2, 0], [-1, 1, 1]], 2)
+    second = _write_matrix_file(tmp_path / "w2.txt", [[0, 1, -2], [1, -1, 0]], 2)
+    out = tmp_path / "w.adip"
+    code, text, err = run_cli(
+        capsys, "interleave", "--size", "2", "--mode", "w2", "--in", first, "--in", second,
+        "--out", str(out), "--verify",
+    )
+    assert (code, err) == (0, "")
+    assert text.startswith("packed 2 matrices 2x3 into 1x2 tiles of 2x2 words")
+    assert "PASS round trip" in text
+    assert out.read_bytes()[:10] == b"ADIP\x02\x00\x02\x02\x01\x00"
 
 
 def test_interleave_rejects_nw_above_r(capsys, tmp_path):

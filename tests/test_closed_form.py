@@ -18,7 +18,7 @@ from adipsim import array
 from adipsim.array import ArraySim
 from adipsim.numerics import ceil_div
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode, prepare_weights
+from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, plan, run_tiled
 
 
@@ -40,7 +40,7 @@ def stepped_run_tiled(job, overlap_weights, mac_stages, reduce_stages, trace):
     for t, w in enumerate(job.weights):
         side[:k_dim, t * p_dim : (t + 1) * p_dim] = w
     accum = np.zeros((tm * n, virtual * width), dtype=np.int64)
-    sim = SteppedArray(n, PrecisionMode(job.precision, virtual), mac_stages, reduce_stages, overlap_weights, trace)
+    sim = SteppedArray(n, job.precision, virtual, mac_stages, reduce_stages, overlap_weights, trace)
     for j in range(per):
         fields = [slice(v * width + j * n, v * width + (j + 1) * n) for v in range(virtual)]
         for k in range(tk):
@@ -84,7 +84,8 @@ def _stream_cases(draw):
     precision = draw(st.sampled_from(list(Precision)))
     n = draw(st.integers(1, 8))
     return {
-        "mode": PrecisionMode(precision, draw(st.integers(1, precision.r))),
+        "precision": precision,
+        "nw": draw(st.integers(1, precision.r)),
         "n": n,
         "mac_stages": draw(st.integers(1, 3)),
         "extra_reduce": draw(st.integers(0, 2)),
@@ -103,21 +104,23 @@ def _stream_cases(draw):
 def test_streams_match_the_stepper(cfg):
     """One-tile `stream` against the stepper loading the tile and streaming
     the same rows, zero-padded to whole row tiles, once per stream."""
-    mode, n = cfg["mode"], cfg["n"]
+    precision, n = cfg["precision"], cfg["n"]
     rng = np.random.default_rng(cfg["seed"])
-    weights = [_values(rng, (n, n), mode.weight_bits, cfg["full_scale"]) for _ in range(mode.nw)]
-    packed = prepare_weights(weights, mode, n)
+    weights = [_values(rng, (n, n), precision.weight_bits, cfg["full_scale"]) for _ in range(cfg["nw"])]
+    packed = prepare_weights(weights, precision, n)
     streams = [_values(rng, (rows, n), 8, cfg["full_scale"]) * (not quiet) for rows, quiet in cfg["streams"]]
     with pytest.MonkeyPatch.context() as patch:
         if cfg["limit"] is not None:
             patch.setattr(array, "_PSUM_LIMIT", cfg["limit"])
-        _check_streams(n, mode, cfg, packed, streams)
+        _check_streams(n, cfg, packed, streams)
 
 
-def _check_streams(n, mode, cfg, packed, streams):
-    stages = (cfg["mac_stages"], mode.precision.reducer_stages + cfg["extra_reduce"], cfg["overlap"])
+def _check_streams(n, cfg, packed, streams):
+    precision = cfg["precision"]
+    stages = (cfg["mac_stages"], precision.reducer_stages + cfg["extra_reduce"], cfg["overlap"])
     sinks = io.StringIO(), io.StringIO()
-    sim, ref = ArraySim(n, mode.precision, *stages, trace=sinks[0]), SteppedArray(n, mode, *stages, trace=sinks[1])
+    sim = ArraySim(n, precision, *stages, trace=sinks[0])
+    ref = SteppedArray(n, precision, cfg["nw"], *stages, trace=sinks[1])
     sim.load_weights(packed)
     for rows in streams:
 

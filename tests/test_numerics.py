@@ -17,7 +17,7 @@ from adipsim.numerics import (
     split_subwords,
     to_int8,
 )
-from adipsim.preprocess import PackedGrid, Precision, PrecisionMode, prepare_weights
+from adipsim.preprocess import PackedGrid, Precision, prepare_weights
 from adipsim.tiling import MatMulJob, TiledPlan
 
 
@@ -190,8 +190,8 @@ _SIZED = {
     "MatMulJob": lambda n: MatMulJob(np.zeros((1, 1)), [np.zeros((1, 1))], Precision.W8, n),
     "TiledPlan.from_shape": lambda n: TiledPlan.from_shape(1, 2, 3, 1, Precision.W8, n),
     "ArraySim": lambda n: ArraySim(n, Precision.W8),
-    "PackedGrid": lambda n: PackedGrid(np.zeros((4, 4), dtype=np.uint8), PrecisionMode(Precision.W8), n),
-    "prepare_weights": lambda n: prepare_weights([np.zeros((1, 1))], PrecisionMode(Precision.W8), n),
+    "PackedGrid": lambda n: PackedGrid(np.zeros((4, 4), dtype=np.uint8), Precision.W8, 1, n),
+    "prepare_weights": lambda n: prepare_weights([np.zeros((1, 1))], Precision.W8, n),
     "CostParams": lambda n: CostParams(n=n),
 }
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import struct
@@ -13,7 +14,6 @@ from adipsim.array import ArraySim
 from adipsim.preprocess import (
     PackedGrid,
     Precision,
-    PrecisionMode,
     prepare_weights,
     read_packed,
     unprepare_weights,
@@ -22,13 +22,13 @@ from adipsim.preprocess import (
 from adipsim.tiling import MatMulJob, TiledPlan, plan
 
 MODE_CONFIGS = [
-    PrecisionMode(Precision.W8, 1),
-    PrecisionMode(Precision.W4, 1),
-    PrecisionMode(Precision.W4, 2),
-    PrecisionMode(Precision.W2, 1),
-    PrecisionMode(Precision.W2, 2),
-    PrecisionMode(Precision.W2, 3),
-    PrecisionMode(Precision.W2, 4),
+    (Precision.W8, 1),
+    (Precision.W4, 1),
+    (Precision.W4, 2),
+    (Precision.W2, 1),
+    (Precision.W2, 2),
+    (Precision.W2, 3),
+    (Precision.W2, 4),
 ]
 
 
@@ -53,16 +53,28 @@ def test_precision_properties(precision, r, bits, stages):
 
 @pytest.mark.parametrize("precision, nw", [(Precision.W8, 2), (Precision.W4, 3), (Precision.W2, 5)])
 def test_mode_rejects_nw_above_r(precision, nw):
-    with pytest.raises(ValueError):
-        PrecisionMode(precision, nw)
+    """r + 1 matrices do not fit one word: neither a grid nor packing takes
+    them, and packing raises ValueError before any field is shifted."""
+    with pytest.raises(ValueError, match=f"nw={nw} invalid for {precision.name}"):
+        PackedGrid(np.zeros((1, 1), dtype=np.uint8), precision, nw, 1)
+    with pytest.raises(ValueError, match=f"nw={nw} invalid for {precision.name}"):
+        prepare_weights([np.zeros((1, 1), dtype=np.int64)] * nw, precision, 1)
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.name)
+def test_mode_rejects_no_matrices(precision):
+    with pytest.raises(ValueError, match=f"nw=0 invalid for {precision.name}"):
+        PackedGrid(np.zeros((1, 1), dtype=np.uint8), precision, 0, 1)
+    with pytest.raises(ValueError, match=f"nw=0 invalid for {precision.name}"):
+        prepare_weights([], precision, 1)
 
 
 @pytest.mark.parametrize("nw", [2.0, True], ids=repr)
 def test_mode_rejects_a_count_that_is_not_an_integer(nw):
     """A float or bool nw is not a matrix count, even one equal to an
-    integer, so no grid is packed for it."""
+    integer, so no grid is built with it."""
     with pytest.raises(ValueError, match=f"nw must be an integer, got {nw!r}"):
-        PrecisionMode(Precision.W2, nw)
+        PackedGrid(np.zeros((1, 1), dtype=np.uint8), Precision.W2, nw, 1)
 
 
 def test_precision_from_name():
@@ -83,12 +95,13 @@ def test_precision_from_bits_takes_integer_widths_only(bits):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda precision: PrecisionMode(precision),
+        lambda precision: PackedGrid(np.zeros((4, 4), dtype=np.uint8), precision, 1, 4),
+        lambda precision: prepare_weights([np.zeros((4, 4))], precision, 4),
         lambda precision: ArraySim(4, precision),
         lambda precision: TiledPlan.from_shape(4, 4, 4, 1, precision, 4),
         lambda precision: MatMulJob(np.zeros((4, 4)), [np.zeros((4, 4))], precision, 4),
     ],
-    ids=["PrecisionMode", "ArraySim", "TiledPlan.from_shape", "MatMulJob"],
+    ids=["PackedGrid", "prepare_weights", "ArraySim", "TiledPlan.from_shape", "MatMulJob"],
 )
 def test_a_precision_that_is_not_a_precision_raises_value_error(build, value):
     """Every entry point that takes a precision rejects anything else with
@@ -104,7 +117,7 @@ def test_permute_column_rotation():
     """A prepared tile, as the array loads it, has column j moved up by j."""
     n = 4
     w = np.fromfunction(lambda k, j: 10 * k + j, (n, n), dtype=int)
-    out = prepare_weights([w], PrecisionMode(Precision.W8, 1), n).rotated_tiles()[0, 0]
+    out = prepare_weights([w], Precision.W8, n).rotated_tiles()[0, 0]
     assert out[0].tolist() == [0, 11, 22, 33]
     k, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     assert np.array_equal(out, w[(k + j) % n, j])
@@ -113,14 +126,14 @@ def test_permute_column_rotation():
 
 def test_permute_identity_cases():
     for w in (np.array([[5]]), np.full((6, 6), -3)):
-        tile = prepare_weights([w], PrecisionMode(Precision.W8, 1), len(w)).rotated_tiles()[0, 0]
+        tile = prepare_weights([w], Precision.W8, len(w)).rotated_tiles()[0, 0]
         assert np.array_equal(tile.view(np.int8), w)
 
 
 def test_permute_is_bijection():
     rng = np.random.default_rng(3)
     tile = _random_tile(rng, 8, 8)
-    grid = prepare_weights([tile], PrecisionMode(Precision.W8, 1), 8)
+    grid = prepare_weights([tile], Precision.W8, 8)
     out = grid.rotated_tiles()[0, 0]
     assert sorted(out.ravel()) == sorted(grid.words.ravel())
     assert np.array_equal(inverse_permute(out), grid.words)
@@ -139,11 +152,11 @@ def test_permute_is_bijection():
 )
 def test_weight_tile_rejects_what_its_width_cannot_hold(values, width, message):
     with pytest.raises(ValueError, match=message):
-        prepare_weights([np.array(values)], PrecisionMode(Precision.from_bits(width)), 2)
+        prepare_weights([np.array(values)], Precision.from_bits(width), 2)
 
 
 def test_tiles_keep_integral_values_of_any_dtype():
-    grid = prepare_weights([np.array([[1.0, -8.0], [7.0, 0.0]])], PrecisionMode(Precision.W4), 2)
+    grid = prepare_weights([np.array([[1.0, -8.0], [7.0, 0.0]])], Precision.W4, 2)
     assert unprepare_weights(grid)[0].tolist() == [[1, -8], [7, 0]]
 
 
@@ -151,7 +164,7 @@ def test_tiles_keep_integral_values_of_any_dtype():
 
 
 def test_interleave_w4_byte_layout():
-    grid = prepare_weights([np.array([[3]]), np.array([[-2]])], PrecisionMode(Precision.W4, 2), 1)
+    grid = prepare_weights([np.array([[3]]), np.array([[-2]])], Precision.W4, 1)
     assert grid.words[0, 0] == 0xE3
     assert [m[0, 0] for m in unprepare_weights(grid)] == [3, -2]
 
@@ -159,50 +172,48 @@ def test_interleave_w4_byte_layout():
 def test_interleave_w8_is_twos_complement_passthrough():
     rng = np.random.default_rng(11)
     tile = _random_tile(rng, 4, 8)
-    grid = prepare_weights([tile], PrecisionMode(Precision.W8, 1), 4)
+    grid = prepare_weights([tile], Precision.W8, 4)
     assert np.array_equal(grid.words, tile.astype(np.uint8))
 
 
 def test_interleave_w2_three_matrices_top_slot_zero():
-    grid = prepare_weights([np.array([[v]]) for v in (1, -1, 0)], PrecisionMode(Precision.W2, 3), 1)
+    grid = prepare_weights([np.array([[v]]) for v in (1, -1, 0)], Precision.W2, 1)
     word = int(grid.words[0, 0])
     assert word & 0b11 == 0b01
     assert (word >> 2) & 0b11 == 0b11
     assert (word >> 4) & 0b11 == 0b00
     assert (word >> 6) & 0b11 == 0b00  # unused fourth field stays zero
-    full = unprepare_weights(PackedGrid(grid.words, PrecisionMode(Precision.W2, 4), 1))
+    full = unprepare_weights(PackedGrid(grid.words, Precision.W2, 4, 1))
     assert full[3][0, 0] == 0
 
 
 def test_interleave_validation():
-    zeros = np.zeros((2, 2), dtype=int)
     with pytest.raises(ValueError):
-        prepare_weights([zeros], PrecisionMode(Precision.W4, 2), 2)  # wrong count
+        prepare_weights([np.zeros((2, 2), dtype=int), np.zeros((3, 3), dtype=int)], Precision.W4, 2)
     with pytest.raises(ValueError):
-        prepare_weights([zeros, np.zeros((3, 3), dtype=int)], PrecisionMode(Precision.W4, 2), 2)
-    with pytest.raises(ValueError):
-        prepare_weights([np.full((2, 2), 8)], PrecisionMode(Precision.W4, 1), 2)  # an 8-bit weight
+        prepare_weights([np.full((2, 2), 8)], Precision.W4, 2)  # an 8-bit weight
 
 
 @pytest.mark.parametrize("mode", MODE_CONFIGS)
 def test_deinterleave_round_trip(mode):
     """The words of a prepared tile are the reference's interleave of its
     weights, and both decoders give the weights back."""
-    rng = np.random.default_rng(mode.nw * 10 + mode.weight_bits)
+    precision, nw = mode
+    rng = np.random.default_rng(nw * 10 + precision.weight_bits)
     for _ in range(20):
-        tiles = [_random_tile(rng, 5, mode.weight_bits) for _ in range(mode.nw)]
-        grid = prepare_weights(tiles, mode, 5)
-        assert np.array_equal(grid.words, interleave(tiles, mode.weight_bits))
-        for back in (unprepare_weights(grid), deinterleave(grid.words, mode.weight_bits, mode.nw)):
+        tiles = [_random_tile(rng, 5, precision.weight_bits) for _ in range(nw)]
+        grid = prepare_weights(tiles, precision, 5)
+        assert np.array_equal(grid.words, interleave(tiles, precision.weight_bits))
+        for back in (unprepare_weights(grid), deinterleave(grid.words, precision.weight_bits, nw)):
             for original, recovered in zip(tiles, back):
                 assert np.array_equal(original, recovered)
 
 
 def test_zero_tile_round_trip():
-    grid = prepare_weights([np.zeros((4, 4), dtype=int)], PrecisionMode(Precision.W2, 1), 4)
+    grid = prepare_weights([np.zeros((4, 4), dtype=int)], Precision.W2, 4)
     assert not grid.words.any()
     # inactive fields of a single-matrix pack decode to zero
-    full = unprepare_weights(PackedGrid(grid.words, PrecisionMode(Precision.W2, 4), 4))
+    full = unprepare_weights(PackedGrid(grid.words, Precision.W2, 4, 4))
     for tile in full[1:]:
         assert not tile.any()
 
@@ -213,7 +224,7 @@ def test_zero_tile_round_trip():
 def test_prepare_single_w8_tile_is_permuted_input():
     rng = np.random.default_rng(21)
     w = rng.integers(-128, 128, size=(4, 4))
-    grid = prepare_weights([w], PrecisionMode(Precision.W8, 1), 4)
+    grid = prepare_weights([w], Precision.W8, 4)
     assert (grid.tk, grid.tp) == (1, 1)
     assert np.array_equal(grid.rotated_tiles()[0, 0], permute(w).astype(np.uint8))
 
@@ -221,7 +232,7 @@ def test_prepare_single_w8_tile_is_permuted_input():
 def test_prepare_pads_with_zero_rows():
     rng = np.random.default_rng(22)
     w = rng.integers(-128, 128, size=(5, 4))
-    grid = prepare_weights([w], PrecisionMode(Precision.W8, 1), 4)
+    grid = prepare_weights([w], Precision.W8, 4)
     assert (grid.tk, grid.tp) == (2, 1)
     recovered = inverse_permute(deinterleave(grid.rotated_tiles()[1, 0], 8, 1)[0])
     assert np.array_equal(recovered[0], w[4])
@@ -230,20 +241,21 @@ def test_prepare_pads_with_zero_rows():
 
 @pytest.mark.parametrize("mode", MODE_CONFIGS)
 def test_prepare_round_trip_recovers_matrices(mode):
-    rng = np.random.default_rng(mode.nw + mode.weight_bits)
+    precision, nw = mode
+    rng = np.random.default_rng(nw + precision.weight_bits)
     n = 4
-    lo = -(1 << (mode.weight_bits - 1))
-    hi = (1 << (mode.weight_bits - 1)) - 1
+    lo = -(1 << (precision.weight_bits - 1))
+    hi = (1 << (precision.weight_bits - 1)) - 1
     for _ in range(10):
         k_dim, p_dim = (int(v) for v in rng.integers(1, 3 * n, 2))
-        mats = [rng.integers(lo, hi + 1, size=(k_dim, p_dim)) for _ in range(mode.nw)]
-        grid = prepare_weights(mats, mode, n)
+        mats = [rng.integers(lo, hi + 1, size=(k_dim, p_dim)) for _ in range(nw)]
+        grid = prepare_weights(mats, precision, n)
         assert (grid.tk, grid.tp) == (-(-k_dim // n), -(-p_dim // n))
         for t, matrix in enumerate(mats):
             recovered = np.zeros((grid.tk * n, grid.tp * n), dtype=np.int64)
             for k, row in enumerate(grid):
                 for j, tile in enumerate(row):
-                    unpacked = inverse_permute(deinterleave(tile, mode.weight_bits, mode.nw)[t])
+                    unpacked = inverse_permute(deinterleave(tile, precision.weight_bits, nw)[t])
                     recovered[k * n : (k + 1) * n, j * n : (j + 1) * n] = unpacked
             assert np.array_equal(recovered[:k_dim, :p_dim], matrix)
             assert not recovered[k_dim:, :].any()
@@ -252,10 +264,16 @@ def test_prepare_round_trip_recovers_matrices(mode):
 
 @pytest.mark.parametrize("k_dim, p_dim", [(0, 4), (4, 0), (0, 0), (5, 9)])
 def test_prepare_grid_matches_plan(k_dim, p_dim):
-    """Empty weights give the tk x tp tile grid that `plan` counts: none."""
+    """A grid has the tk x tp tiles that `plan` counts; empty weights fill
+    none, so `prepare_weights` rejects them and the plan takes no pass."""
     job = MatMulJob(np.zeros((4, k_dim)), [np.zeros((k_dim, p_dim))], Precision.W8, 4)
     the_plan = plan(job)
-    grid = prepare_weights(job.weights, PrecisionMode(Precision.W8, 1), 4)
+    if not (k_dim and p_dim):
+        with pytest.raises(ValueError, match=f"^{k_dim}x{p_dim} matrices fill no tile$"):
+            prepare_weights(job.weights, Precision.W8, 4)
+        assert the_plan.pass_count == 0
+        return
+    grid = prepare_weights(job.weights, Precision.W8, 4)
     assert len(grid) == the_plan.tk
     assert all(len(row) == the_plan.tp for row in grid)
 
@@ -264,16 +282,17 @@ def test_prepare_grid_matches_plan(k_dim, p_dim):
 def test_unprepare_inverts_prepare(mode):
     """Ragged K and P: the matrices come back exactly, zero-padded to whole
     tiles, also after a trip through the packed file format."""
-    rng = np.random.default_rng(40 + mode.nw + mode.weight_bits)
-    lo, hi = -(1 << (mode.weight_bits - 1)), (1 << (mode.weight_bits - 1)) - 1
+    precision, nw = mode
+    rng = np.random.default_rng(40 + nw + precision.weight_bits)
+    lo, hi = -(1 << (precision.weight_bits - 1)), (1 << (precision.weight_bits - 1)) - 1
     for n, k_dim, p_dim in [(1, 1, 3), (4, 5, 9), (4, 8, 4), (5, 7, 13)]:
-        mats = [rng.integers(lo, hi + 1, size=(k_dim, p_dim)) for _ in range(mode.nw)]
-        grid = prepare_weights(mats, mode, n)
+        mats = [rng.integers(lo, hi + 1, size=(k_dim, p_dim)) for _ in range(nw)]
+        grid = prepare_weights(mats, precision, n)
         buf = io.BytesIO()
         write_packed(grid, buf)
         buf.seek(0)
         for recovered in (unprepare_weights(grid), unprepare_weights(read_packed(buf))):
-            assert len(recovered) == mode.nw
+            assert len(recovered) == nw
             for got, want in zip(recovered, mats):
                 assert got.dtype == np.int64
                 assert got.shape == (-(-k_dim // n) * n, -(-p_dim // n) * n)
@@ -281,40 +300,44 @@ def test_unprepare_inverts_prepare(mode):
                 assert not got[k_dim:].any() and not got[:, p_dim:].any()
 
 
-def _empty_grid(k_dim, p_dim):
-    """The prepared W8 grid of a K x P matrix at n = 4; it has no tiles."""
-    return prepare_weights([np.zeros((k_dim, p_dim), dtype=np.int64)], PrecisionMode(Precision.W8, 1), 4)
+def _empty_grid(rows, cols):
+    """Build the W8 grid of a (rows, cols) block of packed words at n = 4;
+    it has no tiles, so building it raises."""
+    return PackedGrid(np.zeros((rows, cols), dtype=np.uint8), Precision.W8, 1, 4)
 
 
-EMPTY_GRIDS = [_empty_grid(0, 0), _empty_grid(0, 5), _empty_grid(5, 0)]
+EMPTY_GRIDS = [functools.partial(_empty_grid, rows, cols) for rows, cols in [(0, 0), (0, 8), (8, 0)]]
 
 
 @pytest.mark.parametrize("grid", EMPTY_GRIDS)
 def test_unprepare_rejects_empty_grids(grid):
-    with pytest.raises(ValueError, match="empty tile grid"):
-        unprepare_weights(grid)
+    """`unprepare_weights` never meets a grid with no tiles: it is
+    rejected when built."""
+    with pytest.raises(ValueError, match="^empty tile grid$"):
+        unprepare_weights(grid())
 
 
 def test_prepare_rejects_out_of_range_weights():
     with pytest.raises(ValueError):
-        prepare_weights([np.array([[2]])], PrecisionMode(Precision.W2, 1), 4)
+        prepare_weights([np.array([[2]])], Precision.W2, 4)
 
 
 def test_prepare_rejects_non_integral_weights():
     with pytest.raises(ValueError, match="weight not a finite integer"):
-        prepare_weights([np.array([[0.5]])], PrecisionMode(Precision.W8, 1), 4)
+        prepare_weights([np.array([[0.5]])], Precision.W8, 4)
 
 
 @pytest.mark.parametrize("mode", MODE_CONFIGS)
 def test_prepare_packs_int8_matrices_as_wide_ones_and_leaves_them(mode):
     """int8 matrices, whose word bits are a view of them, pack to the same
     words as int64 ones and come back unchanged."""
-    rng = np.random.default_rng(60 + mode.nw + mode.weight_bits)
-    lo = -(1 << (mode.weight_bits - 1))
-    wide = [rng.integers(lo, -lo, size=(7, 9)) for _ in range(mode.nw)]
+    precision, nw = mode
+    rng = np.random.default_rng(60 + nw + precision.weight_bits)
+    lo = -(1 << (precision.weight_bits - 1))
+    wide = [rng.integers(lo, -lo, size=(7, 9)) for _ in range(nw)]
     narrow = [w.astype(np.int8) for w in wide]
-    grid = prepare_weights(narrow, mode, 4)
-    assert np.array_equal(grid.words, prepare_weights(wide, mode, 4).words)
+    grid = prepare_weights(narrow, precision, 4)
+    assert np.array_equal(grid.words, prepare_weights(wide, precision, 4).words)
     assert all(np.array_equal(x, w) for x, w in zip(narrow, wide))
 
 
@@ -323,16 +346,15 @@ def test_prepare_packs_int8_matrices_as_wide_ones_and_leaves_them(mode):
 
 def test_packed_file_round_trip():
     rng = np.random.default_rng(5)
-    mode = PrecisionMode(Precision.W2, 3)
     mats = [rng.integers(-2, 2, size=(9, 6)) for _ in range(3)]
-    grid = prepare_weights(mats, mode, 4)
+    grid = prepare_weights(mats, Precision.W2, 4)
     buf = io.BytesIO()
     write_packed(grid, buf)
     assert buf.getvalue()[:4] == b"ADIP"
     assert len(buf.getvalue()) == 16 + 3 * 2 * 16
     buf.seek(0)
     loaded = read_packed(buf)
-    assert (loaded.tk, loaded.tp, loaded.mode) == (grid.tk, grid.tp, grid.mode)
+    assert (loaded.tk, loaded.tp, loaded.precision, loaded.nw) == (grid.tk, grid.tp, Precision.W2, 3)
     assert np.array_equal(loaded.words, grid.words)
 
 
@@ -346,6 +368,15 @@ def _packed_header(magic, n, bits, nw, rows, cols, pad=bytes(4)):
     return struct.pack("<4sHBBHH", magic, n, bits, nw, rows, cols) + pad
 
 
+def test_read_packed_rejects_a_bad_matrix_count_from_the_header():
+    """nw is checked before the payload is read: a header that claims
+    65 535^3 bytes fails on its nw, not on the missing payload."""
+    buf = io.BytesIO(_packed_header(b"ADIP", 65535, 2, 5, 65535, 1) + bytes(100))
+    with pytest.raises(ValueError, match=r"^nw=5 invalid for W2 \(1..4\)$"):
+        read_packed(buf)
+    assert buf.tell() == 16
+
+
 @pytest.mark.parametrize("n, rows, cols", [(0, 2, 2), (4, 0, 1), (4, 1, 0), (4, 0, 0)])
 def test_read_packed_rejects_empty_grids(n, rows, cols):
     buf = io.BytesIO(_packed_header(b"ADIP", n, 2, 1, rows, cols) + bytes(64))
@@ -355,8 +386,12 @@ def test_read_packed_rejects_empty_grids(n, rows, cols):
 
 @pytest.mark.parametrize("grid", EMPTY_GRIDS)
 def test_write_packed_rejects_empty_grids(grid):
-    with pytest.raises(ValueError, match="empty tile grid"):
-        write_packed(grid, io.BytesIO())
+    """`write_packed` never meets a grid with no tiles: it is rejected when
+    built, before any byte is written."""
+    buf = io.BytesIO()
+    with pytest.raises(ValueError, match="^empty tile grid$"):
+        write_packed(grid(), buf)
+    assert buf.getvalue() == b""
 
 
 @pytest.mark.parametrize(
@@ -367,7 +402,7 @@ def test_write_packed_rejects_grids_beyond_the_header(field, n, rows, cols):
     """n, grid rows and grid cols are u16 header fields: one above 65 535 is
     a ValueError naming it, raised before any byte is written. The words
     are a broadcast view, so the n = 65 536 tile allocates nothing."""
-    grid = PackedGrid(np.broadcast_to(np.uint8(0), (rows * n, cols * n)), PrecisionMode(Precision.W8, 1), n)
+    grid = PackedGrid(np.broadcast_to(np.uint8(0), (rows * n, cols * n)), Precision.W8, 1, n)
     sink = io.BytesIO()
     with pytest.raises(ValueError, match=f"{field} 65536"):
         write_packed(grid, sink)
@@ -375,7 +410,7 @@ def test_write_packed_rejects_grids_beyond_the_header(field, n, rows, cols):
 
 
 def test_write_packed_takes_the_largest_header_values():
-    grid = PackedGrid(np.full((1, (1 << 16) - 1), 7, dtype=np.uint8), PrecisionMode(Precision.W8, 1), 1)
+    grid = PackedGrid(np.full((1, (1 << 16) - 1), 7, dtype=np.uint8), Precision.W8, 1, 1)
     buf = io.BytesIO()
     write_packed(grid, buf)
     buf.seek(0)
@@ -399,12 +434,18 @@ PACKED_FILE_SHA256 = {
 def _pattern_weights(mode, k_dim, p_dim):
     """nw K x P matrices of in-range weights from a fixed formula, so the
     bytes do not depend on a random generator."""
-    w = mode.weight_bits
+    precision, nw = mode
+    w = precision.weight_bits
     cell = np.arange(k_dim * p_dim).reshape(k_dim, p_dim)
-    return [(cell * 37 + 11 * t + 5) % (1 << w) - (1 << (w - 1)) for t in range(mode.nw)]
+    return [(cell * 37 + 11 * t + 5) % (1 << w) - (1 << (w - 1)) for t in range(nw)]
 
 
-@pytest.mark.parametrize("mode", MODE_CONFIGS, ids=lambda m: f"{m.precision.name}x{m.nw}")
+def _mode_id(mode):
+    precision, nw = mode
+    return f"{precision.name}x{nw}"
+
+
+@pytest.mark.parametrize("mode", MODE_CONFIGS, ids=_mode_id)
 def test_packed_file_bytes_are_pinned(mode):
     """The file format itself, not only a round trip through writer and
     reader: at ragged K = 2n + 1 and P = 3n - 1 the files hash to fixed
@@ -412,9 +453,9 @@ def test_packed_file_bytes_are_pinned(mode):
     digest = hashlib.sha256()
     for n in (1, 4, 5):
         buf = io.BytesIO()
-        write_packed(prepare_weights(_pattern_weights(mode, 2 * n + 1, 3 * n - 1), mode, n), buf)
+        write_packed(prepare_weights(_pattern_weights(mode, 2 * n + 1, 3 * n - 1), mode[0], n), buf)
         digest.update(buf.getvalue())
-    assert digest.hexdigest() == PACKED_FILE_SHA256[f"{mode.precision.name}x{mode.nw}"]
+    assert digest.hexdigest() == PACKED_FILE_SHA256[_mode_id(mode)]
 
 
 @pytest.mark.parametrize("n, rows, cols", [(65535, 1, 1), (65535, 65535, 65535)])
@@ -450,7 +491,7 @@ def test_malformed_packed_grid_rejected_when_built(words, n):
     """A grid is checked when it is built, so no reader sees words of
     another dtype or rank, or words that are not whole n x n tiles."""
     with pytest.raises(ValueError):
-        PackedGrid(words, PrecisionMode(Precision.W8, 1), n)
+        PackedGrid(words, Precision.W8, 1, n)
 
 
 @st.composite
@@ -486,22 +527,23 @@ def test_read_packed_yields_a_grid_or_value_error(data):
     assert written[:12] == data[:12] and written[12:16] == bytes(4)
     assert 16 < len(written) <= len(data) and written[16:] == data[16 : len(written)]
     again = read_packed(io.BytesIO(written))
-    assert again.mode == grid.mode and np.array_equal(again.words, grid.words)
+    assert (again.precision, again.nw) == (grid.precision, grid.nw) and np.array_equal(again.words, grid.words)
 
 
-@pytest.mark.parametrize("mode", MODE_CONFIGS, ids=lambda m: f"{m.precision.name}x{m.nw}")
+@pytest.mark.parametrize("mode", MODE_CONFIGS, ids=_mode_id)
 @pytest.mark.parametrize("n, m, k, p", [(1, 3, 2, 5), (4, 5, 7, 6), (4, 0, 9, 3), (3, 2, 3, 3), (8, 1, 17, 9)])
 def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k, p):
     """An untraced `ArraySim.stream_grid` of a whole group is the input
     times the weights that `unprepare_weights` recovers from the same grid,
     cut to the input's K: for every mode, at n = 1, with ragged K and P, and
     with no input rows."""
+    precision, nw = mode
     rng = np.random.default_rng(n * 1000 + m * 100 + k * 10 + p)
-    lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
-    grid = prepare_weights([rng.integers(lo, hi, size=(k, p)) for _ in range(mode.nw)], mode, n)
+    lo, hi = -(1 << (precision.weight_bits - 1)), 1 << (precision.weight_bits - 1)
+    grid = prepare_weights([rng.integers(lo, hi, size=(k, p)) for _ in range(nw)], precision, n)
     a = rng.integers(-128, 128, size=(m, k))
-    products = ArraySim(n, mode.precision).stream_grid(grid, a)
-    assert products.shape == (m, mode.nw, grid.tp * n)
+    products = ArraySim(n, precision).stream_grid(grid, a)
+    assert products.shape == (m, nw, grid.tp * n)
     for t, matrix in enumerate(unprepare_weights(grid)):
         assert np.array_equal(products[:, t], a @ matrix[:k])
 
@@ -510,25 +552,22 @@ def test_evaluate_group_is_the_input_times_the_unprepared_weights(mode, n, m, k,
 @given(mode=st.sampled_from(MODE_CONFIGS), n=st.integers(1, 8), data=st.data())
 def test_packed_grid_equals_its_list_of_tiles(mode, n, data):
     """Each tile of a prepared grid, as iterating the grid gives it, is the
-    reference's interleave of the permuted tiles of the matrices; a grid
-    with no tiles is rejected by every grid reader."""
-    k_dim, p_dim, m_dim = (data.draw(st.integers(0, 3 * n)) for _ in range(3))
+    reference's interleave of the permuted tiles of the matrices; matrices
+    that fill no tile are rejected before any grid is built."""
+    precision, nw = mode
+    k_dim, p_dim = (data.draw(st.integers(0, 3 * n)) for _ in range(2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    lo, hi = -(1 << (mode.weight_bits - 1)), 1 << (mode.weight_bits - 1)
-    mats = [rng.integers(lo, hi, size=(k_dim, p_dim)) for _ in range(mode.nw)]
-    a = rng.integers(-128, 128, size=(m_dim, k_dim))
-    grid = prepare_weights(mats, mode, n)
-    assert grid.mode == mode and (grid.tk, grid.tp) == (-(-k_dim // n), -(-p_dim // n))
+    lo, hi = -(1 << (precision.weight_bits - 1)), 1 << (precision.weight_bits - 1)
+    mats = [rng.integers(lo, hi, size=(k_dim, p_dim)) for _ in range(nw)]
+    if not (k_dim and p_dim):
+        with pytest.raises(ValueError, match="fill no tile"):
+            prepare_weights(mats, precision, n)
+        return
+    grid = prepare_weights(mats, precision, n)
+    assert (grid.precision, grid.nw) == mode and (grid.tk, grid.tp) == (-(-k_dim // n), -(-p_dim // n))
     assert len(grid) == grid.tk and all(row.shape == (grid.tp, n, n) for row in grid)
     padded = [np.pad(m, ((0, -k_dim % n), (0, -p_dim % n))) for m in mats]
     for k, row in enumerate(grid):
         for j, tile in enumerate(row):
             blocks = [m[k * n : (k + 1) * n, j * n : (j + 1) * n] for m in padded]
-            assert np.array_equal(tile, interleave([permute(b) for b in blocks], mode.weight_bits))
-    if not (k_dim and p_dim):
-        untraced = ArraySim(n, mode.precision).stream_grid
-        for reader in (unprepare_weights, lambda g: untraced(g, a), lambda g: write_packed(g, io.BytesIO())):
-            with pytest.raises(ValueError):
-                reader(grid)
-        with pytest.raises(ValueError):
-            ArraySim(n, mode.precision, trace=io.StringIO()).stream_grid(grid, a)
+            assert np.array_equal(tile, interleave([permute(b) for b in blocks], precision.weight_bits))

@@ -22,7 +22,7 @@ from adipsim import array
 from adipsim.array import ArraySim
 from adipsim.numerics import bit_fields, ceil_div
 from adipsim.pe import PsumOverflowError
-from adipsim.preprocess import Precision, PrecisionMode, decode_slots, prepare_weights
+from adipsim.preprocess import Precision, decode_slots, prepare_weights
 from adipsim.tiling import MatMulJob, run_tiled
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -114,18 +114,17 @@ def test_both_engines_check_the_group_input(a):
     """A W8 grid of one 4 x 4 tile: untraced and traced `stream_grid` reject
     an input outside 8 bits, of another rank or with another K, before the
     traced one writes any line; a list of rows is an input like its array."""
-    mode = PrecisionMode(Precision.W8, 1)
-    grid = prepare_weights([np.eye(4, dtype=np.int64)], mode, 4)
+    grid = prepare_weights([np.eye(4, dtype=np.int64)], Precision.W8, 4)
     trace = io.StringIO()
     with pytest.raises(ValueError):
-        ArraySim(4, mode.precision).stream_grid(grid, a)
+        ArraySim(4, Precision.W8).stream_grid(grid, a)
     with pytest.raises(ValueError):
-        ArraySim(4, mode.precision, trace=trace).stream_grid(grid, a)
+        ArraySim(4, Precision.W8, trace=trace).stream_grid(grid, a)
     assert trace.getvalue() == array.TRACE_HEADER + "\n"
     rows = [[1, -2, 3, -128], [127, 0, 0, 5]]
     want = np.array(rows)[:, None, :]
-    assert np.array_equal(ArraySim(4, mode.precision).stream_grid(grid, rows), want)
-    assert np.array_equal(ArraySim(4, mode.precision, trace=io.StringIO()).stream_grid(grid, rows), want)
+    assert np.array_equal(ArraySim(4, Precision.W8).stream_grid(grid, rows), want)
+    assert np.array_equal(ArraySim(4, Precision.W8, trace=io.StringIO()).stream_grid(grid, rows), want)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +135,7 @@ def test_both_engines_check_the_group_input(a):
 def test_stream_grid_rejects_another_precision_or_size(precision, n):
     """A W8 array of size 4 rejects a grid of another precision or tile
     size, untraced and traced, before the traced one writes any line."""
-    grid = prepare_weights([np.ones((n, n), dtype=np.int64)] * precision.r, PrecisionMode(precision, precision.r), n)
+    grid = prepare_weights([np.ones((n, n), dtype=np.int64)] * precision.r, precision, n)
     a = np.ones((2, n), dtype=np.int64)
     trace = io.StringIO()
     with pytest.raises(ValueError):
