@@ -67,7 +67,7 @@ import numpy as np
 from .numerics import ACT_BITS, PSUM_BITS, bit_fields, ceil_div, check_size, check_type, exact_matmuls, to_int8
 from .pe import PhaseError, PsumOverflowError
 # Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
-# the benchmark change of ROADMAP item 3 deletes it.
+# it can go once the benchmark's spans stop wrapping it.
 from .pe import weight_slots  # noqa: F401
 from .preprocess import PackedGrid, Precision, _rotated, decode_slots
 
@@ -354,7 +354,7 @@ class ArraySim:
             )
 
     # The one-tile front stays only because bench/spans.py wraps these two
-    # methods by name; the benchmark change of ROADMAP item 3 deletes it.
+    # methods by name; it can go once the benchmark's spans stop wrapping them.
 
     def load_weights(self, tile: PackedGrid) -> None:
         """Take a 1 x 1 grid of this array's precision and size for `stream`."""

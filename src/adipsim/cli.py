@@ -121,7 +121,7 @@ def _number_option(pattern: re.Pattern, convert, accept, what: str):
 
 
 _positive_int = _number_option(_DECIMAL, int, lambda v: v >= 1, "a positive integer")
-_seed = _number_option(_DECIMAL, int, lambda v: v >= 0, "a non-negative integer")
+_non_negative_int = _number_option(_DECIMAL, int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _number_option(_DECIMAL_REAL, float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
@@ -201,11 +201,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         cfg = workload.load_config(args.model)
     else:
         cfg = workload.get_model(args.model)
-    params = cost.CostParams(
-        n=args.size,
-        count_output_writes=args.count_output_writes,
-        output_bytes=args.output_bytes,
-    )
+    params = cost.CostParams(n=args.size, output_bytes=args.output_bytes)
     info = cost.summary(cfg, params)  # fails on a bad size before anything is printed
     # --out is opened before the report is printed, so a bad path fails
     # with nothing on stdout
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, help="input rows (default 2n)")
     p.add_argument("--k", type=_positive_int, help="shared dimension (default 2n)")
     p.add_argument("--p", type=_positive_int, help="output columns (default 2n)")
-    p.add_argument("--seed", type=_seed, help="generator seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, help="generator seed (default 0)")
     p.add_argument("--a", help="input matrix file (text format)")
     p.add_argument("--b", action="append", default=[], help="weight matrix file, repeatable")
     p.add_argument("--trace", help="write a per-cycle PE trace CSV here")
@@ -344,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_positive_int, default=32, help="array dimension n")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="artifact path (default stdout)")
-    p.add_argument("--count-output-writes", action="store_true")
-    p.add_argument("--output-bytes", type=_positive_int, default=1, choices=(1, 4))
+    p.add_argument(
+        "--output-bytes", type=_non_negative_int, default=0, choices=(0, 1, 4),
+        help="bytes billed per output element written: 0 (not counted), 1 or 4",
+    )
     p.set_defaults(func=cmd_workload)
 
     p = sub.add_parser("interleave", help="permute and pack weight matrices, dump the tiles")
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nw", type=_positive_int, help="number of generated matrices (default 1)")
     p.add_argument("--rows", type=_positive_int, help="generated matrix rows (default n)")
     p.add_argument("--cols", type=_positive_int, help="generated matrix cols (default n)")
-    p.add_argument("--seed", type=_seed, help="generator seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, help="generator seed (default 0)")
     p.add_argument("--in", dest="infile", action="append", help="weight matrix file, repeatable")
     p.add_argument("--out", required=True, help="packed binary output path")
     p.add_argument("--verify", action="store_true", help="read back and round-trip check")

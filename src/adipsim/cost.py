@@ -1,13 +1,13 @@
 """Relative latency, energy and memory-traffic models for attention stages.
 
-Three architectures share one pass structure, `tiling.TiledPlan`: a pass
+Two architectures share one pass structure, `tiling.TiledPlan`: a pass
 pins one stationary weight tile and streams every input row tile through
 the array. `stage_cost` reads one instance's plan, its pass count, clock
 and traffic, and bills it `count` times; `summary` costs each distinct
 stage shape once per architecture, and `stage_latency` reads `stage_cost`.
+Both are what `tiling.run_tiled` runs: a stage bills the cycles and
+passes of its instances' simulated runs.
 
-* WS   -- conventional weight-stationary baseline; pays an extra skew of
-          n - 1 fill cycles per pass for input/output synchronization.
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
 * ADiP -- adaptive precision: a projection runs at its weight precision,
           packed as `TiledPlan` packs one matrix for `tiling.run_tiled`.
@@ -18,9 +18,9 @@ stage shape once per architecture, and `stage_latency` reads `stage_cost`.
 Energy is modeled relatively as cycles times a per-architecture power
 factor (DiP = 1.0); absolute joules are out of scope. Memory traffic
 counts 1-byte activation reads per streamed element and one stationary
-word per array cell per pass; output writes are excluded by default and
-can be counted at 1 byte (requantized) or 4 bytes (raw accumulator) per
-element.
+word per array cell per pass; output writes cost `output_bytes` per
+element: 0 (not counted, the default), 1 (requantized) or 4 (raw
+accumulator).
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ CLOCK_HZ = 1e9
 # Power of each architecture relative to the 8-bit DiP baseline; the
 # adaptive array's is measured by array size.
 DIP_POWER = 1.0
-WS_POWER = 1.25
 ADIP_POWER_BY_SIZE = {4: 1.63, 8: 1.59, 16: 1.57, 32: 1.63, 64: 1.69}
 
 
 class Arch(Enum):
-    WS = "WS"
     DIP = "DiP"
     ADIP = "ADiP"
 
@@ -57,26 +55,24 @@ class Arch(Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostParams:
     """Cost-model knobs; defaults match the evaluated 32 x 32 configuration."""
 
     n: int = 32
     mac_stages: int = 1
     overlap_weights: bool = True
-    count_output_writes: bool = False
-    output_bytes: int = 1  # 1 = requantized activations, 4 = raw psum spill
+    output_bytes: int = 0  # per output element: 0 = not counted, 1 = requantized, 4 = raw psum spill
 
     def __post_init__(self) -> None:
-        self.n = check_size(self.n)
-        self.mac_stages = check_size(self.mac_stages, "mac_stages")  # as the simulator's `resolve_stages`
-        if self.output_bytes not in (1, 4):
-            raise ValueError("output_bytes must be 1 or 4")
-        self.output_bytes = check_size(self.output_bytes, "output_bytes")  # True and 4.0 are not sizes
+        object.__setattr__(self, "n", check_size(self.n))
+        object.__setattr__(self, "mac_stages", check_size(self.mac_stages, "mac_stages"))  # as `resolve_stages`
+        if self.output_bytes not in (0, 1, 4):
+            raise ValueError("output_bytes must be 0, 1 or 4")
+        # True and 4.0 are not sizes
+        object.__setattr__(self, "output_bytes", check_size(self.output_bytes, "output_bytes", least=0))
 
     def power(self, arch: Arch) -> float:
-        if arch is Arch.WS:
-            return WS_POWER
         if arch is Arch.DIP:
             return DIP_POWER
         if self.n not in ADIP_POWER_BY_SIZE:
@@ -125,13 +121,9 @@ def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     instances streams its own input, so the stage costs `count` times one
     instance's plan.
     """
-    n = params.n
     bits = spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
-    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, n, params.overlap_weights, params.mac_stages)
-    if arch is Arch.WS:
-        cycles += plan.pass_count * (n - 1)  # the skew; the simulator runs no WS
+    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, params.n, params.overlap_weights, params.mac_stages)
     cycles *= spec.count
-    bytes_out = plan.output_elements * params.output_bytes if params.count_output_writes else 0
     return StageCost(
         stage=spec.stage.label,
         arch=arch,
@@ -139,7 +131,7 @@ def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
         energy_rel=cycles * params.power(arch),
         bytes_in=spec.count * plan.input_bytes,
         bytes_w=spec.count * plan.weight_words,
-        bytes_out=spec.count * bytes_out,
+        bytes_out=spec.count * plan.output_elements * params.output_bytes,
     )
 
 

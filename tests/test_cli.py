@@ -305,7 +305,7 @@ def test_workload_csv_and_json_artifacts(capsys, tmp_path):
     assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "stage,arch,cycles,energy_rel,bytes_in,bytes_w,bytes_out"
-    assert len(lines) == 1 + 3 * 6  # three architectures x six stages
+    assert len(lines) == 1 + 2 * 6  # two architectures x six stages
 
     json_path = tmp_path / "summary.json"
     code, _, _ = run_cli(
@@ -366,16 +366,24 @@ def test_workload_unknown_model(capsys):
 
 
 def test_workload_output_write_accounting_is_optional(capsys, tmp_path):
-    base = tmp_path / "base.json"
-    counted = tmp_path / "counted.json"
-    run_cli(capsys, "workload", "bert-large", "--format", "json", "--out", str(base))
-    run_cli(
-        capsys, "workload", "bert-large", "--format", "json", "--out", str(counted),
-        "--count-output-writes", "--output-bytes", "4",
-    )
-    quiet = json.loads(base.read_text())["totals"]["DiP"]["mem_bytes"]
-    loud = json.loads(counted.read_text())["totals"]["DiP"]["mem_bytes"]
-    assert loud > quiet
+    """--output-bytes alone sets what an output write costs; 0, the
+    default, counts none."""
+    reports = {}
+    for option in ([], ["--output-bytes", "0"], ["--output-bytes", "4"]):
+        path = tmp_path / "report.json"
+        assert run_cli(capsys, "workload", "bert-large", "--format", "json", "--out", str(path), *option)[0] == 0
+        reports[" ".join(option)] = json.loads(path.read_text())
+    assert reports["--output-bytes 0"] == reports[""]
+    for arch in ("DiP", "ADiP"):
+        assert reports["--output-bytes 4"]["totals"][arch]["mem_bytes"] > reports[""]["totals"][arch]["mem_bytes"]
+
+
+def test_workload_count_output_writes_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["workload", "bert", "--count-output-writes"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--count-output-writes" in captured.err
 
 
 def test_workload_size_without_power_factor_prints_no_report(capsys):

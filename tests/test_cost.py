@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 from pathlib import Path
@@ -38,10 +39,10 @@ from adipsim.workload import (
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
-# `tools/fingerprint.py`'s digest of its cost reports and sweep rows, as the
-# cost and analytic models gave it before `summary` built one StageCost per
-# (stage, architecture).
-COST_REPORTS_SHA256 = "87347a14c3aba844ca05a198b2b15cfe1c8ed5eb6fc0f6d4d0f0c33df83816c5"
+# `tools/fingerprint.py`'s digest of its cost reports and sweep rows. It
+# equals the digest of the older reports, which also billed a WS baseline,
+# with their WS totals deleted: no DiP or ADiP number moved when WS went.
+COST_REPORTS_SHA256 = "911c5dd5b7c402d6779566f47060a0693ec34e576c41fbe3ce02b5a7569c3376"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
 # and traced at three psum limits: 600 runs, 100 of them overflowing. Taken
 # after every one of those runs matched the per-cycle stepper of
@@ -175,16 +176,10 @@ def test_improvement_identity_against_workload_fractions(params):
         assert measured == pytest.approx(identity, abs=0.25)
 
 
-def test_ws_slower_than_dip_same_memory(params):
-    for cfg in (GPT2_MEDIUM, BITNET_158B):
-        assert _total(cfg, Arch.WS, params, "cycles") > _total(cfg, Arch.DIP, params, "cycles")
-        assert _total(cfg, Arch.WS, params, "mem_bytes") == _total(cfg, Arch.DIP, params, "mem_bytes")
-
-
 def test_output_writes_flag():
     base = CostParams()
-    counting = CostParams(count_output_writes=True)
-    spilling = CostParams(count_output_writes=True, output_bytes=4)
+    counting = CostParams(output_bytes=1)
+    spilling = CostParams(output_bytes=4)
     spec = stages(BERT_LARGE)[0]
     assert stage_cost(spec, Arch.DIP, base).bytes_out == 0
     one_byte = stage_cost(spec, Arch.DIP, counting).bytes_out
@@ -205,7 +200,7 @@ def test_summary_structure(params):
     info = summary(BITNET_158B, params)
     assert info["model"] == "bitnet-1.58b"
     assert info["array_size"] == 32
-    assert set(info["totals"]) == {"WS", "DiP", "ADiP"}
+    assert set(info["totals"]) == {"DiP", "ADiP"}
     vs = info["vs_dip"]
     assert vs["latency_improvement_pct"] == pytest.approx(53.6, abs=1.0)
     assert vs["projection_latency_improvement_pct"] == pytest.approx(75.0, abs=1.0)
@@ -220,13 +215,25 @@ def test_stage_csv_schema(params):
     assert lines[1].startswith("QProj,ADiP,")
 
 
+def test_cost_params_are_frozen():
+    """A value is checked when the params are built and cannot be changed
+    after, so `stage_cost` never reads one `__post_init__` would reject."""
+    params = CostParams(output_bytes=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.output_bytes = 3
+    assert params.output_bytes == 1
+
+
 def test_power_factor_table_and_validation():
     assert CostParams(n=64).power(Arch.ADIP) == 1.69
     assert CostParams(n=4).power(Arch.ADIP) == 1.63
     with pytest.raises(ValueError):
         CostParams(n=12).power(Arch.ADIP)
-    with pytest.raises(ValueError):
-        CostParams(output_bytes=2)
+    for good in (0, 1, 4):
+        assert CostParams(output_bytes=good).output_bytes == good
+    for bad in (2, 3):
+        with pytest.raises(ValueError, match="output_bytes must be 0, 1 or 4"):
+            CostParams(output_bytes=bad)
     for bad in (True, 4.0):
         with pytest.raises(ValueError, match="output_bytes must be an integer"):
             CostParams(output_bytes=bad)
@@ -299,8 +306,8 @@ def _simulated_costs(cfg, params, seed):
     """Per stage of `cfg` and architecture, (cycles, passes, bytes_in,
     bytes_w) from simulated runs: one instance at the precision the
     architecture runs the stage at (ADiP's projections at the weight
-    width, all else 8-bit) times the stage's `count`; WS is DiP's run plus
-    the n - 1 skew of each pass. Each distinct instance runs once."""
+    width, all else 8-bit) times the stage's `count`. Each distinct instance
+    runs once."""
     rng = np.random.default_rng(seed)
     runs = {}
     costs = {}
@@ -311,10 +318,7 @@ def _simulated_costs(cfg, params, seed):
             key = (spec.m, spec.k, spec.p, precision)
             if key not in runs:
                 runs[key] = _instance(spec, precision, params.n, params, rng)
-            cycles, passes, bytes_in, bytes_w = runs[key]
-            if arch is Arch.WS:
-                cycles += passes * (params.n - 1)
-            costs[spec.stage, arch] = tuple(spec.count * x for x in (cycles, passes, bytes_in, bytes_w))
+            costs[spec.stage, arch] = tuple(spec.count * x for x in runs[key])
     return costs
 
 
@@ -348,7 +352,7 @@ _RAGGED = MhaConfig("ragged", layers=2, d_model=20, heads=3, d_k=6, seq_len=9, w
 )
 def test_stage_cost_is_what_the_simulator_runs(cfg, params, bits):
     """On scaled-down geometries, every stage's cycles, passes, input bytes
-    and weight bytes under DiP, ADiP and WS equal those of simulated runs."""
+    and weight bytes under DiP and ADiP equal those of simulated runs."""
     cfg = MhaConfig(**{**config_to_dict(cfg), "weight_bits": bits})
     assert _simulated_costs(cfg, params, seed=bits) == _billed(cfg, params)
 
@@ -450,8 +454,7 @@ def test_overflow_edge_runs_match_the_pinned_digest():
         n=st.sampled_from(sorted(ADIP_POWER_BY_SIZE)),
         mac_stages=st.integers(1, 3),
         overlap_weights=st.booleans(),
-        count_output_writes=st.booleans(),
-        output_bytes=st.sampled_from([1, 4]),
+        output_bytes=st.sampled_from([0, 1, 4]),
     ),
 )
 def test_summary_equals_its_parts(cfg, params):

@@ -18,8 +18,9 @@ tile-packed ones that `tests/reference.py` replays for the older pins.
 
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
-under five `CostParams` variants, then the rows of
-`analytic.sweep()`, each as JSON with sorted keys.
+under five `CostParams` variants (the defaults, output writes billed at
+1 and at 4 bytes, weight loads not overlapped, two MAC stages), then the
+rows of `analytic.sweep()`, each as JSON with sorted keys.
 
 A third, printed next, covers runs at the overflow edge, where random
 configs rarely land: every mode at n = 1..8, every input and weight at
@@ -47,8 +48,8 @@ INPUT_MAGNITUDES = (128, 16, 2)
 COST_SIZES = (4, 8, 16, 32, 64)
 COST_VARIANTS = (
     {},
-    {"count_output_writes": True, "output_bytes": 1},
-    {"count_output_writes": True, "output_bytes": 4},
+    {"output_bytes": 1},
+    {"output_bytes": 4},
     {"overlap_weights": False},
     {"mac_stages": 2},
 )
