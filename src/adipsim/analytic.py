@@ -10,23 +10,25 @@ and a full n-row tile costs what the simulator's pass clock
 (`array.stream_cycles`) gives for n * dmul streamed rows: one cycle per
 row plus the fill of the n PE rows, the psum pipeline and the reducer.
 The parameters obey the simulator's rules: the size and multiplier count
-are positive integers (`check_size`), the weight width is 2, 4 or 8
-(`Precision.from_bits`), and both pipeline depths go through
-`array.resolve_stages`, so the reducer depth defaults to the structural
-depth of the precision (`Precision.reducer_stages`).
+are positive integers (`check_size`) and the weight width is 2, 4 or 8
+(`Precision.from_bits`). The reducer depth is the structural depth of that
+precision (`Precision.reducer_stages`), as on the array.
 
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
-steady-state rate with fill and drain amortized away.
+steady-state rate with fill and drain amortized away. A clock frequency
+must be a positive finite real.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Sequence
 
-from .array import resolve_stages, stream_cycles
+from .array import stream_cycles
 from .numerics import ACT_BITS, SUBWORD_BITS, ceil_div, check_size
 from .preprocess import Precision
 
@@ -41,19 +43,16 @@ class AnalyticParams:
     size: int = 64
     mul_count: int = 16
     weight_bits: int = 8
-    mac_stages: int = 1
-    reduce_stages: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_size(self.size)
         check_size(self.mul_count, "mul_count")
-        precision = Precision.from_bits(self.weight_bits)
-        object.__setattr__(self, "reduce_stages", resolve_stages(precision, self.mac_stages, self.reduce_stages))
+        Precision.from_bits(self.weight_bits)
 
     @classmethod
-    def for_mode(cls, size: int, weight_bits: int, **overrides) -> "AnalyticParams":
+    def for_mode(cls, size: int, weight_bits: int) -> "AnalyticParams":
         """The parameters of the built hardware at a given weight precision."""
-        return cls(size=size, weight_bits=weight_bits, **overrides)
+        return cls(size=size, weight_bits=weight_bits)
 
 
 def dmul_latency(p: AnalyticParams) -> int:
@@ -68,7 +67,7 @@ def parallel_factor(p: AnalyticParams) -> int:
 
 def tile_latency(p: AnalyticParams) -> int:
     """Cycles from first streamed row to the last collected output row."""
-    return stream_cycles(p.size, p.size * dmul_latency(p), p.mac_stages, p.reduce_stages)
+    return stream_cycles(p.size, p.size * dmul_latency(p), Precision(p.weight_bits))
 
 
 def ops_per_cycle(p: AnalyticParams) -> float:
@@ -76,14 +75,22 @@ def ops_per_cycle(p: AnalyticParams) -> float:
     return 2 * parallel_factor(p) * p.size**3 / tile_latency(p)
 
 
+def _check_clock(clock_hz) -> float:
+    """`clock_hz` as a float; ValueError unless it is a positive finite
+    real (True is not a clock)."""
+    if isinstance(clock_hz, bool) or not isinstance(clock_hz, numbers.Real) or not 0 < clock_hz < math.inf:
+        raise ValueError(f"clock_hz must be a positive finite number, got {clock_hz!r}")
+    return float(clock_hz)
+
+
 def throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     """Tile-effective ops/second at a clock frequency."""
-    return ops_per_cycle(p) * clock_hz
+    return ops_per_cycle(p) * _check_clock(clock_hz)
 
 
 def peak_throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     """Steady-state ops/second with back-to-back tiles (fill amortized)."""
-    return 2 * parallel_factor(p) * p.size**2 * clock_hz
+    return 2 * parallel_factor(p) * p.size**2 * _check_clock(clock_hz)
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,7 @@ class SweepRow:
 def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: float = 1e9) -> list[SweepRow]:
     """Latency/throughput table across multiplier counts and the three
     precisions, W8 first, of the built hardware."""
+    clock_hz = _check_clock(clock_hz)
     rows = []
     widths = [precision.weight_bits for precision in Precision]
     for m in mul_counts:

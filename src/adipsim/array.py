@@ -16,11 +16,10 @@ Because inputs enter unskewed and the wave stays aligned, all n column
 results of one input row emerge on the same cycle; no output-deskew FIFOs
 exist anywhere in the model. The dataflow is linear and fixed by position:
 with x_i the i-th row fed since the weight load (zero before it and while
-draining) and m MAC stages, after clock s PE(r, c) holds the input
-x_{s-r}[(c+r) mod n] and on bus g sum_{q<=r} x_{s-r}[(c+q) mod n] *
-slot[g, q, c]; reducer stages 1 and 2 hold the folds of the bottom buses
-of rows s-m-n+1 and s-m-n; and each row's outputs are the fold of its own
-bottom buses.
+draining), after clock s PE(r, c) holds the input x_{s-r}[(c+r) mod n]
+and on bus g sum_{q<=r} x_{s-r}[(c+q) mod n] * slot[g, q, c]; reducer
+stages 1 and 2 hold the folds of the bottom buses of rows s-n and s-n-1;
+and each row's outputs are the fold of its own bottom buses.
 
 One engine, `ArraySim.stream_grid`, runs every pass of a fused group on
 one instance, set up by the weight precision as the array's computation
@@ -170,27 +169,12 @@ def load_cycles(n: int, overlap_weights: bool) -> int:
     return 0 if overlap_weights else n
 
 
-def stream_cycles(n: int, rows: int, mac_stages: int, reduce_stages: int) -> int:
+def stream_cycles(n: int, rows: int, precision: Precision) -> int:
     """Cycles from the first streamed row entering until the last result
-    leaves: one per row, plus the fill of the n PE rows, the psum pipeline
-    and the reducer."""
-    return rows + n + mac_stages + reduce_stages - 2
-
-
-def resolve_stages(precision: Precision, mac_stages: int, reduce_stages: Optional[int]) -> int:
-    """Validate the precision and the pipeline depths; returns
-    `reduce_stages`, defaulting to the structural depth of the precision.
-    Both are integers, `mac_stages` at least 1."""
-    check_size(mac_stages, "mac_stages")
-    structural = check_type(precision, Precision, "precision").reducer_stages
-    if reduce_stages is None:
-        return structural
-    if check_size(reduce_stages, "reduce_stages", least=None) < structural:
-        raise ValueError(
-            f"reduce_stages={reduce_stages} below the structural depth "
-            f"{structural} of {precision.name}"
-        )
-    return reduce_stages
+    leaves: one per row, n - 1 more for the last row to reach the bottom PE
+    row, whose psum buses W2 reads, and one per shift-add stage before the
+    precision's tap (2 for W8, 1 for W4)."""
+    return rows + n - 1 + check_type(precision, Precision, "precision").reducer_stages
 
 
 def _out_of_range(values: np.ndarray, axis=None) -> np.ndarray:
@@ -311,11 +295,6 @@ class ArraySim:
     PEs, advanced one pass at a time; every grid it runs must be of that
     precision and size, with any number of matrices.
 
-    `mac_stages` counts psum pipeline registers at the column bottom (the
-    bottom PE's psum register is the first); `reduce_stages` counts shared
-    shift-add registers traversed on output, at least the structural depth
-    of the precision (2 for W8, 1 for W4, 0 for W2).
-
     `stream_grid` is the one engine. `load_weights` and `stream` are a
     one-tile front of it: they run a 1 x 1 grid.
 
@@ -326,18 +305,12 @@ class ArraySim:
         self,
         n: int,
         precision: Precision,
-        mac_stages: int = 1,
-        reduce_stages: Optional[int] = None,
         overlap_weights: bool = False,
         trace: Optional[io.TextIOBase] = None,
     ):
-        n = check_size(n)
-        reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
-        self.n = n
-        self.precision = precision
-        self.mac_stages = mac_stages
-        self.reduce_stages = reduce_stages
-        self.overlap_weights = overlap_weights
+        self.n = check_size(n)
+        self.precision = check_type(precision, Precision, "precision")
+        self.overlap_weights = check_type(overlap_weights, bool, "overlap_weights")
         self.cycle = 0
         self._trace = trace
         self._tile = None  # the one-tile grid `load_weights` took
@@ -409,7 +382,7 @@ class ArraySim:
 
     def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, check: bool) -> None:
         """Run each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
-        n + mac_stages zero rows before it, then one row per clock, from
+        n + 1 zero rows before it, then one row per clock, from
         zero registers. A pass costs `load` cycles, then one per clock; the
         caller advances the clock past the run.
 
@@ -420,7 +393,7 @@ class ArraySim:
         raises `PsumOverflowError`, after the trace lines of the clocks
         before it, with the clock on it.
         """
-        n, window = self.n, self.n + self.mac_stages
+        n, window = self.n, self.n + 1
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
         period = load + steps
@@ -472,7 +445,7 @@ class ArraySim:
         pass's load and stream cycles.
         """
         self._check_fits(grid)
-        n, window = self.n, self.n + self.mac_stages
+        n, window = self.n, self.n + 1
         tk, tp = grid.tk, grid.tp
         a = np.asarray(a)
         if a.ndim != 2 or ceil_div(a.shape[1], n) != tk:
@@ -480,7 +453,7 @@ class ArraySim:
         a = to_int8(a, ACT_BITS, "input element")  # an int8 input is not scanned
         m_dim, k_dim = a.shape
         load = load_cycles(n, self.overlap_weights)
-        steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.mac_stages, self.reduce_stages)
+        steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.precision)
         # |a| <= 128 keeps the bound off below n ~ 87 800; scan only when it could trip
         check = _row_may_overflow(128, n, self.precision) and _row_may_overflow(
             max(int(a.max(initial=0)), -int(a.min(initial=0))), n, self.precision  # -a.min() wraps in int8

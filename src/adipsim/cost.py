@@ -31,7 +31,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import IO, Iterable
 
-from .numerics import check_size
+from .numerics import check_size, check_type
 from .preprocess import Precision
 from .tiling import TiledPlan
 from .workload import MhaConfig, StageSpec, stages
@@ -60,13 +60,12 @@ class CostParams:
     """Cost-model knobs; defaults match the evaluated 32 x 32 configuration."""
 
     n: int = 32
-    mac_stages: int = 1
     overlap_weights: bool = True
     output_bytes: int = 0  # per output element: 0 = not counted, 1 = requantized, 4 = raw psum spill
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_size(self.n))
-        object.__setattr__(self, "mac_stages", check_size(self.mac_stages, "mac_stages"))  # as `resolve_stages`
+        check_type(self.overlap_weights, bool, "overlap_weights")
         if self.output_bytes not in (0, 1, 4):
             raise ValueError("output_bytes must be 0, 1 or 4")
         # True and 4.0 are not sizes
@@ -103,13 +102,11 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _instance(
-    m: int, k: int, p: int, weight_bits: int, n: int, overlap_weights: bool, mac_stages: int
-) -> tuple[TiledPlan, int]:
+def _instance(m: int, k: int, p: int, weight_bits: int, n: int, overlap_weights: bool) -> tuple[TiledPlan, int]:
     """The plan of one instance of a stage and its clock; a report asks for
     few distinct ones, so each is built once."""
     plan = TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
-    return plan, plan.cycles(overlap_weights, mac_stages)
+    return plan, plan.cycles(overlap_weights)
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
@@ -122,7 +119,7 @@ def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     instance's plan.
     """
     bits = spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
-    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, params.n, params.overlap_weights, params.mac_stages)
+    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, params.n, params.overlap_weights)
     cycles *= spec.count
     return StageCost(
         stage=spec.stage.label,

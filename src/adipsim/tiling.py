@@ -36,11 +36,10 @@ the int8 dtype instead of the values, except for narrow weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .array import ArraySim, load_cycles, resolve_stages, stream_cycles
+from .array import ArraySim, load_cycles, stream_cycles
 from .numerics import ACT_BITS, ceil_div, check_size, check_type, exact_matmuls, to_int8
 from .preprocess import Precision, prepare_weights
 
@@ -128,11 +127,11 @@ class TiledPlan:
         """Output elements of the matrices, padded to whole tiles."""
         return self.count * self.tm * self.tp * self.n**2
 
-    def cycles(self, overlap_weights: bool = True, mac_stages: int = 1, reduce_stages: Optional[int] = None) -> int:
-        """The clock of the run under `run_tiled`'s array settings: each
+    def cycles(self, overlap_weights: bool = True) -> int:
+        """The clock of the run under `run_tiled`'s `overlap_weights`: each
         pass costs `load_cycles` plus `stream_cycles` for its tm * n rows."""
-        reduce_stages = resolve_stages(self.precision, mac_stages, reduce_stages)
-        stream = stream_cycles(self.n, self.tm * self.n, mac_stages, reduce_stages)
+        check_type(overlap_weights, bool, "overlap_weights")
+        stream = stream_cycles(self.n, self.tm * self.n, self.precision)
         return self.pass_count * (load_cycles(self.n, overlap_weights) + stream)
 
     @classmethod
@@ -195,13 +194,7 @@ class TiledResult:
     pass_count: int
 
 
-def run_tiled(
-    job: MatMulJob,
-    overlap_weights: bool = True,
-    mac_stages: int = 1,
-    reduce_stages: Optional[int] = None,
-    trace=None,
-) -> TiledResult:
+def run_tiled(job: MatMulJob, overlap_weights: bool = True, trace=None) -> TiledResult:
     """Run a job through the cycle simulator tile by tile.
 
     Results are exact; `total_cycles` sums pass latencies (plus weight-load
@@ -213,7 +206,7 @@ def run_tiled(
     m_dim, k_dim, p_dim = job.shape
     n = job.n
     the_plan = plan(job)
-    sim = ArraySim(n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
+    sim = ArraySim(n, job.precision, overlap_weights, trace)
     if not the_plan.pass_count:  # K = 0 or P = 0 has no passes
         outputs = list(np.zeros((len(job.weights), m_dim, p_dim), dtype=np.int64))
         return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=0)

@@ -41,7 +41,6 @@ class Stage(Enum):
 
 
 PROJECTION_STAGES = (Stage.Q_PROJ, Stage.K_PROJ, Stage.V_PROJ, Stage.OUT_PROJ)
-ACT_ACT_STAGES = (Stage.SCORES, Stage.ATTN)
 
 
 @dataclass(frozen=True)

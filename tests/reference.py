@@ -2,10 +2,10 @@
 
 `PE` is one grid cell as registered state: a stationary word, an input
 register and four psum buses, advanced by `step`. `SteppedArray` is the
-whole array as it was before its registers were formed in closed form: a
-deque of MAC pipeline registers, two reducer stages and an output delay
-line, with every register checked on every clock (no overflow gate) and
-each clock's trace lines written with `%d`.
+whole array as it was before its registers were formed in closed form:
+the PE grid and two reducer stages, tapped at the precision's stage, with
+every register checked on every clock (no overflow gate) and each clock's
+trace lines written with `%d`.
 
 `permute`, `inverse_permute`, `interleave` and `deinterleave` prepare and
 decode one n x n weight tile at a time, with plain index arithmetic: the
@@ -18,12 +18,10 @@ so the trace, CLI and run-digest pins taken under them stay asserted on
 their old bytes.
 """
 
-from collections import deque
-
 import numpy as np
 
 from adipsim import array
-from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, resolve_stages, stream_cycles
+from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
 from adipsim.numerics import PSUM_BITS, ceil_div, check_signed
 from adipsim.pe import PhaseError, PsumOverflowError, group_multiply
 from adipsim.preprocess import Precision, decode_slots, prepare_weights
@@ -112,11 +110,9 @@ STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 class SteppedArray:
     """One clock at a time: the reference for `ArraySim`'s registers."""
 
-    def __init__(self, n, precision, nw, mac_stages=1, reduce_stages=None, overlap_weights=False, trace=None):
+    def __init__(self, n, precision, nw, overlap_weights=False, trace=None):
         self.n = n
         self.precision, self.nw = precision, nw
-        self.mac_stages = mac_stages
-        self.reduce_stages = resolve_stages(precision, mac_stages, reduce_stages)
         self.overlap_weights = overlap_weights
         self.cycle = 0
         self.trace = trace
@@ -130,9 +126,6 @@ class SteppedArray:
         self.regs = np.zeros((5, n, n), dtype=np.int64)  # input, then the four buses
         self.stage1 = np.zeros((2, n), dtype=np.int64)
         self.stage2 = np.zeros(n, dtype=np.int64)
-        self.pre = deque(np.zeros((4, n), dtype=np.int64) for _ in range(self.mac_stages - 1))
-        extra = self.reduce_stages - self.precision.reducer_stages
-        self.out_hist = deque(maxlen=extra + 1)
 
     def load_weights(self, words):
         """Take an n x n tile of words, rotated as the array loads it."""
@@ -142,14 +135,8 @@ class SteppedArray:
 
     def step(self, row_in):
         prev = self.regs
-        bottom = prev[1:, -1, :]
-        if self.pre:
-            self.pre.append(bottom.copy())
-            feed = self.pre.popleft()
-        else:
-            feed = bottom
         self.stage2 = STAGE2_FOLD @ self.stage1
-        self.stage1 = STAGE1_FOLD @ feed
+        self.stage1 = STAGE1_FOLD @ prev[1:, -1, :]
         regs = np.empty_like(prev)
         regs[0, 0] = row_in
         # registered value at (r, c) moves to (r+1, (c-1) mod n)
@@ -169,8 +156,7 @@ class SteppedArray:
                     for i, cell in enumerate(cells)
                 )
             )
-        self.out_hist.append(self._tap())
-        return self.out_hist[0]
+        return self._tap()
 
     def _tap(self):
         precision, nw = self.precision, self.nw
@@ -178,15 +164,13 @@ class SteppedArray:
             return [self.stage2]
         if precision is Precision.W4:
             return list(self.stage1[:nw])
-        if self.pre:
-            return list(self.pre[0][:nw])
         return list(self.regs[1 : nw + 1, -1].copy())
 
     def stream(self, rows):
         """(index, cycle, outputs) of each row, on the cycle it leaves the array."""
         rows = np.asarray(rows, dtype=np.int64)
         count = len(rows)
-        total = stream_cycles(self.n, count, self.mac_stages, self.reduce_stages)
+        total = stream_cycles(self.n, count, self.precision)
         first_valid = total - count + 1
         collected = []
         for s in range(1, total + 1):
@@ -196,7 +180,7 @@ class SteppedArray:
         return collected
 
 
-def grouped_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=None, trace=None):
+def grouped_run_tiled(job, overlap_weights=True, trace=None):
     """`run_tiled` as it was before column-block packing: the job's matrices
     fused r at a time, the last group taking what is left, each group
     prepared by `prepare_weights` and run by `stream_grid` on one
@@ -205,7 +189,7 @@ def grouped_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=Non
     passes."""
     m_dim, k_dim, p_dim = job.shape
     r = job.precision.r
-    sim = ArraySim(job.n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
+    sim = ArraySim(job.n, job.precision, overlap_weights, trace)
     outputs, passes = [], 0
     for base in range(0, len(job.weights), r):
         group = job.weights[base : base + r]
@@ -219,7 +203,7 @@ def grouped_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=Non
     return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=passes)
 
 
-def tile_packed_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages=None, trace=None):
+def tile_packed_run_tiled(job, overlap_weights=True, trace=None):
     """`run_tiled` as it was before column-level packing: the job's matrices
     side by side, each padded to tp column tiles, that row of nw * tp tiles
     cut into runs of per = ceil(nw * tp / r) tiles, one run per weight
@@ -230,7 +214,7 @@ def tile_packed_run_tiled(job, overlap_weights=True, mac_stages=1, reduce_stages
     n, nw = job.n, len(job.weights)
     tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
     per = ceil_div(nw * tp, job.precision.r)
-    sim = ArraySim(n, job.precision, mac_stages, reduce_stages, overlap_weights, trace)
+    sim = ArraySim(n, job.precision, overlap_weights, trace)
     if not (tk and per):  # K = 0 or P = 0 has no passes
         return TiledResult(list(np.zeros((nw, m_dim, p_dim), dtype=np.int64)), sim.cycle, 0)
     stride, width, virtual = tp * n, per * n, ceil_div(nw * tp, per)

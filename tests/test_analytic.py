@@ -32,9 +32,9 @@ def test_dmul_latency(mul_count, weight_bits, expected):
 @pytest.mark.parametrize(
     "params, expected",
     [
-        (AnalyticParams(size=64, mul_count=16, weight_bits=8, mac_stages=1, reduce_stages=2), 129),
-        (AnalyticParams(size=1, mul_count=16, weight_bits=4, mac_stages=1, reduce_stages=1), 2),
-        (AnalyticParams(size=64, mul_count=2, weight_bits=8, mac_stages=1, reduce_stages=2), 577),
+        (AnalyticParams(size=64, mul_count=16, weight_bits=8), 129),
+        (AnalyticParams(size=1, mul_count=16, weight_bits=4), 2),
+        (AnalyticParams(size=64, mul_count=2, weight_bits=8), 577),
     ],
 )
 def test_tile_latency(params, expected):
@@ -42,18 +42,22 @@ def test_tile_latency(params, expected):
 
 
 def test_tile_effective_throughput_value():
-    p = AnalyticParams(size=64, mul_count=16, weight_bits=8, mac_stages=1, reduce_stages=2)
+    p = AnalyticParams(size=64, mul_count=16, weight_bits=8)
     assert ops_per_cycle(p) == pytest.approx(524288 / 129)
     assert throughput(p, 1e9) == pytest.approx(524288 / 129 * 1e9)
     assert throughput(p, 1e9) / 1e12 == pytest.approx(4.064, abs=5e-3)
 
 
 def test_lower_precision_multiplies_throughput_at_matched_pipeline():
-    base = AnalyticParams(size=64, weight_bits=8, reduce_stages=2)
+    """Per cycle of tile latency, a w-bit tile does 8 / w times the work of
+    an 8-bit one; its shallower reducer only shortens the latency."""
+    base = AnalyticParams(size=64, weight_bits=8)
     for bits in (4, 2):
-        narrow = AnalyticParams(size=64, weight_bits=bits, reduce_stages=2)
+        narrow = AnalyticParams(size=64, weight_bits=bits)
         assert parallel_factor(narrow) == 8 // bits
-        assert throughput(narrow) == pytest.approx((8 // bits) * throughput(base))
+        assert tile_latency(base) - tile_latency(narrow) == 2 - Precision.from_bits(bits).reducer_stages
+        matched = throughput(narrow) * tile_latency(narrow) / tile_latency(base)
+        assert matched == pytest.approx((8 // bits) * throughput(base))
 
 
 @pytest.mark.parametrize(
@@ -97,25 +101,32 @@ def test_sweep_csv_shape():
 def test_params_validation():
     with pytest.raises(ValueError):
         AnalyticParams(size=0)
-    with pytest.raises(ValueError):
-        AnalyticParams(reduce_stages=-1)
     with pytest.raises(ValueError, match="array size must be an integer, got 4.5"):
         sweep(size=4.5)
 
 
 def test_reducer_depth_defaults_to_the_structural_depth():
-    assert AnalyticParams(weight_bits=4).reduce_stages == 1
-    assert [AnalyticParams(weight_bits=bits).reduce_stages for bits in (8, 2)] == [2, 0]
+    """The tile latency's reducer depth is the precision's: the n rows,
+    the n - 1 PE rows below the first, and 2, 1 or 0 shift-add stages."""
+    assert [tile_latency(AnalyticParams.for_mode(64, bits)) for bits in (8, 4, 2)] == [129, 128, 127]
     assert tile_latency(AnalyticParams(weight_bits=4)) == tile_latency(AnalyticParams.for_mode(64, 4)) == 128
+
+
+@pytest.mark.parametrize("clock_hz", [0, -1e9, float("nan"), float("inf"), True, "1e9"])
+def test_clock_must_be_positive_and_finite(clock_hz):
+    """A clock that is not a positive finite real raises, rather than
+    giving a negative, zero or non-finite rate."""
+    p = AnalyticParams.for_mode(8, 8)
+    for rate in (throughput, peak_throughput):
+        with pytest.raises(ValueError, match="clock_hz must be a positive finite number"):
+            rate(p, clock_hz)
+    with pytest.raises(ValueError, match="clock_hz must be a positive finite number"):
+        sweep(8, clock_hz=clock_hz)
 
 
 @pytest.mark.parametrize(
     "change",
     [
-        {"mac_stages": 0},
-        {"mac_stages": 1.5},
-        {"mac_stages": True},
-        {"weight_bits": 8, "reduce_stages": 1},
         {"size": 4.5},
         {"size": True},
         {"weight_bits": 6},
@@ -125,22 +136,15 @@ def test_reducer_depth_defaults_to_the_structural_depth():
 def test_params_reject_what_the_simulator_rejects(change):
     """The model's parameters follow the simulator's rules: each input the
     array rejects, the model rejects with the same message."""
-    args = {"size": 4, "weight_bits": 8, "mac_stages": 1, "reduce_stages": None, **change}
+    args = {"size": 4, "weight_bits": 8, **change}
     with pytest.raises(ValueError) as rejected:
-        ArraySim(args["size"], Precision.from_bits(args["weight_bits"]), args["mac_stages"], args["reduce_stages"])
+        ArraySim(args["size"], Precision.from_bits(args["weight_bits"]))
     with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
         AnalyticParams(**args)
 
 
-@pytest.mark.parametrize(
-    "weight_bits, mac_stages",
-    [
-        pytest.param(bits, mac, id=str(bits) if mac == 1 else f"{bits}-mac{mac}")
-        for bits in (8, 4, 2)
-        for mac in (1, 2)
-    ],
-)
-def test_model_matches_simulator_measurement(weight_bits, mac_stages):
+@pytest.mark.parametrize("weight_bits", [8, 4, 2])
+def test_model_matches_simulator_measurement(weight_bits):
     """Whenever the distributed multiply takes one cycle, the closed-form tile
     latency must equal the cycle simulator's measured latency exactly."""
     rng = np.random.default_rng(weight_bits)
@@ -149,11 +153,11 @@ def test_model_matches_simulator_measurement(weight_bits, mac_stages):
     lo = -(1 << (weight_bits - 1))
     hi = (1 << (weight_bits - 1)) - 1
     grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], precision, n)
-    sim = ArraySim(n, precision, mac_stages=mac_stages, overlap_weights=True)  # no load cycles
+    sim = ArraySim(n, precision, overlap_weights=True)  # no load cycles
     sim.load_weights(grid)
     start = sim.cycle
     sim.stream(rng.integers(-128, 128, (n, n)))
     measured = sim.cycle - start
-    params = AnalyticParams.for_mode(n, weight_bits, mac_stages=mac_stages)
+    params = AnalyticParams.for_mode(n, weight_bits)
     assert dmul_latency(params) == 1
     assert measured == tile_latency(params)

@@ -6,6 +6,7 @@ from reference import PE, permute
 
 from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim
+from adipsim.cost import CostParams
 from adipsim.numerics import check_signed
 from adipsim.pe import PhaseError, PsumOverflowError
 from adipsim.preprocess import Precision, prepare_weights
@@ -210,51 +211,23 @@ def test_weight_load_cycle_accounting():
     assert _run_tile(overlapped, tile, rows)[1] == 2 * n + 1 + 2 - 2
 
 
-def test_extra_mac_stage_delays_but_stays_exact():
-    rng = np.random.default_rng(6)
-    n = 4
-    for precision, nw in ((Precision.W8, 1), (Precision.W2, 2)):
-        a = rng.integers(-128, 128, size=(n, n))
-        weights = _random_weights(rng, precision, nw, (n, n))
-        sim = ArraySim(n, precision, mac_stages=2, overlap_weights=True)
-        outputs, cycles = _run_tile(sim, prepare_weights(weights, precision, n), a)
-        assert cycles == 2 * n + 2 + precision.reducer_stages - 2
-        for got, w in zip(outputs, weights):
-            assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
-
-
-def test_reduce_stage_override():
-    rng = np.random.default_rng(7)
-    n = 4
-    precision, nw = Precision.W4, 2
-    a = rng.integers(-128, 128, size=(n, n))
-    weights = _random_weights(rng, precision, nw, (n, n))
-    sim = ArraySim(n, precision, reduce_stages=3, overlap_weights=True)
-    outputs, cycles = _run_tile(sim, prepare_weights(weights, precision, n), a)
-    assert cycles == 2 * n + 1 + 3 - 2
-    for got, w in zip(outputs, weights):
-        assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
-    with pytest.raises(ValueError):
-        ArraySim(n, Precision.W8, reduce_stages=1)
-
-
+@pytest.mark.parametrize("bad", ["false", "true", None, 0, 1, np.True_], ids=repr)
 @pytest.mark.parametrize(
-    "stages, match",
+    "entry",
     [
-        ({"mac_stages": 0}, "mac_stages must be >= 1"),
-        ({"mac_stages": 1.5}, "mac_stages must be an integer"),
-        ({"mac_stages": True}, "mac_stages must be an integer"),
-        ({"reduce_stages": 2.5}, "reduce_stages must be an integer"),
-        ({"reduce_stages": 1}, "below the structural depth"),
+        lambda flag: ArraySim(4, Precision.W8, overlap_weights=flag).overlap_weights,
+        lambda flag: CostParams(overlap_weights=flag).overlap_weights,
+        lambda flag: TiledPlan.from_shape(4, 4, 4, 1, Precision.W8, 4).cycles(flag),
     ],
+    ids=["ArraySim", "CostParams", "TiledPlan.cycles"],
 )
-def test_pipeline_depths_are_integers_in_range(stages, match):
-    """The array and a plan's clock reject the same depths, so neither
-    clock can turn fractional."""
-    with pytest.raises(ValueError, match=match):
-        ArraySim(4, Precision.W8, **stages)
-    with pytest.raises(ValueError, match=match):
-        TiledPlan.from_shape(4, 4, 4, 1, Precision.W8, 4).cycles(**stages)
+def test_overlap_weights_must_be_a_bool(entry, bad):
+    """The array, the cost model and a plan's clock take the flag as a bool
+    only: "false" is truthy and None or 0 falsy, so either would clock the
+    loads as the other value silently."""
+    with pytest.raises(ValueError, match="overlap_weights must be a bool"):
+        entry(bad)
+    assert entry(True) != entry(False)
 
 
 def test_trace_records_every_pe_every_cycle():

@@ -22,7 +22,7 @@ from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, plan, run_tiled
 
 
-def stepped_run_tiled(job, overlap_weights, mac_stages, reduce_stages, trace):
+def stepped_run_tiled(job, overlap_weights, trace):
     """Traced `run_tiled` as the plan's slot map lays it out, one clock at a
     time: the job's matrices side by side, P columns each, zero-padded to
     `virtual` runs of W = per * n columns, run v in weight field v of a
@@ -40,7 +40,7 @@ def stepped_run_tiled(job, overlap_weights, mac_stages, reduce_stages, trace):
     for t, w in enumerate(job.weights):
         side[:k_dim, t * p_dim : (t + 1) * p_dim] = w
     accum = np.zeros((tm * n, virtual * width), dtype=np.int64)
-    sim = SteppedArray(n, job.precision, virtual, mac_stages, reduce_stages, overlap_weights, trace)
+    sim = SteppedArray(n, job.precision, virtual, overlap_weights, trace)
     for j in range(per):
         fields = [slice(v * width + j * n, v * width + (j + 1) * n) for v in range(virtual)]
         for k in range(tk):
@@ -87,8 +87,6 @@ def _stream_cases(draw):
         "precision": precision,
         "nw": draw(st.integers(1, precision.r)),
         "n": n,
-        "mac_stages": draw(st.integers(1, 3)),
-        "extra_reduce": draw(st.integers(0, 2)),
         "overlap": draw(st.booleans()),
         # row count and whether the rows are all zero; each stream is a pass
         # of its own, after the one weight load
@@ -117,10 +115,9 @@ def test_streams_match_the_stepper(cfg):
 
 def _check_streams(n, cfg, packed, streams):
     precision = cfg["precision"]
-    stages = (cfg["mac_stages"], precision.reducer_stages + cfg["extra_reduce"], cfg["overlap"])
     sinks = io.StringIO(), io.StringIO()
-    sim = ArraySim(n, precision, *stages, trace=sinks[0])
-    ref = SteppedArray(n, precision, cfg["nw"], *stages, trace=sinks[1])
+    sim = ArraySim(n, precision, cfg["overlap"], trace=sinks[0])
+    ref = SteppedArray(n, precision, cfg["nw"], cfg["overlap"], trace=sinks[1])
     sim.load_weights(packed)
     for rows in streams:
 
@@ -147,8 +144,6 @@ def _job_cases(draw):
         "nw": draw(st.integers(1, 2 * precision.r)),
         "n": n,
         "dims": (draw(dims), draw(dims), draw(dims)),
-        "mac_stages": draw(st.integers(1, 3)),
-        "extra_reduce": draw(st.integers(0, 2)),
         "overlap": draw(st.booleans()),
         "limit": draw(_limits),
         "full_scale": draw(st.booleans()),
@@ -172,11 +167,7 @@ def test_traced_run_tiled_matches_the_stepper_pass_by_pass(cfg):
         precision=precision,
         n=n,
     )
-    kwargs = {
-        "overlap_weights": cfg["overlap"],
-        "mac_stages": cfg["mac_stages"],
-        "reduce_stages": precision.reducer_stages + cfg["extra_reduce"],
-    }
+    kwargs = {"overlap_weights": cfg["overlap"]}
     sinks = io.StringIO(), io.StringIO()
 
     def run_sim():

@@ -39,26 +39,28 @@ from adipsim.workload import (
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
-# `tools/fingerprint.py`'s digest of its cost reports and sweep rows. It
-# equals the digest of the older reports, which also billed a WS baseline,
-# with their WS totals deleted: no DiP or ADiP number moved when WS went.
-COST_REPORTS_SHA256 = "911c5dd5b7c402d6779566f47060a0693ec34e576c41fbe3ce02b5a7569c3376"
+# `tools/fingerprint.py`'s digest of its cost reports and sweep rows: 72
+# documents, the reports under four `CostParams` variants. Taken from the
+# code that still had a MAC-depth knob, at its default depth: no report
+# moved when the pipeline depth became the precision's.
+COST_REPORTS_SHA256 = "8029174ea8397394cad9ca69f8860199ca2f81cb15eb31eb07ff7cfac4b2118c"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
-# and traced at three psum limits: 600 runs, 100 of them overflowing. Taken
-# after every one of those runs matched the per-cycle stepper of
+# and traced at three psum limits: 600 runs, 84 of them overflowing, every
+# one at the precision's pipeline depth. The code that still drew two depth
+# knobs per config gave the same digest on these configs; at the default
+# depth its runs had matched the per-cycle stepper of
 # tests/test_closed_form.py (outputs, cycles, trace bytes, overflow) and,
 # at 2^31, the oracle.
-RUNS_SHA256 = "8b4e11f44ef3c131f809bb95fdf1c7f0ff5c7e8eb90f812690a4b955dfadd304"
+RUNS_SHA256 = "94d75342f51975b5c11a311c7bb461f33d0dbbce3a5baac8c060bb581eeb9133"
 # The same configs under the schedule that packed whole column tiles
-# (`reference.tile_packed_run_tiled`): 100 overflows. Whether a run reaches
+# (`reference.tile_packed_run_tiled`): 92 overflows. Whether a run reaches
 # a lowered limit depends on which weights share a word, and the two
 # packings pair a ragged matrix's columns differently.
-TILE_PACKED_RUNS_SHA256 = "03d3ebd6ddc1a0965d8723c445e71f9b1f9901760db2b66b00a7ee15aaadf9e6"
+TILE_PACKED_RUNS_SHA256 = "c9d1725f9fa08d2cd1fc5150571c381be877683d8ae53d0a4729bf87b561d05a"
 # Under the schedule that fused separate matrices r at a time
-# (`reference.grouped_run_tiled`): 92 overflows, fewer than under
-# tile-level packing, whose words hold more non-zero fields; at 2^31 the
-# overflow gate reads no weight and nothing changes.
-GROUPED_RUNS_SHA256 = "2a7bb6ade0b4078e72d373a3f3ff2d09a85b07a8bca424b86bf18aa84c94a2f5"
+# (`reference.grouped_run_tiled`): 92 overflows; at 2^31 the overflow gate
+# reads no weight and nothing changes.
+GROUPED_RUNS_SHA256 = "388aceaa8e52f96afd59a2570ac2bf4a749d256a4055149bb2dbea1c1f5d27e8"
 # Its digest of the overflow-edge runs (every mode, n = 1..8, all values at
 # their most negative, limits at and one above the largest register), as
 # the engine gave it while a per-pass gate still sat behind the row bound.
@@ -237,12 +239,6 @@ def test_power_factor_table_and_validation():
     for bad in (True, 4.0):
         with pytest.raises(ValueError, match="output_bytes must be an integer"):
             CostParams(output_bytes=bad)
-    for bad in (0, -5):  # the stages ArraySim rejects
-        with pytest.raises(ValueError, match="mac_stages must be >= 1"):
-            CostParams(mac_stages=bad)
-    for bad in (1.5, True):
-        with pytest.raises(ValueError, match="mac_stages must be an integer"):
-            CostParams(mac_stages=bad)
 
 
 @pytest.mark.parametrize(
@@ -251,15 +247,17 @@ def test_power_factor_table_and_validation():
     ids=["ADiP-W8", "ADiP-W4", "ADiP-W2", "DiP-W8"],
 )
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("mac_stages", [1, 2])
+@pytest.mark.parametrize("fills", [1, 2])
 @pytest.mark.parametrize("overlap", [True, False])
-def test_stage_cost_matches_simulator(arch, precision, n, mac_stages, overlap):
-    """A stage of count = r instances, each with its own input, costs what
-    the simulator counts over r separate single-matrix jobs of a ragged
-    shape: the same cycles, and as many passes as weight tiles billed."""
+def test_stage_cost_matches_simulator(arch, precision, n, fills, overlap):
+    """A stage of count = r or 2r instances, each with its own input (enough
+    to fill one or two words' r weight fields, were they packed together),
+    costs what the simulator counts over that many separate single-matrix
+    jobs of a ragged shape: the same cycles, and as many passes as weight
+    tiles billed."""
     m, k, p = 2 * n + 1, n + 3, 2 * n - 1
-    count = precision.r
-    rng = np.random.default_rng(n + 10 * mac_stages)
+    count = fills * precision.r
+    rng = np.random.default_rng(n + 10 * fills)
     lo, hi = signed_range(precision.weight_bits)
     results = [
         run_tiled(
@@ -270,12 +268,11 @@ def test_stage_cost_matches_simulator(arch, precision, n, mac_stages, overlap):
                 n=n,
             ),
             overlap_weights=overlap,
-            mac_stages=mac_stages,
         )
         for _ in range(count)
     ]
     spec = StageSpec(Stage.Q_PROJ, m=m, k=k, p=p, count=count, weight_bits=precision.weight_bits)
-    params = CostParams(n=n, mac_stages=mac_stages, overlap_weights=overlap)
+    params = CostParams(n=n, overlap_weights=overlap)
     assert stage_latency(spec, arch, params) == sum(result.total_cycles for result in results)
     assert stage_cost(spec, arch, params).bytes_w // n**2 == sum(result.pass_count for result in results)
 
@@ -296,7 +293,7 @@ def _instance(spec, precision, n, params, rng):
         precision=precision,
         n=n,
     )
-    result = run_tiled(job, overlap_weights=params.overlap_weights, mac_stages=params.mac_stages)
+    result = run_tiled(job, overlap_weights=params.overlap_weights)
     assert np.array_equal(result.outputs[0], oracle_matmul(job)[0])
     passes = result.pass_count
     return result.total_cycles, passes, passes * plan(job).tm * n * n, passes * n * n
@@ -346,7 +343,7 @@ _RAGGED = MhaConfig("ragged", layers=2, d_model=20, heads=3, d_k=6, seq_len=9, w
     [
         (_SMALL, CostParams(n=8)),
         (_RAGGED, CostParams(n=4)),
-        (_RAGGED, CostParams(n=4, mac_stages=2, overlap_weights=False)),
+        (_RAGGED, CostParams(n=4, overlap_weights=False)),
     ],
     ids=["one-layer", "ragged", "ragged-unoverlapped"],
 )
@@ -409,19 +406,19 @@ def test_builtin_models_at_paper_size_from_simulated_runs(cfg):
 
 
 def test_cost_reports_match_the_pinned_digest():
-    """Every report of the three built-in models at n = 4..64 under five
+    """Every report of the three built-in models at n = 4..64 under four
     `CostParams` variants, and every `analytic.sweep()` row, is unchanged."""
-    assert _fingerprint().cost_digest() == (3 * 5 * 5 + 12, COST_REPORTS_SHA256)
+    assert _fingerprint().cost_digest() == (3 * 5 * 4 + 12, COST_REPORTS_SHA256)
 
 
 def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
-    assert _fingerprint().run_digest(100, 0) == (600, 92, RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0) == (600, 84, RUNS_SHA256)
 
 
 def test_tile_packed_schedule_keeps_its_run_digest():
-    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 100, TILE_PACKED_RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 92, TILE_PACKED_RUNS_SHA256)
 
 
 def test_grouped_schedule_keeps_the_old_run_digest():
@@ -452,7 +449,6 @@ def test_overflow_edge_runs_match_the_pinned_digest():
     params=st.builds(
         CostParams,
         n=st.sampled_from(sorted(ADIP_POWER_BY_SIZE)),
-        mac_stages=st.integers(1, 3),
         overlap_weights=st.booleans(),
         output_bytes=st.sampled_from([0, 1, 4]),
     ),

@@ -343,13 +343,13 @@ def test_packed_plan_fills_every_weight_field(mode, n, dims, seed):
     mode=st.sampled_from(list(Precision)).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 2 * p.r + 1))),
     n=st.integers(2, 6),
     shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3), st.integers(0, 5)),
-    stages=st.tuples(st.booleans(), st.integers(1, 3), st.integers(0, 2)),
+    overlap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 # six W2 matrices of 10 columns on 4 x 4: 60 columns in 4 passes a
 # reduction tile, where whole column tiles (three a matrix) take 5
-@example(mode=(Precision.W2, 6), n=4, shape=(3, 5, 2, 2), stages=(True, 1, 0), seed=4)
-def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, stages, seed):
+@example(mode=(Precision.W2, 6), n=4, shape=(3, 5, 2, 2), overlap=True, seed=4)
+def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, overlap, seed):
     """Jobs of 1 to 2r + 1 matrices with P = q * n + s, s < n, mostly
     ragged: each pass offers r * n output-column slots per reduction tile,
     and the job takes exactly tk * ceil(nw * P / (r * n)) passes, never
@@ -360,12 +360,7 @@ def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, stages, seed)
     precision, nw = mode
     m, k, q, s = shape
     p = q * n + s % n
-    overlap, mac_stages, extra = stages
-    kwargs = {
-        "overlap_weights": overlap,
-        "mac_stages": mac_stages,
-        "reduce_stages": precision.reducer_stages + extra,
-    }
+    kwargs = {"overlap_weights": overlap}
     job = _random_job(np.random.default_rng(seed), precision, nw, n, (m, k, p))
     the_plan = plan(job)
     r, tk = precision.r, the_plan.tk
@@ -378,7 +373,7 @@ def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, stages, seed)
     if nw == 1 or p % n == 0:
         assert tile_packed.pass_count == the_plan.pass_count
         assert sinks[0].getvalue() == sinks[1].getvalue()
-    clock = the_plan.cycles(overlap, mac_stages, kwargs["reduce_stages"])
+    clock = the_plan.cycles(overlap)
     assert result.total_cycles == traced.total_cycles == clock
     for got, via_trace, want in zip(result.outputs, traced.outputs, oracle_matmul(job), strict=True):
         assert np.array_equal(got, want) and np.array_equal(via_trace, want)
@@ -512,7 +507,7 @@ def test_a_job_runs_on_one_array(monkeypatch):
     assert built == [(n, Precision.W2)]
     assert (plan(job).per, plan(job).virtual) == (2, 4)
     assert result.pass_count == 2 * 2
-    clocks = stream_cycles(n, 2 * n, 1, 0)
+    clocks = stream_cycles(n, 2 * n, Precision.W2)
     assert result.total_cycles == result.pass_count * (load_cycles(n, False) + clocks)
     header, *lines = trace.getvalue().splitlines()
     assert header == TRACE_HEADER

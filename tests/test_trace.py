@@ -8,7 +8,9 @@ exactly. The second pair pins the column-block schedule that packed
 whole column tiles (`reference.tile_packed_run_tiled`) on the same jobs,
 and the third `run_tiled`'s column-level packing; each was taken after the
 same runs matched the per-cycle stepper of tests/test_closed_form.py byte
-for byte, and the oracle.
+for byte, and the oracle. Every case runs at the precision's pipeline
+depth; the code that still took two depth knobs gave the same three pairs
+for these cases at its default depth.
 """
 
 import hashlib
@@ -27,27 +29,27 @@ from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
 PINNED_CASES = [
-    # precision, nw, n, (m, k, p), mac_stages, extra reduce stages, overlap
-    (Precision.W8, 2, 4, (5, 9, 6), 1, 0, True),
-    (Precision.W8, 1, 3, (7, 4, 5), 2, 1, False),
-    (Precision.W4, 3, 4, (6, 5, 7), 3, 0, False),
-    (Precision.W4, 2, 2, (3, 3, 5), 1, 1, True),
-    (Precision.W2, 5, 4, (9, 6, 4), 2, 0, True),
-    (Precision.W2, 9, 3, (4, 7, 3), 3, 2, False),
-    (Precision.W2, 1, 5, (11, 5, 8), 1, 0, False),
-    (Precision.W2, 3, 1, (2, 3, 2), 2, 0, True),
+    # precision, nw, n, (m, k, p), overlap
+    (Precision.W8, 2, 4, (5, 9, 6), True),
+    (Precision.W8, 1, 3, (7, 4, 5), False),
+    (Precision.W4, 3, 4, (6, 5, 7), False),
+    (Precision.W4, 2, 2, (3, 3, 5), True),
+    (Precision.W2, 5, 4, (9, 6, 4), True),
+    (Precision.W2, 9, 3, (4, 7, 3), False),
+    (Precision.W2, 1, 5, (11, 5, 8), False),
+    (Precision.W2, 3, 1, (2, 3, 2), True),
 ]
 
-PINNED_SHA256 = "063fbdd5db07fa37b6f223f0efb74063c9fe2b9b5d4c14511162da6e82e1661c"
-PINNED_LINES = 7968
+PINNED_SHA256 = "2011cee17ede83d685e00a1c12967eab5933de2b28b958e37f5f9eab99d601ff"
+PINNED_LINES = 7222
 # Cases 3, 7 and 8 leave weight fields empty under the grouped schedule;
 # packed by column tiles, they take fewer passes.
-TILE_PACKED_SHA256 = "52b2caecd7aac1e4af49cc33a98b8a4748c0527b1eafaf1421e7fad006bffc81"
-TILE_PACKED_LINES = 7045
+TILE_PACKED_SHA256 = "9d805bad08e371b5c1a83150b8378fcf2ccb4e7dfe91485d6e87f02399f5ca8e"
+TILE_PACKED_LINES = 6363
 # Cases 1, 3, 4 and 6 hold more than one matrix whose P is not a multiple
 # of n; packed by columns, they pad no tile per matrix.
-PACKED_SHA256 = "a6ab040feced692523e493b03c1dc06be01a85c7085af7b7b379c3506ccd635e"
-PACKED_LINES = 6421
+PACKED_SHA256 = "2f509e6064f65b29b5cf4b546532fc907d5df9321c23d36545b037e5c72cb83d"
+PACKED_LINES = 5739
 
 
 def _job(rng, precision, nw, n, dims):
@@ -68,16 +70,10 @@ def _pinned_digest(run):
     rng = np.random.default_rng(404)
     digest = hashlib.sha256()
     lines = 0
-    for precision, nw, n, dims, mac_stages, extra, overlap in PINNED_CASES:
+    for precision, nw, n, dims, overlap in PINNED_CASES:
         job = _job(rng, precision, nw, n, dims)
         sink = io.StringIO()
-        result = run(
-            job,
-            overlap_weights=overlap,
-            mac_stages=mac_stages,
-            reduce_stages=precision.reducer_stages + extra,
-            trace=sink,
-        )
+        result = run(job, overlap_weights=overlap, trace=sink)
         for got, want in zip(result.outputs, oracle_matmul(job), strict=True):
             assert np.array_equal(got, want)
         text = sink.getvalue()
@@ -108,10 +104,10 @@ def test_long_passes_are_written_in_blocks(block_cycles, monkeypatch):
     rng = np.random.default_rng(406)
     job = _job(rng, Precision.W2, 5, 4, (9, 6, 4))
     whole = io.StringIO()
-    run_tiled(job, mac_stages=2, trace=whole)
+    run_tiled(job, trace=whole)
     monkeypatch.setattr(array, "_TRACE_BYTES", block_cycles * 4 * 4 * array._REGISTER_BYTES)
     blocks = io.StringIO()
-    run_tiled(job, mac_stages=2, trace=blocks)
+    run_tiled(job, trace=blocks)
     assert blocks.getvalue() == whole.getvalue()
 
 
@@ -134,10 +130,10 @@ def test_a_clock_above_the_bound_is_written_in_pe_row_slices(trace_bytes, monkey
     job = _job(rng, Precision.W2, 4, 7, (9, 10, 12))
     monkeypatch.setattr(array, "_TRACE_BYTES", 1 << 30)
     whole = io.StringIO()
-    result = run_tiled(job, mac_stages=2, trace=whole)
+    result = run_tiled(job, trace=whole)
     monkeypatch.setattr(array, "_TRACE_BYTES", trace_bytes)
     sliced = _WriteCounter()
-    run_tiled(job, mac_stages=2, trace=sliced)
+    run_tiled(job, trace=sliced)
     assert sliced.getvalue() == whole.getvalue()
     clocks = result.total_cycles  # overlapped loads: every cycle is traced
     assert whole.getvalue().count("\n") == 1 + clocks * 7 * 7
@@ -148,8 +144,8 @@ def test_a_clock_above_the_bound_is_written_in_pe_row_slices(trace_bytes, monkey
 
 @pytest.mark.parametrize("block_cycles", [None, 3])
 def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch):
-    """A reducer overflow on cycle 35, in the third of four 13-cycle passes:
-    the trace holds the header and cycles 1..34, as when every cycle was
+    """A reducer overflow on cycle 32, in the third of four 12-cycle passes:
+    the trace holds the header and cycles 1..31, as when every cycle was
     written on its own."""
     rng = np.random.default_rng(405)
     job = _job(rng, Precision.W4, 2, 4, (8, 8, 8))
@@ -158,10 +154,10 @@ def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch)
         monkeypatch.setattr(array, "_TRACE_BYTES", block_cycles * 4 * 4 * array._REGISTER_BYTES)
     sink = io.StringIO()
     with pytest.raises(PsumOverflowError, match="reducer"):
-        run_tiled(job, mac_stages=2, trace=sink)
+        run_tiled(job, trace=sink)
     lines = sink.getvalue().splitlines()
-    assert len(lines) == 1 + 34 * 4 * 4
-    assert lines[-1].startswith("34,3,3,")
+    assert len(lines) == 1 + 31 * 4 * 4
+    assert lines[-1].startswith("31,3,3,")
 
 
 # Full-scale traces: every input -128 and every weight the value with the
@@ -169,21 +165,21 @@ def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch)
 # buses to five digits (128 * 3 * 32 = 12 288), and n >= 11 mixes one- and
 # two-digit row and column numbers within one cycle.
 FULL_SCALE_CASES = [
-    # precision, nw, weight, n, (m, k, p), mac_stages, extra reduce stages, overlap
-    (Precision.W8, 1, -65, 11, (13, 22, 11), 1, 0, False),
-    (Precision.W8, 1, -65, 32, (40, 32, 32), 1, 0, False),
-    (Precision.W4, 2, -5, 12, (12, 12, 12), 2, 1, True),
-    (Precision.W2, 4, -2, 11, (11, 11, 11), 1, 0, False),
+    # precision, nw, weight, n, (m, k, p), overlap
+    (Precision.W8, 1, -65, 11, (13, 22, 11), False),
+    (Precision.W8, 1, -65, 32, (40, 32, 32), False),
+    (Precision.W4, 2, -5, 12, (12, 12, 12), True),
+    (Precision.W2, 4, -2, 11, (11, 11, 11), False),
 ]
 
-FULL_SCALE_SHA256 = "4c9c789ffdf2f461dbd711f798bf823883c8803e1cd7a6238820eee50ef64525"
-FULL_SCALE_LINES = 113845
+FULL_SCALE_SHA256 = "7b1f7c6e58b4c762d45e115c7a02e5df3d28ad32e2961aeb3cc7330f7bdc22eb"
+FULL_SCALE_LINES = 113557
 
 
 def test_full_scale_trace_bytes_are_pinned():
     digest = hashlib.sha256()
     lines = 0
-    for precision, nw, weight, n, (m, k, p), mac_stages, extra, overlap in FULL_SCALE_CASES:
+    for precision, nw, weight, n, (m, k, p), overlap in FULL_SCALE_CASES:
         job = MatMulJob(
             a=np.full((m, k), -128),
             weights=[np.full((k, p), weight)] * nw,
@@ -191,13 +187,7 @@ def test_full_scale_trace_bytes_are_pinned():
             n=n,
         )
         sink = io.StringIO()
-        result = run_tiled(
-            job,
-            overlap_weights=overlap,
-            mac_stages=mac_stages,
-            reduce_stages=precision.reducer_stages + extra,
-            trace=sink,
-        )
+        result = run_tiled(job, overlap_weights=overlap, trace=sink)
         for got in result.outputs:
             assert np.array_equal(got, np.full((m, p), -128 * weight * k))
         text = sink.getvalue()
@@ -294,12 +284,12 @@ def test_registers_are_int32_at_every_array_size_a_run_allocates():
         assert array._register_dtype(widest + 1, precision) is np.int64
 
 
-def _traced_run(job, mac_stages, overlap):
+def _traced_run(job, overlap):
     """Trace text, outputs and cycles of a traced run, or its trace text
     and overflow message."""
     sink = io.StringIO()
     try:
-        result = run_tiled(job, overlap_weights=overlap, mac_stages=mac_stages, trace=sink)
+        result = run_tiled(job, overlap_weights=overlap, trace=sink)
     except PsumOverflowError as error:
         return sink.getvalue(), str(error)
     return sink.getvalue(), [out.tolist() for out in result.outputs], result.total_cycles
@@ -310,13 +300,12 @@ def _traced_run(job, mac_stages, overlap):
     precision=st.sampled_from(list(Precision)),
     n=st.integers(1, 8),
     dims=st.tuples(st.integers(1, 17), st.integers(1, 17), st.integers(1, 17)),
-    mac_stages=st.integers(1, 3),
     overlap=st.booleans(),
     limit=st.one_of(st.none(), st.integers(1, 1 << 16)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_int64_registers_give_the_same_run(precision, n, dims, mac_stages, overlap, limit, seed, data):
+def test_int64_registers_give_the_same_run(precision, n, dims, overlap, limit, seed, data):
     """Forcing the int64 registers that only an array too large to allocate
     takes changes nothing: the same trace text, outputs and cycles, or the
     same overflow after the same trace lines, at the default limit and at
@@ -326,9 +315,9 @@ def test_int64_registers_give_the_same_run(precision, n, dims, mac_stages, overl
     with pytest.MonkeyPatch.context() as patch:
         if limit is not None:
             patch.setattr(array, "_PSUM_LIMIT", limit)
-        int32 = _traced_run(job, mac_stages, overlap)
+        int32 = _traced_run(job, overlap)
         patch.setattr(array, "_register_dtype", lambda n, precision: np.int64)
-        int64 = _traced_run(job, mac_stages, overlap)
+        int64 = _traced_run(job, overlap)
     assert int32 == int64
 
 

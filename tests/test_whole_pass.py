@@ -69,8 +69,6 @@ def _configs(draw):
         "m": draw(dims),
         "k": draw(dims),
         "p": draw(dims),
-        "mac_stages": draw(st.integers(1, 3)),
-        "extra_reduce": draw(st.integers(0, 2)),
         "overlap": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
@@ -81,12 +79,7 @@ def _configs(draw):
 def test_whole_pass_matches_stepped(cfg):
     rng = np.random.default_rng(cfg["seed"])
     job = _job(rng, cfg["precision"], cfg["nw"], cfg["n"], cfg["m"], cfg["k"], cfg["p"])
-    fast, stepped = _both(
-        job,
-        overlap_weights=cfg["overlap"],
-        mac_stages=cfg["mac_stages"],
-        reduce_stages=cfg["precision"].reducer_stages + cfg["extra_reduce"],
-    )
+    fast, stepped = _both(job, overlap_weights=cfg["overlap"])
     assert fast.total_cycles == stepped.total_cycles
     assert fast.pass_count == stepped.pass_count
     assert len(fast.outputs) == len(stepped.outputs) == cfg["nw"]
@@ -145,12 +138,12 @@ def test_stream_grid_rejects_another_precision_or_size(precision, n):
     assert trace.getvalue() == array.TRACE_HEADER + "\n"
 
 
-def _raises(job, limit, monkeypatch, **kwargs):
+def _raises(job, limit, monkeypatch):
     monkeypatch.setattr(array, "_PSUM_LIMIT", limit)
     outcomes = []
     for trace in (None, CountingSink()):
         try:
-            run_tiled(job, trace=trace, **kwargs)
+            run_tiled(job, trace=trace)
         except PsumOverflowError:
             outcomes.append(True)
         else:
@@ -167,38 +160,37 @@ def _last_row_heavy(n, rows):
 
 
 OVERFLOW_CASES = [
-    # precision, nw, n, (m, k, p), extra reduce stages, last-row-heavy input
-    (Precision.W8, 1, 4, (8, 8, 4), 0, False),
-    (Precision.W8, 1, 3, (5, 7, 3), 1, False),
-    (Precision.W4, 2, 4, (8, 4, 4), 0, False),
-    (Precision.W4, 2, 4, (4, 4, 4), 0, True),
-    (Precision.W4, 1, 4, (4, 4, 4), 1, True),
-    (Precision.W2, 4, 4, (8, 8, 4), 0, False),
-    (Precision.W2, 3, 4, (4, 4, 4), 0, True),
-    (Precision.W2, 4, 4, (4, 4, 4), 1, True),
-    (Precision.W2, 2, 2, (3, 4, 2), 2, True),
+    # precision, nw, n, (m, k, p), last-row-heavy input
+    (Precision.W8, 1, 4, (8, 8, 4), False),
+    (Precision.W8, 1, 3, (5, 7, 3), False),
+    (Precision.W4, 2, 4, (8, 4, 4), False),
+    (Precision.W4, 2, 4, (4, 4, 4), True),
+    (Precision.W4, 1, 4, (4, 4, 4), True),
+    (Precision.W2, 4, 4, (8, 8, 4), False),
+    (Precision.W2, 3, 4, (4, 4, 4), True),
+    (Precision.W2, 4, 4, (4, 4, 4), True),
+    (Precision.W2, 2, 2, (3, 4, 2), True),
 ]
 
 
-@pytest.mark.parametrize("precision, nw, n, dims, extra, heavy", OVERFLOW_CASES)
-def test_overflow_raised_on_the_same_inputs(precision, nw, n, dims, extra, heavy, monkeypatch):
+@pytest.mark.parametrize("precision, nw, n, dims, heavy", OVERFLOW_CASES)
+def test_overflow_raised_on_the_same_inputs(precision, nw, n, dims, heavy, monkeypatch):
     """Find the smallest limit the stepped path passes at; the whole-pass
     path must pass there and raise one below, like the stepped path."""
     rng = np.random.default_rng(n * 100 + precision.value * 10 + nw)
     m, k, p = dims
     a = _last_row_heavy(k, m) if heavy else None
     job = _job(rng, precision, nw, n, m, k, p, a=a)
-    kwargs = {"reduce_stages": precision.reducer_stages + extra}
     lo, hi = 1, 1 << 31  # the stepped path raises at lo and passes at hi
-    assert _raises(job, lo, monkeypatch, **kwargs) == [True, True]
+    assert _raises(job, lo, monkeypatch) == [True, True]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _raises(job, mid, monkeypatch, **kwargs)[1]:
+        if _raises(job, mid, monkeypatch)[1]:
             lo = mid
         else:
             hi = mid
-    assert _raises(job, hi, monkeypatch, **kwargs) == [False, False]
-    assert _raises(job, lo, monkeypatch, **kwargs) == [True, True]
+    assert _raises(job, hi, monkeypatch) == [False, False]
+    assert _raises(job, lo, monkeypatch) == [True, True]
 
 
 def test_last_row_stage2_is_never_formed_at_w4_and_w2(monkeypatch):

@@ -4,10 +4,10 @@ to the simulator is bit-exact and cycle-exact, and one over the cost reports.
     PYTHONPATH=src python3 tools/fingerprint.py --configs 200
 
 Each config draws n in 1..8, a precision, 1..2r weight matrices, M, K and
-P in 0..3n, 1..3 MAC stages, 0..2 reducer stages above the structural
-depth, weight loading overlapped or not, and inputs of magnitude at most
-128, 16 or 2. It runs untraced and traced, at a psum limit of 2^31, 2^14
-and 2^12, so the small limits make many runs overflow. The digest covers
+P in 0..3n, weight loading overlapped or not, and inputs of magnitude at
+most 128, 16 or 2; the pipeline depth is the precision's. It runs
+untraced and traced, at a psum limit of 2^31, 2^14 and 2^12, so the small
+limits make many runs overflow. The digest covers
 every run's outputs with their dtype, its cycles and passes, or its
 overflow message, and the sha256 of its trace text. The digest therefore
 fixes `run_tiled`'s schedule too: column-block packing (every pass fills
@@ -18,9 +18,9 @@ tile-packed ones that `tests/reference.py` replays for the older pins.
 
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
-under five `CostParams` variants (the defaults, output writes billed at
-1 and at 4 bytes, weight loads not overlapped, two MAC stages), then the
-rows of `analytic.sweep()`, each as JSON with sorted keys.
+under four `CostParams` variants (the defaults, output writes billed at
+1 and at 4 bytes, weight loads not overlapped), then the rows of
+`analytic.sweep()`, each as JSON with sorted keys.
 
 A third, printed next, covers runs at the overflow edge, where random
 configs rarely land: every mode at n = 1..8, every input and weight at
@@ -51,7 +51,6 @@ COST_VARIANTS = (
     {"output_bytes": 1},
     {"output_bytes": 4},
     {"overlap_weights": False},
-    {"mac_stages": 2},
 )
 
 
@@ -84,12 +83,7 @@ def _config(rng):
         precision=precision,
         n=n,
     )
-    options = {
-        "overlap_weights": bool(rng.integers(2)),
-        "mac_stages": int(rng.integers(1, 4)),
-        "reduce_stages": precision.reducer_stages + int(rng.integers(3)),
-    }
-    return job, options
+    return job, {"overlap_weights": bool(rng.integers(2))}
 
 
 def _record(job, options, traced, run):
