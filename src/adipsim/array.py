@@ -64,13 +64,28 @@ from typing import Optional
 import numpy as np
 
 from .numerics import ACT_BITS, PSUM_BITS, bit_fields, ceil_div, check_size, check_type, exact_matmuls, to_int8
-from .pe import PhaseError, PsumOverflowError
-# Re-exported only because bench/spans.py wraps adipsim.array.weight_slots;
-# it can go once the benchmark's spans stop wrapping it.
-from .pe import weight_slots  # noqa: F401
 from .preprocess import PackedGrid, Precision, _rotated, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
+
+
+class PhaseError(RuntimeError):
+    """An operation out of phase, such as streaming before any weight load."""
+
+
+class PsumOverflowError(OverflowError):
+    """A psum bus or reducer register left the 32-bit accumulator range."""
+
+
+def weight_slots(word: int, precision: Precision) -> tuple[int, int, int, int]:
+    """The four 2-bit slots of one stationary word under a precision, as
+    `decode_slots` reads them. No engine path calls it: it stays only
+    because bench/spans.py wraps adipsim.array.weight_slots, and can go
+    once the benchmark's spans stop wrapping it."""
+    if check_size(word, "weight word", least=0) > 0xFF:
+        raise ValueError(f"weight word {word} outside [0, 255]")
+    return tuple(decode_slots(word, check_type(precision, Precision, "precision")).tolist())
+
 
 # Bytes of the registers of one block of clocks, and of the trace words of
 # one slice of its lines: each temporary of a block stays well under the

@@ -285,19 +285,20 @@ def cmd_interleave(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    lines = ["size,mode,throughput_gain,peak_tops,power_factor\n"]
+    for n in args.sizes:
+        for precision in (Precision.W8, Precision.W4, Precision.W2):
+            # r matrices of (2n x 2n) times an n x 2n input, unfused and fused
+            shape = (n, 2 * n, 2 * n, precision.r)
+            unfused = tiling.TiledPlan.from_shape(*shape, Precision.W8, n).pass_count
+            fused = tiling.TiledPlan.from_shape(*shape, precision, n).pass_count
+            gain = unfused // fused
+            p = analytic.AnalyticParams.for_mode(n, precision.weight_bits)
+            peak = analytic.peak_throughput(p, args.clock_ghz * 1e9) / 1e12
+            factor = cost.ADIP_POWER_BY_SIZE.get(n, float("nan"))
+            lines.append(f"{n},{precision.name},{gain},{peak:.3f},{factor}\n")
     with _open_out(args.out) as fh:
-        fh.write("size,mode,throughput_gain,peak_tops,power_factor\n")
-        for n in args.sizes:
-            for precision in (Precision.W8, Precision.W4, Precision.W2):
-                # r matrices of (2n x 2n) times an n x 2n input, unfused and fused
-                shape = (n, 2 * n, 2 * n, precision.r)
-                unfused = tiling.TiledPlan.from_shape(*shape, Precision.W8, n).pass_count
-                fused = tiling.TiledPlan.from_shape(*shape, precision, n).pass_count
-                gain = unfused // fused
-                p = analytic.AnalyticParams.for_mode(n, precision.weight_bits)
-                peak = analytic.peak_throughput(p, args.clock_ghz * 1e9) / 1e12
-                factor = cost.ADIP_POWER_BY_SIZE.get(n, float("nan"))
-                fh.write(f"{n},{precision.name},{gain},{peak:.3f},{factor}\n")
+        fh.writelines(lines)
     return 0
 
 

@@ -6,7 +6,8 @@ the array. `stage_cost` reads one instance's plan, its pass count, clock
 and traffic, and bills it `count` times; `summary` costs each distinct
 stage shape once per architecture, and `stage_latency` reads `stage_cost`.
 Both are what `tiling.run_tiled` runs: a stage bills the cycles and
-passes of its instances' simulated runs.
+passes of its instances' simulated runs, with weight loads overlapped
+behind the previous pass as in the evaluated configuration.
 
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
 * ADiP -- adaptive precision: a projection runs at its weight precision,
@@ -31,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import IO, Iterable
 
-from .numerics import check_size, check_type
+from .numerics import check_size
 from .preprocess import Precision
 from .tiling import TiledPlan
 from .workload import MhaConfig, StageSpec, stages
@@ -60,12 +61,10 @@ class CostParams:
     """Cost-model knobs; defaults match the evaluated 32 x 32 configuration."""
 
     n: int = 32
-    overlap_weights: bool = True
     output_bytes: int = 0  # per output element: 0 = not counted, 1 = requantized, 4 = raw psum spill
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_size(self.n))
-        check_type(self.overlap_weights, bool, "overlap_weights")
         if self.output_bytes not in (0, 1, 4):
             raise ValueError("output_bytes must be 0, 1 or 4")
         # True and 4.0 are not sizes
@@ -102,11 +101,11 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _instance(m: int, k: int, p: int, weight_bits: int, n: int, overlap_weights: bool) -> tuple[TiledPlan, int]:
-    """The plan of one instance of a stage and its clock; a report asks for
-    few distinct ones, so each is built once."""
+def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> tuple[TiledPlan, int]:
+    """The plan of one instance of a stage and its clock, weight loads
+    overlapped; a report asks for few distinct ones, so each is built once."""
     plan = TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
-    return plan, plan.cycles(overlap_weights)
+    return plan, plan.cycles(True)
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
@@ -119,7 +118,7 @@ def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     instance's plan.
     """
     bits = spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
-    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, params.n, params.overlap_weights)
+    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, params.n)
     cycles *= spec.count
     return StageCost(
         stage=spec.stage.label,

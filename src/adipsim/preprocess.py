@@ -116,7 +116,8 @@ def _pack_fields(fields: Sequence[np.ndarray], width: int, words: np.ndarray) ->
 
 
 # The 2-bit slots of a stationary word that carry a sign: the top slot of
-# each weight field (see `pe` for how the PE's multiplier groups use them).
+# each weight field. A PE's multiplier group g multiplies the 8-bit input
+# by slot g, and the reducer folds the four groups per weight field.
 _SIGNED_SLOTS = {
     Precision.W8: (False, False, False, True),
     Precision.W4: (False, True, False, True),

@@ -1,11 +1,18 @@
 """Reference models that the tests hold the array to, one clock at a time.
 
 `PE` is one grid cell as registered state: a stationary word, an input
-register and four psum buses, advanced by `step`. `SteppedArray` is the
-whole array as it was before its registers were formed in closed form:
-the PE grid and two reducer stages, tapped at the precision's stage, with
-every register checked on every clock (no overflow gate) and each clock's
-trace lines written with `%d`.
+register and four psum buses, advanced by `step`. Its arithmetic is the
+paper's, one scalar at a time: `group_multiply` forms the four group
+outputs, each the 8-bit input times one 2-bit weight slot as four 2-bit
+multiplies (`numerics.mul2`) folded with radix-4 shifts, sixteen in all;
+`combine_groups` folds the four buses into the precision's per-matrix
+products (W8: one 8-bit weight, W4: two 4-bit, W2: four 2-bit). The
+package forms the same values for whole blocks of clocks in `array`.
+
+`SteppedArray` is the whole array as it was before its registers were
+formed in closed form: the PE grid and two reducer stages, tapped at the
+precision's stage, with every register checked on every clock (no
+overflow gate) and each clock's trace lines written with `%d`.
 
 `permute`, `inverse_permute`, `interleave` and `deinterleave` prepare and
 decode one n x n weight tile at a time, with plain index arithmetic: the
@@ -18,12 +25,21 @@ so the trace, CLI and run-digest pins taken under them stay asserted on
 their old bytes.
 """
 
+import functools
+
 import numpy as np
 
 from adipsim import array
-from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
-from adipsim.numerics import PSUM_BITS, ceil_div, check_signed
-from adipsim.pe import PhaseError, PsumOverflowError, group_multiply
+from adipsim.array import (
+    TRACE_HEADER,
+    ArraySim,
+    PhaseError,
+    PsumOverflowError,
+    load_cycles,
+    stream_cycles,
+    weight_slots,
+)
+from adipsim.numerics import PSUM_BITS, ceil_div, check_signed, mul2, split_subwords
 from adipsim.preprocess import Precision, decode_slots, prepare_weights
 from adipsim.tiling import TiledResult
 
@@ -56,6 +72,30 @@ def deinterleave(words, width, nw):
     words = np.asarray(words, dtype=np.int64)
     fields = [(words >> (t * width)) % (1 << width) for t in range(nw)]
     return [np.where(f >= 1 << (width - 1), f - (1 << width), f) for f in fields]
+
+
+# Each word's slots, read once per precision: acceptance c02 forms every
+# input x word product at every precision, 196 608 group products.
+_weight_slots = functools.cache(weight_slots)
+
+
+def group_multiply(input_val: int, word: int, precision: Precision) -> tuple[int, int, int, int]:
+    """Four group outputs: product of the 8-bit input with each weight field."""
+    subwords = split_subwords(input_val, 8)
+    slots = _weight_slots(word, precision)
+    return tuple(
+        sum(mul2(sub, slot) << (2 * j) for j, sub in enumerate(subwords)) for slot in slots
+    )
+
+
+def combine_groups(groups: tuple[int, int, int, int], precision: Precision) -> tuple[int, ...]:
+    """Fold the four bus values into per-matrix products for the precision."""
+    g0, g1, g2, g3 = groups
+    if precision is Precision.W8:
+        return (g0 + (g1 << 2) + (g2 << 4) + (g3 << 6),)
+    if precision is Precision.W4:
+        return (g0 + (g1 << 2), g2 + (g3 << 2))
+    return (g0, g1, g2, g3)
 
 
 class PE:

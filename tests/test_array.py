@@ -5,10 +5,8 @@ import pytest
 from reference import PE, permute
 
 from adipsim import array
-from adipsim.array import TRACE_HEADER, ArraySim
-from adipsim.cost import CostParams
+from adipsim.array import TRACE_HEADER, ArraySim, PhaseError, PsumOverflowError
 from adipsim.numerics import check_signed
-from adipsim.pe import PhaseError, PsumOverflowError
 from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import TiledPlan
 
@@ -216,15 +214,14 @@ def test_weight_load_cycle_accounting():
     "entry",
     [
         lambda flag: ArraySim(4, Precision.W8, overlap_weights=flag).overlap_weights,
-        lambda flag: CostParams(overlap_weights=flag).overlap_weights,
         lambda flag: TiledPlan.from_shape(4, 4, 4, 1, Precision.W8, 4).cycles(flag),
     ],
-    ids=["ArraySim", "CostParams", "TiledPlan.cycles"],
+    ids=["ArraySim", "TiledPlan.cycles"],
 )
 def test_overlap_weights_must_be_a_bool(entry, bad):
-    """The array, the cost model and a plan's clock take the flag as a bool
-    only: "false" is truthy and None or 0 falsy, so either would clock the
-    loads as the other value silently."""
+    """The array and a plan's clock take the flag as a bool only: "false"
+    is truthy and None or 0 falsy, so either would clock the loads as the
+    other value silently."""
     with pytest.raises(ValueError, match="overlap_weights must be a bool"):
         entry(bad)
     assert entry(True) != entry(False)

@@ -420,6 +420,18 @@ def test_sweep_plans_from_shape_at_any_size(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_sweep_that_fails_writes_nothing(capsys, tmp_path, to_file):
+    """A clock whose peak throughput overflows fails the sweep before any
+    output: no CSV header on stdout, and no --out file."""
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", "--clock-ghz", "1e300") + (("--out", str(out)) if to_file else ())
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert "clock_hz must be a positive finite number" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

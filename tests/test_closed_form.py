@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from reference import SteppedArray, interleave, permute
 
 from adipsim import array
-from adipsim.array import ArraySim
+from adipsim.array import ArraySim, PsumOverflowError
 from adipsim.numerics import ceil_div
-from adipsim.pe import PsumOverflowError
 from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, plan, run_tiled
 

@@ -39,11 +39,11 @@ from adipsim.workload import (
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
-# `tools/fingerprint.py`'s digest of its cost reports and sweep rows: 72
-# documents, the reports under four `CostParams` variants. Taken from the
-# code that still had a MAC-depth knob, at its default depth: no report
-# moved when the pipeline depth became the precision's.
-COST_REPORTS_SHA256 = "8029174ea8397394cad9ca69f8860199ca2f81cb15eb31eb07ff7cfac4b2118c"
+# `tools/fingerprint.py`'s digest of its cost reports and sweep rows: 57
+# documents, the reports under three `CostParams` variants. Taken from the
+# code that still had an `overlap_weights` field, over the variants that
+# remain when it went: no remaining report moved.
+COST_REPORTS_SHA256 = "1334044cc37ca0aa3b9fd2302a61b2d1fc48b59bab00dabbd49840be24bdac06"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
 # and traced at three psum limits: 600 runs, 84 of them overflowing, every
 # one at the precision's pipeline depth. The code that still drew two depth
@@ -248,7 +248,9 @@ def test_power_factor_table_and_validation():
 )
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("fills", [1, 2])
-@pytest.mark.parametrize("overlap", [True, False])
+# `cost` bills overlapped weight loads only; the one value keeps the
+# cases' ids.
+@pytest.mark.parametrize("overlap", [True])
 def test_stage_cost_matches_simulator(arch, precision, n, fills, overlap):
     """A stage of count = r or 2r instances, each with its own input (enough
     to fill one or two words' r weight fields, were they packed together),
@@ -272,7 +274,7 @@ def test_stage_cost_matches_simulator(arch, precision, n, fills, overlap):
         for _ in range(count)
     ]
     spec = StageSpec(Stage.Q_PROJ, m=m, k=k, p=p, count=count, weight_bits=precision.weight_bits)
-    params = CostParams(n=n, overlap_weights=overlap)
+    params = CostParams(n=n)
     assert stage_latency(spec, arch, params) == sum(result.total_cycles for result in results)
     assert stage_cost(spec, arch, params).bytes_w // n**2 == sum(result.pass_count for result in results)
 
@@ -293,7 +295,7 @@ def _instance(spec, precision, n, params, rng):
         precision=precision,
         n=n,
     )
-    result = run_tiled(job, overlap_weights=params.overlap_weights)
+    result = run_tiled(job)
     assert np.array_equal(result.outputs[0], oracle_matmul(job)[0])
     passes = result.pass_count
     return result.total_cycles, passes, passes * plan(job).tm * n * n, passes * n * n
@@ -343,9 +345,8 @@ _RAGGED = MhaConfig("ragged", layers=2, d_model=20, heads=3, d_k=6, seq_len=9, w
     [
         (_SMALL, CostParams(n=8)),
         (_RAGGED, CostParams(n=4)),
-        (_RAGGED, CostParams(n=4, overlap_weights=False)),
     ],
-    ids=["one-layer", "ragged", "ragged-unoverlapped"],
+    ids=["one-layer", "ragged"],
 )
 def test_stage_cost_is_what_the_simulator_runs(cfg, params, bits):
     """On scaled-down geometries, every stage's cycles, passes, input bytes
@@ -406,9 +407,9 @@ def test_builtin_models_at_paper_size_from_simulated_runs(cfg):
 
 
 def test_cost_reports_match_the_pinned_digest():
-    """Every report of the three built-in models at n = 4..64 under four
+    """Every report of the three built-in models at n = 4..64 under three
     `CostParams` variants, and every `analytic.sweep()` row, is unchanged."""
-    assert _fingerprint().cost_digest() == (3 * 5 * 4 + 12, COST_REPORTS_SHA256)
+    assert _fingerprint().cost_digest() == (3 * 5 * 3 + 12, COST_REPORTS_SHA256)
 
 
 def test_simulator_runs_match_the_pinned_digest():
@@ -449,7 +450,6 @@ def test_overflow_edge_runs_match_the_pinned_digest():
     params=st.builds(
         CostParams,
         n=st.sampled_from(sorted(ADIP_POWER_BY_SIZE)),
-        overlap_weights=st.booleans(),
         output_bytes=st.sampled_from([0, 1, 4]),
     ),
 )

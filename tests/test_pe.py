@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from reference import PE
+from reference import PE, combine_groups, group_multiply
 
-from adipsim.pe import PhaseError, PsumOverflowError, combine_groups, group_multiply, weight_slots
+from adipsim.array import PhaseError, PsumOverflowError, weight_slots
 from adipsim.preprocess import Precision
 
 
@@ -24,6 +24,11 @@ def test_weight_slots_range_checked():
         weight_slots(256, Precision.W8)
     with pytest.raises(ValueError):
         weight_slots(-1, Precision.W2)
+    for word in (3.5, True):  # neither is a weight word; True is not word 1
+        with pytest.raises(ValueError, match="weight word must be an integer"):
+            weight_slots(word, Precision.W8)
+    with pytest.raises(ValueError, match="precision must be a Precision"):
+        weight_slots(3, "w8")
 
 
 def test_group_multiply_w8_example():

@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 from reference import grouped_run_tiled, tile_packed_run_tiled
 
 from adipsim import array
-from adipsim.array import ArraySim
-from adipsim.pe import PsumOverflowError
+from adipsim.array import ArraySim, PsumOverflowError
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 

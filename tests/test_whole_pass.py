@@ -19,9 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adipsim import array
-from adipsim.array import ArraySim
+from adipsim.array import ArraySim, PsumOverflowError
 from adipsim.numerics import bit_fields, ceil_div
-from adipsim.pe import PsumOverflowError
 from adipsim.preprocess import Precision, decode_slots, prepare_weights
 from adipsim.tiling import MatMulJob, run_tiled
 
@@ -254,7 +253,7 @@ def test_overflow_guards_survive_optimize_flag():
         """
         import numpy as np
         from adipsim import array
-        from adipsim.pe import PsumOverflowError
+        from adipsim.array import PsumOverflowError
         from reference import PE
         from adipsim.preprocess import Precision
         from adipsim.tiling import MatMulJob, run_tiled

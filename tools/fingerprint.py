@@ -18,9 +18,9 @@ tile-packed ones that `tests/reference.py` replays for the older pins.
 
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
-under four `CostParams` variants (the defaults, output writes billed at
-1 and at 4 bytes, weight loads not overlapped), then the rows of
-`analytic.sweep()`, each as JSON with sorted keys.
+under three `CostParams` variants (the defaults, output writes billed at
+1 and at 4 bytes), then the rows of `analytic.sweep()`, each as JSON
+with sorted keys.
 
 A third, printed next, covers runs at the overflow edge, where random
 configs rarely land: every mode at n = 1..8, every input and weight at
@@ -39,7 +39,7 @@ from dataclasses import asdict
 import numpy as np
 
 from adipsim import analytic, array, cost, workload
-from adipsim.pe import PsumOverflowError
+from adipsim.array import PsumOverflowError
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, run_tiled
 
@@ -50,7 +50,6 @@ COST_VARIANTS = (
     {},
     {"output_bytes": 1},
     {"output_bytes": 4},
-    {"overlap_weights": False},
 )
 
 
