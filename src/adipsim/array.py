@@ -28,14 +28,16 @@ The grid's matrices need not be whole weight matrices: `run_tiled` packs
 runs of a job's columns into them, so that every pass fills the r
 weight fields of each word.
 A pass is one weight load, then a run of streamed rows, padded to whole
-row tiles. The tiles are rotated out of the grid's matrix-order words
-once, and the registers of a block of clocks, for a stack of passes at
-once, come from the formulas above (`_registers`), formed only where a
-trace or an overflow check reads them. They are int32, as wide as the
-paper's psum buses, wherever int8 inputs cannot take a register past
-int32 (`_register_dtype`: every n below about 87 800), and int64 only
-above. The reducer's fold is linear, so the outputs are exact matmuls
-of the int8 input with the weight fields of the matrix-order words
+row tiles; the load is hidden behind the pass before it, so a pass costs
+`stream_cycles` and no more, as in the paper's resident-weight latency.
+The tiles are rotated out of the grid's matrix-order words once, and the
+registers of a block of clocks, for a stack of passes at once, come from
+the formulas above (`_registers`), formed only where a trace or an
+overflow check reads them. They are int32, as wide as the paper's psum
+buses, wherever int8 inputs cannot take a register past int32
+(`_register_dtype`: every n below about 87 800), and int64 only above.
+The reducer's fold is linear, so the outputs are exact matmuls of the
+int8 input with the weight fields of the matrix-order words
 (`_group_outputs`): per matrix, float32 over chunks of K small enough to
 stay exact, written or added in int64 into one int64 block per group;
 there is no floating total. `load_weights` takes a one-tile grid and
@@ -178,12 +180,6 @@ def _cell_prefixes(n: int) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint64).reshape(n * n, width // 8)
 
 
-def load_cycles(n: int, overlap_weights: bool) -> int:
-    """Weight-load cycles of one pass: one tile row per cycle, or none
-    when loading is double-buffered behind the previous drain."""
-    return 0 if overlap_weights else n
-
-
 def stream_cycles(n: int, rows: int, precision: Precision) -> int:
     """Cycles from the first streamed row entering until the last result
     leaves: one per row, n - 1 more for the last row to reach the bottom PE
@@ -320,12 +316,10 @@ class ArraySim:
         self,
         n: int,
         precision: Precision,
-        overlap_weights: bool = False,
         trace: Optional[io.TextIOBase] = None,
     ):
         self.n = check_size(n)
         self.precision = check_type(precision, Precision, "precision")
-        self.overlap_weights = check_type(overlap_weights, bool, "overlap_weights")
         self.cycle = 0
         self._trace = trace
         self._tile = None  # the one-tile grid `load_weights` took
@@ -352,8 +346,8 @@ class ArraySim:
         self._tile = tile
 
     def stream(self, rows) -> np.ndarray:
-        """`stream_grid` of the loaded tile on the R x n `rows`: one pass,
-        its load cycles included; an (R, 1, n) int64 array of outputs."""
+        """`stream_grid` of the loaded tile on the R x n `rows`: one pass;
+        an (R, 1, n) int64 array of outputs."""
         if self._tile is None:
             raise PhaseError("streaming before weight load")
         if np.ndim(rows) != 2 or np.shape(rows)[1] != self.n:
@@ -395,11 +389,11 @@ class ArraySim:
 
     # -- streaming -----------------------------------------------------------
 
-    def _run(self, slots: np.ndarray, feed: np.ndarray, load: int, check: bool) -> None:
+    def _run(self, slots: np.ndarray, feed: np.ndarray, check: bool) -> None:
         """Run each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
         n + 1 zero rows before it, then one row per clock, from
-        zero registers. A pass costs `load` cycles, then one per clock; the
-        caller advances the clock past the run.
+        zero registers, one cycle per clock; the caller advances the clock
+        past the run.
 
         Registers are formed in blocks of as many clocks as `_TRACE_BYTES`
         of registers hold, one at least (whole passes when they fit). With
@@ -411,7 +405,6 @@ class ArraySim:
         n, window = self.n, self.n + 1
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
-        period = load + steps
         held = np.zeros((passes, n, n, 5), dtype=feed.dtype)  # each pass's registers after its last block
         if check:
             reducer = _fold_matrices(slots, _STAGE2_FOLD)
@@ -427,7 +420,7 @@ class ArraySim:
                 registers = _registers(block_slots, block, window, window + clocks, block_held)
                 block_held[...] = registers[:, -1]
                 registers = registers.reshape(-1, n, n, 5)
-                cycles = (self.cycle + load + lo + 1 + period * block_passes[:, None] + np.arange(clocks)).ravel()
+                cycles = (self.cycle + lo + 1 + steps * block_passes[:, None] + np.arange(clocks)).ravel()
                 fail = len(cycles)
                 if check:
                     stage2 = np.matmul(block[:, :clocks], reducer[p0 : p0 + span]).reshape(-1, n)
@@ -456,8 +449,8 @@ class ArraySim:
         grid rotated into its tiles once, only with a trace sink or when
         `_row_may_overflow` is on for the largest input magnitude; the
         input is scanned for that only when the bound is on at |a| = 128;
-        otherwise no slot is decoded. Either way the clock advances by each
-        pass's load and stream cycles.
+        otherwise no slot is decoded. Either way the clock advances by
+        `stream_cycles` per pass.
         """
         self._check_fits(grid)
         n, window = self.n, self.n + 1
@@ -467,7 +460,6 @@ class ArraySim:
             raise ValueError(f"input must be M x K with ceil(K/{n}) = {tk}, got {a.shape}")
         a = to_int8(a, ACT_BITS, "input element")  # an int8 input is not scanned
         m_dim, k_dim = a.shape
-        load = load_cycles(n, self.overlap_weights)
         steps = stream_cycles(n, ceil_div(m_dim, n) * n, self.precision)
         # |a| <= 128 keeps the bound off below n ~ 87 800; scan only when it could trip
         check = _row_may_overflow(128, n, self.precision) and _row_may_overflow(
@@ -480,6 +472,6 @@ class ArraySim:
             feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
             slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(dtype)
-            self._run(slots, feed, load, check)
-        self.cycle += tk * tp * (load + steps)
+            self._run(slots, feed, check)
+        self.cycle += tk * tp * steps
         return _group_outputs(grid, a).transpose(1, 0, 2)

@@ -157,8 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     precision = Precision.from_name(args.mode)
     n = args.size
     if bool(args.a) != bool(args.b):
-        print("simulate: --a and --b must be given together", file=sys.stderr)
-        return 2
+        raise ValueError("--a and --b must be given together")
     if args.a:
         _check_no_generation_options(args, ("nw", "m", "k", "p", "seed"), "--a/--b")
         [a] = _read_matrices([args.a], ACT_BITS)
@@ -174,7 +173,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     job = tiling.MatMulJob(a=a, weights=weights, precision=precision, n=n)
     trace_ctx = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
-        result = tiling.run_tiled(job, overlap_weights=args.overlap_weights, trace=trace_ctx)
+        result = tiling.run_tiled(job, trace=trace_ctx)
     finally:
         if trace_ctx is not None:
             trace_ctx.close()
@@ -197,10 +196,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    if args.model.endswith(".json") or os.path.exists(args.model):
-        cfg = workload.load_config(args.model)
-    else:
+    try:
         cfg = workload.get_model(args.model)
+    except ValueError:  # a built-in name wins over a file of that name
+        if not (args.model.endswith(".json") or os.path.exists(args.model)):
+            raise
+        cfg = workload.load_config(args.model)
     params = cost.CostParams(n=args.size, output_bytes=args.output_bytes)
     info = cost.summary(cfg, params)  # fails on a bad size before anything is printed
     # --out is opened before the report is printed, so a bad path fails
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="input matrix file (text format)")
     p.add_argument("--b", action="append", default=[], help="weight matrix file, repeatable")
     p.add_argument("--trace", help="write a per-cycle PE trace CSV here")
-    p.add_argument("--overlap-weights", action="store_true", help="hide weight loads behind drains")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("workload", help="attention workload breakdown and architecture comparison")

@@ -6,8 +6,8 @@ the array. `stage_cost` reads one instance's plan, its pass count, clock
 and traffic, and bills it `count` times; `summary` costs each distinct
 stage shape once per architecture, and `stage_latency` reads `stage_cost`.
 Both are what `tiling.run_tiled` runs: a stage bills the cycles and
-passes of its instances' simulated runs, with weight loads overlapped
-behind the previous pass as in the evaluated configuration.
+passes of its instances' simulated runs, each weight load hidden behind
+the previous pass as in the evaluated configuration.
 
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
 * ADiP -- adaptive precision: a projection runs at its weight precision,
@@ -101,11 +101,10 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> tuple[TiledPlan, int]:
-    """The plan of one instance of a stage and its clock, weight loads
-    overlapped; a report asks for few distinct ones, so each is built once."""
-    plan = TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
-    return plan, plan.cycles(True)
+def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> TiledPlan:
+    """The plan of one instance of a stage; a report asks for few distinct
+    ones, so each is built once."""
+    return TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
@@ -118,8 +117,8 @@ def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
     instance's plan.
     """
     bits = spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
-    plan, cycles = _instance(spec.m, spec.k, spec.p, bits, params.n)
-    cycles *= spec.count
+    plan = _instance(spec.m, spec.k, spec.p, bits, params.n)
+    cycles = spec.count * plan.cycles
     return StageCost(
         stage=spec.stage.label,
         arch=arch,

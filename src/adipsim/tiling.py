@@ -2,9 +2,10 @@
 
 Tile loops run j (output columns), then k (reduction), then i (output
 rows): each (j, k) pass loads one stationary weight tile and streams every
-input row tile back to back, so one pass costs one weight load plus
-tm * n streamed rows. Partial results accumulate in a model-level output
-buffer across the k loop and are written once.
+input row tile back to back. The load is hidden behind the pass before
+it, so one pass costs `stream_cycles` for its tm * n streamed rows.
+Partial results accumulate in a model-level output buffer across the k
+loop and are written once.
 
 A pass fills all r = 8 / weight_bits weight fields of every stationary
 word. The job's nw matrices stand side by side, P columns each with no
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArraySim, load_cycles, stream_cycles
+from .array import ArraySim, stream_cycles
 from .numerics import ACT_BITS, ceil_div, check_size, check_type, exact_matmuls, to_int8
 from .preprocess import Precision, prepare_weights
 
@@ -127,12 +128,11 @@ class TiledPlan:
         """Output elements of the matrices, padded to whole tiles."""
         return self.count * self.tm * self.tp * self.n**2
 
-    def cycles(self, overlap_weights: bool = True) -> int:
-        """The clock of the run under `run_tiled`'s `overlap_weights`: each
-        pass costs `load_cycles` plus `stream_cycles` for its tm * n rows."""
-        check_type(overlap_weights, bool, "overlap_weights")
-        stream = stream_cycles(self.n, self.tm * self.n, self.precision)
-        return self.pass_count * (load_cycles(self.n, overlap_weights) + stream)
+    @property
+    def cycles(self) -> int:
+        """The clock of the run: each pass costs `stream_cycles` for its
+        tm * n rows, its weight load hidden behind the pass before it."""
+        return self.pass_count * stream_cycles(self.n, self.tm * self.n, self.precision)
 
     @classmethod
     def from_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
@@ -194,19 +194,19 @@ class TiledResult:
     pass_count: int
 
 
-def run_tiled(job: MatMulJob, overlap_weights: bool = True, trace=None) -> TiledResult:
+def run_tiled(job: MatMulJob, trace=None) -> TiledResult:
     """Run a job through the cycle simulator tile by tile.
 
-    Results are exact; `total_cycles` sums pass latencies (plus weight-load
-    cycles when `overlap_weights` is off) and `pass_count` counts weight-tile
-    loads. The job's virtual matrices (see `TiledPlan`) run as one fused
-    group on one `ArraySim`, whose clock gives the cycles and which writes
-    its per-PE trace to the `trace` sink when one is given.
+    Results are exact; `total_cycles` sums pass latencies, which is the
+    plan's `cycles`, and `pass_count` counts weight-tile loads. The job's
+    virtual matrices (see `TiledPlan`) run as one fused group on one
+    `ArraySim`, whose clock gives the cycles and which writes its per-PE
+    trace to the `trace` sink when one is given.
     """
     m_dim, k_dim, p_dim = job.shape
     n = job.n
     the_plan = plan(job)
-    sim = ArraySim(n, job.precision, overlap_weights, trace)
+    sim = ArraySim(n, job.precision, trace)
     if not the_plan.pass_count:  # K = 0 or P = 0 has no passes
         outputs = list(np.zeros((len(job.weights), m_dim, p_dim), dtype=np.int64))
         return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=0)

@@ -35,7 +35,6 @@ from adipsim.array import (
     ArraySim,
     PhaseError,
     PsumOverflowError,
-    load_cycles,
     stream_cycles,
     weight_slots,
 )
@@ -150,10 +149,9 @@ STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 class SteppedArray:
     """One clock at a time: the reference for `ArraySim`'s registers."""
 
-    def __init__(self, n, precision, nw, overlap_weights=False, trace=None):
+    def __init__(self, n, precision, nw, trace=None):
         self.n = n
         self.precision, self.nw = precision, nw
-        self.overlap_weights = overlap_weights
         self.cycle = 0
         self.trace = trace
         self.slots = np.zeros((4, n, n), dtype=np.int64)
@@ -168,10 +166,10 @@ class SteppedArray:
         self.stage2 = np.zeros(n, dtype=np.int64)
 
     def load_weights(self, words):
-        """Take an n x n tile of words, rotated as the array loads it."""
+        """Take an n x n tile of words, rotated as the array loads it; the
+        load is hidden behind the pass before, so it takes no cycle."""
         self.slots = decode_slots(words, self.precision).astype(np.int64)
         self._reset()
-        self.cycle += load_cycles(self.n, self.overlap_weights)
 
     def step(self, row_in):
         prev = self.regs
@@ -220,7 +218,7 @@ class SteppedArray:
         return collected
 
 
-def grouped_run_tiled(job, overlap_weights=True, trace=None):
+def grouped_run_tiled(job, trace=None):
     """`run_tiled` as it was before column-block packing: the job's matrices
     fused r at a time, the last group taking what is left, each group
     prepared by `prepare_weights` and run by `stream_grid` on one
@@ -229,7 +227,7 @@ def grouped_run_tiled(job, overlap_weights=True, trace=None):
     passes."""
     m_dim, k_dim, p_dim = job.shape
     r = job.precision.r
-    sim = ArraySim(job.n, job.precision, overlap_weights, trace)
+    sim = ArraySim(job.n, job.precision, trace)
     outputs, passes = [], 0
     for base in range(0, len(job.weights), r):
         group = job.weights[base : base + r]
@@ -243,7 +241,7 @@ def grouped_run_tiled(job, overlap_weights=True, trace=None):
     return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=passes)
 
 
-def tile_packed_run_tiled(job, overlap_weights=True, trace=None):
+def tile_packed_run_tiled(job, trace=None):
     """`run_tiled` as it was before column-level packing: the job's matrices
     side by side, each padded to tp column tiles, that row of nw * tp tiles
     cut into runs of per = ceil(nw * tp / r) tiles, one run per weight
@@ -254,7 +252,7 @@ def tile_packed_run_tiled(job, overlap_weights=True, trace=None):
     n, nw = job.n, len(job.weights)
     tk, tp = ceil_div(k_dim, n), ceil_div(p_dim, n)
     per = ceil_div(nw * tp, job.precision.r)
-    sim = ArraySim(n, job.precision, overlap_weights, trace)
+    sim = ArraySim(n, job.precision, trace)
     if not (tk and per):  # K = 0 or P = 0 has no passes
         return TiledResult(list(np.zeros((nw, m_dim, p_dim), dtype=np.int64)), sim.cycle, 0)
     stride, width, virtual = tp * n, per * n, ceil_div(nw * tp, per)

@@ -153,7 +153,7 @@ def test_model_matches_simulator_measurement(weight_bits):
     lo = -(1 << (weight_bits - 1))
     hi = (1 << (weight_bits - 1)) - 1
     grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], precision, n)
-    sim = ArraySim(n, precision, overlap_weights=True)  # no load cycles
+    sim = ArraySim(n, precision)
     sim.load_weights(grid)
     start = sim.cycle
     sim.stream(rng.integers(-128, 128, (n, n)))

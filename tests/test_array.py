@@ -8,7 +8,6 @@ from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim, PhaseError, PsumOverflowError
 from adipsim.numerics import check_signed
 from adipsim.preprocess import Precision, prepare_weights
-from adipsim.tiling import TiledPlan
 
 MODE_CONFIGS = [
     (Precision.W8, 1),
@@ -29,7 +28,7 @@ def _random_weights(rng, precision, nw, shape):
 
 def _run_tile(sim, packed, a_tile):
     """Load one weight tile and stream one input tile: the nw product
-    matrices and the pass latency in cycles, its weight load included."""
+    matrices and the pass latency in cycles."""
     sim.load_weights(packed)
     start = sim.cycle
     outputs = sim.stream(a_tile).astype(np.int64)
@@ -84,7 +83,7 @@ def test_tile_latency_and_emission_schedule(mode, expected_latency):
     n = 4
     a = rng.integers(-128, 128, size=(n, n))
     weights = _random_weights(rng, precision, nw, (n, n))
-    sim = ArraySim(n, precision, overlap_weights=True)
+    sim = ArraySim(n, precision)
     outputs, latency = _run_tile(sim, prepare_weights(weights, precision, n), a)
     assert latency == expected_latency
     for got, w in zip(outputs, weights):
@@ -193,7 +192,7 @@ def test_back_to_back_rows_stream_continuously():
     precision = Precision.W8
     a = rng.integers(-128, 128, size=(2 * n, n))
     w = rng.integers(-128, 128, size=(n, n))
-    sim = ArraySim(n, precision, overlap_weights=True)
+    sim = ArraySim(n, precision)
     outputs, latency = _run_tile(sim, prepare_weights([w], precision, n), a)
     assert latency == 2 * n + n + 1 + 2 - 2
     assert np.array_equal(outputs[0], a.astype(np.int64) @ w)
@@ -203,28 +202,7 @@ def test_weight_load_cycle_accounting():
     n, precision = 4, Precision.W8
     tile = prepare_weights([np.zeros((n, n), dtype=np.int64)], precision, n)
     rows = np.zeros((n, n), dtype=np.int64)
-    serial = ArraySim(n, precision)
-    assert _run_tile(serial, tile, rows)[1] == n + 2 * n + 1 + 2 - 2  # one tile row per cycle
-    overlapped = ArraySim(n, precision, overlap_weights=True)
-    assert _run_tile(overlapped, tile, rows)[1] == 2 * n + 1 + 2 - 2
-
-
-@pytest.mark.parametrize("bad", ["false", "true", None, 0, 1, np.True_], ids=repr)
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda flag: ArraySim(4, Precision.W8, overlap_weights=flag).overlap_weights,
-        lambda flag: TiledPlan.from_shape(4, 4, 4, 1, Precision.W8, 4).cycles(flag),
-    ],
-    ids=["ArraySim", "TiledPlan.cycles"],
-)
-def test_overlap_weights_must_be_a_bool(entry, bad):
-    """The array and a plan's clock take the flag as a bool only: "false"
-    is truthy and None or 0 falsy, so either would clock the loads as the
-    other value silently."""
-    with pytest.raises(ValueError, match="overlap_weights must be a bool"):
-        entry(bad)
-    assert entry(True) != entry(False)
+    assert _run_tile(ArraySim(n, precision), tile, rows)[1] == 2 * n + 1 + 2 - 2  # the load takes no cycle
 
 
 def test_trace_records_every_pe_every_cycle():
@@ -251,7 +229,7 @@ def test_vectorized_grid_matches_pe_objects():
     a = rng.integers(-128, 128, size=(n, n))
 
     sink = io.StringIO()
-    sim = ArraySim(n, precision, overlap_weights=True, trace=sink)
+    sim = ArraySim(n, precision, trace=sink)
     sim.load_weights(packed)
     sim.stream(a)
     traced = _traced_registers(sink.getvalue(), n)

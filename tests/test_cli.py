@@ -11,6 +11,7 @@ from reference import grouped_run_tiled, permute
 from adipsim import tiling
 from adipsim.cli import main, read_matrix, write_matrix
 from adipsim.numerics import VALID_WIDTHS, signed_range
+from adipsim.preprocess import Precision
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +205,7 @@ def test_simulate_takes_input_and_weight_files_together(capsys, tmp_path, given)
     path = _write_matrix_file(tmp_path / "m.txt", [[1]], 8)
     code, out, err = run_cli(capsys, "simulate", given, path)
     assert (code, out) == (2, "")
-    assert err == "simulate: --a and --b must be given together\n"
+    assert err == "adipsim: --a and --b must be given together\n"
 
 
 @pytest.mark.parametrize(
@@ -240,6 +241,33 @@ def test_generation_options_are_rejected_with_matrix_files(capsys, tmp_path, com
     assert run_cli(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
+def test_simulate_prints_the_plans_passes_and_clock(capsys, tmp_path, files):
+    """Three W2 matrices of 6 columns on 4 x 4, generated or read from
+    files: `simulate` prints the plan's pass count and clock, every weight
+    load hidden behind the pass before it."""
+    if files:
+        rng = np.random.default_rng(3)
+        a = _write_matrix_file(tmp_path / "a.txt", rng.integers(-128, 128, (9, 11)), 8)
+        argv = ["--a", a]
+        for t in range(3):
+            argv += ["--b", _write_matrix_file(tmp_path / f"b{t}.txt", rng.integers(-2, 2, (11, 6)), 2)]
+    else:
+        argv = ["--nw", "3", "--m", "9", "--k", "11", "--p", "6"]
+    code, out, err = run_cli(capsys, "simulate", "--size", "4", "--mode", "w2", *argv)
+    assert (code, err) == (0, "")
+    the_plan = tiling.TiledPlan.from_shape(9, 11, 6, 3, Precision.W2, 4)
+    assert f"\npasses {the_plan.pass_count}  cycles {the_plan.cycles}\n" in out
+
+
+def test_simulate_overlap_weights_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--overlap-weights"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--overlap-weights" in captured.err
+
+
 def test_simulate_trace_written(capsys, tmp_path):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(
@@ -254,14 +282,15 @@ def test_simulate_trace_written(capsys, tmp_path):
 
 # The default `simulate --mode w4 --nw 3` trace: three 16 x 16 matrices of
 # 2 x 2 tiles packed into two virtual matrices of 3 column tiles, 6 passes
-# of 8 x 8 PEs, 144 cycles with 64 lines each (load cycles have none) under
-# the header. Taken after the same run matched the per-cycle stepper of
-# tests/test_closed_form.py byte for byte.
-PINNED_CLI_TRACE = ("835fb93f8f506d5b4c1c4b11eae39ee69eacba096da93ecf5579ad161b6072c2", 9217)
+# of 8 x 8 PEs, 144 cycles with 64 lines each under the header. Taken
+# after the same run matched the per-cycle stepper of
+# tests/test_closed_form.py byte for byte; both pins were re-taken from
+# `simulate --overlap-weights` when that option became the only clock.
+PINNED_CLI_TRACE = ("5a6c1db926cb565adcf5534075758fd19e9d0bb957a1865db724c1040ad5aa96", 9217)
 # The same command under the schedule that fused separate matrices r at a
-# time (`reference.grouped_run_tiled`): 8 passes, 256 cycles. Its sha256
+# time (`reference.grouped_run_tiled`): 8 passes, 192 cycles. Its sha256
 # was taken from the per-cycle stepping model.
-GROUPED_CLI_TRACE = ("c4ecdefdb7bfb475621266d03ab5e139ae81cd33e15e89bca30ceceaed3874d0", 12289)
+GROUPED_CLI_TRACE = ("a1dad27533ca36c8e725982d38be92cf0821447915349d921eae57408cb9ccb1", 12289)
 
 
 def _simulate_trace(capsys, tmp_path):
@@ -384,6 +413,17 @@ def test_workload_count_output_writes_is_gone(capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "--count-output-writes" in captured.err
+
+
+def test_workload_builtin_name_wins_over_a_directory_of_that_name(capsys, tmp_path, monkeypatch):
+    """Run where a `bert/` directory sits, `workload bert` still reports
+    the built-in BERT Large; only a name that is not built in is read as
+    a JSON file."""
+    code, report, _ = run_cli(capsys, "workload", "bert", "--size", "16")
+    assert code == 0 and report.startswith("model bert-large:")
+    (tmp_path / "bert").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "workload", "bert", "--size", "16") == (0, report, "")
 
 
 def test_workload_size_without_power_factor_prints_no_report(capsys):

@@ -21,7 +21,7 @@ from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, plan, run_tiled
 
 
-def stepped_run_tiled(job, overlap_weights, trace):
+def stepped_run_tiled(job, trace):
     """Traced `run_tiled` as the plan's slot map lays it out, one clock at a
     time: the job's matrices side by side, P columns each, zero-padded to
     `virtual` runs of W = per * n columns, run v in weight field v of a
@@ -39,7 +39,7 @@ def stepped_run_tiled(job, overlap_weights, trace):
     for t, w in enumerate(job.weights):
         side[:k_dim, t * p_dim : (t + 1) * p_dim] = w
     accum = np.zeros((tm * n, virtual * width), dtype=np.int64)
-    sim = SteppedArray(n, job.precision, virtual, overlap_weights, trace)
+    sim = SteppedArray(n, job.precision, virtual, trace)
     for j in range(per):
         fields = [slice(v * width + j * n, v * width + (j + 1) * n) for v in range(virtual)]
         for k in range(tk):
@@ -86,7 +86,6 @@ def _stream_cases(draw):
         "precision": precision,
         "nw": draw(st.integers(1, precision.r)),
         "n": n,
-        "overlap": draw(st.booleans()),
         # row count and whether the rows are all zero; each stream is a pass
         # of its own, after the one weight load
         "streams": draw(st.lists(st.tuples(st.integers(0, 2 * n), st.booleans()), min_size=1, max_size=3)),
@@ -115,8 +114,8 @@ def test_streams_match_the_stepper(cfg):
 def _check_streams(n, cfg, packed, streams):
     precision = cfg["precision"]
     sinks = io.StringIO(), io.StringIO()
-    sim = ArraySim(n, precision, cfg["overlap"], trace=sinks[0])
-    ref = SteppedArray(n, precision, cfg["nw"], cfg["overlap"], trace=sinks[1])
+    sim = ArraySim(n, precision, trace=sinks[0])
+    ref = SteppedArray(n, precision, cfg["nw"], trace=sinks[1])
     sim.load_weights(packed)
     for rows in streams:
 
@@ -143,7 +142,6 @@ def _job_cases(draw):
         "nw": draw(st.integers(1, 2 * precision.r)),
         "n": n,
         "dims": (draw(dims), draw(dims), draw(dims)),
-        "overlap": draw(st.booleans()),
         "limit": draw(_limits),
         "full_scale": draw(st.booleans()),
         "block": draw(st.sampled_from([None, 1, 7, 40])),
@@ -166,15 +164,14 @@ def test_traced_run_tiled_matches_the_stepper_pass_by_pass(cfg):
         precision=precision,
         n=n,
     )
-    kwargs = {"overlap_weights": cfg["overlap"]}
     sinks = io.StringIO(), io.StringIO()
 
     def run_sim():
-        result = run_tiled(job, trace=sinks[0], **kwargs)
+        result = run_tiled(job, trace=sinks[0])
         return [out.tolist() for out in result.outputs], result.total_cycles
 
     def run_ref():
-        outputs, cycles = stepped_run_tiled(job, trace=sinks[1], **kwargs)
+        outputs, cycles = stepped_run_tiled(job, trace=sinks[1])
         return [out.tolist() for out in outputs], cycles
 
     with pytest.MonkeyPatch.context() as patch:
@@ -186,7 +183,7 @@ def test_traced_run_tiled_matches_the_stepper_pass_by_pass(cfg):
 
 
 def _block_job():
-    """W8 at n = 4, a 2 x 2 tile grid (four 13-cycle passes, no overlap):
+    """W8 at n = 4, a 2 x 2 tile grid (four 13-cycle passes):
     every weight 1 except tile (k = 1, j = 1), the fourth pass, whose
     -128s reach 4 * 128 * 128 = 65 536 on the reducer."""
     n = 4
@@ -219,7 +216,7 @@ def test_blocks_split_between_and_within_passes(block_cycles, limit, monkeypatch
         sink = io.StringIO()
 
         def outputs_and_cycles():
-            result = run_tiled(job, overlap_weights=False, trace=sink)
+            result = run_tiled(job, trace=sink)
             return [out.tolist() for out in result.outputs], result.total_cycles
 
         return _outcome(outputs_and_cycles, sink)
@@ -228,7 +225,7 @@ def test_blocks_split_between_and_within_passes(block_cycles, limit, monkeypatch
     split = run(block_cycles * 4 * 4)
     assert split == whole
     if limit is None:
-        assert whole[0][1] == 4 * (4 + 13)
+        assert whole[0][1] == 4 * 13
     else:
         # the header, three whole passes, then the fourth until stage 2
         # folds its first row, on its sixth clock

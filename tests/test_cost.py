@@ -45,22 +45,24 @@ FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 # remain when it went: no remaining report moved.
 COST_REPORTS_SHA256 = "1334044cc37ca0aa3b9fd2302a61b2d1fc48b59bab00dabbd49840be24bdac06"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
-# and traced at three psum limits: 600 runs, 84 of them overflowing, every
-# one at the precision's pipeline depth. The code that still drew two depth
-# knobs per config gave the same digest on these configs; at the default
-# depth its runs had matched the per-cycle stepper of
-# tests/test_closed_form.py (outputs, cycles, trace bytes, overflow) and,
-# at 2^31, the oracle.
-RUNS_SHA256 = "94d75342f51975b5c11a311c7bb461f33d0dbbce3a5baac8c060bb581eeb9133"
+# and traced at three psum limits: 600 runs, 88 of them overflowing, every
+# one at the precision's pipeline depth with its weight loads hidden. The
+# code that still drew two depth knobs per config gave the same digest on
+# its configs; at the default depth its runs had matched the per-cycle
+# stepper of tests/test_closed_form.py (outputs, cycles, trace bytes,
+# overflow) and, at 2^31, the oracle. The configs no longer draw whether
+# loads overlap, so the three run digests were re-taken on the new configs
+# from the code that still had an `overlap_weights` switch, run with it on.
+RUNS_SHA256 = "90dbb13d82ac4216bf4525eb2a27b1e3e7c04bbc68f99071bc16166557d4c4fc"
 # The same configs under the schedule that packed whole column tiles
-# (`reference.tile_packed_run_tiled`): 92 overflows. Whether a run reaches
+# (`reference.tile_packed_run_tiled`): 88 overflows. Whether a run reaches
 # a lowered limit depends on which weights share a word, and the two
 # packings pair a ragged matrix's columns differently.
-TILE_PACKED_RUNS_SHA256 = "c9d1725f9fa08d2cd1fc5150571c381be877683d8ae53d0a4729bf87b561d05a"
+TILE_PACKED_RUNS_SHA256 = "243bc76e5c763c4ea2dfc2d7b641611b1f75f88745d33ce8f9ccdedc12095f29"
 # Under the schedule that fused separate matrices r at a time
-# (`reference.grouped_run_tiled`): 92 overflows; at 2^31 the overflow gate
+# (`reference.grouped_run_tiled`): 82 overflows; at 2^31 the overflow gate
 # reads no weight and nothing changes.
-GROUPED_RUNS_SHA256 = "388aceaa8e52f96afd59a2570ac2bf4a749d256a4055149bb2dbea1c1f5d27e8"
+GROUPED_RUNS_SHA256 = "b80efcd3d96d103fc26bfd2c3db4644a1fed56427d8f6e69f1e12fbf63bdeefa"
 # Its digest of the overflow-edge runs (every mode, n = 1..8, all values at
 # their most negative, limits at and one above the largest register), as
 # the engine gave it while a per-pass gate still sat behind the row bound.
@@ -248,8 +250,8 @@ def test_power_factor_table_and_validation():
 )
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("fills", [1, 2])
-# `cost` bills overlapped weight loads only; the one value keeps the
-# cases' ids.
+# Weight loads are always hidden behind the previous pass; the one value
+# keeps the cases' ids.
 @pytest.mark.parametrize("overlap", [True])
 def test_stage_cost_matches_simulator(arch, precision, n, fills, overlap):
     """A stage of count = r or 2r instances, each with its own input (enough
@@ -268,8 +270,7 @@ def test_stage_cost_matches_simulator(arch, precision, n, fills, overlap):
                 weights=[rng.integers(lo, hi + 1, (k, p))],
                 precision=precision,
                 n=n,
-            ),
-            overlap_weights=overlap,
+            )
         )
         for _ in range(count)
     ]
@@ -415,17 +416,17 @@ def test_cost_reports_match_the_pinned_digest():
 def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
-    assert _fingerprint().run_digest(100, 0) == (600, 84, RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0) == (600, 88, RUNS_SHA256)
 
 
 def test_tile_packed_schedule_keeps_its_run_digest():
-    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 92, TILE_PACKED_RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 88, TILE_PACKED_RUNS_SHA256)
 
 
 def test_grouped_schedule_keeps_the_old_run_digest():
     """The engine is unchanged: the fingerprint's configs under the schedule
     its older digest was taken with give that digest."""
-    assert _fingerprint().run_digest(100, 0, grouped_run_tiled) == (600, 92, GROUPED_RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0, grouped_run_tiled) == (600, 82, GROUPED_RUNS_SHA256)
 
 
 def test_overflow_edge_runs_match_the_pinned_digest():

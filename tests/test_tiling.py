@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reference import tile_packed_run_tiled
 
 from adipsim.analytic import AnalyticParams, tile_latency
-from adipsim.array import TRACE_HEADER, ArraySim, load_cycles, stream_cycles
+from adipsim.array import TRACE_HEADER, ArraySim, stream_cycles
 from adipsim.numerics import ceil_div
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, TiledPlan, oracle_matmul, plan, run_tiled
@@ -130,11 +130,12 @@ def test_total_cycles_accounting():
     job = _random_job(rng, Precision.W8, 1, n, dims=(8, 8, 8))
     tm, passes = 2, 4
     per_pass = tm * n + n + 1 + 2 - 2
-    assert run_tiled(job, overlap_weights=True).total_cycles == passes * per_pass
-    assert run_tiled(job, overlap_weights=False).total_cycles == passes * (per_pass + n)
+    assert run_tiled(job).total_cycles == passes * per_pass
 
 
-@pytest.mark.parametrize("overlap", [True, False])
+# Weight loads are always hidden behind the previous pass; the one value
+# keeps the case's id.
+@pytest.mark.parametrize("overlap", [True])
 def test_trace_cycles_rise_across_fused_groups(overlap):
     """Five W2 matrices of one column tile fill three virtual matrices of
     two: the fused group's second pass continues the first one's clock, so
@@ -142,7 +143,7 @@ def test_trace_cycles_rise_across_fused_groups(overlap):
     rng = np.random.default_rng(11)
     job = _random_job(rng, Precision.W2, 5, 4, dims=(4, 4, 4))
     trace = io.StringIO()
-    result = run_tiled(job, overlap_weights=overlap, trace=trace)
+    result = run_tiled(job, trace=trace)
     header, *lines = trace.getvalue().splitlines()
     cycles = [int(line.split(",", 1)[0]) for line in lines]
     assert (plan(job).per, plan(job).virtual, result.pass_count) == (2, 3, 2)
@@ -262,23 +263,22 @@ def test_operand_dtype_does_not_change_the_job(precision, nw, n, dims, seed):
     precision=st.sampled_from(list(Precision)),
     n=st.integers(1, 6),
     dims=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
-    overlap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision, n, dims, overlap, seed, data):
+def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision, n, dims, seed, data):
     """Any small job, zero M, K or P included, with 1 to r + 1 matrices:
     `run_tiled` gives one int64 M x P output per matrix, equal to the
     oracle's; writing into one output leaves every other unchanged; the
     traced run gives the same outputs and cycles; and the cycles are the
     pass count times the closed-form pass latency, `tile_latency` for n
-    rows plus n cycles per further row tile and the load when not
-    overlapped, which is also the plan's own clock."""
+    rows plus n cycles per further row tile, which is also the plan's own
+    clock."""
     nw = data.draw(st.integers(1, precision.r + 1), label="nw")
     m, k, p = dims
     job = _random_job(np.random.default_rng(seed), precision, nw, n, dims)
-    result = run_tiled(job, overlap_weights=overlap)
-    traced = run_tiled(job, overlap_weights=overlap, trace=io.StringIO())
+    result = run_tiled(job)
+    traced = run_tiled(job, trace=io.StringIO())
     golden = oracle_matmul(job)
     assert len(result.outputs) == len(traced.outputs) == nw
     for got, via_trace, want in zip(result.outputs, traced.outputs, golden):
@@ -290,10 +290,9 @@ def test_random_jobs_are_exact_separate_and_clocked_by_the_closed_form(precision
         assert all(np.array_equal(out, was) for u, (out, was) in enumerate(zip(result.outputs, before)) if u != t)
     the_plan = plan(job)
     per_pass = tile_latency(AnalyticParams.for_mode(n, precision.weight_bits)) + (the_plan.tm - 1) * n
-    per_pass += 0 if overlap else n
     assert result.pass_count == traced.pass_count == the_plan.pass_count
     assert result.total_cycles == traced.total_cycles == the_plan.pass_count * per_pass
-    assert result.total_cycles == traced.total_cycles == the_plan.cycles(overlap_weights=overlap)
+    assert result.total_cycles == traced.total_cycles == the_plan.cycles
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -343,13 +342,12 @@ def test_packed_plan_fills_every_weight_field(mode, n, dims, seed):
     mode=st.sampled_from(list(Precision)).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 2 * p.r + 1))),
     n=st.integers(2, 6),
     shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3), st.integers(0, 5)),
-    overlap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 # six W2 matrices of 10 columns on 4 x 4: 60 columns in 4 passes a
 # reduction tile, where whole column tiles (three a matrix) take 5
-@example(mode=(Precision.W2, 6), n=4, shape=(3, 5, 2, 2), overlap=True, seed=4)
-def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, overlap, seed):
+@example(mode=(Precision.W2, 6), n=4, shape=(3, 5, 2, 2), seed=4)
+def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, seed):
     """Jobs of 1 to 2r + 1 matrices with P = q * n + s, s < n, mostly
     ragged: each pass offers r * n output-column slots per reduction tile,
     and the job takes exactly tk * ceil(nw * P / (r * n)) passes, never
@@ -360,21 +358,19 @@ def test_column_packing_meets_the_pass_lower_bound(mode, n, shape, overlap, seed
     precision, nw = mode
     m, k, q, s = shape
     p = q * n + s % n
-    kwargs = {"overlap_weights": overlap}
     job = _random_job(np.random.default_rng(seed), precision, nw, n, (m, k, p))
     the_plan = plan(job)
     r, tk = precision.r, the_plan.tk
     sinks = io.StringIO(), io.StringIO()
-    result = run_tiled(job, **kwargs)
-    traced = run_tiled(job, trace=sinks[0], **kwargs)
-    tile_packed = tile_packed_run_tiled(job, trace=sinks[1], **kwargs)
+    result = run_tiled(job)
+    traced = run_tiled(job, trace=sinks[0])
+    tile_packed = tile_packed_run_tiled(job, trace=sinks[1])
     assert the_plan.pass_count == tk * ceil_div(nw * p, r * n) == result.pass_count == traced.pass_count
     assert tile_packed.pass_count == tk * ceil_div(nw * ceil_div(p, n), r) >= the_plan.pass_count
     if nw == 1 or p % n == 0:
         assert tile_packed.pass_count == the_plan.pass_count
         assert sinks[0].getvalue() == sinks[1].getvalue()
-    clock = the_plan.cycles(overlap)
-    assert result.total_cycles == traced.total_cycles == clock
+    assert result.total_cycles == traced.total_cycles == the_plan.cycles
     for got, via_trace, want in zip(result.outputs, traced.outputs, oracle_matmul(job), strict=True):
         assert np.array_equal(got, want) and np.array_equal(via_trace, want)
 
@@ -503,12 +499,12 @@ def test_a_job_runs_on_one_array(monkeypatch):
 
     monkeypatch.setattr(ArraySim, "__init__", counting_init)
     trace = io.StringIO()
-    result = run_tiled(job, overlap_weights=False, trace=trace)
+    result = run_tiled(job, trace=trace)
     assert built == [(n, Precision.W2)]
     assert (plan(job).per, plan(job).virtual) == (2, 4)
     assert result.pass_count == 2 * 2
     clocks = stream_cycles(n, 2 * n, Precision.W2)
-    assert result.total_cycles == result.pass_count * (load_cycles(n, False) + clocks)
+    assert result.total_cycles == result.pass_count * clocks
     header, *lines = trace.getvalue().splitlines()
     assert header == TRACE_HEADER
     assert len(lines) == result.pass_count * clocks * n * n

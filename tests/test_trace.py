@@ -10,7 +10,11 @@ and the third `run_tiled`'s column-level packing; each was taken after the
 same runs matched the per-cycle stepper of tests/test_closed_form.py byte
 for byte, and the oracle. Every case runs at the precision's pipeline
 depth; the code that still took two depth knobs gave the same three pairs
-for these cases at its default depth.
+for these cases at its default depth. Every weight load is hidden behind
+the pass before it: the three sha256s and the full-scale one below were
+re-taken from the code that still had an `overlap_weights` switch, run
+with it on for every case. No line count moved, since load cycles never
+had trace lines; only cycle numbers did.
 """
 
 import hashlib
@@ -28,26 +32,26 @@ from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
 PINNED_CASES = [
-    # precision, nw, n, (m, k, p), overlap
-    (Precision.W8, 2, 4, (5, 9, 6), True),
-    (Precision.W8, 1, 3, (7, 4, 5), False),
-    (Precision.W4, 3, 4, (6, 5, 7), False),
-    (Precision.W4, 2, 2, (3, 3, 5), True),
-    (Precision.W2, 5, 4, (9, 6, 4), True),
-    (Precision.W2, 9, 3, (4, 7, 3), False),
-    (Precision.W2, 1, 5, (11, 5, 8), False),
-    (Precision.W2, 3, 1, (2, 3, 2), True),
+    # precision, nw, n, (m, k, p)
+    (Precision.W8, 2, 4, (5, 9, 6)),
+    (Precision.W8, 1, 3, (7, 4, 5)),
+    (Precision.W4, 3, 4, (6, 5, 7)),
+    (Precision.W4, 2, 2, (3, 3, 5)),
+    (Precision.W2, 5, 4, (9, 6, 4)),
+    (Precision.W2, 9, 3, (4, 7, 3)),
+    (Precision.W2, 1, 5, (11, 5, 8)),
+    (Precision.W2, 3, 1, (2, 3, 2)),
 ]
 
-PINNED_SHA256 = "2011cee17ede83d685e00a1c12967eab5933de2b28b958e37f5f9eab99d601ff"
+PINNED_SHA256 = "67bec6f055bedbf90d093581876a71cdf02976daaac8d31352124f17d86e84e9"
 PINNED_LINES = 7222
 # Cases 3, 7 and 8 leave weight fields empty under the grouped schedule;
 # packed by column tiles, they take fewer passes.
-TILE_PACKED_SHA256 = "9d805bad08e371b5c1a83150b8378fcf2ccb4e7dfe91485d6e87f02399f5ca8e"
+TILE_PACKED_SHA256 = "de2b854818fbc6cd2b7c50430241aa29ca5ecfb9bf91d85e79790ac5cdeea611"
 TILE_PACKED_LINES = 6363
 # Cases 1, 3, 4 and 6 hold more than one matrix whose P is not a multiple
 # of n; packed by columns, they pad no tile per matrix.
-PACKED_SHA256 = "2f509e6064f65b29b5cf4b546532fc907d5df9321c23d36545b037e5c72cb83d"
+PACKED_SHA256 = "8dcd356edc49ee942d2b64084499323e0daee1ea7f4610590422c46f4aa01353"
 PACKED_LINES = 5739
 
 
@@ -69,10 +73,10 @@ def _pinned_digest(run):
     rng = np.random.default_rng(404)
     digest = hashlib.sha256()
     lines = 0
-    for precision, nw, n, dims, overlap in PINNED_CASES:
+    for precision, nw, n, dims in PINNED_CASES:
         job = _job(rng, precision, nw, n, dims)
         sink = io.StringIO()
-        result = run(job, overlap_weights=overlap, trace=sink)
+        result = run(job, trace=sink)
         for got, want in zip(result.outputs, oracle_matmul(job), strict=True):
             assert np.array_equal(got, want)
         text = sink.getvalue()
@@ -134,7 +138,7 @@ def test_a_clock_above_the_bound_is_written_in_pe_row_slices(trace_bytes, monkey
     sliced = _WriteCounter()
     run_tiled(job, trace=sliced)
     assert sliced.getvalue() == whole.getvalue()
-    clocks = result.total_cycles  # overlapped loads: every cycle is traced
+    clocks = result.total_cycles  # every cycle is traced
     assert whole.getvalue().count("\n") == 1 + clocks * 7 * 7
     assert sliced.writes > 1 + clocks
     if trace_bytes == 1:
@@ -164,21 +168,21 @@ def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch)
 # buses to five digits (128 * 3 * 32 = 12 288), and n >= 11 mixes one- and
 # two-digit row and column numbers within one cycle.
 FULL_SCALE_CASES = [
-    # precision, nw, weight, n, (m, k, p), overlap
-    (Precision.W8, 1, -65, 11, (13, 22, 11), False),
-    (Precision.W8, 1, -65, 32, (40, 32, 32), False),
-    (Precision.W4, 2, -5, 12, (12, 12, 12), True),
-    (Precision.W2, 4, -2, 11, (11, 11, 11), False),
+    # precision, nw, weight, n, (m, k, p)
+    (Precision.W8, 1, -65, 11, (13, 22, 11)),
+    (Precision.W8, 1, -65, 32, (40, 32, 32)),
+    (Precision.W4, 2, -5, 12, (12, 12, 12)),
+    (Precision.W2, 4, -2, 11, (11, 11, 11)),
 ]
 
-FULL_SCALE_SHA256 = "7b1f7c6e58b4c762d45e115c7a02e5df3d28ad32e2961aeb3cc7330f7bdc22eb"
+FULL_SCALE_SHA256 = "9c845c83438084eecfaed528001a6a68364e04e8b0f84e86faadbddd441c9332"
 FULL_SCALE_LINES = 113557
 
 
 def test_full_scale_trace_bytes_are_pinned():
     digest = hashlib.sha256()
     lines = 0
-    for precision, nw, weight, n, (m, k, p), overlap in FULL_SCALE_CASES:
+    for precision, nw, weight, n, (m, k, p) in FULL_SCALE_CASES:
         job = MatMulJob(
             a=np.full((m, k), -128),
             weights=[np.full((k, p), weight)] * nw,
@@ -186,7 +190,7 @@ def test_full_scale_trace_bytes_are_pinned():
             n=n,
         )
         sink = io.StringIO()
-        result = run_tiled(job, overlap_weights=overlap, trace=sink)
+        result = run_tiled(job, trace=sink)
         for got in result.outputs:
             assert np.array_equal(got, np.full((m, p), -128 * weight * k))
         text = sink.getvalue()
@@ -283,12 +287,12 @@ def test_registers_are_int32_at_every_array_size_a_run_allocates():
         assert array._register_dtype(widest + 1, precision) is np.int64
 
 
-def _traced_run(job, overlap):
+def _traced_run(job):
     """Trace text, outputs and cycles of a traced run, or its trace text
     and overflow message."""
     sink = io.StringIO()
     try:
-        result = run_tiled(job, overlap_weights=overlap, trace=sink)
+        result = run_tiled(job, trace=sink)
     except PsumOverflowError as error:
         return sink.getvalue(), str(error)
     return sink.getvalue(), [out.tolist() for out in result.outputs], result.total_cycles
@@ -299,12 +303,11 @@ def _traced_run(job, overlap):
     precision=st.sampled_from(list(Precision)),
     n=st.integers(1, 8),
     dims=st.tuples(st.integers(1, 17), st.integers(1, 17), st.integers(1, 17)),
-    overlap=st.booleans(),
     limit=st.one_of(st.none(), st.integers(1, 1 << 16)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_int64_registers_give_the_same_run(precision, n, dims, overlap, limit, seed, data):
+def test_int64_registers_give_the_same_run(precision, n, dims, limit, seed, data):
     """Forcing the int64 registers that only an array too large to allocate
     takes changes nothing: the same trace text, outputs and cycles, or the
     same overflow after the same trace lines, at the default limit and at
@@ -314,9 +317,9 @@ def test_int64_registers_give_the_same_run(precision, n, dims, overlap, limit, s
     with pytest.MonkeyPatch.context() as patch:
         if limit is not None:
             patch.setattr(array, "_PSUM_LIMIT", limit)
-        int32 = _traced_run(job, overlap)
+        int32 = _traced_run(job)
         patch.setattr(array, "_register_dtype", lambda n, precision: np.int64)
-        int64 = _traced_run(job, overlap)
+        int64 = _traced_run(job)
     assert int32 == int64
 
 

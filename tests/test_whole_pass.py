@@ -52,8 +52,8 @@ def _job(rng, precision, nw, n, m, k, p, a=None):
     )
 
 
-def _both(job, **kwargs):
-    return run_tiled(job, **kwargs), run_tiled(job, trace=CountingSink(), **kwargs)
+def _both(job):
+    return run_tiled(job), run_tiled(job, trace=CountingSink())
 
 
 @st.composite
@@ -68,7 +68,6 @@ def _configs(draw):
         "m": draw(dims),
         "k": draw(dims),
         "p": draw(dims),
-        "overlap": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -78,7 +77,7 @@ def _configs(draw):
 def test_whole_pass_matches_stepped(cfg):
     rng = np.random.default_rng(cfg["seed"])
     job = _job(rng, cfg["precision"], cfg["nw"], cfg["n"], cfg["m"], cfg["k"], cfg["p"])
-    fast, stepped = _both(job, overlap_weights=cfg["overlap"])
+    fast, stepped = _both(job)
     assert fast.total_cycles == stepped.total_cycles
     assert fast.pass_count == stepped.pass_count
     assert len(fast.outputs) == len(stepped.outputs) == cfg["nw"]
@@ -91,9 +90,9 @@ def test_empty_input_keeps_stepped_cycle_count():
     """M = 0 still loads every tile and drains the pipeline on both paths."""
     rng = np.random.default_rng(0)
     job = _job(rng, Precision.W4, 2, 4, 0, 8, 4)
-    fast, stepped = _both(job, overlap_weights=False)
+    fast, stepped = _both(job)
     assert fast.pass_count == stepped.pass_count == 2
-    assert fast.total_cycles == stepped.total_cycles == 2 * (4 + 4 + 1 + 1 - 2)
+    assert fast.total_cycles == stepped.total_cycles == 2 * (4 + 1 + 1 - 2)
     assert fast.outputs[0].shape == (0, 4)
 
 

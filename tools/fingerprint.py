@@ -3,18 +3,19 @@ to the simulator is bit-exact and cycle-exact, and one over the cost reports.
 
     PYTHONPATH=src python3 tools/fingerprint.py --configs 200
 
-Each config draws n in 1..8, a precision, 1..2r weight matrices, M, K and
-P in 0..3n, weight loading overlapped or not, and inputs of magnitude at
-most 128, 16 or 2; the pipeline depth is the precision's. It runs
-untraced and traced, at a psum limit of 2^31, 2^14 and 2^12, so the small
-limits make many runs overflow. The digest covers
-every run's outputs with their dtype, its cycles and passes, or its
-overflow message, and the sha256 of its trace text. The digest therefore
-fixes `run_tiled`'s schedule too: column-block packing (every pass fills
-the r weight fields of a word) moved it, and so did packing by columns
-rather than whole column tiles. `run_digest` takes the run function, so
-the same configs can go through another schedule, such as the grouped or
-tile-packed ones that `tests/reference.py` replays for the older pins.
+Each config draws n in 1..8, a precision, 1..2r weight matrices, M, K
+and P in 0..3n, and inputs of magnitude at most 128, 16 or 2; the
+pipeline depth is the precision's, and every weight load is hidden
+behind the pass before it. It runs untraced and traced, at a psum limit
+of 2^31, 2^14 and 2^12, so the small limits make many runs overflow. The
+digest covers every run's outputs with their dtype, its cycles and
+passes, or its overflow message, and the sha256 of its trace text. The
+digest therefore fixes `run_tiled`'s schedule too: column-block packing
+(every pass fills the r weight fields of a word) moved it, and so did
+packing by columns rather than whole column tiles. `run_digest` takes
+the run function, so the same configs can go through another schedule,
+such as the grouped or tile-packed ones that `tests/reference.py`
+replays for the older pins.
 
 A second digest, printed on its own line first, covers the closed-form
 models: `cost.summary` of each built-in model at n = 4, 8, 16, 32 and 64
@@ -70,7 +71,7 @@ def cost_digest() -> tuple[int, str]:
 
 
 def _config(rng):
-    """One random job and the `run_tiled` options it runs with."""
+    """One random job."""
     precision = Precision(int(rng.choice([8, 4, 2])))
     n = int(rng.integers(1, 9))
     m, k, p = (int(size) for size in rng.integers(0, 3 * n + 1, size=3))
@@ -82,15 +83,15 @@ def _config(rng):
         precision=precision,
         n=n,
     )
-    return job, {"overlap_weights": bool(rng.integers(2))}
+    return job
 
 
-def _record(job, options, traced, run):
+def _record(job, traced, run):
     """The bytes that one run of `run` adds to the digest, and whether it
     overflowed."""
     trace = io.StringIO() if traced else None
     try:
-        result = run(job, trace=trace, **options)
+        result = run(job, trace=trace)
     except PsumOverflowError as exc:
         outcome, overflowed = f"overflow {exc}".encode(), True
     else:
@@ -103,17 +104,17 @@ def _record(job, options, traced, run):
 
 def _digest(cases, run=run_tiled) -> tuple[int, int, str]:
     """The number of runs, how many overflowed, and the sha256 over the
-    records of each (job, options, limits) case, run by `run` untraced and
-    traced at each limit."""
+    records of each (job, limits) case, run by `run` untraced and traced at
+    each limit."""
     digest = hashlib.sha256()
     runs = overflows = 0
     saved = array._PSUM_LIMIT
     try:
-        for job, options, limits in cases:
+        for job, limits in cases:
             for limit in limits:
                 array._PSUM_LIMIT = limit
                 for traced in (False, True):
-                    record, overflowed = _record(job, options, traced, run)
+                    record, overflowed = _record(job, traced, run)
                     digest.update(record)
                     runs += 1
                     overflows += overflowed
@@ -126,7 +127,7 @@ def run_digest(configs: int, seed: int, run=run_tiled) -> tuple[int, int, str]:
     """`_digest` over `configs` random configs drawn from `seed`, each run
     by `run`, a function with `run_tiled`'s arguments and result."""
     rng = np.random.default_rng(seed)
-    return _digest(((*_config(rng), LIMITS) for _ in range(configs)), run)
+    return _digest(((_config(rng), LIMITS) for _ in range(configs)), run)
 
 
 def _edge_cases():
@@ -149,7 +150,7 @@ def _edge_cases():
                     precision=precision,
                     n=n,
                 )
-                yield job, {}, (largest, largest + 1)
+                yield job, (largest, largest + 1)
 
 
 def edge_digest() -> tuple[int, int, str]:
