@@ -2,10 +2,13 @@
 
 Two architectures share one pass structure, `tiling.TiledPlan`: a pass
 pins one stationary weight tile and streams every input row tile through
-the array. `stage_cost` reads one instance's plan, its pass count, clock
-and traffic, and bills it `count` times; `summary` costs each distinct
-stage shape once per architecture, and `stage_latency` reads `stage_cost`.
-Both are what `tiling.run_tiled` runs: a stage bills the cycles and
+the array. One instance of a stage is billed from one cached record of
+its plan (`_instance`): the plan's cycles, input bytes, stationary words
+and output elements, each read once from `TiledPlan.from_shape`. Every
+reader bills from that record, `count` times per stage: `stage_cost`
+(and through it `evaluate`, `stage_latency` and the stage CSV) and
+`summary`, which totals the records without building a `StageCost`.
+Both bill what `tiling.run_tiled` runs: a stage bills the cycles and
 passes of its instances' simulated runs, each weight load hidden behind
 the previous pass as in the evaluated configuration.
 
@@ -30,7 +33,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .numerics import check_size
 from .preprocess import Precision
@@ -100,33 +103,50 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
     return stage_cost(spec, arch, params).cycles
 
 
+class _Bill(NamedTuple):
+    """The billing record of one instance of a stage, read once from its
+    plan."""
+
+    cycles: int
+    input_bytes: int
+    weight_words: int
+    output_elements: int
+
+
 @lru_cache(maxsize=1024)
-def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> TiledPlan:
-    """The plan of one instance of a stage; a report asks for few distinct
-    ones, so each is built once."""
-    return TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
+def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> _Bill:
+    """The billing record of one instance of a stage; a report asks for few
+    distinct ones, so each plan is built and read once."""
+    plan = TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
+    return _Bill(plan.cycles, plan.input_bytes, plan.weight_words, plan.output_elements)
+
+
+def _billed_bits(spec: StageSpec, arch: Arch) -> int:
+    """The width a stage runs at: ADiP runs a projection at its weight
+    width, every other stage runs 8-bit."""
+    return spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
-    """Cycles, energy and traffic of one stage.
+    """Cycles, energy and traffic of one stage, from the cached billing
+    record of one instance.
 
     ADiP runs a projection at its weight precision, packing the column
     tiles of one instance into the r weight fields of a pass; every other
     stage runs 8-bit, one column tile per pass. Each of the `count`
     instances streams its own input, so the stage costs `count` times one
-    instance's plan.
+    instance's record.
     """
-    bits = spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
-    plan = _instance(spec.m, spec.k, spec.p, bits, params.n)
-    cycles = spec.count * plan.cycles
+    bill = _instance(spec.m, spec.k, spec.p, _billed_bits(spec, arch), params.n)
+    cycles = spec.count * bill.cycles
     return StageCost(
         stage=spec.stage.label,
         arch=arch,
         cycles=cycles,
         energy_rel=cycles * params.power(arch),
-        bytes_in=spec.count * plan.input_bytes,
-        bytes_w=spec.count * plan.weight_words,
-        bytes_out=spec.count * plan.output_elements * params.output_bytes,
+        bytes_in=spec.count * bill.input_bytes,
+        bytes_w=spec.count * bill.weight_words,
+        bytes_out=spec.count * bill.output_elements * params.output_bytes,
     )
 
 
@@ -140,29 +160,41 @@ def _pct_change(new: float, ref: float) -> float:
 
 
 def summary(cfg: MhaConfig, params: CostParams) -> dict:
-    """All totals plus the improvement percentages of ADiP relative to DiP,
-    from one `StageCost` per distinct stage shape and architecture."""
+    """All totals plus the improvement percentages of ADiP relative to DiP.
+
+    Per architecture, each stage's cached instance record times its `count`
+    is added to the totals, with no `StageCost` built. The sums start from
+    0 and run in stage order so that every total equals the sum of
+    `evaluate`'s costs exactly: the energy is a float, and a float sum
+    taken in another order can differ in its last bit.
+    """
     specs = stages(cfg)
-    # what stage_cost reads of a stage but its name; QProj, KProj, VProj and OutProj share one
-    shapes = [(s.m, s.k, s.p, s.count, s.weight_bits, s.is_projection) for s in specs]
+    n, out_bytes = params.n, params.output_bytes
     totals = {}
     projection = {}
     for arch in Arch:
-        by_shape = {shape: stage_cost(spec, arch, params) for shape, spec in dict(zip(shapes, specs)).items()}
-        costs = [by_shape[shape] for shape in shapes]
-        cycles = sum(c.cycles for c in costs)
+        power = params.power(arch)
+        cycles = energy = mem_bytes = projection_cycles = 0
+        for spec in specs:
+            bill = _instance(spec.m, spec.k, spec.p, _billed_bits(spec, arch), n)
+            stage_cycles = spec.count * bill.cycles
+            cycles += stage_cycles
+            energy += stage_cycles * power
+            mem_bytes += spec.count * (bill.input_bytes + bill.weight_words + bill.output_elements * out_bytes)
+            if spec.is_projection:
+                projection_cycles += stage_cycles
         totals[arch.label] = {
             "cycles": cycles,
             "seconds": cycles / CLOCK_HZ,
-            "energy_rel": sum(c.energy_rel for c in costs),
-            "mem_bytes": sum(c.mem_bytes for c in costs),
+            "energy_rel": energy,
+            "mem_bytes": mem_bytes,
         }
-        projection[arch] = sum(c.cycles for spec, c in zip(specs, costs) if spec.is_projection)
+        projection[arch] = projection_cycles
     dip = totals[Arch.DIP.label]
     adip = totals[Arch.ADIP.label]
     return {
         "model": cfg.name,
-        "array_size": params.n,
+        "array_size": n,
         "weight_bits": cfg.weight_bits,
         "totals": totals,
         "vs_dip": {

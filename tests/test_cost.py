@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import grouped_run_tiled, tile_packed_run_tiled
 
+from adipsim import cost
 from adipsim.cost import (
     ADIP_POWER_BY_SIZE,
     CLOCK_HZ,
@@ -44,6 +45,11 @@ FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 # code that still had an `overlap_weights` field, over the variants that
 # remain when it went: no remaining report moved.
 COST_REPORTS_SHA256 = "1334044cc37ca0aa3b9fd2302a61b2d1fc48b59bab00dabbd49840be24bdac06"
+# Its digest of the stage CSVs of `evaluate` for both architectures, the
+# built-in models, n = 4..64 and the same three variants: 90 tables. Taken
+# from the code whose `_instance` cache held the plan itself, before it
+# held the plan's billing record.
+STAGE_SHA256 = "3bd162977388d74e6aeefb567d47db0794bafc646ab2c2e768270848129e37f7"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
 # and traced at three psum limits: 600 runs, 88 of them overflowing, every
 # one at the precision's pipeline depth with its weight loads hidden. The
@@ -233,6 +239,8 @@ def test_power_factor_table_and_validation():
     assert CostParams(n=4).power(Arch.ADIP) == 1.63
     with pytest.raises(ValueError):
         CostParams(n=12).power(Arch.ADIP)
+    with pytest.raises(ValueError, match="no adaptive-array power factor for size 12"):
+        summary(BERT_LARGE, CostParams(n=12))
     for good in (0, 1, 4):
         assert CostParams(output_bytes=good).output_bytes == good
     for bad in (2, 3):
@@ -250,10 +258,7 @@ def test_power_factor_table_and_validation():
 )
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("fills", [1, 2])
-# Weight loads are always hidden behind the previous pass; the one value
-# keeps the cases' ids.
-@pytest.mark.parametrize("overlap", [True])
-def test_stage_cost_matches_simulator(arch, precision, n, fills, overlap):
+def test_stage_cost_matches_simulator(arch, precision, n, fills):
     """A stage of count = r or 2r instances, each with its own input (enough
     to fill one or two words' r weight fields, were they packed together),
     costs what the simulator counts over that many separate single-matrix
@@ -411,6 +416,33 @@ def test_cost_reports_match_the_pinned_digest():
     """Every report of the three built-in models at n = 4..64 under three
     `CostParams` variants, and every `analytic.sweep()` row, is unchanged."""
     assert _fingerprint().cost_digest() == (3 * 5 * 3 + 12, COST_REPORTS_SHA256)
+
+
+def test_stage_tables_match_the_pinned_digest():
+    """Every stage row, with its split of traffic into input, weight and
+    output bytes, of the same reports is unchanged."""
+    assert _fingerprint().stage_digest() == (3 * 5 * 3 * 2, STAGE_SHA256)
+
+
+@pytest.mark.parametrize("cfg", [GPT2_MEDIUM, BERT_LARGE, BITNET_158B], ids=lambda cfg: cfg.name)
+def test_each_billed_instance_is_planned_once(cfg):
+    """A report builds one plan per distinct billed (m, k, p, bits); a second
+    report, and `evaluate` and `stage_latency` after it, read those records."""
+    params = CostParams(n=32)
+    billed = {
+        (s.m, s.k, s.p, s.weight_bits if arch is Arch.ADIP and s.is_projection else 8)
+        for s in stages(cfg)
+        for arch in Arch
+    }
+    cost._instance.cache_clear()
+    summary(cfg, params)
+    assert cost._instance.cache_info().misses == len(billed)
+    summary(cfg, params)
+    for arch in Arch:
+        evaluate(cfg, arch, params)
+        for spec in stages(cfg):
+            stage_latency(spec, arch, params)
+    assert cost._instance.cache_info().misses == len(billed)
 
 
 def test_simulator_runs_match_the_pinned_digest():

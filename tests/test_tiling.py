@@ -133,10 +133,7 @@ def test_total_cycles_accounting():
     assert run_tiled(job).total_cycles == passes * per_pass
 
 
-# Weight loads are always hidden behind the previous pass; the one value
-# keeps the case's id.
-@pytest.mark.parametrize("overlap", [True])
-def test_trace_cycles_rise_across_fused_groups(overlap):
+def test_trace_cycles_rise_across_fused_groups():
     """Five W2 matrices of one column tile fill three virtual matrices of
     two: the fused group's second pass continues the first one's clock, so
     trace cycles never fall and end at the total."""

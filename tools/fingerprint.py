@@ -1,5 +1,6 @@
 """One sha256 over many fixed-seed `run_tiled` runs, to show that a change
-to the simulator is bit-exact and cycle-exact, and one over the cost reports.
+to the simulator is bit-exact and cycle-exact, and others over the cost
+reports and their stage rows.
 
     PYTHONPATH=src python3 tools/fingerprint.py --configs 200
 
@@ -23,7 +24,13 @@ under three `CostParams` variants (the defaults, output writes billed at
 1 and at 4 bytes), then the rows of `analytic.sweep()`, each as JSON
 with sorted keys.
 
-A third, printed next, covers runs at the overflow edge, where random
+A third, printed on the second line, covers the per-stage rows those
+reports total: the stage CSV (`cost.write_stage_csv`) of `cost.evaluate`
+for both architectures, each built-in model, the same five sizes and the
+same three variants, so each stage's row and its split of traffic into
+`bytes_in`, `bytes_w` and `bytes_out` are fixed too.
+
+A fourth, printed next, covers runs at the overflow edge, where random
 configs rarely land: every mode at n = 1..8, every input and weight at
 its most negative value, run untraced and traced at a psum limit equal
 to the largest register the job forms (so it overflows) and one above
@@ -68,6 +75,22 @@ def cost_digest() -> tuple[int, str]:
     for doc in docs:
         digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
     return len(docs), digest.hexdigest()
+
+
+def stage_digest() -> tuple[int, str]:
+    """The number of stage CSVs and the sha256 over their text."""
+    digest = hashlib.sha256()
+    tables = 0
+    for cfg in workload.builtin_models():
+        for n in COST_SIZES:
+            for variant in COST_VARIANTS:
+                params = cost.CostParams(n=n, **variant)
+                for arch in cost.Arch:
+                    text = io.StringIO()
+                    cost.write_stage_csv(cost.evaluate(cfg, arch, params), text)
+                    digest.update(text.getvalue().encode())
+                    tables += 1
+    return tables, digest.hexdigest()
 
 
 def _config(rng):
@@ -167,6 +190,8 @@ def main(argv=None) -> None:
         parser.error(f"--configs must be >= 1, got {args.configs}")
     documents, cost_sha = cost_digest()
     print(f"cost reports and sweep rows {documents} sha256 {cost_sha}")
+    tables, stage_sha = stage_digest()
+    print(f"stage tables {tables} sha256 {stage_sha}")
     runs, overflows, sha = edge_digest()
     print(f"overflow edge runs {runs} overflows {overflows} sha256 {sha}")
     runs, overflows, sha = run_digest(args.configs, args.seed)
