@@ -19,7 +19,9 @@ from typing import IO, Iterator, Optional
 import numpy as np
 
 from . import analytic, cost, tiling, workload
+from .array import SIZE_LIMIT
 from .preprocess import (
+    _HEADER_U16_MAX,
     Precision,
     check_mode,
     check_packable,
@@ -156,6 +158,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     precision = Precision.from_name(args.mode)
     n = args.size
+    if n >= SIZE_LIMIT:  # before any matrix is read or generated
+        raise ValueError(f"--size {n} reaches the array's limit of {SIZE_LIMIT}")
     if bool(args.a) != bool(args.b):
         raise ValueError("--a and --b must be given together")
     if args.a:
@@ -250,6 +254,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def cmd_interleave(args: argparse.Namespace) -> int:
     precision = Precision.from_name(args.mode)
     n = args.size
+    if n > _HEADER_U16_MAX:  # before any matrix is read or generated
+        raise ValueError(f"--size {n} exceeds the packed-file limit of {_HEADER_U16_MAX}")
     if args.infile:
         _check_no_generation_options(args, ("nw", "rows", "cols", "seed"), "--in")
         matrices = _read_matrices(args.infile, precision.weight_bits)
@@ -374,8 +380,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"adipsim: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:  # numpy names an allocation it could not make
+        print(f"adipsim: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -23,11 +23,11 @@ is matrix t.
 
 The group's passes all stream the same input, so `run_tiled` hands the
 group to `ArraySim.stream_grid`, traced or not, on one `ArraySim` per job,
-set up by the job's precision. It forms registers only where a trace or
-the overflow bound needs them, and returns the virtual matrices' outputs
-as one int64 block, from exact float32 matmuls over chunks of K summed in
-int64; a matrix's output is a slice of it, or one M x P copy when the
-matrix spans virtual matrices.
+set up by the job's precision. It checks the 32-bit accumulator's running
+sums over the reduction tiles first, forms registers only for a trace,
+and returns the virtual matrices' outputs as one int64 block, from exact
+float32 matmuls over chunks of K summed in int64; a matrix's output is a
+slice of it, or one M x P copy when the matrix spans virtual matrices.
 
 Operands stay int8 from `MatMulJob` to the matmul; the job checks each
 once, and the later checks in `prepare_weights` and `stream_grid` read

@@ -11,8 +11,10 @@ package forms the same values for whole blocks of clocks in `array`.
 
 `SteppedArray` is the whole array as it was before its registers were
 formed in closed form: the PE grid and two reducer stages, tapped at the
-precision's stage, with every register checked on every clock (no
-overflow gate) and each clock's trace lines written with `%d`.
+precision's stage, with every register checked against the 32-bit range
+on every clock (`check_register`) and each clock's trace lines written
+with `%d`. `check_accumulator` is the brute-force reference of the
+array's one overflow check, on the running sums over reduction tiles.
 
 `permute`, `inverse_permute`, `interleave` and `deinterleave` prepare and
 decode one n x n weight tile at a time, with plain index arithmetic: the
@@ -22,7 +24,8 @@ and `unprepare_weights`.
 `grouped_run_tiled` and `tile_packed_run_tiled` replay the schedules that
 `run_tiled` followed before column-block and before column-level packing,
 so the trace, CLI and run-digest pins taken under them stay asserted on
-their old bytes.
+their old bytes; they run `stream_grid`, so they raise its accumulator
+error.
 """
 
 import functools
@@ -142,6 +145,32 @@ class PE:
         return input_out, psums_out
 
 
+def check_register(values, what):
+    """PsumOverflowError when registers leave the signed 32-bit range."""
+    limit = 1 << (PSUM_BITS - 1)
+    if np.min(values) < -limit or np.max(values) >= limit:
+        raise PsumOverflowError(f"{what} overflow")
+
+
+def running_sums(a, weights, n):
+    """Every running sum of `a` times each of `weights` over the reduction
+    tiles (every prefix of whole tiles of n rows of K), brute force in
+    int64, and a 0, as one flat array."""
+    a = np.asarray(a, dtype=np.int64)
+    stops = range(n, ceil_div(a.shape[1], n) * n + 1, n)
+    sums = [(a[:, :stop] @ np.asarray(w, dtype=np.int64)[:stop]).ravel() for w in weights for stop in stops]
+    return np.concatenate(sums + [np.zeros(1, dtype=np.int64)])
+
+
+def check_accumulator(a, weights, n):
+    """PsumOverflowError, with `ArraySim`'s message, when a `running_sums`
+    value leaves [-L, L-1], L = `array._PSUM_LIMIT`; no gate."""
+    limit, sums = array._PSUM_LIMIT, running_sums(a, weights, n)
+    if sums.min() < -limit or sums.max() >= limit:
+        limits = f"[{-limit}, {limit - 1}]"
+        raise PsumOverflowError(f"accumulator overflow: a running sum over reduction tiles leaves {limits}")
+
+
 STAGE1_FOLD = np.array([[1, 4, 0, 0], [0, 0, 1, 4]], dtype=np.int64)
 STAGE2_FOLD = np.array([1, 16], dtype=np.int64)
 
@@ -184,8 +213,8 @@ class SteppedArray:
         regs[1:, 1:] += prev[1:, :-1]
         self.regs = regs
         self.cycle += 1
-        array._check_register(regs[1:], "psum bus")
-        array._check_register(self.stage2, "reducer")
+        check_register(regs[1:], "psum bus")
+        check_register(self.stage2, "reducer")
         if self.trace is not None:
             cells = regs.reshape(5, -1).T.tolist()
             self.trace.write(

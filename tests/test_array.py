@@ -2,9 +2,8 @@ import io
 
 import numpy as np
 import pytest
-from reference import PE, permute
+from reference import PE, check_register, permute
 
-from adipsim import array
 from adipsim.array import TRACE_HEADER, ArraySim, PhaseError, PsumOverflowError
 from adipsim.numerics import check_signed
 from adipsim.preprocess import Precision, prepare_weights
@@ -260,15 +259,16 @@ def test_vectorized_grid_matches_pe_objects():
 
 @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1, 2**31, -(2**31) - 1])
 def test_register_range_is_the_signed_32_bit_range(value):
-    """The array's register check, the PE model and `check_signed` agree."""
+    """The stepped reference's register check, the PE model and
+    `check_signed` agree."""
     fits = -(2**31) <= value <= 2**31 - 1
     registers = np.array([[0, value]], dtype=np.int64)
     if fits:
-        array._check_register(registers, "psum bus")
+        check_register(registers, "psum bus")
         check_signed(value, 32)
     else:
         with pytest.raises(PsumOverflowError):
-            array._check_register(registers, "psum bus")
+            check_register(registers, "psum bus")
         with pytest.raises(ValueError):
             check_signed(value, 32)
     pe = PE(Precision.W8)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import grouped_run_tiled, permute
 
-from adipsim import tiling
+from adipsim import cli, tiling
+from adipsim.array import SIZE_LIMIT
 from adipsim.cli import main, read_matrix, write_matrix
 from adipsim.numerics import VALID_WIDTHS, signed_range
 from adipsim.preprocess import Precision
@@ -695,6 +696,84 @@ def test_interleave_rejects_grids_beyond_the_header(capsys, tmp_path):
     assert text == ""
     assert err.startswith("adipsim: grid rows 65536")
     assert not out.exists()
+
+
+def _forbid_matrices(monkeypatch):
+    """Fail the test if the CLI reads or generates any matrix."""
+
+    def forbidden(*args):
+        raise AssertionError("a matrix was read or generated")
+
+    for name in ("_random_acts", "_random_weights", "_read_matrices"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+@pytest.mark.parametrize("size", [SIZE_LIMIT, 100_000])
+@pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
+def test_simulate_rejects_sizes_the_array_cannot_take(capsys, tmp_path, monkeypatch, size, files):
+    """`--size` at or above the array's `SIZE_LIMIT` exits 2 before any
+    matrix is read or generated (at n = 100 000 the generated input alone
+    is 298 GiB) and before the trace file is created; one below, the
+    matrices are made."""
+    _forbid_matrices(monkeypatch)
+    trace = tmp_path / "big.csv"
+    argv = ["simulate", "--trace", str(trace)] + (["--a", "a.txt", "--b", "b.txt"] if files else [])
+    code, text, err = run_cli(capsys, *argv, "--size", str(size))
+    assert (code, text) == (2, "")
+    assert err == f"adipsim: --size {size} reaches the array's limit of {SIZE_LIMIT}\n"
+    assert not trace.exists()
+    with pytest.raises(AssertionError, match="a matrix was"):
+        main(argv + ["--size", str(SIZE_LIMIT - 1)])
+
+
+@pytest.mark.parametrize("size", [65_536, 70_000])
+def test_interleave_rejects_sizes_beyond_the_header(capsys, tmp_path, monkeypatch, size):
+    """A tile size the packed header's 16-bit field cannot hold exits 2
+    before any matrix is generated (at n = 70 000 they alone are 36.5 GiB)
+    and writes no file; 65 535 passes the check."""
+    _forbid_matrices(monkeypatch)
+    out = tmp_path / "big.adip"
+    code, text, err = run_cli(capsys, "interleave", "--size", str(size), "--out", str(out))
+    assert (code, text) == (2, "")
+    assert err == f"adipsim: --size {size} exceeds the packed-file limit of 65535\n"
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="a matrix was"):
+        main(["interleave", "--size", "65535", "--out", str(out)])
+
+
+def test_simulate_reports_an_accumulator_overflow(capsys, tmp_path):
+    """A 1 x 2^17 input of -128 times a 2^17 x 1 W8 matrix of -128 sums to
+    2^31, past the 32-bit accumulator: exit 2 with the overflow named, no
+    traceback, and a trace that holds only its header."""
+    k = 1 << 17
+    (tmp_path / "a.txt").write_text(f"1 {k} 8\n" + " ".join(["-128"] * k) + "\n")
+    (tmp_path / "b.txt").write_text(f"{k} 1 8\n" + "-128\n" * k)
+    trace = tmp_path / "t.csv"
+    code, text, err = run_cli(
+        capsys, "simulate", "--size", "4", "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "b.txt"),
+        "--trace", str(trace),
+    )
+    assert (code, text) == (2, "")
+    assert err == "adipsim: accumulator overflow: a running sum over reduction tiles leaves [-2147483648, 2147483647]\n"
+    assert trace.read_text() == "cycle,row,col,input,psum0,psum1,psum2,psum3\n"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError("Unable to allocate 298. GiB for an array"), "Unable to allocate 298. GiB for an array"),
+     (MemoryError(), "MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_a_clear_error(capsys, tmp_path, monkeypatch, error, message):
+    """A matrix too large to allocate exits 2 with an `adipsim:` line, no
+    traceback and nothing on stdout."""
+
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "_random_acts", exhausted)
+    code, text, err = run_cli(capsys, "simulate", "--m", "99999999", "--k", "99999999")
+    assert (code, text, err) == (2, "", f"adipsim: {message}\n")
 
 
 # -- sweep ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 `reference.SteppedArray` is the model `ArraySim` was before its registers
 were formed in closed form, advanced one clock at a time. The properties
 below run both on the same weights and inputs and require identical
-outputs, cycles, trace text and overflow errors.
+outputs, cycles, trace text and accumulator-overflow errors.
 """
 
 import io
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import SteppedArray, interleave, permute
+from reference import SteppedArray, check_accumulator, interleave, permute
 
 from adipsim import array
 from adipsim.array import ArraySim, PsumOverflowError
@@ -26,8 +26,8 @@ def stepped_run_tiled(job, trace):
     time: the job's matrices side by side, P columns each, zero-padded to
     `virtual` runs of W = per * n columns, run v in weight field v of a
     word; each (j, k) tile of words interleaved from column tile j of every
-    run, then loaded and streamed on `SteppedArray`, j outer, k inner.
-    Returns (outputs, total cycles)."""
+    run, then loaded and streamed on `SteppedArray`, j outer, k inner,
+    after `check_accumulator`. Returns (outputs, total cycles)."""
     n = job.n
     m_dim, k_dim, p_dim = job.shape
     the_plan = plan(job)
@@ -40,6 +40,7 @@ def stepped_run_tiled(job, trace):
         side[:k_dim, t * p_dim : (t + 1) * p_dim] = w
     accum = np.zeros((tm * n, virtual * width), dtype=np.int64)
     sim = SteppedArray(n, job.precision, virtual, trace)
+    check_accumulator(job.a, job.weights, n)
     for j in range(per):
         fields = [slice(v * width + j * n, v * width + (j + 1) * n) for v in range(virtual)]
         for k in range(tk):
@@ -60,8 +61,8 @@ def _outcome(run, sink):
     return result, sink.getvalue()
 
 
-# Register limits on a log scale from 2^5 up to 2^16, so that a run may
-# overflow on a bus, on the reducer or not at all.
+# Accumulator limits on a log scale from 2^5 up to 2^16, so that a run
+# may overflow in its first reduction tile, in a later one or not at all.
 _limits = st.one_of(
     st.none(),
     st.integers(6, 16).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
@@ -108,10 +109,10 @@ def test_streams_match_the_stepper(cfg):
     with pytest.MonkeyPatch.context() as patch:
         if cfg["limit"] is not None:
             patch.setattr(array, "_PSUM_LIMIT", cfg["limit"])
-        _check_streams(n, cfg, packed, streams)
+        _check_streams(n, cfg, weights, packed, streams)
 
 
-def _check_streams(n, cfg, packed, streams):
+def _check_streams(n, cfg, weights, packed, streams):
     precision = cfg["precision"]
     sinks = io.StringIO(), io.StringIO()
     sim = ArraySim(n, precision, trace=sinks[0])
@@ -122,6 +123,7 @@ def _check_streams(n, cfg, packed, streams):
         def run_ref():
             padded = np.zeros((ceil_div(len(rows), n) * n, n), dtype=np.int64)
             padded[: len(rows)] = rows
+            check_accumulator(padded, weights, n)
             ref.load_weights(permute(packed.words))
             return [outs for _, _, outs in ref.stream(padded)][: len(rows)]
 
@@ -153,8 +155,8 @@ def _job_cases(draw):
 @given(_job_cases())
 def test_traced_run_tiled_matches_the_stepper_pass_by_pass(cfg):
     """Traced `run_tiled` forms every pass of a fused group at once; it must
-    write the stepper's trace and raise its first overflow, in run order,
-    after the same lines."""
+    write the stepper's trace, or raise the stepper's accumulator overflow
+    after the same header."""
     precision, n = cfg["precision"], cfg["n"]
     rng = np.random.default_rng(cfg["seed"])
     m, k, p = cfg["dims"]
@@ -185,7 +187,8 @@ def test_traced_run_tiled_matches_the_stepper_pass_by_pass(cfg):
 def _block_job():
     """W8 at n = 4, a 2 x 2 tile grid (four 13-cycle passes):
     every weight 1 except tile (k = 1, j = 1), the fourth pass, whose
-    -128s reach 4 * 128 * 128 = 65 536 on the reducer."""
+    -128s add 4 * 128 * 128 = 65 536 to the running sums of -512 that
+    tile (0, 1) leaves in the accumulator."""
     n = 4
     weights = np.ones((2 * n, 2 * n), dtype=np.int64)
     weights[n:, n:] = -128
@@ -203,10 +206,10 @@ def _block_job():
 )
 @pytest.mark.parametrize("limit", [None, 60_000])
 def test_blocks_split_between_and_within_passes(block_cycles, limit, monkeypatch):
-    """Split into blocks or not, a traced group writes the same bytes,
-    collects the same outputs and cycles, and (under a limit that only the
-    fourth pass reaches, on its reducer) raises the same error after the
-    same lines."""
+    """Split into blocks or not, a traced group writes the same bytes and
+    collects the same outputs and cycles; under a limit that only the
+    second reduction tile's running sums reach, the accumulator check,
+    however it blocks the tiles, raises the same error before any line."""
     job = _block_job()
     if limit is not None:
         monkeypatch.setattr(array, "_PSUM_LIMIT", limit)
@@ -227,7 +230,6 @@ def test_blocks_split_between_and_within_passes(block_cycles, limit, monkeypatch
     if limit is None:
         assert whole[0][1] == 4 * 13
     else:
-        # the header, three whole passes, then the fourth until stage 2
-        # folds its first row, on its sixth clock
-        assert whole[0] == ("overflow", "reducer overflow")
-        assert whole[1].count("\n") == 1 + (3 * 13 + 5) * 16
+        limits = "[-60000, 59999]"
+        assert whole[0] == ("overflow", f"accumulator overflow: a running sum over reduction tiles leaves {limits}")
+        assert whole[1] == array.TRACE_HEADER + "\n"

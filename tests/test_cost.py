@@ -51,28 +51,25 @@ COST_REPORTS_SHA256 = "1334044cc37ca0aa3b9fd2302a61b2d1fc48b59bab00dabbd49840be2
 # held the plan's billing record.
 STAGE_SHA256 = "3bd162977388d74e6aeefb567d47db0794bafc646ab2c2e768270848129e37f7"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
-# and traced at three psum limits: 600 runs, 88 of them overflowing, every
-# one at the precision's pipeline depth with its weight loads hidden. The
-# code that still drew two depth knobs per config gave the same digest on
-# its configs; at the default depth its runs had matched the per-cycle
-# stepper of tests/test_closed_form.py (outputs, cycles, trace bytes,
-# overflow) and, at 2^31, the oracle. The configs no longer draw whether
-# loads overlap, so the three run digests were re-taken on the new configs
-# from the code that still had an `overlap_weights` switch, run with it on.
-RUNS_SHA256 = "90dbb13d82ac4216bf4525eb2a27b1e3e7c04bbc68f99071bc16166557d4c4fc"
+# and traced at three accumulator limits: 600 runs, 34 of them overflowing,
+# every one at the precision's pipeline depth with its weight loads hidden.
+# Its runs match the per-cycle stepper of tests/test_closed_form.py
+# (outputs, cycles, trace bytes, overflow) and, at 2^31, the oracle. The
+# three run digests were re-taken when the overflow check moved from the
+# in-tile psum-bus and reducer registers to the running sums over the
+# reduction tiles: every record that moved overflows on one side at least.
+RUNS_SHA256 = "74890b17d256e67f155e9910d1aa7cb31055cfcb733f24966fd1b6b884f98092"
 # The same configs under the schedule that packed whole column tiles
-# (`reference.tile_packed_run_tiled`): 88 overflows. Whether a run reaches
-# a lowered limit depends on which weights share a word, and the two
-# packings pair a ragged matrix's columns differently.
-TILE_PACKED_RUNS_SHA256 = "243bc76e5c763c4ea2dfc2d7b641611b1f75f88745d33ce8f9ccdedc12095f29"
+# (`reference.tile_packed_run_tiled`): 34 overflows. A run's running sums
+# do not depend on which weights share a word, so the count is the same.
+TILE_PACKED_RUNS_SHA256 = "d73f3a95ff5fd39b33cd0516c03306b8957e7fcdb5145fa8ff21b25f82b8827c"
 # Under the schedule that fused separate matrices r at a time
-# (`reference.grouped_run_tiled`): 82 overflows; at 2^31 the overflow gate
-# reads no weight and nothing changes.
-GROUPED_RUNS_SHA256 = "b80efcd3d96d103fc26bfd2c3db4644a1fed56427d8f6e69f1e12fbf63bdeefa"
+# (`reference.grouped_run_tiled`): 34 overflows.
+GROUPED_RUNS_SHA256 = "a8d591ccf41fe73d4b1c6ce4f82aadce0117d2d4e009915fb538d7b41159ed39"
 # Its digest of the overflow-edge runs (every mode, n = 1..8, all values at
-# their most negative, limits at and one above the largest register), as
-# the engine gave it while a per-pass gate still sat behind the row bound.
-EDGE_SHA256 = "1353726277263828ea0e04990a403608427b40c651dfd4d44f39fff6d42aadaa"
+# their most negative, limits at and one above the largest running sum over
+# the reduction tiles).
+EDGE_SHA256 = "6a8a629738dad6af6765784dc5cc41688c3b7eef1adfa48406aa798971e6a9ec"
 
 
 def _fingerprint():
@@ -448,23 +445,23 @@ def test_each_billed_instance_is_planned_once(cfg):
 def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
-    assert _fingerprint().run_digest(100, 0) == (600, 88, RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0) == (600, 34, RUNS_SHA256)
 
 
 def test_tile_packed_schedule_keeps_its_run_digest():
-    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 88, TILE_PACKED_RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0, tile_packed_run_tiled) == (600, 34, TILE_PACKED_RUNS_SHA256)
 
 
 def test_grouped_schedule_keeps_the_old_run_digest():
     """The engine is unchanged: the fingerprint's configs under the schedule
     its older digest was taken with give that digest."""
-    assert _fingerprint().run_digest(100, 0, grouped_run_tiled) == (600, 82, GROUPED_RUNS_SHA256)
+    assert _fingerprint().run_digest(100, 0, grouped_run_tiled) == (600, 34, GROUPED_RUNS_SHA256)
 
 
 def test_overflow_edge_runs_match_the_pinned_digest():
-    """Every mode overflows at the limit of its largest register and fits
-    one above it, untraced and traced, with the same outputs, cycles and
-    trace bytes as before."""
+    """Every mode overflows at the limit of its largest running sum and
+    fits one above it, untraced and traced, with the same outputs, cycles
+    and trace bytes as before."""
     assert _fingerprint().edge_digest() == (224, 112, EDGE_SHA256)
 
 

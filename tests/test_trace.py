@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from reference import grouped_run_tiled, tile_packed_run_tiled
 
 from adipsim import array
-from adipsim.array import ArraySim, PsumOverflowError
+from adipsim.array import ArraySim
 from adipsim.preprocess import Precision
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
@@ -145,24 +145,6 @@ def test_a_clock_above_the_bound_is_written_in_pe_row_slices(trace_bytes, monkey
         assert sliced.writes == 1 + clocks * 7  # the header, then one PE row a write
 
 
-@pytest.mark.parametrize("block_cycles", [None, 3])
-def test_overflow_mid_pass_keeps_the_cycles_before_it(block_cycles, monkeypatch):
-    """A reducer overflow on cycle 32, in the third of four 12-cycle passes:
-    the trace holds the header and cycles 1..31, as when every cycle was
-    written on its own."""
-    rng = np.random.default_rng(405)
-    job = _job(rng, Precision.W4, 2, 4, (8, 8, 8))
-    monkeypatch.setattr(array, "_PSUM_LIMIT", 30000)
-    if block_cycles is not None:
-        monkeypatch.setattr(array, "_TRACE_BYTES", block_cycles * 4 * 4 * array._REGISTER_BYTES)
-    sink = io.StringIO()
-    with pytest.raises(PsumOverflowError, match="reducer"):
-        run_tiled(job, trace=sink)
-    lines = sink.getvalue().splitlines()
-    assert len(lines) == 1 + 31 * 4 * 4
-    assert lines[-1].startswith("31,3,3,")
-
-
 # Full-scale traces: every input -128 and every weight the value with the
 # widest fold reach of its precision, so a W8 column at n = 32 drives its
 # buses to five digits (128 * 3 * 32 = 12 288), and n >= 11 mixes one- and
@@ -205,7 +187,7 @@ def _reference_lines(n, history, after, steps):
     line = "".join(f"%d,{r},{c},%d,%d,%d,%d,%d\n" for r in range(n) for c in range(n))
     values = np.empty((steps, n * n, 6), dtype=np.int64)
     values[:, :, 0] = np.arange(after + 1, after + 1 + steps)[:, None]
-    values[:, :, 1:] = history[:steps].reshape(steps, 5, n * n).transpose(0, 2, 1)
+    values[:, :, 1:] = history.reshape(steps, 5, n * n).transpose(0, 2, 1)
     return (line * steps) % tuple(values.ravel().tolist())
 
 
@@ -218,8 +200,8 @@ _registers = st.one_of(st.sampled_from(_EDGE_VALUES), st.integers(-(1 << 31), (1
 
 @st.composite
 def _trace_blocks(draw):
-    """n, a history buffer (deeper than the block, by up to 3 stale
-    cycles), `after` and `steps`. The cycles often cross 9 -> 10,
+    """n, the registers of `steps` clocks, and `after`, the cycle before
+    them. The cycles often cross 9 -> 10,
     99 -> 100 or 9999 -> 10000 inside the block; the registers are drawn
     from a small pool of values, so that short and long numbers mix."""
     n = draw(st.integers(1, 12))
@@ -232,9 +214,8 @@ def _trace_blocks(draw):
         )
     )
     pool = np.array(draw(st.lists(_registers, min_size=1, max_size=12)), dtype=np.int64)
-    depth = steps + draw(st.integers(0, 3))
     seed = draw(st.integers(0, (1 << 32) - 1))
-    history = np.random.default_rng(seed).choice(pool, size=(depth, 5, n, n))
+    history = np.random.default_rng(seed).choice(pool, size=(steps, 5, n, n))
     return n, history, after, steps
 
 
@@ -277,50 +258,20 @@ def test_number_words_of_int32_match_the_percent_formatter(groups):
 
 
 def test_registers_are_int32_at_every_array_size_a_run_allocates():
-    """int32 is picked from int32's own range, not from `_PSUM_LIMIT`: for
-    every precision at n = 1..64, and at the largest n whose registers
-    fit; int64 one size above."""
+    """Every array size `ArraySim` takes keeps every register that int8
+    inputs can form, on any precision, within int32: 128 * n times the
+    widest W8 fold reach of any word (W8's, the widest) stays below 2^31
+    up to `SIZE_LIMIT` - 1, and reaches it at `SIZE_LIMIT`, which the
+    array rejects."""
+    reaches = {precision: array._widest_reach(precision) for precision in Precision}
+    assert reaches == {Precision.W8: 191, Precision.W4: 187, Precision.W2: 170}
+    assert array.SIZE_LIMIT == 87_839
+    assert 128 * (array.SIZE_LIMIT - 1) * reaches[Precision.W8] < 1 << 31
+    assert 128 * array.SIZE_LIMIT * reaches[Precision.W8] >= 1 << 31
     for precision in Precision:
-        assert {array._register_dtype(n, precision) for n in range(1, 65)} == {np.int32}
-        widest = ((1 << 31) - 1) // (128 * array._widest_reach(precision))
-        assert array._register_dtype(widest, precision) is np.int32
-        assert array._register_dtype(widest + 1, precision) is np.int64
-
-
-def _traced_run(job):
-    """Trace text, outputs and cycles of a traced run, or its trace text
-    and overflow message."""
-    sink = io.StringIO()
-    try:
-        result = run_tiled(job, trace=sink)
-    except PsumOverflowError as error:
-        return sink.getvalue(), str(error)
-    return sink.getvalue(), [out.tolist() for out in result.outputs], result.total_cycles
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    precision=st.sampled_from(list(Precision)),
-    n=st.integers(1, 8),
-    dims=st.tuples(st.integers(1, 17), st.integers(1, 17), st.integers(1, 17)),
-    limit=st.one_of(st.none(), st.integers(1, 1 << 16)),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_int64_registers_give_the_same_run(precision, n, dims, limit, seed, data):
-    """Forcing the int64 registers that only an array too large to allocate
-    takes changes nothing: the same trace text, outputs and cycles, or the
-    same overflow after the same trace lines, at the default limit and at
-    a lowered `_PSUM_LIMIT`."""
-    nw = data.draw(st.integers(1, precision.r), label="nw")
-    job = _job(np.random.default_rng(seed), precision, nw, n, dims)
-    with pytest.MonkeyPatch.context() as patch:
-        if limit is not None:
-            patch.setattr(array, "_PSUM_LIMIT", limit)
-        int32 = _traced_run(job)
-        patch.setattr(array, "_register_dtype", lambda n, precision: np.int64)
-        int64 = _traced_run(job)
-    assert int32 == int64
+        assert ArraySim(array.SIZE_LIMIT - 1, precision).n == array.SIZE_LIMIT - 1
+        with pytest.raises(ValueError, match="87839"):
+            ArraySim(array.SIZE_LIMIT, precision)
 
 
 def test_register_blocks_of_a_traced_job_are_int32_within_the_trace_bound(monkeypatch):

@@ -1,11 +1,13 @@
 """Untraced against traced runs of the one group engine, `ArraySim.stream_grid`.
 
-Untraced `run_tiled` forms a group's registers only where an overflow check
-needs them; traced `run_tiled` forms and writes every one. Both must agree
-on outputs, cycles, pass counts and on which inputs overflow the 32-bit
-psum bus or reducer, and with which message.
+Untraced `run_tiled` forms no register; traced `run_tiled` forms and writes
+every one. Both must agree on outputs, cycles, pass counts and on which
+inputs overflow the 32-bit accumulator that sums each output over the
+reduction tiles, and with which message; a brute-force int64 sum over the
+tiles says which inputs do.
 """
 
+import contextlib
 import io
 import os
 import subprocess
@@ -15,14 +17,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import running_sums
 
 from adipsim import array
 from adipsim.array import ArraySim, PsumOverflowError
 from adipsim.numerics import bit_fields, ceil_div
 from adipsim.preprocess import Precision, decode_slots, prepare_weights
-from adipsim.tiling import MatMulJob, run_tiled
+from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
 TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = TESTS_DIR.parent / "src"
@@ -149,9 +152,27 @@ def _raises(job, limit, monkeypatch):
     return outcomes
 
 
+def _smallest_passing_limit(job, monkeypatch):
+    """Binary search for the smallest limit the traced path passes at; both
+    paths must raise one below it and pass at it, and it must be the
+    smallest L whose [-L, L-1] holds every brute-force running sum."""
+    lo, hi = 1, 1 << 31  # the traced path raises at lo and passes at hi
+    assert _raises(job, lo, monkeypatch) == [True, True]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _raises(job, mid, monkeypatch)[1]:
+            lo = mid
+        else:
+            hi = mid
+    assert _raises(job, hi, monkeypatch) == [False, False]
+    assert _raises(job, lo, monkeypatch) == [True, True]
+    sums = running_sums(job.a, job.weights, job.n)
+    assert hi == max(-int(sums.min()), int(sums.max()) + 1)
+    return hi
+
+
 def _last_row_heavy(n, rows):
-    """All-zero input except a full-scale last row: its stage-2 value is the
-    largest one, and W4/W2 passes never form it."""
+    """All-zero input except a full-scale last row."""
     a = np.zeros((rows, n), dtype=np.int64)
     a[-1] = -128
     return a
@@ -173,78 +194,39 @@ OVERFLOW_CASES = [
 
 @pytest.mark.parametrize("precision, nw, n, dims, heavy", OVERFLOW_CASES)
 def test_overflow_raised_on_the_same_inputs(precision, nw, n, dims, heavy, monkeypatch):
-    """Find the smallest limit the stepped path passes at; the whole-pass
-    path must pass there and raise one below, like the stepped path."""
+    """Untraced and traced runs pass at the same smallest limit, the
+    brute-force one, and raise one below it."""
     rng = np.random.default_rng(n * 100 + precision.value * 10 + nw)
     m, k, p = dims
     a = _last_row_heavy(k, m) if heavy else None
-    job = _job(rng, precision, nw, n, m, k, p, a=a)
-    lo, hi = 1, 1 << 31  # the stepped path raises at lo and passes at hi
-    assert _raises(job, lo, monkeypatch) == [True, True]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _raises(job, mid, monkeypatch)[1]:
-            lo = mid
-        else:
-            hi = mid
-    assert _raises(job, hi, monkeypatch) == [False, False]
-    assert _raises(job, lo, monkeypatch) == [True, True]
+    _smallest_passing_limit(_job(rng, precision, nw, n, m, k, p, a=a), monkeypatch)
 
 
-def test_last_row_stage2_is_never_formed_at_w4_and_w2(monkeypatch):
-    """With the big value on the last row only, a limit between the largest
-    bus value and its W8 fold trips the reducer at W8 but not at W4 or W2."""
-    n = 4
-    a = _last_row_heavy(n, n)
-    for precision, nw, expected in ((Precision.W8, 1, True), (Precision.W4, 2, False), (Precision.W2, 4, False)):
-        hi = (1 << (precision.weight_bits - 1)) - 1
-        ones = np.full((n, n), -1 if precision is Precision.W2 else hi, dtype=np.int64)
-        job = MatMulJob(a, [ones] * nw, precision, n)
-        # bus values stay within 128 * 3 * n; folded W8 values reach 128 * 255 * n
-        assert _raises(job, 128 * 3 * n + 1, monkeypatch) == [expected, expected]
-
-
-def _outcome(run):
-    """Whether `run(sink)` overflows, and the trace it wrote until then."""
-    sink = io.StringIO()
-    try:
-        run(sink)
-    except PsumOverflowError:
-        return True, sink.getvalue()
-    return False, sink.getvalue()
-
-
-def _gated_and_every_cycle(run, monkeypatch):
-    """`run`'s outcome with the bound-gated register checks, then with the
-    bound forced on, so that every cycle is checked."""
-    gated = _outcome(run)
-    with monkeypatch.context() as m:
-        m.setattr(array, "_row_may_overflow", lambda amax, n, precision: True)
-        return gated, _outcome(run)
-
-
-# W8 weights of -128 have slots (0, 0, 0, -2), so the fold reach of a 4-row
-# column is 4 * 2 * 64 = 512; an all-(-128) row forms stage-2 values of
-# 65536 = 128 * 512 and an all-127 row -65024 = -(127 * 512).
+# W8 weights of -128 on n = 4 with K = 4: one reduction tile, so each output
+# is its one running sum. An all-(-128) row gives 65 536 = K * 128 * 128,
+# the gate's own bound, and an all-127 row -65 024.
 BOUND_EDGE_CASES = [
     # input value, limit, raises
-    (-128, 128 * 512, True),  # the value reaches the limit: gate on, raise
+    (-128, 128 * 512, True),  # the sum reaches the limit: gate on, raise
     (-128, 128 * 512 - 1, True),
     (-128, 128 * 512 + 1, False),  # the bound is below the limit: gate off
-    (127, 127 * 512, False),  # -limit fits the register
+    (127, 127 * 512, False),  # -limit fits the accumulator
     (127, 127 * 512 - 1, True),
 ]
 
 
 @pytest.mark.parametrize("value, limit, raises", BOUND_EDGE_CASES)
 def test_gated_checks_raise_on_the_same_cycle_at_the_bound(value, limit, raises, monkeypatch):
+    """At and around the gate's bound, untraced and traced runs raise
+    exactly where a running sum leaves [-L, L-1], before the first cycle:
+    a raising traced run writes its header alone."""
     n = 4
     job = MatMulJob(np.full((2 * n, n), value), [np.full((n, n), -128)], Precision.W8, n)
-    monkeypatch.setattr(array, "_PSUM_LIMIT", limit)
-    gated, every_cycle = _gated_and_every_cycle(lambda sink: run_tiled(job, trace=sink), monkeypatch)
-    assert gated == every_cycle
-    assert gated[0] is raises
     assert _raises(job, limit, monkeypatch) == [raises, raises]
+    sink = io.StringIO()
+    with pytest.raises(PsumOverflowError) if raises else contextlib.nullcontext():
+        run_tiled(job, trace=sink)
+    assert (sink.getvalue() == array.TRACE_HEADER + "\n") is raises
 
 
 def test_overflow_guards_survive_optimize_flag():
@@ -290,36 +272,23 @@ def test_overflow_guards_survive_optimize_flag():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def _smallest_passing_limit(job, monkeypatch):
-    """Binary search for the smallest limit the stepped path passes at; both
-    paths must raise one below it and pass at it."""
-    lo, hi = 1, 1 << 31  # the stepped path raises at lo and passes at hi
-    assert _raises(job, lo, monkeypatch) == [True, True]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _raises(job, mid, monkeypatch)[1]:
-            lo = mid
-        else:
-            hi = mid
-    assert _raises(job, hi, monkeypatch) == [False, False]
-    assert _raises(job, lo, monkeypatch) == [True, True]
-    return hi
-
 
 @pytest.mark.parametrize(
     "precision, nw, heavy",
     [(Precision.W8, 1, -128), (Precision.W4, 2, -8), (Precision.W2, 4, -2)],
 )
 def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
-    """Blocks of three tiles where, one below the smallest passing limit,
-    only the middle tile of the first k-row can overflow: the untraced path
-    must check that tile and raise on the same limits as the stepped
-    path."""
+    """Three column tiles where only the middle tile of the first k-row
+    holds large weights: its outputs set the smallest passing limit, which
+    untraced and traced runs find whether the check takes one reduction
+    tile per block or all of them at once."""
     n = 4
     weights = np.ones((2 * n, 3 * n), dtype=np.int64)
     weights[:n, n : 2 * n] = heavy
     job = MatMulJob(np.full((2 * n, 2 * n), -128), [weights] * nw, precision, n)
-    _smallest_passing_limit(job, monkeypatch)
+    for block in (1, 1 << 16):
+        monkeypatch.setattr(array, "_TRACE_BYTES", block)
+        _smallest_passing_limit(job, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -328,38 +297,39 @@ def test_batched_gate_with_one_tile_on(precision, nw, heavy, monkeypatch):
 )
 def test_gate_is_off_for_every_storable_tile_size(precision, opens_at):
     """The packed-file header holds n in 16 bits, so no storable tile column
-    is longer than 65 535 rows. The bound for a column of that length,
-    streaming full-scale inputs, is off at the real 32-bit limit, so an
-    untraced run forms no register of such a tile. It turns on once a
-    column of the word with the widest W8 fold reach could reach the
-    limit."""
+    is longer than 65 535 rows, and `ArraySim` takes every such size. Under
+    each precision, a full-scale column of the word with the widest W8
+    fold reach could first take a register past 32 bits at `opens_at`;
+    W8's is the lowest, and it is `SIZE_LIMIT`."""
     slots = decode_slots(np.arange(256), precision)  # [g, word]
     reach = (np.abs(slots) << (2 * np.arange(4))[:, None]).sum(axis=0)
-    assert ceil_div(array._PSUM_LIMIT, 128 * int(reach.max())) == opens_at
-    assert not array._row_may_overflow(128, (1 << 16) - 1, precision)
-    assert not array._row_may_overflow(128, opens_at - 1, precision)
-    assert array._row_may_overflow(128, opens_at, precision)
+    assert ceil_div(1 << 31, 128 * int(reach.max())) == opens_at
+    assert (1 << 16) - 1 < array.SIZE_LIMIT <= opens_at
+
+
+def _spy(calls, name, fn):
+    """`fn`, recording `name` in `calls` on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def test_input_is_scanned_only_when_the_int8_bound_could_trip(monkeypatch):
-    """`stream_grid` evaluates the bound at |a| = 128 first: at the real
-    limit that settles it, with no scan of the input. Under a lowered
-    limit it scans, and gates on the input's own largest magnitude."""
+    """The accumulator check reads the input only when K full-scale
+    products could reach the limit: at the real limit a K = 5 job decodes
+    its weight field once, for its outputs; under a lowered limit the check
+    decodes it once more, for its one block of tiles, and passes."""
     job = MatMulJob(np.full((3, 5), -7), [np.ones((5, 6), dtype=np.int64)], Precision.W8, 4)
-    amaxes = []
-
-    def spy(amax, n, precision):
-        amaxes.append(amax)
-        return bound(amax, n, precision)
-
-    bound = array._row_may_overflow
-    monkeypatch.setattr(array, "_row_may_overflow", spy)
+    calls = []
+    monkeypatch.setattr(array, "_field", _spy(calls, "_field", array._field))
     run_tiled(job)
-    assert amaxes == [128]
-    del amaxes[:]
+    assert calls == ["_field"]
     monkeypatch.setattr(array, "_PSUM_LIMIT", 1000)
-    run_tiled(job)
-    assert amaxes == [128, 7]
+    assert np.array_equal(run_tiled(job).outputs[0], np.full((3, 6), -35))
+    assert calls == ["_field"] * 3
 
 
 def test_full_scale_block_is_exact():
@@ -376,22 +346,25 @@ def test_full_scale_block_is_exact():
     assert int(fast.outputs[0].max()) == 4 * n * 128 * 128
 
 
+
 @pytest.mark.parametrize(
     "precision, nw, heavy",
     [(Precision.W8, 1, -128), (Precision.W4, 2, -8), (Precision.W2, 4, -2)],
 )
 def test_gate_in_a_later_k_row_uses_that_rows_inputs(precision, nw, heavy, monkeypatch):
-    """A 3 x 3 grid where, one below the smallest passing limit, only tile
-    (k = 1, j = 2) can overflow, and only with the largest input of its own
-    k-row (the other k-rows stream smaller inputs): the untraced path must
-    check that pass and raise on the same limits as the stepped path."""
+    """A 3 x 3 grid where only tile (k = 1, j = 2) holds large weights, and
+    the k-rows after the first stream -128: the running sums of column
+    tile 2 peak after the second reduction tile and fall back by the last.
+    Both paths must catch that peak, which no final output reaches."""
     n = 4
     weights = np.ones((3 * n, 3 * n), dtype=np.int64)
     weights[n : 2 * n, 2 * n :] = heavy
-    a = np.full((2 * n, 3 * n), 100, dtype=np.int64)
-    a[:, n : 2 * n] = -128
+    a = np.full((2 * n, 3 * n), -128, dtype=np.int64)
+    a[:, :n] = 100
     job = MatMulJob(a, [weights] * nw, precision, n)
-    _smallest_passing_limit(job, monkeypatch)
+    peak = 400 + 4 * 128 * -heavy
+    assert _smallest_passing_limit(job, monkeypatch) == peak + 1
+    assert all(int(abs(out).max()) < peak for out in oracle_matmul(job))
 
 
 def _float32_edge(k_dim):
@@ -460,6 +433,7 @@ def test_narrow_outputs_are_exact_one_row_past_the_first_chunk(precision, nw, k_
         assert np.array_equal(got, want)
 
 
+
 def _widest_word(precision):
     """The stationary word with the largest W8 fold reach under `precision`,
     and that reach."""
@@ -468,36 +442,97 @@ def _widest_word(precision):
     return int(reach.argmax()), int(reach.max())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    precision=st.sampled_from(list(Precision)),
-    n=st.integers(1, 8),
-    tiles=st.integers(1, 3),
-    heavy=st.floats(0, 1),
-    amax=st.integers(0, 128),
-    offset=st.integers(-2, 2) | st.integers(-(1 << 20), 1 << 20),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_row_pre_bound_is_sound(precision, n, tiles, heavy, amax, offset, seed):
-    """Over random W = r jobs of `tiles` k-rows (a share `heavy` of the
-    stationary words the widest one, and of the inputs -amax, the rest of
-    magnitude at most amax) and limits around amax * n times the widest
-    word's reach: whenever `_row_may_overflow` is off, a run that checks
-    every register raises nothing. At W2 the widest word's slots are all
-    -2, so an all-widest job on all -amax inputs forms that very value."""
-    rng = np.random.default_rng(seed)
-    word, reach = _widest_word(precision)
-    words = rng.integers(0, 256, size=(tiles * n, n), dtype=np.uint8)
-    words[rng.random(words.shape) < heavy] = word
-    weights = list(bit_fields(words, precision.weight_bits, precision.r).astype(np.int64))
-    a = rng.integers(-amax, amax + 1, size=(2 * n, tiles * n))
+@st.composite
+def _accumulator_cases(draw):
+    """A job of r matrices whose inputs are of magnitude at most amax and
+    whose weights are of the precision, a share `heavy` of each at its
+    most negative value, and a limit around the gate's bound
+    K * 128 * 2^(w-1), which an all-heavy job at amax = 128 forms
+    (`BOUND_EDGE_CASES` pins that edge)."""
+    precision = draw(st.sampled_from(list(Precision)))
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 24))
+    heavy, amax = draw(st.floats(0, 1)), draw(st.integers(0, 128))
+    offset = draw(st.integers(-2, 2) | st.integers(-(1 << 20), 1 << 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = -(1 << (precision.weight_bits - 1))
+    a = rng.integers(-amax, amax + 1, size=(draw(st.integers(0, 2 * n)), k))
     a[rng.random(a.shape) < heavy] = -amax
-    job = MatMulJob(a, weights, precision, n)
+    weights = rng.integers(lo, -lo, size=(precision.r, k, draw(st.integers(1, 2 * n))))
+    weights[rng.random(weights.shape) < heavy] = lo
+    return MatMulJob(a, list(weights), precision, n), max(1, k * 128 * -lo + offset)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_accumulator_cases())
+@example((MatMulJob(np.full((1, 4), -128), [np.full((4, 1), -128)], Precision.W8, 4), 4 * 128 * 128))
+def test_accumulator_gate_is_sound(case):
+    """Whenever the gate is off, so that `_check_accumulator` decodes no
+    weight field, no brute-force running sum over the reduction tiles
+    leaves [-L, L-1]. The example is the bound itself: a sum of L."""
+    job, limit = case
+    grid = prepare_weights(job.weights, job.precision, job.n)
+    calls = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(array, "_PSUM_LIMIT", max(1, amax * n * reach + offset))
-        if not array._row_may_overflow(amax, n, precision):
-            m.setattr(array, "_row_may_overflow", lambda amax, n, precision: True)
-            run_tiled(job)  # every register checked
+        m.setattr(array, "_PSUM_LIMIT", limit)
+        m.setattr(array, "_field", _spy(calls, "_field", array._field))
+        try:
+            array._check_accumulator(grid, job.a)
+        except PsumOverflowError:
+            assert calls
+    if not calls:
+        sums = running_sums(job.a, job.weights, job.n)
+        assert -limit <= sums.min() and sums.max() < limit
+
+
+def _outcome(job, trace):
+    """The run's outputs and cycles, or its overflow message."""
+    try:
+        result = run_tiled(job, trace=trace)
+    except PsumOverflowError as exc:
+        return str(exc)
+    return [out.tolist() for out in result.outputs], result.total_cycles
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_accumulator_cases(), st.integers(0, 3))
+def test_run_tiled_raises_iff_a_running_sum_leaves_the_range(case, shift):
+    """At a lowered limit, untraced and traced `run_tiled` raise exactly
+    when a brute-force running sum leaves [-L, L-1], with one message, and
+    a raising traced run writes its header alone; otherwise both return
+    the same outputs and cycles."""
+    job, limit = case
+    limit = max(1, limit >> shift)  # limits below the bound, where runs raise
+    sums = running_sums(job.a, job.weights, job.n)
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(array, "_PSUM_LIMIT", limit)
+        untraced, traced = _outcome(job, None), _outcome(job, sink)
+    assert untraced == traced
+    raised = isinstance(untraced, str)
+    assert raised is bool(sums.min() < -limit or sums.max() >= limit)
+    if raised:
+        assert untraced == f"accumulator overflow: a running sum over reduction tiles leaves [{-limit}, {limit - 1}]"
+        assert sink.getvalue() == array.TRACE_HEADER + "\n"
+
+
+@pytest.mark.parametrize("k_dim", [(1 << 17) - 1, 1 << 17, 131_136])
+def test_full_scale_accumulator_edge(k_dim):
+    """All -128, W8, n = 4: K products of 2^14 each. Below K = 2^17 the gate
+    is off and every output, up to 2^31 - 2^14, fits; from K = 2^17 the
+    last running sum reaches 2^31, and untraced and traced runs raise
+    with one message before the traced one writes a line."""
+    job = MatMulJob(np.full((1, k_dim), -128), [np.full((k_dim, 4), -128)], Precision.W8, 4)
+    if k_dim < 1 << 17:
+        assert np.array_equal(run_tiled(job).outputs[0], np.full((1, 4), (1 << 31) - (1 << 14)))
+        return
+    sink = io.StringIO()
+    messages = []
+    for trace in (None, sink):
+        with pytest.raises(PsumOverflowError) as raised:
+            run_tiled(job, trace=trace)
+        messages.append(str(raised.value))
+    assert messages == ["accumulator overflow: a running sum over reduction tiles leaves [-2147483648, 2147483647]"] * 2
+    assert sink.getvalue() == array.TRACE_HEADER + "\n"
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
@@ -505,20 +540,10 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
     """At the 32-bit limit, with full-scale -128 inputs and every word the
     widest one (or its low fields, for fewer matrices), untraced `run_tiled`
     decodes no 2-bit slots and forms no register (`ArraySim._run`) for any
-    precision and nw: the pre-bound keeps every group off the gated path."""
+    precision and nw: only a trace reads registers."""
     calls = []
-
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for precision in Precision:  # the pre-bound's own decode, once per process
-        array._widest_reach(precision)
-    monkeypatch.setattr(array, "decode_slots", spy("decode_slots", array.decode_slots))
-    monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
+    monkeypatch.setattr(array, "decode_slots", _spy(calls, "decode_slots", array.decode_slots))
+    monkeypatch.setattr(ArraySim, "_run", _spy(calls, "_run", ArraySim._run))
     a = np.full((n, 2 * n), -128, dtype=np.int64)
     for precision in Precision:
         word = np.array(_widest_word(precision)[0], dtype=np.uint8)
@@ -531,36 +556,27 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
 
 
 def test_gated_untraced_rows_form_no_outputs(monkeypatch):
-    """Under a limit that turns the group's bound on but overflows no
-    register, untraced `run_tiled` runs and checks all the group's passes
-    with one `_run` and forms its outputs once, as the traced run does;
-    its outputs equal the traced run's."""
+    """Under a limit that turns the accumulator check on but that no running
+    sum reaches, untraced `run_tiled` checks the group once, forms no
+    register and forms its outputs once; the traced run adds one `_run`
+    for all its 4 x 3 passes, and its outputs equal the untraced run's."""
     job = _job(np.random.default_rng(3), Precision.W8, 1, 8, 16, 32, 24)
     monkeypatch.setattr(array, "_PSUM_LIMIT", 1 << 17)
     calls = []
-
-    def spy(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(array, "_group_outputs", spy("_group_outputs", array._group_outputs))
-    monkeypatch.setattr(ArraySim, "_run", spy("_run", ArraySim._run))
+    for name in ("_check_accumulator", "_group_outputs"):
+        monkeypatch.setattr(array, name, _spy(calls, name, getattr(array, name)))
+    monkeypatch.setattr(ArraySim, "_run", _spy(calls, "_run", ArraySim._run))
     untraced = run_tiled(job)
-    assert calls == ["_run", "_group_outputs"]  # all 4 x 3 passes checked in one run
+    assert calls == ["_check_accumulator", "_group_outputs"]
     traced = run_tiled(job, trace=CountingSink())
-    assert calls[2:] == ["_run", "_group_outputs"]
+    assert calls[2:] == ["_check_accumulator", "_run", "_group_outputs"]
     assert (untraced.total_cycles, untraced.pass_count) == (traced.total_cycles, traced.pass_count)
     assert all(np.array_equal(u, t) for u, t in zip(untraced.outputs, traced.outputs, strict=True))
 
 
 def test_untraced_and_traced_runs_raise_the_same_overflow(monkeypatch):
-    """Both runs step a gated group's passes in one order, j then k, so the
-    first register out of range is the same one: at limit 75 pass (j=0,
-    k=1) puts 55 * 3 on a psum bus before pass (j=1, k=0) folds 1 * -80
-    in the reducer."""
+    """Both runs check the group's running sums before its first pass: at
+    limit 75 the second reduction tile adds 55 * 39 to a sum of -14."""
     job = MatMulJob(
         a=[[1, 55, -20]],
         weights=[[[-14, -80, 66], [39, 99, -94], [93, -114, 37]]],
@@ -573,4 +589,4 @@ def test_untraced_and_traced_runs_raise_the_same_overflow(monkeypatch):
         with pytest.raises(PsumOverflowError) as raised:
             run_tiled(job, trace=trace)
         messages.append(str(raised.value))
-    assert messages == ["psum bus overflow", "psum bus overflow"]
+    assert messages == ["accumulator overflow: a running sum over reduction tiles leaves [-75, 74]"] * 2

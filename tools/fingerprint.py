@@ -7,8 +7,10 @@ reports and their stage rows.
 Each config draws n in 1..8, a precision, 1..2r weight matrices, M, K
 and P in 0..3n, and inputs of magnitude at most 128, 16 or 2; the
 pipeline depth is the precision's, and every weight load is hidden
-behind the pass before it. It runs untraced and traced, at a psum limit
-of 2^31, 2^14 and 2^12, so the small limits make many runs overflow. The
+behind the pass before it. It runs untraced and traced, at an accumulator
+limit of 2^31, 2^14 and 2^12, so the small limits make many runs overflow:
+the one overflow check is on each output's running sum over the
+reduction tiles, before the first pass streams. The
 digest covers every run's outputs with their dtype, its cycles and
 passes, or its overflow message, and the sha256 of its trace text. The
 digest therefore fixes `run_tiled`'s schedule too: column-block packing
@@ -32,10 +34,10 @@ same three variants, so each stage's row and its split of traffic into
 
 A fourth, printed next, covers runs at the overflow edge, where random
 configs rarely land: every mode at n = 1..8, every input and weight at
-its most negative value, run untraced and traced at a psum limit equal
-to the largest register the job forms (so it overflows) and one above
-it (so it fits). Run the tool with the same arguments on two checkouts
-and compare the output.
+its most negative value, run untraced and traced at an accumulator limit
+equal to the largest running sum the job forms (so it overflows) and one
+above it (so it fits). Run the tool with the same arguments on two
+checkouts and compare the output.
 """
 
 import argparse
@@ -156,17 +158,14 @@ def run_digest(configs: int, seed: int, run=run_tiled) -> tuple[int, int, str]:
 def _edge_cases():
     """Per mode and n = 1..8, a 3n x 2n input times nw 2n x n weight
     matrices, all at their most negative value, with the limits at and one
-    above the largest register. Every product is positive, so that register
-    is the reducer's W8 fold of a column: n inputs of 128 times the
-    stationary word, whose fields are nw weights of 2^(w-1). Three input
-    rows at least, so that even at n = 1 a W2 pass folds one of them in
-    reducer stage 2."""
+    above the largest running sum. Every product is 128 * 2^(w-1), so the
+    largest running sum is every output, over both reduction tiles:
+    K = 2n such products."""
     for precision in Precision:
         w = precision.weight_bits
         for nw in range(1, precision.r + 1):
-            word = sum(1 << (w - 1 + w * t) for t in range(nw))
             for n in range(1, 9):
-                largest = 128 * n * word
+                largest = 2 * n * 128 << (w - 1)
                 job = MatMulJob(
                     a=np.full((3 * n, 2 * n), -128),
                     weights=[np.full((2 * n, n), -(1 << (w - 1)))] * nw,
