@@ -30,15 +30,18 @@ weight fields of each word.
 A pass is one weight load, then a run of streamed rows, padded to whole
 row tiles; the load is hidden behind the pass before it, so a pass costs
 `stream_cycles` and no more, as in the paper's resident-weight latency.
-The tiles are rotated out of the grid's matrix-order words once, and the
-registers of a block of clocks, for a stack of passes at once, come from
-the formulas above (`_registers`), formed only for a trace. They are
-int32, as wide as the paper's psum buses, and need no check: `ArraySim`
-takes no n from `SIZE_LIMIT` up, where an int8 input could first take one
-past 32 bits. The reducer's fold is linear, so the outputs are exact
-matmuls of the int8 input with the weight fields of the matrix-order
-words (`_group_outputs`): per matrix, float32 over chunks of K small
-enough to stay exact, added in int64 into one int64 block per group.
+The tiles are rotated out of the grid's matrix-order words once, their
+int8 slots looked up in the precision's 256-word table (`decode_slots`),
+and the registers of a block of clocks, for a stack of passes at once,
+come from the formulas above (`_registers`), formed only for a trace.
+They are int32, as wide as the paper's psum buses, and need no check:
+`ArraySim` takes no n from `SIZE_LIMIT` up, where an int8 input could
+first take one past 32 bits. The reducer's fold is linear, so the outputs
+are exact matmuls of the int8 input with the weight fields of the
+matrix-order words (`_group_outputs`), each field cut from the words by
+one multiply and one arithmetic shift (`decode_field`; a W8 field is the
+word read as int8): per matrix, float32 over chunks of K small enough to
+stay exact, added in int64 into one int64 block per group.
 `load_weights` takes a one-tile grid and `stream` runs it through the same
 engine; they stay only for the benchmark's span wrappers (bench/spans.py).
 
@@ -49,8 +52,11 @@ streams, only when K full-scale products could reach the limit. Traces
 are formatted without Python ints: every number is gathered as 8-byte
 ASCII words, one per four decimal digits, from one table (`_group_words`)
 into a fixed-width line buffer, and one `bytes.translate` drops the NUL
-padding. Register blocks, line buffers and accumulator-check blocks are
-bounded in bytes (`_TRACE_BYTES`), not in clocks.
+padding. A register value takes one word up to n = 26, by the static
+bound |input| <= 128, |bus| <= 128 * 3 * n; only above it is a block
+scanned for its widest value. Register blocks, line buffers and
+accumulator-check blocks are bounded in bytes (`_TRACE_BYTES`), not in
+clocks.
 """
 
 from __future__ import annotations
@@ -61,8 +67,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import ACT_BITS, PSUM_BITS, bit_fields, ceil_div, check_size, check_type, exact_matmuls, to_int8
-from .preprocess import PackedGrid, Precision, decode_slots
+from .numerics import ACT_BITS, PSUM_BITS, ceil_div, check_size, check_type, exact_matmuls, to_int8
+from .preprocess import PackedGrid, Precision, decode_field, decode_slots
 
 _PSUM_LIMIT = 1 << (PSUM_BITS - 1)
 
@@ -202,7 +208,7 @@ def _diagonals(n: int) -> np.ndarray:
 
 def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, before: np.ndarray) -> np.ndarray:
     """Registers after each clock whose new row is feed[p, e], first <= e <
-    stop (first >= n - 1), of each pass p of the (4, P, n, n) `slots`, from
+    stop (first >= n - 1), of each pass p of the (4, P, n, n) int8 `slots`, from
     the (P, n, n, 5) registers `before` the first of those clocks: shape
     (P, stop - first, n, n, 5), each PE's input and then its four buses, of
     the dtype of `feed`.
@@ -231,13 +237,10 @@ def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, befor
     return registers
 
 
-def _field(words: np.ndarray, bits: int, t: int) -> np.ndarray:
-    """Field t of the matrix-order uint8 `words`, the signed `bits`-bit
-    weights of matrix t, as float32. An 8-bit field is the word itself,
-    read as int8, with no int16 `bit_fields` copy."""
-    if bits == 8:
-        return words.view(np.int8).astype(np.float32)
-    return bit_fields(words >> (bits * t), bits, 1)[0].astype(np.float32)
+def _field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
+    """Field t of the matrix-order uint8 `words`, the signed weights of
+    matrix t, as float32 (`decode_field`)."""
+    return decode_field(words, precision, t).astype(np.float32)
 
 
 def _group_outputs(grid: PackedGrid, a: np.ndarray) -> np.ndarray:
@@ -251,10 +254,9 @@ def _group_outputs(grid: PackedGrid, a: np.ndarray) -> np.ndarray:
     is decoded on its own, per chunk, so only one matrix's float32 weights
     are live at a time.
     """
-    bits, words = grid.precision.weight_bits, grid.words[: a.shape[1]]
-    return exact_matmuls(
-        a, lambda t, rows: _field(words[rows], bits, t), grid.nw, words.shape[1], 1 << (6 + bits)
-    )
+    precision, words = grid.precision, grid.words[: a.shape[1]]
+    bound = 1 << (6 + precision.weight_bits)
+    return exact_matmuls(a, lambda t, rows: _field(words[rows], precision, t), grid.nw, words.shape[1], bound)
 
 
 def _check_accumulator(grid: PackedGrid, a: np.ndarray) -> None:
@@ -277,7 +279,7 @@ def _check_accumulator(grid: PackedGrid, a: np.ndarray) -> None:
     for t in range(grid.nw):
         running = np.zeros((m_dim, width), dtype=np.int64)
         for k in range(0, grid.tk, tiles):
-            weights = _field(grid.words[k * n : (k + tiles) * n], bits, t).astype(np.float64)
+            weights = _field(grid.words[k * n : (k + tiles) * n], grid.precision, t).astype(np.float64)
             count = len(weights) // n
             inputs = np.zeros((m_dim, count * n))
             part = a[:, k * n : (k + count) * n]
@@ -346,18 +348,22 @@ class ArraySim:
             raise ValueError(f"input rows must be R x {self.n}, got {np.shape(rows)}")
         return self.stream_grid(self._tile, rows)
 
-    def _write_trace(self, registers: np.ndarray, cycles: np.ndarray) -> None:
+    def _write_trace(self, registers: np.ndarray, cycles: np.ndarray, groups: Optional[int] = None) -> None:
         """Write the per-PE lines of the increasing `cycles`, one (n, n, 5)
         block of `registers` each.
 
         Every line of the block is laid out in the same number of words:
-        the cycle and each register value take as many four-digit groups as
-        the widest of them in the block needs. Dropping the NULs leaves the
-        lines exactly as `%d` prints them. The lines are formed and written
-        in slices of whole clocks, or of PE rows of one clock when a clock's
-        lines alone exceed it, of at most `_TRACE_BYTES` of words each."""
+        the cycle takes as many four-digit groups as the block's last cycle
+        needs, and each register value `groups` of them, which must be
+        enough for every value in the block; when `groups` is None, as many
+        as the widest value in the block needs, found by a scan. Dropping
+        the NULs leaves the lines exactly as `%d` prints them. The lines
+        are formed and written in slices of whole clocks, or of PE rows of
+        one clock when a clock's lines alone exceed it, of at most
+        `_TRACE_BYTES` of words each."""
         steps, n = len(cycles), self.n
-        groups = ceil_div(len(str(max(int(registers.max()), -int(registers.min())))), 4)
+        if groups is None:
+            groups = ceil_div(len(str(max(int(registers.max()), -int(registers.min())))), 4)
         cycle_groups = ceil_div(len(str(int(cycles[-1]))), 4)
         cycle_words = np.empty((steps, cycle_groups), dtype=np.uint64)
         _number_words(cycles, cycle_groups, 0, cycle_words)
@@ -384,8 +390,14 @@ class ArraySim:
         registers, one cycle per clock; the caller advances the clock past
         the run. Registers are formed in blocks of as many clocks as
         `_TRACE_BYTES` of registers hold, one at least (whole passes when
-        they fit)."""
+        they fit).
+
+        Every input is at most 128 in magnitude and every bus, a sum of at
+        most n products of an input with a 2-bit slot, at most 128 * 3 * n:
+        below 10 000, which holds up to n = 26, each value is one four-digit
+        group of the trace, and no block is scanned for its widest value."""
         n, window = self.n, self.n - 1
+        groups = 1 if 128 * 3 * n < _GROUP else None
         passes, sources = slots.shape[1], len(feed)
         steps = feed.shape[1] - window
         held = np.zeros((passes, n, n, 5), dtype=feed.dtype)  # each pass's registers after its last block
@@ -401,7 +413,7 @@ class ArraySim:
                 registers = _registers(block_slots, block, window, window + clocks, block_held)
                 block_held[...] = registers[:, -1]
                 cycles = (self.cycle + lo + 1 + steps * block_passes[:, None] + np.arange(clocks)).ravel()
-                self._write_trace(registers.reshape(-1, n, n, 5), cycles)
+                self._write_trace(registers.reshape(-1, n, n, 5), cycles, groups)
 
     def stream_grid(self, grid: PackedGrid, a) -> np.ndarray:
         """Every pass of one fused group (a job's virtual matrices, see
@@ -416,8 +428,9 @@ class ArraySim:
 
         `_check_accumulator` runs before the first pass, so a trace holds
         only its header if it raises. The passes' registers are formed, in
-        int32, from the grid rotated into its tiles once, only with a trace
-        sink; otherwise no slot is decoded. Either way the clock advances by
+        int32, from the int8 slots of the grid rotated into its tiles once,
+        looked up in the precision's slot table, only with a trace sink;
+        otherwise no slot is decoded. Either way the clock advances by
         `stream_cycles` per pass.
         """
         self._check_fits(grid)
@@ -435,7 +448,7 @@ class ArraySim:
             feed[window : window + m_dim, :k_dim] = a
             feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
             tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
-            slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n).astype(np.int32)
+            slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n)
             self._run(slots, feed)
         self.cycle += tk * tp * steps
         return _group_outputs(grid, a).transpose(1, 0, 2)

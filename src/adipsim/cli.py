@@ -178,6 +178,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace_ctx = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
         result = tiling.run_tiled(job, trace=trace_ctx)
+    except BaseException:
+        if trace_ctx is not None:  # a run that raises leaves no partial trace file
+            trace_ctx.close()
+            if os.path.isfile(args.trace):
+                os.remove(args.trace)
+        raise
     finally:
         if trace_ctx is not None:
             trace_ctx.close()

@@ -18,7 +18,10 @@ tiles. The rotation is applied only where a tile's position matters, at the
 array and at the file: `PackedGrid.rotated_tiles` gives the tiles as the
 array loads them, `write_packed` stores them so, and `read_packed`
 un-rotates them once. `unprepare_weights` and the array's group outputs
-decode the matrix-order words directly. A grid carries the computation
+decode the matrix-order words directly, one weight field at a time
+(`decode_field`). A word's four 2-bit slots are a fixed function of the
+word per precision, so `decode_slots` is a lookup into a 256-word table,
+built once from `numerics.bit_fields`. A grid carries the computation
 mode, its precision and matrix count nw, and is checked when it is built:
 a grid with no tiles, or with nw outside 1..r, cannot be built, so no
 reader of a grid checks it again.
@@ -26,6 +29,7 @@ reader of a grid checks it again.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -125,9 +129,35 @@ _SIGNED_SLOTS = {
 }
 
 
+@functools.cache
+def _slot_table(precision: Precision) -> np.ndarray:
+    """The four 2-bit slots of every stationary word under `precision`, as a
+    read-only (4, 256) int8 array: slot g of word w at [g, w]."""
+    table = bit_fields(np.arange(256, dtype=np.uint8), 2, 4, _SIGNED_SLOTS[precision])
+    table.flags.writeable = False
+    return table
+
+
 def decode_slots(words, precision: Precision) -> np.ndarray:
-    """Decode stationary words into their four 2-bit slots: shape (4, *words.shape)."""
-    return bit_fields(words, 2, 4, _SIGNED_SLOTS[precision])
+    """The four 2-bit slots of the stationary words `words` (integers in
+    0..255, a scalar or an array of any shape) under `precision`: an int8
+    array of shape (4, *words.shape), slot g at [g]. One lookup into the
+    precision's 256-word table, which `bit_fields` fills once."""
+    return _slot_table(precision)[:, words]
+
+
+def decode_field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
+    """Field t of the uint8 `words`, the signed weights of matrix t, as an
+    int8 array of their shape. A uint8 multiply, which wraps, moves the
+    field to the top of the byte; read as int8, an arithmetic right shift
+    brings it back down with its sign. W8's one field is the word itself.
+    Two array passes at any size: a gather from a 256-word table costs
+    several times more per word on a grid of thousands of words."""
+    bits = precision.weight_bits
+    if bits == 8:
+        return words.view(np.int8)
+    top = words * np.uint8(1 << (8 - bits * (t + 1)))
+    return top.view(np.int8) >> (8 - bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +238,7 @@ def prepare_weights(matrices: Sequence[np.ndarray], precision: Precision, n: int
 def unprepare_weights(grid: PackedGrid) -> list[np.ndarray]:
     """Inverse of `prepare_weights`: the nw int64 weight matrices of a
     tk x tp packed grid, still zero-padded to tk*n x tp*n."""
-    return list(bit_fields(grid.words, grid.precision.weight_bits, grid.nw).astype(np.int64))
+    return [decode_field(grid.words, grid.precision, t).astype(np.int64) for t in range(grid.nw)]
 
 
 def check_packable(grid: PackedGrid) -> None:

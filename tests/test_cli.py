@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -744,7 +745,7 @@ def test_interleave_rejects_sizes_beyond_the_header(capsys, tmp_path, monkeypatc
 def test_simulate_reports_an_accumulator_overflow(capsys, tmp_path):
     """A 1 x 2^17 input of -128 times a 2^17 x 1 W8 matrix of -128 sums to
     2^31, past the 32-bit accumulator: exit 2 with the overflow named, no
-    traceback, and a trace that holds only its header."""
+    traceback, and no trace file left behind."""
     k = 1 << 17
     (tmp_path / "a.txt").write_text(f"1 {k} 8\n" + " ".join(["-128"] * k) + "\n")
     (tmp_path / "b.txt").write_text(f"{k} 1 8\n" + "-128\n" * k)
@@ -755,7 +756,22 @@ def test_simulate_reports_an_accumulator_overflow(capsys, tmp_path):
     )
     assert (code, text) == (2, "")
     assert err == "adipsim: accumulator overflow: a running sum over reduction tiles leaves [-2147483648, 2147483647]\n"
-    assert trace.read_text() == "cycle,row,col,input,psum0,psum1,psum2,psum3\n"
+    assert not trace.exists()
+
+
+def test_a_failing_run_removes_only_a_regular_trace_file(capsys, monkeypatch):
+    """A trace path that is not a regular file, such as the null device, is
+    left in place when the run raises; only a regular file is removed."""
+
+    def overflowing(job, trace=None):
+        raise OverflowError("accumulator overflow")
+
+    removed = []
+    monkeypatch.setattr(tiling, "run_tiled", overflowing)
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    code, text, err = run_cli(capsys, "simulate", "--size", "4", "--trace", os.devnull)
+    assert (code, text, err) == (2, "", "adipsim: accumulator overflow\n")
+    assert removed == []
 
 
 @pytest.mark.parametrize(

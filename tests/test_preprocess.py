@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import deinterleave, interleave, inverse_permute, permute
 
+from adipsim import preprocess
 from adipsim.array import ArraySim
+from adipsim.numerics import bit_fields
 from adipsim.preprocess import (
     PackedGrid,
     Precision,
+    decode_field,
+    decode_slots,
     prepare_weights,
     read_packed,
     unprepare_weights,
@@ -216,6 +220,43 @@ def test_zero_tile_round_trip():
     full = unprepare_weights(PackedGrid(grid.words, Precision.W2, 4, 4))
     for tile in full[1:]:
         assert not tile.any()
+
+
+# -- word decode -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("precision", list(Precision))
+def test_slot_table_and_fields_are_the_bit_field_rule_for_every_word(precision):
+    """For all 256 words, the read-only slot table is `bit_fields` of four
+    2-bit slots signed as `_SIGNED_SLOTS` says, and `decode_field` gives
+    the r signed weight fields of `bit_fields` as int8, each the radix-4
+    sum of its slots."""
+    words = np.arange(256, dtype=np.uint8)
+    slots = preprocess._slot_table(precision)
+    assert (slots.dtype, slots.shape) == (np.int8, (4, 256))
+    assert np.array_equal(slots, bit_fields(words, 2, 4, preprocess._SIGNED_SLOTS[precision]))
+    with pytest.raises(ValueError, match="read-only"):
+        slots[0, 0] = 1
+    fields = np.array([decode_field(words, precision, t) for t in range(precision.r)])
+    assert fields.dtype == np.int8
+    assert np.array_equal(fields, bit_fields(words, precision.weight_bits, precision.r))
+    per = 4 // precision.r  # slots per field
+    radix = 4 ** np.arange(per)[:, None]
+    assert np.array_equal(fields, (slots.astype(np.int64).reshape(precision.r, per, 256) * radix).sum(axis=1))
+
+
+@pytest.mark.parametrize("precision", list(Precision))
+def test_decode_slots_keeps_the_words_shape_in_int8(precision):
+    """`decode_slots` of words of any shape, a scalar and a strided view
+    included, is int8 of shape (4, *words.shape) and equals `bit_fields`."""
+    rng = np.random.default_rng(precision.weight_bits)
+    signed = preprocess._SIGNED_SLOTS[precision]
+    grid = prepare_weights([rng.integers(-2, 2, size=(8, 12))], precision, 4)
+    for words in (np.uint8(200), rng.integers(0, 256, size=(3, 5), dtype=np.uint8), grid.rotated_tiles()):
+        got = decode_slots(words, precision)
+        assert got.dtype == np.int8 and got.shape == (4,) + np.shape(words)
+        assert np.array_equal(got, bit_fields(words, 2, 4, signed))
+    assert decode_slots(255, precision).tolist() == bit_fields(np.uint8(255), 2, 4, signed).tolist()
 
 
 # -- whole-matrix preparation ---------------------------------------------------

@@ -450,23 +450,24 @@ def test_run_tiled_peak_memory_scales_with_int8_operands():
     """A W8 job with K > 1024 (three float32 chunks of K) holds no wide copy
     of a whole operand: the peak traced allocation of `run_tiled` stays
     within three times the int8 operands plus the int64 outputs. A float64
-    copy of the weights alone would be eight bytes a weight."""
+    copy of the weights alone would be eight bytes a weight. W4 and W2 jobs
+    of the same shape, whose fields are cut from the packed words, stay
+    under the same bound, which an 8-byte-per-word temporary of the words,
+    such as an index copy for a table lookup, would break."""
     m, k, p = 256, 2560, 1024
     rng = np.random.default_rng(0)
-    job = MatMulJob(
-        rng.integers(-128, 128, size=(m, k), dtype=np.int8),
-        [rng.integers(-128, 128, size=(k, p), dtype=np.int8)],
-        Precision.W8,
-        32,
-    )
-    tracemalloc.start()
-    try:
-        result = run_tiled(job)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.outputs[0].dtype == np.int64
-    assert peak <= 3 * (m * k + k * p + 8 * m * p)
+    a = rng.integers(-128, 128, size=(m, k), dtype=np.int8)
+    for precision in (Precision.W8, Precision.W4, Precision.W2):
+        hi = 1 << (precision.weight_bits - 1)
+        job = MatMulJob(a, [rng.integers(-hi, hi, size=(k, p), dtype=np.int8)], precision, 32)
+        tracemalloc.start()
+        try:
+            result = run_tiled(job)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.outputs[0].dtype == np.int64
+        assert peak <= 3 * (m * k + k * p + 8 * m * p), precision
 
 
 def test_plan_counts():

@@ -244,6 +244,31 @@ def test_write_trace_of_int32_registers_matches_the_percent_formatter(block):
     assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)
 
 
+@pytest.mark.parametrize("n, static", [(26, True), (27, False)])
+def test_traced_runs_at_the_static_width_bound_match_the_percent_formatter(n, static, monkeypatch):
+    """A full-scale W8 column of words 0xFF (slots 3, 3, 3, -1) under
+    inputs of -128 drives its bottom buses to -384 * n. At n = 26, -9 984,
+    the engine writes every value as one four-digit group with no scan; at
+    n = 27, -10 368, the writer scans each block. Both print as `%d`."""
+    blocks = []
+    write = ArraySim._write_trace
+
+    def recording(self, registers, cycles, groups=None):
+        blocks.append((registers.copy(), cycles.copy(), groups))
+        return write(self, registers, cycles, groups)
+
+    monkeypatch.setattr(ArraySim, "_write_trace", recording)
+    sink = io.StringIO()
+    run_tiled(MatMulJob(np.full((1, n), -128), [np.full((n, n), -1)], Precision.W8, n), trace=sink)
+    assert {groups for _, _, groups in blocks} == {1 if static else None}
+    assert min(int(registers.min()) for registers, _, _ in blocks) == -384 * n
+    want = array.TRACE_HEADER + "\n"
+    for registers, cycles, _ in blocks:
+        assert np.array_equal(cycles, np.arange(cycles[0], cycles[0] + len(cycles)))
+        want += _reference_lines(n, registers.transpose(0, 3, 1, 2), int(cycles[0]) - 1, len(cycles))
+    assert sink.getvalue() == want
+
+
 @pytest.mark.parametrize("groups", [1, 2, 3])
 def test_number_words_of_int32_match_the_percent_formatter(groups):
     """Every int32 edge value a number of `groups` words can hold, each
