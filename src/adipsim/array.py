@@ -30,10 +30,12 @@ weight fields of each word.
 A pass is one weight load, then a run of streamed rows, padded to whole
 row tiles; the load is hidden behind the pass before it, so a pass costs
 `stream_cycles` and no more, as in the paper's resident-weight latency.
-The tiles are rotated out of the grid's matrix-order words once, their
-int8 slots looked up in the precision's 256-word table (`decode_slots`),
+The int8 slots of every pass are looked up once from the grid's
+matrix-order words, in the precision's 256-word table (`decode_slots`),
 and the registers of a block of clocks, for a stack of passes at once,
-come from the formulas above (`_registers`), formed only for a trace.
+come from the formulas above, formed only for a trace: by one float32
+matmul for a block of at least n clocks (`_mapped_registers`), clock by
+clock for a shorter one (`_registers`).
 They are int32, as wide as the paper's psum buses, and need no check:
 `ArraySim` takes no n from `SIZE_LIMIT` up, where an int8 input could
 first take one past 32 bits. The reducer's fold is linear, so the outputs
@@ -42,8 +44,6 @@ matrix-order words (`_group_outputs`), each field cut from the words by
 one multiply and one arithmetic shift (`decode_field`; a W8 field is the
 word read as int8): per matrix, float32 over chunks of K small enough to
 stay exact, added in int64 into one int64 block per group.
-`load_weights` takes a one-tile grid and `stream` runs it through the same
-engine; they stay only for the benchmark's span wrappers (bench/spans.py).
 
 The one overflow the modelled hardware can reach is in the 32-bit
 accumulator that adds each pass's outputs over the reduction tiles:
@@ -52,11 +52,8 @@ streams, only when K full-scale products could reach the limit. Traces
 are formatted without Python ints: every number is gathered as 8-byte
 ASCII words, one per four decimal digits, from one table (`_group_words`)
 into a fixed-width line buffer, and one `bytes.translate` drops the NUL
-padding. A register value takes one word up to n = 26, by the static
-bound |input| <= 128, |bus| <= 128 * 3 * n; only above it is a block
-scanned for its widest value. Register blocks, line buffers and
-accumulator-check blocks are bounded in bytes (`_TRACE_BYTES`), not in
-clocks.
+padding. Register blocks, line buffers and accumulator-check blocks are
+bounded in bytes (`_TRACE_BYTES`), not in clocks.
 """
 
 from __future__ import annotations
@@ -92,10 +89,12 @@ def weight_slots(word: int, precision: Precision) -> tuple[int, int, int, int]:
 
 
 # Bytes of a block of registers, of trace words or of accumulator sums:
-# each temporary stays well under the 128 KiB above which glibc's malloc
-# maps it afresh, and a job's heap peak under the size glibc trims back
-# after a free, so runs do not fault their pages in again job after job.
-# A block is one clock at least, so above n = 57 its registers are more.
+# each temporary stays under the 128 KiB above which glibc's malloc maps
+# it afresh (a register matmul's product, with the n - 1 rows before its
+# block, under twice this), and a job's heap peak under the size glibc
+# trims back after a free, so runs do not fault their pages in again job
+# after job. A block is one clock at least: above n = 57 its registers
+# are more.
 _TRACE_BYTES = 1 << 16
 # A PE's input and four buses, int32.
 _REGISTER_BYTES = 5 * 4
@@ -206,35 +205,57 @@ def _diagonals(n: int) -> np.ndarray:
     return index
 
 
-def _registers(slots: np.ndarray, feed: np.ndarray, first: int, stop: int, before: np.ndarray) -> np.ndarray:
-    """Registers after each clock whose new row is feed[p, e], first <= e <
-    stop (first >= n - 1), of each pass p of the (4, P, n, n) int8 `slots`, from
-    the (P, n, n, 5) registers `before` the first of those clocks: shape
-    (P, stop - first, n, n, 5), each PE's input and then its four buses, of
-    the dtype of `feed`.
-
-    PE(r, c) holds element (c + r) mod n of row e - r, and bus g adds its
-    product with slot[g, r, c] to what PE(r - 1, c) held a clock before.
-    Those sums run along the diagonals of the clock x PE-row grid; they are
-    taken one clock or one PE row at a time, whichever is fewer.
-    """
+def _registers(slots: np.ndarray, block: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """The (P, clocks, n, n, 5) registers, each PE's input and then its
+    four buses, after each clock of a block: pass p's from its fed rows
+    block[p] (the n - 1 before the block included), its slots[:, p] as the
+    array holds them and its registers `before` the block. Bus g of
+    PE(r, c) adds its product with slot[g, r, c] to what PE(r - 1, c) held
+    a clock before."""
     n = slots.shape[-1]
-    steps = stop - first
-    inputs = feed[:, first + np.arange(steps)[:, None, None] - np.arange(n)[:, None], _diagonals(n)]
-    registers = np.empty((len(feed), steps, n, n, 5), dtype=feed.dtype)
+    steps = block.shape[1] - (n - 1)
+    inputs = block[:, n - 1 + np.arange(steps)[:, None, None] - np.arange(n)[:, None], _diagonals(n)]
+    registers = np.empty((len(block), steps, n, n, 5), dtype=block.dtype)
     for g, weights in enumerate(slots[:, :, None]):
         np.multiply(inputs, weights, out=registers[..., 1 + g])
     # PE row r - 1 `before` feeds row r on the first clock; the sums below
     # carry it on. The inputs add up too, and are set afterwards.
     registers[:, 0, 1:] += before[:, :-1]
-    if steps < n:
-        for k in range(1, steps):
-            registers[:, k, 1:] += registers[:, k - 1, :-1]
-    else:
-        for r in range(1, n):
-            registers[:, 1:, r] += registers[:, :-1, r - 1]
+    for k in range(1, steps):
+        registers[:, k, 1:] += registers[:, k - 1, :-1]
     registers[..., 0] = inputs
     return registers
+
+
+@functools.cache
+def _register_mask(n: int) -> np.ndarray:
+    """[j, r, c, field], read-only float32: 1 where element j of a fed row
+    enters that register of PE(r, c); with d = (j - c) mod n, the input
+    where d = r and each bus where d <= r."""
+    d = (np.arange(n)[:, None, None] - np.arange(n)) % n  # [j, 1, c]
+    r = np.arange(n)[:, None]
+    mask = np.stack([d == r] + [d <= r] * 4, axis=-1).astype(np.float32)
+    mask.flags.writeable = False
+    return mask
+
+
+def _mapped_registers(slots: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """`_registers` of a block, in int32, from slots[:, p] of pass p's
+    matrix-order words: PE row r on clock k is block row n - 1 + k - r
+    times the pass's map, `_register_mask` with bus g scaled by slot g of
+    word (j, c). One float32 matmul, exact as each sum is an integer of at
+    most 128 * 3 * n < 2^24 in magnitude."""
+    n = slots.shape[-1]
+    factors = np.empty((slots.shape[1], n, 1, n, 5), dtype=np.float32)  # [p, j, 1, c]: 1, then the slots
+    factors[..., 0] = 1
+    factors[..., 1:] = slots.transpose(1, 2, 3, 0)[:, :, None]
+    maps = np.multiply(_register_mask(n), factors).reshape(len(factors), n, -1)
+    product = np.matmul(block.astype(np.float32), maps)  # [p, fed row, (r, c, field)]
+    passes, rows, width = product.shape
+    pass_step, row_step, item = product.strides
+    shape = (passes, rows - n + 1, n, n, 5)
+    strides = (pass_step, row_step, width // n * item - row_step, 5 * item, item)
+    return np.ndarray(shape, np.float32, product, (n - 1) * row_step, strides).astype(np.int32)
 
 
 def _field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
@@ -385,12 +406,16 @@ class ArraySim:
     # -- streaming -----------------------------------------------------------
 
     def _run(self, slots: np.ndarray, feed: np.ndarray) -> None:
-        """Trace each pass p of the (4, P, n, n) `slots` on feed[p % K]: the
-        n - 1 zero rows before it, then one row per clock, from zero
-        registers, one cycle per clock; the caller advances the clock past
-        the run. Registers are formed in blocks of as many clocks as
-        `_TRACE_BYTES` of registers hold, one at least (whole passes when
-        they fit).
+        """Trace each pass p of the (4, P, n, n) `slots` of its
+        matrix-order words on feed[p % K]: the n - 1 zero rows before it,
+        then one row per clock, from zero registers, one cycle per clock;
+        the caller advances the clock past the run. Registers are formed in
+        blocks of as many clocks as `_TRACE_BYTES` of registers hold, one at
+        least (whole passes when they fit). A block of at least n clocks is
+        one matmul (`_mapped_registers`; at 64 KiB every block but a pass's
+        short tail up to n = 14), whose maps, 20 n^3 bytes a pass, are no
+        more than its registers; a shorter one, for which it would redo the
+        n - 1 rows before it each clock, the recurrence (`_registers`).
 
         Every input is at most 128 in magnitude and every bus, a sum of at
         most n products of an input with a 2-bit slot, at most 128 * 3 * n:
@@ -403,14 +428,20 @@ class ArraySim:
         held = np.zeros((passes, n, n, 5), dtype=feed.dtype)  # each pass's registers after its last block
         per = max(1, _TRACE_BYTES // (_REGISTER_BYTES * n * n))  # clocks per block
         span = max(1, per // max(steps, 1))  # passes per block
+        stepped = any(min(per, steps - lo) < n for lo in range(0, steps, per))  # a block of < n clocks
         for p0 in range(0, passes, span):
             block_passes = np.arange(p0, min(p0 + span, passes))
             block_slots, block_held = slots[:, p0 : p0 + span], held[p0 : p0 + span]
+            if stepped:
+                rotated = block_slots[:, :, _diagonals(n), np.arange(n)]  # [g, p, q, c]: slot of PE(q, c)
             for lo in range(0, steps, per):
                 clocks = min(per, steps - lo)
                 # from the row that the bottom PE row takes on the block's first clock
                 block = feed[block_passes % sources, lo : window + lo + clocks]
-                registers = _registers(block_slots, block, window, window + clocks, block_held)
+                if clocks >= n:
+                    registers = _mapped_registers(block_slots, block)
+                else:
+                    registers = _registers(rotated, block, block_held)
                 block_held[...] = registers[:, -1]
                 cycles = (self.cycle + lo + 1 + steps * block_passes[:, None] + np.arange(clocks)).ravel()
                 self._write_trace(registers.reshape(-1, n, n, 5), cycles, groups)
@@ -427,10 +458,8 @@ class ArraySim:
         and size.
 
         `_check_accumulator` runs before the first pass, so a trace holds
-        only its header if it raises. The passes' registers are formed, in
-        int32, from the int8 slots of the grid rotated into its tiles once,
-        looked up in the precision's slot table, only with a trace sink;
-        otherwise no slot is decoded. Either way the clock advances by
+        only its header if it raises. Slots are decoded and registers
+        formed only with a trace sink. Either way the clock advances by
         `stream_cycles` per pass.
         """
         self._check_fits(grid)
@@ -447,7 +476,7 @@ class ArraySim:
             feed = np.zeros((window + steps, tk * n), dtype=np.int32)
             feed[window : window + m_dim, :k_dim] = a
             feed = feed.reshape(-1, tk, n).transpose(1, 0, 2)  # [k, row, column]
-            tiles = grid.rotated_tiles().swapaxes(0, 1)  # [j, k]: the passes in run order
+            tiles = grid.words.reshape(tk, n, tp, n).transpose(2, 0, 1, 3)  # [j, k]: the passes in run order
             slots = decode_slots(tiles, self.precision).reshape(4, tp * tk, n, n)
             self._run(slots, feed)
         self.cycle += tk * tp * steps

@@ -126,23 +126,17 @@ def exact_matmuls(
 
 
 def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = True) -> np.ndarray:
-    """Cut non-negative integers into `count` little-endian `width`-bit fields.
+    """Cut uint8 words into `count` little-endian `width`-bit fields.
 
     Returns a new leading field axis: field t of every word sits at index
     t. `signed` is one flag for all fields or one per field; a signed field
-    reads as two's complement, an unsigned one as is. uint8 words are cut
-    in uint8 and come back as int8, or as int16 for 8-bit fields so that
-    `np.abs` of -128 still fits; any other input is cut in int64 and comes
-    back as int64.
+    reads as two's complement, an unsigned one as is. The fields come back
+    as int8, or as int16 for 8-bit fields so that `np.abs` of -128 still
+    fits.
     """
     words = np.asarray(words)
-    if words.dtype == np.uint8:
-        out_dtype = np.int16 if width == 8 else np.int8
-    else:
-        words = words.astype(np.int64, copy=False)
-        out_dtype = np.int64
-    shifts = np.arange(0, count * width, width, dtype=words.dtype).reshape((-1,) + (1,) * words.ndim)
-    fields = ((words[None] >> shifts) & words.dtype.type((1 << width) - 1)).astype(out_dtype)
+    shifts = np.arange(0, count * width, width, dtype=np.uint8).reshape((-1,) + (1,) * words.ndim)
+    fields = ((words[None] >> shifts) & np.uint8((1 << width) - 1)).astype(np.int16 if width == 8 else np.int8)
     half = 1 << (width - 1)
     for t, flag in enumerate((signed,) * count if np.isscalar(signed) else signed):
         if flag:

@@ -244,12 +244,23 @@ def test_write_trace_of_int32_registers_matches_the_percent_formatter(block):
     assert got == _reference_lines(n, history, after, steps).splitlines(keepends=True)
 
 
-@pytest.mark.parametrize("n, static", [(26, True), (27, False)])
-def test_traced_runs_at_the_static_width_bound_match_the_percent_formatter(n, static, monkeypatch):
+@pytest.mark.parametrize(
+    "n, static, trace_bytes",
+    [
+        pytest.param(26, True, None, id="26-True"),
+        pytest.param(26, True, 1 << 20, id="26-True-one-block"),
+        pytest.param(27, False, None, id="27-False"),
+    ],
+)
+def test_traced_runs_at_the_static_width_bound_match_the_percent_formatter(n, static, trace_bytes, monkeypatch):
     """A full-scale W8 column of words 0xFF (slots 3, 3, 3, -1) under
     inputs of -128 drives its bottom buses to -384 * n. At n = 26, -9 984,
     the engine writes every value as one four-digit group with no scan; at
-    n = 27, -10 368, the writer scans each block. Both print as `%d`."""
+    n = 27, -10 368, the writer scans each block. Both print as `%d`. At
+    the default `_TRACE_BYTES` these blocks are shorter than n clocks and
+    take the clock-by-clock recurrence; with 1 MiB the n = 26 pass is one
+    block, one float32 matmul whose sums reach the widest any n = 26 pass
+    forms."""
     blocks = []
     write = ArraySim._write_trace
 
@@ -258,10 +269,14 @@ def test_traced_runs_at_the_static_width_bound_match_the_percent_formatter(n, st
         return write(self, registers, cycles, groups)
 
     monkeypatch.setattr(ArraySim, "_write_trace", recording)
+    if trace_bytes is not None:
+        monkeypatch.setattr(array, "_TRACE_BYTES", trace_bytes)
     sink = io.StringIO()
-    run_tiled(MatMulJob(np.full((1, n), -128), [np.full((n, n), -1)], Precision.W8, n), trace=sink)
+    result = run_tiled(MatMulJob(np.full((1, n), -128), [np.full((n, n), -1)], Precision.W8, n), trace=sink)
     assert {groups for _, _, groups in blocks} == {1 if static else None}
     assert min(int(registers.min()) for registers, _, _ in blocks) == -384 * n
+    if trace_bytes is not None:
+        assert [len(cycles) for _, cycles, _ in blocks] == [result.total_cycles]
     want = array.TRACE_HEADER + "\n"
     for registers, cycles, _ in blocks:
         assert np.array_equal(cycles, np.arange(cycles[0], cycles[0] + len(cycles)))
@@ -300,21 +315,62 @@ def test_registers_are_int32_at_every_array_size_a_run_allocates():
 
 
 def test_register_blocks_of_a_traced_job_are_int32_within_the_trace_bound(monkeypatch):
-    """Every register block of a traced n = 8 job is int32 and at most
-    `_TRACE_BYTES`; stacked passes fill a block past half of it, so a
-    block holds twice the clocks int64 registers would."""
+    """Every register block of two traced W4 jobs, formed by the matmul of
+    a block of at least n clocks or by the recurrence of a shorter one, is
+    int32 and at most `_TRACE_BYTES`; stacked passes (n = 8) or a pass's
+    long blocks (n = 14) fill a block past half of it, so a block holds
+    twice the clocks int64 registers would."""
     blocks = []
 
-    def recording(*args):
-        registers = form(*args)
-        blocks.append(registers)
-        return registers
+    def recording(name, form):
+        def record(*args):
+            registers = form(*args)
+            blocks.append((name, registers))
+            return registers
 
-    form = array._registers
-    monkeypatch.setattr(array, "_registers", recording)
+        return record
+
+    for name in ("_registers", "_mapped_registers"):
+        monkeypatch.setattr(array, name, recording(name, getattr(array, name)))
     rng = np.random.default_rng(408)
-    job = _job(rng, Precision.W4, 2, 8, (20, 24, 40))
-    result = run_tiled(job, trace=io.StringIO())
-    assert all(np.array_equal(got, want) for got, want in zip(result.outputs, oracle_matmul(job)))
-    assert blocks and all(b.dtype == np.int32 and b.nbytes <= array._TRACE_BYTES for b in blocks)
-    assert max(b.nbytes for b in blocks) > array._TRACE_BYTES // 2
+    cases = [
+        (8, (20, 24, 40), {"_mapped_registers"}),
+        (14, (40, 28, 28), {"_mapped_registers", "_registers"}),  # 56-clock passes: blocks of 16, 16, 16, 8
+    ]
+    for n, dims, kinds in cases:
+        blocks.clear()
+        job = _job(rng, Precision.W4, 2, n, dims)
+        result = run_tiled(job, trace=io.StringIO())
+        assert all(np.array_equal(got, want) for got, want in zip(result.outputs, oracle_matmul(job)))
+        assert {name for name, _ in blocks} == kinds
+        assert all(b.dtype == np.int32 and b.nbytes <= array._TRACE_BYTES for _, b in blocks)
+        assert max(b.nbytes for _, b in blocks) > array._TRACE_BYTES // 2
+
+
+@st.composite
+def _traced_jobs(draw):
+    """A job of any precision and matrix count on an n x n array, n up to
+    14, the largest whose full-size blocks take the matmul at the default
+    `_TRACE_BYTES`; M, K and P are each 0..3n."""
+    n = draw(st.integers(1, 14))
+    precision = draw(st.sampled_from(list(Precision)))
+    nw = draw(st.integers(1, precision.r))
+    dims = tuple(draw(st.integers(0, 3 * n)) for _ in range(3))
+    return _job(np.random.default_rng(draw(st.integers(0, (1 << 32) - 1))), precision, nw, n, dims)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_traced_jobs())
+def test_trace_bytes_do_not_depend_on_the_register_blocks(job):
+    """The trace at the default `_TRACE_BYTES` (matmul blocks, and short
+    tails by the recurrence), at one clock per block (the recurrence alone
+    from n = 2) and at 4 MiB (every pass in one block, passes stacked) is
+    the same text."""
+    traces = []
+    for trace_bytes in (array._TRACE_BYTES, array._REGISTER_BYTES * job.n * job.n, 1 << 22):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(array, "_TRACE_BYTES", trace_bytes)
+            sink = io.StringIO()
+            run_tiled(job, trace=sink)
+        traces.append(sink.getvalue())
+    assert traces[1] == traces[0] and traces[2] == traces[0]
