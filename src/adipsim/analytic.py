@@ -12,7 +12,10 @@ row plus the fill of the n PE rows, the psum pipeline and the reducer.
 The parameters obey the simulator's rules: the size and multiplier count
 are positive integers (`check_size`) and the weight width is 2, 4 or 8
 (`Precision.from_bits`). The reducer depth is the structural depth of that
-precision (`Precision.reducer_stages`), as on the array.
+precision (`Precision.reducer_stages`), as on the array. `sweep` checks
+its size and clock once and each multiplier count once, then reads its rows
+from the integer rules that `dmul_latency`, `parallel_factor` and
+`tile_latency` call, with no `AnalyticParams` per row.
 
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
@@ -37,17 +40,17 @@ SWEEP_CSV_COLUMNS = ("M", "precision", "dmul_cycles", "latency_cycles", "through
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Architecture knobs of the latency/throughput model; anything the
-    simulator would reject raises the simulator's ValueError."""
+    """Architecture knobs of the latency/throughput model, held as Python
+    ints; anything the simulator would reject raises its ValueError."""
 
     size: int = 64
     mul_count: int = 16
     weight_bits: int = 8
 
     def __post_init__(self) -> None:
-        check_size(self.size)
-        check_size(self.mul_count, "mul_count")
-        Precision.from_bits(self.weight_bits)
+        object.__setattr__(self, "size", check_size(self.size))
+        object.__setattr__(self, "mul_count", check_size(self.mul_count, "mul_count"))
+        object.__setattr__(self, "weight_bits", Precision.from_bits(self.weight_bits).weight_bits)
 
     @classmethod
     def for_mode(cls, size: int, weight_bits: int) -> "AnalyticParams":
@@ -55,19 +58,31 @@ class AnalyticParams:
         return cls(size=size, weight_bits=weight_bits)
 
 
+def _dmul(mul_count: int, weight_bits: int) -> int:
+    return ceil_div(ACT_BITS * weight_bits, mul_count * SUBWORD_BITS**2)
+
+
+def _parallel(mul_count: int, weight_bits: int) -> int:
+    return ceil_div(mul_count * SUBWORD_BITS**2, ACT_BITS * weight_bits)
+
+
+def _tile_cycles(size: int, dmul: int, precision: Precision) -> int:
+    return stream_cycles(size, size * dmul, precision)
+
+
 def dmul_latency(p: AnalyticParams) -> int:
     """Cycles to finish one distributed multiply."""
-    return ceil_div(ACT_BITS * p.weight_bits, p.mul_count * SUBWORD_BITS**2)
+    return _dmul(p.mul_count, p.weight_bits)
 
 
 def parallel_factor(p: AnalyticParams) -> int:
     """How many full products the multiplier bank completes per cycle."""
-    return ceil_div(p.mul_count * SUBWORD_BITS**2, ACT_BITS * p.weight_bits)
+    return _parallel(p.mul_count, p.weight_bits)
 
 
 def tile_latency(p: AnalyticParams) -> int:
     """Cycles from first streamed row to the last collected output row."""
-    return stream_cycles(p.size, p.size * dmul_latency(p), Precision(p.weight_bits))
+    return _tile_cycles(p.size, dmul_latency(p), Precision(p.weight_bits))
 
 
 def ops_per_cycle(p: AnalyticParams) -> float:
@@ -104,24 +119,20 @@ class SweepRow:
 
 def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: float = 1e9) -> list[SweepRow]:
     """Latency/throughput table across multiplier counts and the three
-    precisions, W8 first, of the built hardware."""
+    precisions, W8 first, of the built hardware; each row equals
+    `dmul_latency`, `tile_latency` and `throughput` of its parameters."""
+    size = check_size(size)
     clock_hz = _check_clock(clock_hz)
     rows = []
-    widths = [precision.weight_bits for precision in Precision]
     for m in mul_counts:
-        for bits in widths:
-            p = AnalyticParams(size, m, bits)
-            latency = tile_latency(p)
-            rows.append(
-                SweepRow(
-                    mul_count=m,
-                    precision=f"{ACT_BITS}bx{p.weight_bits}b",
-                    dmul_cycles=dmul_latency(p),
-                    latency_cycles=latency,
-                    # throughput(p, clock_hz), without forming the tile latency again
-                    throughput_tops=2 * parallel_factor(p) * p.size**3 / latency * clock_hz / 1e12,
-                )
-            )
+        m = check_size(m, "mul_count")
+        for precision in Precision:
+            bits = precision.weight_bits
+            dmul = _dmul(m, bits)
+            latency = _tile_cycles(size, dmul, precision)
+            # throughput(p, clock_hz) / 1e12 of this row's params, without forming the tile latency again
+            tops = 2 * _parallel(m, bits) * size**3 / latency * clock_hz / 1e12
+            rows.append(SweepRow(m, f"{ACT_BITS}bx{bits}b", dmul, latency, tops))
     return rows
 
 

@@ -4,10 +4,12 @@ Two architectures share one pass structure, `tiling.TiledPlan`: a pass
 pins one stationary weight tile and streams every input row tile through
 the array. One instance of a stage is billed from one cached record of
 its plan (`_instance`): the plan's cycles, input bytes, stationary words
-and output elements, each read once from `TiledPlan.from_shape`. Every
-reader bills from that record, `count` times per stage: `stage_cost`
-(and through it `evaluate`, `stage_latency` and the stage CSV) and
-`summary`, which totals the records without building a `StageCost`.
+and output elements, each read once from `TiledPlan.from_shape`. One
+private billing path (`_bills`) turns a list of stages into their bills:
+it picks each stage's billed width and multiplies the cached record of
+one instance by the stage's `count`. `evaluate` (and through it
+`stage_cost`, `stage_latency` and the stage CSV) builds a `StageCost`
+from each bill; `summary` sums the bills' plain values and builds none.
 Both bill what `tiling.run_tiled` runs: a stage bills the cycles and
 passes of its instances' simulated runs, each weight load hidden behind
 the previous pass as in the evaluated configuration.
@@ -54,9 +56,8 @@ class Arch(Enum):
     DIP = "DiP"
     ADIP = "ADiP"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # a plain attribute, as `Precision.weight_bits` is
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,7 @@ def stage_latency(spec: StageSpec, arch: Arch, params: CostParams) -> int:
 
 
 class _Bill(NamedTuple):
-    """The billing record of one instance of a stage, read once from its
-    plan."""
+    """The billing record of one instance of a stage, read once from its plan."""
 
     cycles: int
     input_bytes: int
@@ -121,37 +121,42 @@ def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> _Bill:
     return _Bill(plan.cycles, plan.input_bytes, plan.weight_words, plan.output_elements)
 
 
-def _billed_bits(spec: StageSpec, arch: Arch) -> int:
-    """The width a stage runs at: ADiP runs a projection at its weight
-    width, every other stage runs 8-bit."""
-    return spec.weight_bits if arch is Arch.ADIP and spec.is_projection else 8
-
-
-def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
-    """Cycles, energy and traffic of one stage, from the cached billing
-    record of one instance.
+def _bills(specs: list[StageSpec], arch: Arch, params: CostParams) -> list[tuple[int, int, int, int]]:
+    """The cycles, input bytes, stationary words and output bytes of each
+    stage in `specs`, in order.
 
     ADiP runs a projection at its weight precision, packing the column
     tiles of one instance into the r weight fields of a pass; every other
     stage runs 8-bit, one column tile per pass. Each of the `count`
-    instances streams its own input, so the stage costs `count` times one
-    instance's record.
+    instances streams its own input, so a stage costs `count` times the
+    cached record of one instance.
     """
-    bill = _instance(spec.m, spec.k, spec.p, _billed_bits(spec, arch), params.n)
-    cycles = spec.count * bill.cycles
-    return StageCost(
-        stage=spec.stage.label,
-        arch=arch,
-        cycles=cycles,
-        energy_rel=cycles * params.power(arch),
-        bytes_in=spec.count * bill.input_bytes,
-        bytes_w=spec.count * bill.weight_words,
-        bytes_out=spec.count * bill.output_elements * params.output_bytes,
-    )
+    packs = arch is Arch.ADIP
+    n, out_bytes = params.n, params.output_bytes
+    bills = []
+    for spec in specs:
+        bits = spec.weight_bits if packs and spec.is_projection else 8
+        cycles, input_bytes, weight_words, outputs = _instance(spec.m, spec.k, spec.p, bits, n)
+        count = spec.count
+        bills.append((count * cycles, count * input_bytes, count * weight_words, count * outputs * out_bytes))
+    return bills
+
+
+def _costs(specs: list[StageSpec], arch: Arch, params: CostParams) -> list[StageCost]:
+    power = params.power(arch)
+    return [
+        StageCost(spec.stage.label, arch, cycles, cycles * power, bytes_in, bytes_w, bytes_out)
+        for spec, (cycles, bytes_in, bytes_w, bytes_out) in zip(specs, _bills(specs, arch, params))
+    ]
+
+
+def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
+    """Cycles, energy and traffic of one stage, billed as `evaluate` bills it."""
+    return _costs([spec], arch, params)[0]
 
 
 def evaluate(cfg: MhaConfig, arch: Arch, params: CostParams) -> list[StageCost]:
-    return [stage_cost(spec, arch, params) for spec in stages(cfg)]
+    return _costs(stages(cfg), arch, params)
 
 
 def _pct_change(new: float, ref: float) -> float:
@@ -162,25 +167,22 @@ def _pct_change(new: float, ref: float) -> float:
 def summary(cfg: MhaConfig, params: CostParams) -> dict:
     """All totals plus the improvement percentages of ADiP relative to DiP.
 
-    Per architecture, each stage's cached instance record times its `count`
-    is added to the totals, with no `StageCost` built. The sums start from
-    0 and run in stage order so that every total equals the sum of
-    `evaluate`'s costs exactly: the energy is a float, and a float sum
-    taken in another order can differ in its last bit.
+    Per architecture, the bills of `evaluate`'s billing path are added to
+    the totals, with no `StageCost` built. The sums start from 0 and run in
+    stage order so that every total equals the sum of `evaluate`'s costs
+    exactly: the energy is a float, and a float sum taken in another order
+    can differ in its last bit.
     """
     specs = stages(cfg)
-    n, out_bytes = params.n, params.output_bytes
     totals = {}
-    projection = {}
+    projection = []
     for arch in Arch:
         power = params.power(arch)
         cycles = energy = mem_bytes = projection_cycles = 0
-        for spec in specs:
-            bill = _instance(spec.m, spec.k, spec.p, _billed_bits(spec, arch), n)
-            stage_cycles = spec.count * bill.cycles
+        for spec, (stage_cycles, bytes_in, bytes_w, bytes_out) in zip(specs, _bills(specs, arch, params)):
             cycles += stage_cycles
             energy += stage_cycles * power
-            mem_bytes += spec.count * (bill.input_bytes + bill.weight_words + bill.output_elements * out_bytes)
+            mem_bytes += bytes_in + bytes_w + bytes_out
             if spec.is_projection:
                 projection_cycles += stage_cycles
         totals[arch.label] = {
@@ -189,19 +191,19 @@ def summary(cfg: MhaConfig, params: CostParams) -> dict:
             "energy_rel": energy,
             "mem_bytes": mem_bytes,
         }
-        projection[arch] = projection_cycles
-    dip = totals[Arch.DIP.label]
-    adip = totals[Arch.ADIP.label]
+        projection.append(projection_cycles)
+    dip, adip = totals[Arch.DIP.label], totals[Arch.ADIP.label]
+    dip_projection, adip_projection = projection  # in `Arch` order
     return {
         "model": cfg.name,
-        "array_size": n,
+        "array_size": params.n,
         "weight_bits": cfg.weight_bits,
         "totals": totals,
         "vs_dip": {
             "latency_improvement_pct": _pct_change(adip["cycles"], dip["cycles"]),
             "energy_improvement_pct": _pct_change(adip["energy_rel"], dip["energy_rel"]),
             "memory_savings_pct": _pct_change(adip["mem_bytes"], dip["mem_bytes"]),
-            "projection_latency_improvement_pct": _pct_change(projection[Arch.ADIP], projection[Arch.DIP]),
+            "projection_latency_improvement_pct": _pct_change(adip_projection, dip_projection),
         },
     }
 

@@ -35,9 +35,8 @@ class Stage(Enum):
     ATTN = "Attn"
     OUT_PROJ = "OutProj"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # a plain attribute: an Enum property reads the slower `value` descriptor
 
 
 PROJECTION_STAGES = (Stage.Q_PROJ, Stage.K_PROJ, Stage.V_PROJ, Stage.OUT_PROJ)
@@ -84,14 +83,12 @@ class StageSpec:
             check_size(getattr(self, name), name, least=0)
         if check_size(self.weight_bits, "weight_bits") not in VALID_WIDTHS:
             raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
+        # a plain attribute, not a field: read per stage on every cost report
+        object.__setattr__(self, "is_projection", self.stage in PROJECTION_STAGES)
 
     @property
     def ops(self) -> int:
         return 2 * self.m * self.k * self.p * self.count
-
-    @property
-    def is_projection(self) -> bool:
-        return self.stage in PROJECTION_STAGES
 
 
 GPT2_MEDIUM = MhaConfig("gpt2-medium", layers=24, d_model=1024, heads=16, d_k=64, seq_len=1024, weight_bits=8)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adipsim.analytic import (
     SWEEP_CSV_COLUMNS,
@@ -103,6 +105,61 @@ def test_params_validation():
         AnalyticParams(size=0)
     with pytest.raises(ValueError, match="array size must be an integer, got 4.5"):
         sweep(size=4.5)
+
+
+@pytest.mark.parametrize("size, mul_counts", [(0, ()), (-3, []), (4.5, ())])
+def test_sweep_checks_its_size_with_no_rows(size, mul_counts):
+    """The size is checked before any row is formed, so a sweep over no
+    multiplier counts still rejects it, as `AnalyticParams` does."""
+    with pytest.raises(ValueError) as rejected:
+        AnalyticParams(size=size)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        sweep(size=size, mul_counts=mul_counts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    size=st.integers(1, 128),
+    mul_counts=st.lists(st.integers(1, 32), min_size=1, max_size=4),
+    clock_hz=st.floats(0.1e9, 5e9),
+)
+def test_sweep_rows_equal_the_per_parameter_models(size, mul_counts, clock_hz):
+    """Each sweep row is what `dmul_latency`, `tile_latency` and
+    `throughput` give for its own `AnalyticParams`, exactly."""
+    rows = sweep(size, mul_counts, clock_hz)
+    expected = [(m, bits) for m in mul_counts for bits in (8, 4, 2)]
+    assert [(row.mul_count, row.precision) for row in rows] == [(m, f"8bx{bits}b") for m, bits in expected]
+    for row, (m, bits) in zip(rows, expected):
+        p = AnalyticParams(size, m, bits)
+        assert row.dmul_cycles == dmul_latency(p)
+        assert row.latency_cycles == tile_latency(p)
+        assert row.throughput_tops == throughput(p, clock_hz) / 1e12
+
+
+@pytest.mark.parametrize("kind", [np.uint8, np.int16, np.int64])
+def test_numpy_integer_params_give_the_python_int_results(kind):
+    """Numpy integer knobs are held as Python ints, so size**3 cannot wrap
+    and the sweep's rows equal the per-parameter models for them too."""
+    p = AnalyticParams(kind(200), kind(2), kind(8))
+    assert (p.size, p.mul_count, p.weight_bits) == (200, 2, 8)
+    assert all(type(v) is int for v in (p.size, p.mul_count, p.weight_bits))
+    assert tile_latency(p) == 1801
+    assert ops_per_cycle(p) == ops_per_cycle(AnalyticParams(200, 2, 8))
+    row = sweep(kind(200), [kind(2)])[0]
+    assert (row.mul_count, row.latency_cycles) == (2, 1801)
+    assert row.throughput_tops == throughput(p) / 1e12
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.0, True, "4"], ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(1, 128), good=st.lists(st.integers(1, 32), max_size=3))
+def test_sweep_rejects_a_multiplier_count_as_the_params_do(bad, size, good):
+    """A multiplier count that is not a positive integer, wherever it sits
+    in the list, raises the `ValueError` that `AnalyticParams` raises."""
+    with pytest.raises(ValueError) as rejected:
+        AnalyticParams(size, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        sweep(size, good + [bad])
 
 
 def test_reducer_depth_defaults_to_the_structural_depth():

@@ -41,3 +41,19 @@ def test_spans_install_on_the_package_and_undo():
     # the tile counter iterates each prepared grid's rows of tiles
     assert rec.counters["preprocess.prepare_weights.tiles"] == plan(job).pass_count == 9
     assert (adipsim.tiling.run_tiled, adipsim.array.ArraySim.stream, adipsim.array.weight_slots) == original
+
+
+def test_spans_count_one_stages_call_per_cost_report():
+    """The benchmark counts `cost.stages` calls: one report asks for its
+    stages once, and each wrapped entry point counts its own call."""
+    spans = _spans()
+    rec = spans.Recorder()
+    undo = spans.install(rec, adipsim)
+    try:
+        adipsim.cost.summary(adipsim.workload.BITNET_158B, adipsim.cost.CostParams(n=32))
+        adipsim.analytic.sweep()
+    finally:
+        undo()
+    assert rec.counters["workload.stages"] == 1
+    assert rec.counters["cost.summary"] == 1
+    assert rec.counters["analytic.sweep"] == 1
