@@ -14,8 +14,8 @@ are positive integers (`check_size`) and the weight width is 2, 4 or 8
 (`Precision.from_bits`). The reducer depth is the structural depth of that
 precision (`Precision.reducer_stages`), as on the array. `sweep` checks
 its size and clock once and each multiplier count once, then reads its rows
-from the integer rules that `dmul_latency`, `parallel_factor` and
-`tile_latency` call, with no `AnalyticParams` per row.
+from the rules that `dmul_latency`, `parallel_factor`, `tile_latency`
+and `ops_per_cycle` call, with no `AnalyticParams` per row.
 
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
@@ -70,6 +70,10 @@ def _tile_cycles(size: int, dmul: int, precision: Precision) -> int:
     return stream_cycles(size, size * dmul, precision)
 
 
+def _tile_ops_per_cycle(size: int, mul_count: int, weight_bits: int, latency: int) -> float:
+    return 2 * _parallel(mul_count, weight_bits) * size**3 / latency
+
+
 def dmul_latency(p: AnalyticParams) -> int:
     """Cycles to finish one distributed multiply."""
     return _dmul(p.mul_count, p.weight_bits)
@@ -87,7 +91,7 @@ def tile_latency(p: AnalyticParams) -> int:
 
 def ops_per_cycle(p: AnalyticParams) -> float:
     """Tile-effective rate: 2 * parallel * size^3 ops over the tile latency."""
-    return 2 * parallel_factor(p) * p.size**3 / tile_latency(p)
+    return _tile_ops_per_cycle(p.size, p.mul_count, p.weight_bits, tile_latency(p))
 
 
 def _check_clock(clock_hz) -> float:
@@ -130,8 +134,7 @@ def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: f
             bits = precision.weight_bits
             dmul = _dmul(m, bits)
             latency = _tile_cycles(size, dmul, precision)
-            # throughput(p, clock_hz) / 1e12 of this row's params, without forming the tile latency again
-            tops = 2 * _parallel(m, bits) * size**3 / latency * clock_hz / 1e12
+            tops = _tile_ops_per_cycle(size, m, bits, latency) * clock_hz / 1e12
             rows.append(SweepRow(m, f"{ACT_BITS}bx{bits}b", dmul, latency, tops))
     return rows
 

@@ -215,8 +215,10 @@ def prepare_weights(matrices: Sequence[np.ndarray], precision: Precision, n: int
     zero-padded up to multiples of n; `PackedGrid.rotated_tiles` rotates
     them into the tiles the array loads. K = 0 or P = 0 fills no tile and
     raises ValueError. The matrices are range-checked and read as int8
-    (see `numerics.to_int8`), so int8 matrices are packed as they are, and
-    8-bit ones are not scanned.
+    (see `numerics.to_int8`): an int8 matrix is packed as it is, scanned
+    only when the precision is narrower than 8 bits. `run_tiled` packs a
+    job's weights, which `tiling.MatMulJob` checked when it was built,
+    through the same core with no scan (`tiling.prepare_weights`).
     """
     n = check_size(n, "tile size")
     check_mode(precision, len(matrices))  # before packing: field r would shift out of the uint8 word
@@ -229,10 +231,18 @@ def prepare_weights(matrices: Sequence[np.ndarray], precision: Precision, n: int
     k_dim, p_dim = shape
     if not (k_dim and p_dim):
         raise ValueError(f"{k_dim}x{p_dim} matrices fill no tile")
-    mats = [to_int8(m, precision.weight_bits, "weight") for m in mats]
+    return _pack_grid([to_int8(m, precision.weight_bits, "weight") for m in mats], precision, n)
+
+
+def _pack_grid(matrices: Sequence[np.ndarray], precision: Precision, n: int) -> PackedGrid:
+    """The pack core of `prepare_weights`: the grid of 1..r int8 K x P
+    matrices of one shape, K and P at least 1, packed as they are. Their
+    shapes, count and values are not checked again; `PackedGrid` still
+    checks the grid it builds."""
+    k_dim, p_dim = matrices[0].shape
     words = np.zeros((ceil_div(k_dim, n) * n, ceil_div(p_dim, n) * n), dtype=np.uint8)
-    _pack_fields(mats, precision.weight_bits, words[:k_dim, :p_dim])
-    return PackedGrid(words, precision, len(mats), n)
+    _pack_fields(matrices, precision.weight_bits, words[:k_dim, :p_dim])
+    return PackedGrid(words, precision, len(matrices), n)
 
 
 def unprepare_weights(grid: PackedGrid) -> list[np.ndarray]:

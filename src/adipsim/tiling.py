@@ -29,9 +29,12 @@ and returns the virtual matrices' outputs as one int64 block, from exact
 float32 matmuls over chunks of K summed in int64; a matrix's output is a
 slice of it, or one M x P copy when the matrix spans virtual matrices.
 
-Operands stay int8 from `MatMulJob` to the matmul; the job checks each
-once, and the later checks in `prepare_weights` and `stream_grid` read
-the int8 dtype instead of the values, except for narrow weights.
+Operands stay int8 from `MatMulJob` to the matmul. A job checks each
+once, when it is built, and holds them read-only, so nothing after it
+scans a value: `plan` skips `TiledPlan.from_shape`'s checks, this
+module's `prepare_weights` packs the weights through the pack core of
+`preprocess.prepare_weights` without its range check, and
+`stream_grid`'s input check reads the int8 dtype.
 """
 
 from __future__ import annotations
@@ -42,43 +45,56 @@ import numpy as np
 
 from .array import ArraySim, stream_cycles
 from .numerics import ACT_BITS, ceil_div, check_size, check_type, exact_matmuls, to_int8
-from .preprocess import Precision, prepare_weights
+from .preprocess import PackedGrid, Precision, _pack_grid
 
 
-@dataclass
+def _owned(values: np.ndarray, bits: int, what: str) -> np.ndarray:
+    """`values` range-checked by `to_int8`, as a read-only int8 array that
+    no caller holds: `to_int8` hands an int8 array back as it is, so that
+    one is copied."""
+    array = to_int8(values, bits, what)
+    if array is values:
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class MatMulJob:
     """One shared input matrix times one or more weight matrices.
 
     Each operand is range-checked once, here, and then kept at its own
-    width: `a` and every weight matrix are int8 arrays. Integral floats are
-    accepted; a non-integral, non-finite or out-of-range element, a complex
-    or string operand, a `precision` that is not a `Precision` and an `n`
-    that is not a positive integer raise ValueError. Only the outputs of a
-    run are int64.
+    width: `a` and every matrix of the tuple `weights` are read-only int8
+    arrays that the job owns (an int8 operand is copied), and no field can
+    be assigned, so the check holds for the job's lifetime and no later
+    step repeats it. Integral floats are accepted; a non-integral,
+    non-finite or out-of-range element, a complex or string operand, a
+    `precision` that is not a `Precision` and an `n` that is not a
+    positive integer raise ValueError. Only the outputs of a run are int64.
     """
 
     a: np.ndarray
-    weights: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
     precision: Precision
     n: int
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a)
-        self.weights = [np.asarray(w) for w in self.weights]
-        if self.a.ndim != 2:
-            raise ValueError(f"input matrix must be 2-D, got shape {self.a.shape}")
-        if not self.weights:
+        a = np.asarray(self.a)
+        weights = [np.asarray(w) for w in self.weights]
+        if a.ndim != 2:
+            raise ValueError(f"input matrix must be 2-D, got shape {a.shape}")
+        if not weights:
             raise ValueError("job needs at least one weight matrix")
-        k_dim = self.a.shape[1]
-        shape = self.weights[0].shape
+        k_dim = a.shape[1]
+        shape = weights[0].shape
         if len(shape) != 2 or shape[0] != k_dim:
             raise ValueError(f"weight shape {shape} incompatible with input K={k_dim}")
-        if any(w.shape != shape for w in self.weights):
+        if any(w.shape != shape for w in weights):
             raise ValueError("all weight matrices must share one shape")
-        self.a = to_int8(self.a, ACT_BITS, "input element")
+        object.__setattr__(self, "a", _owned(a, ACT_BITS, "input element"))
         bits = check_type(self.precision, Precision, "precision").weight_bits
-        self.weights = [to_int8(w, bits, "weight") for w in self.weights]
-        self.n = check_size(self.n)
+        object.__setattr__(self, "weights", tuple(_owned(w, bits, "weight") for w in weights))
+        object.__setattr__(self, "n", check_size(self.n))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -148,13 +164,20 @@ class TiledPlan:
             raise ValueError(f"a plan needs at least one weight matrix, got {count}")
         if min(m, k, p) < 0:
             raise ValueError(f"negative job shape {m}x{k}x{p}")
+        return cls._of_shape(m, k, p, count, precision, n)
+
+    @classmethod
+    def _of_shape(cls, m: int, k: int, p: int, count: int, precision: Precision, n: int) -> "TiledPlan":
+        """The plan arithmetic, on a shape already checked."""
         per = ceil_div(count * p, precision.r * n)
         virtual = ceil_div(count * p, per * n) if per else 0
         return cls(ceil_div(m, n), ceil_div(k, n), ceil_div(p, n), per, virtual, count, precision, n)
 
 
 def plan(job: MatMulJob) -> TiledPlan:
-    return TiledPlan.from_shape(*job.shape, len(job.weights), job.precision, job.n)
+    """`TiledPlan.from_shape` of the job's shape, matrix count, precision
+    and size, which the job checked when it was built."""
+    return TiledPlan._of_shape(*job.shape, len(job.weights), job.precision, job.n)
 
 
 def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
@@ -194,6 +217,28 @@ def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
     return list(exact_matmuls(job.a, weight_rows, len(job.weights), p_dim, product_bound))
 
 
+def prepare_weights(job: MatMulJob, the_plan: TiledPlan) -> PackedGrid:
+    """The packed grid of the job's virtual matrices (see `TiledPlan`), for
+    `the_plan` = `plan(job)`, from the pack core of
+    `preprocess.prepare_weights` with no range check: the job checked its
+    weights when it was built. A job with no pass fills no tile and raises
+    ValueError. It takes that function's name because bench/spans.py wraps
+    adipsim.tiling.prepare_weights as the `preprocess.prepare_weights` span
+    and counts the tiles of the grid it returns; the span now also times
+    the virtual layout."""
+    _, k_dim, p_dim = job.shape
+    if not the_plan.pass_count:
+        raise ValueError(f"{k_dim}x{p_dim} matrices fill no tile")
+    width = the_plan.per * job.n  # columns per virtual matrix; matrix t starts at column t * p_dim
+    if width == p_dim or the_plan.virtual == len(job.weights) == 1:  # virtual matrix t is matrix t
+        matrices = job.weights
+    else:
+        side = np.zeros((k_dim, the_plan.virtual * width), dtype=np.int8)
+        np.concatenate(job.weights, axis=1, out=side[:, : len(job.weights) * p_dim])
+        matrices = [side[:, v * width : (v + 1) * width] for v in range(the_plan.virtual)]
+    return _pack_grid(matrices, job.precision, job.n)
+
+
 @dataclass
 class TiledResult:
     outputs: list[np.ndarray]
@@ -210,22 +255,14 @@ def run_tiled(job: MatMulJob, trace=None) -> TiledResult:
     `ArraySim`, whose clock gives the cycles and which writes its per-PE
     trace to the `trace` sink when one is given.
     """
-    m_dim, k_dim, p_dim = job.shape
-    n = job.n
+    m_dim, _, p_dim = job.shape
     the_plan = plan(job)
-    sim = ArraySim(n, job.precision, trace)
+    sim = ArraySim(job.n, job.precision, trace)
     if not the_plan.pass_count:  # K = 0 or P = 0 has no passes
         outputs = list(np.zeros((len(job.weights), m_dim, p_dim), dtype=np.int64))
         return TiledResult(outputs=outputs, total_cycles=sim.cycle, pass_count=0)
-    width = the_plan.per * n  # columns per virtual matrix; matrix t starts at column t * p_dim
-    if width == p_dim or the_plan.virtual == len(job.weights) == 1:  # virtual matrix t is matrix t
-        matrices = job.weights
-    else:
-        side = np.zeros((k_dim, the_plan.virtual * width), dtype=np.int8)
-        np.concatenate(job.weights, axis=1, out=side[:, : len(job.weights) * p_dim])
-        matrices = [side[:, v * width : (v + 1) * width] for v in range(the_plan.virtual)]
-    grid = prepare_weights(matrices, job.precision, n)
-    products = sim.stream_grid(grid, job.a)  # (M, virtual, width)
+    products = sim.stream_grid(prepare_weights(job, the_plan), job.a)  # (M, virtual, width)
+    width = the_plan.per * job.n
     outputs = []
     for t in range(len(job.weights)):
         start, stop = t * p_dim, (t + 1) * p_dim  # matrix t's columns, side by side

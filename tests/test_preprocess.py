@@ -359,8 +359,15 @@ def test_unprepare_rejects_empty_grids(grid):
 
 
 def test_prepare_rejects_out_of_range_weights():
-    with pytest.raises(ValueError):
-        prepare_weights([np.array([[2]])], Precision.W2, 4)
+    """The public entry point checks every matrix, int8 ones narrower than
+    their dtype included."""
+    for values, precision in (
+        (np.array([[2]]), Precision.W2),
+        (np.array([[2]], dtype=np.int8), Precision.W2),
+        (np.array([[8]], dtype=np.int8), Precision.W4),
+    ):
+        with pytest.raises(ValueError, match="^weight outside signed"):
+            prepare_weights([values], precision, 4)
 
 
 def test_prepare_rejects_non_integral_weights():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import tile_packed_run_tiled
 
+from adipsim import preprocess, tiling
 from adipsim.analytic import AnalyticParams, tile_latency
 from adipsim.array import TRACE_HEADER, ArraySim, stream_cycles
 from adipsim.numerics import ceil_div
@@ -187,6 +189,26 @@ def test_job_validation():
         MatMulJob(np.full((2, 2), 300), [np.zeros((2, 2))], Precision.W8, 4)
     with pytest.raises(ValueError):
         MatMulJob(np.zeros((2, 2)), [np.full((2, 2), 3)], Precision.W2, 4)
+
+
+def test_a_job_is_frozen_and_owns_read_only_operands():
+    """No field of a job can be assigned, its operands are a read-only int8
+    array and a tuple of them, and a write into the caller's int8 arrays
+    after construction does not reach the job."""
+    a = np.arange(6, dtype=np.int8).reshape(2, 3)
+    w = np.ones((3, 2), dtype=np.int8)
+    job = MatMulJob(a, [w], Precision.W4, 4)
+    for name, value in (("a", a), ("weights", (w,)), ("precision", Precision.W8), ("n", 8)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(job, name, value)
+    assert isinstance(job.weights, tuple)
+    for operand in (job.a, job.weights[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            operand[0, 0] = 1
+    a[:] = -1
+    w[:] = -8
+    assert job.a.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert job.weights[0].tolist() == [[1, 1]] * 3
 
 
 @pytest.mark.parametrize(
@@ -512,6 +534,62 @@ def test_a_job_runs_on_one_array(monkeypatch):
 
 
 
+def test_run_tiled_scans_no_narrow_weight(monkeypatch):
+    """The job checked its weights when it was built, so `run_tiled` packs
+    them without a range check: `preprocess.to_int8` is not called for a
+    W4 job, nor for a W2 job whose five matrices of five columns pack into
+    four virtual matrices. The public `preprocess.prepare_weights` of the
+    same matrices checks each."""
+    rng = np.random.default_rng(8)
+    calls = []
+    to_int8 = preprocess.to_int8
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return to_int8(*args, **kwargs)
+
+    monkeypatch.setattr(preprocess, "to_int8", spy)
+    for precision, nw, dims, virtual in ((Precision.W4, 2, (6, 9, 7), 2), (Precision.W2, 5, (6, 7, 5), 4)):
+        job = _random_job(rng, precision, nw, 4, dims=dims)
+        assert plan(job).virtual == virtual
+        result = run_tiled(job)
+        assert calls == []
+        assert all(np.array_equal(got, want) for got, want in zip(result.outputs, oracle_matmul(job), strict=True))
+        preprocess.prepare_weights(job.weights[: precision.r], precision, 4)
+        assert calls == [(precision.weight_bits, "weight")] * min(nw, precision.r)
+        calls.clear()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(precision=st.sampled_from(list(Precision)), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_job_pack_and_plan_equal_the_checked_entry_points(precision, n, seed, data):
+    """For nw in 1..2r and M, K, P in 0..3n, the job-level pack gives the
+    words of `preprocess.prepare_weights` of the virtual matrices, laid out
+    column by column from the job's matrices side by side, and `plan(job)`
+    equals `TiledPlan.from_shape` of the job's shape. A job with no pass
+    fills no tile: both packs raise ValueError."""
+    nw = data.draw(st.integers(1, 2 * precision.r), label="nw")
+    dims = data.draw(st.tuples(*[st.integers(0, 3 * n)] * 3), label="dims")
+    job = _random_job(np.random.default_rng(seed), precision, nw, n, dims=dims)
+    m, k, p = dims
+    the_plan = plan(job)
+    assert the_plan == TiledPlan.from_shape(m, k, p, nw, precision, n)
+    width = the_plan.per * n
+    side = np.zeros((k, the_plan.virtual * width), dtype=np.int64)
+    for t, w in enumerate(job.weights):
+        side[:, t * p : (t + 1) * p] = w
+    virtual = [side[:, v * width : (v + 1) * width] for v in range(the_plan.virtual)]
+    if not the_plan.pass_count:
+        with pytest.raises(ValueError):
+            tiling.prepare_weights(job, the_plan)
+        with pytest.raises(ValueError):
+            preprocess.prepare_weights(virtual, precision, n)
+        return
+    got, want = tiling.prepare_weights(job, the_plan), preprocess.prepare_weights(virtual, precision, n)
+    assert (got.precision, got.nw, got.n, got.tk, got.tp) == (want.precision, want.nw, want.n, want.tk, want.tp)
+    assert np.array_equal(got.words, want.words)
+
+
 @pytest.mark.parametrize("precision, nw", MODES + [(Precision.W2, 9), (Precision.W8, 3)])
 @pytest.mark.parametrize("dims", [(9, 5, 13), (0, 4, 4), (4, 0, 4), (4, 4, 0), (1, 1, 1), (16, 17, 3)])
 def test_plan_from_shape_matches_plan_of_the_job(precision, nw, dims):
@@ -584,11 +662,10 @@ def test_oracle_matches_brute_force_on_small_shapes(precision, nw):
 
 
 def test_oracle_rejects_values_whose_sums_could_leave_int64():
-    """A job whose arrays were replaced after validation: |a| * |w| * K
-    reaching 2^63 raises instead of wrapping."""
-    job = MatMulJob(np.ones((1, 4)), [np.ones((4, 1))], Precision.W8, 4)
-    job.a = np.full((1, 4), 1 << 40, dtype=np.int64)
-    job.weights = [np.full((4, 1), 1 << 20, dtype=np.int64)]
+    """Values beyond 8 bits, in a job-shaped object that `MatMulJob` would
+    reject: |a| * |w| * K reaching 2^63 raises instead of wrapping."""
+    a = np.full((1, 4), 1 << 40, dtype=np.int64)
+    job = SimpleNamespace(a=a, weights=[np.full((4, 1), 1 << 20, dtype=np.int64)], shape=(1, 4, 1))
     assert oracle_matmul(job)[0].tolist() == [[4 << 60]]
     job.weights = [np.full((4, 1), 1 << 21, dtype=np.int64)]
     with pytest.raises(ValueError, match="2\\^63"):
