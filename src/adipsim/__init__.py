@@ -5,7 +5,6 @@ cost comparisons."""
 from .analytic import AnalyticParams, dmul_latency, peak_throughput, sweep, throughput, tile_latency
 from .array import ArraySim, PhaseError, PsumOverflowError
 from .cost import Arch, CostParams, StageCost, stage_latency, summary
-from .numerics import mul2, recompose, split_subwords
 from .preprocess import PackedGrid, Precision, prepare_weights, unprepare_weights
 from .tiling import MatMulJob, TiledPlan, TiledResult, oracle_matmul, plan, run_tiled
 from .workload import MhaConfig, Stage, StageSpec, breakdown, builtin_models, get_model, stages, total_ops
@@ -32,14 +31,11 @@ __all__ = [
     "builtin_models",
     "dmul_latency",
     "get_model",
-    "mul2",
     "oracle_matmul",
     "peak_throughput",
     "plan",
     "prepare_weights",
-    "recompose",
     "run_tiled",
-    "split_subwords",
     "stage_latency",
     "stages",
     "summary",

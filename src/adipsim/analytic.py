@@ -20,7 +20,8 @@ and `ops_per_cycle` call, with no `AnalyticParams` per row.
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
 steady-state rate with fill and drain amortized away. A clock frequency
-must be a positive finite real.
+must be a positive finite real, and a rate it gives must be finite too.
+Sweep rows are immutable `SweepRow` named tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .array import stream_cycles
 from .numerics import ACT_BITS, SUBWORD_BITS, ceil_div, check_size
@@ -102,23 +103,37 @@ def _check_clock(clock_hz) -> float:
     return float(clock_hz)
 
 
+def _check_rate(rate: float, clock_hz: float) -> float:
+    """`rate` unchanged; ValueError if it overflowed to infinity."""
+    if rate == math.inf:
+        raise ValueError(f"clock_hz {clock_hz!r} gives a rate that overflows a float")
+    return rate
+
+
 def throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     """Tile-effective ops/second at a clock frequency."""
-    return ops_per_cycle(p) * _check_clock(clock_hz)
+    clock_hz = _check_clock(clock_hz)
+    return _check_rate(ops_per_cycle(p) * clock_hz, clock_hz)
 
 
 def peak_throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     """Steady-state ops/second with back-to-back tiles (fill amortized)."""
-    return 2 * parallel_factor(p) * p.size**2 * _check_clock(clock_hz)
+    clock_hz = _check_clock(clock_hz)
+    return _check_rate(2 * parallel_factor(p) * p.size**2 * clock_hz, clock_hz)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One row of `sweep`, its fields in `SWEEP_CSV_COLUMNS` order."""
+
     mul_count: int
     precision: str
     dmul_cycles: int
     latency_cycles: int
     throughput_tops: float
+
+
+# Each precision of the sweep, W8 first, with its weight width and row label.
+_SWEEP_PRECISIONS = tuple((p, p.weight_bits, f"{ACT_BITS}bx{p.weight_bits}b") for p in Precision)
 
 
 def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: float = 1e9) -> list[SweepRow]:
@@ -130,12 +145,13 @@ def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: f
     rows = []
     for m in mul_counts:
         m = check_size(m, "mul_count")
-        for precision in Precision:
-            bits = precision.weight_bits
+        for precision, bits, label in _SWEEP_PRECISIONS:
             dmul = _dmul(m, bits)
             latency = _tile_cycles(size, dmul, precision)
             tops = _tile_ops_per_cycle(size, m, bits, latency) * clock_hz / 1e12
-            rows.append(SweepRow(m, f"{ACT_BITS}bx{bits}b", dmul, latency, tops))
+            rows.append(SweepRow(m, label, dmul, latency, tops))
+    if rows:  # one check over the table: every rate is finite, or the largest is not
+        _check_rate(max(row.throughput_tops for row in rows), clock_hz)
     return rows
 
 

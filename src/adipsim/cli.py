@@ -90,13 +90,6 @@ def _check_no_generation_options(args: argparse.Namespace, names: tuple[str, ...
         raise ValueError(f"{', '.join(given)} cannot be given with {files}")
 
 
-def write_matrix(matrix: np.ndarray, width: int, fh: IO[str]) -> None:
-    rows, cols = matrix.shape
-    fh.write(f"{rows} {cols} {width}\n")
-    for row in matrix:
-        fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
 @contextlib.contextmanager
 def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
     if path is None or path == "-":

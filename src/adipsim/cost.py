@@ -60,6 +60,9 @@ class Arch(Enum):
         self.label = label  # a plain attribute, as `Precision.weight_bits` is
 
 
+_ARCHS = tuple(Arch)  # iterating the tuple skips the enum class's iterator on every report
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Cost-model knobs; defaults match the evaluated 32 x 32 configuration."""
@@ -176,7 +179,7 @@ def summary(cfg: MhaConfig, params: CostParams) -> dict:
     specs = stages(cfg)
     totals = {}
     projection = []
-    for arch in Arch:
+    for arch in _ARCHS:
         power = params.power(arch)
         cycles = energy = mem_bytes = projection_cycles = 0
         for spec, (stage_cycles, bytes_in, bytes_w, bytes_out) in zip(specs, _bills(specs, arch, params)):
@@ -193,7 +196,7 @@ def summary(cfg: MhaConfig, params: CostParams) -> dict:
         }
         projection.append(projection_cycles)
     dip, adip = totals[Arch.DIP.label], totals[Arch.ADIP.label]
-    dip_projection, adip_projection = projection  # in `Arch` order
+    dip_projection, adip_projection = projection  # in `_ARCHS` order
     return {
         "model": cfg.name,
         "array_size": params.n,

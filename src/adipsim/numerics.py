@@ -1,14 +1,13 @@
-"""Two's-complement subword arithmetic underneath the adaptive-precision PE.
+"""Two's-complement integer rules underneath the adaptive-precision PE.
 
-A k-bit signed operand (k in {2, 4, 8}) splits into k/2 radix-4 digits,
-little-endian: every digit is an unsigned 2-bit field except the top one,
-which keeps the sign. A wide product is then the shift-add of the 2-bit
-digit products,
-
-    a * b == sum_{i,j} mul2(a_i, b_j) * 4**(i + j)
-
-which is exactly how the hardware composes an 8b x 8b multiply out of
-sixteen 2-bit multipliers.
+Operands are k-bit signed integers (k in {2, 4, 8}, `VALID_WIDTHS`);
+activations are `ACT_BITS` wide, multipliers `SUBWORD_BITS` wide and the
+accumulator `PSUM_BITS`. This module holds the range checks, the size
+and type checks every layer shares, the exact float32 block products the
+array's outputs use (`exact_matmuls`) and the decoding of packed words
+into weight fields (`bit_fields`). The scalar radix-4 digit model of a
+wide product, a * b as the shift-add of 2-bit digit products, lives in
+`tests/reference.py`, which acceptance c02 checks exhaustively.
 """
 
 from __future__ import annotations
@@ -144,41 +143,3 @@ def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = Tr
             field ^= half  # two's complement: (v ^ half) - half
             field -= half
     return fields
-
-
-def split_subwords(x: int, width: int) -> list[int]:
-    """Split a signed `width`-bit integer into width/2 radix-4 digits.
-
-    Digits come out little-endian; all are unsigned in [0, 3] except the
-    last, which is signed in [-2, 1]. `recompose` is the exact inverse.
-    """
-    if width not in VALID_WIDTHS:
-        raise ValueError(f"invalid operand width {width}, expected one of {VALID_WIDTHS}")
-    check_signed(x, width)
-    bits = x & ((1 << width) - 1)
-    digits = [(bits >> (SUBWORD_BITS * i)) & 0b11 for i in range(width // SUBWORD_BITS)]
-    if digits[-1] >= 2:  # top digit carries the sign
-        digits[-1] -= 4
-    return digits
-
-
-def recompose(subwords: Sequence[int], width: int) -> int:
-    """Inverse of `split_subwords`: fold radix-4 digits back into one integer."""
-    if width not in VALID_WIDTHS:
-        raise ValueError(f"invalid operand width {width}, expected one of {VALID_WIDTHS}")
-    if len(subwords) != width // SUBWORD_BITS:
-        raise ValueError(f"expected {width // SUBWORD_BITS} subwords, got {len(subwords)}")
-    for digit in subwords[:-1]:
-        if not 0 <= digit <= 3:
-            raise ValueError(f"lower subword {digit} outside unsigned range [0, 3]")
-    check_signed(subwords[-1], SUBWORD_BITS, "top subword")
-    return sum(digit << (SUBWORD_BITS * i) for i, digit in enumerate(subwords))
-
-
-def mul2(a: int, b: int) -> int:
-    """Product of two 2-bit digits (signed [-2, 1] or unsigned [0, 3])."""
-    if not -2 <= a <= 3:
-        raise ValueError(f"2-bit operand {a} outside [-2, 3]")
-    if not -2 <= b <= 3:
-        raise ValueError(f"2-bit operand {b} outside [-2, 3]")
-    return a * b

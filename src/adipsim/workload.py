@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -148,10 +148,6 @@ def breakdown(cfg: MhaConfig) -> dict[Stage, float]:
     return {spec.stage: spec.ops / total for spec in stages(cfg)}
 
 
-def projection_fraction(cfg: MhaConfig) -> float:
-    return sum(share for stage, share in breakdown(cfg).items() if stage in PROJECTION_STAGES)
-
-
 def config_from_dict(doc: dict) -> MhaConfig:
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -165,11 +161,18 @@ def config_from_dict(doc: dict) -> MhaConfig:
     return MhaConfig(**doc)
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields as a dict; a repeated field raises
+    ValueError naming it, where `json` alone keeps its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"model document repeats field {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(source: Union[str, os.PathLike]) -> MhaConfig:
     """Read a model geometry document from a JSON file."""
     with open(source, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
-
-
-def config_to_dict(cfg: MhaConfig) -> dict:
-    return asdict(cfg)
+        return config_from_dict(json.load(fh, object_pairs_hook=_unique_fields))

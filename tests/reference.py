@@ -1,10 +1,21 @@
 """Reference models that the tests hold the array to, one clock at a time.
 
+`split_subwords`, `recompose` and `mul2` are the scalar radix-4 digit
+model of the paper's arithmetic: a k-bit signed operand (k in {2, 4, 8})
+splits into k/2 digits, little-endian, each an unsigned 2-bit field but
+the top one, which keeps the sign, and a wide product is the shift-add of
+the 2-bit digit products,
+
+    a * b == sum_{i,j} mul2(a_i, b_j) * 4**(i + j)
+
+which is how the hardware composes an 8b x 8b multiply out of sixteen
+2-bit multipliers (acceptance c02 checks it for every 8-bit pair).
+
 `PE` is one grid cell as registered state: a stationary word, an input
 register and four psum buses, advanced by `step`. Its arithmetic is the
 paper's, one scalar at a time: `group_multiply` forms the four group
 outputs, each the 8-bit input times one 2-bit weight slot as four 2-bit
-multiplies (`numerics.mul2`) folded with radix-4 shifts, sixteen in all;
+multiplies (`mul2`) folded with radix-4 shifts, sixteen in all;
 `combine_groups` folds the four buses into the precision's per-matrix
 products (W8: one 8-bit weight, W4: two 4-bit, W2: four 2-bit). The
 package forms the same values for whole blocks of clocks in `array`.
@@ -26,9 +37,13 @@ and `unprepare_weights`.
 so the trace, CLI and run-digest pins taken under them stay asserted on
 their old bytes; they run `stream_grid`, so they raise its accumulator
 error.
+
+`projection_fraction` is the share of a model's operations in its
+weight projections, which the cost tests hold the reported gains to.
 """
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -41,9 +56,53 @@ from adipsim.array import (
     stream_cycles,
     weight_slots,
 )
-from adipsim.numerics import PSUM_BITS, ceil_div, check_signed, mul2, split_subwords
+from adipsim.numerics import PSUM_BITS, SUBWORD_BITS, VALID_WIDTHS, ceil_div, check_signed
 from adipsim.preprocess import Precision, decode_slots, prepare_weights
 from adipsim.tiling import TiledResult
+from adipsim.workload import PROJECTION_STAGES, breakdown
+
+
+def split_subwords(x: int, width: int) -> list[int]:
+    """Split a signed `width`-bit integer into width/2 radix-4 digits.
+
+    Digits come out little-endian; all are unsigned in [0, 3] except the
+    last, which is signed in [-2, 1]. `recompose` is the exact inverse.
+    """
+    if width not in VALID_WIDTHS:
+        raise ValueError(f"invalid operand width {width}, expected one of {VALID_WIDTHS}")
+    check_signed(x, width)
+    bits = x & ((1 << width) - 1)
+    digits = [(bits >> (SUBWORD_BITS * i)) & 0b11 for i in range(width // SUBWORD_BITS)]
+    if digits[-1] >= 2:  # top digit carries the sign
+        digits[-1] -= 4
+    return digits
+
+
+def recompose(subwords: Sequence[int], width: int) -> int:
+    """Inverse of `split_subwords`: fold radix-4 digits back into one integer."""
+    if width not in VALID_WIDTHS:
+        raise ValueError(f"invalid operand width {width}, expected one of {VALID_WIDTHS}")
+    if len(subwords) != width // SUBWORD_BITS:
+        raise ValueError(f"expected {width // SUBWORD_BITS} subwords, got {len(subwords)}")
+    for digit in subwords[:-1]:
+        if not 0 <= digit <= 3:
+            raise ValueError(f"lower subword {digit} outside unsigned range [0, 3]")
+    check_signed(subwords[-1], SUBWORD_BITS, "top subword")
+    return sum(digit << (SUBWORD_BITS * i) for i, digit in enumerate(subwords))
+
+
+def mul2(a: int, b: int) -> int:
+    """Product of two 2-bit digits (signed [-2, 1] or unsigned [0, 3])."""
+    if not -2 <= a <= 3:
+        raise ValueError(f"2-bit operand {a} outside [-2, 3]")
+    if not -2 <= b <= 3:
+        raise ValueError(f"2-bit operand {b} outside [-2, 3]")
+    return a * b
+
+
+def projection_fraction(cfg) -> float:
+    """The share of `cfg`'s operations in its four weight projections."""
+    return sum(share for stage, share in breakdown(cfg).items() if stage in PROJECTION_STAGES)
 
 
 def permute(tile):

@@ -5,12 +5,11 @@ import time
 
 import numpy as np
 import pytest
-from reference import combine_groups, deinterleave, group_multiply, inverse_permute
+from reference import combine_groups, deinterleave, group_multiply, inverse_permute, mul2, split_subwords
 
 from adipsim.analytic import AnalyticParams, dmul_latency, peak_throughput, sweep, tile_latency
 from adipsim.array import ArraySim
 from adipsim.cost import Arch, CostParams, stage_latency, summary
-from adipsim.numerics import mul2, split_subwords
 from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 from adipsim.workload import (

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from adipsim.analytic import (
     SWEEP_CSV_COLUMNS,
     AnalyticParams,
+    SweepRow,
     dmul_latency,
     ops_per_cycle,
     parallel_factor,
@@ -100,6 +101,31 @@ def test_sweep_csv_shape():
     assert len(lines) == 1 + 4 * 3
 
 
+def test_sweep_rows_are_immutable_in_csv_column_order():
+    """A row's fields are the CSV's columns, in order (`M` is the
+    multiplier count), and written as they are held; no field can be
+    assigned."""
+    assert SweepRow._fields == ("mul_count",) + SWEEP_CSV_COLUMNS[1:]
+    rows = sweep(8, (2, 16))
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf)
+    for row, line in zip(rows, buf.getvalue().splitlines()[1:]):
+        assert line == ",".join(map(str, row[:-1])) + f",{row.throughput_tops:.6f}"
+    with pytest.raises(AttributeError):
+        rows[0].dmul_cycles = 0
+
+
+def test_sweep_caches_no_table():
+    """Each call builds its own table: emptying or extending one call's
+    list leaves the next call's rows as they were."""
+    first, second = sweep(), sweep()
+    assert first is not second and first == second
+    expected = list(second)
+    first.clear()
+    first.append(SweepRow(1, "x", 0, 0, 0.0))
+    assert sweep() == second == expected
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AnalyticParams(size=0)
@@ -169,15 +195,20 @@ def test_reducer_depth_defaults_to_the_structural_depth():
     assert tile_latency(AnalyticParams(weight_bits=4)) == tile_latency(AnalyticParams.for_mode(64, 4)) == 128
 
 
-@pytest.mark.parametrize("clock_hz", [0, -1e9, float("nan"), float("inf"), True, "1e9"])
+@pytest.mark.parametrize("clock_hz", [0, -1e9, float("nan"), float("inf"), True, "1e9", 1e308])
 def test_clock_must_be_positive_and_finite(clock_hz):
     """A clock that is not a positive finite real raises, rather than
-    giving a negative, zero or non-finite rate."""
+    giving a negative, zero or non-finite rate; so does a finite clock
+    whose rates overflow a float, 1e308 Hz, with its own message."""
     p = AnalyticParams.for_mode(8, 8)
+    if clock_hz == 1e308:
+        message = "^clock_hz 1e\\+308 gives a rate that overflows a float$"
+    else:
+        message = "clock_hz must be a positive finite number"
     for rate in (throughput, peak_throughput):
-        with pytest.raises(ValueError, match="clock_hz must be a positive finite number"):
+        with pytest.raises(ValueError, match=message):
             rate(p, clock_hz)
-    with pytest.raises(ValueError, match="clock_hz must be a positive finite number"):
+    with pytest.raises(ValueError, match=message):
         sweep(8, clock_hz=clock_hz)
 
 

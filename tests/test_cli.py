@@ -11,7 +11,7 @@ from reference import grouped_run_tiled, permute
 
 from adipsim import cli, tiling
 from adipsim.array import SIZE_LIMIT
-from adipsim.cli import main, read_matrix, write_matrix
+from adipsim.cli import main, read_matrix
 from adipsim.numerics import VALID_WIDTHS, signed_range
 from adipsim.preprocess import Precision
 
@@ -23,6 +23,14 @@ def run_cli(capsys, *argv):
 
 
 # -- matrix text files ----------------------------------------------------------
+
+
+def write_matrix(matrix, width, fh):
+    """Write `matrix` in the matrix text format, `read_matrix`'s inverse."""
+    rows, cols = matrix.shape
+    fh.write(f"{rows} {cols} {width}\n")
+    for row in matrix:
+        fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -390,6 +398,18 @@ def test_workload_json_model_must_be_an_object(capsys, tmp_path):
     assert "must be a JSON object" in err
 
 
+def test_workload_json_model_must_not_repeat_a_field(capsys, tmp_path):
+    """A repeated field exits 2 naming it, rather than the last value
+    winning: this document would otherwise report a model named y."""
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"name": "x", "layers": 2, "d_model": 16, "heads": 2, "d_k": 8, "seq_len": 8, "weight_bits": 4, "name": "y"}'
+    )
+    code, out, err = run_cli(capsys, "workload", str(path), "--size", "4")
+    assert (code, out) == (2, "")
+    assert err == "adipsim: model document repeats field 'name'\n"
+
+
 def test_workload_unknown_model(capsys):
     code, _, err = run_cli(capsys, "workload", "nosuchmodel")
     assert code == 2
@@ -464,14 +484,20 @@ def test_sweep_plans_from_shape_at_any_size(capsys, tmp_path):
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_sweep_that_fails_writes_nothing(capsys, tmp_path, to_file):
-    """A clock whose peak throughput overflows fails the sweep before any
-    output: no CSV header on stdout, and no --out file."""
+    """A clock that overflows (1e300 GHz), or a finite clock whose rates
+    overflow (1e299 GHz is 1e308 Hz), fails either table before any output:
+    no CSV header on stdout, and no --out file."""
     out = tmp_path / "sweep.csv"
-    argv = ("sweep", "--clock-ghz", "1e300") + (("--out", str(out)) if to_file else ())
-    code, stdout, err = run_cli(capsys, *argv)
-    assert (code, stdout) == (2, "")
-    assert "clock_hz must be a positive finite number" in err
-    assert not out.exists()
+    for command in ("sweep", "analytic"):
+        for clock, message in [
+            ("1e300", "clock_hz must be a positive finite number"),
+            ("1e299", "clock_hz 1e+308 gives a rate that overflows a float"),
+        ]:
+            argv = (command, "--clock-ghz", clock) + (("--out", str(out)) if to_file else ())
+            code, stdout, err = run_cli(capsys, *argv)
+            assert (code, stdout) == (2, ""), (command, clock)
+            assert message in err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(

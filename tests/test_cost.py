@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import io
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import grouped_run_tiled, tile_packed_run_tiled
+from reference import grouped_run_tiled, projection_fraction, tile_packed_run_tiled
 
 from adipsim import cost
 from adipsim.cost import (
@@ -32,8 +33,6 @@ from adipsim.workload import (
     MhaConfig,
     Stage,
     StageSpec,
-    config_to_dict,
-    projection_fraction,
     stages,
 )
 
@@ -213,6 +212,21 @@ def test_summary_structure(params):
     assert vs["projection_latency_improvement_pct"] == pytest.approx(75.0, abs=1.0)
 
 
+def test_summary_caches_no_report(params):
+    """Each call builds its own report: changing one call's nested dicts
+    leaves the next call's report as it was."""
+    first, second = summary(BITNET_158B, params), summary(BITNET_158B, params)
+    assert first is not second and first == second
+    for outer in ("totals", "vs_dip"):
+        assert first[outer] is not second[outer]
+    expected = copy.deepcopy(second)
+    first["totals"]["DiP"]["cycles"] = -1
+    first["totals"]["ADiP"].clear()
+    first["vs_dip"]["latency_improvement_pct"] = 0.0
+    first["model"] = "x"
+    assert summary(BITNET_158B, params) == second == expected
+
+
 def test_stage_csv_schema(params):
     buf = io.StringIO()
     write_stage_csv(evaluate(BERT_LARGE, Arch.ADIP, params), buf)
@@ -354,7 +368,7 @@ _RAGGED = MhaConfig("ragged", layers=2, d_model=20, heads=3, d_k=6, seq_len=9, w
 def test_stage_cost_is_what_the_simulator_runs(cfg, params, bits):
     """On scaled-down geometries, every stage's cycles, passes, input bytes
     and weight bytes under DiP and ADiP equal those of simulated runs."""
-    cfg = MhaConfig(**{**config_to_dict(cfg), "weight_bits": bits})
+    cfg = MhaConfig(**{**dataclasses.asdict(cfg), "weight_bits": bits})
     assert _simulated_costs(cfg, params, seed=bits) == _billed(cfg, params)
 
 
@@ -364,7 +378,7 @@ def test_one_layer_adip_passes_and_cycles():
     params = CostParams(n=8)
     totals = {}
     for bits in (2, 4, 8):
-        costs = _simulated_costs(MhaConfig(**{**config_to_dict(_SMALL), "weight_bits": bits}), params, seed=bits)
+        costs = _simulated_costs(MhaConfig(**{**dataclasses.asdict(_SMALL), "weight_bits": bits}), params, seed=bits)
         for arch in (Arch.ADIP, Arch.DIP):
             label = f"{arch.label}-W{bits}"
             totals[label] = tuple(sum(costs[spec.stage, arch][i] for spec in stages(_SMALL)) for i in (1, 0))

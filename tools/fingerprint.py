@@ -44,7 +44,6 @@ import argparse
 import hashlib
 import io
 import json
-from dataclasses import asdict
 
 import numpy as np
 
@@ -72,7 +71,7 @@ def cost_digest() -> tuple[int, str]:
         for n in COST_SIZES
         for variant in COST_VARIANTS
     ]
-    docs += [asdict(row) for row in analytic.sweep()]
+    docs += [row._asdict() for row in analytic.sweep()]
     digest = hashlib.sha256()
     for doc in docs:
         digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
