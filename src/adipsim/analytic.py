@@ -20,7 +20,8 @@ and `ops_per_cycle` call, with no `AnalyticParams` per row.
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
 steady-state rate with fill and drain amortized away. A clock frequency
-must be a positive finite real, and a rate it gives must be finite too.
+must be a positive finite real, and a rate that a clock or a large size
+makes too large for a float raises ValueError, as a bad parameter does.
 Sweep rows are immutable `SweepRow` named tuples.
 """
 
@@ -71,8 +72,8 @@ def _tile_cycles(size: int, dmul: int, precision: Precision) -> int:
     return stream_cycles(size, size * dmul, precision)
 
 
-def _tile_ops_per_cycle(size: int, mul_count: int, weight_bits: int, latency: int) -> float:
-    return 2 * _parallel(mul_count, weight_bits) * size**3 / latency
+def _tile_ops(size: int, mul_count: int, weight_bits: int) -> int:
+    return 2 * _parallel(mul_count, weight_bits) * size**3
 
 
 def dmul_latency(p: AnalyticParams) -> int:
@@ -92,7 +93,7 @@ def tile_latency(p: AnalyticParams) -> int:
 
 def ops_per_cycle(p: AnalyticParams) -> float:
     """Tile-effective rate: 2 * parallel * size^3 ops over the tile latency."""
-    return _tile_ops_per_cycle(p.size, p.mul_count, p.weight_bits, tile_latency(p))
+    return _rate(_tile_ops(p.size, p.mul_count, p.weight_bits), tile_latency(p))
 
 
 def _check_clock(clock_hz) -> float:
@@ -103,8 +104,14 @@ def _check_clock(clock_hz) -> float:
     return float(clock_hz)
 
 
-def _check_rate(rate: float, clock_hz: float) -> float:
-    """`rate` unchanged; ValueError if it overflowed to infinity."""
+def _rate(ops: int, cycles: int, clock_hz: float = 1.0) -> float:
+    """`ops` / `cycles` * `clock_hz`, the one place a rate is formed;
+    ValueError when the quotient or the rate overflows a float."""
+    try:
+        per_cycle = ops / cycles
+    except OverflowError:  # int / int past the largest float
+        raise ValueError("the array size gives a rate that overflows a float") from None
+    rate = per_cycle * clock_hz
     if rate == math.inf:
         raise ValueError(f"clock_hz {clock_hz!r} gives a rate that overflows a float")
     return rate
@@ -112,14 +119,12 @@ def _check_rate(rate: float, clock_hz: float) -> float:
 
 def throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     """Tile-effective ops/second at a clock frequency."""
-    clock_hz = _check_clock(clock_hz)
-    return _check_rate(ops_per_cycle(p) * clock_hz, clock_hz)
+    return _rate(_tile_ops(p.size, p.mul_count, p.weight_bits), tile_latency(p), _check_clock(clock_hz))
 
 
 def peak_throughput(p: AnalyticParams, clock_hz: float = 1e9) -> float:
     """Steady-state ops/second with back-to-back tiles (fill amortized)."""
-    clock_hz = _check_clock(clock_hz)
-    return _check_rate(2 * parallel_factor(p) * p.size**2 * clock_hz, clock_hz)
+    return _rate(2 * parallel_factor(p) * p.size**2, 1, _check_clock(clock_hz))
 
 
 class SweepRow(NamedTuple):
@@ -148,10 +153,8 @@ def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: f
         for precision, bits, label in _SWEEP_PRECISIONS:
             dmul = _dmul(m, bits)
             latency = _tile_cycles(size, dmul, precision)
-            tops = _tile_ops_per_cycle(size, m, bits, latency) * clock_hz / 1e12
+            tops = _rate(_tile_ops(size, m, bits), latency, clock_hz) / 1e12
             rows.append(SweepRow(m, label, dmul, latency, tops))
-    if rows:  # one check over the table: every rate is finite, or the largest is not
-        _check_rate(max(row.throughput_tops for row in rows), clock_hz)
     return rows
 
 

@@ -258,26 +258,23 @@ def _mapped_registers(slots: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.ndarray(shape, np.float32, product, (n - 1) * row_step, strides).astype(np.int32)
 
 
-def _field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
-    """Field t of the matrix-order uint8 `words`, the signed weights of
-    matrix t, as float32 (`decode_field`)."""
-    return decode_field(words, precision, t).astype(np.float32)
-
-
 def _group_outputs(grid: PackedGrid, a: np.ndarray) -> np.ndarray:
     """Each row of the M x K int8 input `a` times each of the grid's nw
     weight matrices, read from its matrix-order words (K rows of them):
     one (nw, M, tp*n) int64 block, matrix t at [t].
 
-    Each product of an 8-bit input and a w-bit weight field is at most
-    2^(6+w) in magnitude, so `exact_matmuls` runs float32 matmuls over
-    chunks of 2^(18-w) rows of K and sums them in int64. Matrix t's field
-    is decoded on its own, per chunk, so only one matrix's float32 weights
-    are live at a time.
+    No product of an 8-bit input and a w-bit weight passes
+    `Precision.product_bound`, 2^(6+w), so `exact_matmuls` runs float32
+    matmuls over chunks of 2^(18-w) rows of K and sums them in int64.
+    Matrix t's field is decoded on its own, per chunk, so only one
+    matrix's float32 weights are live at a time.
     """
     precision, words = grid.precision, grid.words[: a.shape[1]]
-    bound = 1 << (6 + precision.weight_bits)
-    return exact_matmuls(a, lambda t, rows: _field(words[rows], precision, t), grid.nw, words.shape[1], bound)
+
+    def weight_rows(t: int, rows: slice) -> np.ndarray:
+        return decode_field(words[rows], precision, t).astype(np.float32)
+
+    return exact_matmuls(a, weight_rows, grid.nw, words.shape[1], precision.product_bound)
 
 
 def _check_accumulator(grid: PackedGrid, a: np.ndarray) -> None:
@@ -287,20 +284,21 @@ def _check_accumulator(grid: PackedGrid, a: np.ndarray) -> None:
     call time so tests can lower it.
 
     No sum of K products of int8 inputs and w-bit weights passes
-    K * 128 * 2^(w-1) in magnitude; below L nothing is read, which at 2^31
-    holds for every W8 job with K below 2^17. Otherwise, per matrix and
-    block of tiles of about `_TRACE_BYTES`, each tile's sums come from one
-    exact float64 matmul and are summed along the tiles in int64.
+    K * `Precision.product_bound` in magnitude; below L nothing is read,
+    which at 2^31 holds for every W8 job with K below 2^17. Otherwise, per
+    matrix and block of tiles of about `_TRACE_BYTES`, each tile's sums
+    come from one exact float64 matmul and are summed along the tiles in
+    int64.
     """
-    bits, n, width = grid.precision.weight_bits, grid.n, grid.words.shape[1]
+    n, width = grid.n, grid.words.shape[1]
     m_dim, k_dim = a.shape
-    if k_dim * 128 << (bits - 1) < _PSUM_LIMIT:
+    if k_dim * grid.precision.product_bound < _PSUM_LIMIT:
         return
     tiles = max(1, _TRACE_BYTES // 8 // ((m_dim + n) * width + m_dim * n))  # per block
     for t in range(grid.nw):
         running = np.zeros((m_dim, width), dtype=np.int64)
         for k in range(0, grid.tk, tiles):
-            weights = _field(grid.words[k * n : (k + tiles) * n], grid.precision, t).astype(np.float64)
+            weights = decode_field(grid.words[k * n : (k + tiles) * n], grid.precision, t).astype(np.float64)
             count = len(weights) // n
             inputs = np.zeros((m_dim, count * n))
             part = a[:, k * n : (k + count) * n]

@@ -3,17 +3,19 @@
 Operands are k-bit signed integers (k in {2, 4, 8}, `VALID_WIDTHS`);
 activations are `ACT_BITS` wide, multipliers `SUBWORD_BITS` wide and the
 accumulator `PSUM_BITS`. This module holds the range checks, the size
-and type checks every layer shares, the exact float32 block products the
-array's outputs use (`exact_matmuls`) and the decoding of packed words
-into weight fields (`bit_fields`). The scalar radix-4 digit model of a
-wide product, a * b as the shift-add of 2-bit digit products, lives in
+and type checks every layer shares and the exact float32 block products
+the array's outputs use (`exact_matmuls`). Packed words are decoded by
+one rule, `preprocess.decode_field`, from which the 2-bit slot table is
+built too; the largest |input x weight| of a precision is
+`preprocess.Precision.product_bound`. The scalar radix-4 digit model of
+a wide product, a * b as the shift-add of 2-bit digit products, lives in
 `tests/reference.py`, which acceptance c02 checks exhaustively.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -122,24 +124,3 @@ def exact_matmuls(
             del part  # so that the next product is not formed beside it
         del part_a  # and the next chunk's input likewise
     return out
-
-
-def bit_fields(words, width: int, count: int, signed: bool | Sequence[bool] = True) -> np.ndarray:
-    """Cut uint8 words into `count` little-endian `width`-bit fields.
-
-    Returns a new leading field axis: field t of every word sits at index
-    t. `signed` is one flag for all fields or one per field; a signed field
-    reads as two's complement, an unsigned one as is. The fields come back
-    as int8, or as int16 for 8-bit fields so that `np.abs` of -128 still
-    fits.
-    """
-    words = np.asarray(words)
-    shifts = np.arange(0, count * width, width, dtype=np.uint8).reshape((-1,) + (1,) * words.ndim)
-    fields = ((words[None] >> shifts) & np.uint8((1 << width) - 1)).astype(np.int16 if width == 8 else np.int8)
-    half = 1 << (width - 1)
-    for t, flag in enumerate((signed,) * count if np.isscalar(signed) else signed):
-        if flag:
-            field = fields[t, ...]  # a view, also of a scalar word's field
-            field ^= half  # two's complement: (v ^ half) - half
-            field -= half
-    return fields

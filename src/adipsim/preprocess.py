@@ -17,14 +17,15 @@ a `PackedGrid`: one array of words in matrix order, zero-padded to whole
 tiles. The rotation is applied only where a tile's position matters, at the
 array and at the file: `PackedGrid.rotated_tiles` gives the tiles as the
 array loads them, `write_packed` stores them so, and `read_packed`
-un-rotates them once. `unprepare_weights` and the array's group outputs
-decode the matrix-order words directly, one weight field at a time
-(`decode_field`). A word's four 2-bit slots are a fixed function of the
-word per precision, so `decode_slots` is a lookup into a 256-word table,
-built once from `numerics.bit_fields`. A grid carries the computation
-mode, its precision and matrix count nw, and is checked when it is built:
-a grid with no tiles, or with nw outside 1..r, cannot be built, so no
-reader of a grid checks it again.
+un-rotates them once. One rule decodes a word, `decode_field`: field t
+is matrix t's signed weight. `unprepare_weights` and the array's group
+outputs read the matrix-order words through it; `decode_slots` looks a
+word's four 2-bit slots, the radix-4 digits of its fields, up in a
+256-word table that `decode_field` fills once per precision. The largest
+|input x weight| of a precision is `Precision.product_bound`. A grid
+carries the computation mode, its precision and matrix count nw, and is
+checked when it is built: a grid with no tiles, or with nw outside 1..r,
+cannot be built, so no reader of a grid checks it again.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import bit_fields, ceil_div, check_size, check_type, to_int8
+from .numerics import ACT_BITS, SUBWORD_BITS, ceil_div, check_size, check_type, to_int8
 
 PACKED_MAGIC = b"ADIP"
 _HEADER = struct.Struct("<4sHBBHH4x")  # magic, n, weight_bits, nw, grid rows, grid cols
@@ -58,6 +59,7 @@ class Precision(Enum):
         self.weight_bits = bits
         self.r = 8 // bits  # interleave factor: how many weight fields fit one 8-bit word
         self.reducer_stages = {8: 2, 4: 1, 2: 0}[bits]  # shift-add register stages on the way out
+        self.product_bound = 1 << (ACT_BITS + bits - 2)  # the largest |input x weight|, 2^7 * 2^(w-1)
 
     @classmethod
     def from_bits(cls, bits: int) -> "Precision":
@@ -119,33 +121,6 @@ def _pack_fields(fields: Sequence[np.ndarray], width: int, words: np.ndarray) ->
     return words
 
 
-# The 2-bit slots of a stationary word that carry a sign: the top slot of
-# each weight field. A PE's multiplier group g multiplies the 8-bit input
-# by slot g, and the reducer folds the four groups per weight field.
-_SIGNED_SLOTS = {
-    Precision.W8: (False, False, False, True),
-    Precision.W4: (False, True, False, True),
-    Precision.W2: (True, True, True, True),
-}
-
-
-@functools.cache
-def _slot_table(precision: Precision) -> np.ndarray:
-    """The four 2-bit slots of every stationary word under `precision`, as a
-    read-only (4, 256) int8 array: slot g of word w at [g, w]."""
-    table = bit_fields(np.arange(256, dtype=np.uint8), 2, 4, _SIGNED_SLOTS[precision])
-    table.flags.writeable = False
-    return table
-
-
-def decode_slots(words, precision: Precision) -> np.ndarray:
-    """The four 2-bit slots of the stationary words `words` (integers in
-    0..255, a scalar or an array of any shape) under `precision`: an int8
-    array of shape (4, *words.shape), slot g at [g]. One lookup into the
-    precision's 256-word table, which `bit_fields` fills once."""
-    return _slot_table(precision)[:, words]
-
-
 def decode_field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
     """Field t of the uint8 `words`, the signed weights of matrix t, as an
     int8 array of their shape. A uint8 multiply, which wraps, moves the
@@ -158,6 +133,33 @@ def decode_field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
         return words.view(np.int8)
     top = words * np.uint8(1 << (8 - bits * (t + 1)))
     return top.view(np.int8) >> (8 - bits)
+
+
+@functools.cache
+def _slot_table(precision: Precision) -> np.ndarray:
+    """The four 2-bit slots of every stationary word under `precision`, as a
+    read-only (4, 256) int8 array: slot g of word w, which multiplier group
+    g multiplies the input by, at [g, w]. It is radix-4 digit g mod (w/2)
+    of signed field g div (w/2) (`decode_field`): an arithmetic shift
+    brings the top digit down with the sign, the digits below are `& 3`."""
+    words = np.arange(256, dtype=np.uint8)
+    per = precision.weight_bits // SUBWORD_BITS  # slots per weight field
+    table = np.empty((4, 256), dtype=np.int8)
+    for g in range(4):
+        t, digit = divmod(g, per)
+        table[g] = decode_field(words, precision, t) >> (SUBWORD_BITS * digit)
+        if digit < per - 1:
+            table[g] &= 3
+    table.flags.writeable = False
+    return table
+
+
+def decode_slots(words, precision: Precision) -> np.ndarray:
+    """The four 2-bit slots of the stationary words `words` (integers in
+    0..255, a scalar or an array of any shape) under `precision`: an int8
+    array of shape (4, *words.shape), slot g at [g]. One lookup into the
+    precision's 256-word table, which `decode_field` fills once."""
+    return _slot_table(precision)[:, words]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +286,8 @@ def _read_exactly(fh: BinaryIO, size: int) -> bytearray:
 
 
 def read_packed(fh: BinaryIO) -> PackedGrid:
-    """Inverse of `write_packed`."""
+    """Inverse of `write_packed`. The header fixes the payload's size, so a
+    file that ends before it, or holds bytes after it, raises ValueError."""
     header = fh.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise ValueError("truncated packed-weight header")
@@ -293,5 +296,8 @@ def read_packed(fh: BinaryIO) -> PackedGrid:
         raise ValueError(f"bad magic {magic!r}")
     precision = Precision.from_bits(weight_bits)
     check_mode(precision, nw)  # from the header alone, before any payload is read
-    tiles = np.frombuffer(_read_exactly(fh, rows * cols * n * n), dtype=np.uint8).reshape(rows, cols, n, n)
+    payload = _read_exactly(fh, rows * cols * n * n)
+    if fh.read(1):
+        raise ValueError("packed-weight file has bytes after its payload")
+    tiles = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols, n, n)
     return PackedGrid(_rotated(tiles, -1).swapaxes(1, 2).reshape(rows * n, cols * n), precision, nw, n)

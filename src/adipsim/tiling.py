@@ -186,9 +186,9 @@ def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
 
     Every product is at most B = |a| * |w| in magnitude and every sum at
     most B * K. The int8 operands of a `MatMulJob` are bounded by their
-    width, with no scan: |a| <= 128 and |w| <= 2^(w-1) for the job's
-    w-bit weights, so B <= 2^14. Operands of any other dtype, which only a
-    job-shaped object can hold, are scanned for their largest magnitude.
+    width, with no scan: B is the precision's `product_bound`, at most
+    2^14. Operands of any other dtype, which only a job-shaped object can
+    hold, are scanned for their largest magnitude.
     A B of at most 2^24 runs in float32 (where numpy uses BLAS) over
     chunks of 2^24 // B rows of K, each exact, summed in int64 (see
     `numerics.exact_matmuls`); a larger B runs in int64. Both are exact
@@ -199,12 +199,10 @@ def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
         return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
     _, k_dim, p_dim = job.shape
-    a_bound = 1 << (ACT_BITS - 1) if job.a.dtype == np.int8 else magnitude(job.a)
-    if all(w.dtype == np.int8 for w in job.weights):  # range-checked to the job's width
-        w_bound = 1 << (job.precision.weight_bits - 1)
+    if all(x.dtype == np.int8 for x in (job.a, *job.weights)):  # range-checked to the job's widths
+        product_bound = job.precision.product_bound
     else:
-        w_bound = max(magnitude(w) for w in job.weights)
-    product_bound = a_bound * w_bound
+        product_bound = magnitude(job.a) * max(magnitude(w) for w in job.weights)
     if product_bound * k_dim >= 1 << 63:
         raise ValueError(f"|a| * |w| * K reaches 2^63 at K={k_dim}; int64 sums could wrap")
     if product_bound > 1 << 24:  # one product may not fit float32 exactly

@@ -11,6 +11,14 @@ the 2-bit digit products,
 which is how the hardware composes an 8b x 8b multiply out of sixteen
 2-bit multipliers (acceptance c02 checks it for every 8-bit pair).
 
+`bit_fields_by_definition` cuts a word into little-endian fields, each
+read as two's complement or as is, one bit shift and mask at a time, and
+`word_slots` reads a stationary word's four 2-bit slots with it, signed
+as `SIGNED_SLOTS` spells out: the top slot of each weight field. They are
+the tests' own statement of the rule that `preprocess` builds its slot
+table from, so the reference PE and `SteppedArray` check that table
+rather than read it.
+
 `PE` is one grid cell as registered state: a stationary word, an input
 register and four psum buses, advanced by `step`. Its arithmetic is the
 paper's, one scalar at a time: `group_multiply` forms the four group
@@ -54,10 +62,9 @@ from adipsim.array import (
     PhaseError,
     PsumOverflowError,
     stream_cycles,
-    weight_slots,
 )
 from adipsim.numerics import PSUM_BITS, SUBWORD_BITS, VALID_WIDTHS, ceil_div, check_signed
-from adipsim.preprocess import Precision, decode_slots, prepare_weights
+from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import TiledResult
 from adipsim.workload import PROJECTION_STAGES, breakdown
 
@@ -135,15 +142,38 @@ def deinterleave(words, width, nw):
     return [np.where(f >= 1 << (width - 1), f - (1 << width), f) for f in fields]
 
 
+def bit_fields_by_definition(word: int, width: int, count: int, signed: Sequence[bool]) -> list[int]:
+    """The `count` little-endian `width`-bit fields of `word`, field t read
+    as two's complement when signed[t] and as is otherwise."""
+    fields = []
+    for t in range(count):
+        raw = (word >> (t * width)) & ((1 << width) - 1)
+        fields.append(raw - (1 << width) if signed[t] and raw >= 1 << (width - 1) else raw)
+    return fields
+
+
+# The 2-bit slots of a stationary word that carry a sign: the top slot of
+# each weight field, its top radix-4 digit.
+SIGNED_SLOTS = {
+    Precision.W8: (False, False, False, True),
+    Precision.W4: (False, True, False, True),
+    Precision.W2: (True, True, True, True),
+}
+
+
 # Each word's slots, read once per precision: acceptance c02 forms every
 # input x word product at every precision, 196 608 group products.
-_weight_slots = functools.cache(weight_slots)
+@functools.cache
+def word_slots(word: int, precision: Precision) -> tuple[int, int, int, int]:
+    """The four 2-bit slots of the stationary word `word` (0..255), slot g
+    the multiplier group g's weight digit."""
+    return tuple(bit_fields_by_definition(word, SUBWORD_BITS, 4, SIGNED_SLOTS[precision]))
 
 
 def group_multiply(input_val: int, word: int, precision: Precision) -> tuple[int, int, int, int]:
     """Four group outputs: product of the 8-bit input with each weight field."""
     subwords = split_subwords(input_val, 8)
-    slots = _weight_slots(word, precision)
+    slots = word_slots(word, precision)
     return tuple(
         sum(mul2(sub, slot) << (2 * j) for j, sub in enumerate(subwords)) for slot in slots
     )
@@ -256,7 +286,9 @@ class SteppedArray:
     def load_weights(self, words):
         """Take an n x n tile of words, rotated as the array loads it; the
         load is hidden behind the pass before, so it takes no cycle."""
-        self.slots = decode_slots(words, self.precision).astype(np.int64)
+        words = np.asarray(words)
+        slots = [word_slots(int(w), self.precision) for w in words.flat]
+        self.slots = np.array(slots, dtype=np.int64).T.reshape((4,) + words.shape)
         self._reset()
 
     def step(self, row_in):

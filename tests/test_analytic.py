@@ -213,6 +213,27 @@ def test_clock_must_be_positive_and_finite(clock_hz):
 
 
 @pytest.mark.parametrize(
+    "rate",
+    [
+        throughput,
+        ops_per_cycle,
+        peak_throughput,
+        lambda p: sweep(p.size, [p.mul_count]),
+    ],
+    ids=["throughput", "ops_per_cycle", "peak_throughput", "sweep"],
+)
+def test_a_size_whose_rate_overflows_a_float_raises_value_error(rate):
+    """At size 10^160 the ops per cycle, about 10^320, and size^2 do not
+    fit a float: each rate raises the module's ValueError, not Python's
+    OverflowError, while it still has a value at 10^100, and the tile
+    latency stays an exact int far beyond."""
+    with pytest.raises(ValueError, match="^the array size gives a rate that overflows a float$"):
+        rate(AnalyticParams(size=10**160))
+    assert rate(AnalyticParams(size=10**100))  # a positive rate, or the sweep's rows
+    assert tile_latency(AnalyticParams(size=10**400)) == 2 * 10**400 + 1
+
+
+@pytest.mark.parametrize(
     "change",
     [
         {"size": 4.5},

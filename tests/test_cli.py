@@ -484,20 +484,26 @@ def test_sweep_plans_from_shape_at_any_size(capsys, tmp_path):
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_sweep_that_fails_writes_nothing(capsys, tmp_path, to_file):
-    """A clock that overflows (1e300 GHz), or a finite clock whose rates
-    overflow (1e299 GHz is 1e308 Hz), fails either table before any output:
-    no CSV header on stdout, and no --out file."""
+    """A clock that overflows (1e300 GHz), a finite clock whose rates
+    overflow (1e299 GHz is 1e308 Hz), or a size whose rates overflow
+    (10^160), fails either table before any output: no CSV header on
+    stdout, and no --out file."""
     out = tmp_path / "sweep.csv"
-    for command in ("sweep", "analytic"):
+    cases = [
+        ((command, "--clock-ghz", clock), message)
+        for command in ("sweep", "analytic")
         for clock, message in [
             ("1e300", "clock_hz must be a positive finite number"),
             ("1e299", "clock_hz 1e+308 gives a rate that overflows a float"),
-        ]:
-            argv = (command, "--clock-ghz", clock) + (("--out", str(out)) if to_file else ())
-            code, stdout, err = run_cli(capsys, *argv)
-            assert (code, stdout) == (2, ""), (command, clock)
-            assert message in err
-            assert not out.exists()
+        ]
+    ]
+    size_message = "the array size gives a rate that overflows a float"
+    cases += [(("sweep", "--sizes", str(10**160)), size_message), (("analytic", "--size", str(10**160)), size_message)]
+    for argv, message in cases:
+        code, stdout, err = run_cli(capsys, *argv, *(("--out", str(out)) if to_file else ()))
+        assert (code, stdout) == (2, ""), argv
+        assert message in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

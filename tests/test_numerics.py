@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -8,7 +7,6 @@ from reference import mul2, recompose, split_subwords
 from adipsim.array import ArraySim
 from adipsim.cost import CostParams
 from adipsim.numerics import (
-    bit_fields,
     ceil_div,
     check_signed,
     check_size,
@@ -207,30 +205,3 @@ def test_sizes_are_positive_integers(make):
 
 def test_ceil_div_counts_covering_tiles():
     assert [ceil_div(k, 4) for k in (0, 1, 4, 5, 8, 9)] == [0, 1, 1, 2, 2, 3]
-
-
-def _bit_fields_by_definition(word, width, count, signed):
-    """Field t of `word` read as two's complement when signed[t]."""
-    fields = []
-    for t in range(count):
-        raw = (word >> (t * width)) & ((1 << width) - 1)
-        fields.append(raw - (1 << width) if signed[t] and raw >= 1 << (width - 1) else raw)
-    return fields
-
-
-@pytest.mark.parametrize("width", [2, 4, 8])
-def test_bit_fields_uint8_exhaustive(width):
-    """Every 8-bit word, field count and sign pattern: the uint8 path gives
-    the definition's values in a dtype whose abs holds -2^(width-1), for a
-    uint8 scalar too."""
-    words = np.arange(256, dtype=np.uint8)
-    for count in range(1, 8 // width + 1):
-        for signed in itertools.product((False, True), repeat=count):
-            want = np.array([_bit_fields_by_definition(w, width, count, signed) for w in range(256)]).T
-            got = bit_fields(words, width, count, signed)
-            assert got.dtype == (np.int16 if width == 8 else np.int8)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.abs(got), np.abs(want))
-            for w in (0, 1, 127, 128, 170, 255):
-                assert bit_fields(np.uint8(w), width, count, signed).tolist() == want[:, w].tolist()
-    assert bit_fields(words, width, 8 // width, True).min() == -(1 << (width - 1))

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import deinterleave, interleave, inverse_permute, permute
+from reference import SIGNED_SLOTS, bit_fields_by_definition, deinterleave, interleave, inverse_permute, permute
 
 from adipsim import preprocess
 from adipsim.array import ArraySim
-from adipsim.numerics import bit_fields
 from adipsim.preprocess import (
     PackedGrid,
     Precision,
@@ -227,20 +226,24 @@ def test_zero_tile_round_trip():
 
 @pytest.mark.parametrize("precision", list(Precision))
 def test_slot_table_and_fields_are_the_bit_field_rule_for_every_word(precision):
-    """For all 256 words, the read-only slot table is `bit_fields` of four
-    2-bit slots signed as `_SIGNED_SLOTS` says, and `decode_field` gives
-    the r signed weight fields of `bit_fields` as int8, each the radix-4
-    sum of its slots."""
+    """For all 256 words, the read-only slot table is the tests' definition
+    of four 2-bit fields, signed where `SIGNED_SLOTS` spells it out (the
+    top slot of each weight field is signed, the others are not), and
+    `decode_field` gives the definition's r signed weight fields as int8,
+    each the radix-4 sum of its slots."""
     words = np.arange(256, dtype=np.uint8)
+    per = 4 // precision.r  # slots per field
+    signed = SIGNED_SLOTS[precision]
+    assert signed == tuple(g % per == per - 1 for g in range(4))
     slots = preprocess._slot_table(precision)
     assert (slots.dtype, slots.shape) == (np.int8, (4, 256))
-    assert np.array_equal(slots, bit_fields(words, 2, 4, preprocess._SIGNED_SLOTS[precision]))
+    assert np.array_equal(slots, np.array([bit_fields_by_definition(w, 2, 4, signed) for w in range(256)]).T)
     with pytest.raises(ValueError, match="read-only"):
         slots[0, 0] = 1
     fields = np.array([decode_field(words, precision, t) for t in range(precision.r)])
     assert fields.dtype == np.int8
-    assert np.array_equal(fields, bit_fields(words, precision.weight_bits, precision.r))
-    per = 4 // precision.r  # slots per field
+    want = [bit_fields_by_definition(w, precision.weight_bits, precision.r, (True,) * precision.r) for w in range(256)]
+    assert np.array_equal(fields, np.array(want).T)
     radix = 4 ** np.arange(per)[:, None]
     assert np.array_equal(fields, (slots.astype(np.int64).reshape(precision.r, per, 256) * radix).sum(axis=1))
 
@@ -248,15 +251,17 @@ def test_slot_table_and_fields_are_the_bit_field_rule_for_every_word(precision):
 @pytest.mark.parametrize("precision", list(Precision))
 def test_decode_slots_keeps_the_words_shape_in_int8(precision):
     """`decode_slots` of words of any shape, a scalar and a strided view
-    included, is int8 of shape (4, *words.shape) and equals `bit_fields`."""
+    included, is int8 of shape (4, *words.shape) and equals the tests'
+    definition of the slots, word by word."""
     rng = np.random.default_rng(precision.weight_bits)
-    signed = preprocess._SIGNED_SLOTS[precision]
+    signed = SIGNED_SLOTS[precision]
     grid = prepare_weights([rng.integers(-2, 2, size=(8, 12))], precision, 4)
     for words in (np.uint8(200), rng.integers(0, 256, size=(3, 5), dtype=np.uint8), grid.rotated_tiles()):
         got = decode_slots(words, precision)
         assert got.dtype == np.int8 and got.shape == (4,) + np.shape(words)
-        assert np.array_equal(got, bit_fields(words, 2, 4, signed))
-    assert decode_slots(255, precision).tolist() == bit_fields(np.uint8(255), 2, 4, signed).tolist()
+        want = [bit_fields_by_definition(int(w), 2, 4, signed) for w in np.ravel(words)]
+        assert np.array_equal(got, np.array(want).T.reshape(got.shape))
+    assert decode_slots(255, precision).tolist() == bit_fields_by_definition(255, 2, 4, signed)
 
 
 # -- whole-matrix preparation ---------------------------------------------------
@@ -404,6 +409,17 @@ def test_packed_file_round_trip():
     loaded = read_packed(buf)
     assert (loaded.tk, loaded.tp, loaded.precision, loaded.nw) == (grid.tk, grid.tp, Precision.W2, 3)
     assert np.array_equal(loaded.words, grid.words)
+
+
+def test_read_packed_rejects_bytes_after_the_payload():
+    """The header fixes the payload's size: a valid dump followed by more
+    bytes is not a grid."""
+    buf = io.BytesIO()
+    write_packed(prepare_weights([np.ones((1, 1), dtype=np.int64)], Precision.W8, 1), buf)
+    assert read_packed(io.BytesIO(buf.getvalue())).words.tolist() == [[1]]
+    for tail in (b"\0", b"junk"):
+        with pytest.raises(ValueError, match="^packed-weight file has bytes after its payload$"):
+            read_packed(io.BytesIO(buf.getvalue() + tail))
 
 
 def test_read_packed_rejects_bad_magic():
@@ -564,7 +580,8 @@ def _packed_files(draw):
 @given(_packed_files())
 def test_read_packed_yields_a_grid_or_value_error(data):
     """Any header plus payload bytes: either a grid that write_packed writes
-    back byte for byte (header padding aside), or a ValueError."""
+    back byte for byte (header padding aside), all of the data and no more,
+    or a ValueError."""
     try:
         grid = read_packed(io.BytesIO(data))
     except ValueError:
@@ -573,7 +590,7 @@ def test_read_packed_yields_a_grid_or_value_error(data):
     write_packed(grid, out)
     written = out.getvalue()
     assert written[:12] == data[:12] and written[12:16] == bytes(4)
-    assert 16 < len(written) <= len(data) and written[16:] == data[16 : len(written)]
+    assert len(written) == len(data) > 16 and written[16:] == data[16:]
     again = read_packed(io.BytesIO(written))
     assert (again.precision, again.nw) == (grid.precision, grid.nw) and np.array_equal(again.words, grid.words)
 

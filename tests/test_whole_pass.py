@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import running_sums
+from reference import bit_fields_by_definition, running_sums
 
 from adipsim import array
 from adipsim.array import ArraySim, PsumOverflowError
-from adipsim.numerics import bit_fields, ceil_div
+from adipsim.numerics import ceil_div
 from adipsim.preprocess import Precision, decode_slots, prepare_weights
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
 
@@ -324,12 +324,12 @@ def test_input_is_scanned_only_when_the_int8_bound_could_trip(monkeypatch):
     decodes it once more, for its one block of tiles, and passes."""
     job = MatMulJob(np.full((3, 5), -7), [np.ones((5, 6), dtype=np.int64)], Precision.W8, 4)
     calls = []
-    monkeypatch.setattr(array, "_field", _spy(calls, "_field", array._field))
+    monkeypatch.setattr(array, "decode_field", _spy(calls, "decode_field", array.decode_field))
     run_tiled(job)
-    assert calls == ["_field"]
+    assert calls == ["decode_field"]
     monkeypatch.setattr(array, "_PSUM_LIMIT", 1000)
     assert np.array_equal(run_tiled(job).outputs[0], np.full((3, 6), -35))
-    assert calls == ["_field"] * 3
+    assert calls == ["decode_field"] * 3
 
 
 def test_full_scale_block_is_exact():
@@ -474,7 +474,7 @@ def test_accumulator_gate_is_sound(case):
     calls = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(array, "_PSUM_LIMIT", limit)
-        m.setattr(array, "_field", _spy(calls, "_field", array._field))
+        m.setattr(array, "decode_field", _spy(calls, "decode_field", array.decode_field))
         try:
             array._check_accumulator(grid, job.a)
         except PsumOverflowError:
@@ -546,10 +546,10 @@ def test_untraced_runs_at_the_real_limit_decode_no_slots(n, monkeypatch):
     monkeypatch.setattr(ArraySim, "_run", _spy(calls, "_run", ArraySim._run))
     a = np.full((n, 2 * n), -128, dtype=np.int64)
     for precision in Precision:
-        word = np.array(_widest_word(precision)[0], dtype=np.uint8)
-        fields = bit_fields(word, precision.weight_bits, precision.r)
+        word = _widest_word(precision)[0]
+        fields = bit_fields_by_definition(word, precision.weight_bits, precision.r, (True,) * precision.r)
         for nw in range(1, precision.r + 1):
-            weights = [np.full((2 * n, n), int(fields[t])) for t in range(nw)]
+            weights = [np.full((2 * n, n), fields[t]) for t in range(nw)]
             result = run_tiled(MatMulJob(a, weights, precision, n))
             assert all(np.array_equal(got, a @ w) for got, w in zip(result.outputs, weights))
     assert calls == []
