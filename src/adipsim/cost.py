@@ -5,14 +5,14 @@ pins one stationary weight tile and streams every input row tile through
 the array. One instance of a stage is billed from one cached record of
 its plan (`_instance`): the plan's cycles, input bytes, stationary words
 and output elements, each read once from `TiledPlan.from_shape`. One
-private billing path (`_bills`) turns a list of stages into their bills:
-it picks each stage's billed width and multiplies the cached record of
-one instance by the stage's `count`. `evaluate` (and through it
-`stage_cost`, `stage_latency` and the stage CSV) builds a `StageCost`
-from each bill; `summary` sums the bills' plain values and builds none.
-Both bill what `tiling.run_tiled` runs: a stage bills the cycles and
-passes of its instances' simulated runs, each weight load hidden behind
-the previous pass as in the evaluated configuration.
+function, `_records`, holds the width rule: it returns a stage's DiP and
+ADiP records of one instance. `evaluate` (and through it `stage_cost`,
+`stage_latency` and the stage CSV) reads one architecture's record and
+builds a `StageCost` from it; `summary` walks the stages once and adds
+`count` times both records into both architectures' totals, with no
+`StageCost` built. Both bill what `tiling.run_tiled` runs: a stage bills
+the cycles and passes of its instances' simulated runs, each weight load
+hidden behind the previous pass as in the evaluated configuration.
 
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
 * ADiP -- adaptive precision: a projection runs at its weight precision,
@@ -60,7 +60,9 @@ class Arch(Enum):
         self.label = label  # a plain attribute, as `Precision.weight_bits` is
 
 
-_ARCHS = tuple(Arch)  # iterating the tuple skips the enum class's iterator on every report
+# module names for the members: looking a member up on its enum class is
+# slow on Python 3.11, and a report reads both
+_DIP, _ADIP = Arch
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class CostParams:
         object.__setattr__(self, "output_bytes", check_size(self.output_bytes, "output_bytes", least=0))
 
     def power(self, arch: Arch) -> float:
-        if arch is Arch.DIP:
+        if arch is _DIP:
             return DIP_POWER
         if self.n not in ADIP_POWER_BY_SIZE:
             raise ValueError(f"no adaptive-array power factor for size {self.n}")
@@ -124,42 +126,41 @@ def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> _Bill:
     return _Bill(plan.cycles, plan.input_bytes, plan.weight_words, plan.output_elements)
 
 
-def _bills(specs: list[StageSpec], arch: Arch, params: CostParams) -> list[tuple[int, int, int, int]]:
-    """The cycles, input bytes, stationary words and output bytes of each
-    stage in `specs`, in order.
+def _records(spec: StageSpec, n: int) -> tuple[_Bill, _Bill]:
+    """The DiP and ADiP records of one instance of `spec` on an n x n array.
 
-    ADiP runs a projection at its weight precision, packing the column
-    tiles of one instance into the r weight fields of a pass; every other
-    stage runs 8-bit, one column tile per pass. Each of the `count`
-    instances streams its own input, so a stage costs `count` times the
-    cached record of one instance.
+    DiP runs every stage 8-bit, one column tile per pass. ADiP runs a
+    projection at its weight precision, packing the column tiles of one
+    instance into the r weight fields of a pass, and every other stage
+    8-bit. Each of a stage's `count` instances streams its own input, so
+    the stage costs `count` times its record.
     """
-    packs = arch is Arch.ADIP
-    n, out_bytes = params.n, params.output_bytes
-    bills = []
-    for spec in specs:
-        bits = spec.weight_bits if packs and spec.is_projection else 8
-        cycles, input_bytes, weight_words, outputs = _instance(spec.m, spec.k, spec.p, bits, n)
-        count = spec.count
-        bills.append((count * cycles, count * input_bytes, count * weight_words, count * outputs * out_bytes))
-    return bills
-
-
-def _costs(specs: list[StageSpec], arch: Arch, params: CostParams) -> list[StageCost]:
-    power = params.power(arch)
-    return [
-        StageCost(spec.stage.label, arch, cycles, cycles * power, bytes_in, bytes_w, bytes_out)
-        for spec, (cycles, bytes_in, bytes_w, bytes_out) in zip(specs, _bills(specs, arch, params))
-    ]
+    dip = _instance(spec.m, spec.k, spec.p, 8, n)
+    if spec.is_projection:
+        return dip, _instance(spec.m, spec.k, spec.p, spec.weight_bits, n)
+    return dip, dip
 
 
 def stage_cost(spec: StageSpec, arch: Arch, params: CostParams) -> StageCost:
-    """Cycles, energy and traffic of one stage, billed as `evaluate` bills it."""
-    return _costs([spec], arch, params)[0]
+    """Cycles, energy and traffic of one stage on `arch`."""
+    power = params.power(arch)
+    dip, adip = _records(spec, params.n)
+    cycles, input_bytes, weight_words, outputs = adip if arch is _ADIP else dip
+    count = spec.count
+    cycles *= count
+    return StageCost(
+        spec.stage.label,
+        arch,
+        cycles,
+        cycles * power,
+        count * input_bytes,
+        count * weight_words,
+        count * outputs * params.output_bytes,
+    )
 
 
 def evaluate(cfg: MhaConfig, arch: Arch, params: CostParams) -> list[StageCost]:
-    return _costs(stages(cfg), arch, params)
+    return [stage_cost(spec, arch, params) for spec in stages(cfg)]
 
 
 def _pct_change(new: float, ref: float) -> float:
@@ -170,42 +171,55 @@ def _pct_change(new: float, ref: float) -> float:
 def summary(cfg: MhaConfig, params: CostParams) -> dict:
     """All totals plus the improvement percentages of ADiP relative to DiP.
 
-    Per architecture, the bills of `evaluate`'s billing path are added to
-    the totals, with no `StageCost` built. The sums start from 0 and run in
-    stage order so that every total equals the sum of `evaluate`'s costs
-    exactly: the energy is a float, and a float sum taken in another order
-    can differ in its last bit.
+    One walk over the stages reads each stage's two records and adds them,
+    `count` times, into both architectures' totals, with no `StageCost`
+    built. The sums start from 0 and run in stage order so that every total
+    equals the sum of `evaluate`'s costs exactly: the energy is a float, and
+    a float sum taken in another order can differ in its last bit.
     """
-    specs = stages(cfg)
-    totals = {}
-    projection = []
-    for arch in _ARCHS:
-        power = params.power(arch)
-        cycles = energy = mem_bytes = projection_cycles = 0
-        for spec, (stage_cycles, bytes_in, bytes_w, bytes_out) in zip(specs, _bills(specs, arch, params)):
-            cycles += stage_cycles
-            energy += stage_cycles * power
-            mem_bytes += bytes_in + bytes_w + bytes_out
-            if spec.is_projection:
-                projection_cycles += stage_cycles
-        totals[arch.label] = {
-            "cycles": cycles,
-            "seconds": cycles / CLOCK_HZ,
-            "energy_rel": energy,
-            "mem_bytes": mem_bytes,
-        }
-        projection.append(projection_cycles)
-    dip, adip = totals[Arch.DIP.label], totals[Arch.ADIP.label]
-    dip_projection, adip_projection = projection  # in `_ARCHS` order
+    n, out_bytes = params.n, params.output_bytes
+    dip_power, adip_power = params.power(_DIP), params.power(_ADIP)
+    dip_cycles = dip_energy = dip_bytes = dip_projection = 0
+    adip_cycles = adip_energy = adip_bytes = adip_projection = 0
+    for spec in stages(cfg):
+        dip, adip = _records(spec, n)
+        count = spec.count
+        cycles, input_bytes, weight_words, outputs = dip
+        cycles *= count
+        dip_cycles += cycles
+        dip_energy += cycles * dip_power
+        dip_bytes += count * (input_bytes + weight_words + outputs * out_bytes)
+        if spec.is_projection:
+            dip_projection += cycles
+        cycles, input_bytes, weight_words, outputs = adip
+        cycles *= count
+        adip_cycles += cycles
+        adip_energy += cycles * adip_power
+        adip_bytes += count * (input_bytes + weight_words + outputs * out_bytes)
+        if spec.is_projection:
+            adip_projection += cycles
     return {
         "model": cfg.name,
-        "array_size": params.n,
+        "array_size": n,
         "weight_bits": cfg.weight_bits,
-        "totals": totals,
+        "totals": {
+            _DIP.label: {
+                "cycles": dip_cycles,
+                "seconds": dip_cycles / CLOCK_HZ,
+                "energy_rel": dip_energy,
+                "mem_bytes": dip_bytes,
+            },
+            _ADIP.label: {
+                "cycles": adip_cycles,
+                "seconds": adip_cycles / CLOCK_HZ,
+                "energy_rel": adip_energy,
+                "mem_bytes": adip_bytes,
+            },
+        },
         "vs_dip": {
-            "latency_improvement_pct": _pct_change(adip["cycles"], dip["cycles"]),
-            "energy_improvement_pct": _pct_change(adip["energy_rel"], dip["energy_rel"]),
-            "memory_savings_pct": _pct_change(adip["mem_bytes"], dip["mem_bytes"]),
+            "latency_improvement_pct": _pct_change(adip_cycles, dip_cycles),
+            "energy_improvement_pct": _pct_change(adip_energy, dip_energy),
+            "memory_savings_pct": _pct_change(adip_bytes, dip_bytes),
             "projection_latency_improvement_pct": _pct_change(adip_projection, dip_projection),
         },
     }

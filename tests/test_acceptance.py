@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from reference import combine_groups, deinterleave, group_multiply, inverse_permute, mul2, split_subwords
 
-from adipsim.analytic import AnalyticParams, dmul_latency, peak_throughput, sweep, tile_latency
+from adipsim.analytic import AnalyticParams, dmul_latency, ops_per_cycle, peak_throughput, sweep, tile_latency
 from adipsim.array import ArraySim
 from adipsim.cost import Arch, CostParams, stage_latency, summary
 from adipsim.preprocess import Precision, prepare_weights
@@ -142,6 +142,41 @@ def test_c05_peak_throughput_headline():
         p = AnalyticParams.for_mode(64, bits)
         assert peak_throughput(p, 1e9) == tops
     _report(5, "peak throughput 8.192 / 16.384 / 32.768 TOPS at 64x64, 1 GHz")
+
+
+def _simulated_work(n, precision, rows, rng):
+    """Cycles and useful MACs of a `rows` x n input times r = 8/w matrices
+    of n x n, run through `run_tiled` as one pass and checked against the
+    oracle."""
+    lo, hi = _weight_range(precision.weight_bits)
+    weights = [rng.integers(lo, hi + 1, size=(n, n)) for _ in range(precision.r)]
+    job = MatMulJob(rng.integers(-128, 128, size=(rows, n)), weights, precision, n)
+    result = run_tiled(job)
+    for got, want in zip(result.outputs, oracle_matmul(job)):
+        assert np.array_equal(got, want)
+    assert result.pass_count == 1
+    return result.total_cycles, rows * n * n * precision.r
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_c05_throughput_figures_from_simulated_runs(n):
+    """An n x n input times r matrices of n x n is one pass of
+    `tile_latency` cycles for n^3 r MACs: `ops_per_cycle` and the M = 16
+    sweep row. n more input rows take n more cycles for n^3 r more MACs:
+    2 r n^2 ops a cycle, the peak of c05."""
+    rng = np.random.default_rng(n)
+    rows = {row.precision: row for row in sweep(size=n, mul_counts=(16,), clock_hz=1.0)}
+    for precision in Precision:
+        p = AnalyticParams.for_mode(n, precision.weight_bits)
+        cycles, macs = _simulated_work(n, precision, n, rng)
+        assert cycles == tile_latency(p)
+        rate = 2 * macs / cycles
+        assert rate == ops_per_cycle(p)
+        row = rows[f"8bx{precision.weight_bits}b"]
+        assert (row.latency_cycles, row.throughput_tops) == (cycles, rate / 1e12)
+        longer_cycles, longer_macs = _simulated_work(n, precision, 2 * n, rng)
+        assert (longer_cycles - cycles, longer_macs - macs) == (n, n**3 * precision.r)
+        assert 2 * (longer_macs - macs) / (longer_cycles - cycles) == peak_throughput(p, 1.0)
 
 
 def test_c06_throughput_gain_across_sizes():

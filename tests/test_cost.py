@@ -456,6 +456,28 @@ def test_each_billed_instance_is_planned_once(cfg):
     assert cost._instance.cache_info().misses == len(billed)
 
 
+def test_the_width_rule_has_one_home(monkeypatch):
+    """`_records` alone picks the billed widths: with it patched to bill
+    ADiP at 8 bits everywhere, `summary` and `evaluate` bill ADiP as DiP."""
+    params = CostParams(n=32)
+    before = summary(BITNET_158B, params)["totals"]
+    assert before["ADiP"]["cycles"] != before["DiP"]["cycles"]
+    records = cost._records
+    monkeypatch.setattr(cost, "_records", lambda spec, n: (records(spec, n)[0],) * 2)
+    cost._instance.cache_clear()
+    try:
+        totals = summary(BITNET_158B, params)["totals"]
+        for total in ("cycles", "mem_bytes"):
+            assert totals["ADiP"][total] == totals["DiP"][total]
+        billed = {
+            arch: [(c.cycles, c.bytes_in, c.bytes_w, c.bytes_out) for c in evaluate(BITNET_158B, arch, params)]
+            for arch in Arch
+        }
+        assert billed[Arch.ADIP] == billed[Arch.DIP]
+    finally:
+        cost._instance.cache_clear()
+
+
 def test_simulator_runs_match_the_pinned_digest():
     """Outputs, cycles, passes, overflow messages and trace bytes of the
     fingerprint's random `run_tiled` configs are unchanged."""
