@@ -185,19 +185,18 @@ def summary(cfg: MhaConfig, params: CostParams) -> dict:
         dip, adip = _records(spec, n)
         count = spec.count
         cycles, input_bytes, weight_words, outputs = dip
-        cycles *= count
-        dip_cycles += cycles
-        dip_energy += cycles * dip_power
+        dip_stage = cycles * count
+        dip_cycles += dip_stage
+        dip_energy += dip_stage * dip_power
         dip_bytes += count * (input_bytes + weight_words + outputs * out_bytes)
-        if spec.is_projection:
-            dip_projection += cycles
         cycles, input_bytes, weight_words, outputs = adip
-        cycles *= count
-        adip_cycles += cycles
-        adip_energy += cycles * adip_power
+        adip_stage = cycles * count
+        adip_cycles += adip_stage
+        adip_energy += adip_stage * adip_power
         adip_bytes += count * (input_bytes + weight_words + outputs * out_bytes)
         if spec.is_projection:
-            adip_projection += cycles
+            dip_projection += dip_stage
+            adip_projection += adip_stage
     return {
         "model": cfg.name,
         "array_size": n,

@@ -163,19 +163,24 @@ def test_c05_throughput_figures_from_simulated_runs(n):
     """An n x n input times r matrices of n x n is one pass of
     `tile_latency` cycles for n^3 r MACs: `ops_per_cycle` and the M = 16
     sweep row. n more input rows take n more cycles for n^3 r more MACs:
-    2 r n^2 ops a cycle, the peak of c05."""
+    2 r n^2 ops a cycle, the peak of c05. The simulated cycles are also
+    stated as numbers (one per row, n - 1 down the array, then W8's two
+    and W4's one shift-add stage), since `tile_latency` and the engine's
+    clock read one rule."""
     rng = np.random.default_rng(n)
     rows = {row.precision: row for row in sweep(size=n, mul_counts=(16,), clock_hz=1.0)}
     for precision in Precision:
         p = AnalyticParams.for_mode(n, precision.weight_bits)
+        reducer = {8: 2, 4: 1, 2: 0}[precision.weight_bits]
         cycles, macs = _simulated_work(n, precision, n, rng)
-        assert cycles == tile_latency(p)
+        assert cycles == 2 * n - 1 + reducer == tile_latency(p)
         rate = 2 * macs / cycles
         assert rate == ops_per_cycle(p)
         row = rows[f"8bx{precision.weight_bits}b"]
         assert (row.latency_cycles, row.throughput_tops) == (cycles, rate / 1e12)
         longer_cycles, longer_macs = _simulated_work(n, precision, 2 * n, rng)
-        assert (longer_cycles - cycles, longer_macs - macs) == (n, n**3 * precision.r)
+        assert longer_cycles == 3 * n - 1 + reducer
+        assert longer_macs - macs == n**3 * precision.r
         assert 2 * (longer_macs - macs) / (longer_cycles - cycles) == peak_throughput(p, 1.0)
 
 

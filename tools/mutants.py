@@ -1,31 +1,34 @@
 """Checked-in mutants: each one breaks the package on purpose, and a named
 test selection must then fail.
 
-    python3 tools/mutants.py            # every mutant, then a summary
-    python3 tools/mutants.py --list     # names, targets and selections
-    python3 tools/mutants.py NAME ...   # only the named mutants
+    python3 tools/mutants.py    # every mutant, then a summary
 
 A mutant replaces one function or constant of `adipsim` at run time,
 named as "module:attribute". It names an object, not a source line, so
-it survives edits that a text mutant would not; a target that no longer
-exists stops the run with exit 2, so a change that renames it must
-update the list here. The replacement is bound in every loaded `adipsim`
-module that holds the original under that name, so a module that
-imported the target (`from .array import stream_cycles`) runs the
-mutant too.
+it survives edits that a text mutant would not. A replacement forwards
+every argument to the original and changes only the argument or result
+it mutates, looked up by parameter name. A target that no longer exists,
+or no longer has a parameter its mutant changes, stops the run with exit
+2, so a change that renames it must update the list here. The
+replacement is bound in every loaded `adipsim` module that holds the
+original under that name, so a module that imported the target
+(`from .array import stream_cycles`) runs the mutant too.
 
 The runner first runs the union of all selections on the unmutated
 package, which must pass. It then applies each mutant in its own pytest
 subprocess, before any test module is imported. A mutant is killed when
-its selection fails (pytest exit 1). The runner exits 1 if any mutant
-survives and 2 if a target is missing or a selection does not run.
+its selection fails (pytest exit 1) and every failure is a failed
+assertion; a test that raised anything else (a TypeError from a call the
+mutant broke, say) makes the run an error. The runner exits 1 if any
+mutant survives and 2 on an error, a missing target, or a selection
+that does not run.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -46,31 +49,58 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids or paths that must fail
 
 
+def _arguments(original: Callable, *names: str) -> Callable:
+    """A function that binds one call's (args, kwargs) to the parameters of
+    `original`, defaults applied. LookupError now, when the mutant is made,
+    if one of `names` is no longer a parameter of `original`."""
+    signature = inspect.signature(original)
+    missing = [name for name in names if name not in signature.parameters]
+    if missing:
+        raise LookupError(f"mutant target {original.__qualname__} has no parameter {', '.join(missing)}")
+
+    def bind(args, kwargs) -> inspect.BoundArguments:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return bound
+
+    return bind
+
+
 def _bill_projections_at(column: int) -> Callable:
     """`cost._records` with both architectures billed from one column
     (0 = DiP's 8-bit record, 1 = ADiP's weight-width record)."""
 
     def mutate(records):
-        return lambda spec, n: (records(spec, n)[column],) * 2
+        return functools.wraps(records)(lambda *args, **kwargs: (records(*args, **kwargs)[column],) * 2)
 
     return mutate
 
 
 def _no_output_elements(instance):
-    return functools.lru_cache(maxsize=1024)(lambda *key: instance(*key)._replace(output_elements=0))
+    @functools.lru_cache(maxsize=1024)
+    @functools.wraps(instance)
+    def mutant(*args, **kwargs):
+        return instance(*args, **kwargs)._replace(output_elements=0)
+
+    return mutant
 
 
 def _one_reducer_stage_dropped(stream_cycles):
-    def mutant(n, rows, precision):
-        return stream_cycles(n, rows, precision) - min(1, precision.reducer_stages)
+    bind = _arguments(stream_cycles, "precision")
+
+    @functools.wraps(stream_cycles)
+    def mutant(*args, **kwargs):
+        precision = bind(args, kwargs).arguments["precision"]
+        return stream_cycles(*args, **kwargs) - min(1, precision.reducer_stages)
 
     return mutant
 
 
 def _top_slot_sign_flipped(slot_table):
     @functools.cache
-    def mutant(precision):
-        table = slot_table(precision).copy()
+    @functools.wraps(slot_table)
+    def mutant(*args, **kwargs):
+        table = slot_table(*args, **kwargs).copy()
         table[3] = -table[3]
         table.flags.writeable = False
         return table
@@ -78,15 +108,28 @@ def _top_slot_sign_flipped(slot_table):
     return mutant
 
 
+def _returns_at_once(check):
+    return functools.wraps(check)(lambda *args, **kwargs: None)
+
+
 def _next_field(decode_field):
-    return lambda words, precision, t: decode_field(words, precision, (t + 1) % precision.r)
+    bind = _arguments(decode_field, "precision", "t")
+
+    @functools.wraps(decode_field)
+    def mutant(*args, **kwargs):
+        bound = bind(args, kwargs)
+        bound.arguments["t"] = (bound.arguments["t"] + 1) % bound.arguments["precision"].r
+        return decode_field(*bound.args, **bound.kwargs)
+
+    return mutant
 
 
 def _bus_off_by_one(registers):
     """A register function whose bus 0 sum is one too high everywhere."""
 
-    def mutant(*args):
-        out = registers(*args)
+    @functools.wraps(registers)
+    def mutant(*args, **kwargs):
+        out = registers(*args, **kwargs)
         out[..., 1] += 1
         return out
 
@@ -94,11 +137,26 @@ def _bus_off_by_one(registers):
 
 
 def _no_unrotation(rotated):
-    return lambda tiles, step=1: rotated(tiles, step) if step > 0 else tiles
+    bind = _arguments(rotated, "tiles", "step")
+
+    @functools.wraps(rotated)
+    def mutant(*args, **kwargs):
+        bound = bind(args, kwargs)
+        return rotated(*args, **kwargs) if bound.arguments["step"] > 0 else bound.arguments["tiles"]
+
+    return mutant
 
 
 def _chunks_twice_as_long(exact_matmuls):
-    return lambda a, weight_rows, count, columns, bound: exact_matmuls(a, weight_rows, count, columns, max(bound // 2, 1))
+    bind = _arguments(exact_matmuls, "product_bound")
+
+    @functools.wraps(exact_matmuls)
+    def mutant(*args, **kwargs):
+        bound = bind(args, kwargs)
+        bound.arguments["product_bound"] = max(bound.arguments["product_bound"] // 2, 1)
+        return exact_matmuls(*bound.args, **bound.kwargs)
+
+    return mutant
 
 
 MUTANTS = (
@@ -130,10 +188,11 @@ MUTANTS = (
         "adipsim.array:stream_cycles",
         _one_reducer_stage_dropped,
         # c03 compares the engine's clock with `tile_latency`, which reads
-        # the same rule; only pinned latencies catch a change to the rule
+        # the same rule; only latencies stated as numbers catch a change
         (
             "tests/test_analytic.py::test_tile_latency",
             "tests/test_array.py::test_tile_latency_and_emission_schedule",
+            "tests/test_acceptance.py::test_c05_throughput_figures_from_simulated_runs",
         ),
     ),
     Mutant(
@@ -150,7 +209,7 @@ MUTANTS = (
     Mutant(
         "accumulator-check-returns-at-once",
         "adipsim.array:_check_accumulator",
-        lambda check: lambda grid, a: None,
+        _returns_at_once,
         ("tests/test_cost.py::test_overflow_edge_runs_match_the_pinned_digest",),
     ),
     Mutant(
@@ -217,7 +276,25 @@ def _pytest(tests, mutant_name="-"):
     return done.returncode, done.stdout + done.stderr
 
 
+class _Errors:
+    """A pytest plugin that records each test that raised anything but a
+    failed assertion (`assert`, numpy's asserts, `pytest.raises`)."""
+
+    def __init__(self, pytest) -> None:
+        self.expected = (AssertionError, pytest.fail.Exception, pytest.skip.Exception, pytest.xfail.Exception)
+        self.raised: list[str] = []
+
+    def pytest_runtest_makereport(self, item, call) -> None:
+        excinfo = call.excinfo
+        if excinfo is not None and not excinfo.errisinstance(self.expected):
+            self.raised.append(f"{item.nodeid} ({call.when}): {excinfo.typename}: {excinfo.value}")
+
+
 def _child(mutant_name, tests) -> int:
+    """pytest's exit status over `tests` with the named mutant applied, or
+    2 if a target is gone or a test raised anything but a failed assertion:
+    a mutant that breaks a call (say, a parameter renamed since it was
+    written) must not read as killed."""
     import pytest
 
     if mutant_name != "-":
@@ -226,49 +303,43 @@ def _child(mutant_name, tests) -> int:
         except LookupError as exc:
             print(f"mutants: {exc}", file=sys.stderr)
             return 2
-    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", *tests])
+    errors = _Errors(pytest)
+    status = pytest.main(["-q", "-x", "-p", "no:cacheprovider", *tests], plugins=[errors])
+    if errors.raised:
+        print("mutants: not an assertion failure:", *errors.raised, sep="\n  ", file=sys.stderr)
+        return 2
+    return status
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--child"]:
-        sys.path.insert(0, str(SRC))
-        return _child(argv[1], argv[2:])
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}\n  {m.target}\n  " + "\n  ".join(m.tests))
-        return 0
-
     sys.path.insert(0, str(SRC))
+    if argv[:1] == ["--child"]:
+        return _child(argv[1], argv[2:])
+    if argv:
+        print("usage: python3 tools/mutants.py", file=sys.stderr)
+        return 2
     try:
-        for m in chosen:
-            _resolve(m.target)
+        for m in MUTANTS:
+            m.mutate(_resolve(m.target))
     except LookupError as exc:
         print(f"mutants: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    status, output = _pytest(sorted({t for m in chosen for t in m.tests}))
+    status, output = _pytest(sorted({t for m in MUTANTS for t in m.tests}))
     if status != 0:
         print(output, f"mutants: the selections fail on the unmutated package (pytest exit {status})", file=sys.stderr)
         return 2
     worst = 0
-    for m in chosen:
+    for m in MUTANTS:
         status, output = _pytest(m.tests, m.name)
         if status == 1:
             print(f"killed    {m.name}")
             continue
         print(output, file=sys.stderr)
-        print(f"SURVIVED  {m.name}" if status == 0 else f"ERROR     {m.name} (pytest exit {status})")
+        print(f"SURVIVED  {m.name}" if status == 0 else f"ERROR     {m.name} (exit {status})")
         worst = max(worst, 1 if status == 0 else 2)
-    print(f"{len(chosen)} mutants in {time.perf_counter() - start:.1f} s")
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.1f} s")
     return worst
 
 
