@@ -9,20 +9,12 @@ The distributed multiply composes an 8-bit x weight_bits product from
 and a full n-row tile costs what the simulator's pass clock
 (`array.stream_cycles`) gives for n * dmul streamed rows: one cycle per
 row plus the fill of the n PE rows, the psum pipeline and the reducer.
-The parameters obey the simulator's rules: the size and multiplier count
-are positive integers (`check_size`) and the weight width is 2, 4 or 8
-(`Precision.from_bits`). The reducer depth is the structural depth of that
-precision (`Precision.reducer_stages`), as on the array. `sweep` checks
-its size and clock once and each multiplier count once, then reads its rows
-from the rules that `dmul_latency`, `parallel_factor`, `tile_latency`
-and `ops_per_cycle` call, with no `AnalyticParams` per row.
+The parameters obey the simulator's rules (`AnalyticParams`).
 
 Tile-effective throughput divides the operation count (two ops per MAC,
 times the parallel-matrix factor) by that latency; peak throughput is the
-steady-state rate with fill and drain amortized away. A clock frequency
-must be a positive finite real, and a rate that a clock or a large size
-makes too large for a float raises ValueError, as a bad parameter does.
-Sweep rows are immutable `SweepRow` named tuples.
+steady-state rate with fill and drain amortized away. Every rate is
+formed in `_rate`, and `sweep` tabulates the same rules.
 """
 
 from __future__ import annotations
@@ -87,7 +79,8 @@ def parallel_factor(p: AnalyticParams) -> int:
 
 
 def tile_latency(p: AnalyticParams) -> int:
-    """Cycles from first streamed row to the last collected output row."""
+    """Cycles from first streamed row to the last collected output row, an
+    exact int at any size."""
     return _tile_cycles(p.size, dmul_latency(p), Precision(p.weight_bits))
 
 
@@ -144,7 +137,12 @@ _SWEEP_PRECISIONS = tuple((p, p.weight_bits, f"{ACT_BITS}bx{p.weight_bits}b") fo
 def sweep(size: int = 64, mul_counts: Sequence[int] = (2, 4, 8, 16), clock_hz: float = 1e9) -> list[SweepRow]:
     """Latency/throughput table across multiplier counts and the three
     precisions, W8 first, of the built hardware; each row equals
-    `dmul_latency`, `tile_latency` and `throughput` of its parameters."""
+    `dmul_latency`, `tile_latency` and `throughput` of its parameters.
+
+    The size and clock are checked once, before any row, so a sweep over
+    no counts still rejects them, and each multiplier count once; the rows
+    then read the integer rules those functions call, with no
+    `AnalyticParams` per row."""
     size = check_size(size)
     clock_hz = _check_clock(clock_hz)
     rows = []

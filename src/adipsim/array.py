@@ -21,39 +21,12 @@ and on bus g sum_{q<=r} x_{s-r}[(c+q) mod n] * slot[g, q, c]; reducer
 stages 1 and 2 hold the folds of the bottom buses of rows s-n and s-n-1;
 and each row's outputs are the fold of its own bottom buses.
 
-One engine, `ArraySim.stream_grid`, runs every pass of a fused group on
-one instance, set up by the weight precision as the array's computation
-mode is; how many matrices share a stationary word comes with the grid.
-The grid's matrices need not be whole weight matrices: `run_tiled` packs
-runs of a job's columns into them, so that every pass fills the r
-weight fields of each word.
-A pass is one weight load, then a run of streamed rows, padded to whole
-row tiles; the load is hidden behind the pass before it, so a pass costs
-`stream_cycles` and no more, as in the paper's resident-weight latency.
-The int8 slots of every pass are looked up once from the grid's
-matrix-order words, in the precision's 256-word table (`decode_slots`),
-and the registers of a block of clocks, for a stack of passes at once,
-come from the formulas above, formed only for a trace: by one float32
-matmul for a block of at least n clocks (`_mapped_registers`), clock by
-clock for a shorter one (`_registers`).
-They are int32, as wide as the paper's psum buses, and need no check:
-`ArraySim` takes no n from `SIZE_LIMIT` up, where an int8 input could
-first take one past 32 bits. The reducer's fold is linear, so the outputs
-are exact matmuls of the int8 input with the weight fields of the
-matrix-order words (`_group_outputs`), each field cut from the words by
-one multiply and one arithmetic shift (`decode_field`; a W8 field is the
-word read as int8): per matrix, float32 over chunks of K small enough to
-stay exact, added in int64 into one int64 block per group.
-
-The one overflow the modelled hardware can reach is in the 32-bit
-accumulator that adds each pass's outputs over the reduction tiles:
-`_check_accumulator` checks every running sum before the first pass
-streams, only when K full-scale products could reach the limit. Traces
-are formatted without Python ints: every number is gathered as 8-byte
-ASCII words, one per four decimal digits, from one table (`_group_words`)
-into a fixed-width line buffer, and one `bytes.translate` drops the NUL
-padding. Register blocks, line buffers and accumulator-check blocks are
-bounded in bytes (`_TRACE_BYTES`), not in clocks.
+`ArraySim.stream_grid` runs a fused group from these formulas rather
+than clock by clock: `_run` forms a trace's registers a block of clocks
+at a time, and since the fold is linear the outputs are exact matmuls of
+the input with the weight fields (`_group_outputs`). The one overflow
+the modelled hardware can reach is in the 32-bit accumulator
+(`_check_accumulator`); below `SIZE_LIMIT` no register can leave 32 bits.
 """
 
 from __future__ import annotations
@@ -261,14 +234,9 @@ def _mapped_registers(slots: np.ndarray, block: np.ndarray) -> np.ndarray:
 def _group_outputs(grid: PackedGrid, a: np.ndarray) -> np.ndarray:
     """Each row of the M x K int8 input `a` times each of the grid's nw
     weight matrices, read from its matrix-order words (K rows of them):
-    one (nw, M, tp*n) int64 block, matrix t at [t].
-
-    No product of an 8-bit input and a w-bit weight passes
-    `Precision.product_bound`, 2^(6+w), so `exact_matmuls` runs float32
-    matmuls over chunks of 2^(18-w) rows of K and sums them in int64.
+    one (nw, M, tp*n) int64 block, matrix t at [t], from `exact_matmuls`.
     Matrix t's field is decoded on its own, per chunk, so only one
-    matrix's float32 weights are live at a time.
-    """
+    matrix's float32 weights are live at a time."""
     precision, words = grid.precision, grid.words[: a.shape[1]]
 
     def weight_rows(t: int, rows: slice) -> np.ndarray:
@@ -410,15 +378,15 @@ class ArraySim:
         the caller advances the clock past the run. Registers are formed in
         blocks of as many clocks as `_TRACE_BYTES` of registers hold, one at
         least (whole passes when they fit). A block of at least n clocks is
-        one matmul (`_mapped_registers`; at 64 KiB every block but a pass's
-        short tail up to n = 14), whose maps, 20 n^3 bytes a pass, are no
-        more than its registers; a shorter one, for which it would redo the
-        n - 1 rows before it each clock, the recurrence (`_registers`).
+        one matmul (`_mapped_registers`), whose maps, 20 n^3 bytes a pass,
+        are no more than its registers; a shorter one, for which a matmul
+        would redo the n - 1 rows before it each clock, the recurrence
+        (`_registers`).
 
         Every input is at most 128 in magnitude and every bus, a sum of at
         most n products of an input with a 2-bit slot, at most 128 * 3 * n:
-        below 10 000, which holds up to n = 26, each value is one four-digit
-        group of the trace, and no block is scanned for its widest value."""
+        below 10 000 each value is one four-digit group of the trace, and no
+        block is scanned for its widest value."""
         n, window = self.n, self.n - 1
         groups = 1 if 128 * 3 * n < _GROUP else None
         passes, sources = slots.shape[1], len(feed)

@@ -1,8 +1,7 @@
 """Command-line frontend: analytic sweeps, simulator runs, workload reports.
 
-Matrix files are plain text: a header line `rows cols width`, then the
-row-major signed decimal elements separated by whitespace. `simulate` and
-`interleave` read their matrices from files or generate them, never both.
+`build_parser` registers one subcommand per report; `main` runs it and
+turns a bad value or file into exit status 2 and an `adipsim:` message.
 """
 
 from __future__ import annotations
@@ -47,7 +46,9 @@ _DECIMAL_REAL = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+
 
 
 def read_matrix(path: str) -> tuple[np.ndarray, int]:
-    """Read `rows cols width` + row-major integers; returns (matrix, width)."""
+    """Read a matrix text file, a header line `rows cols width` and then the
+    row-major signed decimal elements, whitespace-separated; returns
+    (matrix, width)."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 3:

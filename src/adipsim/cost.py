@@ -1,32 +1,23 @@
 """Relative latency, energy and memory-traffic models for attention stages.
 
-Two architectures share one pass structure, `tiling.TiledPlan`: a pass
-pins one stationary weight tile and streams every input row tile through
-the array. One instance of a stage is billed from one cached record of
-its plan (`_instance`): the plan's cycles, input bytes, stationary words
-and output elements, each read once from `TiledPlan.from_shape`. One
-function, `_records`, holds the width rule: it returns a stage's DiP and
-ADiP records of one instance. `evaluate` (and through it `stage_cost`,
-`stage_latency` and the stage CSV) reads one architecture's record and
-builds a `StageCost` from it; `summary` walks the stages once and adds
-`count` times both records into both architectures' totals, with no
-`StageCost` built. Both bill what `tiling.run_tiled` runs: a stage bills
-the cycles and passes of its instances' simulated runs, each weight load
-hidden behind the previous pass as in the evaluated configuration.
+Both architectures bill `tiling.TiledPlan`, the pass structure that
+`tiling.run_tiled` runs: a pass pins one stationary weight tile and
+streams every input row tile through the array, its weight load hidden
+behind the previous pass as in the evaluated configuration, so no cycle
+or byte is this module's own. One instance of a stage is billed from one
+cached record of its plan (`_instance`), `_records` holds the width rule,
+and `evaluate` and `summary` read those records.
 
 * DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
 * ADiP -- adaptive precision: a projection runs at its weight precision,
-          packed as `TiledPlan` packs one matrix for `tiling.run_tiled`.
-          Instances have separate inputs and are never packed together.
-          Stages between two activation tensors cannot be packed and match
-          DiP exactly.
+          packed as `TiledPlan` packs one matrix. Stages between two
+          activation tensors cannot be packed and match DiP exactly.
 
 Energy is modeled relatively as cycles times a per-architecture power
 factor (DiP = 1.0); absolute joules are out of scope. Memory traffic
 counts 1-byte activation reads per streamed element and one stationary
-word per array cell per pass; output writes cost `output_bytes` per
-element: 0 (not counted, the default), 1 (requantized) or 4 (raw
-accumulator).
+word per array cell per pass; output writes cost `CostParams.output_bytes`
+per element.
 """
 
 from __future__ import annotations
@@ -131,9 +122,10 @@ def _records(spec: StageSpec, n: int) -> tuple[_Bill, _Bill]:
 
     DiP runs every stage 8-bit, one column tile per pass. ADiP runs a
     projection at its weight precision, packing the column tiles of one
-    instance into the r weight fields of a pass, and every other stage
-    8-bit. Each of a stage's `count` instances streams its own input, so
-    the stage costs `count` times its record.
+    instance into the r weight fields of a pass (tk * ceil(tp / r)
+    passes), and every other stage 8-bit. Each of a stage's `count`
+    instances streams its own input, so the stage costs `count` times its
+    record.
     """
     dip = _instance(spec.m, spec.k, spec.p, 8, n)
     if spec.is_projection:

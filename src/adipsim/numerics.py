@@ -2,14 +2,11 @@
 
 Operands are k-bit signed integers (k in {2, 4, 8}, `VALID_WIDTHS`);
 activations are `ACT_BITS` wide, multipliers `SUBWORD_BITS` wide and the
-accumulator `PSUM_BITS`. This module holds the range checks, the size
-and type checks every layer shares and the exact float32 block products
-the array's outputs use (`exact_matmuls`). Packed words are decoded by
-one rule, `preprocess.decode_field`, from which the 2-bit slot table is
-built too; the largest |input x weight| of a precision is
-`preprocess.Precision.product_bound`. The scalar radix-4 digit model of
-a wide product, a * b as the shift-add of 2-bit digit products, lives in
-`tests/reference.py`, which acceptance c02 checks exhaustively.
+accumulator `PSUM_BITS`. This module holds the range, size and type
+checks every layer shares and the exact float32 block products
+(`exact_matmuls`). The bit fields of a packed word and the largest
+product of a precision are in `preprocess` (`decode_field`,
+`Precision.product_bound`).
 """
 
 from __future__ import annotations

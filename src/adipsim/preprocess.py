@@ -12,20 +12,13 @@ Two steps, in order:
 
 Both steps are lossless for in-range weights.
 
-`prepare_weights` interleaves whole K x P matrices at once, in uint8, into
-a `PackedGrid`: one array of words in matrix order, zero-padded to whole
-tiles. The rotation is applied only where a tile's position matters, at the
-array and at the file: `PackedGrid.rotated_tiles` gives the tiles as the
-array loads them, `write_packed` stores them so, and `read_packed`
-un-rotates them once. One rule decodes a word, `decode_field`: field t
-is matrix t's signed weight. `unprepare_weights` and the array's group
-outputs read the matrix-order words through it; `decode_slots` looks a
-word's four 2-bit slots, the radix-4 digits of its fields, up in a
-256-word table that `decode_field` fills once per precision. The largest
-|input x weight| of a precision is `Precision.product_bound`. A grid
-carries the computation mode, its precision and matrix count nw, and is
-checked when it is built: a grid with no tiles, or with nw outside 1..r,
-cannot be built, so no reader of a grid checks it again.
+`prepare_weights` interleaves whole matrices into a `PackedGrid`, whose
+words stay in matrix order: the rotation is applied only where a tile's
+position matters, as the array loads a grid (`PackedGrid.rotated_tiles`)
+and in the packed file (`write_packed`, `read_packed`). One rule decodes
+a word, `decode_field`, and `decode_slots` reads its 2-bit slots from a
+table built by that rule. The per-tile reference of both steps is in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -126,8 +119,7 @@ def decode_field(words: np.ndarray, precision: Precision, t: int) -> np.ndarray:
     int8 array of their shape. A uint8 multiply, which wraps, moves the
     field to the top of the byte; read as int8, an arithmetic right shift
     brings it back down with its sign. W8's one field is the word itself.
-    Two array passes at any size: a gather from a 256-word table costs
-    several times more per word on a grid of thousands of words."""
+    `unprepare_weights` and the array's outputs read every field here."""
     bits = precision.weight_bits
     if bits == 8:
         return words.view(np.int8)
@@ -157,8 +149,8 @@ def _slot_table(precision: Precision) -> np.ndarray:
 def decode_slots(words, precision: Precision) -> np.ndarray:
     """The four 2-bit slots of the stationary words `words` (integers in
     0..255, a scalar or an array of any shape) under `precision`: an int8
-    array of shape (4, *words.shape), slot g at [g]. One lookup into the
-    precision's 256-word table, which `decode_field` fills once."""
+    array of shape (4, *words.shape), slot g at [g], looked up in
+    `_slot_table`."""
     return _slot_table(precision)[:, words]
 
 
@@ -168,7 +160,8 @@ class PackedGrid:
     K x P weight matrices of `precision`, interleaved and zero-padded to a
     tk x tp grid of n x n tiles, as one (tk*n, tp*n) uint8 array in matrix
     order. Word (i, c) holds weight (i, c) of every matrix; no tile is
-    rotated. A grid holds at least one tile, and nw is 1..r.
+    rotated. A grid holds at least one tile, and nw is 1..r, so no reader
+    of a grid checks it again.
 
     `len(grid)` is tk, and iterating a grid gives the rows of
     `rotated_tiles()`, each a (tp, n, n) array of tiles as the array loads
@@ -210,18 +203,11 @@ class PackedGrid:
 
 
 def prepare_weights(matrices: Sequence[np.ndarray], precision: Precision, n: int) -> PackedGrid:
-    """Pack the nw = len(matrices) K x P matrices, 1..r of them, for an
-    n x n array.
-
-    The matrices' fields are interleaved into words in matrix order,
-    zero-padded up to multiples of n; `PackedGrid.rotated_tiles` rotates
-    them into the tiles the array loads. K = 0 or P = 0 fills no tile and
-    raises ValueError. The matrices are range-checked and read as int8
-    (see `numerics.to_int8`): an int8 matrix is packed as it is, scanned
-    only when the precision is narrower than 8 bits. `run_tiled` packs a
-    job's weights, which `tiling.MatMulJob` checked when it was built,
-    through the same core with no scan (`tiling.prepare_weights`).
-    """
+    """The `PackedGrid` of the nw = len(matrices) K x P matrices, 1..r of
+    them, for an n x n array. K = 0 or P = 0 fills no tile and raises
+    ValueError. The matrices are range-checked and read as int8 (see
+    `numerics.to_int8`): an int8 matrix is packed as it is, scanned only
+    when the precision is narrower than 8 bits."""
     n = check_size(n, "tile size")
     check_mode(precision, len(matrices))  # before packing: field r would shift out of the uint8 word
     mats = [np.asarray(m) for m in matrices]

@@ -2,39 +2,15 @@
 
 Tile loops run j (output columns), then k (reduction), then i (output
 rows): each (j, k) pass loads one stationary weight tile and streams every
-input row tile back to back. The load is hidden behind the pass before
-it, so one pass costs `stream_cycles` for its tm * n streamed rows.
-Partial results accumulate in a model-level output buffer across the k
-loop and are written once.
+input row tile back to back. Partial results accumulate in a model-level
+output buffer across the k loop and are written once.
 
-A pass fills all r = 8 / weight_bits weight fields of every stationary
-word. The job's nw matrices stand side by side, P columns each with no
-padding between them, and that row of nw * P columns is cut into runs of
-W = per * n columns, `per` = ceil(nw * P / (r * n)): at most r "virtual
-matrices", the last padded with zero columns. Column c of matrix t is
-column (t * P + c) mod W of virtual matrix floor((t * P + c) / W). A job is
-one fused group of them, so it takes tk * per passes and streams its
-shared input once per pass. Each pass offers r * n output-column slots per
-reduction tile, so no packing takes fewer than tk * ceil(nw * P / (r * n))
-passes: every job meets that bound, never more than the
-tk * ceil(nw * tp / r) of packing whole column tiles. When
-nw = 1 and one virtual matrix holds it, or when W == P, virtual matrix t
-is matrix t.
-
-The group's passes all stream the same input, so `run_tiled` hands the
-group to `ArraySim.stream_grid`, traced or not, on one `ArraySim` per job,
-set up by the job's precision. It checks the 32-bit accumulator's running
-sums over the reduction tiles first, forms registers only for a trace,
-and returns the virtual matrices' outputs as one int64 block, from exact
-float32 matmuls over chunks of K summed in int64; a matrix's output is a
-slice of it, or one M x P copy when the matrix spans virtual matrices.
-
-Operands stay int8 from `MatMulJob` to the matmul. A job checks each
-once, when it is built, and holds them read-only, so nothing after it
-scans a value: `plan` skips `TiledPlan.from_shape`'s checks, this
-module's `prepare_weights` packs the weights through the pack core of
-`preprocess.prepare_weights` without its range check, and
-`stream_grid`'s input check reads the int8 dtype.
+A job's matrices are packed column by column into the r weight fields of
+every word (`TiledPlan`), so a job is one fused group, which `run_tiled`
+runs on one `ArraySim`. Operands stay int8 from `MatMulJob` to the
+matmul: a job checks them once, when it is built, and nothing after it
+scans a value again (`plan`, `prepare_weights`). `oracle_matmul` gives
+the golden results with no tiling.
 """
 
 from __future__ import annotations
@@ -65,12 +41,12 @@ class MatMulJob:
 
     Each operand is range-checked once, here, and then kept at its own
     width: `a` and every matrix of the tuple `weights` are read-only int8
-    arrays that the job owns (an int8 operand is copied), and no field can
-    be assigned, so the check holds for the job's lifetime and no later
-    step repeats it. Integral floats are accepted; a non-integral,
-    non-finite or out-of-range element, a complex or string operand, a
-    `precision` that is not a `Precision` and an `n` that is not a
-    positive integer raise ValueError. Only the outputs of a run are int64.
+    arrays that the job owns (`_owned`), and no field can be assigned, so
+    the check holds for the job's lifetime and no later step repeats it.
+    Integral floats are accepted; a non-integral, non-finite or
+    out-of-range element, a complex or string operand, a `precision` that
+    is not a `Precision` and an `n` that is not a positive integer raise
+    ValueError. Only the outputs of a run are int64.
     """
 
     a: np.ndarray
@@ -106,15 +82,18 @@ class TiledPlan:
     """Static pass structure of a job of `count` K x P matrices of
     `precision` on an n x n array, with its slot map: the job's columns,
     matrix by matrix, cut into `virtual` runs of W = per * n columns, one
-    run per weight field of a stationary word. Column c of matrix t is
-    column g = t * P + c of that row, so column g % W of virtual matrix
-    g // W. `per` = ceil(count * P / (r * n)) is the fewest column tiles a
-    pass can take: r * n output-column slots per pass hold count * P
-    columns no tighter.
+    run per weight field of a stationary word, the last padded with zero
+    columns. Column c of matrix t is column g = t * P + c of that row, so
+    column g % W of virtual matrix g // W. `per` = ceil(count * P / (r * n))
+    is the fewest column tiles a pass can take: r * n output-column slots
+    per pass hold count * P columns no tighter. A job's tk * per passes are
+    never more than the tk * ceil(count * tp / r) of packing whole column
+    tiles, or the tk * tp * ceil(count / r) of fusing whole matrices r at a
+    time.
 
     Each pass loads one n x n tile of stationary words and streams the
-    tm * n input rows of its reduction tile, zero padding included; `cycles`
-    is the clock of the run and the other figures count its traffic."""
+    tm * n input rows of its reduction tile, zero padding included; the
+    properties count the run's clock and traffic."""
 
     tm: int
     tk: int
@@ -146,8 +125,8 @@ class TiledPlan:
 
     @property
     def cycles(self) -> int:
-        """The clock of the run: each pass costs `stream_cycles` for its
-        tm * n rows, its weight load hidden behind the pass before it."""
+        """The clock of the run: `stream_cycles` a pass, each weight load
+        hidden behind the pass before it."""
         return self.pass_count * stream_cycles(self.n, self.tm * self.n, self.precision)
 
     @classmethod
@@ -189,10 +168,9 @@ def oracle_matmul(job: MatMulJob) -> list[np.ndarray]:
     width, with no scan: B is the precision's `product_bound`, at most
     2^14. Operands of any other dtype, which only a job-shaped object can
     hold, are scanned for their largest magnitude.
-    A B of at most 2^24 runs in float32 (where numpy uses BLAS) over
-    chunks of 2^24 // B rows of K, each exact, summed in int64 (see
-    `numerics.exact_matmuls`); a larger B runs in int64. Both are exact
-    while B * K < 2^63; a job whose values reach that raises ValueError.
+    A B of at most 2^24 runs through `numerics.exact_matmuls` (float32,
+    where numpy uses BLAS); a larger B runs in int64. Both are exact while
+    B * K < 2^63; a job whose values reach that raises ValueError.
     """
 
     def magnitude(x: np.ndarray) -> int:
@@ -251,7 +229,9 @@ def run_tiled(job: MatMulJob, trace=None) -> TiledResult:
     plan's `cycles`, and `pass_count` counts weight-tile loads. The job's
     virtual matrices (see `TiledPlan`) run as one fused group on one
     `ArraySim`, whose clock gives the cycles and which writes its per-PE
-    trace to the `trace` sink when one is given.
+    trace to the `trace` sink when one is given. Each matrix's outputs are
+    a slice of the group's int64 block, or one M x P copy when the matrix
+    spans virtual matrices.
     """
     m_dim, _, p_dim = job.shape
     the_plan = plan(job)

@@ -5,10 +5,9 @@ import time
 
 import numpy as np
 import pytest
-from reference import combine_groups, deinterleave, group_multiply, inverse_permute, mul2, split_subwords
+from reference import SteppedArray, combine_groups, deinterleave, group_multiply, inverse_permute, mul2, split_subwords
 
 from adipsim.analytic import AnalyticParams, dmul_latency, ops_per_cycle, peak_throughput, sweep, tile_latency
-from adipsim.array import ArraySim
 from adipsim.cost import Arch, CostParams, stage_latency, summary
 from adipsim.preprocess import Precision, prepare_weights
 from adipsim.tiling import MatMulJob, oracle_matmul, run_tiled
@@ -77,7 +76,7 @@ def test_c01_oracle_equivalence_property():
     elapsed = time.monotonic() - started
     assert checked >= 1000
     assert elapsed < 120.0, f"oracle sweep took {elapsed:.1f}s, budget is 120s"
-    _report(1, f"{checked} random jobs bit-exact vs brute-force oracle in {elapsed:.1f}s")
+    _report(1, f"{checked} random jobs bit-exact vs oracle_matmul (exact float32 chunks, int64 sums) in {elapsed:.1f}s")
 
 
 def test_c02_divide_and_conquer_identity_exhaustive():
@@ -109,22 +108,32 @@ def test_c02_divide_and_conquer_identity_exhaustive():
 
 
 def test_c03_cycle_fidelity_across_sizes():
-    """Measured single-tile latency equals the closed-form model exactly for
-    n in {4..64}, one mac stage, precision-dependent reducer depth."""
+    """The pass clock, measured on a free-running stepped array, equals the
+    closed-form tile latency for n in {4..64} and every precision, and the
+    2n - 1 + reducer stages stated here: one tile of r random matrices, n
+    random rows stepped in on consecutive clocks and zero rows after them,
+    until every tap holds the last row's products."""
+    reducer_stages = {Precision.W8: 2, Precision.W4: 1, Precision.W2: 0}
     rng = np.random.default_rng(7)
     for n in (4, 8, 16, 32, 64):
         for precision in Precision:
             lo, hi = _weight_range(precision.weight_bits)
-            grid = prepare_weights([rng.integers(lo, hi + 1, (n, n))], precision, n)
-            sim = ArraySim(n, precision)
-            sim.load_weights(grid)
-            start = sim.cycle
-            sim.stream(rng.integers(-128, 128, (n, n)))
-            measured = sim.cycle - start
+            matrices = [rng.integers(lo, hi + 1, (n, n)) for _ in range(precision.r)]
+            rows = rng.integers(-128, 128, (n, n))
+            last = [rows[-1] @ w for w in matrices]
+            stepper = SteppedArray(n, precision, precision.r)
+            stepper.load_weights(prepare_weights(matrices, precision, n).rotated_tiles()[0, 0])
+            measured = None
+            for clock in range(1, 3 * n):
+                taps = stepper.step(rows[clock - 1] if clock <= n else np.zeros(n, dtype=np.int64))
+                if all(np.array_equal(tap, want) for tap, want in zip(taps, last)):
+                    measured = clock
+                    break
             params = AnalyticParams.for_mode(n, precision.weight_bits)
             assert dmul_latency(params) == 1
-            assert measured == tile_latency(params), (n, precision)
-    _report(3, "tile latency matches n*dmul + n + S + E - 2 for all sizes and modes")
+            assert measured == tile_latency(params), (n, precision, measured)
+            assert measured == 2 * n - 1 + reducer_stages[precision], (n, precision, measured)
+    _report(3, "stepped pass clock equals tile_latency = 2n - 1 + reducer stages for n = 4..64, all modes")
 
 
 def test_c04_dmul_latency_sweep_table():
