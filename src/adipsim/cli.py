@@ -222,9 +222,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
         shares = workload.breakdown(cfg)
         for spec in workload.stages(cfg):
             kind = "proj" if spec.is_projection else "act-act"
-            dims = f"{spec.m}x{spec.k}x{spec.p} x{spec.count}"
+            dims = f"{spec.m}x{spec.k}x{spec.p} x{spec.count} nw={spec.nw}"  # nw matrices share each input
             print(
-                f"  {spec.stage.label:<8} {kind:<7} {dims:<22}"
+                f"  {spec.stage.label:<8} {kind:<7} {dims:<24}"
                 f" {spec.ops / 1e9:10.2f} GOP  {100 * shares[spec.stage]:5.1f}%"
             )
 

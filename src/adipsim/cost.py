@@ -4,14 +4,17 @@ Both architectures bill `tiling.TiledPlan`, the pass structure that
 `tiling.run_tiled` runs: a pass pins one stationary weight tile and
 streams every input row tile through the array, its weight load hidden
 behind the previous pass as in the evaluated configuration, so no cycle
-or byte is this module's own. One instance of a stage is billed from one
-cached record of its plan (`_instance`), `_records` holds the width rule,
-and `evaluate` and `summary` read those records.
+or byte is this module's own. One instance of a stage, its input times
+the stage's nw matrices as one job, is billed from one cached record of
+its plan (`_instance`), `_records` holds the width rule, and `evaluate`
+and `summary` read those records.
 
-* DiP  -- diagonal-input baseline, 8-bit only: one weight matrix per pass.
+* DiP  -- diagonal-input baseline, 8-bit only: one weight column tile per
+          pass, the nw matrices laid side by side.
 * ADiP -- adaptive precision: a projection runs at its weight precision,
-          packed as `TiledPlan` packs one matrix. Stages between two
-          activation tensors cannot be packed and match DiP exactly.
+          its nw matrices packed together into the r weight fields of a
+          word as `TiledPlan` packs them. Stages between two activation
+          tensors cannot be packed and match DiP exactly.
 
 Energy is modeled relatively as cycles times a per-architecture power
 factor (DiP = 1.0); absolute joules are out of scope. Memory traffic
@@ -110,26 +113,27 @@ class _Bill(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _instance(m: int, k: int, p: int, weight_bits: int, n: int) -> _Bill:
-    """The billing record of one instance of a stage; a report asks for few
-    distinct ones, so each plan is built and read once."""
-    plan = TiledPlan.from_shape(m, k, p, 1, Precision.from_bits(weight_bits), n)
+def _instance(m: int, k: int, p: int, nw: int, weight_bits: int, n: int) -> _Bill:
+    """The billing record of one instance of a stage, an M x K input times
+    nw K x P matrices; a report asks for few distinct ones, so each plan is
+    built and read once."""
+    plan = TiledPlan.from_shape(m, k, p, nw, Precision.from_bits(weight_bits), n)
     return _Bill(plan.cycles, plan.input_bytes, plan.weight_words, plan.output_elements)
 
 
 def _records(spec: StageSpec, n: int) -> tuple[_Bill, _Bill]:
     """The DiP and ADiP records of one instance of `spec` on an n x n array.
 
-    DiP runs every stage 8-bit, one column tile per pass. ADiP runs a
-    projection at its weight precision, packing the column tiles of one
-    instance into the r weight fields of a pass (tk * ceil(tp / r)
-    passes), and every other stage 8-bit. Each of a stage's `count`
-    instances streams its own input, so the stage costs `count` times its
-    record.
+    An instance is one job, its input streamed once per pass for all nw
+    matrices that share it, planned by `TiledPlan`. DiP runs every stage
+    8-bit. ADiP runs a projection at its weight precision, the columns of
+    all nw matrices packed into the r weight fields of each pass, and
+    every other stage 8-bit. Each of a stage's `count` instances streams
+    its own input, so the stage costs `count` times its record.
     """
-    dip = _instance(spec.m, spec.k, spec.p, 8, n)
+    dip = _instance(spec.m, spec.k, spec.p, spec.nw, 8, n)
     if spec.is_projection:
-        return dip, _instance(spec.m, spec.k, spec.p, spec.weight_bits, n)
+        return dip, _instance(spec.m, spec.k, spec.p, spec.nw, spec.weight_bits, n)
     return dip, dip
 
 

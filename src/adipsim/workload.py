@@ -1,13 +1,15 @@
 """Multi-head-attention matmul workloads and their operation counts.
 
-Each layer contributes six matmul stages. Query/key/value projections are
-counted as fused d_model x d_model products (all heads at once), score and
-attention-output products per head, and the output projection once:
+Each layer contributes four matmul stages. The query, key and value
+projections are one stage whose three d_model x d_model weight matrices
+share one input (all heads at once), the paper's multi-matrix mode; score
+and attention-output products run per head, and the output projection
+once:
 
-    QProj/KProj/VProj: (s x d_model) . (d_model x d_model)   per layer
-    Scores:            (s x d_k)     . (d_k x s)             per layer, per head
-    Attn:              (s x s)       . (s x d_k)             per layer, per head
-    OutProj:           (s x d_model) . (d_model x d_model)   per layer
+    QKVProj: (s x d_model) . 3 x (d_model x d_model)   per layer
+    Scores:  (s x d_k)     . (d_k x s)                 per layer, per head
+    Attn:    (s x s)       . (s x d_k)                 per layer, per head
+    OutProj: (s x d_model) . (d_model x d_model)       per layer
 
 Projections multiply activations by weights and inherit the model's weight
 precision; score/attention products are activation-activation and always
@@ -28,9 +30,7 @@ from .numerics import ACT_BITS, VALID_WIDTHS, check_size, check_type
 
 
 class Stage(Enum):
-    Q_PROJ = "QProj"
-    K_PROJ = "KProj"
-    V_PROJ = "VProj"
+    Q_PROJ = "QKVProj"  # the query, key and value projections: one input, three matrices
     SCORES = "Scores"
     ATTN = "Attn"
     OUT_PROJ = "OutProj"
@@ -39,7 +39,7 @@ class Stage(Enum):
         self.label = label  # a plain attribute: an Enum property reads the slower `value` descriptor
 
 
-PROJECTION_STAGES = (Stage.Q_PROJ, Stage.K_PROJ, Stage.V_PROJ, Stage.OUT_PROJ)
+PROJECTION_STAGES = (Stage.Q_PROJ, Stage.OUT_PROJ)
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,11 @@ class MhaConfig:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One matmul stage: an M x K input times a K x P matrix, run `count`
-    times, each instance with its own input (layers, or layers x heads),
-    and the width of the matrix's elements; the input is 8-bit. `count` is
-    a positive integer, m, k and p are non-negative integers and
+    """One matmul stage: an M x K input times `nw` K x P matrices that share
+    it, run `count` times, each instance with its own input (layers, or
+    layers x heads), and the width of the matrices' elements; the input is
+    8-bit. `ops` counts all count x nw products. `count` and `nw` are
+    positive integers, m, k and p are non-negative integers and
     `weight_bits` is 2, 4 or 8; anything else raises ValueError."""
 
     stage: Stage
@@ -76,11 +77,13 @@ class StageSpec:
     p: int
     count: int
     weight_bits: int
+    nw: int = 1
 
     def __post_init__(self) -> None:
-        check_size(self.count, "count")
-        for name in ("m", "k", "p"):
-            check_size(getattr(self, name), name, least=0)
+        # held as Python ints: a numpy one would make `ops` and every
+        # billed total fixed-width
+        for name, least in (("m", 0), ("k", 0), ("p", 0), ("count", 1), ("nw", 1)):
+            object.__setattr__(self, name, check_size(getattr(self, name), name, least=least))
         if check_size(self.weight_bits, "weight_bits") not in VALID_WIDTHS:
             raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
         # a plain attribute, not a field: read per stage on every cost report
@@ -88,7 +91,7 @@ class StageSpec:
 
     @property
     def ops(self) -> int:
-        return 2 * self.m * self.k * self.p * self.count
+        return 2 * self.m * self.k * self.p * self.count * self.nw
 
 
 GPT2_MEDIUM = MhaConfig("gpt2-medium", layers=24, d_model=1024, heads=16, d_k=64, seq_len=1024, weight_bits=8)
@@ -118,8 +121,12 @@ def get_model(name: str) -> MhaConfig:
 
 
 def stages(cfg: MhaConfig) -> list[StageSpec]:
-    """The six stages of `cfg`, in order. The frozen specs of a geometry
-    are built and validated once (`_stages`); each call gets a new list."""
+    """The four stages of `cfg`, in order: QKVProj, Scores, Attn and
+    OutProj. `nw` is 3 for QKVProj, whose query, key and value matrices
+    share each input, and 1 for the others; `count` is the number of
+    separate inputs, `layers` for a projection and `layers * heads` for a
+    per-head stage. The frozen specs of a geometry are built and
+    validated once (`_stages`); each call gets a new list."""
     return list(_stages(cfg))
 
 
@@ -129,9 +136,7 @@ def _stages(cfg: MhaConfig) -> tuple[StageSpec, ...]:
     per_head = cfg.layers * cfg.heads
     proj = dict(m=s, k=d, p=d, count=cfg.layers, weight_bits=cfg.weight_bits)
     return (
-        StageSpec(Stage.Q_PROJ, **proj),
-        StageSpec(Stage.K_PROJ, **proj),
-        StageSpec(Stage.V_PROJ, **proj),
+        StageSpec(Stage.Q_PROJ, **proj, nw=3),
         StageSpec(Stage.SCORES, m=s, k=cfg.d_k, p=s, count=per_head, weight_bits=ACT_BITS),
         StageSpec(Stage.ATTN, m=s, k=s, p=cfg.d_k, count=per_head, weight_bits=ACT_BITS),
         StageSpec(Stage.OUT_PROJ, **proj),

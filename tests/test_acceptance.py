@@ -1,11 +1,13 @@
 """Acceptance suite: one test per release criterion, each at its stated
 tolerance, printing one PASS line per criterion (run with -s to see them)."""
 
+import io
 import time
 
 import numpy as np
 import pytest
 from reference import SteppedArray, combine_groups, deinterleave, group_multiply, inverse_permute, mul2, split_subwords
+from test_closed_form import stepped_run_tiled
 
 from adipsim.analytic import AnalyticParams, dmul_latency, ops_per_cycle, peak_throughput, sweep, tile_latency
 from adipsim.cost import Arch, CostParams, stage_latency, summary
@@ -112,9 +114,14 @@ def test_c03_cycle_fidelity_across_sizes():
     closed-form tile latency for n in {4..64} and every precision, and the
     2n - 1 + reducer stages stated here: one tile of r random matrices, n
     random rows stepped in on consecutive clocks and zero rows after them,
-    until every tap holds the last row's products."""
+    until every tap holds the last row's products. And one traced
+    `run_tiled` job per (n, precision) for n in {4..32}, plus n = 64 at W2
+    (n + 1 rows times r n x n matrices: two row tiles, one packed pass),
+    writes the trace bytes and returns the outputs and clock of the same
+    job stepped clock by clock (`stepped_run_tiled`)."""
     reducer_stages = {Precision.W8: 2, Precision.W4: 1, Precision.W2: 0}
     rng = np.random.default_rng(7)
+    job_rng = np.random.default_rng(8)
     for n in (4, 8, 16, 32, 64):
         for precision in Precision:
             lo, hi = _weight_range(precision.weight_bits)
@@ -133,7 +140,26 @@ def test_c03_cycle_fidelity_across_sizes():
             assert dmul_latency(params) == 1
             assert measured == tile_latency(params), (n, precision, measured)
             assert measured == 2 * n - 1 + reducer_stages[precision], (n, precision, measured)
-    _report(3, "stepped pass clock equals tile_latency = 2n - 1 + reducer stages for n = 4..64, all modes")
+            if n == 64 and precision is not Precision.W2:
+                continue
+            job = MatMulJob(
+                a=job_rng.integers(-128, 128, (n + 1, n)),
+                weights=[job_rng.integers(lo, hi + 1, (n, n)) for _ in range(precision.r)],
+                precision=precision,
+                n=n,
+            )
+            sinks = io.StringIO(), io.StringIO()
+            result = run_tiled(job, trace=sinks[0])
+            outputs, cycles = stepped_run_tiled(job, trace=sinks[1])
+            same_trace = sinks[0].getvalue() == sinks[1].getvalue()  # no diff of megabytes of text
+            assert same_trace, (n, precision)
+            assert all(np.array_equal(got, want) for got, want in zip(result.outputs, outputs, strict=True))
+            assert result.total_cycles == cycles, (n, precision, result.total_cycles, cycles)
+    _report(
+        3,
+        "stepped pass clock equals tile_latency = 2n - 1 + reducer stages for n = 4..64, all modes; "
+        "traced run_tiled jobs equal the stepper's traces, outputs and clocks for n = 4..32, all modes, and n = 64 at W2",
+    )
 
 
 def test_c04_dmul_latency_sweep_table():

@@ -344,7 +344,7 @@ def test_workload_csv_and_json_artifacts(capsys, tmp_path):
     assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "stage,arch,cycles,energy_rel,bytes_in,bytes_w,bytes_out"
-    assert len(lines) == 1 + 2 * 6  # two architectures x six stages
+    assert len(lines) == 1 + 2 * 4  # two architectures x four stages
 
     json_path = tmp_path / "summary.json"
     code, _, _ = run_cli(

@@ -40,15 +40,16 @@ from adipsim.workload import (
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
 # `tools/fingerprint.py`'s digest of its cost reports and sweep rows: 57
-# documents, the reports under three `CostParams` variants. Taken from the
-# code that still had an `overlap_weights` field, over the variants that
-# remain when it went: no remaining report moved.
-COST_REPORTS_SHA256 = "1334044cc37ca0aa3b9fd2302a61b2d1fc48b59bab00dabbd49840be24bdac06"
+# documents, the reports under three `CostParams` variants. Re-taken when
+# Q, K and V became one stage of three matrices: every integer field and
+# every latency and memory percentage stayed; BitNet's ADiP `energy_rel`
+# (1 ulp) and `energy_improvement_pct` (3 ulps) moved at n = 4 and 32, one
+# product 3x * power in place of three summed x * power.
+COST_REPORTS_SHA256 = "ba37999d3ad03c99bc065f5a4fbaf6c2d6fe71bee472abaf27b95c87dcd21033"
 # Its digest of the stage CSVs of `evaluate` for both architectures, the
-# built-in models, n = 4..64 and the same three variants: 90 tables. Taken
-# from the code whose `_instance` cache held the plan itself, before it
-# held the plan's billing record.
-STAGE_SHA256 = "3bd162977388d74e6aeefb567d47db0794bafc646ab2c2e768270848129e37f7"
+# built-in models, n = 4..64 and the same three variants: 90 tables of
+# four stages a layer, taken when QKVProj replaced QProj, KProj and VProj.
+STAGE_SHA256 = "4d97b92ee7c57488e8e8aa738e544705ac1ee8f9bc5a4833f9770add5affb016"
 # Its digest of 100 random `run_tiled` configs from seed 0, each run untraced
 # and traced at three accumulator limits: 600 runs, 34 of them overflowing,
 # every one at the precision's pipeline depth with its weight loads hidden.
@@ -196,7 +197,7 @@ def test_output_writes_flag():
 def test_costs_additive_and_non_negative(params):
     for cfg in (GPT2_MEDIUM, BERT_LARGE, BITNET_158B):
         costs = evaluate(cfg, Arch.ADIP, params)
-        assert len(costs) == 6
+        assert len(costs) == 4
         assert all(c.cycles > 0 and c.energy_rel > 0 for c in costs)
         assert sum(c.cycles for c in costs) == _total(cfg, Arch.ADIP, params, "cycles")
         assert sum(c.mem_bytes for c in costs) == _total(cfg, Arch.ADIP, params, "mem_bytes")
@@ -232,8 +233,8 @@ def test_stage_csv_schema(params):
     write_stage_csv(evaluate(BERT_LARGE, Arch.ADIP, params), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == ",".join(STAGE_CSV_COLUMNS)
-    assert len(lines) == 1 + 6
-    assert lines[1].startswith("QProj,ADiP,")
+    assert len(lines) == 1 + 4
+    assert lines[1].startswith("QKVProj,ADiP,")
 
 
 def test_cost_params_are_frozen():
@@ -300,30 +301,31 @@ def test_stage_cost_matches_simulator(arch, precision, n, fills):
 
 
 def _instance(spec, precision, n, params, rng):
-    """One instance of `spec` through `run_tiled` at `precision`: a random
-    int8 input times one weight matrix, the output checked against the
-    oracle. Returns the run's cycles and passes, and the bytes it moves in
-    `cost`'s units: tm * n streamed rows of n bytes and n^2 stationary
-    words per pass."""
+    """One instance of `spec` through `run_tiled` at `precision`: one job of
+    a random int8 input times the stage's `nw` weight matrices, which share
+    it, every output checked against the oracle. Returns the run's cycles
+    and passes, and the bytes it moves in `cost`'s units: tm * n streamed
+    rows of n bytes and n^2 stationary words per pass."""
     lo, hi = signed_range(precision.weight_bits)
     job = MatMulJob(
         a=rng.integers(-128, 128, (spec.m, spec.k), dtype=np.int8),
-        weights=[rng.integers(lo, hi + 1, (spec.k, spec.p), dtype=np.int8)],
+        weights=[rng.integers(lo, hi + 1, (spec.k, spec.p), dtype=np.int8) for _ in range(spec.nw)],
         precision=precision,
         n=n,
     )
     result = run_tiled(job)
-    assert np.array_equal(result.outputs[0], oracle_matmul(job)[0])
+    for got, want in zip(result.outputs, oracle_matmul(job), strict=True):
+        assert np.array_equal(got, want)
     passes = result.pass_count
     return result.total_cycles, passes, passes * plan(job).tm * n * n, passes * n * n
 
 
 def _simulated_costs(cfg, params, seed):
     """Per stage of `cfg` and architecture, (cycles, passes, bytes_in,
-    bytes_w) from simulated runs: one instance at the precision the
-    architecture runs the stage at (ADiP's projections at the weight
-    width, all else 8-bit) times the stage's `count`. Each distinct instance
-    runs once."""
+    bytes_w) from simulated runs: one instance, its `nw` matrices on one
+    input, at the precision the architecture runs the stage at (ADiP's
+    projections at the weight width, all else 8-bit) times the stage's
+    `count`. Each distinct instance runs once."""
     rng = np.random.default_rng(seed)
     runs = {}
     costs = {}
@@ -331,7 +333,7 @@ def _simulated_costs(cfg, params, seed):
         for arch in Arch:
             packed = arch is Arch.ADIP and spec.is_projection
             precision = Precision.from_bits(spec.weight_bits) if packed else Precision.W8
-            key = (spec.m, spec.k, spec.p, precision)
+            key = (spec.m, spec.k, spec.p, spec.nw, precision)
             if key not in runs:
                 runs[key] = _instance(spec, precision, params.n, params, rng)
             costs[spec.stage, arch] = tuple(spec.count * x for x in runs[key])
@@ -370,6 +372,55 @@ def test_stage_cost_is_what_the_simulator_runs(cfg, params, bits):
     and weight bytes under DiP and ADiP equal those of simulated runs."""
     cfg = MhaConfig(**{**dataclasses.asdict(cfg), "weight_bits": bits})
     assert _simulated_costs(cfg, params, seed=bits) == _billed(cfg, params)
+
+
+def test_fused_projections_save_passes_on_a_ragged_geometry():
+    """At W2 on n = 4, d_model = 20 gives tp = 5 column tiles a matrix. Q, K
+    and V's 60 columns share the r * n = 16 output slots of a pass as one
+    job: ceil(60 / 16) = 4 passes a reduction tile, 20 a layer, billed and
+    run. Alone, each matrix takes ceil(20 / 16) = 2, so three would take 30."""
+    cfg = MhaConfig(**{**dataclasses.asdict(_RAGGED), "weight_bits": 2})
+    params = CostParams(n=4)
+    simulated = _simulated_costs(cfg, params, seed=2)
+    assert simulated == _billed(cfg, params)
+    assert simulated[Stage.Q_PROJ, Arch.ADIP][1] == 20 * cfg.layers
+    assert simulated[Stage.OUT_PROJ, Arch.ADIP][1] == 10 * cfg.layers
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    cfg=st.builds(
+        MhaConfig,
+        name=st.just("random"),
+        layers=st.integers(1, 3),
+        d_model=st.integers(1, 96),
+        heads=st.just(1),
+        d_k=st.just(8),
+        seq_len=st.integers(1, 96),
+        weight_bits=st.sampled_from([2, 4, 8]),
+    ),
+    n=st.sampled_from(sorted(ADIP_POWER_BY_SIZE)),
+)
+def test_fused_projections_cost_at_most_three_matrices_alone(cfg, n):
+    """QKVProj is OutProj's shape with nw = 3. Packing the three matrices'
+    columns together costs at most 3x one matrix's cycles, input bytes and
+    weight words, and exactly 3x when the r * n output slots of a pass
+    divide P (r = 1 on DiP and for 8-bit weights); its padded outputs are
+    3x always."""
+    params = CostParams(n=n, output_bytes=1)
+    specs = {spec.stage: spec for spec in stages(cfg)}
+    qkv, out = specs[Stage.Q_PROJ], specs[Stage.OUT_PROJ]
+    assert (qkv.nw, out.nw) == (3, 1)
+    assert dataclasses.replace(qkv, stage=Stage.OUT_PROJ, nw=1) == out
+    fields = ("cycles", "bytes_in", "bytes_w")
+    for arch in Arch:
+        fused, alone = stage_cost(qkv, arch, params), stage_cost(out, arch, params)
+        fused_fields, alone_fields = ([getattr(c, f) for f in fields] for c in (fused, alone))
+        assert all(f <= 3 * a for f, a in zip(fused_fields, alone_fields))
+        r = 8 // cfg.weight_bits if arch is Arch.ADIP else 1
+        if cfg.d_model % (r * n) == 0:
+            assert fused_fields == [3 * a for a in alone_fields]
+        assert fused.bytes_out == 3 * alone.bytes_out
 
 
 def test_one_layer_adip_passes_and_cycles():
@@ -437,11 +488,12 @@ def test_stage_tables_match_the_pinned_digest():
 
 @pytest.mark.parametrize("cfg", [GPT2_MEDIUM, BERT_LARGE, BITNET_158B], ids=lambda cfg: cfg.name)
 def test_each_billed_instance_is_planned_once(cfg):
-    """A report builds one plan per distinct billed (m, k, p, bits); a second
-    report, and `evaluate` and `stage_latency` after it, read those records."""
+    """A report builds one plan per distinct billed (m, k, p, nw, bits); a
+    second report, and `evaluate` and `stage_latency` after it, read those
+    records."""
     params = CostParams(n=32)
     billed = {
-        (s.m, s.k, s.p, s.weight_bits if arch is Arch.ADIP and s.is_projection else 8)
+        (s.m, s.k, s.p, s.nw, s.weight_bits if arch is Arch.ADIP and s.is_projection else 8)
         for s in stages(cfg)
         for arch in Arch
     }

@@ -69,13 +69,15 @@ def test_gpt2_per_layer_work():
 
 def test_stage_shapes_and_counts():
     specs = {s.stage: s for s in stages(BITNET_158B)}
-    assert len(specs) == 6
+    assert list(specs) == [Stage.Q_PROJ, Stage.SCORES, Stage.ATTN, Stage.OUT_PROJ]
     s, d = BITNET_158B.seq_len, BITNET_158B.d_model
-    for stage in (Stage.Q_PROJ, Stage.K_PROJ, Stage.V_PROJ, Stage.OUT_PROJ):
+    for stage, nw in ((Stage.Q_PROJ, 3), (Stage.OUT_PROJ, 1)):
         spec = specs[stage]
-        assert (spec.m, spec.k, spec.p) == (s, d, d)
+        assert (spec.m, spec.k, spec.p, spec.nw) == (s, d, d, nw)
         assert spec.count == BITNET_158B.layers
         assert spec.weight_bits == 2 and spec.is_projection
+        assert spec.ops == 2 * s * d * d * BITNET_158B.layers * nw
+    assert specs[Stage.Q_PROJ].stage.label == "QKVProj"
     scores = specs[Stage.SCORES]
     assert (scores.m, scores.k, scores.p) == (s, BITNET_158B.d_k, s)
     assert scores.count == BITNET_158B.layers * BITNET_158B.heads
@@ -146,6 +148,8 @@ _SPEC = dict(stage=Stage.Q_PROJ, m=4, k=4, p=4, count=1, weight_bits=4)
         ("count", 1.5),
         ("count", True),
         ("count", "3"),
+        ("nw", 0),
+        ("nw", 2.0),
         ("m", -5),
         ("k", -1),
         ("p", 2.0),
@@ -156,20 +160,26 @@ _SPEC = dict(stage=Stage.Q_PROJ, m=4, k=4, p=4, count=1, weight_bits=4)
     ],
 )
 def test_stage_spec_rejects_shapes_that_cost_nonsense(field, value):
-    """A stage spec is `count` >= 1 instances of non-negative integer m, k
-    and p at a weight width of 2, 4 or 8: anything else raises ValueError
-    before `stage_cost` could bill negative, zero or fractional cycles."""
+    """A stage spec is `count` >= 1 instances of `nw` >= 1 matrices of
+    non-negative integer m, k and p at a weight width of 2, 4 or 8:
+    anything else raises ValueError before `stage_cost` could bill
+    negative, zero or fractional cycles."""
     with pytest.raises(ValueError, match=field):
         StageSpec(**{**_SPEC, field: value})
 
 
 def test_stage_spec_accepts_zero_dims_and_numpy_integers():
-    spec = StageSpec(**{**_SPEC, "m": 0, "p": np.int64(3), "count": np.int32(2)})
+    """Numpy sizes are held as Python ints, so no product of them wraps or
+    overflows a fixed width."""
+    spec = StageSpec(**{**_SPEC, "m": 0, "p": np.int64(3), "count": np.int32(2), "nw": np.int64(3)})
     assert spec.ops == 0
+    assert all(type(getattr(spec, name)) is int for name in ("m", "k", "p", "count", "nw"))
+    wide = StageSpec(**{**_SPEC, "m": np.int32(70_000), "k": np.int32(70_000), "count": np.int32(2)})
+    assert wide.ops == 2 * 70_000 * 70_000 * 4 * 2
 
 
 def test_stages_come_fresh_for_each_call():
     """`stages` hands out a new list of the cached specs each time."""
     first = stages(BERT_LARGE)
     first.clear()
-    assert len(stages(BERT_LARGE)) == 6
+    assert len(stages(BERT_LARGE)) == 4

@@ -85,6 +85,19 @@ def _no_output_elements(instance):
     return mutant
 
 
+def _one_matrix_per_instance(instance):
+    bind = _arguments(instance, "nw")
+
+    @functools.lru_cache(maxsize=1024)
+    @functools.wraps(instance)
+    def mutant(*args, **kwargs):
+        bound = bind(args, kwargs)
+        bound.arguments["nw"] = 1
+        return instance(*bound.args, **bound.kwargs)
+
+    return mutant
+
+
 def _one_reducer_stage_dropped(stream_cycles):
     bind = _arguments(stream_cycles, "precision")
 
@@ -182,6 +195,18 @@ MUTANTS = (
             "tests/test_cost.py::test_cost_reports_match_the_pinned_digest",
         ),
     ),
+    Mutant(
+        "fused-stage-billed-as-one-matrix",
+        "adipsim.cost:_instance",
+        _one_matrix_per_instance,
+        # the simulated gate runs QKVProj as one job of three matrices
+        (
+            "tests/test_cost.py::test_stage_cost_is_what_the_simulator_runs[ragged-8]",
+            "tests/test_cost.py::test_stage_cost_is_what_the_simulator_runs[ragged-4]",
+            "tests/test_cost.py::test_stage_cost_is_what_the_simulator_runs[ragged-2]",
+            "tests/test_cost.py::test_cost_reports_match_the_pinned_digest",
+        ),
+    ),
     # the engine
     Mutant(
         "one-reducer-stage-dropped",
@@ -201,8 +226,10 @@ MUTANTS = (
         "adipsim.preprocess:_slot_table",
         _top_slot_sign_flipped,
         # only the traced path reads the slots: untraced outputs come from
-        # the weight fields, so c01's untraced runs cannot catch this
+        # the weight fields, so c01's untraced runs cannot catch this; c03's
+        # traced jobs can
         (
+            "tests/test_acceptance.py::test_c03_cycle_fidelity_across_sizes",
             "tests/test_preprocess.py::test_slot_table_and_fields_are_the_bit_field_rule_for_every_word",
             "tests/test_closed_form.py::test_traced_run_tiled_matches_the_stepper_pass_by_pass",
         ),
@@ -223,13 +250,20 @@ MUTANTS = (
         "mapped-registers-bus-off-by-one",
         "adipsim.array:_mapped_registers",
         _bus_off_by_one,
-        ("tests/test_closed_form.py::test_traced_run_tiled_matches_the_stepper_pass_by_pass",),
+        (
+            "tests/test_acceptance.py::test_c03_cycle_fidelity_across_sizes",
+            "tests/test_closed_form.py::test_traced_run_tiled_matches_the_stepper_pass_by_pass",
+        ),
     ),
     Mutant(
         "stepped-registers-bus-off-by-one",
         "adipsim.array:_registers",
         _bus_off_by_one,
-        ("tests/test_closed_form.py::test_blocks_split_between_and_within_passes",),
+        # c03's traced jobs form registers clock by clock from n = 15
+        (
+            "tests/test_acceptance.py::test_c03_cycle_fidelity_across_sizes",
+            "tests/test_closed_form.py::test_blocks_split_between_and_within_passes",
+        ),
     ),
     Mutant(
         "read-packed-skips-the-unrotation",
