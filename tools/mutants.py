@@ -12,7 +12,8 @@ or no longer has a parameter its mutant changes, stops the run with exit
 2, so a change that renames it must update the list here. The
 replacement is bound in every loaded `adipsim` module that holds the
 original under that name, so a module that imported the target
-(`from .array import stream_cycles`) runs the mutant too.
+(`from .array import stream_cycles`) runs the mutant too; a module loaded
+later imports the replacement.
 
 The runner first runs the union of all selections on the unmutated
 package, which must pass. It then applies each mutant in its own pytest
@@ -239,6 +240,13 @@ MUTANTS = (
         "adipsim.array:_check_accumulator",
         _returns_at_once,
         ("tests/test_cost.py::test_overflow_edge_runs_match_the_pinned_digest",),
+    ),
+    Mutant(
+        "accumulator-limit-one-past",
+        "adipsim.array:_PSUM_LIMIT",
+        # the gate lets a running sum of exactly 2^31 through
+        lambda limit: limit + 1,
+        ("tests/test_whole_pass.py::test_full_scale_accumulator_edge",),
     ),
     Mutant(
         "decode-field-reads-the-next-field",
